@@ -15,11 +15,10 @@ is a test.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.integrate
-import scipy.special
 
 from ._linalg import gram_orthonormalize, nullspace, operator_norm, orthonormal_range
 from .determinant import ConvergenceReport, SpectralDensity
@@ -505,8 +504,10 @@ class ZetaReport:
         def integrand(t):
             return t ** (s - 1.0) * np.exp(-lam * t) * self.theta_value(degree, t)
 
+        import scipy.integrate
+
         value, _ = scipy.integrate.quad(integrand, t_min, t_max, limit=400)
-        return float(value / scipy.special.gamma(s))
+        return float(value / math.gamma(s))
 
 
 def zeta_suite(complex_, grid=None, hodge_data: HodgeData | None = None) -> ZetaReport:

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from ._linalg import log_near_identity, operator_norm
 from .errors import (
@@ -216,6 +215,8 @@ def _segment_is_safe(tilde, tol=1e-8):
 
 def _unitary_power_path(u):
     """t -> u^t by spectral interpolation of the unitary eigenphases."""
+    import scipy.linalg
+
     if u.size == 0:
         return lambda t: u
     tri, z = scipy.linalg.schur(u, output="complex")
@@ -266,6 +267,8 @@ def fk_det_path(
         return DeterminantResult(float(np.exp(log_det)), float(log_det), "path")
 
     # polar: 1 -> U on t in [0, 1], then U -> U P on t in [1, 2]
+    import scipy.linalg
+
     unitaries = []
     stretches = []
     for b in tilde:

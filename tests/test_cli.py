@@ -1,6 +1,10 @@
 """Document codecs and command-line entry point."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -359,3 +363,17 @@ def test_cli_fixture_suite(capsys):
     assert all(line.startswith("ok") for line in lines)
     assert lines[-1].startswith("ok   fixture suite")
     assert len(lines) >= 16
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is loaded only by the polar path route and ZetaReport.mellin_zeta
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = (
+        "import detline.cli, sys; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
