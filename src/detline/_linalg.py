@@ -26,7 +26,8 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
 def operator_norm(a: np.ndarray) -> float:
     if a.size == 0:
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    # the same value np.linalg.norm(a, 2) takes, without its axis handling
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def is_hermitian(a: np.ndarray, tol: float = 1e-10) -> bool:

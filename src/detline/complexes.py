@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import gram_orthonormalize, nullspace, operator_norm, orthonormal_range
+from ._linalg import nullspace, operator_norm, orthonormal_range
 from .determinant import ConvergenceReport, SpectralDensity
 from .errors import (
     IllConditionedKernel,
@@ -38,6 +38,7 @@ from .modules import (
     CommutantOperator,
     HilbertianModule,
     ModuleMorphism,
+    frame_submodule,
     von_neumann_dimension,
 )
 
@@ -47,15 +48,6 @@ BOUNDARY_TOL = 1e-10
 
 CHAIN = "chain"
 COCHAIN = "cochain"
-
-
-def _same_coordinates(a: HilbertianModule, b: HilbertianModule) -> bool:
-    """Same carrier and layout; the reference products may differ."""
-    if a.algebra != b.algebra or a.multiplicities != b.multiplicities:
-        return False
-    ua = np.eye(a.carrier_dim) if a.basis_map is None else a.basis_map
-    ub = np.eye(b.carrier_dim) if b.basis_map is None else b.basis_map
-    return bool(np.allclose(ua, ub, atol=1e-12))
 
 
 class HilbertianChainComplex:
@@ -113,7 +105,7 @@ class HilbertianChainComplex:
             lo, hi = modules[i], modules[i + 1]
             src, tgt = (hi, lo) if convention == CHAIN else (lo, hi)
             if isinstance(f, ModuleMorphism):
-                if not (_same_coordinates(f.source, src) and _same_coordinates(f.target, tgt)):
+                if not (f.source.same_coordinates(src) and f.target.same_coordinates(tgt)):
                     raise ValidationError(f"map {i} does not connect degrees {i} and {i + 1}")
                 f = ModuleMorphism(src, tgt, [b.copy() for b in f.blocks])
             else:
@@ -371,24 +363,6 @@ def torsion_iso_via_laplacians(complex_, hodge_data: HodgeData | None = None) ->
     return graded_assemble(entries)
 
 
-def _orthonormal_frame(module, block_frames):
-    """Reference-orthonormalize the given per-block spanning frames."""
-    g = module.reference_gram
-    out = []
-    counts = []
-    for frame, gb in zip(block_frames, g.blocks):
-        if frame.shape[1] == 0:
-            out.append(frame.astype(complex))
-            counts.append(0)
-            continue
-        on = gram_orthonormalize(frame, gb)
-        out.append(on)
-        counts.append(on.shape[1])
-    sub = HilbertianModule(module.algebra, counts)
-    embed = ModuleMorphism(sub, module, out)
-    return sub, embed
-
-
 def _coords_in_frame(embed, vectors_blocks):
     """Coordinates of given vectors in a reference-orthonormal frame."""
     g = embed.target.reference_gram
@@ -420,7 +394,7 @@ def torsion_iso_via_exact_sequences(complex_, hodge_data: HodgeData | None = Non
             frames = [np.zeros((m, 0), dtype=complex) for m in mod.multiplicities]
         else:
             frames = [orthonormal_range(b) for b in inc.blocks]
-        boundary_frames[i] = _orthonormal_frame(mod, frames)
+        boundary_frames[i] = frame_submodule(mod, frames)
 
     entries = []
     for i in complex_.degrees:
@@ -432,7 +406,7 @@ def torsion_iso_via_exact_sequences(complex_, hodge_data: HodgeData | None = Non
             kernels = [np.eye(m, dtype=complex) for m in mod.multiplicities]
         else:
             kernels = [nullspace(b) for b in out.blocks]
-        z_mod, z_embed = _orthonormal_frame(mod, kernels)
+        z_mod, z_embed = frame_submodule(mod, kernels)
 
         # 0 -> Z_i -> C_i -> B(target) -> 0
         if out is None:

@@ -2,12 +2,18 @@
 
 A module over A = sum_k M_{n_k}(C) is stored by its multiplicities
 (m_1, ..., m_r): the canonical carrier is sum_k C^{n_k} (x) C^{m_k} and the
-algebra acts by x |-> blkdiag_k(x_k kron 1_{m_k}).  A unitary basis_map
-carries canonical coordinates to whatever coordinates the user works in
-(group-element coordinates for regular modules, concatenated coordinates for
-direct sums).  The carrier has no preferred scalar product; a reference gram
-(positive, invertible, commuting with the action) is part of the data and
-all metric notions are taken relative to some admissible gram.
+algebra acts by x |-> blkdiag_k(x_k kron 1_{m_k}).  The carrier has no
+preferred scalar product; a reference gram (positive, invertible, commuting
+with the action) is part of the data and all metric notions are taken
+relative to some admissible gram.
+
+Blocks are the representation.  A module is its algebra, its multiplicities,
+one reference-gram block of shape (m_k, m_k) per algebra block, and a
+coordinates key that says which user coordinates its carrier is read in
+(canonical, a given unitary basis_map, or the concatenated coordinates of a
+direct sum).  Carrier-sized matrices exist only at I/O: a basis_map or gram
+a caller supplies is checked and reduced to blocks once, and the basis_map
+and reference_gram.matrix of a direct sum are built only when asked for.
 
 Everything A-linear is stored blockwise: a morphism M -> N decomposes as
 blkdiag_k(1_{n_k} kron F_k) in canonical coordinates with F_k of shape
@@ -45,10 +51,50 @@ from .errors import (
 COMMUTANT_TOL = 1e-10
 COND_LIMIT = 1e12
 POSITIVITY_FLOOR = 1e-10
+SAME_SPACE_TOL = 1e-12
+
+
+def _close(a: np.ndarray, b: np.ndarray) -> bool:
+    """Entrywise equality to SAME_SPACE_TOL times max(1, largest |a_ij|);
+    no relative term, so a gram off by a factor 1 + 5e-6 differs."""
+    if a.size == 0:
+        return True
+    scale = max(1.0, float(np.max(np.abs(a))))
+    return float(np.max(np.abs(a - b))) <= SAME_SPACE_TOL * scale
 
 
 class HilbertianModule:
     def __init__(self, algebra, multiplicities, basis_map=None, reference_gram=None):
+        self._set_layout(algebra, multiplicities)
+        self._summands = None
+        if basis_map is None:
+            self._basis_map = None
+        else:
+            u = as_complex_matrix(basis_map)
+            if u.shape != (self.carrier_dim, self.carrier_dim):
+                raise ShapeMismatch("basis map has wrong shape")
+            if operator_norm(u.conj().T @ u - np.eye(self.carrier_dim)) > 1e-8:
+                raise ValidationError("basis map must be unitary")
+            self._basis_map = u
+
+        if reference_gram is None:
+            self.reference_gram = _GramData.identity(self)
+        else:
+            self.reference_gram = _GramData.from_matrix(
+                self, reference_gram, what="reference gram"
+            )
+
+    @classmethod
+    def _direct_sum(cls, algebra, multiplicities, summands):
+        """Concatenated user coordinates of the summands; blocks only."""
+        out = cls.__new__(cls)
+        out._set_layout(algebra, multiplicities)
+        out._summands = tuple(summands)
+        out._basis_map = None
+        out.reference_gram = _GramData.direct_sum(out, out._summands)
+        return out
+
+    def _set_layout(self, algebra, multiplicities):
         if not isinstance(algebra, FiniteVonNeumannAlgebra):
             raise ValidationError("algebra must be a FiniteVonNeumannAlgebra")
         mult = tuple(int(m) for m in multiplicities)
@@ -62,36 +108,29 @@ class HilbertianModule:
         self.carrier_dim = int(sum(n * m for n, m in zip(dims, mult)))
         self._offsets = np.cumsum([0] + [n * m for n, m in zip(dims, mult)])
 
-        if basis_map is None:
-            self.basis_map = None
-        else:
-            u = as_complex_matrix(basis_map)
-            if u.shape != (self.carrier_dim, self.carrier_dim):
-                raise ShapeMismatch("basis map has wrong shape")
-            if operator_norm(u.conj().T @ u - np.eye(self.carrier_dim)) > 1e-8:
-                raise ValidationError("basis map must be unitary")
-            self.basis_map = u
-
-        if reference_gram is None:
-            gram = np.eye(self.carrier_dim, dtype=complex)
-        else:
-            gram = as_complex_matrix(reference_gram)
-        self.reference_gram = _GramData.from_matrix(self, gram, what="reference gram")
-
     # -- coordinates ---------------------------------------------------------
+
+    @property
+    def basis_map(self):
+        """Unitary from canonical to user coordinates; None if canonical."""
+        if self._basis_map is None and self._summands is not None:
+            self._basis_map = _direct_sum_basis_map(self)
+        return self._basis_map
 
     def block_slice(self, k: int) -> slice:
         return slice(int(self._offsets[k]), int(self._offsets[k + 1]))
 
     def to_canonical(self, mat: np.ndarray) -> np.ndarray:
-        if self.basis_map is None:
+        u = self.basis_map
+        if u is None:
             return mat
-        return self.basis_map.conj().T @ mat @ self.basis_map
+        return u.conj().T @ mat @ u
 
     def from_canonical(self, mat: np.ndarray) -> np.ndarray:
-        if self.basis_map is None:
+        u = self.basis_map
+        if u is None:
             return mat
-        return self.basis_map @ mat @ self.basis_map.conj().T
+        return u @ mat @ u.conj().T
 
     def action(self, x: AlgebraElement) -> np.ndarray:
         """Matrix of the action of x in user coordinates."""
@@ -105,16 +144,51 @@ class HilbertianModule:
 
     # -- structure -----------------------------------------------------------
 
-    def is_same_space(self, other: "HilbertianModule") -> bool:
+    def _same_coordinates_key(self, other: "HilbertianModule") -> bool:
+        """Same user coordinates by construction: both canonical, the same
+        given basis map object, or direct sums of summands that pairwise
+        have the same layout and key."""
+        if self is other:
+            return True
+        a, b = self._summands, other._summands
+        if a is None and b is None:
+            return self._basis_map is other._basis_map
+        return (
+            a is not None
+            and b is not None
+            and len(a) == len(b)
+            and all(
+                x.multiplicities == y.multiplicities and x._same_coordinates_key(y)
+                for x, y in zip(a, b)
+            )
+        )
+
+    def same_coordinates(self, other: "HilbertianModule") -> bool:
+        """Same algebra, layout and user coordinates; grams may differ.
+
+        Equal coordinates keys decide at once; otherwise (say a direct sum
+        against a module given its basis map) the carrier basis maps are
+        compared.
+        """
         if self is other:
             return True
         if self.algebra != other.algebra or self.multiplicities != other.multiplicities:
             return False
-        a = np.eye(self.carrier_dim) if self.basis_map is None else self.basis_map
-        b = np.eye(other.carrier_dim) if other.basis_map is None else other.basis_map
-        return np.allclose(a, b, atol=1e-12) and np.allclose(
-            self.reference_gram.matrix, other.reference_gram.matrix, atol=1e-12
-        )
+        if self._same_coordinates_key(other):
+            return True
+        a, b = self.basis_map, other.basis_map
+        eye = np.eye(self.carrier_dim)
+        return _close(eye if a is None else a, eye if b is None else b)
+
+    def is_same_space(self, other: "HilbertianModule") -> bool:
+        if self is other:
+            return True
+        if not self.same_coordinates(other):
+            return False
+        ga, gb = self.reference_gram, other.reference_gram
+        if ga.is_identity and gb.is_identity:
+            return True
+        return all(_close(a, b) for a, b in zip(ga.blocks, gb.blocks))
 
     def __repr__(self):
         return f"HilbertianModule(dims={self.algebra.block_dims}, mult={self.multiplicities})"
@@ -123,18 +197,40 @@ class HilbertianModule:
 class _GramData:
     """A positive invertible commutant operator used as a scalar product.
 
-    Caches blockwise square roots, since metric work happens per block.
+    Stored by its blocks; caches blockwise square roots, since metric work
+    happens per block.  The carrier matrix is built only when asked for.
     """
 
-    __slots__ = ("module", "blocks", "matrix", "_sqrt", "_inv_sqrt", "_inv")
+    __slots__ = ("module", "blocks", "is_identity", "_matrix", "_sqrt", "_inv_sqrt", "_inv")
 
-    def __init__(self, module, blocks, matrix):
+    def __init__(self, module, blocks, matrix=None, is_identity=False):
         self.module = module
         self.blocks = blocks
-        self.matrix = matrix
-        self._sqrt = None
-        self._inv_sqrt = None
-        self._inv = None
+        self.is_identity = is_identity
+        self._matrix = matrix
+        self._sqrt = self._inv_sqrt = self._inv = blocks if is_identity else None
+
+    @staticmethod
+    def identity(module):
+        blocks = tuple(np.eye(m, dtype=complex) for m in module.multiplicities)
+        return _GramData(module, blocks, is_identity=True)
+
+    @staticmethod
+    def direct_sum(module, summands):
+        """Block sum of the summands' references, one block per algebra block."""
+        grams = [s.reference_gram for s in summands]
+        if all(g.is_identity for g in grams):
+            return _GramData.identity(module)
+        blocks = []
+        for k, m in enumerate(module.multiplicities):
+            block = np.zeros((m, m), dtype=complex)
+            at = 0
+            for g in grams:
+                mk = g.blocks[k].shape[0]
+                block[at : at + mk, at : at + mk] = g.blocks[k]
+                at += mk
+            blocks.append(block)
+        return _GramData(module, tuple(blocks))
 
     @staticmethod
     def from_matrix(module, gram, what="gram"):
@@ -154,6 +250,16 @@ class _GramData:
         if np.min(vals) <= POSITIVITY_FLOOR * max(top, 1e-300):
             raise NotAdmissible(f"{what} is not positive definite")
         return _GramData(module, tuple(blocks), gram)
+
+    @property
+    def matrix(self):
+        """The gram in the module's user coordinates."""
+        if self._matrix is None:
+            if self.module._summands is not None:
+                self._matrix = _direct_sum_gram_matrix(self.module)
+            else:
+                self._matrix = np.eye(self.module.carrier_dim, dtype=complex)
+        return self._matrix
 
     @property
     def sqrt_blocks(self):
@@ -197,7 +303,7 @@ def _extract_blocks(source, target, mat):
     from blkdiag_k(1_{n_k} kron F_k) in canonical coordinates; it is the
     caller's job to compare against a tolerance.
     """
-    can = (target.basis_map.conj().T if target.basis_map is not None else np.eye(target.carrier_dim)) @ mat
+    can = mat if target.basis_map is None else target.basis_map.conj().T @ mat
     if source.basis_map is not None:
         can = can @ source.basis_map
     dims = source.algebra.block_dims
@@ -447,12 +553,6 @@ def require_admissible(module: HilbertianModule, gram) -> CommutantOperator:
 # constructions
 
 
-def _summand_layout(modules):
-    dims = modules[0].algebra.block_dims
-    mult = tuple(sum(m.multiplicities[k] for m in modules) for k in range(len(dims)))
-    return dims, mult
-
-
 def direct_sum_many(modules: list[HilbertianModule]) -> HilbertianModule:
     """Direct sum; user coordinates are the concatenated user coordinates and
     the reference gram is the block sum of the summand references."""
@@ -462,15 +562,19 @@ def direct_sum_many(modules: list[HilbertianModule]) -> HilbertianModule:
     for m in modules:
         if m.algebra != alg:
             raise AlgebraMismatch("summands live over different algebras")
-    dims, mult = _summand_layout(modules)
-    total = int(sum(m.carrier_dim for m in modules))
+    mult = tuple(sum(m.multiplicities[k] for m in modules) for k in range(len(alg.blocks)))
+    return HilbertianModule._direct_sum(alg, mult, modules)
 
-    # unitary: canonical coords of the sum -> concatenated user coords
-    u = np.zeros((total, total), dtype=complex)
-    sum_offsets = np.cumsum([0] + [n * m for n, m in zip(dims, mult)])
+
+def _direct_sum_basis_map(total: HilbertianModule) -> np.ndarray:
+    """Unitary from canonical coordinates of a direct sum to the
+    concatenated user coordinates of its summands."""
+    dims, mult = total.algebra.block_dims, total.multiplicities
+    u = np.zeros((total.carrier_dim, total.carrier_dim), dtype=complex)
+    sum_offsets = total._offsets
     user_at = 0
     mult_seen = [0] * len(dims)
-    for mod in modules:
+    for mod in total._summands:
         umod = mod.basis_map if mod.basis_map is not None else np.eye(mod.carrier_dim)
         # canonical index of summand (block k, copy a, column i) lands at
         # sum-canonical index (block k, copy a, column offset_k + i)
@@ -485,13 +589,17 @@ def direct_sum_many(modules: list[HilbertianModule]) -> HilbertianModule:
         user_at += mod.carrier_dim
         for k in range(len(dims)):
             mult_seen[k] += mod.multiplicities[k]
+    return u
 
-    gram = np.zeros((total, total), dtype=complex)
+
+def _direct_sum_gram_matrix(total: HilbertianModule) -> np.ndarray:
+    """Block sum of the summands' reference grams, in user coordinates."""
+    gram = np.zeros((total.carrier_dim, total.carrier_dim), dtype=complex)
     at = 0
-    for mod in modules:
+    for mod in total._summands:
         gram[at : at + mod.carrier_dim, at : at + mod.carrier_dim] = mod.reference_gram.matrix
         at += mod.carrier_dim
-    return HilbertianModule(alg, mult, basis_map=u, reference_gram=gram)
+    return gram
 
 
 def direct_sum(m: HilbertianModule, n: HilbertianModule) -> HilbertianModule:
@@ -644,13 +752,29 @@ def submodule_from_blocks(
     return sub, embed
 
 
+def frame_submodule(
+    module: HilbertianModule, frames, gram=None
+) -> tuple[HilbertianModule, ModuleMorphism]:
+    """Submodule spanned per block by orthonormal frames (SVD output).
+
+    Like submodule_from_blocks, but under an identity gram the frames are
+    used as they are: they are orthonormal already, and orthonormalizing
+    them again would only add rounding.
+    """
+    g = resolve_gram(module, gram)
+    if not g.is_identity:
+        frames = [gram_orthonormalize(f, gb) for f, gb in zip(frames, g.blocks)]
+    sub = HilbertianModule(module.algebra, [f.shape[1] for f in frames])
+    return sub, ModuleMorphism(sub, module, frames)
+
+
 def kernel_submodule(f: ModuleMorphism, gram=None):
     """Kernel of an A-linear map as a submodule of its source."""
     cols = [nullspace(b) for b in f.blocks]
-    return submodule_from_blocks(f.source, cols, gram=gram)
+    return frame_submodule(f.source, cols, gram=gram)
 
 
 def image_submodule(f: ModuleMorphism, gram=None):
     """Closed image of an A-linear map as a submodule of its target."""
     cols = [orthonormal_range(b) for b in f.blocks]
-    return submodule_from_blocks(f.target, cols, gram=gram)
+    return frame_submodule(f.target, cols, gram=gram)

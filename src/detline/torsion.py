@@ -388,15 +388,21 @@ def _module_power(module: HilbertianModule, count: int) -> HilbertianModule:
 
 
 def _assemble_matrix(rep, entries, n_rows, n_cols):
-    """Evaluate a group-ring matrix into per-algebra-block numpy blocks."""
-    module = rep.module
-    ops = [[rep.evaluate(entries(r, c)) for c in range(n_cols)] for r in range(n_rows)]
-    blocks = []
-    for k, m in enumerate(module.multiplicities):
-        if n_rows and n_cols:
-            blocks.append(np.block([[ops[r][c].blocks[k] for c in range(n_cols)] for r in range(n_rows)]))
-        else:
-            blocks.append(np.zeros((m * n_rows, m * n_cols), dtype=complex))
+    """Evaluate a group-ring matrix into per-algebra-block numpy blocks.
+
+    Only nonzero entries are evaluated; each lands in its (row, column)
+    tile of preallocated block arrays.
+    """
+    mult = rep.module.multiplicities
+    blocks = [np.zeros((m * n_rows, m * n_cols), dtype=complex) for m in mult]
+    for r in range(n_rows):
+        for c in range(n_cols):
+            entry = entries(r, c)
+            if entry.is_zero():
+                continue
+            op = rep.evaluate(entry)
+            for m, out, b in zip(mult, blocks, op.blocks):
+                out[r * m : (r + 1) * m, c * m : (c + 1) * m] = b
     return blocks
 
 

@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from detline.algebra import FiniteGroupTable, FiniteVonNeumannAlgebra, build_group_algebra
+from detline.determinant import fk_det_spectral
 from detline.errors import (
     AlgebraMismatch,
     NotAdmissible,
     NotInCommutant,
     NotIso,
     ShapeMismatch,
+    ValidationError,
 )
+from detline.lines import reference_element
 from detline.modules import (
     CommutantOperator,
     HilbertianModule,
@@ -326,3 +329,81 @@ def test_algebra_mismatch_guard():
         ModuleMorphism(m, n, [np.eye(1), np.eye(1)])
     with pytest.raises(ShapeMismatch):
         HilbertianModule(ALG, (1,))
+
+
+# -- block-native layout -------------------------------------------------------
+
+
+def _positive_op(module, rng):
+    blocks = []
+    for m in module.multiplicities:
+        a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        blocks.append(a @ a.conj().T + m * np.eye(m))
+    return CommutantOperator(module, blocks)
+
+
+def test_direct_sum_of_user_bases_matches_carrier_construction():
+    dec = build_group_algebra(FiniteGroupTable.symmetric(3))
+    alg = dec.algebra
+    rng = np.random.default_rng(11)
+    plain = regular_module(dec)
+    canon = HilbertianModule(alg, (2, 1, 1))
+    summands = [
+        regular_module(dec, reference_gram=_positive_op(plain, rng).to_matrix()),
+        HilbertianModule(alg, (2, 1, 1), reference_gram=_positive_op(canon, rng).to_matrix()),
+        regular_module(dec, reference_gram=_positive_op(plain, rng).to_matrix()),
+    ]
+    total = direct_sum_many(summands)
+
+    # explicit carrier construction: walk the canonical coordinates of the
+    # sum (block k, copy a, concatenated multiplicity index) and place the
+    # matching canonical basis vector of each summand in its user slot
+    d = sum(s.carrier_dim for s in summands)
+    user_at = np.cumsum([0] + [s.carrier_dim for s in summands])
+    u = np.zeros((d, d), dtype=complex)
+    col = 0
+    for k, n in enumerate(alg.block_dims):
+        for a in range(n):
+            for s, at in zip(summands, user_at):
+                us = np.eye(s.carrier_dim) if s.basis_map is None else s.basis_map
+                start = sum(nn * mm for nn, mm in zip(alg.block_dims[:k], s.multiplicities[:k]))
+                for i in range(s.multiplicities[k]):
+                    u[at : at + s.carrier_dim, col] = us[:, start + a * s.multiplicities[k] + i]
+                    col += 1
+    gram = np.zeros((d, d), dtype=complex)
+    for s, at in zip(summands, user_at):
+        gram[at : at + s.carrier_dim, at : at + s.carrier_dim] = s.reference_gram.matrix
+
+    assert np.array_equal(total.basis_map, u)
+    assert np.array_equal(total.reference_gram.matrix, gram)
+    carrier = HilbertianModule(alg, total.multiplicities, basis_map=u, reference_gram=gram)
+    assert total.is_same_space(carrier) and carrier.is_same_space(total)
+    for got, want in zip(total.reference_gram.blocks, carrier.reference_gram.blocks):
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+    f = random_commutant_op(total, rng)
+    canonical = np.zeros((d, d), dtype=complex)
+    for k, n in enumerate(alg.block_dims):
+        sl = total.block_slice(k)
+        canonical[sl, sl] = np.kron(np.eye(n), f.blocks[k])
+    mat = f.to_matrix()
+    assert np.allclose(mat, u @ canonical @ u.conj().T, rtol=0.0, atol=1e-12)
+    back = CommutantOperator.from_matrix(total, mat)
+    for got, want in zip(back.blocks, f.blocks):
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+def test_is_same_space_tolerance_is_scale_relative():
+    dec = build_group_algebra(FiniteGroupTable.cyclic(3))
+    plain = regular_module(dec)
+    near = regular_module(dec, reference_gram=(1 + 5e-6) * np.eye(3))
+    assert not plain.is_same_space(near)
+    assert not reference_element(plain).is_close_to(reference_element(near))
+    with pytest.raises(ValidationError):
+        fk_det_spectral(plain, CommutantOperator.identity(near))
+    assert plain.same_coordinates(near)
+    # roundoff in a large gram still counts as the same space
+    big = 1e6 * np.eye(3)
+    a = regular_module(dec, reference_gram=big)
+    b = regular_module(dec, reference_gram=big * (1 + 1e-14))
+    assert a.is_same_space(b)

@@ -25,11 +25,13 @@ from detline.fixtures import (
     torus,
     trivial_representation,
 )
-from detline.modules import CommutantOperator, standard_module
+from detline import modules
+from detline.modules import CommutantOperator, HilbertianModule, standard_module
 from detline.torsion import (
     GroupRepresentation,
     GroupRingElement,
     SubdivisionData,
+    _assemble_matrix,
     assemble_coefficients,
     check_unimodular,
     elementary_subdivide,
@@ -544,3 +546,57 @@ def test_report_contents():
     assert report.unimodularity.passed
     assert report.graded is not None
     assert report.coefficients is not None
+
+
+# -- block-native layout -------------------------------------------------------
+
+
+def test_reference_hashes_pinned():
+    # values of the carrier-matrix implementation; a gram rebuilt as
+    # U kron U^H would round to -0.0 entries and change them
+    report = torsion(circle(8), regular_cyclic_representation(5))
+    assert report.reference_hashes == {
+        "module_gram": "4bbf73e610296c44",
+        "harmonic_grams": ("b52d6345c2adfc05", "b52d6345c2adfc05"),
+    }
+    rep = regular_product_representation((2, 3), ("a", "b"))
+    assert torsion(torus(), rep).reference_hashes["module_gram"] == "21951368ff023721"
+
+
+def test_sparse_assembly_matches_dense_evaluation():
+    alg = FiniteVonNeumannAlgebra(((1, 1.0), (2, 0.5)))
+    module = HilbertianModule(alg, (2, 3))
+    rng = np.random.default_rng(5)
+    image = CommutantOperator(
+        module, [np.eye(m) + 0.3 * rng.standard_normal((m, m)) for m in (2, 3)]
+    )
+    zero = GroupRingElement.zero()
+    mat = [[ring("t") - ring(), zero, ring("t^2", 3)], [zero, ring("t^-1"), zero]]
+    for side in ("right", "left"):
+        rep = GroupRepresentation(module, {"t": image}, side=side)
+        got = _assemble_matrix(rep, lambda r, c: mat[r][c], 2, 3)
+        ops = [[rep.evaluate(mat[r][c]) for c in range(3)] for r in range(2)]
+        for k in range(len(module.multiplicities)):
+            dense = np.block([[ops[r][c].blocks[k] for c in range(3)] for r in range(2)])
+            assert np.array_equal(got[k], dense)
+
+
+def test_torsion_builds_no_carrier_matrices(monkeypatch):
+    rep = regular_cyclic_representation(5)
+    cells = 64  # C[Z/5] is commutative: multiplicity blocks are 64 x 64
+
+    def refuse(total):
+        raise AssertionError(f"built a carrier matrix of size {total.carrier_dim}")
+
+    eye = np.eye
+
+    def small_eye(n, *args, **kwargs):
+        if n > cells:
+            raise AssertionError(f"built a carrier identity of size {n}")
+        return eye(n, *args, **kwargs)
+
+    monkeypatch.setattr(modules, "_direct_sum_basis_map", refuse)
+    monkeypatch.setattr(modules, "_direct_sum_gram_matrix", refuse)
+    monkeypatch.setattr(np, "eye", small_eye)  # numpy-wide, for the whole call
+    report = torsion(circle(cells), rep)
+    assert report.coefficients.modules[0].carrier_dim == cells * 5
