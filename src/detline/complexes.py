@@ -22,11 +22,7 @@ import numpy as np
 
 from ._linalg import nullspace, operator_norm, orthonormal_range
 from .determinant import ConvergenceReport, SpectralDensity
-from .errors import (
-    IllConditionedKernel,
-    NotDeterminantClass,
-    ValidationError,
-)
+from .errors import IllConditionedKernel, ValidationError
 from .lines import (
     DetLineElement,
     GradedDetLineElement,
@@ -39,6 +35,7 @@ from .modules import (
     HilbertianModule,
     ModuleMorphism,
     frame_submodule,
+    gram_defect,
     von_neumann_dimension,
 )
 
@@ -79,22 +76,9 @@ class HilbertianChainComplex:
             grams = list(grams)
             if len(grams) != len(modules):
                 raise ValidationError("need one gram per degree")
-            rebuilt = []
-            for m, g in zip(modules, grams):
-                if g is None:
-                    rebuilt.append(m)
-                    continue
-                if isinstance(g, ModuleMorphism):
-                    g = g.to_matrix()
-                elif hasattr(g, "matrix"):
-                    g = g.matrix
-                rebuilt.append(
-                    HilbertianModule(
-                        m.algebra, m.multiplicities, basis_map=m.basis_map,
-                        reference_gram=g,
-                    )
-                )
-            modules = rebuilt
+            modules = [
+                m if g is None else m.with_reference_gram(g) for m, g in zip(modules, grams)
+            ]
 
         self.algebra = alg
         self.modules = tuple(modules)
@@ -179,16 +163,7 @@ def validate_complex(complex_, seed: int = 0) -> ComplexValidationReport:
         scale = max(operator_norm(mat) * x.norm(), 1.0)
         action = max(action, operator_norm(right @ mat - mat @ left) / scale)
 
-    grams_ok = []
-    for m in complex_.modules:
-        g = m.reference_gram.matrix
-        herm = operator_norm(g - g.conj().T) <= 1e-10 * max(1.0, operator_norm(g))
-        if m.carrier_dim:
-            vals = np.linalg.eigvalsh(0.5 * (g + g.conj().T))
-            pos = bool(np.min(vals) > 1e-10 * max(1.0, np.max(np.abs(vals))))
-        else:
-            pos = True
-        grams_ok.append(bool(herm and pos))
+    grams_ok = [gram_defect(m.reference_gram.blocks) is None for m in complex_.modules]
 
     valid = boundary <= BOUNDARY_TOL and action <= BOUNDARY_TOL and all(grams_ok)
     return ComplexValidationReport(boundary, action, tuple(grams_ok), valid)
@@ -351,9 +326,6 @@ def torsion_iso_via_laplacians(complex_, hodge_data: HodgeData | None = None) ->
     prod Det(Delta_i^+)^((-1)^(i+1) i/2)."""
     if hodge_data is None:
         hodge_data = hodge(complex_)
-    check = determinant_class_check(complex_, hodge_data)
-    if not check.passed:
-        raise NotDeterminantClass("log integral of a Laplacian diverges")
     sign = 1.0 if complex_.convention == CHAIN else -1.0
     entries = []
     for i in complex_.degrees:
@@ -380,9 +352,6 @@ def torsion_iso_via_exact_sequences(complex_, hodge_data: HodgeData | None = Non
     1/(kappa_i kappa'_i)."""
     if hodge_data is None:
         hodge_data = hodge(complex_)
-    check = determinant_class_check(complex_, hodge_data)
-    if not check.passed:
-        raise NotDeterminantClass("log integral of a Laplacian diverges")
 
     n = len(complex_)
     # one frame per degree for the boundary subspace B_i = im(incoming map)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import nullspace, operator_norm, orthonormal_range
+from ._linalg import operator_norm
 from .determinant import fk_det_spectral
 from .errors import (
     AlgebraMismatch,
@@ -30,7 +30,7 @@ from .modules import (
     HilbertianModule,
     ModuleMorphism,
     direct_sum,
-    require_admissible,
+    resolve_gram,
 )
 
 EXACTNESS_TOL = 1e-8
@@ -80,17 +80,18 @@ def _transition_det(module, blocks):
     return fk_det_spectral(module, op)
 
 
-def _as_carrier_matrix(module, gram):
-    if isinstance(gram, ModuleMorphism):
-        return gram.to_matrix()
-    return gram
+def _product_element(module, gram_blocks, origin) -> DetLineElement:
+    """Det(T)^(-1/2) for the transition T = G_ref^{-1} G of a product G."""
+    ref = module.reference_gram
+    blocks = [gi @ b for gi, b in zip(ref.inv_blocks, gram_blocks)]
+    det = _transition_det(module, blocks)
+    return DetLineElement(module, det.value ** -0.5, origin)
 
 
 def element_from_product(module: HilbertianModule, gram) -> DetLineElement:
-    """The element determined by an admissible scalar product."""
-    transition = require_admissible(module, _as_carrier_matrix(module, gram))
-    det = fk_det_spectral(module, transition)
-    return DetLineElement(module, det.value ** -0.5, "product")
+    """The element determined by an admissible scalar product: a carrier
+    matrix, a commutant operator or gram data."""
+    return _product_element(module, resolve_gram(module, gram).blocks, "product")
 
 
 def element_from_extended_product(module: HilbertianModule, gram) -> DetLineElement:
@@ -105,10 +106,7 @@ def element_from_extended_product(module: HilbertianModule, gram) -> DetLineElem
         op = gram
     else:
         op = CommutantOperator.from_matrix(module, gram)
-    ref = module.reference_gram
-    blocks = [gi @ b for gi, b in zip(ref.inv_blocks, op.blocks)]
-    det = _transition_det(module, blocks)
-    return DetLineElement(module, det.value ** -0.5, "extended_product")
+    return _product_element(module, op.blocks, "extended_product")
 
 
 def pushforward(f: ModuleMorphism, e: DetLineElement) -> DetLineElement:
@@ -156,22 +154,32 @@ def tensor_sum(
 
 
 def _check_exact(alpha: ModuleMorphism, beta: ModuleMorphism, tol: float):
-    """alpha injective, beta surjective, im(alpha) = ker(beta) blockwise."""
+    """alpha injective, beta surjective, im(alpha) = ker(beta) blockwise.
+
+    One SVD per block of each map gives the ranks, the norms, the image
+    frame (leading left vectors of alpha) and the kernel frame (trailing
+    right vectors of beta).
+    """
     if not beta.source.is_same_space(alpha.target):
         raise AlgebraMismatch("the two maps do not share the middle module")
-    scale = max(alpha.norm() * beta.norm(), 1.0)
+    svd_a = [np.linalg.svd(a, full_matrices=False) for a in alpha.blocks]
+    svd_b = [np.linalg.svd(b) for b in beta.blocks]
+    top_a = [float(s[0]) if s.size else 0.0 for _, s, _ in svd_a]
+    top_b = [float(s[0]) if s.size else 0.0 for _, s, _ in svd_b]
+    scale = max(max(top_a, default=0.0) * max(top_b, default=0.0), 1.0)
     for k, (a, b) in enumerate(zip(alpha.blocks, beta.blocks)):
-        if a.shape[1] and np.linalg.matrix_rank(a, tol=tol * max(1.0, operator_norm(a))) < a.shape[1]:
+        (u_a, s_a, _), (_, s_b, vh_b) = svd_a[k], svd_b[k]
+        if a.shape[1] and np.sum(s_a > tol * max(1.0, top_a[k])) < a.shape[1]:
             raise NotExact(f"first map fails to be injective in block {k}")
-        if b.shape[0] and np.linalg.matrix_rank(b, tol=tol * max(1.0, operator_norm(b))) < b.shape[0]:
+        if b.shape[0] and np.sum(s_b > tol * max(1.0, top_b[k])) < b.shape[0]:
             raise NotExact(f"second map fails to be surjective in block {k}")
         if a.size and b.size and operator_norm(b @ a) > tol * scale:
             raise NotExact(f"composite is nonzero in block {k}")
-        image = orthonormal_range(a)
-        kernel = nullspace(b)
-        if image.shape[1] != kernel.shape[1]:
+        if a.shape[1] + b.shape[0] != a.shape[0]:
             raise NotExact(f"rank mismatch in block {k}: middle homology is nonzero")
-        if image.size:
+        if a.shape[1]:
+            image = u_a[:, : a.shape[1]]
+            kernel = vh_b[b.shape[0] :].conj().T
             gap = operator_norm(image @ image.conj().T - kernel @ kernel.conj().T)
             if gap > tol:
                 raise NotExact(f"image and kernel subspaces differ in block {k} (gap {gap:.2e})")

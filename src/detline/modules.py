@@ -11,9 +11,12 @@ Blocks are the representation.  A module is its algebra, its multiplicities,
 one reference-gram block of shape (m_k, m_k) per algebra block, and a
 coordinates key that says which user coordinates its carrier is read in
 (canonical, a given unitary basis_map, or the concatenated coordinates of a
-direct sum).  Carrier-sized matrices exist only at I/O: a basis_map or gram
-a caller supplies is checked and reduced to blocks once, and the basis_map
-and reference_gram.matrix of a direct sum are built only when asked for.
+direct sum).  Carrier-sized matrices exist only at I/O: a basis_map or
+carrier gram a caller supplies is checked and reduced to blocks once, and
+the basis_map and reference_gram.matrix of a direct sum are built only when
+asked for.  Grams enter as blocks: resolve_gram is the one place a gram
+(carrier matrix, commutant operator or gram data) becomes gram data, and
+with_reference_gram re-metrises a module without touching its coordinates.
 
 Everything A-linear is stored blockwise: a morphism M -> N decomposes as
 blkdiag_k(1_{n_k} kron F_k) in canonical coordinates with F_k of shape
@@ -24,6 +27,7 @@ free-embedding formula on free modules (tested, not assumed).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,9 +84,7 @@ class HilbertianModule:
         if reference_gram is None:
             self.reference_gram = _GramData.identity(self)
         else:
-            self.reference_gram = _GramData.from_matrix(
-                self, reference_gram, what="reference gram"
-            )
+            self.reference_gram = resolve_gram(self, reference_gram)
 
     @classmethod
     def _direct_sum(cls, algebra, multiplicities, summands):
@@ -92,6 +94,14 @@ class HilbertianModule:
         out._summands = tuple(summands)
         out._basis_map = None
         out.reference_gram = _GramData.direct_sum(out, out._summands)
+        return out
+
+    def with_reference_gram(self, gram) -> "HilbertianModule":
+        """The same module (algebra, layout, user coordinates) with gram as
+        its reference.  The coordinates are shared, not rebuilt, so no
+        carrier basis map is built or checked again."""
+        out = copy.copy(self)
+        out.reference_gram = resolve_gram(out, gram)
         return out
 
     def _set_layout(self, algebra, multiplicities):
@@ -194,11 +204,29 @@ class HilbertianModule:
         return f"HilbertianModule(dims={self.algebra.block_dims}, mult={self.multiplicities})"
 
 
+def gram_defect(blocks) -> str | None:
+    """Why gram blocks are not a scalar product, or None if they are: each
+    block self-adjoint to 1e-10, every eigenvalue above POSITIVITY_FLOOR
+    times the largest."""
+    if not all(is_hermitian(b, 1e-10) for b in blocks):
+        return "not self-adjoint"
+    vals = np.concatenate(
+        [np.linalg.eigvalsh(0.5 * (b + b.conj().T)) for b in blocks if b.size]
+        or [np.ones(1)]
+    )
+    top = float(np.max(np.abs(vals)))
+    if np.min(vals) <= POSITIVITY_FLOOR * max(top, 1e-300):
+        return "not positive definite"
+    return None
+
+
 class _GramData:
     """A positive invertible commutant operator used as a scalar product.
 
     Stored by its blocks; caches blockwise square roots, since metric work
-    happens per block.  The carrier matrix is built only when asked for.
+    happens per block.  The carrier matrix is built only when asked for:
+    matrix is the given carrier matrix, a function that builds it, or None
+    for the identity and for the operator with these blocks.
     """
 
     __slots__ = ("module", "blocks", "is_identity", "_matrix", "_sqrt", "_inv_sqrt", "_inv")
@@ -230,35 +258,37 @@ class _GramData:
                 block[at : at + mk, at : at + mk] = g.blocks[k]
                 at += mk
             blocks.append(block)
-        return _GramData(module, tuple(blocks))
+        return _GramData(module, tuple(blocks), lambda: _direct_sum_gram_matrix(module))
 
     @staticmethod
-    def from_matrix(module, gram, what="gram"):
+    def from_blocks(module, blocks, matrix=None):
+        defect = gram_defect(blocks)
+        if defect:
+            raise NotAdmissible(f"gram is {defect}")
+        return _GramData(module, tuple(blocks), matrix)
+
+    @staticmethod
+    def from_matrix(module, gram):
         gram = as_complex_matrix(gram)
         if gram.shape != (module.carrier_dim,) * 2:
-            raise ShapeMismatch(f"{what} has wrong shape")
+            raise ShapeMismatch("gram has wrong shape")
         if not is_hermitian(gram, 1e-10):
-            raise NotAdmissible(f"{what} is not self-adjoint")
+            raise NotAdmissible("gram is not self-adjoint")
         blocks, resid, scale = _extract_blocks(module, module, gram)
         if resid > COMMUTANT_TOL * scale:
-            raise NotAdmissible(f"{what} does not commute with the algebra action")
-        vals = np.concatenate(
-            [np.linalg.eigvalsh(0.5 * (b + b.conj().T)) for b in blocks if b.size]
-            or [np.ones(1)]
-        )
-        top = float(np.max(np.abs(vals)))
-        if np.min(vals) <= POSITIVITY_FLOOR * max(top, 1e-300):
-            raise NotAdmissible(f"{what} is not positive definite")
-        return _GramData(module, tuple(blocks), gram)
+            raise NotAdmissible("gram does not commute with the algebra action")
+        return _GramData.from_blocks(module, blocks, gram)
 
     @property
     def matrix(self):
         """The gram in the module's user coordinates."""
         if self._matrix is None:
-            if self.module._summands is not None:
-                self._matrix = _direct_sum_gram_matrix(self.module)
-            else:
+            if self.is_identity:
                 self._matrix = np.eye(self.module.carrier_dim, dtype=complex)
+            else:
+                self._matrix = CommutantOperator(self.module, self.blocks).to_matrix()
+        elif callable(self._matrix):
+            self._matrix = self._matrix()
         return self._matrix
 
     @property
@@ -283,15 +313,23 @@ class _GramData:
 
 
 def resolve_gram(module: HilbertianModule, gram=None) -> _GramData:
-    """Accept None (module reference), a matrix, or prepared gram data."""
+    """The one way a gram becomes gram data.
+
+    Accepts None (the module's reference), gram data or an operator on a
+    module with the same coordinates (operators are checked blockwise), or
+    a carrier matrix (checked in full: shape, self-adjointness, commutation
+    with the action, positivity).
+    """
     if gram is None:
         return module.reference_gram
     if isinstance(gram, _GramData):
-        if gram.module is not module and not gram.module.is_same_space(module):
+        if not gram.module.same_coordinates(module):
             raise AlgebraMismatch("gram belongs to a different module")
         return gram
-    if isinstance(gram, CommutantOperator):
-        return _GramData.from_matrix(module, gram.to_matrix())
+    if isinstance(gram, ModuleMorphism):
+        if not (gram.source.same_coordinates(module) and gram.target.same_coordinates(module)):
+            raise AlgebraMismatch("gram belongs to a different module")
+        return _GramData.from_blocks(module, gram.blocks)
     return _GramData.from_matrix(module, gram)
 
 
@@ -536,17 +574,6 @@ def check_admissible(module: HilbertianModule, gram) -> AdmissibilityReport:
         t_blocks = [gi @ b for gi, b in zip(ref.inv_blocks, blocks)]
         transition = CommutantOperator(module, t_blocks)
     return AdmissibilityReport(homeo, self_adjoint, positive, commutes, cond, transition)
-
-
-def require_admissible(module: HilbertianModule, gram) -> CommutantOperator:
-    report = check_admissible(module, gram)
-    if not report.ok:
-        raise NotAdmissible(
-            "gram fails admissibility: "
-            f"homeomorphism={report.homeomorphism} self_adjoint={report.self_adjoint} "
-            f"positive={report.positive} commutes={report.commutes}"
-        )
-    return report.transition
 
 
 # ---------------------------------------------------------------------------

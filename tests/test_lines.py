@@ -33,6 +33,7 @@ from detline.modules import (
     inclusion_morphisms,
     standard_module,
     von_neumann_dimension,
+    zero_module,
 )
 
 S3 = build_group_algebra(FiniteGroupTable.symmetric(3)).algebra
@@ -310,17 +311,38 @@ def test_exact_sequence_matches_pushforward_route():
 def test_not_exact_detected():
     m = standard_module(Z3)
     total = direct_sum(m, m)
-    incl, incl2 = inclusion_morphisms([m, m], total)
-    # beta alpha != 0: project back onto the first summand
+    e = reference_element(m)
+    incl, _ = inclusion_morphisms([m, m], total)
+
+    def per_block(make):
+        return [make(k) for k in m.multiplicities]
+
     proj_first = ModuleMorphism(
-        total, m, [np.hstack([np.eye(mm), np.zeros((mm, mm))]) for mm in m.multiplicities]
+        total, m, per_block(lambda k: np.hstack([np.eye(k), np.zeros((k, k))]))
     )
-    with pytest.raises(NotExact):
-        exact_sequence_iso(incl, proj_first, reference_element(m), reference_element(m))
-    # middle homology nonzero: both maps zero
-    zero_in = ModuleMorphism(m, total, [np.zeros((2 * mm, mm)) for mm in m.multiplicities])
-    with pytest.raises(NotExact):
-        exact_sequence_iso(zero_in, proj_first * 0.0, reference_element(m), reference_element(m))
+    proj_second = ModuleMorphism(
+        total, m, per_block(lambda k: np.hstack([np.zeros((k, k)), np.eye(k)]))
+    )
+    zero_in = ModuleMorphism(m, total, per_block(lambda k: np.zeros((2 * k, k))))
+    with pytest.raises(NotExact, match="injective"):
+        exact_sequence_iso(zero_in, proj_second, e, e)
+    with pytest.raises(NotExact, match="surjective"):
+        exact_sequence_iso(incl, proj_second * 0.0, e, e)
+    # beta alpha != 0: project back onto the first summand
+    with pytest.raises(NotExact, match="composite"):
+        exact_sequence_iso(incl, proj_first, e, e)
+    # middle homology nonzero: nothing maps in, the first summand survives
+    zero = zero_module(Z3)
+    from_zero = ModuleMorphism(zero, total, per_block(lambda k: np.zeros((2 * k, 0))))
+    with pytest.raises(NotExact, match="rank mismatch"):
+        exact_sequence_iso(from_zero, proj_second, reference_element(zero), e)
+    # scaled so the composite (1e-9) passes, but im(alpha) is tilted 1e-3
+    # off ker(beta)
+    tilted = ModuleMorphism(
+        m, total, per_block(lambda k: np.vstack([np.eye(k), 1e-3 * np.eye(k)]))
+    )
+    with pytest.raises(NotExact, match="differ"):
+        exact_sequence_iso(tilted, proj_second * 1e-6, e, e)
 
 
 def test_graded_coordinate():

@@ -26,12 +26,14 @@ from detline.fixtures import (
     trivial_representation,
 )
 from detline import modules
-from detline.modules import CommutantOperator, HilbertianModule, standard_module
+from detline.modules import CommutantOperator, HilbertianModule, ModuleMorphism, standard_module
+from detline.complexes import HilbertianChainComplex
 from detline.torsion import (
     GroupRepresentation,
     GroupRingElement,
     SubdivisionData,
     _assemble_matrix,
+    _gram_hash,
     assemble_coefficients,
     check_unimodular,
     elementary_subdivide,
@@ -552,8 +554,8 @@ def test_report_contents():
 
 
 def test_reference_hashes_pinned():
-    # values of the carrier-matrix implementation; a gram rebuilt as
-    # U kron U^H would round to -0.0 entries and change them
+    # values of the carrier-matrix implementation; -0.0 entries hash as 0.0,
+    # so a gram rebuilt as U kron U^H keeps them
     report = torsion(circle(8), regular_cyclic_representation(5))
     assert report.reference_hashes == {
         "module_gram": "4bbf73e610296c44",
@@ -561,6 +563,11 @@ def test_reference_hashes_pinned():
     }
     rep = regular_product_representation((2, 3), ("a", "b"))
     assert torsion(torus(), rep).reference_hashes["module_gram"] == "21951368ff023721"
+
+
+def test_gram_hash_ignores_signed_zeros():
+    u = regular_cyclic_representation(5).module.basis_map
+    assert _gram_hash(u @ u.conj().T) == _gram_hash(np.eye(5))
 
 
 def test_sparse_assembly_matches_dense_evaluation():
@@ -581,22 +588,67 @@ def test_sparse_assembly_matches_dense_evaluation():
             assert np.array_equal(got[k], dense)
 
 
-def test_torsion_builds_no_carrier_matrices(monkeypatch):
-    rep = regular_cyclic_representation(5)
-    cells = 64  # C[Z/5] is commutative: multiplicity blocks are 64 x 64
+def _refuse_carrier_matrices(monkeypatch, limit):
+    """Make the lazy direct-sum builders raise, and np.eye refuse sizes
+    above limit (numpy-wide, for the rest of the test).  Returns np.eye."""
+    eye = np.eye
 
     def refuse(total):
         raise AssertionError(f"built a carrier matrix of size {total.carrier_dim}")
 
-    eye = np.eye
-
     def small_eye(n, *args, **kwargs):
-        if n > cells:
+        if n > limit:
             raise AssertionError(f"built a carrier identity of size {n}")
         return eye(n, *args, **kwargs)
 
     monkeypatch.setattr(modules, "_direct_sum_basis_map", refuse)
     monkeypatch.setattr(modules, "_direct_sum_gram_matrix", refuse)
-    monkeypatch.setattr(np, "eye", small_eye)  # numpy-wide, for the whole call
+    monkeypatch.setattr(np, "eye", small_eye)
+    return eye
+
+
+def test_torsion_builds_no_carrier_matrices(monkeypatch):
+    rep = regular_cyclic_representation(5)
+    cells = 64  # C[Z/5] is commutative: multiplicity blocks are 64 x 64
+    _refuse_carrier_matrices(monkeypatch, cells)
     report = torsion(circle(cells), rep)
     assert report.coefficients.modules[0].carrier_dim == cells * 5
+
+
+def test_remetrising_builds_no_carrier_matrices(monkeypatch):
+    rep = regular_cyclic_representation(5)
+    cells = 64
+    eye = _refuse_carrier_matrices(monkeypatch, cells)
+    plain = assemble_coefficients(circle(cells), rep)
+    scaled = HilbertianChainComplex(
+        plain.modules, plain.maps, convention=plain.convention,
+        grams=[CommutantOperator.identity(m) * 2.0 for m in plain.modules],
+    )
+    again = HilbertianChainComplex(
+        plain.modules, plain.maps, convention=plain.convention,
+        grams=[m.reference_gram for m in scaled.modules],
+    )
+    for cx in (scaled, again):
+        for m, old in zip(cx.modules, plain.modules):
+            assert m.same_coordinates(old)
+            assert all(np.array_equal(b, 2.0 * eye(b.shape[0])) for b in m.reference_gram.blocks)
+    op = CommutantOperator.identity(rep.module) * 2.0
+    for gram in (op, rep.module.with_reference_gram(op).reference_gram):
+        assert rep.with_module_gram(gram).module.same_coordinates(rep.module)
+
+
+def test_torsion_gram_forms_agree():
+    rep = regular_cyclic_representation(5)
+    op = CommutantOperator(rep.module, [np.array([[v]]) for v in (0.5, 1.3, 2.0, 0.7, 1.1)])
+    forms = (
+        op,
+        op.to_matrix(),
+        rep.module.with_reference_gram(op).reference_gram,
+        ModuleMorphism(rep.module, rep.module, op.blocks),
+    )
+    reports = [torsion(circle(8), rep, gram=g) for g in forms]
+    first = reports[0]
+    assert first.reference_hashes != torsion(circle(8), rep).reference_hashes
+    for report in reports[1:]:
+        assert abs(report.coordinate - first.coordinate) <= 1e-12 * first.coordinate
+        assert report.reference_hashes == first.reference_hashes
