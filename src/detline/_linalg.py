@@ -67,30 +67,6 @@ def inv_sqrt_pd(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return (vecs / np.sqrt(vals)) @ vecs.conj().T
 
 
-def log_near_identity(a: np.ndarray, tol: float = 1e-15, max_terms: int = 80) -> np.ndarray:
-    """Principal matrix logarithm of a, valid for ||a - 1|| < 1.
-
-    Mercator series in x = a - 1; callers keep ||x|| <= 1/2 so 80 terms are
-    far more than enough for double precision.
-    """
-    n = a.shape[0]
-    if n == 0:
-        return a.copy()
-    x = a - np.eye(n)
-    nx = operator_norm(x)
-    if nx >= 1.0:
-        raise ValueError(f"log series requires ||a - 1|| < 1, got {nx:.3f}")
-    term = x.copy()
-    out = x.copy()
-    for k in range(2, max_terms + 1):
-        term = term @ x
-        incr = ((-1) ** (k + 1) / k) * term
-        out += incr
-        if operator_norm(incr) < tol * max(1.0, operator_norm(out)):
-            break
-    return out
-
-
 def cluster_values(vals: np.ndarray, rel_gap: float) -> list[slice]:
     """Group a sorted 1-d real array into clusters split at relative gaps.
 

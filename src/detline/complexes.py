@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import nullspace, operator_norm, orthonormal_range
-from .determinant import ConvergenceReport, SpectralDensity
+from .determinant import ConvergenceReport, SpectralDensity, _tilde_blocks
 from .errors import IllConditionedKernel, ValidationError
 from .lines import (
     DetLineElement,
@@ -220,10 +220,7 @@ def hodge(complex_, kernel_tol: float = HODGE_KERNEL_TOL,
         laplacians.append(delta)
 
         g = mod.reference_gram
-        tilde = [
-            w @ b @ wi
-            for w, b, wi in zip(g.sqrt_blocks, delta.blocks, g.inv_sqrt_blocks)
-        ]
+        tilde = _tilde_blocks(mod, delta)
         herm = [0.5 * (b + b.conj().T) for b in tilde]
         spectral_norm = max((operator_norm(b) for b in herm), default=0.0)
         cut = kernel_tol * max(spectral_norm, 1e-300)
@@ -314,10 +311,6 @@ def determinant_class_check(complex_, hodge_data: HodgeData | None = None) -> De
 # -- torsion isomorphism ---------------------------------------------------
 
 
-def _positive_log_det(density: SpectralDensity) -> float:
-    return density.log_moment()
-
-
 def torsion_iso_via_laplacians(complex_, hodge_data: HodgeData | None = None) -> GradedDetLineElement:
     """The image of the chosen-gram element of det(C) in det(H_*), via the
     closed formula: degree i carries Det(Delta_i^+)^(i/2) for the chain
@@ -329,7 +322,7 @@ def torsion_iso_via_laplacians(complex_, hodge_data: HodgeData | None = None) ->
     sign = 1.0 if complex_.convention == CHAIN else -1.0
     entries = []
     for i in complex_.degrees:
-        log_det = _positive_log_det(hodge_data.positive_densities[i])
+        log_det = hodge_data.positive_densities[i].log_moment()
         coeff = float(np.exp(sign * 0.5 * i * log_det))
         entries.append((i, DetLineElement(hodge_data.harmonic_modules[i], coeff, "torsion_iso")))
     return graded_assemble(entries)
@@ -481,7 +474,7 @@ def zeta_suite(complex_, grid=None, hodge_data: HodgeData | None = None) -> Zeta
     combined = float(sum((-1) ** j * j * zp for j, zp in enumerate(zeta_prime)))
     normalization = float(np.exp(0.5 * combined))
     log_product = sum(
-        (-1) ** (j + 1) * 0.5 * j * _positive_log_det(d) for j, d in enumerate(densities)
+        (-1) ** (j + 1) * 0.5 * j * d.log_moment() for j, d in enumerate(densities)
     )
     return ZetaReport(
         complex_.convention, grid, tuple(theta), tuple(zeta_prime),

@@ -5,9 +5,10 @@ Two independent routes are kept deliberately separate and never collapsed:
 * spectral: for positive operators, integrate log(lambda) against the
   spectral density (a finite weighted sum here);
 * path: for invertible operators, telescope Re Tr_tau log(A_i^{-1} A_{i+1})
-  along an invertibility-preserving path from the identity, subdividing
-  until each ratio sits well inside the ball where the series logarithm
-  converges.
+  along a path from the identity.  The algebra is a finite sum of matrix
+  blocks, so each step's Re tr log r is log|det r| for every block.  Steps
+  are subdivided until each ratio r satisfies ||r - 1|| < 1/2; that ball
+  test is the guard that detects a path leaving the invertibles.
 
 A general invertible operator gets the polar route: the square root of the
 spectral determinant of A* A.  Self-adjointness, positivity and adjoints are
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import log_near_identity, operator_norm
+from ._linalg import operator_norm
 from .errors import (
     KernelDetected,
     NegativeSpectrum,
@@ -35,6 +36,7 @@ KERNEL_REL_TOL = 1e-12
 SELF_ADJOINT_TOL = 1e-8
 PATH_STEP_BALL = 0.5
 MAX_PATH_DEPTH = 48
+PATH_STEPS = 8
 
 
 @dataclass
@@ -84,7 +86,7 @@ class DeterminantResult:
     convergence: ConvergenceReport = field(default_factory=ConvergenceReport)
 
 
-def _tilde_blocks(module, op, gram):
+def _tilde_blocks(module, op, gram=None):
     """Conjugate blocks into coordinates where the gram is the identity.
 
     W B W^{-1} with W = gram^(1/2) turns gram-self-adjoint into Hermitian
@@ -107,8 +109,6 @@ def spectral_density(
     module: HilbertianModule,
     op: CommutantOperator,
     gram=None,
-    *,
-    self_adjoint_tol: float = SELF_ADJOINT_TOL,
 ) -> SpectralDensity:
     """Eigenvalue distribution of a gram-self-adjoint positive operator."""
     _check_operator(module, op)
@@ -119,7 +119,7 @@ def spectral_density(
     for (n, w), b in zip(module.algebra.blocks, tilde):
         if b.size == 0:
             continue
-        if operator_norm(b - b.conj().T) > self_adjoint_tol * max(1.0, scale):
+        if operator_norm(b - b.conj().T) > SELF_ADJOINT_TOL * max(1.0, scale):
             raise NotSelfAdjoint("operator is not self-adjoint for this gram")
         ev = np.linalg.eigvalsh(0.5 * (b + b.conj().T))
         vals.append(ev)
@@ -138,8 +138,6 @@ def fk_det_spectral(
     module: HilbertianModule,
     op: CommutantOperator,
     gram=None,
-    *,
-    kernel_tol: float = KERNEL_REL_TOL,
 ) -> DeterminantResult:
     """Determinant of a positive operator from its spectral density.
 
@@ -151,7 +149,7 @@ def fk_det_spectral(
         # zero module: empty product
         return DeterminantResult(1.0, 0.0, "spectral")
     top = float(np.max(density.values))
-    cut = kernel_tol * max(top, 1e-300)
+    cut = KERNEL_REL_TOL * max(top, 1e-300)
     if np.any(density.values <= cut):
         mass = float(np.sum(density.weights[density.values <= cut]))
         raise KernelDetected(f"spectral mass {mass:.3e} at zero; determinant undefined")
@@ -169,7 +167,13 @@ def _require_invertible(tilde, cond_tol=1e-12):
 
 
 def _telescope(blocks_at, t0, t1, weights, depth=0):
-    """Sum of w_k Re tr log(B_k(t0)^{-1} B_k(t1)), subdividing as needed."""
+    """Sum of w_k Re tr log(B_k(t0)^{-1} B_k(t1)), subdividing as needed.
+
+    Re tr log r = log|det r| for an invertible matrix r.  A step is taken
+    only once every ratio lies within PATH_STEP_BALL of the identity; a
+    path through a singular point never gets there, and after
+    MAX_PATH_DEPTH halvings it is refused.
+    """
     b0 = blocks_at(t0)
     b1 = blocks_at(t1)
     ratios = []
@@ -185,11 +189,9 @@ def _telescope(blocks_at, t0, t1, weights, depth=0):
     except np.linalg.LinAlgError:
         worst = np.inf
     if worst < PATH_STEP_BALL:
-        total = 0.0
-        for w, r in zip(weights, ratios):
-            if r.size:
-                total += w * float(np.trace(log_near_identity(r)).real)
-        return total
+        return sum(
+            w * float(np.linalg.slogdet(r)[1]) for w, r in zip(weights, ratios) if r.size
+        )
     if depth >= MAX_PATH_DEPTH:
         raise PathLeavesGL("path cannot be subdivided into invertible steps")
     mid = 0.5 * (t0 + t1)
@@ -213,20 +215,12 @@ def _segment_is_safe(tilde, tol=1e-8):
     return True
 
 
-def _unitary_power_path(u):
-    """t -> u^t by spectral interpolation of the unitary eigenphases."""
-    import scipy.linalg
-
-    if u.size == 0:
-        return lambda t: u
-    tri, z = scipy.linalg.schur(u, output="complex")
-    phases = np.angle(np.diag(tri))
-    moduli = np.abs(np.diag(tri))
-
-    def at(t):
-        return (z * (moduli**t * np.exp(1j * t * phases))) @ z.conj().T
-
-    return at
+def _positive_factor(b):
+    """P = (b^H b)^(1/2) = V S V^H from the SVD b = W S V^H (b = (W V^H) P)."""
+    if b.size == 0:
+        return b
+    _, s, vh = np.linalg.svd(b)
+    return (vh.conj().T * s) @ vh
 
 
 def fk_det_path(
@@ -234,14 +228,14 @@ def fk_det_path(
     op: CommutantOperator,
     gram=None,
     *,
-    steps: int = 8,
     path: str = "auto",
 ) -> DeterminantResult:
     """Determinant of an invertible operator by telescoping along a path.
 
     path "segment" interpolates (1-t) 1 + t A and fails (PathLeavesGL) when
-    that leaves the invertibles; "polar" rotates the unitary part first and
-    then stretches by the positive part, which always stays invertible;
+    that leaves the invertibles; "polar" takes the segment path to the
+    positive factor |A| = (A* A)^(1/2) instead, which always stays
+    invertible (A = U |A| with U unitary, and a unitary adds log|det U| = 0);
     "auto" picks segment when the spectrum clears the negative ray.
     """
     _check_operator(module, op)
@@ -250,52 +244,17 @@ def fk_det_path(
     tilde = _tilde_blocks(module, op, gram)
     _require_invertible(tilde)
     weights = [w for _, w in module.algebra.blocks]
-    grid = np.linspace(0.0, 1.0, max(2, int(steps) + 1))
+    grid = np.linspace(0.0, 1.0, PATH_STEPS + 1)
 
-    if path == "auto":
-        path = "segment" if _segment_is_safe(tilde) else "polar"
-
-    if path == "segment":
-        eyes = [np.eye(b.shape[0], dtype=complex) for b in tilde]
-
-        def blocks_at(t):
-            return [(1.0 - t) * e + t * b for e, b in zip(eyes, tilde)]
-
-        log_det = sum(
-            _telescope(blocks_at, grid[i], grid[i + 1], weights) for i in range(len(grid) - 1)
-        )
-        return DeterminantResult(float(np.exp(log_det)), float(log_det), "path")
-
-    # polar: 1 -> U on t in [0, 1], then U -> U P on t in [1, 2]
-    import scipy.linalg
-
-    unitaries = []
-    stretches = []
-    for b in tilde:
-        if b.size == 0:
-            unitaries.append(b)
-            stretches.append(b)
-            continue
-        uu, pp = scipy.linalg.polar(b)
-        unitaries.append(uu)
-        stretches.append(pp)
-    u_paths = [_unitary_power_path(u) for u in unitaries]
+    if path == "polar" or (path == "auto" and not _segment_is_safe(tilde)):
+        tilde = [_positive_factor(b) for b in tilde]
+    eyes = [np.eye(b.shape[0], dtype=complex) for b in tilde]
 
     def blocks_at(t):
-        out = []
-        for u_at, u, p in zip(u_paths, unitaries, stretches):
-            if u.size == 0:
-                out.append(u)
-            elif t <= 1.0:
-                out.append(u_at(t))
-            else:
-                s = t - 1.0
-                out.append(u @ ((1.0 - s) * np.eye(p.shape[0]) + s * p))
-        return out
+        return [(1.0 - t) * e + t * b for e, b in zip(eyes, tilde)]
 
-    full = np.concatenate([grid, 1.0 + grid[1:]])
     log_det = sum(
-        _telescope(blocks_at, full[i], full[i + 1], weights) for i in range(len(full) - 1)
+        _telescope(blocks_at, grid[i], grid[i + 1], weights) for i in range(PATH_STEPS)
     )
     return DeterminantResult(float(np.exp(log_det)), float(log_det), "path")
 

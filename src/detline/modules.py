@@ -130,12 +130,6 @@ class HilbertianModule:
     def block_slice(self, k: int) -> slice:
         return slice(int(self._offsets[k]), int(self._offsets[k + 1]))
 
-    def to_canonical(self, mat: np.ndarray) -> np.ndarray:
-        u = self.basis_map
-        if u is None:
-            return mat
-        return u.conj().T @ mat @ u
-
     def from_canonical(self, mat: np.ndarray) -> np.ndarray:
         u = self.basis_map
         if u is None:

@@ -2,12 +2,19 @@ import numpy as np
 import pytest
 
 from detline.algebra import (
+    VERIFY_TOL,
     AlgebraElement,
     FiniteGroupTable,
     FiniteVonNeumannAlgebra,
+    _verify_decomposition,
     build_group_algebra,
 )
-from detline.errors import AlgebraMismatch, NonAssociativeTable, ValidationError
+from detline.errors import (
+    AlgebraMismatch,
+    DecompositionFailure,
+    NonAssociativeTable,
+    ValidationError,
+)
 
 
 def blkdiag_model(dec, g):
@@ -146,6 +153,60 @@ def test_s4_decomposition():
     dec = build_group_algebra(table)
     assert dec.algebra.block_dims == (1, 1, 2, 3, 3)
     assert dec.algebra.trace_of_identity == pytest.approx(1.0, abs=1e-12)
+
+
+def _verify(dec, images):
+    table = dec.table
+    lefts = [table.left_translation(g) for g in range(table.order)]
+    _verify_decomposition(table, lefts, dec.change_of_basis, dec.algebra, images)
+
+
+def test_verification_rejects_swapped_images():
+    dec = build_group_algebra(FiniteGroupTable.symmetric(3))
+    _verify(dec, dec.group_images)
+    swapped = list(dec.group_images)
+    swapped[1], swapped[2] = swapped[2], swapped[1]
+    with pytest.raises(DecompositionFailure):
+        _verify(dec, swapped)
+
+
+def test_verification_bounds_the_product_residual():
+    # The check never forms the n^2 group products; at the largest
+    # perturbation of the images it still accepts, the explicit product
+    # residual must stay within VERIFY_TOL.
+    table = FiniteGroupTable.symmetric(4)
+    dec = build_group_algebra(table)
+    alg = dec.algebra
+    rng = np.random.default_rng(23)
+    directions = []
+    for _ in range(table.order):
+        e = alg.random_element(rng)
+        # trace free, so the trace check cannot be what rejects
+        e = e - (alg.trace(e) / alg.trace_of_identity) * alg.identity()
+        directions.append(e * (1.0 / e.norm()))
+
+    def images(delta):
+        return [img + delta * e for img, e in zip(dec.group_images, directions)]
+
+    def accepted(delta):
+        try:
+            _verify(dec, images(delta))
+        except DecompositionFailure:
+            return False
+        return True
+
+    lo, hi = 0.0, VERIFY_TOL
+    assert accepted(lo) and not accepted(hi)
+    for _ in range(30):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if accepted(mid) else (lo, mid)
+    perturbed = images(lo)
+    residual = max(
+        (perturbed[table.product[g, h]] - perturbed[g] * perturbed[h]).norm()
+        for g in range(table.order)
+        for h in range(table.order)
+    )
+    assert residual <= VERIFY_TOL
 
 
 def test_determinism_same_seed():

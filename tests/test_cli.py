@@ -377,3 +377,23 @@ def test_cli_import_loads_no_scipy():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_polar_path_loads_no_scipy():
+    # the polar path is the segment path to |A|, taken from numpy's SVD
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = (
+        "import sys, numpy as np\n"
+        "from detline import CommutantOperator, FiniteVonNeumannAlgebra, HilbertianModule\n"
+        "from detline.determinant import fk_det_path\n"
+        "mod = HilbertianModule(FiniteVonNeumannAlgebra(((1, 1.0),)), [2])\n"
+        "op = CommutantOperator(mod, [np.diag([-1.0, -2.0])])\n"
+        "for kind in ('polar', 'auto'):\n"
+        "    assert abs(fk_det_path(mod, op, path=kind).log_value - np.log(2.0)) < 1e-8\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
