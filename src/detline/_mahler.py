@@ -1,0 +1,424 @@
+"""Log-determinants of Laurent symbols over the torus as Mahler measures.
+
+For a square symbol F whose determinant does not vanish identically,
+log Det F is the torus integral of log|det F|, the Mahler measure
+m(det F) (Lück, L2-Invariants, Ch. 3; Boyd 1981).  On the circle Jensen's
+formula gives it from the roots; on the 2-torus Boyd's formula integrates
+the circle value in one variable over the angle of the other.
+
+A polynomial here is a matrix polynomial M(z) = sum_k M_k z^k, stored as a
+coefficient array with index k on the leading axes and the m x m block on
+the last two; a scalar polynomial is the case m = 1.  Its Mahler measure is
+m(det M).  The roots of det M are the eigenvalues of the block companion
+matrix, so a multiplicity that comes from the matrix structure, such as
+det(P I) = P^m, stays as well conditioned as the roots of P.
+"""
+
+from __future__ import annotations
+
+import functools
+
+import numpy as np
+
+from .errors import IndeterminateConvergence
+
+# the polynomial vanishes identically when it stays below this fraction of
+# max |F|^count on a grid covering its Newton box
+SYMBOL_KERNEL_REL_TOL = 1e-12
+EPS = float(np.finfo(float).eps)
+# end coefficients below this fraction of the largest are dropped; the
+# Mahler measure is continuous in the coefficients, degree drops included
+COEFFICIENT_TRIM = 1e-14
+# sampled coefficients against direct evaluation, relative to max |F|^count
+COEFFICIENT_CHECK_TOL = 1e-9
+CHECK_ANGLES = np.mod(np.outer(np.arange(1, 4), (0.6180339887498949, 0.7548776662466927)), 1.0)
+# roots against the polynomial, relative to the sum of coefficient moduli
+ROOT_CHECK_TOL = 1e-9
+CHECK_CIRCLE = np.exp(2j * np.pi * (np.arange(8) + 0.6180339887498949) / 8)
+# linkage radii tried, largest first, when merging a numerical multiple root
+CLUSTER_RADII = tuple(0.5 / 4.0**k for k in range(12))
+CLUSTER_BLUR = 1e-3
+# roots this close to the unit circle do not count as crossing it
+CIRCLE_BAND = 1e-9
+GL_ORDERS = (12, 24)
+SCAN_NODES = 32
+SECTIONS = 16
+BREAKPOINT_TOL = 1e-15
+PANEL_REL_TOL = 1e-14
+PANEL_FLOOR = 1e-15
+MAX_PANELS = 500
+# a matrix row whose end blocks both have |det| below this fraction of
+# (sum of block norms)^m is solved through its scalar determinant
+LEADING_BLOCK_TOL = 1e-12
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n: int):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    Legendre recurrence, the weights twice the squared first components of
+    its eigenvectors.
+    """
+    k = np.arange(1.0, n)
+    beta = k / np.sqrt(4.0 * k * k - 1.0)
+    nodes, vectors = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
+    return nodes, 2.0 * vectors[0] ** 2
+
+
+def _linked(points, radius):
+    """Index arrays of the single-linkage clusters of complex points, two
+    points linking when closer than radius times the larger of 1 and their
+    moduli."""
+    moduli = np.maximum(1.0, np.abs(points))
+    near = np.abs(points[:, None] - points[None, :]) <= radius * np.maximum(
+        moduli[:, None], moduli[None, :]
+    )
+    label = np.arange(points.size)
+    while True:
+        merged = np.min(np.where(near, label[None, :], points.size), axis=1)
+        merged = merged[merged]
+        if np.array_equal(merged, label):
+            return [np.nonzero(label == k)[0] for k in sorted(set(label.tolist()))]
+        label = merged
+
+
+def _merge_clusters(direct, lead, roots, tol):
+    """Roots of one polynomial with each numerical multiple root merged.
+
+    A cluster whose members lie on both sides of the unit circle would make
+    Jensen's formula count part of one root outside: (t - 1)^20 has computed
+    roots up to 1.16 in modulus.  Such a cluster is replaced by its centroid,
+    counted with its multiplicity, when the product over the merged roots
+    still reproduces `direct`, the polynomial at CHECK_CIRCLE, to tol;
+    otherwise it is split at the next smaller linkage radius.  Returns
+    (root, multiplicity) pairs.
+    """
+    factors = CHECK_CIRCLE[:, None] - roots[None, :]
+    groups = []
+
+    def resolve(members, level, failed):
+        for part in _linked(roots[members], CLUSTER_RADII[level]):
+            ids = members[part]
+            centroid = complex(np.mean(roots[ids]))
+            outside = np.abs(roots[ids]) > 1.0
+            if ids.size == 1 or np.all(outside == (abs(centroid) > 1.0)):
+                groups.extend((r, 1) for r in roots[ids])
+                continue
+            # a cluster that the smaller radius did not split failed already
+            if not (failed and ids.size == members.size):
+                rest = np.prod(np.delete(factors, ids, axis=1), axis=1)
+                trial = lead * rest * (CHECK_CIRCLE - centroid) ** ids.size
+                if np.max(np.abs(direct - trial)) <= tol:
+                    groups.append((centroid, ids.size))
+                    continue
+            if level + 1 < len(CLUSTER_RADII):
+                resolve(ids, level + 1, True)
+            else:
+                groups.extend((r, 1) for r in roots[ids])
+
+    resolve(np.arange(roots.size), 0, False)
+    return groups
+
+
+def _blurred_straddles(lead, roots, moduli, tol):
+    """Rows holding a close pair of roots on opposite sides of the unit
+    circle that is resolved no better than its own distance apart: the
+    spread of a numerical multiple root, which _merge_clusters decides."""
+    n, degree = roots.shape
+    if degree < 2:
+        return np.zeros(n, dtype=bool)
+    gaps = np.abs(roots[:, :, None] - roots[:, None, :])
+    eye = np.eye(degree, dtype=bool)
+    slope = np.abs(lead)[:, None] * np.prod(np.where(eye, 1.0, gaps), axis=2)
+    with np.errstate(divide="ignore"):
+        spread = tol[:, None] / slope
+    size = np.maximum(1.0, np.maximum(moduli[:, :, None], moduli[:, None, :]))
+    outside = moduli > 1.0
+    close = (gaps <= CLUSTER_RADII[0] * size) & (outside[:, :, None] != outside[:, None, :])
+    blurred = np.maximum(spread[:, :, None], spread[:, None, :]) >= CLUSTER_BLUR * gaps
+    return np.any(close & blurred & ~eye, axis=(1, 2))
+
+
+def _evaluate_rows(blocks, points):
+    """det M(z) for every row of blocks and every point z: shape (rows, points)."""
+    powers = points[:, None] ** np.arange(blocks.shape[1])
+    return np.linalg.det(np.einsum("nkab,zk->nzab", blocks, powers))
+
+
+def _scalar_rows(blocks):
+    """Coefficients of det M(z) for every row, by the discrete Fourier
+    transform of its values at one point of the circle per coefficient."""
+    n, width, m, _ = blocks.shape
+    size = m * (width - 1) + 1
+    grid = np.arange(size) / size
+    values = _evaluate_rows(blocks, np.exp(2j * np.pi * grid))
+    return (values @ _fourier(grid, np.arange(size)).conj() / size)[:, :, None, None]
+
+
+def _jensen_rows(blocks):
+    """Jensen's formula for the matrix polynomial of each row of blocks.
+
+    m(det M) = log|det M_lead| + sum log max(1, |root|).  A scalar row is
+    first shifted so that its lowest significant coefficient is the
+    constant one.  A row whose constant block outweighs its leading one is
+    reversed, which maps each root r to 1/r and keeps m, so the companion
+    never inverts the smaller end.  A matrix row with both end blocks
+    singular to LEADING_BLOCK_TOL falls back to the scalar coefficients of
+    its determinant, and so does one whose block companion roots miss.  The
+    roots must reproduce det M at points of the unit circle to
+    ROOT_CHECK_TOL relative to (sum of block norms)^m, or the row is not
+    trusted.
+
+    Returns (Mahler measures, roots outside the unit circle per row, largest
+    relative residual of the root factorisation).  An identically zero row
+    has value nan.
+    """
+    n, width, m, _ = blocks.shape
+    if width == 1:
+        return np.log(np.abs(np.linalg.det(blocks[:, 0]))), np.zeros(n, dtype=int), 0.0
+    if m == 1:
+        size = np.abs(blocks[:, :, 0, 0])
+        first = np.argmax(size > COEFFICIENT_TRIM * np.max(size, axis=1, keepdims=True), axis=1)
+        blocks = blocks[np.arange(n)[:, None], (np.arange(width)[None, :] + first[:, None]) % width]
+    ends = np.abs(np.linalg.det(blocks[:, [0, -1]]))
+    flipped = ends[:, 1] < ends[:, 0]
+    blocks = np.where(flipped[:, None, None, None], blocks[:, ::-1], blocks)
+    lead_det = np.maximum(ends[:, 0], ends[:, 1])
+    norm = np.sum(np.sqrt(np.sum(np.abs(blocks) ** 2, axis=(2, 3))), axis=1)
+    scale = norm**m
+    singular = lead_det == 0 if m == 1 else lead_det <= LEADING_BLOCK_TOL * scale
+    lead = blocks[:, -1].copy()
+    lead[singular] = np.eye(m)
+
+    degree = width - 1
+    companion = np.zeros((n, m * degree, m * degree), dtype=complex)
+    lower = np.concatenate([blocks[:, k] for k in range(degree - 1, -1, -1)], axis=2)
+    companion[:, :m, :] = -np.linalg.solve(lead, lower)
+    companion[:, m:, : m * (degree - 1)] = np.eye(m * (degree - 1))
+    roots = np.linalg.eigvals(companion)
+
+    lead_det = np.linalg.det(lead)
+    direct = _evaluate_rows(blocks, CHECK_CIRCLE)
+    product = lead_det[:, None] * np.prod(CHECK_CIRCLE[None, :, None] - roots[:, None, :], axis=2)
+    residual = np.max(np.abs(direct - product), axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        relative = residual / scale
+    if m > 1:
+        singular |= ~(relative <= ROOT_CHECK_TOL)
+    worst = float(np.max(np.where(singular, 0.0, relative)))
+    if not worst <= ROOT_CHECK_TOL:
+        raise IndeterminateConvergence(
+            f"roots reproduce the polynomial only to {worst:.2e} of its size"
+        )
+
+    moduli = np.abs(roots)
+    values = np.log(np.abs(lead_det)) + np.sum(np.log(np.maximum(1.0, moduli)), axis=1)
+    outside = np.sum(
+        np.where(flipped[:, None], moduli < 1.0 - CIRCLE_BAND, moduli > 1.0 + CIRCLE_BAND),
+        axis=1,
+    )
+    tol = np.maximum(2.0 * residual, 8.0 * width * m * EPS * scale)
+    for i in np.nonzero(_blurred_straddles(lead_det, roots, moduli, tol) & ~singular)[0]:
+        groups = _merge_clusters(direct[i], lead_det[i], roots[i], tol[i])
+        values[i] = np.log(abs(lead_det[i])) + sum(
+            mult * np.log(max(1.0, abs(root))) for root, mult in groups
+        )
+    if m == 1:
+        values[singular] = np.nan
+    elif np.any(singular):
+        fallback = _jensen_rows(_scalar_rows(blocks[singular]))
+        values[singular], outside[singular] = fallback[:2]
+        worst = max(worst, fallback[2])
+    return values, outside, worst
+
+
+def _trim(coefficients, axis):
+    """Drop leading and trailing coefficient slices along axis that are
+    negligible next to the largest coefficient."""
+    others = tuple(a for a in range(coefficients.ndim) if a != axis)
+    size = np.max(np.abs(coefficients), axis=others)
+    keep = np.nonzero(size > COEFFICIENT_TRIM * np.max(size))[0]
+    return np.take(coefficients, np.arange(keep[0], keep[-1] + 1), axis=axis)
+
+
+def _jensen(coefficients):
+    """m(det M) on the circle, M(z) = sum_k coefficients[k] z^k."""
+    values, _, residual = _jensen_rows(_trim(coefficients, 0)[None])
+    return float(values[0]), {
+        "route": "jensen",
+        "breakpoints": [],
+        "panels": 0,
+        "error": 0.0,
+        "residual": residual,
+    }
+
+
+def _boyd(coefficients):
+    """m(det M) on the 2-torus, M(x, y) = sum c[i, j] x^i y^j (Boyd).
+
+    Jensen's formula in x is integrated over the angle phi of y by adaptive
+    Gauss-Legendre panels.  The integrand has a kink wherever a root crosses
+    the unit circle: the angles where the number of roots outside changes
+    on a scan are located by repeated sectioning and seed the panel
+    breakpoints.  Kinks the scan cannot see, such as a root touching the
+    circle tangentially, are caught by the panel test: a panel is split until
+    its two Gauss-Legendre orders agree to PANEL_REL_TOL, or PANEL_FLOOR in
+    absolute terms.  The error estimate is the sum of those disagreements.
+    """
+    powers = np.arange(coefficients.shape[1])
+
+    def rows(phi):
+        phases = np.exp(2j * np.pi * np.outer(phi, powers))
+        return np.einsum("pj,ijab->piab", phases, coefficients)
+
+    scan = (np.arange(SCAN_NODES) + 0.5) / SCAN_NODES
+    counts = _jensen_rows(rows(scan))[1]
+    change = np.nonzero(counts != np.roll(counts, -1))[0]
+    low, width, base = scan[change], 1.0 / SCAN_NODES, counts[change]
+    steps = np.arange(1, SECTIONS)
+    while change.size and width > BREAKPOINT_TOL:
+        width /= SECTIONS
+        probes = low[:, None] + width * steps[None, :]
+        seen = _jensen_rows(rows(probes.ravel() % 1.0))[1].reshape(probes.shape)
+        moved = seen != base[:, None]
+        low = low + width * np.where(moved.any(axis=1), np.argmax(moved, axis=1), SECTIONS - 1)
+    breakpoints = np.sort((low + 0.5 * width) % 1.0)
+
+    x_low, w_low = _gauss_legendre(GL_ORDERS[0])
+    x_high, w_high = _gauss_legendre(GL_ORDERS[1])
+    unit = np.concatenate([x_low, x_high])
+    edges = np.concatenate([[0.0], breakpoints, [1.0]])
+    panels = np.column_stack([edges[:-1], edges[1:]])
+    total, error, settled, evaluated, residual = 0.0, 0.0, 0, 0, 0.0
+    while panels.size:
+        evaluated += len(panels)
+        if evaluated > MAX_PANELS:
+            raise IndeterminateConvergence(
+                f"Boyd quadrature did not settle within {MAX_PANELS} panels"
+            )
+        middle = 0.5 * (panels[:, 0] + panels[:, 1])
+        half = 0.5 * (panels[:, 1] - panels[:, 0])
+        phi = middle[:, None] + half[:, None] * unit[None, :]
+        values, _, worst = _jensen_rows(rows(phi.ravel()))
+        residual = max(residual, worst)
+        values = values.reshape(phi.shape)
+        low_order = half * (values[:, : x_low.size] @ w_low)
+        high_order = half * (values[:, x_low.size :] @ w_high)
+        gap = np.abs(high_order - low_order)
+        done = gap <= np.maximum(PANEL_FLOOR, PANEL_REL_TOL * np.abs(high_order))
+        total += float(np.sum(high_order[done]))
+        error += float(np.sum(gap[done]))
+        settled += int(np.sum(done))
+        split = panels[~done]
+        cut = 0.5 * (split[:, 0] + split[:, 1])
+        panels = np.concatenate(
+            [np.column_stack([split[:, 0], cut]), np.column_stack([cut, split[:, 1]])]
+        )
+    return total, {
+        "route": "boyd",
+        "breakpoints": [float(b) for b in breakpoints],
+        "panels": settled,
+        "error": error,
+        "residual": residual,
+    }
+
+
+def _measure(coefficients):
+    """(m(det M), diagnostics) of a coefficient array over the rank-1 or
+    rank-2 torus.  On the 2-torus the variable of higher degree is the
+    inner one, and a polynomial in one variable goes to Jensen's formula."""
+    if coefficients.ndim == 3:
+        return _jensen(coefficients)
+    coefficients = _trim(_trim(coefficients, 0), 1)
+    if coefficients.shape[1] > coefficients.shape[0]:
+        coefficients = np.swapaxes(coefficients, 0, 1)
+    if coefficients.shape[1] == 1:
+        return _jensen(coefficients[:, 0])
+    return _boyd(coefficients)
+
+
+def _fourier(angles, exponents):
+    """exp(2 pi i theta k) for every angle theta (rows) and exponent k."""
+    return np.exp(2j * np.pi * np.outer(angles, exponents))
+
+
+def _eigen_product(samples, count):
+    """Product of the `count` largest eigenvalues of Hermitian samples."""
+    values = np.linalg.eigvalsh(samples)
+    return np.prod(values[:, samples.shape[-1] - count :], axis=1)
+
+
+def _torus_polynomial(symbol, count, vanishing, message):
+    """Coefficient array whose Mahler measure is the log-determinant.
+
+    With count equal to the size, that is det F itself: the array holds the
+    symbol's own coefficient blocks.  For a Hermitian symbol with a smaller
+    count it is the scalar product of the count largest eigenvalue branches,
+    which equals e_count(F(theta)) when the other branches vanish
+    identically.  Either polynomial has its exponents in count times the
+    Newton box of F, so the grid with one node per exponent and axis
+    determines it: it must not vanish there to SYMBOL_KERNEL_REL_TOL, or
+    `vanishing` is raised.  The eigenvalue product is transformed back from
+    that grid by the discrete Fourier transform and checked against direct
+    evaluation at CHECK_ANGLES.  Index 0 of the array is the lowest
+    exponent on every axis.
+    """
+    rank = symbol.rank
+    if count == 0:
+        return np.ones((1,) * rank + (1, 1), dtype=complex)
+    if not symbol.coefficients:
+        raise vanishing(message)
+    keys = np.array(list(symbol.coefficients), dtype=int)
+    low, high = keys.min(axis=0), keys.max(axis=0)
+    blocks = np.zeros(tuple(high - low + 1) + symbol.shape, dtype=complex)
+    for k, c in symbol.coefficients.items():
+        blocks[tuple(np.asarray(k) - low)] = c
+    full = count == symbol.shape[0]
+    if full and symbol.shape == (1, 1):
+        return blocks
+
+    span = count * (high - low) + 1
+    grids = [np.arange(n) / n for n in span]
+    phases = [_fourier(g, np.arange(low[a], high[a] + 1)) for a, g in enumerate(grids)]
+    if rank == 1:
+        samples = np.einsum("ik,kab->iab", phases[0], blocks)
+    else:
+        samples = np.einsum("ik,jl,klab->ijab", phases[0], phases[1], blocks)
+    flat = samples.reshape((-1,) + symbol.shape)
+    values = np.linalg.det(flat) if full else _eigen_product(flat, count)
+    scale = float(np.max(np.sum(np.abs(flat) ** 2, axis=(1, 2)))) ** (count / 2)
+    if float(np.max(np.abs(values))) <= SYMBOL_KERNEL_REL_TOL * scale:
+        raise vanishing(message)
+    if full:
+        return blocks
+
+    exponents = [count * low[a] + np.arange(span[a]) for a in range(rank)]
+    back = [_fourier(g, e).conj().T / g.size for g, e in zip(grids, exponents)]
+    values = values.reshape(tuple(span))
+    out = back[0] @ values if rank == 1 else back[0] @ values @ back[1].T
+    angles = CHECK_ANGLES[:, :rank]
+    direct = _eigen_product(np.stack([symbol.evaluate(theta) for theta in angles]), count)
+    ahead = [_fourier(angles[:, a], exponents[a]) for a in range(rank)]
+    if rank == 1:
+        rebuilt = ahead[0] @ out
+    else:
+        rebuilt = np.einsum("ki,ij,kj->k", ahead[0], out, ahead[1])
+    misfit = float(np.max(np.abs(direct - rebuilt)))
+    if misfit > COEFFICIENT_CHECK_TOL * scale:
+        raise IndeterminateConvergence(
+            f"eigenvalue product coefficients miss direct evaluation by {misfit:.2e}"
+        )
+    return out[..., None, None]
+
+
+def torus_log_det(symbol, count, vanishing, message):
+    """(log-determinant, diagnostics) of a square Laurent symbol.
+
+    count is the number of eigenvalue branches that enter: the size for
+    det F, fewer for the positive part of a Hermitian symbol with a kernel
+    (see _torus_polynomial).  The diagnostics give the route (jensen or
+    boyd), the breakpoints, the number of panels, the quadrature error
+    estimate and the largest relative residual of the root factorisation.
+    """
+    return _measure(_torus_polynomial(symbol, count, vanishing, message))

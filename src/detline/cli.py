@@ -6,7 +6,7 @@ codes separate the three ways a run can end: 0 for a computed report, 1 for
 a validation or parse problem (the input is at fault), 2 for a mathematical
 refusal (the input is well-formed but the requested quantity does not exist
 under the standing hypotheses, such as a non-unimodular representation or a
-divergent log-integral).
+symbol whose determinant vanishes identically).
 """
 
 from __future__ import annotations
@@ -146,7 +146,7 @@ def _load(paths):
 
 def _convergence_payload(report) -> dict:
     out = {"status": report.status}
-    for key in ("d1", "d2", "rule", "reason"):
+    for key in ("route", "breakpoints", "panels", "error", "reason"):
         if key in report.diagnostics:
             out[key] = report.diagnostics[key]
     return out
@@ -437,12 +437,26 @@ def _fixture_checks():
         0.0,
     )
     yield (
-        "refusal divergence-engineered symbol",
+        "torus log-determinant of diag(1.5e-3, 1.5e-4, 1)",
+        lambda: abelian_fk_det(
+            LaurentMatrix.constant(np.diag([1.5e-3, 1.5e-4, 1.0]))
+        ).log_value,
+        float(np.log(1.5e-3 * 1.5e-4)),
+    )
+    yield (
+        "refusal vanishing-determinant symbol",
         lambda: _expect_refusal(
             lambda: abelian_fk_det(
-                LaurentMatrix.constant(np.diag([1.5e-3, 1.5e-4, 1.0]))
+                LaurentMatrix(
+                    1,
+                    {
+                        (0,): np.eye(2),
+                        (1,): [[0.0, 1.0], [0.0, 0.0]],
+                        (-1,): [[0.0, 0.0], [1.0, 0.0]],
+                    },
+                )
             ),
-            "DivergentIntegral",
+            "KernelDetected",
         ),
         0.0,
     )

@@ -98,11 +98,17 @@ class KernelDetected(MathematicalRefusal):
 
 
 class DivergentIntegral(MathematicalRefusal):
-    """The log-determinant integral diverges under the excision test."""
+    """A log-determinant integral diverges.
+
+    The torus backend no longer raises it: a Laurent polynomial that does
+    not vanish identically has a finite Mahler measure.
+    """
 
 
 class IndeterminateConvergence(MathematicalRefusal):
-    """The excision test neither stabilizes nor shows clear divergence."""
+    """A torus determinant cannot be trusted: the computed roots do not
+    reproduce the polynomial, or the quadrature panels do not settle within
+    their budget."""
 
 
 class IllConditionedKernel(MathematicalRefusal):

@@ -3,24 +3,23 @@
 Convolution operators on square-summable sequences indexed by Z^n become,
 after Fourier transform, multiplication by a matrix-valued function on the
 n-torus, and the trace becomes integration over the torus.  This module
-represents such operators by their finitely many convolution coefficients
-and integrates spectral data by midpoint quadrature on uniform grids, so it
-covers exactly the matrix Laurent polynomials.  Rank n <= 2 is enforced;
-higher ranks would need smarter quadrature than a dense grid.
+represents such operators by their finitely many convolution coefficients,
+so it covers exactly the matrix Laurent polynomials, on tori of rank
+n <= 2.
 
-Unlike the finite-dimensional backend, a symbol can be invertible almost
-everywhere yet fail to have a finite log-determinant.  Nothing here guesses:
-the excision test integrates log(lambda) above the cutoffs 1e-2, 1e-3, 1e-4
-and classifies the tail from how much the successive windows add.  Stable
-windows mean convergent, window masses that keep adding at least a decade's
-worth mean divergent, a geometrically contracting tail is accepted as
-convergent, and anything else refuses as indeterminate rather than report a
-number that the next refinement would move.
+Determinants are Mahler measures.  For a square symbol F whose determinant
+does not vanish identically, log Det F is the torus integral of
+log|det F|, the Mahler measure m(det F) (Lück, L2-Invariants, Ch. 3), and
+detline._mahler computes it: Jensen's formula on the roots on the circle,
+Boyd's integral of it by adaptive Gauss-Legendre panels on the 2-torus.  A
+nonzero Laurent polynomial always has a finite Mahler measure, so the only
+refusals are a determinant that vanishes identically, roots that do not
+reproduce the polynomial they came from, and quadrature panels that do not
+settle within their budget.
 
-Grids are midpoint grids, (j + 1/2) / N per axis.  They never place a node
-on the lattice points where symbols of interest typically vanish, and the
-Richardson step across three dyadic refinements cancels the leading 1/N
-error of the log-singular integrand.
+Positivity and kernel rank are judged pointwise on three dyadic midpoint
+grids, (j + 1/2) / N per axis, which never place a node on the lattice
+points where symbols of interest typically vanish.
 """
 
 from __future__ import annotations
@@ -30,12 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import as_complex_matrix
+from ._linalg import as_complex_matrix, operator_norm
 from .determinant import ConvergenceReport, DeterminantResult, SpectralDensity
 from .errors import (
     AlgebraMismatch,
     BackendUnsupported,
-    DivergentIntegral,
     IllConditionedKernel,
     IndeterminateConvergence,
     KernelDetected,
@@ -49,16 +47,9 @@ from .errors import (
 MAX_TORUS_RANK = 2
 DEFAULT_RESOLUTION = {1: 4096, 2: 64}
 REFINEMENT_LEVELS = 3
-
-EXCISION_CUTOFFS = (1e-2, 1e-3, 1e-4)
-WINDOW_STABLE_TOL = 1e-4
-DECADE_SLOPE = float(np.log(10.0))
-PERSISTENCE_FACTOR = 0.8
-CONTRACTION_FACTOR = 0.6
+GRID_BLOCK = 4096
 
 HERMITIAN_SYMBOL_TOL = 1e-10
-SYMBOL_KERNEL_REL_TOL = 1e-12
-KERNEL_MASS_FRACTION = 1e-3
 TORSION_KERNEL_TOL = 1e-10
 TORSION_GAP_RATIO = 10.0
 
@@ -244,11 +235,23 @@ class LaurentMatrix:
     def evaluate_grid(self, nodes):
         """Stack of symbol values at nodes of shape (N, rank)."""
         nodes = np.asarray(nodes, dtype=float)
-        total = np.zeros((nodes.shape[0],) + self.shape, dtype=complex)
-        for k, c in self.coefficients.items():
-            phase = np.exp(2j * np.pi * (nodes @ np.asarray(k, dtype=float)))
-            total += phase[:, None, None] * c[None, :, :]
-        return total
+        keys = np.array(list(self.coefficients), dtype=int).reshape(-1, self.rank)
+        size = self.shape[0] * self.shape[1]
+        terms = np.array(list(self.coefficients.values()), dtype=complex).reshape(len(keys), size)
+        out = np.zeros((nodes.shape[0], size), dtype=complex)
+        # one exponential per axis and node; each term's phase is a product
+        # of integer powers of those.  Blocks of nodes keep the phase matrix
+        # small next to the output.
+        for start in range(0, nodes.shape[0], GRID_BLOCK):
+            block = nodes[start : start + GRID_BLOCK]
+            phases = np.ones((block.shape[0], len(keys)), dtype=complex)
+            for axis in range(self.rank):
+                unit = np.exp(2j * np.pi * block[:, axis])
+                for k in set(keys[:, axis].tolist()):
+                    if k:
+                        phases[:, keys[:, axis] == k] *= (unit**k)[:, None]
+            out[start : start + GRID_BLOCK] = phases @ terms
+        return out.reshape((nodes.shape[0],) + self.shape)
 
     def is_hermitian(self, tol: float = HERMITIAN_SYMBOL_TOL) -> bool:
         """Coefficient-wise check that the evaluated symbol is Hermitian.
@@ -258,13 +261,13 @@ class LaurentMatrix:
         if self.shape[0] != self.shape[1]:
             return False
         scale = max(
-            (np.linalg.norm(c, 2) for c in self.coefficients.values()), default=0.0
+            (operator_norm(c) for c in self.coefficients.values()), default=0.0
         )
         scale = max(1.0, scale)
         for k, c in self.coefficients.items():
             mirror = self.coefficients.get(tuple(-a for a in k))
             partner = np.zeros(self.shape, dtype=complex) if mirror is None else mirror
-            if np.linalg.norm(partner - c.conj().T, 2) > tol * scale:
+            if operator_norm(partner - c.conj().T) > tol * scale:
                 return False
         return True
 
@@ -345,20 +348,14 @@ def laurent_trace(symbol: LaurentMatrix) -> complex:
 def _hermitian_branches(symbol, grid):
     """Sorted eigenvalue branches of a Hermitian symbol over the grid."""
     samples = symbol.evaluate_grid(grid.nodes())
-    samples = 0.5 * (samples + np.conj(np.swapaxes(samples, -1, -2)))
+    samples += np.conj(np.swapaxes(samples, -1, -2))
+    samples *= 0.5
     values = np.linalg.eigvalsh(samples)
     top = float(np.max(np.abs(values), initial=0.0))
     floor = -1e-10 * max(1.0, top)
     if float(np.min(values, initial=0.0)) < floor:
         raise NegativeSpectrum("symbol has eigenvalue branches below zero")
     return np.clip(values.ravel(), 0.0, None), top
-
-
-def _singular_branches(symbol, grid):
-    """Singular value branches of a general symbol over the grid."""
-    gram = symbol.adjoint() @ symbol
-    values, top = _hermitian_branches(gram, grid)
-    return np.sqrt(values), np.sqrt(top)
 
 
 def abelian_spectral_density(
@@ -391,73 +388,26 @@ def abelian_spectral_density(
     return SpectralDensity(values, weights, kind="sampled", consistency=consistency)
 
 
-def _excision_verdict(values, weights) -> tuple[ConvergenceReport, str | None]:
-    """Classify the log-integral tail of a positive sampled spectrum.
+def _log_det(symbol, count, vanishing, message):
+    # loaded on first use: a CLI process that takes no torus determinant
+    # does not compile the Mahler measure code
+    from ._mahler import torus_log_det
 
-    I(eps) integrates log(lambda) over lambda >= eps.  The window increments
-    d1 = I(1e-3) - I(1e-2) and d2 = I(1e-4) - I(1e-3) drive the verdict:
-    both negligible is convergent, both at least a decade of loss with the
-    second persisting is divergent, a contracting tail is convergent, and
-    everything else refuses as indeterminate.  Spectral mass sitting at zero
-    never enters any window, so it is checked first: a kernel atom keeps its
-    mass when the zero cut tightens by two orders, while a continuum of tiny
-    branches thins out and is left for the windows to judge.
-    """
-    top = float(np.max(values, initial=0.0))
-    kernel_cut = SYMBOL_KERNEL_REL_TOL * max(1.0, top)
-    kernel_mass = float(np.sum(weights[values <= kernel_cut]))
-    tight_mass = float(np.sum(weights[values <= 1e-2 * kernel_cut]))
-    total_mass = float(np.sum(weights))
-    diagnostics = {"kernel_mass": kernel_mass, "kernel_cut": kernel_cut}
-
-    atom = kernel_mass > KERNEL_MASS_FRACTION * total_mass and (
-        tight_mass >= 0.95 * kernel_mass
-    )
-    if total_mass == 0.0 or atom:
-        diagnostics["reason"] = "positive spectral mass at zero"
-        return ConvergenceReport("divergent", diagnostics), "KernelDetected"
-
-    def window(eps):
-        keep = values >= eps
-        return float(np.sum(weights[keep] * np.log(values[keep])))
-
-    windows = {eps: window(eps) for eps in EXCISION_CUTOFFS}
-    d1 = windows[EXCISION_CUTOFFS[1]] - windows[EXCISION_CUTOFFS[0]]
-    d2 = windows[EXCISION_CUTOFFS[2]] - windows[EXCISION_CUTOFFS[1]]
-    diagnostics["windows"] = windows
-    diagnostics["d1"] = d1
-    diagnostics["d2"] = d2
-
-    if abs(d1) < WINDOW_STABLE_TOL and abs(d2) < WINDOW_STABLE_TOL:
-        diagnostics["rule"] = "stable windows"
-        return ConvergenceReport("convergent", diagnostics), None
-    if d1 <= -DECADE_SLOPE and d2 <= -DECADE_SLOPE and abs(d2) >= PERSISTENCE_FACTOR * abs(d1):
-        diagnostics["rule"] = "decade slope persists"
-        return ConvergenceReport("divergent", diagnostics), "DivergentIntegral"
-    if abs(d2) <= CONTRACTION_FACTOR * abs(d1):
-        diagnostics["rule"] = "contracting tail"
-        return ConvergenceReport("convergent", diagnostics), None
-    diagnostics["rule"] = "no stable classification"
-    return ConvergenceReport("indeterminate", diagnostics), "IndeterminateConvergence"
+    log_value, diagnostics = torus_log_det(symbol, count, vanishing, message)
+    return log_value, ConvergenceReport("convergent", diagnostics)
 
 
-def _positive_log_sum(values, weights) -> float:
-    top = float(np.max(values, initial=0.0))
-    keep = values > SYMBOL_KERNEL_REL_TOL * max(1.0, top)
-    return float(np.sum(weights[keep] * np.log(values[keep])))
-
-
-def _richardson(levels) -> float:
-    """Extrapolate across three dyadic refinements, cancelling 1/N and 1/N^2."""
-    v0, v1, v2 = levels
-    r1 = 2.0 * v1 - v0
-    r2 = 2.0 * v2 - v1
-    return (4.0 * r2 - r1) / 3.0
+def _grid_levels(grid):
+    grids = [grid]
+    for _ in range(REFINEMENT_LEVELS - 1):
+        grids.append(grids[-1].refine())
+    return grids
 
 
 @dataclass
 class AbelianClassReport:
-    """Outcome of the excision test, with the determinant when it passes."""
+    """Determinant-class verdict of a positive symbol, with the determinant
+    when it exists; `grid` is the finest grid of the positivity check."""
 
     verdict: ConvergenceReport
     refusal: str | None
@@ -470,84 +420,66 @@ class AbelianClassReport:
         return self.refusal is None
 
 
-def _class_pipeline(symbol, grid, branches) -> AbelianClassReport:
-    grids = [grid]
-    for _ in range(REFINEMENT_LEVELS - 1):
-        grids.append(grids[-1].refine())
-    spectra = [branches(symbol, g) for g in grids]
-    weights = [np.full(v.shape, 1.0 / g.total) for (v, _), g in zip(spectra, grids)]
-
-    report, refusal = _excision_verdict(spectra[-1][0], weights[-1])
-    levels = [
-        _positive_log_sum(v, w) for (v, _), w in zip(spectra, weights)
-    ]
-    report.diagnostics["levels"] = levels
-    if refusal is not None:
-        return AbelianClassReport(report, refusal, None, None, grids[-1])
-    log_value = _richardson(levels)
-    return AbelianClassReport(
-        report, None, float(np.exp(log_value)), log_value, grids[-1]
-    )
-
-
 def abelian_determinant_class_check(
     symbol: LaurentMatrix, grid: TorusGrid | None = None
 ) -> AbelianClassReport:
-    """Excision verdict and determinant for a positive symbol, no refusal raised."""
+    """abelian_fk_det as a report: its refusals become the verdict."""
     symbol.require_hermitian()
     grid = _resolve_grid(symbol, grid)
-    return _class_pipeline(symbol, grid, _hermitian_branches)
-
-
-_REFUSALS = {
-    "KernelDetected": KernelDetected,
-    "DivergentIntegral": DivergentIntegral,
-    "IndeterminateConvergence": IndeterminateConvergence,
-}
-
-
-def _raise_refusal(report: AbelianClassReport, context: str):
-    diagnostics = report.verdict.diagnostics
-    detail = diagnostics.get("rule", diagnostics.get("reason", ""))
-    raise _REFUSALS[report.refusal](f"{context}: {detail}")
+    finest = _grid_levels(grid)[-1]
+    try:
+        result = abelian_fk_det(symbol, grid)
+    except (KernelDetected, IndeterminateConvergence) as exc:
+        status = "divergent" if isinstance(exc, KernelDetected) else "indeterminate"
+        verdict = ConvergenceReport(status, {"reason": str(exc)})
+        return AbelianClassReport(verdict, type(exc).__name__, None, None, finest)
+    return AbelianClassReport(
+        result.convergence, None, result.value, result.log_value, finest
+    )
 
 
 def abelian_fk_det(
     symbol: LaurentMatrix, grid: TorusGrid | None = None
 ) -> DeterminantResult:
-    """Determinant of a positive symbol: exp of the torus log-integral.
+    """Determinant of a positive symbol: exp m(det F).
 
-    The value is the Richardson extrapolate of the quadrature across three
-    dyadic grid refinements; the verdict of the excision test is attached.
-    Non-convergent verdicts refuse instead of returning a number.
+    The symbol must be Hermitian, and its eigenvalue branches must stay
+    above the NegativeSpectrum floor on the grid and its two dyadic
+    refinements.  det F vanishing identically is a kernel of positive
+    measure and raises KernelDetected.
     """
-    report = abelian_determinant_class_check(symbol, grid)
-    if not report.passed:
-        _raise_refusal(report, "log-determinant integral")
-    return DeterminantResult(report.value, report.log_value, "spectral", report.verdict)
+    symbol.require_hermitian()
+    grid = _resolve_grid(symbol, grid)
+    for g in _grid_levels(grid):
+        _hermitian_branches(symbol, g)
+    log_value, verdict = _log_det(
+        symbol, symbol.size, KernelDetected, "positive spectral mass at zero"
+    )
+    return DeterminantResult(float(np.exp(log_value)), log_value, "spectral", verdict)
 
 
 def abelian_fk_det_general(
     symbol: LaurentMatrix, grid: TorusGrid | None = None
 ) -> DeterminantResult:
-    """Determinant of a general square symbol via its singular value branches.
+    """Determinant of a general square symbol: exp m(det F).
 
-    Runs the excision test on the singular values (not their squares, which
-    would push small branches below the window cutoffs) and integrates their
-    logarithm, giving the square root of the determinant of F^H F.
+    This is the determinant of |F| = (F^H F)^(1/2), since
+    log|det F| = sum log sigma_i pointwise.  The grid is validated but not
+    sampled.  det F vanishing identically raises KernelDetected.
     """
     if symbol.shape[0] != symbol.shape[1]:
         raise ShapeMismatch(f"symbol of shape {symbol.shape} has no determinant")
-    grid = _resolve_grid(symbol, grid)
-    report = _class_pipeline(symbol, grid, _singular_branches)
-    if not report.passed:
-        _raise_refusal(report, "log-determinant integral")
-    return DeterminantResult(report.value, report.log_value, "polar", report.verdict)
+    _resolve_grid(symbol, grid)
+    log_value, verdict = _log_det(
+        symbol, symbol.size, KernelDetected, "determinant vanishes identically"
+    )
+    return DeterminantResult(float(np.exp(log_value)), log_value, "polar", verdict)
 
 
 @dataclass
 class DenseIsoReport:
-    """A square symbol certified injective with convergent log-determinant."""
+    """A square symbol certified injective with dense image, and its
+    determinant."""
 
     determinant: float
     log_determinant: float
@@ -559,13 +491,12 @@ def abelian_dense_isomorphism_check(
     symbol: LaurentMatrix, grid: TorusGrid | None = None
 ) -> DenseIsoReport:
     """Certify that multiplication by the symbol is injective with dense
-    image and of determinant class, or refuse.
+    image, or refuse with NotDenselyExact.
 
-    Injectivity for a Laurent symbol means det F(theta) does not vanish
-    identically (the determinant is a trigonometric polynomial, so its zero
-    set otherwise has measure zero, which dense image tolerates).  On top of
-    that the singular value branches must pass the excision test; a symbol
-    whose log-integral diverges does not qualify even when it is injective.
+    That holds exactly when det F(theta) does not vanish identically: it is
+    a trigonometric polynomial, so its zero set otherwise has measure zero,
+    which dense image tolerates, and m(det F) is then finite.  The sampled
+    check on the grid gives minimum_modulus, the smallest |det F| there.
     """
     if symbol.shape[0] != symbol.shape[1]:
         raise ShapeMismatch(f"symbol of shape {symbol.shape} is not square")
@@ -575,19 +506,10 @@ def abelian_dense_isomorphism_check(
     scale = max(1.0, float(np.max(moduli, initial=0.0)))
     if float(np.max(moduli, initial=0.0)) <= 1e-12 * scale:
         raise NotDenselyExact("symbol determinant vanishes identically")
-    report = _class_pipeline(symbol, grid, _singular_branches)
-    if not report.passed:
-        diagnostics = report.verdict.diagnostics
-        detail = diagnostics.get("rule", diagnostics.get("reason", ""))
-        raise NotDenselyExact(
-            f"log-determinant integral does not converge ({report.refusal}: {detail})"
-        )
-    return DenseIsoReport(
-        report.value,
-        report.log_value,
-        report.verdict,
-        float(np.min(moduli)),
+    log_value, verdict = _log_det(
+        symbol, symbol.size, NotDenselyExact, "symbol determinant vanishes identically"
     )
+    return DenseIsoReport(float(np.exp(log_value)), log_value, verdict, float(np.min(moduli)))
 
 
 @dataclass
@@ -630,11 +552,11 @@ def _check_composites(boundaries, convention):
         else:
             composite = boundaries[i + 1] @ boundaries[i]
         residual = max(
-            (np.linalg.norm(c, 2) for c in composite.coefficients.values()),
+            (operator_norm(c) for c in composite.coefficients.values()),
             default=0.0,
         )
         norms = [
-            max((np.linalg.norm(c, 2) for c in b.coefficients.values()), default=0.0)
+            max((operator_norm(c) for c in b.coefficients.values()), default=0.0)
             for b in (boundaries[i], boundaries[i + 1])
         ]
         scale = max(1.0, norms[0] * norms[1])
@@ -642,6 +564,13 @@ def _check_composites(boundaries, convention):
             raise ValidationError(
                 f"composite of maps {i} and {i + 1} is nonzero (residual {residual:.2e})"
             )
+
+
+def _adjacent(items, i, convention):
+    """(outgoing, incoming) neighbours of degree i, None past either end."""
+    before = items[i - 1] if i >= 1 else None
+    after = items[i] if i < len(items) else None
+    return (before, after) if convention == "chain" else (after, before)
 
 
 def abelian_torsion(
@@ -655,11 +584,13 @@ def abelian_torsion(
 
     boundaries[i] connects degrees i and i+1 (towards i for the chain
     convention, towards i+1 for the cochain one).  Each degree gets the
-    Laplacian out^H out + in in^H pointwise on the torus; the kernel rank of
-    the branches must be constant across nodes and refinement levels, giving
-    the betti numbers, and the positive branches must pass the excision
-    test degree by degree.  The coordinate multiplies the positive-part
-    determinants with exponent (-1)^i i/2 (chain; negated for cochain).
+    Laplacian out^H out + in in^H.  Its kernel rank k must be the same at
+    every node of the grid and its two dyadic refinements, with the positive
+    branches TORSION_GAP_RATIO above the kernel ones; k is the betti number.
+    The positive part's determinant is m(e_{m-k}(Delta)), the Mahler measure
+    of the product of the m - k nonzero eigenvalue branches.  The coordinate
+    multiplies those determinants with exponent (-1)^i i/2 (chain; negated
+    for cochain).
     """
     boundaries = list(boundaries)
     if not boundaries:
@@ -673,25 +604,14 @@ def abelian_torsion(
     ranks = _torsion_ranks(boundaries, convention)
     _check_composites(boundaries, convention)
     grid = _resolve_grid(boundaries[0], grid)
-    grids = [grid]
-    for _ in range(REFINEMENT_LEVELS - 1):
-        grids.append(grids[-1].refine())
 
     degrees = len(ranks)
     kernel_counts = [None] * degrees
-    level_sums = [[] for _ in range(degrees)]
-    finest = [None] * degrees
-
-    for g in grids:
+    for g in _grid_levels(grid):
         nodes = g.nodes()
         samples = [b.evaluate_grid(nodes) for b in boundaries]
         for i in range(degrees):
-            if convention == "chain":
-                out = samples[i - 1] if i >= 1 else None
-                inc = samples[i] if i < len(samples) else None
-            else:
-                out = samples[i] if i < len(samples) else None
-                inc = samples[i - 1] if i >= 1 else None
+            out, inc = _adjacent(samples, i, convention)
             m = ranks[i]
             delta = np.zeros((nodes.shape[0], m, m), dtype=complex)
             if out is not None:
@@ -701,7 +621,8 @@ def abelian_torsion(
             if m == 0:
                 values = np.zeros((nodes.shape[0], 0))
             else:
-                delta = 0.5 * (delta + np.conj(np.swapaxes(delta, -1, -2)))
+                delta += np.conj(np.swapaxes(delta, -1, -2))
+                delta *= 0.5
                 values = np.linalg.eigvalsh(delta)
             top = float(np.max(values, initial=0.0))
             cut = kernel_tol * max(1.0, top)
@@ -717,48 +638,32 @@ def abelian_torsion(
                 raise IllConditionedKernel(
                     f"kernel rank of the degree {i} Laplacian changes under refinement"
                 )
-            if count and m:
-                zero_part = np.sort(values, axis=-1)[:, :count]
-                positive_part = np.sort(values, axis=-1)[:, count:]
-                if positive_part.size:
-                    worst_zero = float(np.max(zero_part))
-                    best_positive = float(np.min(positive_part))
-                    if worst_zero > 0 and best_positive < TORSION_GAP_RATIO * worst_zero:
-                        raise IllConditionedKernel(
-                            f"zero and positive branches of the degree {i} Laplacian are not separated"
-                        )
-                flat = positive_part.ravel()
-            else:
-                flat = values.ravel()
-            flat = np.clip(flat, 0.0, None)
-            weights = np.full(flat.shape, 1.0 / g.total)
-            level_sums[i].append(_positive_log_sum(flat, weights))
-            if g is grids[-1]:
-                finest[i] = (flat, weights)
+            if count and m > count:
+                worst_zero = float(np.max(values[:, :count]))
+                best_positive = float(np.min(values[:, count:]))
+                if worst_zero > 0 and best_positive < TORSION_GAP_RATIO * worst_zero:
+                    raise IllConditionedKernel(
+                        f"zero and positive branches of the degree {i} Laplacian are not separated"
+                    )
 
     verdicts = []
     degree_logs = []
     for i in range(degrees):
-        flat, weights = finest[i]
-        # homology branches were already split off; the verdict judges the
-        # positive part only
-        if flat.size:
-            keep = flat > 0
-            report, refusal = _excision_verdict(flat[keep], weights[keep])
-        else:
-            report, refusal = ConvergenceReport("convergent", {}), None
-        report.diagnostics["levels"] = level_sums[i]
-        verdicts.append(report)
-        if refusal == "KernelDetected":
-            raise IllConditionedKernel(
-                f"positive branches of the degree {i} Laplacian accumulate at zero"
-            )
-        if refusal is not None:
-            _raise_refusal(
-                AbelianClassReport(report, refusal, None, None, grids[-1]),
-                f"degree {i} Laplacian",
-            )
-        degree_logs.append(_richardson(level_sums[i]))
+        out, inc = _adjacent(boundaries, i, convention)
+        m = ranks[i]
+        laplacian = LaurentMatrix.zero(rank, (m, m))
+        if out is not None:
+            laplacian = laplacian + out.adjoint() @ out
+        if inc is not None:
+            laplacian = laplacian + inc @ inc.adjoint()
+        log_value, verdict = _log_det(
+            laplacian,
+            m - kernel_counts[i],
+            IllConditionedKernel,
+            f"positive branches of the degree {i} Laplacian accumulate at zero",
+        )
+        verdicts.append(verdict)
+        degree_logs.append(log_value)
 
     orientation = 1.0 if convention == "chain" else -1.0
     log_coordinate = sum(

@@ -26,7 +26,7 @@ from detline.complexes import (
     zeta_suite,
 )
 from detline.determinant import fk_det, fk_det_path, fk_det_spectral
-from detline.errors import DivergentIntegral, KernelDetected, NotUnimodular
+from detline.errors import KernelDetected, NotUnimodular
 from detline.fixtures import (
     circle,
     interval,
@@ -490,8 +490,20 @@ def test_c10_refusal_paths():
     with pytest.raises(KernelDetected):
         abelian_fk_det(kernel_symbol)
 
-    divergent = LaurentMatrix(
+    # a nonzero Laurent polynomial has a finite Mahler measure: the small
+    # constant determinant 2.25e-7 is a value, not a divergence
+    engineered = LaurentMatrix(
         1, {(0,): np.diag([1.5e-3, 1.5e-4, 1.0]).astype(complex)}
     )
-    with pytest.raises(DivergentIntegral):
-        abelian_fk_det(divergent)
+    assert abs(abelian_fk_det(engineered).log_value - np.log(2.25e-7)) < 1e-12
+    # v v^H with v = (1, 1/t) has det = 0 at every point: refused
+    rank_one = LaurentMatrix(
+        1,
+        {
+            (0,): np.eye(2, dtype=complex),
+            (1,): np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),
+            (-1,): np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex),
+        },
+    )
+    with pytest.raises(KernelDetected):
+        abelian_fk_det(rank_one)

@@ -219,7 +219,7 @@ def test_structured_report_deterministic():
     b = structured_report({"z": {"x": 2, "y": 1}, "a": [1.5, 2.0], "b": 1})
     assert a == b
     parsed = json.loads(a)
-    assert parsed["format_version"] == 1
+    assert parsed["format_version"] == 2
 
     flat = text_report({"value": 2.0, "nested": {"inner": "ok"}})
     assert "value: 2" in flat
@@ -284,12 +284,26 @@ def test_cli_det_symbol(tmp_path, capsys):
     assert payload["convergence"]["status"] == "convergent"
 
 
+# v v^H with v = (1, 1/t): det vanishes at every point of the circle
+RANK_ONE_DOC = symbol_doc(
+    [(0, [[1, 0], [0, 1]]), (1, [[0, 1], [0, 0]]), (-1, [[0, 0], [1, 0]])], size=2
+)
+
+
 def test_cli_det_symbol_divergent_refuses(tmp_path, capsys):
+    # the small constant determinant 2.25e-7 is a value; det = 0 is refused
     mat = [[1.5e-3, 0, 0], [0, 1.5e-4, 0], [0, 0, 1]]
     sym = write_doc(tmp_path, "sym.json", symbol_doc([(0, mat)], size=3))
+    code, out, err = run_cli(capsys, ["--format", "structured", "det", sym])
+    assert code == 0, err
+    payload = json.loads(out)
+    assert abs(payload["log_value"] - np.log(2.25e-7)) < 1e-12
+    assert payload["convergence"]["route"] == "jensen"
+
+    sym = write_doc(tmp_path, "rank_one.json", RANK_ONE_DOC)
     code, out, err = run_cli(capsys, ["det", sym])
     assert code == 2 and out == ""
-    assert err.startswith("refusal: DivergentIntegral")
+    assert err.startswith("refusal: KernelDetected")
 
 
 def test_cli_classcheck_divergent_is_a_result(tmp_path, capsys):
@@ -298,8 +312,15 @@ def test_cli_classcheck_divergent_is_a_result(tmp_path, capsys):
     code, out, err = run_cli(capsys, ["--format", "structured", "classcheck", sym])
     assert code == 0, err
     payload = json.loads(out)
+    assert payload["passed"] is True
+    assert abs(payload["log_value"] - np.log(2.25e-7)) < 1e-12
+
+    sym = write_doc(tmp_path, "rank_one.json", RANK_ONE_DOC)
+    code, out, err = run_cli(capsys, ["--format", "structured", "classcheck", sym])
+    assert code == 0, err
+    payload = json.loads(out)
     assert payload["passed"] is False
-    assert payload["refusal"] == "DivergentIntegral"
+    assert payload["refusal"] == "KernelDetected"
     assert "value" not in payload
 
 
@@ -366,7 +387,7 @@ def test_cli_fixture_suite(capsys):
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy is loaded only by the polar path route and ZetaReport.mellin_zeta
+    # only ZetaReport.mellin_zeta loads scipy, lazily
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     probe = (
@@ -377,6 +398,26 @@ def test_cli_import_loads_no_scipy():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_cli_import_module_set():
+    # beyond numpy itself, the CLI loads detline and these standard library
+    # modules only; no numpy submodule such as numpy.polynomial
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = (
+        "import sys, numpy; before = set(sys.modules); import detline.cli; "
+        "print(sorted(m for m in set(sys.modules) - before if not m.startswith('detline')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    gained = set(json.loads(done.stdout.replace("'", '"')))
+    allowed = {
+        "__future__", "_blake2", "_hashlib", "_json", "argparse", "copy", "dataclasses",
+        "gettext", "hashlib", "json", "json.decoder", "json.encoder", "json.scanner",
+    }
+    assert gained <= allowed, sorted(gained - allowed)
 
 
 def test_polar_path_loads_no_scipy():

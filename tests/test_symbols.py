@@ -1,10 +1,10 @@
 """Abelian backend tests.
 
-Ground truth for scalar symbols is classical: the log-determinant of
-|p(t)| over the circle is the sum of log|a| over the roots a of p outside
-the unit circle plus log of the leading coefficient, so t - 2 has
-determinant 2 and t - 1 has determinant 1.  The quadrature never sees
-those formulas.
+Ground truth is classical: the log-determinant of |p| over the torus is the
+Mahler measure m(p), so t - 2 has determinant 2, t - 1 has determinant 1,
+and m(1 + x + y) is Smyth's closed form 3 sqrt(3) / (4 pi) L(chi_-3, 2).
+Expected values come from such closed forms, never from the code under
+test.
 """
 
 import numpy as np
@@ -14,7 +14,6 @@ from detline.determinant import SpectralDensity
 from detline.errors import (
     AlgebraMismatch,
     BackendUnsupported,
-    DivergentIntegral,
     IllConditionedKernel,
     IndeterminateConvergence,
     KernelDetected,
@@ -279,22 +278,36 @@ def test_positive_route_requires_hermitian_symbol():
 
 
 # ---------------------------------------------------------------------------
-# excision verdicts and refusals
+# verdicts and refusals
+
+# v v^H with v = (1, 1/t): Hermitian, positive, and det vanishes identically
+# although no constant vector lies in the kernel
+RANK_ONE = LaurentMatrix(
+    1, {(0,): np.eye(2), (1,): [[0.0, 1.0], [0.0, 0.0]], (-1,): [[0.0, 0.0], [1.0, 0.0]]}
+)
 
 
 def test_divergence_engineered_symbol_refused():
+    # the constant diag(1.5e-3, 1.5e-4, 1) has a finite determinant, 2.25e-7;
+    # only a determinant that vanishes identically is refused
     f = LaurentMatrix.constant(np.diag([1.5e-3, 1.5e-4, 1.0]))
-    with pytest.raises(DivergentIntegral):
-        abelian_fk_det(f)
+    assert abs(abelian_fk_det(f).log_value - np.log(2.25e-7)) < 1e-12
     report = abelian_determinant_class_check(f)
-    assert report.refusal == "DivergentIntegral"
+    assert report.passed and report.verdict.diagnostics["route"] == "jensen"
+    with pytest.raises(KernelDetected):
+        abelian_fk_det(RANK_ONE)
+    report = abelian_determinant_class_check(RANK_ONE)
+    assert report.refusal == "KernelDetected"
     assert report.value is None
-    assert report.verdict.diagnostics["d1"] < -4.0
-    assert report.verdict.diagnostics["d2"] < -6.0
 
 
-def test_indeterminate_tail_refused():
+def test_indeterminate_tail_refused(monkeypatch):
+    # |t - 1|^40 has determinant 1; roots that do not reproduce the
+    # polynomial are the honest IndeterminateConvergence
     power = symbol_power(T_MINUS_1.adjoint() @ T_MINUS_1, 20)
+    assert abs(abelian_fk_det(power).log_value) < 1e-12
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: 1.01 * eigvals(a))
     with pytest.raises(IndeterminateConvergence):
         abelian_fk_det(power)
     report = abelian_determinant_class_check(power)
@@ -375,9 +388,14 @@ def test_dense_isomorphism_rejects_vanishing_determinant():
 
 
 def test_dense_isomorphism_rejects_divergent_integral():
+    # a small constant determinant is dense image with determinant 2.25e-7;
+    # [[1, t], [1, t]] has det = 0 everywhere and is refused
     f = LaurentMatrix.constant(np.diag([1.5e-3, 1.5e-4, 1.0]))
+    report = abelian_dense_isomorphism_check(f)
+    assert abs(report.log_determinant - np.log(2.25e-7)) < 1e-12
+    g = LaurentMatrix(1, {(0,): [[1.0, 0.0], [1.0, 0.0]], (1,): [[0.0, 1.0], [0.0, 1.0]]})
     with pytest.raises(NotDenselyExact):
-        abelian_dense_isomorphism_check(f)
+        abelian_dense_isomorphism_check(g)
 
 
 # ---------------------------------------------------------------------------
@@ -445,3 +463,89 @@ def test_torsion_agrees_with_general_determinant():
         report = abelian_torsion([f])
         det = abelian_fk_det_general(f)
         assert abs(report.log_coordinate + det.log_value) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# Mahler measures on the torus
+
+SMYTH_1_X_Y = 0.323065947219450514093636510724
+CATALAN = 0.915965594177219015054603514932
+
+
+def test_smyth_measure_of_one_plus_x_plus_y():
+    f = scalar({(0, 0): 1.0, (1, 0): 1.0, (0, 1): 1.0}, rank=2)
+    result = abelian_fk_det_general(f)
+    assert abs(result.log_value - SMYTH_1_X_Y) < 1e-13
+    # the roots cross the unit circle at theta = 1/3 and 2/3; a crossing
+    # counts once a root is CIRCLE_BAND = 1e-9 past the circle
+    diagnostics = result.convergence.diagnostics
+    assert diagnostics["route"] == "boyd"
+    assert np.max(np.abs(np.subtract(diagnostics["breakpoints"], [1 / 3, 2 / 3]))) < 1e-9
+    assert diagnostics["error"] < 1e-13
+
+
+def test_tangent_without_crossing():
+    # 2 + x + y touches zero at x = y = -1 only; no root crosses the circle
+    f = scalar({(0, 0): 2.0, (1, 0): 1.0, (0, 1): 1.0}, rank=2)
+    assert abs(abelian_fk_det_general(f).log_value - np.log(2.0)) < 1e-13
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_tangential_toric_zero(axis):
+    # m(4 - x - 1/x - y - 1/y) = 4G/pi, unchanged by rotating one variable;
+    # the zero at x = 1/a, y = 1 changes no root count
+    a = np.exp(2j * np.pi * 0.3)
+    rotated, plain = [(1, 0), (-1, 0)], [(0, 1), (0, -1)]
+    if axis:
+        rotated, plain = plain, rotated
+    terms = {(0, 0): 4.0, rotated[0]: -a, rotated[1]: -1 / a, plain[0]: -1.0, plain[1]: -1.0}
+    result = abelian_fk_det_general(scalar(terms, rank=2))
+    assert abs(result.log_value - 4 * CATALAN / np.pi) < 1e-12
+
+
+def test_root_on_the_circle_at_every_angle():
+    f = scalar({(1, 0): 1.0, (0, 1): -1.0}, rank=2)
+    assert abs(abelian_fk_det_general(f).log_value) < 1e-13
+
+
+def test_multiple_roots_on_the_circle():
+    # np.roots alone puts (t - 1)^20 at log M = 1.98
+    power = symbol_power(T_MINUS_1, 20)
+    assert abs(abelian_fk_det_general(power).log_value) < 1e-12
+    assert abs(abelian_fk_det(power.adjoint() @ power).log_value) < 1e-12
+
+
+def test_multiplicity_from_the_matrix_structure():
+    # det(P I) = P^2 with P = 1 + x + y; the block companion keeps the
+    # doubled roots as well conditioned as those of P
+    one = np.eye(2)
+    f = LaurentMatrix(2, {(0, 0): one, (1, 0): one, (0, 1): one})
+    assert abs(abelian_fk_det_general(f).log_value - 2 * SMYTH_1_X_Y) < 1e-13
+
+
+def test_singular_end_blocks():
+    # t diag(t - 2, 1/t - 3) has singular leading and constant blocks, so its
+    # roots come from the scalar determinant (t - 2)(1 - 3t)
+    f = LaurentMatrix(
+        1, {(1,): np.diag([1.0, 0.0]), (0,): np.diag([-2.0, -3.0]), (-1,): np.diag([0.0, 1.0])}
+    )
+    assert abs(abelian_fk_det_general(f).log_value - np.log(6.0)) < 1e-13
+
+
+def test_rank_deficient_map_torsion():
+    # [t - 2, t - 2]: degree 1 keeps a kernel of rank 1, and the positive
+    # part of its Laplacian is e_1 = 2 |t - 2|^2
+    row = LaurentMatrix(1, {(1,): [[1.0, 1.0]], (0,): [[-2.0, -2.0]]})
+    report = abelian_torsion([row])
+    assert report.betti == (0.0, 1.0)
+    assert abs(report.log_coordinate + 1.5 * np.log(2.0)) < 1e-12
+
+
+def test_coefficient_disagreement_is_indeterminate(monkeypatch):
+    # e_1 of the degree 1 Laplacian above comes from sampled coefficients;
+    # direct evaluation that disagrees with them refuses
+    row = LaurentMatrix(1, {(1,): [[1.0, 1.0]], (0,): [[-2.0, -2.0]]})
+    evaluate = LaurentMatrix.evaluate
+    monkeypatch.setattr(LaurentMatrix, "evaluate", lambda self, t: 1.01 * evaluate(self, t))
+    with pytest.raises(IndeterminateConvergence):
+        abelian_torsion([row])
