@@ -342,14 +342,16 @@ def _decompose_once(table, lefts, rights, rng):
     coeffs = random_complex(rng, n_g)
     sample = sum(c * r for c, r in zip(coeffs, rights))
     herm = 0.5 * (sample + sample.conj().T)
+    herm_cut = 1e-10 * max(1.0, operator_norm(herm))
     for g, left in enumerate(lefts):
-        if operator_norm(left @ herm - herm @ left) > 1e-10 * max(1.0, operator_norm(herm)):
+        if operator_norm(left @ herm - herm @ left) > herm_cut:
             raise DecompositionFailure(f"commutant sample fails to commute with generator {g}")
     pieces = _split_into_irreducibles(herm)
 
     # Group the irreducible pieces into families carrying the same block,
     # probing with a second, non-Hermitian commutant element.
     probe = sum(c * r for c, r in zip(random_complex(rng, n_g), rights))
+    probe_cut = 1e-6 * operator_norm(probe)
     families: list[list[np.ndarray]] = []
     for q in pieces:
         placed = False
@@ -358,7 +360,7 @@ def _decompose_once(table, lefts, rights, rng):
             if q.shape[1] != base.shape[1]:
                 continue
             inter = q.conj().T @ probe @ base
-            if operator_norm(inter) > 1e-6 * operator_norm(probe):
+            if operator_norm(inter) > probe_cut:
                 fam.append(q)
                 placed = True
                 break

@@ -110,20 +110,24 @@ def spectral_density(
     op: CommutantOperator,
     gram=None,
 ) -> SpectralDensity:
-    """Eigenvalue distribution of a gram-self-adjoint positive operator."""
+    """Eigenvalue distribution of a gram-self-adjoint positive operator.
+
+    scale is the largest |eigenvalue| of the Hermitian parts (at most the
+    operator norm) and the self-adjoint residual a Frobenius norm."""
     _check_operator(module, op)
     tilde = _tilde_blocks(module, op, gram)
-    scale = max((operator_norm(b) for b in tilde), default=0.0)
     vals = []
     weights = []
     for (n, w), b in zip(module.algebra.blocks, tilde):
         if b.size == 0:
             continue
-        if operator_norm(b - b.conj().T) > SELF_ADJOINT_TOL * max(1.0, scale):
-            raise NotSelfAdjoint("operator is not self-adjoint for this gram")
         ev = np.linalg.eigvalsh(0.5 * (b + b.conj().T))
         vals.append(ev)
         weights.append(np.full(ev.shape, w))
+    scale = max((float(np.max(np.abs(ev))) for ev in vals), default=0.0)
+    for b in tilde:
+        if np.linalg.norm(b - b.conj().T) > SELF_ADJOINT_TOL * max(1.0, scale):
+            raise NotSelfAdjoint("operator is not self-adjoint for this gram")
     if not vals:
         return SpectralDensity(np.zeros(0), np.zeros(0))
     values = np.concatenate(vals)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import operator_norm
 from .determinant import fk_det_spectral
 from .errors import (
     AlgebraMismatch,
@@ -158,7 +157,7 @@ def _check_exact(alpha: ModuleMorphism, beta: ModuleMorphism, tol: float):
 
     One SVD per block of each map gives the ranks, the norms, the image
     frame (leading left vectors of alpha) and the kernel frame (trailing
-    right vectors of beta).
+    right vectors of beta); the composite and the gap are Frobenius norms.
     """
     if not beta.source.is_same_space(alpha.target):
         raise AlgebraMismatch("the two maps do not share the middle module")
@@ -173,14 +172,14 @@ def _check_exact(alpha: ModuleMorphism, beta: ModuleMorphism, tol: float):
             raise NotExact(f"first map fails to be injective in block {k}")
         if b.shape[0] and np.sum(s_b > tol * max(1.0, top_b[k])) < b.shape[0]:
             raise NotExact(f"second map fails to be surjective in block {k}")
-        if a.size and b.size and operator_norm(b @ a) > tol * scale:
+        if a.size and b.size and np.linalg.norm(b @ a) > tol * scale:
             raise NotExact(f"composite is nonzero in block {k}")
         if a.shape[1] + b.shape[0] != a.shape[0]:
             raise NotExact(f"rank mismatch in block {k}: middle homology is nonzero")
         if a.shape[1]:
             image = u_a[:, : a.shape[1]]
             kernel = vh_b[b.shape[0] :].conj().T
-            gap = operator_norm(image @ image.conj().T - kernel @ kernel.conj().T)
+            gap = float(np.linalg.norm(image @ image.conj().T - kernel @ kernel.conj().T))
             if gap > tol:
                 raise NotExact(f"image and kernel subspaces differ in block {k} (gap {gap:.2e})")
 

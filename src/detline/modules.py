@@ -35,12 +35,10 @@ import numpy as np
 from ._linalg import (
     as_complex_matrix,
     gram_orthonormalize,
-    inv_sqrt_pd,
     is_hermitian,
     nullspace,
     operator_norm,
     orthonormal_range,
-    sqrt_psd,
 )
 from .algebra import AlgebraElement, FiniteVonNeumannAlgebra, GroupAlgebraDecomposition
 from .errors import (
@@ -217,20 +215,21 @@ def gram_defect(blocks) -> str | None:
 class _GramData:
     """A positive invertible commutant operator used as a scalar product.
 
-    Stored by its blocks; caches blockwise square roots, since metric work
-    happens per block.  The carrier matrix is built only when asked for:
-    matrix is the given carrier matrix, a function that builds it, or None
-    for the identity and for the operator with these blocks.
+    Stored by its blocks; caches the blockwise powers G^(1/2), G^(-1/2) and
+    G^(-1), since metric work happens per block.  The carrier matrix is
+    built only when asked for: matrix is the given carrier matrix, a
+    function that builds it, or None for the identity and for the operator
+    with these blocks.
     """
 
-    __slots__ = ("module", "blocks", "is_identity", "_matrix", "_sqrt", "_inv_sqrt", "_inv")
+    __slots__ = ("module", "blocks", "is_identity", "_matrix", "_powers")
 
     def __init__(self, module, blocks, matrix=None, is_identity=False):
         self.module = module
         self.blocks = blocks
         self.is_identity = is_identity
         self._matrix = matrix
-        self._sqrt = self._inv_sqrt = self._inv = blocks if is_identity else None
+        self._powers = (blocks, blocks, blocks) if is_identity else None
 
     @staticmethod
     def identity(module):
@@ -285,25 +284,30 @@ class _GramData:
             self._matrix = self._matrix()
         return self._matrix
 
+    def _power_blocks(self):
+        """(G^(1/2), G^(-1/2), G^(-1)) per block from one eigendecomposition
+        of each; the blocks were checked positive definite on entry."""
+        if self._powers is None:
+            powers = []
+            for b in self.blocks:
+                vals, vecs = np.linalg.eigh(0.5 * (b + b.conj().T))
+                root = np.sqrt(vals)
+                vh = vecs.conj().T
+                powers.append(((vecs * root) @ vh, (vecs / root) @ vh, (vecs / vals) @ vh))
+            self._powers = tuple(zip(*powers))  # an algebra has >= 1 block
+        return self._powers
+
     @property
     def sqrt_blocks(self):
-        if self._sqrt is None:
-            self._sqrt = tuple(sqrt_psd(b) for b in self.blocks)
-        return self._sqrt
+        return self._power_blocks()[0]
 
     @property
     def inv_sqrt_blocks(self):
-        if self._inv_sqrt is None:
-            self._inv_sqrt = tuple(inv_sqrt_pd(b) for b in self.blocks)
-        return self._inv_sqrt
+        return self._power_blocks()[1]
 
     @property
     def inv_blocks(self):
-        if self._inv is None:
-            self._inv = tuple(
-                np.linalg.inv(b) if b.size else b.copy() for b in self.blocks
-            )
-        return self._inv
+        return self._power_blocks()[2]
 
 
 def resolve_gram(module: HilbertianModule, gram=None) -> _GramData:
@@ -487,17 +491,6 @@ class CommutantOperator(ModuleMorphism):
     @classmethod
     def zero(cls, module):
         return cls(module, [np.zeros((m, m), dtype=complex) for m in module.multiplicities])
-
-    @classmethod
-    def from_action(cls, module, x: AlgebraElement):
-        """Not in the commutant in general; here for grams built from central
-        elements.  Only valid when every block of x is scalar."""
-        blocks = []
-        for (n, _), m, b in zip(module.algebra.blocks, module.multiplicities, x.block_matrices):
-            if n and operator_norm(b - b[0, 0] * np.eye(n)) > 1e-12 * max(1.0, operator_norm(b)):
-                raise NotInCommutant("action of a non-central element is not in the commutant")
-            blocks.append((b[0, 0] if n else 0.0) * np.eye(m, dtype=complex))
-        return cls(module, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -765,7 +758,7 @@ def submodule_from_blocks(
         colz = np.asarray(colz, dtype=complex)
         if colz.ndim != 2 or colz.shape[0] != module.multiplicities[k]:
             raise ShapeMismatch(f"column block {k} has wrong shape {colz.shape}")
-        y = gram_orthonormalize(colz, g.blocks[k]) if colz.shape[1] else colz
+        y = gram_orthonormalize(colz, g.sqrt_blocks[k]) if colz.shape[1] else colz
         ortho.append(y)
         mult.append(y.shape[1])
     sub = HilbertianModule(module.algebra, mult)
@@ -784,7 +777,7 @@ def frame_submodule(
     """
     g = resolve_gram(module, gram)
     if not g.is_identity:
-        frames = [gram_orthonormalize(f, gb) for f, gb in zip(frames, g.blocks)]
+        frames = [gram_orthonormalize(f, w) for f, w in zip(frames, g.sqrt_blocks)]
     sub = HilbertianModule(module.algebra, [f.shape[1] for f in frames])
     return sub, ModuleMorphism(sub, module, frames)
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import as_complex_matrix, operator_norm
+from ._linalg import as_complex_matrix
 from .determinant import ConvergenceReport, DeterminantResult, SpectralDensity
 from .errors import (
     AlgebraMismatch,
@@ -260,14 +260,11 @@ class LaurentMatrix:
         """
         if self.shape[0] != self.shape[1]:
             return False
-        scale = max(
-            (operator_norm(c) for c in self.coefficients.values()), default=0.0
-        )
-        scale = max(1.0, scale)
+        scale = max(1.0, _entry_scale(self.coefficients.values()))
         for k, c in self.coefficients.items():
             mirror = self.coefficients.get(tuple(-a for a in k))
             partner = np.zeros(self.shape, dtype=complex) if mirror is None else mirror
-            if operator_norm(partner - c.conj().T) > tol * scale:
+            if np.linalg.norm(partner - c.conj().T) > tol * scale:
                 return False
         return True
 
@@ -545,6 +542,12 @@ def _torsion_ranks(boundaries, convention):
     return ranks
 
 
+def _entry_scale(coefficients) -> float:
+    """Largest entry modulus, a lower bound for the largest spectral norm;
+    residuals against it are Frobenius norms, an upper bound."""
+    return max((float(np.max(np.abs(c))) for c in coefficients if c.size), default=0.0)
+
+
 def _check_composites(boundaries, convention):
     for i in range(len(boundaries) - 1):
         if convention == "chain":
@@ -552,13 +555,10 @@ def _check_composites(boundaries, convention):
         else:
             composite = boundaries[i + 1] @ boundaries[i]
         residual = max(
-            (operator_norm(c) for c in composite.coefficients.values()),
+            (float(np.linalg.norm(c)) for c in composite.coefficients.values()),
             default=0.0,
         )
-        norms = [
-            max((operator_norm(c) for c in b.coefficients.values()), default=0.0)
-            for b in (boundaries[i], boundaries[i + 1])
-        ]
+        norms = [_entry_scale(b.coefficients.values()) for b in (boundaries[i], boundaries[i + 1])]
         scale = max(1.0, norms[0] * norms[1])
         if residual > 1e-9 * scale:
             raise ValidationError(

@@ -387,7 +387,7 @@ def test_cli_fixture_suite(capsys):
 
 
 def test_cli_import_loads_no_scipy():
-    # only ZetaReport.mellin_zeta loads scipy, lazily
+    # detline depends on numpy only; no module of it imports scipy
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     probe = (
@@ -418,6 +418,26 @@ def test_cli_import_module_set():
         "gettext", "hashlib", "json", "json.decoder", "json.encoder", "json.scanner",
     }
     assert gained <= allowed, sorted(gained - allowed)
+
+
+def test_mellin_zeta_loads_no_scipy():
+    # the Mellin cross-check integrates by Gauss-Legendre panels in log t
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = (
+        "import sys, numpy as np\n"
+        "from detline import CommutantOperator, FiniteVonNeumannAlgebra, HilbertianChainComplex\n"
+        "from detline import HilbertianModule, zeta_suite\n"
+        "mod = HilbertianModule(FiniteVonNeumannAlgebra(((1, 1.0),)), [1])\n"
+        "cx = HilbertianChainComplex([mod, mod], [CommutantOperator(mod, [np.array([[2.0]])])])\n"
+        "report = zeta_suite(cx)\n"
+        "assert abs(report.mellin_zeta(0, 1.0, lam=0.5) - 1.0 / 4.5) < 1e-4\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_polar_path_loads_no_scipy():

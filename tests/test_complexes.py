@@ -14,7 +14,7 @@ from detline.complexes import (
     validate_complex,
     zeta_suite,
 )
-from detline.determinant import fk_det
+from detline.determinant import fk_det, spectral_density
 from detline.errors import IllConditionedKernel, ValidationError
 from detline.modules import (
     CommutantOperator,
@@ -185,6 +185,21 @@ def test_hodge_consistency_random():
             ) if inc is not None else 0.0
             total = data.betti[i] + rank_out + rank_in
             assert abs(total - von_neumann_dimension(mod)) < 1e-9
+
+
+def test_hodge_and_spectral_density_take_no_svd(monkeypatch):
+    # every norm either function needs is max |eigenvalue| of the Hermitian
+    # blocks it diagonalises anyway; identity grams have no powers to take
+    rng = np.random.default_rng(53)
+    c = make_complex(rng, S3, [(2, 2, 2), (3, 3, 3), (2, 2, 2)], grams=False)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    data = hodge(c)
+    for mod, delta in zip(c.modules, data.laplacians):
+        assert spectral_density(mod, delta).total_mass > 0
 
 
 def test_ill_conditioned_kernel_refused():

@@ -11,6 +11,7 @@ import pytest
 from detline._linalg import random_complex
 from detline.algebra import FiniteGroupTable, build_group_algebra, FiniteVonNeumannAlgebra
 from detline.determinant import (
+    SELF_ADJOINT_TOL,
     DeterminantResult,
     fk_det,
     fk_det_path,
@@ -121,6 +122,18 @@ def test_not_self_adjoint_rejected():
     op = CommutantOperator(mod, [np.array([[1.0, 1.0], [0.0, 1.0]])])
     with pytest.raises(NotSelfAdjoint):
         spectral_density(mod, op)
+
+
+def test_self_adjoint_check_refuses_just_past_spectral_threshold():
+    # ||b - b^H||_2 is 1.01 times SELF_ADJOINT_TOL * ||b||_2, the bound the
+    # check had with spectral norms; its Frobenius residual against the
+    # eigenvalue scale still refuses
+    mod = HilbertianModule(ALGEBRAS["C"], [2])
+    b = np.diag([4.0, 1.0]).astype(complex)
+    b[0, 1] = 1.01 * SELF_ADJOINT_TOL * 4.0 * (1 + 1e-9)
+    assert np.linalg.norm(b - b.conj().T, 2) > SELF_ADJOINT_TOL * np.linalg.norm(b, 2)
+    with pytest.raises(NotSelfAdjoint):
+        spectral_density(mod, CommutantOperator(mod, [b]))
 
 
 def test_self_adjointness_depends_on_gram():

@@ -15,6 +15,7 @@ from detline.errors import (
     ValidationError,
 )
 from detline.lines import (
+    EXACTNESS_TOL,
     DetLineElement,
     element_from_extended_product,
     element_from_product,
@@ -343,6 +344,26 @@ def test_not_exact_detected():
     )
     with pytest.raises(NotExact, match="differ"):
         exact_sequence_iso(tilted, proj_second * 1e-6, e, e)
+
+
+def test_composite_check_refuses_just_past_spectral_threshold():
+    # beta alpha = eps * 1 with eps 1.01 times EXACTNESS_TOL * ||a|| ||b||,
+    # the bound the check had with spectral norms; the Frobenius norm of
+    # the composite still refuses
+    m = standard_module(S3)
+    total = direct_sum(m, m)
+    e = reference_element(m)
+    incl, _ = inclusion_morphisms([m, m], total)
+    eps = 1.01 * EXACTNESS_TOL * (1 + 1e-6)
+    beta = ModuleMorphism(
+        total, m, [np.hstack([eps * np.eye(k), np.eye(k)]) for k in m.multiplicities]
+    )
+    worst = max(np.linalg.norm(b @ a, 2) for a, b in zip(incl.blocks, beta.blocks))
+    top_a = max(np.linalg.norm(a, 2) for a in incl.blocks)
+    top_b = max(np.linalg.norm(b, 2) for b in beta.blocks)
+    assert worst > EXACTNESS_TOL * max(top_a * top_b, 1.0)
+    with pytest.raises(NotExact, match="composite"):
+        exact_sequence_iso(incl, beta, e, e)
 
 
 def test_graded_coordinate():

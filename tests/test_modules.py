@@ -27,6 +27,7 @@ from detline.modules import (
     kernel_submodule,
     module_from_group_action,
     regular_module,
+    resolve_gram,
     right_action_operator,
     standard_module,
     submodule_from_blocks,
@@ -293,6 +294,20 @@ def test_adjoint_respects_gram():
         lhs = np.vdot(w, gram @ f.to_matrix() @ v)
         rhs = np.vdot(fstar.to_matrix() @ w, gram @ v)
         assert lhs == pytest.approx(rhs, abs=1e-8)
+
+
+def test_gram_powers():
+    # W = G^(1/2), G^(-1/2) and G^(-1) all come from one eigendecomposition
+    # per block; each must be the power it claims to be
+    rng = np.random.default_rng(61)
+    m = HilbertianModule(ALG, (3, 2))
+    t = random_commutant_op(m, rng)
+    g = resolve_gram(m, t.adjoint() @ t + CommutantOperator.identity(m))
+    for b, w, wi, gi in zip(g.blocks, g.sqrt_blocks, g.inv_sqrt_blocks, g.inv_blocks):
+        eye = np.eye(b.shape[0])
+        assert np.linalg.norm(w @ w - b) <= 1e-12 * np.linalg.norm(b)
+        assert np.linalg.norm(wi @ b @ wi - eye) <= 1e-12
+        assert np.linalg.norm(gi @ b - eye) <= 1e-12
 
 
 def test_kernel_and_image_submodules():

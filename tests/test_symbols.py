@@ -24,6 +24,7 @@ from detline.errors import (
     ValidationError,
 )
 from detline.symbols import (
+    HERMITIAN_SYMBOL_TOL,
     LaurentMatrix,
     TorusGrid,
     abelian_dense_isomorphism_check,
@@ -156,6 +157,18 @@ def test_hermitian_detection():
     with pytest.raises(NotHermitianSymbol):
         T_MINUS_1.require_hermitian()
     assert not LaurentMatrix(1, {0: [[1.0, 0.0]]}).is_hermitian()
+
+
+def test_hermitian_check_refuses_just_past_spectral_threshold():
+    # c_0 - c_0^H has spectral norm 1.01 times HERMITIAN_SYMBOL_TOL * ||c_0||,
+    # the bound the check had with spectral norms; the Frobenius residual
+    # against the largest entry modulus still refuses
+    c0 = np.diag([4.0, 1.0]).astype(complex)
+    c0[0, 1] = 1.01 * HERMITIAN_SYMBOL_TOL * 4.0 * (1 + 1e-6)
+    f = LaurentMatrix(1, {0: c0, 1: np.eye(2), -1: np.eye(2)})
+    assert np.linalg.norm(c0 - c0.conj().T, 2) > HERMITIAN_SYMBOL_TOL * np.linalg.norm(c0, 2)
+    with pytest.raises(NotHermitianSymbol):
+        f.require_hermitian()
 
 
 def test_trace_examples():
