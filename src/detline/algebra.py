@@ -12,6 +12,13 @@ Hermitian element of that commutant is diagonalized, eigenvalue clusters cut
 the carrier into irreducible invariant subspaces, and unitary intertwiners
 transport one matrix realization across each isotypic family.  Weights come
 out so that the block trace restricts to the coefficient of the identity.
+
+Translations act on l2(G) as permutations of the table's indices, so the
+decomposition never builds them as matrices: a commutant element
+sum_h c_h R_h is one gather of the coefficients, and L_g applied to a basis
+is a row gather.  L_g R_h = R_h L_g is associativity, which
+FiniteGroupTable.validate checks exhaustively, so every commutant element
+commutes with every left translation exactly and nothing re-checks it.
 """
 
 from __future__ import annotations
@@ -189,7 +196,9 @@ class FiniteGroupTable:
         self.product = prod
         self.identity = int(identity)
         self.validate()
-        self.inverse = self._build_inverses()
+        # Each row is a permutation, so the identity occurs once in row a, at
+        # a's right inverse; in an associative table that is a's inverse.
+        self.inverse = np.argmax(prod == self.identity, axis=1)
 
     def validate(self):
         n, e = self.order, self.identity
@@ -207,15 +216,6 @@ class FiniteGroupTable:
         # p[p, :][a, b, c] = p[p[a, b], c] and p[:, p][a, b, c] = p[a, p[b, c]]
         if not np.array_equal(p[p, :], p[:, p]):
             raise NonAssociativeTable("table is not associative")
-
-    def _build_inverses(self) -> np.ndarray:
-        inv = np.full(self.order, -1, dtype=int)
-        for a in range(self.order):
-            hits = np.where(self.product[a] == self.identity)[0]
-            if len(hits) != 1 or self.product[hits[0], a] != self.identity:
-                raise NonAssociativeTable(f"element {a} has no two-sided inverse")
-            inv[a] = hits[0]
-        return inv
 
     def left_translation(self, g: int) -> np.ndarray:
         """Permutation matrix of h -> g h on the group basis."""
@@ -243,27 +243,19 @@ class FiniteGroupTable:
     @staticmethod
     def symmetric(n: int) -> "FiniteGroupTable":
         """Symmetric group on n letters; element 0 is the identity."""
-        perms = sorted(itertools.permutations(range(n)))
-        index = {p: i for i, p in enumerate(perms)}
-        size = len(perms)
-        prod = np.zeros((size, size), dtype=int)
-        for i, a in enumerate(perms):
-            for j, b in enumerate(perms):
-                prod[i, j] = index[tuple(a[b[k]] for k in range(n))]
-        return FiniteGroupTable(prod)
+        perms = np.array(sorted(itertools.permutations(range(n))), dtype=int)
+        # sorted order is the order of the base-n numbers the rows spell, and
+        # (a b)[k] = a[b[k]] is perms[a, perms[b, k]]
+        digits = n ** np.arange(n - 1, -1, -1)
+        return FiniteGroupTable(np.searchsorted(perms @ digits, perms[:, perms] @ digits))
 
     @staticmethod
     def direct_product(t1: "FiniteGroupTable", t2: "FiniteGroupTable") -> "FiniteGroupTable":
-        n1, n2 = t1.order, t2.order
-        prod = np.zeros((n1 * n2, n1 * n2), dtype=int)
-        for a1 in range(n1):
-            for a2 in range(n2):
-                for b1 in range(n1):
-                    for b2 in range(n2):
-                        prod[a1 * n2 + a2, b1 * n2 + b2] = (
-                            t1.product[a1, b1] * n2 + t2.product[a2, b2]
-                        )
-        return FiniteGroupTable(prod, identity=t1.identity * n2 + t2.identity)
+        n2 = t2.order
+        n = t1.order * n2
+        # (a1, a2) is index a1 * n2 + a2; axes [a1, a2, b1, b2] reshape to [a, b]
+        prod = t1.product[:, None, :, None] * n2 + t2.product[None, :, None, :]
+        return FiniteGroupTable(prod.reshape(n, n), identity=t1.identity * n2 + t2.identity)
 
 
 # ---------------------------------------------------------------------------
@@ -323,34 +315,31 @@ def build_group_algebra(table: FiniteGroupTable, *, seed: int = 0) -> GroupAlgeb
     """
     if table.order > MAX_GROUP_ORDER:
         raise ValidationError(f"group order {table.order} exceeds limit {MAX_GROUP_ORDER}")
-    lefts = [table.left_translation(g) for g in range(table.order)]
-    rights = [table.right_translation(g) for g in range(table.order)]
     last_err = None
     for attempt in range(6):
         rng = np.random.default_rng(seed + attempt)
         try:
-            return _decompose_once(table, lefts, rights, rng)
+            return _decompose_once(table, rng)
         except (DecompositionFailure, NegativeSpectrum) as err:  # resample
             last_err = err
     raise DecompositionFailure(f"decomposition failed after retries: {last_err}")
 
 
-def _decompose_once(table, lefts, rights, rng):
+def _commutant_element(table, coeffs):
+    """sum_h coeffs[h] R_h: R_h sends i to i h, so entry (r, i) is coeffs[i^-1 r]."""
+    return coeffs[table.product[table.inverse]].T
+
+
+def _decompose_once(table, rng):
     n_g = table.order
     # Commutant of left translation is spanned by right translations; a
     # random Hermitian element of it splits the carrier into irreducibles.
-    coeffs = random_complex(rng, n_g)
-    sample = sum(c * r for c, r in zip(coeffs, rights))
-    herm = 0.5 * (sample + sample.conj().T)
-    herm_cut = 1e-10 * max(1.0, operator_norm(herm))
-    for g, left in enumerate(lefts):
-        if operator_norm(left @ herm - herm @ left) > herm_cut:
-            raise DecompositionFailure(f"commutant sample fails to commute with generator {g}")
-    pieces = _split_into_irreducibles(herm)
+    sample = _commutant_element(table, random_complex(rng, n_g))
+    pieces = _split_into_irreducibles(0.5 * (sample + sample.conj().T))
 
     # Group the irreducible pieces into families carrying the same block,
     # probing with a second, non-Hermitian commutant element.
-    probe = sum(c * r for c, r in zip(random_complex(rng, n_g), rights))
+    probe = _commutant_element(table, random_complex(rng, n_g))
     probe_cut = 1e-6 * operator_norm(probe)
     families: list[list[np.ndarray]] = []
     for q in pieces:
@@ -369,6 +358,7 @@ def _decompose_once(table, lefts, rights, rng):
 
     # Within each family, transport the first realization onto the others by
     # the unitary part of the intertwiner, then read off one matrix block.
+    # base^H L_g is base^H with its columns gathered by h -> g h.
     blocks_raw = []
     for fam in families:
         dim = fam[0].shape[1]
@@ -382,7 +372,8 @@ def _decompose_once(table, lefts, rights, rng):
             phi = q.conj().T @ probe @ base
             v = phi @ inv_sqrt_pd(phi.conj().T @ phi)
             bases.append(q @ v)
-        images = [base.conj().T @ left @ base for left in lefts]
+        base_h = base.conj().T
+        images = [base_h[:, table.product[g]] @ base for g in range(n_g)]
         blocks_raw.append({"dim": dim, "bases": bases, "images": images})
 
     if sum(b["dim"] ** 2 for b in blocks_raw) != n_g:
@@ -395,55 +386,48 @@ def _decompose_once(table, lefts, rights, rng):
 
     blocks_raw.sort(key=sort_key)
 
-    cols = []
-    for block in blocks_raw:
-        dim, bases = block["dim"], block["bases"]
-        for a in range(dim):
-            for i in range(dim):  # multiplicity equals dimension here
-                cols.append(bases[i][:, a])
-    unitary = np.stack(cols, axis=1)
-
-    weights = [block["dim"] / n_g for block in blocks_raw]
+    # Column a * dim + i of a block is bases[i][:, a]; multiplicity equals
+    # dimension here.
+    unitary = np.concatenate(
+        [np.stack(block["bases"], axis=2).reshape(n_g, -1) for block in blocks_raw], axis=1
+    )
     algebra = FiniteVonNeumannAlgebra(
-        tuple((block["dim"], w) for block, w in zip(blocks_raw, weights))
+        tuple((block["dim"], block["dim"] / n_g) for block in blocks_raw)
     )
     group_images = [
         AlgebraElement(algebra, [block["images"][g] for block in blocks_raw])
         for g in range(n_g)
     ]
 
-    _verify_decomposition(table, lefts, unitary, algebra, group_images)
+    _verify_decomposition(table, unitary, algebra, group_images)
     return GroupAlgebraDecomposition(algebra, unitary, group_images, table)
 
 
-def _verify_decomposition(table, lefts, unitary, algebra, group_images):
+def _verify_decomposition(table, unitary, algebra, group_images):
     # The table is validated, so L_g L_h = L_gh exactly.  With
     # ||U^H U - 1|| <= t_u and ||U^H L_g U - B(g)|| <= t for every g, where
     # B(g) is the block action of img(g), the images respect the product:
     #   ||img(g) img(h) - img(gh)|| <= t_u + 3 t + O(t^2 + t_u^2)
     # (U^H L_g U U^H L_h U differs from U^H L_gh U by U^H L_g (U U^H - 1) L_h U).
     # Both checks run at VERIFY_TOL / 5, so the product residual stays
-    # within VERIFY_TOL without forming the n^2 products.
+    # within VERIFY_TOL without forming the n^2 products.  U^H L_g is U^H with
+    # its columns gathered by h -> g h.  B(g) = blkdiag_k(img_k(g) kron 1), so
+    # img_k(g) is subtracted in place from rows and columns i::n_k of block k.
     tol = VERIFY_TOL / 5
-    if operator_norm(unitary.conj().T @ unitary - np.eye(table.order)) > tol:
+    uh = unitary.conj().T
+    if operator_norm(uh @ unitary - np.eye(table.order)) > tol:
         raise DecompositionFailure("change of basis is not unitary")
-    for g, left in enumerate(lefts):
-        model = _blockdiag_action(algebra, group_images[g])
-        if operator_norm(unitary.conj().T @ left @ unitary - model) > tol:
+    for g in range(table.order):
+        residual = uh[:, table.product[g]] @ unitary
+        at = 0
+        for n, img in zip(algebra.block_dims, group_images[g].block_matrices):
+            diag = residual[at : at + n * n, at : at + n * n]
+            for i in range(n):
+                diag[i::n, i::n] -= img
+            at += n * n
+        if operator_norm(residual) > tol:
             raise DecompositionFailure(f"block model mismatch for element {g}")
         got = algebra.trace(group_images[g])
         want = 1.0 if g == table.identity else 0.0
         if abs(got - want) > 1e-10:
             raise DecompositionFailure(f"trace of element {g} is {got}, expected {want}")
-
-
-def _blockdiag_action(algebra, x):
-    mats = []
-    for (n, _), b in zip(algebra.blocks, x.block_matrices):
-        mats.append(np.kron(b, np.eye(n)))  # multiplicity = dimension in C[G]
-    out = np.zeros((sum(m.shape[0] for m in mats),) * 2, dtype=complex)
-    at = 0
-    for m in mats:
-        out[at : at + m.shape[0], at : at + m.shape[1]] = m
-        at += m.shape[0]
-    return out

@@ -87,7 +87,19 @@ def _decode_entry(value, where) -> complex:
     return complex(_as_number(value, where), 0.0)
 
 
-def decode_matrix(doc, where="matrix") -> np.ndarray:
+def _as_integer(value, where) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ParseError(f"{where}: expected an integer, got {value!r}")
+    return int(value)
+
+
+def _decode_integers(doc, where) -> tuple:
+    if not isinstance(doc, list):
+        raise ParseError(f"{where}: expected an array of integers")
+    return tuple(_as_integer(v, f"{where}[{i}]") for i, v in enumerate(doc))
+
+
+def _decode_rows(doc, where, decode_entry) -> list:
     if not isinstance(doc, list) or not doc:
         raise ParseError(f"{where}: expected a non-empty array of rows")
     rows = []
@@ -99,8 +111,12 @@ def decode_matrix(doc, where="matrix") -> np.ndarray:
             width = len(row)
         elif len(row) != width:
             raise ParseError(f"{where}[{i}]: ragged row of length {len(row)}")
-        rows.append([_decode_entry(v, f"{where}[{i}][{j}]") for j, v in enumerate(row)])
-    return np.array(rows, dtype=complex)
+        rows.append([decode_entry(v, f"{where}[{i}][{j}]") for j, v in enumerate(row)])
+    return rows
+
+
+def decode_matrix(doc, where="matrix") -> np.ndarray:
+    return np.array(_decode_rows(doc, where, _decode_entry), dtype=complex)
 
 
 def encode_matrix(matrix) -> list:
@@ -121,21 +137,19 @@ def decode_algebra(doc, where="algebra") -> FiniteVonNeumannAlgebra:
         for i, pair in enumerate(blocks):
             if not isinstance(pair, list) or len(pair) != 2:
                 raise ParseError(f"{where}.blocks[{i}]: expected [n, w]")
-            n = pair[0]
-            if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-                raise ParseError(f"{where}.blocks[{i}]: block size must be an integer")
-            parsed.append((int(n), _as_number(pair[1], f"{where}.blocks[{i}]")))
+            n = _as_integer(pair[0], f"{where}.blocks[{i}]")
+            parsed.append((n, _as_number(pair[1], f"{where}.blocks[{i}]")))
         return FiniteVonNeumannAlgebra(tuple(parsed))
     if "group_table" in doc:
         _check_keys(doc, where, ("group_table",))
-        inner = _check_keys(
-            doc["group_table"], f"{where}.group_table", ("order", "product"), ("identity",)
-        )
-        table = FiniteGroupTable(inner["product"], int(inner.get("identity", 0)))
-        if table.order != int(inner["order"]):
-            raise ParseError(
-                f"{where}.group_table: order {inner['order']} does not match the table"
-            )
+        sub = f"{where}.group_table"
+        inner = _check_keys(doc["group_table"], sub, ("order", "product"), ("identity",))
+        order = _as_integer(inner["order"], f"{sub}.order")
+        identity = _as_integer(inner.get("identity", 0), f"{sub}.identity")
+        product = _decode_rows(inner["product"], f"{sub}.product", _as_integer)
+        table = FiniteGroupTable(np.array(product, dtype=int), identity)
+        if table.order != order:
+            raise ParseError(f"{sub}: order {order} does not match the table")
         return build_group_algebra(table).algebra
     raise ParseError(f"{where}: expected either 'blocks' or 'group_table'")
 
@@ -149,6 +163,9 @@ def _generated_group_module(doc, where) -> HilbertianModule:
         for i, m in enumerate(generators)
     ]
     d = mats[0].shape[0]
+    for i, mat in enumerate(mats):
+        if mat.shape != (d, d):
+            raise ParseError(f"{where}.action_generators[{i}]: expected shape {(d, d)}")
     elements = [np.eye(d, dtype=complex)]
 
     def find(m):
@@ -157,26 +174,35 @@ def _generated_group_module(doc, where) -> HilbertianModule:
                 return i
         return None
 
-    frontier = [np.eye(d, dtype=complex)]
+    # elements[i] = elements[a] @ mats[j] for (a, j) = step[i], and right[a, j]
+    # is the index find gave for elements[a] @ mats[j].
+    step = [None]  # the identity
+    right = np.zeros((MAX_GENERATED_ORDER, len(mats)), dtype=int)
+    frontier = [0]
     while frontier:
-        current = frontier.pop()
-        for g in mats:
-            product = current @ g
-            if find(product) is None:
+        a = frontier.pop()
+        for j, g in enumerate(mats):
+            product = elements[a] @ g
+            idx = find(product)
+            if idx is None:
                 if len(elements) >= MAX_GENERATED_ORDER:
                     raise ValidationError(
                         f"{where}: generated group exceeds {MAX_GENERATED_ORDER} elements"
                     )
+                idx = len(elements)
                 elements.append(product)
-                frontier.append(product)
+                step.append((a, j))
+                frontier.append(idx)
+            right[a, j] = idx
     order = len(elements)
-    product = np.zeros((order, order), dtype=int)
-    for a in range(order):
-        for b in range(order):
-            idx = find(elements[a] @ elements[b])
-            if idx is None:
-                raise ValidationError(f"{where}: action does not close into a group")
-            product[a, b] = idx
+    # x elements[i] = (x elements[a]) mats[j]: column i of the table is one
+    # right step from column a, which comes first.  module_from_group_action
+    # checks every images[g] images[h] against images[product[g, h]].
+    product = np.empty((order, order), dtype=int)
+    product[:, 0] = np.arange(order)
+    for i in range(1, order):
+        a, j = step[i]
+        product[:, i] = right[product[:, a], j]
     dec = build_group_algebra(FiniteGroupTable(product))
     gram = doc.get("reference_gram")
     if gram is not None:
@@ -191,15 +217,11 @@ def decode_module(doc, where="module") -> HilbertianModule:
         return _generated_group_module(doc, where)
     _check_keys(doc, where, ("algebra", "multiplicities"), ("reference_gram",))
     algebra = decode_algebra(doc["algebra"], f"{where}.algebra")
-    mult = doc["multiplicities"]
-    if not isinstance(mult, list) or not all(
-        isinstance(m, numbers.Integral) and not isinstance(m, bool) for m in mult
-    ):
-        raise ParseError(f"{where}.multiplicities: expected an array of integers")
+    mult = _decode_integers(doc["multiplicities"], f"{where}.multiplicities")
     gram = doc.get("reference_gram")
     if gram is not None:
         gram = decode_matrix(gram, f"{where}.reference_gram")
-    return HilbertianModule(algebra, tuple(int(m) for m in mult), reference_gram=gram)
+    return HilbertianModule(algebra, mult, reference_gram=gram)
 
 
 def decode_operator(doc, module, where="operator") -> CommutantOperator:
@@ -229,15 +251,11 @@ def decode_complex(doc, where="complex", convention=None) -> HilbertianChainComp
         if isinstance(entry, list):
             entry = {"multiplicities": entry}
         entry = _check_keys(entry, sub, ("multiplicities",), ("reference_gram",))
-        mult = entry["multiplicities"]
-        if not isinstance(mult, list):
-            raise ParseError(f"{sub}.multiplicities: expected an array")
+        mult = _decode_integers(entry["multiplicities"], f"{sub}.multiplicities")
         gram = entry.get("reference_gram")
         if gram is not None:
             gram = decode_matrix(gram, f"{sub}.reference_gram")
-        modules.append(
-            HilbertianModule(algebra, tuple(int(m) for m in mult), reference_gram=gram)
-        )
+        modules.append(HilbertianModule(algebra, mult, reference_gram=gram))
     raw_maps = doc["boundaries"]
     if not isinstance(raw_maps, list) or len(raw_maps) != len(modules) - 1:
         raise ParseError(
@@ -275,11 +293,11 @@ def _decode_ring_entry(entry, where):
                 coeff = int(coeff)
             except ValueError:
                 raise ParseError(f"{where}[{j}]: bad coefficient {pair[0]!r}") from None
-        elif isinstance(coeff, bool) or not isinstance(coeff, numbers.Integral):
-            raise ParseError(f"{where}[{j}]: coefficients are integers")
+        else:
+            coeff = _as_integer(coeff, f"{where}[{j}]")
         if not isinstance(word, str):
             raise ParseError(f"{where}[{j}]: words are strings")
-        pairs.append((int(coeff), word))
+        pairs.append((coeff, word))
     return pairs
 
 
@@ -349,10 +367,8 @@ def decode_representation(doc, generators, where="representation") -> GroupRepre
 
 def decode_symbol(doc, where="symbol") -> LaurentMatrix:
     doc = _check_keys(doc, where, ("rank", "size", "coefficients"))
-    rank, size = doc["rank"], doc["size"]
-    for name, value in (("rank", rank), ("size", size)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ParseError(f"{where}.{name}: expected an integer")
+    rank = _as_integer(doc["rank"], f"{where}.rank")
+    size = _as_integer(doc["size"], f"{where}.size")
     coefficients = doc["coefficients"]
     if not isinstance(coefficients, list):
         raise ParseError(f"{where}.coefficients: expected an array")
@@ -363,18 +379,14 @@ def decode_symbol(doc, where="symbol") -> LaurentMatrix:
         exponent = entry["exponent"]
         if isinstance(exponent, numbers.Integral) and not isinstance(exponent, bool):
             exponent = [exponent]
-        if not isinstance(exponent, list) or not all(
-            isinstance(k, numbers.Integral) and not isinstance(k, bool) for k in exponent
-        ):
-            raise ParseError(f"{sub}.exponent: expected an array of integers")
-        key = tuple(int(k) for k in exponent)
+        key = _decode_integers(exponent, f"{sub}.exponent")
         if key in terms:
             raise ParseError(f"{sub}: duplicate exponent {list(key)}")
         matrix = decode_matrix(entry["matrix"], f"{sub}.matrix")
-        if matrix.shape != (int(size), int(size)):
-            raise ParseError(f"{sub}.matrix: expected shape {(int(size),) * 2}")
+        if matrix.shape != (size, size):
+            raise ParseError(f"{sub}.matrix: expected shape {(size, size)}")
         terms[key] = matrix
-    return LaurentMatrix(int(rank), terms, shape=(int(size), int(size)))
+    return LaurentMatrix(rank, terms, shape=(size, size))
 
 
 def encode_symbol(symbol: LaurentMatrix) -> dict:

@@ -1,11 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from detline._linalg import random_complex
 from detline.algebra import (
     VERIFY_TOL,
     AlgebraElement,
     FiniteGroupTable,
     FiniteVonNeumannAlgebra,
+    _commutant_element,
     _verify_decomposition,
     build_group_algebra,
 )
@@ -92,6 +96,64 @@ def test_bad_tables_rejected():
         FiniteGroupTable(q)
 
 
+def test_table_constructors_match_their_definitions():
+    # reference loops: symmetric composes permutations, (a b)[k] = a[b[k]],
+    # and direct_product multiplies pairs coordinatewise
+    for n in range(5):
+        perms = sorted(itertools.permutations(range(n)))
+        index = {p: i for i, p in enumerate(perms)}
+        want = [[index[tuple(a[b[k]] for k in range(n))] for b in perms] for a in perms]
+        assert np.array_equal(FiniteGroupTable.symmetric(n).product, want)
+    c, s = FiniteGroupTable.cyclic, FiniteGroupTable.symmetric
+    for t1, t2 in [(c(2), s(3)), (c(4), c(4)), (s(3), c(5))]:
+        n2 = t2.order
+        pairs = [(a1, a2) for a1 in range(t1.order) for a2 in range(n2)]
+        want = [
+            [t1.product[a1, b1] * n2 + t2.product[a2, b2] for b1, b2 in pairs]
+            for a1, a2 in pairs
+        ]
+        table = FiniteGroupTable.direct_product(t1, t2)
+        assert np.array_equal(table.product, want)
+        assert table.identity == t1.identity * n2 + t2.identity
+
+
+def _c2_s3():
+    c2, s3 = FiniteGroupTable.cyclic(2), FiniteGroupTable.symmetric(3)
+    return FiniteGroupTable.direct_product(c2, s3)
+
+
+@pytest.mark.parametrize(
+    "table",
+    [FiniteGroupTable.cyclic(12), FiniteGroupTable.symmetric(4), _c2_s3()],
+    ids=["C12", "S4", "C2xS3"],
+)
+def test_commutant_element_is_the_right_translation_sum(table):
+    # The decomposition takes commutation with every left translation from
+    # associativity instead of checking it; pin that theorem on the gather.
+    coeffs = random_complex(np.random.default_rng(5), table.order)
+    gathered = _commutant_element(table, coeffs)
+    dense = sum(c * table.right_translation(h) for h, c in enumerate(coeffs))
+    assert np.array_equal(gathered, dense)
+    for g in range(table.order):
+        left = table.left_translation(g)
+        assert np.array_equal(left @ gathered, gathered @ left)
+
+
+@pytest.mark.parametrize(
+    "table",
+    [FiniteGroupTable.cyclic(24), FiniteGroupTable.symmetric(4), _c2_s3()],
+    ids=["C24", "S4", "C2xS3"],
+)
+def test_decomposition_builds_no_translation_matrix(table, monkeypatch):
+    def refuse(self, g):
+        raise AssertionError("dense translation matrix built")
+
+    monkeypatch.setattr(FiniteGroupTable, "left_translation", refuse)
+    monkeypatch.setattr(FiniteGroupTable, "right_translation", refuse)
+    dec = build_group_algebra(table)
+    assert dec.algebra.trace_of_identity == pytest.approx(1.0, abs=1e-12)
+
+
 @pytest.mark.parametrize(
     "table,dims,weights",
     [
@@ -156,9 +218,7 @@ def test_s4_decomposition():
 
 
 def _verify(dec, images):
-    table = dec.table
-    lefts = [table.left_translation(g) for g in range(table.order)]
-    _verify_decomposition(table, lefts, dec.change_of_basis, dec.algebra, images)
+    _verify_decomposition(dec.table, dec.change_of_basis, dec.algebra, images)
 
 
 def test_verification_rejects_swapped_images():

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ from detline.cli import main, run_fixture_suite
 from detline.documents import (
     decode_algebra,
     decode_cell_complex,
+    decode_complex,
     decode_matrix,
     decode_module,
     decode_representation,
@@ -114,6 +116,46 @@ def test_algebra_from_group_table():
         decode_algebra(doc)
 
 
+CYCLIC3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+
+
+@pytest.mark.parametrize(
+    "group_table,where",
+    [
+        ({"order": 2, "product": [[0, 1], [1]]}, "product[1]"),
+        ({"order": "3", "product": CYCLIC3}, "order"),
+        ({"order": 3, "product": CYCLIC3, "identity": "0"}, "identity"),
+        ({"order": 2, "product": [[0, 1.5], [1, 0]]}, "product[0][1]"),
+    ],
+    ids=["ragged-product", "string-order", "string-identity", "fractional-entry"],
+)
+def test_malformed_group_table_is_a_parse_error(group_table, where):
+    with pytest.raises(ParseError, match=rf"algebra\.group_table\.{re.escape(where)}:"):
+        decode_algebra({"group_table": group_table})
+
+
+@pytest.mark.parametrize(
+    "generators,where",
+    [
+        ([[[0, 1, 0], [1, 0, 0]]], "[0]"),
+        ([[[0, 1], [1, 0]], [[0, 1, 0], [1, 0, 0], [0, 0, 1]]], "[1]"),
+    ],
+    ids=["non-square", "mixed-shapes"],
+)
+def test_malformed_action_generators_are_a_parse_error(generators, where):
+    with pytest.raises(ParseError, match=rf"module\.action_generators{re.escape(where)}:"):
+        decode_module({"action_generators": generators})
+
+
+def test_fractional_multiplicity_is_a_parse_error():
+    alg = {"blocks": [[1, 1.0]]}
+    with pytest.raises(ParseError, match=r"module\.multiplicities\[0\]:"):
+        decode_module({"algebra": alg, "multiplicities": [1.5]})
+    doc = {"algebra": alg, "modules": [[1], [1.5]], "boundaries": [[[1]]]}
+    with pytest.raises(ParseError, match=r"complex\.modules\[1\]\.multiplicities\[0\]:"):
+        decode_complex(doc)
+
+
 def test_module_explicit_and_generated():
     doc = {"algebra": {"blocks": [[1, 1.0], [2, 0.5]]}, "multiplicities": [2, 1]}
     mod = decode_module(doc)
@@ -123,6 +165,26 @@ def test_module_explicit_and_generated():
     gen = decode_module({"action_generators": [swap]})
     assert gen.algebra.blocks == ((1, 0.5), (1, 0.5))
     assert gen.carrier_dim == 2
+
+
+def permutation(images):
+    mat = np.zeros((len(images), len(images)))
+    mat[images, np.arange(len(images))] = 1.0
+    return mat.tolist()
+
+
+def test_generated_module_from_two_generators():
+    # S3 from a transposition and a 3-cycle: trivial plus standard
+    s3 = decode_module({"action_generators": [permutation([1, 0, 2]), permutation([1, 2, 0])]})
+    assert s3.algebra.block_dims == (1, 1, 2)
+    assert sorted(s3.multiplicities) == [0, 1, 1]
+    # Q8 from the quaternion units i and j: its one 2-dimensional block
+    i = np.array([[1j, 0], [0, -1j]])
+    j = np.array([[0, 1], [-1, 0]], dtype=complex)
+    q8 = decode_module({"action_generators": [encode_matrix(i), encode_matrix(j)]})
+    assert q8.algebra.block_dims == (1, 1, 1, 1, 2)
+    assert q8.multiplicities == (0, 0, 0, 0, 1)
+    assert q8.algebra.weights == pytest.approx((1 / 8,) * 4 + (1 / 4,))
 
 
 def test_generated_module_order_cap():
