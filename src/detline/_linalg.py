@@ -14,6 +14,10 @@ import numpy as np
 
 from .errors import NegativeSpectrum
 
+HERMITIAN_TOL = 1e-10  # relative residual of is_hermitian
+DEFINITE_TOL = 1e-10  # relative eigenvalue floor of inv_sqrt_pd
+RANK_RTOL = 1e-10  # relative singular-value cut of nullspace and orthonormal_range
+
 
 def as_complex_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
@@ -29,23 +33,23 @@ def operator_norm(a: np.ndarray) -> float:
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
-def is_hermitian(a: np.ndarray, tol: float = 1e-10) -> bool:
-    """||a - a^H||_F <= tol * max(1, max |a_ij|): at least as strict as
+def is_hermitian(a: np.ndarray) -> bool:
+    """||a - a^H||_F <= HERMITIAN_TOL * max(1, max |a_ij|): at least as strict as
     the spectral-norm test, since ||.||_F >= ||.||_2 >= max |a_ij|."""
     if a.size == 0:
         return True
     scale = max(1.0, float(np.max(np.abs(a))))
-    return float(np.linalg.norm(a - a.conj().T)) <= tol * scale
+    return float(np.linalg.norm(a - a.conj().T)) <= HERMITIAN_TOL * scale
 
 
-def inv_sqrt_pd(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def inv_sqrt_pd(a: np.ndarray) -> np.ndarray:
     """Inverse principal square root of a positive definite matrix that is
     Hermitian by construction (phi^H phi); only definiteness is checked."""
     if a.size == 0:
         return a.copy()
     vals, vecs = np.linalg.eigh(0.5 * (a + a.conj().T))
     scale = max(1.0, float(np.max(np.abs(vals))))
-    if np.min(vals) <= tol * scale:
+    if np.min(vals) <= DEFINITE_TOL * scale:
         raise NegativeSpectrum("matrix is not positive definite")
     return (vecs / np.sqrt(vals)) @ vecs.conj().T
 
@@ -56,33 +60,26 @@ def cluster_values(vals: np.ndarray, rel_gap: float) -> list[slice]:
     A split is placed wherever consecutive values differ by more than
     rel_gap times the overall spectral scale.
     """
-    n = len(vals)
-    if n == 0:
+    if len(vals) == 0:
         return []
     scale = max(1.0, float(np.max(np.abs(vals))))
-    out = []
-    start = 0
-    for i in range(1, n):
-        if vals[i] - vals[i - 1] > rel_gap * scale:
-            out.append(slice(start, i))
-            start = i
-    out.append(slice(start, n))
-    return out
+    cuts = [0, *(np.flatnonzero(np.diff(vals) > rel_gap * scale) + 1), len(vals)]
+    return [slice(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
 
 
-def nullspace(a: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
+def nullspace(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of the kernel of a."""
     if a.shape[0] == 0:
         return np.eye(a.shape[1], dtype=complex)
     u, s, vh = np.linalg.svd(a)
     if s.size == 0:
         return np.eye(a.shape[1], dtype=complex)
-    cutoff = rtol * max(1.0, float(s[0]))
+    cutoff = RANK_RTOL * max(1.0, float(s[0]))
     rank = int(np.sum(s > cutoff))
     return vh[rank:].conj().T
 
 
-def orthonormal_range(a: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
+def orthonormal_range(a: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
     """Orthonormal basis (columns) of the column span of a."""
     if a.size == 0:
         return np.zeros((a.shape[0], 0), dtype=complex)

@@ -17,8 +17,11 @@ Translations act on l2(G) as permutations of the table's indices, so the
 decomposition never builds them as matrices: a commutant element
 sum_h c_h R_h is one gather of the coefficients, and L_g applied to a basis
 is a row gather.  L_g R_h = R_h L_g is associativity, which
-FiniteGroupTable.validate checks exhaustively, so every commutant element
-commutes with every left translation exactly and nothing re-checks it.
+FiniteGroupTable.validate checks exhaustively, one row at a time in n^2
+memory, so every commutant element commutes with every left translation
+exactly and nothing re-checks it.  Past the probe's operator norm, which sets
+the family cut, every check takes Frobenius norms, which bound operator norms
+above, at the operator-norm tolerances.
 """
 
 from __future__ import annotations
@@ -207,27 +210,25 @@ class FiniteGroupTable:
             raise ValidationError("identity index out of range")
         if p.min() < 0 or p.max() >= n:
             raise ValidationError("table entries out of range")
-        for a in range(n):
-            if len(set(p[a])) != n or len(set(p[:, a])) != n:
-                raise NonAssociativeTable("table rows/columns are not permutations")
-        if not (np.all(p[e] == np.arange(n)) and np.all(p[:, e] == np.arange(n))):
+        # with entries in range, a permutation is what sorts to 0, ..., n-1
+        idx = np.arange(n)
+        if not (np.all(np.sort(p, axis=1) == idx) and np.all(np.sort(p, axis=0) == idx[:, None])):
+            raise NonAssociativeTable("table rows/columns are not permutations")
+        if not (np.all(p[e] == idx) and np.all(p[:, e] == idx)):
             raise NonAssociativeTable("identity element does not act as identity")
-        # (ab)c == a(bc), checked exhaustively:
-        # p[p, :][a, b, c] = p[p[a, b], c] and p[:, p][a, b, c] = p[a, p[b, c]]
-        if not np.array_equal(p[p, :], p[:, p]):
-            raise NonAssociativeTable("table is not associative")
+        # (ab)c == a(bc) for all b, c, one a at a time in n^2 memory:
+        # p[p[a]][b, c] = p[p[a, b], c] and p[a][p][b, c] = p[a, p[b, c]]
+        for a in range(n):
+            if not np.array_equal(p[p[a]], p[a][p]):
+                raise NonAssociativeTable("table is not associative")
 
     def left_translation(self, g: int) -> np.ndarray:
-        """Permutation matrix of h -> g h on the group basis."""
-        mat = np.zeros((self.order, self.order))
-        mat[self.product[g, np.arange(self.order)], np.arange(self.order)] = 1.0
-        return mat
+        """Permutation matrix of h -> g h on the group basis: column h is e_gh."""
+        return np.eye(self.order)[:, self.product[g]]
 
     def right_translation(self, g: int) -> np.ndarray:
-        """Permutation matrix of h -> h g on the group basis."""
-        mat = np.zeros((self.order, self.order))
-        mat[self.product[np.arange(self.order), g], np.arange(self.order)] = 1.0
-        return mat
+        """Permutation matrix of h -> h g on the group basis: column h is e_hg."""
+        return np.eye(self.order)[:, self.product[:, g]]
 
     # -- common tables ------------------------------------------------------
 
@@ -298,15 +299,6 @@ class GroupAlgebraDecomposition:
         return coeffs
 
 
-def _split_into_irreducibles(herm_commutant):
-    vals, vecs = np.linalg.eigh(herm_commutant)
-    pieces = []
-    for sl in cluster_values(vals, CLUSTER_REL_GAP):
-        q, _ = np.linalg.qr(vecs[:, sl])
-        pieces.append(q)
-    return pieces
-
-
 def build_group_algebra(table: FiniteGroupTable, *, seed: int = 0) -> GroupAlgebraDecomposition:
     """Decompose C[G] into weighted matrix blocks from its table alone.
 
@@ -335,53 +327,56 @@ def _decompose_once(table, rng):
     # Commutant of left translation is spanned by right translations; a
     # random Hermitian element of it splits the carrier into irreducibles.
     sample = _commutant_element(table, random_complex(rng, n_g))
-    pieces = _split_into_irreducibles(0.5 * (sample + sample.conj().T))
+    vals, vecs = np.linalg.eigh(0.5 * (sample + sample.conj().T))
+    pieces = [np.linalg.qr(vecs[:, sl])[0] for sl in cluster_values(vals, CLUSTER_REL_GAP)]
 
-    # Group the irreducible pieces into families carrying the same block,
-    # probing with a second, non-Hermitian commutant element.
+    # Group the pieces into families carrying the same block, probing with a
+    # second, non-Hermitian commutant element: block (i, j) of Q^H probe Q, Q
+    # the pieces side by side, is rounding unless pieces i and j carry the
+    # same block.  Its Frobenius norm bounds its operator norm above.
     probe = _commutant_element(table, random_complex(rng, n_g))
     probe_cut = 1e-6 * operator_norm(probe)
-    families: list[list[np.ndarray]] = []
-    for q in pieces:
-        placed = False
-        for fam in families:
-            base = fam[0]
-            if q.shape[1] != base.shape[1]:
-                continue
-            inter = q.conj().T @ probe @ base
-            if operator_norm(inter) > probe_cut:
-                fam.append(q)
-                placed = True
-                break
-        if not placed:
-            families.append([q])
+    frame = np.concatenate(pieces, axis=1)
+    starts = np.cumsum([0] + [q.shape[1] for q in pieces[:-1]])
+    inter_sq = np.add.reduceat(np.abs(frame.conj().T @ probe @ frame) ** 2, starts, axis=0)
+    linked = np.add.reduceat(inter_sq, starts, axis=1) > probe_cut**2
+    families: list[list[int]] = []
+    for i, q in enumerate(pieces):
+        fam = next((f for f in families if q.shape == pieces[f[0]].shape and linked[i, f[0]]), None)
+        if fam is None:
+            families.append([i])
+        else:
+            fam.append(i)
 
     # Within each family, transport the first realization onto the others by
     # the unitary part of the intertwiner, then read off one matrix block.
-    # base^H L_g is base^H with its columns gathered by h -> g h.
+    # base^H L_g is base^H with its columns gathered by h -> g h.  The
+    # characters give both the canonical order and the trace check.
     blocks_raw = []
     for fam in families:
-        dim = fam[0].shape[1]
+        base = pieces[fam[0]]
+        dim = base.shape[1]
         if len(fam) != dim:
             raise DecompositionFailure(
                 f"family of dimension {dim} has {len(fam)} copies; expected {dim}"
             )
-        base = fam[0]
         bases = [base]
-        for q in fam[1:]:
-            phi = q.conj().T @ probe @ base
-            v = phi @ inv_sqrt_pd(phi.conj().T @ phi)
-            bases.append(q @ v)
+        for i in fam[1:]:
+            phi = pieces[i].conj().T @ probe @ base
+            bases.append(pieces[i] @ (phi @ inv_sqrt_pd(phi.conj().T @ phi)))
         base_h = base.conj().T
-        images = [base_h[:, table.product[g]] @ base for g in range(n_g)]
-        blocks_raw.append({"dim": dim, "bases": bases, "images": images})
+        images = np.empty((n_g, dim, dim), dtype=complex)
+        for g in range(n_g):
+            images[g] = base_h[:, table.product[g]] @ base
+        chars = np.trace(images, axis1=1, axis2=2)
+        blocks_raw.append({"dim": dim, "bases": bases, "images": images, "chars": chars})
 
     if sum(b["dim"] ** 2 for b in blocks_raw) != n_g:
         raise DecompositionFailure("block dimensions do not exhaust the group algebra")
 
     # Canonical block order: dimension first, then the character vector.
     def sort_key(block):
-        chars = np.round([np.trace(img) for img in block["images"]], 9)
+        chars = np.round(block["chars"], 9)
         return (block["dim"], tuple(zip(chars.real, chars.imag)))
 
     blocks_raw.sort(key=sort_key)
@@ -400,6 +395,11 @@ def _decompose_once(table, rng):
     ]
 
     _verify_decomposition(table, unitary, algebra, group_images)
+    # the block trace sum_k w_k chi_k(g) is 1 at the identity and 0 elsewhere
+    off = np.asarray(algebra.weights) @ np.array([block["chars"] for block in blocks_raw])
+    off[table.identity] -= 1.0
+    if np.max(np.abs(off)) > 1e-10:
+        raise DecompositionFailure(f"block traces miss [g = e] by {np.max(np.abs(off)):.2e}")
     return GroupAlgebraDecomposition(algebra, unitary, group_images, table)
 
 
@@ -409,13 +409,14 @@ def _verify_decomposition(table, unitary, algebra, group_images):
     # B(g) is the block action of img(g), the images respect the product:
     #   ||img(g) img(h) - img(gh)|| <= t_u + 3 t + O(t^2 + t_u^2)
     # (U^H L_g U U^H L_h U differs from U^H L_gh U by U^H L_g (U U^H - 1) L_h U).
-    # Both checks run at VERIFY_TOL / 5, so the product residual stays
-    # within VERIFY_TOL without forming the n^2 products.  U^H L_g is U^H with
-    # its columns gathered by h -> g h.  B(g) = blkdiag_k(img_k(g) kron 1), so
-    # img_k(g) is subtracted in place from rows and columns i::n_k of block k.
+    # Both checks run at VERIFY_TOL / 5 on Frobenius norms, which bound the
+    # operator norms above, so the product residual stays within VERIFY_TOL
+    # without forming the n^2 products.  U^H L_g is U^H with its columns
+    # gathered by h -> g h.  B(g) = blkdiag_k(img_k(g) kron 1), so img_k(g)
+    # is subtracted in place from rows and columns i::n_k of block k.
     tol = VERIFY_TOL / 5
     uh = unitary.conj().T
-    if operator_norm(uh @ unitary - np.eye(table.order)) > tol:
+    if np.linalg.norm(uh @ unitary - np.eye(table.order)) > tol:
         raise DecompositionFailure("change of basis is not unitary")
     for g in range(table.order):
         residual = uh[:, table.product[g]] @ unitary
@@ -425,9 +426,5 @@ def _verify_decomposition(table, unitary, algebra, group_images):
             for i in range(n):
                 diag[i::n, i::n] -= img
             at += n * n
-        if operator_norm(residual) > tol:
+        if np.linalg.norm(residual) > tol:
             raise DecompositionFailure(f"block model mismatch for element {g}")
-        got = algebra.trace(group_images[g])
-        want = 1.0 if g == table.identity else 0.0
-        if abs(got - want) > 1e-10:
-            raise DecompositionFailure(f"trace of element {g} is {got}, expected {want}")

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import documents
-from .complexes import determinant_class_check, hodge, zeta_suite
+from .complexes import HODGE_KERNEL_TOL, determinant_class_check, hodge, zeta_suite
 from .determinant import fk_det, fk_det_path, fk_det_spectral
 from .errors import (
     DetlineError,
@@ -54,7 +54,7 @@ from .torsion import (
     torsion,
 )
 
-HODGE_DEFAULT_TOL = 1e-10
+FIXTURE_TOL = 1e-8  # absolute error a fixture value may carry
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     betti.add_argument("inputs", nargs="+", help="complex document, or cell complex and representation")
     betti.add_argument("--convention", choices=("chain", "cochain"))
-    betti.add_argument("--kernel-tol", type=float, default=HODGE_DEFAULT_TOL)
+    betti.add_argument("--kernel-tol", type=float, default=HODGE_KERNEL_TOL)
 
     tors = sub.add_parser(
         "torsion",
@@ -462,13 +462,13 @@ def _fixture_checks():
     )
 
 
-def run_fixture_suite(fmt: str = "text", tol: float = 1e-8, out=None) -> int:
+def run_fixture_suite(fmt: str = "text", out=None) -> int:
     out = out or sys.stdout
     rows = []
     for name, thunk, expected in _fixture_checks():
         try:
             value = float(thunk())
-            passed = abs(value - expected) <= tol
+            passed = abs(value - expected) <= FIXTURE_TOL
             detail = f"value {value:.12g}, expected {expected:.12g}"
         except DetlineError as exc:
             value, passed = None, False

@@ -44,6 +44,9 @@ HODGE_GAP_RATIO = 10.0
 BOUNDARY_TOL = 1e-10
 MELLIN_PANELS = 16
 MELLIN_NODES = 24
+MELLIN_T_MIN = 1e-6  # the Mellin integral is cut to [MELLIN_T_MIN, MELLIN_T_MAX]
+MELLIN_T_MAX = 50.0
+VALIDATION_SEED = 0  # seed of validate_complex's random algebra element
 
 CHAIN = "chain"
 COCHAIN = "cochain"
@@ -59,8 +62,7 @@ class HilbertianChainComplex:
     are rebuilt so their reference IS the chosen product.
     """
 
-    def __init__(self, modules, maps, convention=CHAIN, grams=None, validate=True,
-                 tol=BOUNDARY_TOL):
+    def __init__(self, modules, maps, convention=CHAIN, grams=None, validate=True):
         if convention not in (CHAIN, COCHAIN):
             raise ValidationError(f"unknown convention {convention!r}")
         modules = list(modules)
@@ -101,7 +103,7 @@ class HilbertianChainComplex:
 
         if validate:
             resid = self.boundary_residual()
-            if resid > tol:
+            if resid > BOUNDARY_TOL:
                 raise ValidationError(
                     f"consecutive maps do not compose to zero (residual {resid:.2e})"
                 )
@@ -150,10 +152,10 @@ class ComplexValidationReport:
     valid: bool
 
 
-def validate_complex(complex_, seed: int = 0) -> ComplexValidationReport:
+def validate_complex(complex_) -> ComplexValidationReport:
     """Report-style health check: composition residual, A-linearity of the
     maps, admissibility of the per-degree products."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(VALIDATION_SEED)
     boundary = complex_.boundary_residual()
 
     action = 0.0
@@ -200,14 +202,13 @@ def _laplacian(complex_, i) -> CommutantOperator:
     return total
 
 
-def hodge(complex_, kernel_tol: float = HODGE_KERNEL_TOL,
-          gap_ratio: float = HODGE_GAP_RATIO) -> HodgeData:
+def hodge(complex_, kernel_tol: float = HODGE_KERNEL_TOL) -> HodgeData:
     """Per-degree Laplacians, harmonic modules and positive spectral parts.
 
     The Laplacian is out*out + in in* for the chosen products.  Its kernel
     is the zero eigenvalue cluster below kernel_tol times the spectral norm
     (the largest |eigenvalue| of the Hermitian blocks); if the smallest
-    positive eigenvalue sits within gap_ratio of the largest "zero" one, the
+    positive eigenvalue sits within HODGE_GAP_RATIO of the largest "zero" one, the
     kernel dimension is numerically ambiguous and the decomposition refuses.
     """
     laplacians = []
@@ -246,7 +247,7 @@ def hodge(complex_, kernel_tol: float = HODGE_KERNEL_TOL,
             val_chunks.append(vals[~zero])
             weight_chunks.append(np.full(int(np.sum(~zero)), w))
         if zero_top > 0.0 and np.isfinite(pos_bottom):
-            if pos_bottom / zero_top < gap_ratio:
+            if pos_bottom / zero_top < HODGE_GAP_RATIO:
                 raise IllConditionedKernel(
                     f"degree {i}: kernel gap ratio {pos_bottom / zero_top:.2f} "
                     f"is too small to trust the Betti number"
@@ -428,8 +429,7 @@ class ZetaReport:
         d = self.densities[degree]
         return float(-np.sum(d.weights * np.log(d.values + lam)))
 
-    def mellin_zeta(self, degree: int, s: float, lam: float = 0.0,
-                    t_min: float = 1e-6, t_max: float = 50.0) -> float:
+    def mellin_zeta(self, degree: int, s: float, lam: float = 0.0) -> float:
         """Direct quadrature of the Mellin integral against the theta
         function; a cross-check of the closed form, valid for s > 0 and
         lam + smallest positive eigenvalue > 0.  Composite Gauss-Legendre
@@ -439,7 +439,7 @@ class ZetaReport:
         from ._mahler import _gauss_legendre
 
         x, w = _gauss_legendre(MELLIN_NODES)
-        edges = np.linspace(math.log(t_min), math.log(t_max), MELLIN_PANELS + 1)
+        edges = np.linspace(math.log(MELLIN_T_MIN), math.log(MELLIN_T_MAX), MELLIN_PANELS + 1)
         half = 0.5 * np.diff(edges)[:, None]
         t = np.exp(0.5 * (edges[:-1] + edges[1:])[:, None] + half * x).ravel()
         d = self.densities[degree]

@@ -34,6 +34,8 @@ from .modules import CommutantOperator, HilbertianModule, resolve_gram
 
 KERNEL_REL_TOL = 1e-12
 SELF_ADJOINT_TOL = 1e-8
+INVERTIBLE_REL_TOL = 1e-12  # smallest singular value of an invertible block, relative
+SEGMENT_REL_TOL = 1e-8  # distance of the spectrum from the negative ray, relative
 PATH_STEP_BALL = 0.5
 MAX_PATH_DEPTH = 48
 PATH_STEPS = 8
@@ -161,12 +163,12 @@ def fk_det_spectral(
     return DeterminantResult(float(np.exp(log_det)), float(log_det), "spectral")
 
 
-def _require_invertible(tilde, cond_tol=1e-12):
+def _require_invertible(tilde):
     for b in tilde:
         if b.size == 0:
             continue
         svals = np.linalg.svd(b, compute_uv=False)
-        if svals[-1] <= cond_tol * max(svals[0], 1e-300):
+        if svals[-1] <= INVERTIBLE_REL_TOL * max(svals[0], 1e-300):
             raise NonInvertible("operator has a (numerical) kernel")
 
 
@@ -204,7 +206,7 @@ def _telescope(blocks_at, t0, t1, weights, depth=0):
     )
 
 
-def _segment_is_safe(tilde, tol=1e-8):
+def _segment_is_safe(tilde):
     """The straight path (1-t) 1 + t A misses GL iff A has spectrum on the
     closed negative real ray."""
     for b in tilde:
@@ -214,7 +216,7 @@ def _segment_is_safe(tilde, tol=1e-8):
         scale = max(1.0, float(np.max(np.abs(eigs))))
         for z in eigs:
             dist = abs(z.imag) if z.real < 0 else abs(z)
-            if dist <= tol * scale:
+            if dist <= SEGMENT_REL_TOL * scale:
                 return False
     return True
 

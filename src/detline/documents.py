@@ -166,11 +166,13 @@ def _generated_group_module(doc, where) -> HilbertianModule:
     for i, mat in enumerate(mats):
         if mat.shape != (d, d):
             raise ParseError(f"{where}.action_generators[{i}]: expected shape {(d, d)}")
-    elements = [np.eye(d, dtype=complex)]
+    elements = np.eye(d, dtype=complex)[None]
 
     def find(m):
-        for i, e in enumerate(elements):
-            if np.linalg.norm(e - m, 2) <= 1e-8:
+        # ||e - m||_2 <= 1e-8 implies ||e - m||_F <= 1e-8 sqrt(d): no match is lost
+        near = np.linalg.norm(elements - m, axis=(1, 2)) <= 1e-8 * np.sqrt(d)
+        for i in np.flatnonzero(near):
+            if np.linalg.norm(elements[i] - m, 2) <= 1e-8:
                 return i
         return None
 
@@ -190,7 +192,7 @@ def _generated_group_module(doc, where) -> HilbertianModule:
                         f"{where}: generated group exceeds {MAX_GENERATED_ORDER} elements"
                     )
                 idx = len(elements)
-                elements.append(product)
+                elements = np.concatenate([elements, product[None]])
                 step.append((a, j))
                 frontier.append(idx)
             right[a, j] = idx

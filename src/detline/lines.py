@@ -33,6 +33,7 @@ from .modules import (
 )
 
 EXACTNESS_TOL = 1e-8
+CLOSE_REL_TOL = 1e-10  # relative coordinate difference of is_close_to
 
 
 @dataclass(frozen=True)
@@ -61,10 +62,10 @@ class DetLineElement:
 
     __rmul__ = __mul__
 
-    def is_close_to(self, other: "DetLineElement", tol: float = 1e-10) -> bool:
+    def is_close_to(self, other: "DetLineElement") -> bool:
         if not self.module.is_same_space(other.module):
             return False
-        return abs(self.coefficient - other.coefficient) <= tol * max(
+        return abs(self.coefficient - other.coefficient) <= CLOSE_REL_TOL * max(
             self.coefficient, other.coefficient
         )
 
@@ -190,7 +191,6 @@ def exact_sequence_iso(
     e_prime: DetLineElement,
     e_second: DetLineElement,
     retraction: ModuleMorphism | None = None,
-    tol: float = EXACTNESS_TOL,
 ) -> DetLineElement:
     """Canonical isomorphism det(M') (x) det(M'') -> det(M) of a short exact
     sequence 0 -> M' -a-> M -b-> M'' -> 0.
@@ -202,7 +202,7 @@ def exact_sequence_iso(
     two retractions differ by gamma∘beta, an upper-triangular change with
     unit determinant.
     """
-    _check_exact(alpha, beta, tol)
+    _check_exact(alpha, beta, EXACTNESS_TOL)
     m = alpha.target
     if not e_prime.module.is_same_space(alpha.source):
         raise AlgebraMismatch("first element does not live on the sub module")
@@ -228,7 +228,7 @@ def exact_sequence_iso(
         ):
             raise AlgebraMismatch("retraction endpoints do not match the sequence")
         resid = (retraction @ alpha) - CommutantOperator.identity(alpha.source)
-        if resid.norm() > tol * max(1.0, retraction.norm() * alpha.norm()):
+        if resid.norm() > EXACTNESS_TOL * max(1.0, retraction.norm() * alpha.norm()):
             raise ValidationError("retraction does not split the first map")
 
     g_prime = alpha.source.reference_gram

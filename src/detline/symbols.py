@@ -253,7 +253,7 @@ class LaurentMatrix:
             out[start : start + GRID_BLOCK] = phases @ terms
         return out.reshape((nodes.shape[0],) + self.shape)
 
-    def is_hermitian(self, tol: float = HERMITIAN_SYMBOL_TOL) -> bool:
+    def is_hermitian(self) -> bool:
         """Coefficient-wise check that the evaluated symbol is Hermitian.
 
         F(theta)^H == F(theta) for all theta iff c_{-k} == c_k^H for all k.
@@ -264,12 +264,12 @@ class LaurentMatrix:
         for k, c in self.coefficients.items():
             mirror = self.coefficients.get(tuple(-a for a in k))
             partner = np.zeros(self.shape, dtype=complex) if mirror is None else mirror
-            if np.linalg.norm(partner - c.conj().T) > tol * scale:
+            if np.linalg.norm(partner - c.conj().T) > HERMITIAN_SYMBOL_TOL * scale:
                 return False
         return True
 
-    def require_hermitian(self, tol: float = HERMITIAN_SYMBOL_TOL):
-        if not self.is_hermitian(tol):
+    def require_hermitian(self):
+        if not self.is_hermitian():
             raise NotHermitianSymbol(
                 "symbol coefficients do not satisfy c(-k) == c(k)^H"
             )
@@ -492,17 +492,13 @@ def abelian_dense_isomorphism_check(
 
     That holds exactly when det F(theta) does not vanish identically: it is
     a trigonometric polynomial, so its zero set otherwise has measure zero,
-    which dense image tolerates, and m(det F) is then finite.  The sampled
-    check on the grid gives minimum_modulus, the smallest |det F| there.
+    which dense image tolerates, and m(det F) is then finite; _mahler decides
+    it on det F's Newton box.  minimum_modulus is min |det F| on the grid.
     """
     if symbol.shape[0] != symbol.shape[1]:
         raise ShapeMismatch(f"symbol of shape {symbol.shape} is not square")
     grid = _resolve_grid(symbol, grid)
-    samples = symbol.evaluate_grid(grid.nodes())
-    moduli = np.abs(np.linalg.det(samples))
-    scale = max(1.0, float(np.max(moduli, initial=0.0)))
-    if float(np.max(moduli, initial=0.0)) <= 1e-12 * scale:
-        raise NotDenselyExact("symbol determinant vanishes identically")
+    moduli = np.abs(np.linalg.det(symbol.evaluate_grid(grid.nodes())))
     log_value, verdict = _log_det(
         symbol, symbol.size, NotDenselyExact, "symbol determinant vanishes identically"
     )
@@ -577,16 +573,16 @@ def abelian_torsion(
     boundaries,
     grid: TorusGrid | None = None,
     convention: str = "chain",
-    *,
-    kernel_tol: float = TORSION_KERNEL_TOL,
 ) -> AbelianTorsionReport:
     """Torsion of a finite complex of free modules given by Laurent symbols.
 
     boundaries[i] connects degrees i and i+1 (towards i for the chain
     convention, towards i+1 for the cochain one).  Each degree gets the
-    Laplacian out^H out + in in^H.  Its kernel rank k must be the same at
-    every node of the grid and its two dyadic refinements, with the positive
-    branches TORSION_GAP_RATIO above the kernel ones; k is the betti number.
+    Laplacian out^H out + in in^H.  Its kernel rank k (eigenvalues at most
+    TORSION_KERNEL_TOL times the largest on the grid, a cut that scales with
+    the maps) must be the same at every node of the grid and its two dyadic
+    refinements, with the positive branches TORSION_GAP_RATIO above the
+    kernel ones; k is the betti number.
     The positive part's determinant is m(e_{m-k}(Delta)), the Mahler measure
     of the product of the m - k nonzero eigenvalue branches.  The coordinate
     multiplies those determinants with exponent (-1)^i i/2 (chain; negated
@@ -625,7 +621,7 @@ def abelian_torsion(
                 delta *= 0.5
                 values = np.linalg.eigvalsh(delta)
             top = float(np.max(values, initial=0.0))
-            cut = kernel_tol * max(1.0, top)
+            cut = TORSION_KERNEL_TOL * top
             counts = np.sum(values <= cut, axis=-1) if m else np.zeros(nodes.shape[0], int)
             count = int(counts[0]) if counts.size else 0
             if counts.size and not np.all(counts == count):

@@ -356,7 +356,7 @@ class UnimodularityReport:
         return all(abs(v - 1.0) <= self.tol for v in self.determinants.values())
 
 
-def check_unimodular(rep: GroupRepresentation, tol: float = UNIMODULAR_TOL) -> UnimodularityReport:
+def check_unimodular(rep: GroupRepresentation) -> UnimodularityReport:
     """Fuglede-Kadison determinant of every generator image; all must be 1.
 
     Determinants are multiplicative, so generators suffice for the whole
@@ -365,7 +365,7 @@ def check_unimodular(rep: GroupRepresentation, tol: float = UNIMODULAR_TOL) -> U
     dets = {
         name: fk_det(rep.module, op).value for name, op in rep.images.items()
     }
-    return UnimodularityReport(dets, tol)
+    return UnimodularityReport(dets, UNIMODULAR_TOL)
 
 
 # -- assembly ----------------------------------------------------------------

@@ -187,6 +187,28 @@ def test_generated_module_from_two_generators():
     assert q8.algebra.weights == pytest.approx((1 / 8,) * 4 + (1 / 4,))
 
 
+def test_generated_module_takes_linearly_many_svds(monkeypatch):
+    # the closure's find confirms a Frobenius prefilter match with one
+    # 2-norm, and the product check uses Frobenius residuals, so no SVD is
+    # taken per pair of group elements (order 24 took more than 2n^2)
+    n = 24
+    counts = [0]
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        counts[0] += 1
+        return svd(*args, **kwargs)
+
+    # np.linalg.norm(x, 2) calls the svd of numpy's implementation module
+    impl = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(impl, "svd", counted)
+    shift = np.roll(np.eye(n), 1, axis=0)
+    module = decode_module({"action_generators": [shift.tolist()]})
+    assert module.multiplicities == (1,) * n
+    assert counts[0] <= 4 * n
+
+
 def test_generated_module_order_cap():
     angle = 2.0 * np.pi / 300.0
     rot = [

@@ -248,6 +248,17 @@ def test_module_from_group_action_round_trip():
         assert np.allclose(mod.action(dec.group_images[g]), images[g], atol=1e-8)
 
 
+def test_module_from_group_action_refuses_a_broken_product():
+    # C3's regular images with those of the identity and the generator
+    # swapped: each is unitary, but images[0] images[0] != images[0]
+    table = FiniteGroupTable.cyclic(3)
+    dec = build_group_algebra(table)
+    images = [table.left_translation(g) for g in range(3)]
+    images[0], images[1] = images[1], images[0]
+    with pytest.raises(ValidationError, match=r"do not respect the product at \(0,0\)"):
+        module_from_group_action(dec, images)
+
+
 def test_morphism_intertwining_enforced():
     m = HilbertianModule(ALG, (2, 1))
     n = HilbertianModule(ALG, (1, 2))

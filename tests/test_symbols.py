@@ -406,6 +406,12 @@ def test_dense_isomorphism_rejects_divergent_integral():
     f = LaurentMatrix.constant(np.diag([1.5e-3, 1.5e-4, 1.0]))
     report = abelian_dense_isomorphism_check(f)
     assert abs(report.log_determinant - np.log(2.25e-7)) < 1e-12
+    # so is det F = 1e-14 everywhere: no absolute floor calls it vanishing
+    tiny = LaurentMatrix.constant(1e-7 * np.eye(2))
+    report = abelian_dense_isomorphism_check(tiny)
+    assert report.log_determinant == abelian_fk_det_general(tiny).log_value
+    assert abs(report.log_determinant - np.log(1e-14)) < 1e-12
+    assert report.minimum_modulus == pytest.approx(1e-14, rel=1e-9)
     g = LaurentMatrix(1, {(0,): [[1.0, 0.0], [1.0, 0.0]], (1,): [[0.0, 1.0], [0.0, 1.0]]})
     with pytest.raises(NotDenselyExact):
         abelian_dense_isomorphism_check(g)
@@ -422,6 +428,15 @@ def test_two_term_torsion_is_inverse_determinant():
     assert report.euler_characteristic == 0
     cochain = abelian_torsion([T_MINUS_2], convention="cochain")
     assert abs(cochain.coordinate - 2.0) < 1e-9
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-12])
+def test_torsion_kernel_cut_scales_with_the_maps(scale):
+    # s (t - 2) is injective with dense image at every scale s, and its
+    # torsion is 1 / Det = 1 / (2 s)
+    report = abelian_torsion([T_MINUS_2 * scale])
+    assert report.betti == (0.0, 0.0)
+    assert report.log_coordinate == pytest.approx(-np.log(2.0 * scale), abs=1e-9)
 
 
 def test_circle_over_the_integers_has_trivial_torsion():
