@@ -38,7 +38,6 @@ from .determinant import (
 )
 from .errors import (
     DetlineError,
-    DivergentIntegral,
     IllConditionedKernel,
     IndeterminateConvergence,
     KernelDetected,

@@ -12,26 +12,28 @@ the last two; a scalar polynomial is the case m = 1.  Its Mahler measure is
 m(det M).  The roots of det M are the eigenvalues of the block companion
 matrix, so a multiplicity that comes from the matrix structure, such as
 det(P I) = P^m, stays as well conditioned as the roots of P.
+
+The positive part of a Hermitian symbol of generic rank r has the
+log-determinant m(e_r(F)), the Mahler measure of the product of its r
+nonzero eigenvalue branches; e_r(F) comes from the coefficients.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 
 from .errors import IndeterminateConvergence
 
-# the polynomial vanishes identically when it stays below this fraction of
-# max |F|^count on a grid covering its Newton box
+# a polynomial of degree count in the entries of F vanishes identically when
+# it stays below this fraction of max |F|^count on a grid covering its box
 SYMBOL_KERNEL_REL_TOL = 1e-12
 EPS = float(np.finfo(float).eps)
 # end coefficients below this fraction of the largest are dropped; the
 # Mahler measure is continuous in the coefficients, degree drops included
 COEFFICIENT_TRIM = 1e-14
-# sampled coefficients against direct evaluation, relative to max |F|^count
-COEFFICIENT_CHECK_TOL = 1e-9
-CHECK_ANGLES = np.mod(np.outer(np.arange(1, 4), (0.6180339887498949, 0.7548776662466927)), 1.0)
 # roots against the polynomial, relative to the sum of coefficient moduli
 ROOT_CHECK_TOL = 1e-9
 CHECK_CIRCLE = np.exp(2j * np.pi * (np.arange(8) + 0.6180339887498949) / 8)
@@ -153,7 +155,8 @@ def _scalar_rows(blocks):
     size = m * (width - 1) + 1
     grid = np.arange(size) / size
     values = _evaluate_rows(blocks, np.exp(2j * np.pi * grid))
-    return (values @ _fourier(grid, np.arange(size)).conj() / size)[:, :, None, None]
+    fourier = np.exp(2j * np.pi * np.outer(grid, np.arange(size)))
+    return (values @ fourier.conj() / size)[:, :, None, None]
 
 
 def _jensen_rows(blocks):
@@ -338,87 +341,103 @@ def _measure(coefficients):
     return _boyd(coefficients)
 
 
-def _fourier(angles, exponents):
-    """exp(2 pi i theta k) for every angle theta (rows) and exponent k."""
-    return np.exp(2j * np.pi * np.outer(angles, exponents))
+def _times(a, b):
+    """Product of two scalar polynomials given as coefficient arrays."""
+    out = np.zeros(tuple(np.add(a.shape, b.shape) - 1), dtype=complex)
+    for index in zip(*np.nonzero(a)):
+        out[tuple(slice(i, i + n) for i, n in zip(index, b.shape))] += a[index] * b
+    return out
 
 
-def _eigen_product(samples, count):
-    """Product of the `count` largest eigenvalues of Hermitian samples."""
-    values = np.linalg.eigvalsh(samples)
-    return np.prod(values[:, samples.shape[-1] - count :], axis=1)
+def _minor_sum(blocks, count):
+    """e_count of a matrix polynomial, the sum of its count x count principal
+    minors, by the Leibniz formula in coefficient arithmetic.  Index 0 stays
+    the lowest exponent on every axis, now count times the symbol's."""
+    total = 0.0
+    for rows in itertools.combinations(range(blocks.shape[-1]), count):
+        for order in itertools.permutations(range(count)):
+            inversions = sum(p > q for p, q in itertools.combinations(order, 2))
+            entries = (blocks[..., rows[j], rows[order[j]]] for j in range(count))
+            total = total + (-1) ** inversions * functools.reduce(_times, entries)
+    return total
 
 
-def _torus_polynomial(symbol, count, vanishing, message):
-    """Coefficient array whose Mahler measure is the log-determinant.
-
-    With count equal to the size, that is det F itself: the array holds the
-    symbol's own coefficient blocks.  For a Hermitian symbol with a smaller
-    count it is the scalar product of the count largest eigenvalue branches,
-    which equals e_count(F(theta)) when the other branches vanish
-    identically.  Either polynomial has its exponents in count times the
-    Newton box of F, so the grid with one node per exponent and axis
-    determines it: it must not vanish there to SYMBOL_KERNEL_REL_TOL, or
-    `vanishing` is raised.  The eigenvalue product is transformed back from
-    that grid by the discrete Fourier transform and checked against direct
-    evaluation at CHECK_ANGLES.  Index 0 of the array is the lowest
-    exponent on every axis.
-    """
-    rank = symbol.rank
-    if count == 0:
-        return np.ones((1,) * rank + (1, 1), dtype=complex)
-    if not symbol.coefficients:
-        raise vanishing(message)
+def _blocks(symbol):
+    """Coefficient array of a nonzero symbol, index 0 the lowest exponent on
+    every axis."""
     keys = np.array(list(symbol.coefficients), dtype=int)
     low, high = keys.min(axis=0), keys.max(axis=0)
     blocks = np.zeros(tuple(high - low + 1) + symbol.shape, dtype=complex)
     for k, c in symbol.coefficients.items():
         blocks[tuple(np.asarray(k) - low)] = c
-    full = count == symbol.shape[0]
-    if full and symbol.shape == (1, 1):
-        return blocks
-
-    span = count * (high - low) + 1
-    grids = [np.arange(n) / n for n in span]
-    phases = [_fourier(g, np.arange(low[a], high[a] + 1)) for a, g in enumerate(grids)]
-    if rank == 1:
-        samples = np.einsum("ik,kab->iab", phases[0], blocks)
-    else:
-        samples = np.einsum("ik,jl,klab->ijab", phases[0], phases[1], blocks)
-    flat = samples.reshape((-1,) + symbol.shape)
-    values = np.linalg.det(flat) if full else _eigen_product(flat, count)
-    scale = float(np.max(np.sum(np.abs(flat) ** 2, axis=(1, 2)))) ** (count / 2)
-    if float(np.max(np.abs(values))) <= SYMBOL_KERNEL_REL_TOL * scale:
-        raise vanishing(message)
-    if full:
-        return blocks
-
-    exponents = [count * low[a] + np.arange(span[a]) for a in range(rank)]
-    back = [_fourier(g, e).conj().T / g.size for g, e in zip(grids, exponents)]
-    values = values.reshape(tuple(span))
-    out = back[0] @ values if rank == 1 else back[0] @ values @ back[1].T
-    angles = CHECK_ANGLES[:, :rank]
-    direct = _eigen_product(np.stack([symbol.evaluate(theta) for theta in angles]), count)
-    ahead = [_fourier(angles[:, a], exponents[a]) for a in range(rank)]
-    if rank == 1:
-        rebuilt = ahead[0] @ out
-    else:
-        rebuilt = np.einsum("ki,ij,kj->k", ahead[0], out, ahead[1])
-    misfit = float(np.max(np.abs(direct - rebuilt)))
-    if misfit > COEFFICIENT_CHECK_TOL * scale:
-        raise IndeterminateConvergence(
-            f"eigenvalue product coefficients miss direct evaluation by {misfit:.2e}"
-        )
-    return out[..., None, None]
+    return blocks
 
 
-def torus_log_det(symbol, count, vanishing, message):
-    """(log-determinant, diagnostics) of a square Laurent symbol.
+def _newton_samples(symbol, count):
+    """Values of a nonzero symbol at the nodes j / n per axis, with n one
+    more than count times the width of its Newton box along that axis.
 
-    count is the number of eigenvalue branches that enter: the size for
-    det F, fewer for the positive part of a Hermitian symbol with a kernel
-    (see _torus_polynomial).  The diagnostics give the route (jensen or
-    boyd), the breakpoints, the number of panels, the quadrature error
+    That is one node per exponent of a polynomial of degree count in the
+    entries, such as det F (count the size) or e_count(F), so the grid
+    determines such a polynomial: it vanishes identically if it vanishes at
+    every node.
+    """
+    keys = np.array(list(symbol.coefficients), dtype=int)
+    spans = count * (keys.max(axis=0) - keys.min(axis=0)) + 1
+    axes = np.meshgrid(*(np.arange(n) / n for n in spans), indexing="ij")
+    return symbol.evaluate_grid(np.stack([a.ravel() for a in axes], axis=-1))
+
+
+def _vanishes(values, samples, count):
+    """Values or coefficients of a polynomial of degree count in the entries
+    stay below SYMBOL_KERNEL_REL_TOL times the largest Frobenius norm of the
+    samples to the power count."""
+    scale = float(np.max(np.sum(np.abs(samples) ** 2, axis=(1, 2)))) ** (count / 2)
+    return float(np.max(np.abs(values))) <= SYMBOL_KERNEL_REL_TOL * scale
+
+
+def torus_log_det(symbol, vanishing, message):
+    """(m(det F), diagnostics) of a square Laurent symbol F.
+
+    det F must not vanish on the grid of _newton_samples, which determines
+    it, to SYMBOL_KERNEL_REL_TOL, or `vanishing` is raised; a nonzero 1 x 1
+    symbol is its own determinant.  The diagnostics give the route (jensen
+    or boyd), the breakpoints, the number of panels, the quadrature error
     estimate and the largest relative residual of the root factorisation.
     """
-    return _measure(_torus_polynomial(symbol, count, vanishing, message))
+    if not symbol.coefficients:
+        raise vanishing(message)
+    m = symbol.shape[0]
+    if m > 1:
+        samples = _newton_samples(symbol, m)
+        if _vanishes(np.linalg.det(samples), samples, m):
+            raise vanishing(message)
+    return _measure(_blocks(symbol))
+
+
+def positive_log_det(symbol, kernel_tol, vanishing, message):
+    """(kernel rank, log-determinant of the positive part, diagnostics) of a
+    Hermitian positive semidefinite symbol F of size m.
+
+    F(theta) has its generic rank r except on the zero set of the nonzero
+    trigonometric polynomial e_r(F), so the kernel rank is m - r, and r is
+    the largest number of eigenvalues above kernel_tol times the largest at
+    a node of _newton_samples, which determines e_r(F).  The positive part's
+    log-determinant is m(e_r(F)): m(det F) for r = m, otherwise that of the
+    sum of the r x r principal minors.  Like det F in torus_log_det, e_r(F)
+    must not vanish to SYMBOL_KERNEL_REL_TOL, or `vanishing` is raised.
+    """
+    m = symbol.shape[0]
+    if not symbol.coefficients:
+        return m, *_measure(np.ones((1,) * symbol.rank + (1, 1), dtype=complex))
+    samples = _newton_samples(symbol, m)
+    eigenvalues = np.linalg.eigvalsh(samples)
+    count = int(np.max(np.sum(eigenvalues > kernel_tol * np.max(eigenvalues), axis=1)))
+    if count == m:
+        polynomial, values = _blocks(symbol), np.linalg.det(samples)
+    else:
+        values = _minor_sum(_blocks(symbol), count)
+        polynomial = values[..., None, None]
+    if _vanishes(values, samples, count):
+        raise vanishing(message)
+    return m - count, *_measure(polynomial)

@@ -46,6 +46,7 @@ from .symbols import (
     abelian_determinant_class_check,
     abelian_fk_det,
     abelian_fk_det_general,
+    abelian_torsion,
 )
 from .torsion import (
     _gram_hash,
@@ -410,6 +411,13 @@ def _fixture_checks():
     yield (
         "torus monomial unimodularity",
         lambda: abelian_fk_det_general(LaurentMatrix.monomial(3)).value,
+        1.0,
+    )
+    yield (
+        "torus torsion of (t - 1)^4",
+        lambda: abelian_torsion(
+            [LaurentMatrix.from_scalar({4: 1.0, 3: -4.0, 2: 6.0, 1: -4.0, 0: 1.0})]
+        ).coordinate,
         1.0,
     )
 

@@ -97,14 +97,6 @@ class KernelDetected(MathematicalRefusal):
     """Positive operator has spectral mass at zero; log-determinant is -inf."""
 
 
-class DivergentIntegral(MathematicalRefusal):
-    """A log-determinant integral diverges.
-
-    The torus backend no longer raises it: a Laurent polynomial that does
-    not vanish identically has a finite Mahler measure.
-    """
-
-
 class IndeterminateConvergence(MathematicalRefusal):
     """A torus determinant cannot be trusted: the computed roots do not
     reproduce the polynomial, or the quadrature panels do not settle within

@@ -17,9 +17,12 @@ refusals are a determinant that vanishes identically, roots that do not
 reproduce the polynomial they came from, and quadrature panels that do not
 settle within their budget.
 
-Positivity and kernel rank are judged pointwise on three dyadic midpoint
-grids, (j + 1/2) / N per axis, which never place a node on the lattice
-points where symbols of interest typically vanish.
+Positivity is judged pointwise on three dyadic midpoint grids,
+(j + 1/2) / N per axis, which never place a node on the lattice points
+where symbols of interest typically vanish.  Kernel rank needs no such
+grid: the rank of a symbol drops only on the zero set of a nonzero
+trigonometric polynomial, so it is the generic rank, which one sample on
+the grid fixed by the coefficients decides (see abelian_torsion).
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ GRID_BLOCK = 4096
 
 HERMITIAN_SYMBOL_TOL = 1e-10
 TORSION_KERNEL_TOL = 1e-10
-TORSION_GAP_RATIO = 10.0
 
 
 def _as_exponent(key, rank):
@@ -289,6 +291,10 @@ class TorusGrid:
     resolution: int
 
     def __post_init__(self):
+        for name in ("rank", "resolution"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValidationError(f"grid {name} must be an integer, got {value!r}")
         if self.rank < 1 or self.rank > MAX_TORUS_RANK:
             raise BackendUnsupported(
                 f"torus rank {self.rank} is not supported, maximum is {MAX_TORUS_RANK}"
@@ -385,12 +391,12 @@ def abelian_spectral_density(
     return SpectralDensity(values, weights, kind="sampled", consistency=consistency)
 
 
-def _log_det(symbol, count, vanishing, message):
+def _log_det(symbol, vanishing, message):
     # loaded on first use: a CLI process that takes no torus determinant
     # does not compile the Mahler measure code
     from ._mahler import torus_log_det
 
-    log_value, diagnostics = torus_log_det(symbol, count, vanishing, message)
+    log_value, diagnostics = torus_log_det(symbol, vanishing, message)
     return log_value, ConvergenceReport("convergent", diagnostics)
 
 
@@ -450,7 +456,7 @@ def abelian_fk_det(
     for g in _grid_levels(grid):
         _hermitian_branches(symbol, g)
     log_value, verdict = _log_det(
-        symbol, symbol.size, KernelDetected, "positive spectral mass at zero"
+        symbol, KernelDetected, "positive spectral mass at zero"
     )
     return DeterminantResult(float(np.exp(log_value)), log_value, "spectral", verdict)
 
@@ -468,7 +474,7 @@ def abelian_fk_det_general(
         raise ShapeMismatch(f"symbol of shape {symbol.shape} has no determinant")
     _resolve_grid(symbol, grid)
     log_value, verdict = _log_det(
-        symbol, symbol.size, KernelDetected, "determinant vanishes identically"
+        symbol, KernelDetected, "determinant vanishes identically"
     )
     return DeterminantResult(float(np.exp(log_value)), log_value, "polar", verdict)
 
@@ -500,7 +506,7 @@ def abelian_dense_isomorphism_check(
     grid = _resolve_grid(symbol, grid)
     moduli = np.abs(np.linalg.det(symbol.evaluate_grid(grid.nodes())))
     log_value, verdict = _log_det(
-        symbol, symbol.size, NotDenselyExact, "symbol determinant vanishes identically"
+        symbol, NotDenselyExact, "symbol determinant vanishes identically"
     )
     return DenseIsoReport(float(np.exp(log_value)), log_value, verdict, float(np.min(moduli)))
 
@@ -578,15 +584,14 @@ def abelian_torsion(
 
     boundaries[i] connects degrees i and i+1 (towards i for the chain
     convention, towards i+1 for the cochain one).  Each degree gets the
-    Laplacian out^H out + in in^H.  Its kernel rank k (eigenvalues at most
-    TORSION_KERNEL_TOL times the largest on the grid, a cut that scales with
-    the maps) must be the same at every node of the grid and its two dyadic
-    refinements, with the positive branches TORSION_GAP_RATIO above the
-    kernel ones; k is the betti number.
-    The positive part's determinant is m(e_{m-k}(Delta)), the Mahler measure
-    of the product of the m - k nonzero eigenvalue branches.  The coordinate
-    multiplies those determinants with exponent (-1)^i i/2 (chain; negated
-    for cochain).
+    Laplacian out^H out + in in^H.  Its generic kernel rank, read off one
+    sample on the grid its coefficients fix with eigenvalues cut at
+    TORSION_KERNEL_TOL times the largest, is the betti number; the positive
+    part's determinant is the Mahler measure of the elementary symmetric
+    polynomial of its nonzero eigenvalue branches
+    (detline._mahler.positive_log_det).  The coordinate multiplies those
+    determinants with exponent (-1)^i i/2 (chain; negated for cochain).
+    The grid is validated but not sampled.
     """
     boundaries = list(boundaries)
     if not boundaries:
@@ -599,67 +604,27 @@ def abelian_torsion(
             raise AlgebraMismatch("maps live on tori of different ranks")
     ranks = _torsion_ranks(boundaries, convention)
     _check_composites(boundaries, convention)
-    grid = _resolve_grid(boundaries[0], grid)
+    _resolve_grid(boundaries[0], grid)
+    from ._mahler import positive_log_det  # loaded on first use, as in _log_det
 
     degrees = len(ranks)
-    kernel_counts = [None] * degrees
-    for g in _grid_levels(grid):
-        nodes = g.nodes()
-        samples = [b.evaluate_grid(nodes) for b in boundaries]
-        for i in range(degrees):
-            out, inc = _adjacent(samples, i, convention)
-            m = ranks[i]
-            delta = np.zeros((nodes.shape[0], m, m), dtype=complex)
-            if out is not None:
-                delta += np.swapaxes(out, -1, -2).conj() @ out
-            if inc is not None:
-                delta += inc @ np.swapaxes(inc, -1, -2).conj()
-            if m == 0:
-                values = np.zeros((nodes.shape[0], 0))
-            else:
-                delta += np.conj(np.swapaxes(delta, -1, -2))
-                delta *= 0.5
-                values = np.linalg.eigvalsh(delta)
-            top = float(np.max(values, initial=0.0))
-            cut = TORSION_KERNEL_TOL * top
-            counts = np.sum(values <= cut, axis=-1) if m else np.zeros(nodes.shape[0], int)
-            count = int(counts[0]) if counts.size else 0
-            if counts.size and not np.all(counts == count):
-                raise IllConditionedKernel(
-                    f"kernel rank of the degree {i} Laplacian varies across the torus"
-                )
-            if kernel_counts[i] is None:
-                kernel_counts[i] = count
-            elif kernel_counts[i] != count:
-                raise IllConditionedKernel(
-                    f"kernel rank of the degree {i} Laplacian changes under refinement"
-                )
-            if count and m > count:
-                worst_zero = float(np.max(values[:, :count]))
-                best_positive = float(np.min(values[:, count:]))
-                if worst_zero > 0 and best_positive < TORSION_GAP_RATIO * worst_zero:
-                    raise IllConditionedKernel(
-                        f"zero and positive branches of the degree {i} Laplacian are not separated"
-                    )
-
-    verdicts = []
-    degree_logs = []
-    for i in range(degrees):
+    kernel_counts, degree_logs, verdicts = [], [], []
+    for i, m in enumerate(ranks):
         out, inc = _adjacent(boundaries, i, convention)
-        m = ranks[i]
         laplacian = LaurentMatrix.zero(rank, (m, m))
         if out is not None:
             laplacian = laplacian + out.adjoint() @ out
         if inc is not None:
             laplacian = laplacian + inc @ inc.adjoint()
-        log_value, verdict = _log_det(
+        kernel, log_value, diagnostics = positive_log_det(
             laplacian,
-            m - kernel_counts[i],
+            TORSION_KERNEL_TOL,
             IllConditionedKernel,
             f"positive branches of the degree {i} Laplacian accumulate at zero",
         )
-        verdicts.append(verdict)
+        kernel_counts.append(kernel)
         degree_logs.append(log_value)
+        verdicts.append(ConvergenceReport("convergent", diagnostics))
 
     orientation = 1.0 if convention == "chain" else -1.0
     log_coordinate = sum(

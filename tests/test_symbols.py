@@ -17,6 +17,7 @@ from detline.errors import (
     IllConditionedKernel,
     IndeterminateConvergence,
     KernelDetected,
+    MathematicalRefusal,
     NegativeSpectrum,
     NotDenselyExact,
     NotHermitianSymbol,
@@ -205,6 +206,11 @@ def test_grid_validation_and_refinement():
     nodes = TorusGrid(1, 4).nodes()
     assert np.allclose(nodes[:, 0], [0.125, 0.375, 0.625, 0.875])
     assert TorusGrid(2, 4).nodes().shape == (16, 2)
+    # a fractional resolution would weight its nodes by 1 / 100.5 while
+    # sampling 101 of them, giving the identity of size 3 mass 3.015
+    for rank, resolution in [(1, 100.5), (1, 64.0), (True, 8)]:
+        with pytest.raises(ValidationError):
+            abelian_spectral_density(LaurentMatrix.identity(1, 3), TorusGrid(rank, resolution))
 
 
 # ---------------------------------------------------------------------------
@@ -478,10 +484,72 @@ def test_torsion_validates_composites_and_shapes():
         abelian_torsion([T_MINUS_1], convention="sideways")
 
 
-def test_variable_kernel_rank_is_rejected():
-    # |t-1|^8 dips below the kernel cut near theta = 0 but not elsewhere
+def test_isolated_zero_keeps_the_generic_rank():
+    # |t-1|^8 vanishes at theta = 0 only, a set of measure zero: both
+    # Laplacians have full rank and m(|t - 1|^8) = 0
+    report = abelian_torsion([symbol_power(T_MINUS_1, 4)])
+    assert report.betti == (0.0, 0.0)
+    assert abs(report.log_coordinate) < 1e-12
+
+
+def doubled_row(p):
+    """The 1 x 2 map [p, p] of a scalar symbol p."""
+    return LaurentMatrix(p.rank, {k: np.tile(c, (1, 2)) for k, c in p.coefficients.items()})
+
+
+X_MINUS_1 = scalar({(1, 0): 1.0, (0, 0): -1.0}, rank=2)
+Y_MINUS_1 = scalar({(0, 1): 1.0, (0, 0): -1.0}, rank=2)
+ONE_X_Y = scalar({(0, 0): 1.0, (1, 0): 1.0, (0, 1): 1.0}, rank=2)
+
+
+@pytest.mark.parametrize(
+    "p", [symbol_power(T_MINUS_1, 4), symbol_power(X_MINUS_1, 3)], ids=["t-1^4", "x-1^3"]
+)
+def test_kernel_with_a_zero_of_high_order(p):
+    # [p, p] keeps a kernel of rank 1 in degree 1, and the positive part of
+    # its Laplacian is e_1 = 2 |p|^2 with m(|p|^2) = 0, although the zero of
+    # p at 1 is of order 4 or 3
+    report = abelian_torsion([doubled_row(p)])
+    assert report.betti == (0.0, 1.0)
+    assert abs(report.log_coordinate + 0.5 * np.log(2.0)) < 1e-12
+
+
+def test_torsion_samples_each_laplacian_once(monkeypatch):
+    # a 3 x 3 map with Newton box [-1, 1] x [0, 1]: both Laplacians have the
+    # box [-2, 2] x [-1, 1], and three times it is a 13 x 7 grid
+    rng = np.random.default_rng(5)
+    terms = {k: rng.normal(size=(3, 3)) for k in [(1, 0), (0, 1), (-1, 1)]}
+    terms[(0, 0)] = 10.0 * np.eye(3)
+    nodes = []
+    evaluate_grid = LaurentMatrix.evaluate_grid
+    monkeypatch.setattr(
+        LaurentMatrix,
+        "evaluate_grid",
+        lambda self, grid: nodes.append(len(grid)) or evaluate_grid(self, grid),
+    )
+    report = abelian_torsion([LaurentMatrix(2, terms)])
+    assert report.betti == (0.0, 0.0)
+    assert sum(nodes) <= 2 * 13 * 7
+
+
+def test_positive_part_below_the_vanishing_tolerance_refuses():
+    # degree 0 has generic rank 3 < 4, and e_3 = 1e-18 vanishes to
+    # SYMBOL_KERNEL_REL_TOL against a Laplacian of norm 1
+    f = LaurentMatrix.constant(np.diag(np.sqrt([1.0, 1e-9, 1e-9, 0.0])))
     with pytest.raises(IllConditionedKernel):
-        abelian_torsion([symbol_power(T_MINUS_1, 4)])
+        abelian_torsion([f])
+
+
+@pytest.mark.parametrize(
+    "p",
+    [symbol_power(ONE_X_Y, 2), symbol_power(X_MINUS_1, 2) @ Y_MINUS_1],
+    ids=["(1+x+y)^2", "(x-1)^2(y-1)"],
+)
+def test_repeated_factors_on_the_two_torus_refuse(p):
+    # e_1 = 2 |p|^2 has a repeated factor whose roots cross the unit circle;
+    # Boyd's quadrature does not settle there, and no number is returned
+    with pytest.raises(MathematicalRefusal):
+        abelian_torsion([doubled_row(p)])
 
 
 def test_torsion_agrees_with_general_determinant():
@@ -567,13 +635,3 @@ def test_rank_deficient_map_torsion():
     report = abelian_torsion([row])
     assert report.betti == (0.0, 1.0)
     assert abs(report.log_coordinate + 1.5 * np.log(2.0)) < 1e-12
-
-
-def test_coefficient_disagreement_is_indeterminate(monkeypatch):
-    # e_1 of the degree 1 Laplacian above comes from sampled coefficients;
-    # direct evaluation that disagrees with them refuses
-    row = LaurentMatrix(1, {(1,): [[1.0, 1.0]], (0,): [[-2.0, -2.0]]})
-    evaluate = LaurentMatrix.evaluate
-    monkeypatch.setattr(LaurentMatrix, "evaluate", lambda self, t: 1.01 * evaluate(self, t))
-    with pytest.raises(IndeterminateConvergence):
-        abelian_torsion([row])
