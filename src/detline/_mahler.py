@@ -42,6 +42,9 @@ CLUSTER_RADII = tuple(0.5 / 4.0**k for k in range(12))
 CLUSTER_BLUR = 1e-3
 # roots this close to the unit circle do not count as crossing it
 CIRCLE_BAND = 1e-9
+# roots this close to the unit circle bound the arcs that positivity probes;
+# a k-fold root is computed to about eps^(1/k), so this keeps k <= 8
+PROBE_BAND = 1e-2
 GL_ORDERS = (12, 24)
 SCAN_NODES = 32
 SECTIONS = 16
@@ -174,12 +177,13 @@ def _jensen_rows(blocks):
     trusted.
 
     Returns (Mahler measures, roots outside the unit circle per row, largest
-    relative residual of the root factorisation).  An identically zero row
-    has value nan.
+    relative residual of the root factorisation, roots per row).  An
+    identically zero row has value nan.
     """
     n, width, m, _ = blocks.shape
     if width == 1:
-        return np.log(np.abs(np.linalg.det(blocks[:, 0]))), np.zeros(n, dtype=int), 0.0
+        values = np.log(np.abs(np.linalg.det(blocks[:, 0])))
+        return values, np.zeros(n, dtype=int), 0.0, np.zeros((n, 0), dtype=complex)
     if m == 1:
         size = np.abs(blocks[:, :, 0, 0])
         first = np.argmax(size > COEFFICIENT_TRIM * np.max(size, axis=1, keepdims=True), axis=1)
@@ -233,7 +237,23 @@ def _jensen_rows(blocks):
         fallback = _jensen_rows(_scalar_rows(blocks[singular]))
         values[singular], outside[singular] = fallback[:2]
         worst = max(worst, fallback[2])
-    return values, outside, worst
+        roots[singular] = fallback[3]
+    with np.errstate(divide="ignore", invalid="ignore"):  # flipped rows hold 1 / root
+        roots = np.where(flipped[:, None], 1.0 / roots, roots)
+    return values, outside, worst, roots
+
+
+def _probe_angles(roots):
+    """(row index, angle in [0, 1)) of a point on each arc between the roots
+    of a row within PROBE_BAND of the unit circle, or angle 0 if none are."""
+    near = np.abs(np.abs(roots) - 1.0) <= PROBE_BAND
+    count = np.sum(near, axis=1)
+    turns = np.sort(np.where(near, np.angle(roots) / (2.0 * np.pi) % 1.0, np.inf), axis=1)
+    row, slot = np.nonzero(np.arange(roots.shape[1]) < count[:, None])
+    last = slot == count[row] - 1
+    middle = 0.5 * (turns[row, slot] + turns[row, np.where(last, 0, slot + 1)] + last) % 1.0
+    lone = np.nonzero(count == 0)[0]
+    return np.concatenate([row, lone]), np.concatenate([middle, np.zeros(lone.size)])
 
 
 def _trim(coefficients, axis):
@@ -246,15 +266,15 @@ def _trim(coefficients, axis):
 
 
 def _jensen(coefficients):
-    """m(det M) on the circle, M(z) = sum_k coefficients[k] z^k."""
-    values, _, residual = _jensen_rows(_trim(coefficients, 0)[None])
+    """(m(det M), diagnostics, probes) on the circle, M(z) = sum_k coefficients[k] z^k."""
+    values, _, residual, roots = _jensen_rows(_trim(coefficients, 0)[None])
     return float(values[0]), {
         "route": "jensen",
         "breakpoints": [],
         "panels": 0,
         "error": 0.0,
         "residual": residual,
-    }
+    }, _probe_angles(roots)[1][:, None]
 
 
 def _boyd(coefficients):
@@ -268,22 +288,27 @@ def _boyd(coefficients):
     circle tangentially, are caught by the panel test: a panel is split until
     its two Gauss-Legendre orders agree to PANEL_REL_TOL, or PANEL_FLOOR in
     absolute terms.  The error estimate is the sum of those disagreements.
+    The probe points, (x angle, phi) pairs, are those of every row solved.
     """
     powers = np.arange(coefficients.shape[1])
+    points = []
 
-    def rows(phi):
+    def solve(phi):
         phases = np.exp(2j * np.pi * np.outer(phi, powers))
-        return np.einsum("pj,ijab->piab", phases, coefficients)
+        *result, roots = _jensen_rows(np.einsum("pj,ijab->piab", phases, coefficients))
+        row, theta = _probe_angles(roots)
+        points.append(np.column_stack([theta, phi[row]]))
+        return result
 
     scan = (np.arange(SCAN_NODES) + 0.5) / SCAN_NODES
-    counts = _jensen_rows(rows(scan))[1]
+    counts = solve(scan)[1]
     change = np.nonzero(counts != np.roll(counts, -1))[0]
     low, width, base = scan[change], 1.0 / SCAN_NODES, counts[change]
     steps = np.arange(1, SECTIONS)
     while change.size and width > BREAKPOINT_TOL:
         width /= SECTIONS
         probes = low[:, None] + width * steps[None, :]
-        seen = _jensen_rows(rows(probes.ravel() % 1.0))[1].reshape(probes.shape)
+        seen = solve(probes.ravel() % 1.0)[1].reshape(probes.shape)
         moved = seen != base[:, None]
         low = low + width * np.where(moved.any(axis=1), np.argmax(moved, axis=1), SECTIONS - 1)
     breakpoints = np.sort((low + 0.5 * width) % 1.0)
@@ -303,7 +328,7 @@ def _boyd(coefficients):
         middle = 0.5 * (panels[:, 0] + panels[:, 1])
         half = 0.5 * (panels[:, 1] - panels[:, 0])
         phi = middle[:, None] + half[:, None] * unit[None, :]
-        values, _, worst = _jensen_rows(rows(phi.ravel()))
+        values, _, worst = solve(phi.ravel())
         residual = max(residual, worst)
         values = values.reshape(phi.shape)
         low_order = half * (values[:, : x_low.size] @ w_low)
@@ -324,21 +349,25 @@ def _boyd(coefficients):
         "panels": settled,
         "error": error,
         "residual": residual,
-    }
+    }, np.concatenate(points)
 
 
 def _measure(coefficients):
-    """(m(det M), diagnostics) of a coefficient array over the rank-1 or
-    rank-2 torus.  On the 2-torus the variable of higher degree is the
-    inner one, and a polynomial in one variable goes to Jensen's formula."""
+    """(m(det M), diagnostics, probe points) of a coefficient array over the
+    rank-1 or rank-2 torus.  On the 2-torus the inner variable has the higher
+    degree, and a polynomial in one variable goes to Jensen's formula."""
     if coefficients.ndim == 3:
         return _jensen(coefficients)
     coefficients = _trim(_trim(coefficients, 0), 1)
-    if coefficients.shape[1] > coefficients.shape[0]:
+    swapped = coefficients.shape[1] > coefficients.shape[0]
+    if swapped:
         coefficients = np.swapaxes(coefficients, 0, 1)
     if coefficients.shape[1] == 1:
-        return _jensen(coefficients[:, 0])
-    return _boyd(coefficients)
+        value, diagnostics, probes = _jensen(coefficients[:, 0])
+        probes = np.insert(probes, 1, 0.0, axis=1)
+    else:
+        value, diagnostics, probes = _boyd(coefficients)
+    return value, diagnostics, probes[:, ::-1] if swapped else probes
 
 
 def _times(a, b):
@@ -373,9 +402,9 @@ def _blocks(symbol):
     return blocks
 
 
-def _newton_samples(symbol, count):
-    """Values of a nonzero symbol at the nodes j / n per axis, with n one
-    more than count times the width of its Newton box along that axis.
+def newton_nodes(symbol, count):
+    """The nodes j / n per axis of a nonzero symbol, with n one more than
+    count times the width of its Newton box along that axis.
 
     That is one node per exponent of a polynomial of degree count in the
     entries, such as det F (count the size) or e_count(F), so the grid
@@ -385,7 +414,7 @@ def _newton_samples(symbol, count):
     keys = np.array(list(symbol.coefficients), dtype=int)
     spans = count * (keys.max(axis=0) - keys.min(axis=0)) + 1
     axes = np.meshgrid(*(np.arange(n) / n for n in spans), indexing="ij")
-    return symbol.evaluate_grid(np.stack([a.ravel() for a in axes], axis=-1))
+    return np.stack([a.ravel() for a in axes], axis=-1)
 
 
 def _vanishes(values, samples, count):
@@ -397,19 +426,21 @@ def _vanishes(values, samples, count):
 
 
 def torus_log_det(symbol, vanishing, message):
-    """(m(det F), diagnostics) of a square Laurent symbol F.
+    """(m(det F), diagnostics, probe points) of a square Laurent symbol F.
 
-    det F must not vanish on the grid of _newton_samples, which determines
-    it, to SYMBOL_KERNEL_REL_TOL, or `vanishing` is raised; a nonzero 1 x 1
-    symbol is its own determinant.  The diagnostics give the route (jensen
+    det F must not vanish at the newton_nodes, which determine it, to
+    SYMBOL_KERNEL_REL_TOL, or `vanishing` is raised; a nonzero 1 x 1 symbol
+    is its own determinant.  The diagnostics give the route (jensen
     or boyd), the breakpoints, the number of panels, the quadrature error
     estimate and the largest relative residual of the root factorisation.
+    The probe points, shape (probes, rank), are one per arc between the
+    roots of det F near the unit circle on every circle solved.
     """
     if not symbol.coefficients:
         raise vanishing(message)
     m = symbol.shape[0]
     if m > 1:
-        samples = _newton_samples(symbol, m)
+        samples = symbol.evaluate_grid(newton_nodes(symbol, m))
         if _vanishes(np.linalg.det(samples), samples, m):
             raise vanishing(message)
     return _measure(_blocks(symbol))
@@ -422,15 +453,15 @@ def positive_log_det(symbol, kernel_tol, vanishing, message):
     F(theta) has its generic rank r except on the zero set of the nonzero
     trigonometric polynomial e_r(F), so the kernel rank is m - r, and r is
     the largest number of eigenvalues above kernel_tol times the largest at
-    a node of _newton_samples, which determines e_r(F).  The positive part's
+    one of the newton_nodes, which determine e_r(F).  The positive part's
     log-determinant is m(e_r(F)): m(det F) for r = m, otherwise that of the
     sum of the r x r principal minors.  Like det F in torus_log_det, e_r(F)
     must not vanish to SYMBOL_KERNEL_REL_TOL, or `vanishing` is raised.
     """
     m = symbol.shape[0]
     if not symbol.coefficients:
-        return m, *_measure(np.ones((1,) * symbol.rank + (1, 1), dtype=complex))
-    samples = _newton_samples(symbol, m)
+        return m, *_measure(np.ones((1,) * symbol.rank + (1, 1), dtype=complex))[:2]
+    samples = symbol.evaluate_grid(newton_nodes(symbol, m))
     eigenvalues = np.linalg.eigvalsh(samples)
     count = int(np.max(np.sum(eigenvalues > kernel_tol * np.max(eigenvalues), axis=1)))
     if count == m:
@@ -440,4 +471,4 @@ def positive_log_det(symbol, kernel_tol, vanishing, message):
         polynomial = values[..., None, None]
     if _vanishes(values, samples, count):
         raise vanishing(message)
-    return m - count, *_measure(polynomial)
+    return m - count, *_measure(polynomial)[:2]

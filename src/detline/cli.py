@@ -42,7 +42,6 @@ from .fixtures import (
 )
 from .symbols import (
     LaurentMatrix,
-    TorusGrid,
     abelian_determinant_class_check,
     abelian_fk_det,
     abelian_fk_det_general,
@@ -58,8 +57,14 @@ from .torsion import (
 FIXTURE_TOL = 1e-8  # absolute error a fixture value may carry
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # an input error: exit code 2 means a refusal
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="detline",
         description="determinant lines, torsion and determinant-class checks",
     )
@@ -77,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # SUPPRESS keeps the subparser from clobbering a --format given before
     # the subcommand name
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument(
         "--format", choices=("text", "structured"), default=argparse.SUPPRESS
     )
@@ -95,7 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("auto", "spectral", "path", "polar"),
         default="auto",
     )
-    det.add_argument("--grid", type=int, help="base torus grid resolution")
 
     betti = sub.add_parser(
         "betti",
@@ -136,7 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument("inputs", nargs=1, help="complex or symbol document")
     check.add_argument("--convention", choices=("chain", "cochain"))
-    check.add_argument("--grid", type=int, help="base torus grid resolution")
 
     return parser
 
@@ -160,11 +163,10 @@ def cmd_det(args) -> dict:
         if len(docs) != 1:
             raise ParseError("det over the torus takes exactly one symbol document")
         symbol = documents.decode_symbol(docs[0][1], docs[0][0])
-        grid = TorusGrid(symbol.rank, args.grid) if args.grid else TorusGrid.default(symbol.rank)
         if args.method == "spectral":
-            result = abelian_fk_det(symbol, grid)
+            result = abelian_fk_det(symbol)
         elif args.method in ("auto", "polar"):
-            result = abelian_fk_det_general(symbol, grid)
+            result = abelian_fk_det_general(symbol)
         else:
             raise ValidationError("the path method does not apply to torus symbols")
         return {
@@ -174,7 +176,6 @@ def cmd_det(args) -> dict:
             "log_value": result.log_value,
             "method": result.method,
             "convergence": _convergence_payload(result.convergence),
-            "grid_resolution": grid.resolution,
         }
     if kind != "module":
         raise ParseError(f"{docs[0][0]}: expected a module or symbol document")
@@ -291,14 +292,12 @@ def cmd_classcheck(args) -> dict:
     kind = documents.document_kind(docs[0][1])
     if kind == "symbol":
         symbol = documents.decode_symbol(docs[0][1], docs[0][0])
-        grid = TorusGrid(symbol.rank, args.grid) if args.grid else TorusGrid.default(symbol.rank)
-        report = abelian_determinant_class_check(symbol, grid)
+        report = abelian_determinant_class_check(symbol)
         payload = {
             "subcommand": "classcheck",
             "backend": "torus",
             "passed": report.passed,
             "verdict": _convergence_payload(report.verdict),
-            "grid_resolution": grid.resolution,
         }
         if report.refusal is not None:
             payload["refusal"] = report.refusal

@@ -42,7 +42,7 @@ from .modules import (
 from .symbols import LaurentMatrix
 from .torsion import CellComplex, GroupRepresentation
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 MAX_GENERATED_ORDER = 256
 
 

@@ -17,12 +17,11 @@ refusals are a determinant that vanishes identically, roots that do not
 reproduce the polynomial they came from, and quadrature panels that do not
 settle within their budget.
 
-Positivity is judged pointwise on three dyadic midpoint grids,
-(j + 1/2) / N per axis, which never place a node on the lattice points
-where symbols of interest typically vanish.  Kernel rank needs no such
-grid: the rank of a symbol drops only on the zero set of a nonzero
-trigonometric polynomial, so it is the generic rank, which one sample on
-the grid fixed by the coefficients decides (see abelian_torsion).
+Positivity needs no sampled grid: the inertia of a Hermitian symbol is
+constant between the zeros of its determinant (see abelian_fk_det).  Nor
+does kernel rank: the rank of a symbol drops only on the zero set of a
+nonzero trigonometric polynomial, so it is the generic rank, which one
+sample on the grid fixed by the coefficients decides (see abelian_torsion).
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ from .errors import (
 
 MAX_TORUS_RANK = 2
 DEFAULT_RESOLUTION = {1: 4096, 2: 64}
-REFINEMENT_LEVELS = 3
 GRID_BLOCK = 4096
 
 HERMITIAN_SYMBOL_TOL = 1e-10
@@ -348,17 +346,16 @@ def laurent_trace(symbol: LaurentMatrix) -> complex:
     return complex(np.trace(symbol.constant_coefficient))
 
 
-def _hermitian_branches(symbol, grid):
-    """Sorted eigenvalue branches of a Hermitian symbol over the grid."""
-    samples = symbol.evaluate_grid(grid.nodes())
+def _hermitian_branches(symbol, nodes):
+    """Eigenvalue branches of a Hermitian symbol at the nodes, clipped at 0."""
+    samples = symbol.evaluate_grid(nodes)
     samples += np.conj(np.swapaxes(samples, -1, -2))
     samples *= 0.5
     values = np.linalg.eigvalsh(samples)
-    top = float(np.max(np.abs(values), initial=0.0))
-    floor = -1e-10 * max(1.0, top)
+    floor = -1e-10 * max(1.0, float(np.max(np.abs(values), initial=0.0)))
     if float(np.min(values, initial=0.0)) < floor:
         raise NegativeSpectrum("symbol has eigenvalue branches below zero")
-    return np.clip(values.ravel(), 0.0, None), top
+    return np.clip(values.ravel(), 0.0, None)
 
 
 def abelian_spectral_density(
@@ -373,14 +370,11 @@ def abelian_spectral_density(
     """
     symbol.require_hermitian()
     grid = _resolve_grid(symbol, grid)
-    values, _ = _hermitian_branches(symbol, grid)
-    order = np.argsort(values)
-    values = values[order]
+    values = np.sort(_hermitian_branches(symbol, grid.nodes()))
     weights = np.full(values.shape, 1.0 / grid.total)
 
     fine = grid.refine()
-    fine_values, _ = _hermitian_branches(symbol, fine)
-    fine_values = np.sort(fine_values)
+    fine_values = np.sort(_hermitian_branches(symbol, fine.nodes()))
     fine_weight = 1.0 / fine.total
     probes = np.unique(np.concatenate([values, fine_values]))
     if probes.size > 256:
@@ -396,68 +390,51 @@ def _log_det(symbol, vanishing, message):
     # does not compile the Mahler measure code
     from ._mahler import torus_log_det
 
-    log_value, diagnostics = torus_log_det(symbol, vanishing, message)
-    return log_value, ConvergenceReport("convergent", diagnostics)
-
-
-def _grid_levels(grid):
-    grids = [grid]
-    for _ in range(REFINEMENT_LEVELS - 1):
-        grids.append(grids[-1].refine())
-    return grids
+    log_value, diagnostics, probes = torus_log_det(symbol, vanishing, message)
+    return log_value, ConvergenceReport("convergent", diagnostics), probes
 
 
 @dataclass
 class AbelianClassReport:
-    """Determinant-class verdict of a positive symbol, with the determinant
-    when it exists; `grid` is the finest grid of the positivity check."""
+    """Determinant-class verdict of a positive symbol, and its determinant."""
 
     verdict: ConvergenceReport
     refusal: str | None
     value: float | None
     log_value: float | None
-    grid: TorusGrid
 
     @property
     def passed(self) -> bool:
         return self.refusal is None
 
 
-def abelian_determinant_class_check(
-    symbol: LaurentMatrix, grid: TorusGrid | None = None
-) -> AbelianClassReport:
+def abelian_determinant_class_check(symbol: LaurentMatrix) -> AbelianClassReport:
     """abelian_fk_det as a report: its refusals become the verdict."""
-    symbol.require_hermitian()
-    grid = _resolve_grid(symbol, grid)
-    finest = _grid_levels(grid)[-1]
     try:
-        result = abelian_fk_det(symbol, grid)
+        result = abelian_fk_det(symbol)
     except (KernelDetected, IndeterminateConvergence) as exc:
         status = "divergent" if isinstance(exc, KernelDetected) else "indeterminate"
         verdict = ConvergenceReport(status, {"reason": str(exc)})
-        return AbelianClassReport(verdict, type(exc).__name__, None, None, finest)
-    return AbelianClassReport(
-        result.convergence, None, result.value, result.log_value, finest
-    )
+        return AbelianClassReport(verdict, type(exc).__name__, None, None)
+    return AbelianClassReport(result.convergence, None, result.value, result.log_value)
 
 
-def abelian_fk_det(
-    symbol: LaurentMatrix, grid: TorusGrid | None = None
-) -> DeterminantResult:
+def abelian_fk_det(symbol: LaurentMatrix) -> DeterminantResult:
     """Determinant of a positive symbol: exp m(det F).
 
-    The symbol must be Hermitian, and its eigenvalue branches must stay
-    above the NegativeSpectrum floor on the grid and its two dyadic
-    refinements.  det F vanishing identically is a kernel of positive
-    measure and raises KernelDetected.
+    The symbol must be Hermitian, and its inertia is constant between the
+    zeros of det F: its eigenvalue branches must stay above the
+    NegativeSpectrum floor at the Mahler measure's probe points, one per arc
+    between roots on each circle solved, and at the newton_nodes that scale
+    the floor.  det F vanishing identically raises KernelDetected.
     """
     symbol.require_hermitian()
-    grid = _resolve_grid(symbol, grid)
-    for g in _grid_levels(grid):
-        _hermitian_branches(symbol, g)
-    log_value, verdict = _log_det(
+    log_value, verdict, probes = _log_det(
         symbol, KernelDetected, "positive spectral mass at zero"
     )
+    from ._mahler import newton_nodes  # loaded on first use, as in _log_det
+
+    _hermitian_branches(symbol, np.concatenate([probes, newton_nodes(symbol, symbol.size)]))
     return DeterminantResult(float(np.exp(log_value)), log_value, "spectral", verdict)
 
 
@@ -467,13 +444,13 @@ def abelian_fk_det_general(
     """Determinant of a general square symbol: exp m(det F).
 
     This is the determinant of |F| = (F^H F)^(1/2), since
-    log|det F| = sum log sigma_i pointwise.  The grid is validated but not
-    sampled.  det F vanishing identically raises KernelDetected.
+    log|det F| = sum log sigma_i pointwise.  `grid` is only validated, for
+    old callers.  det F vanishing identically raises KernelDetected.
     """
     if symbol.shape[0] != symbol.shape[1]:
         raise ShapeMismatch(f"symbol of shape {symbol.shape} has no determinant")
     _resolve_grid(symbol, grid)
-    log_value, verdict = _log_det(
+    log_value, verdict, _ = _log_det(
         symbol, KernelDetected, "determinant vanishes identically"
     )
     return DeterminantResult(float(np.exp(log_value)), log_value, "polar", verdict)
@@ -490,22 +467,19 @@ class DenseIsoReport:
     minimum_modulus: float
 
 
-def abelian_dense_isomorphism_check(
-    symbol: LaurentMatrix, grid: TorusGrid | None = None
-) -> DenseIsoReport:
+def abelian_dense_isomorphism_check(symbol: LaurentMatrix) -> DenseIsoReport:
     """Certify that multiplication by the symbol is injective with dense
     image, or refuse with NotDenselyExact.
 
     That holds exactly when det F(theta) does not vanish identically: it is
     a trigonometric polynomial, so its zero set otherwise has measure zero,
     which dense image tolerates, and m(det F) is then finite; _mahler decides
-    it on det F's Newton box.  minimum_modulus is min |det F| on the grid.
+    it on det F's Newton box.  minimum_modulus samples the default grid.
     """
     if symbol.shape[0] != symbol.shape[1]:
         raise ShapeMismatch(f"symbol of shape {symbol.shape} is not square")
-    grid = _resolve_grid(symbol, grid)
-    moduli = np.abs(np.linalg.det(symbol.evaluate_grid(grid.nodes())))
-    log_value, verdict = _log_det(
+    moduli = np.abs(np.linalg.det(symbol.evaluate_grid(TorusGrid.default(symbol.rank).nodes())))
+    log_value, verdict, _ = _log_det(
         symbol, NotDenselyExact, "symbol determinant vanishes identically"
     )
     return DenseIsoReport(float(np.exp(log_value)), log_value, verdict, float(np.min(moduli)))
@@ -575,11 +549,7 @@ def _adjacent(items, i, convention):
     return (before, after) if convention == "chain" else (after, before)
 
 
-def abelian_torsion(
-    boundaries,
-    grid: TorusGrid | None = None,
-    convention: str = "chain",
-) -> AbelianTorsionReport:
+def abelian_torsion(boundaries, convention: str = "chain") -> AbelianTorsionReport:
     """Torsion of a finite complex of free modules given by Laurent symbols.
 
     boundaries[i] connects degrees i and i+1 (towards i for the chain
@@ -591,7 +561,6 @@ def abelian_torsion(
     polynomial of its nonzero eigenvalue branches
     (detline._mahler.positive_log_det).  The coordinate multiplies those
     determinants with exponent (-1)^i i/2 (chain; negated for cochain).
-    The grid is validated but not sampled.
     """
     boundaries = list(boundaries)
     if not boundaries:
@@ -604,7 +573,6 @@ def abelian_torsion(
             raise AlgebraMismatch("maps live on tori of different ranks")
     ranks = _torsion_ranks(boundaries, convention)
     _check_composites(boundaries, convention)
-    _resolve_grid(boundaries[0], grid)
     from ._mahler import positive_log_det  # loaded on first use, as in _log_det
 
     degrees = len(ranks)

@@ -303,7 +303,7 @@ def test_structured_report_deterministic():
     b = structured_report({"z": {"x": 2, "y": 1}, "a": [1.5, 2.0], "b": 1})
     assert a == b
     parsed = json.loads(a)
-    assert parsed["format_version"] == 2
+    assert parsed["format_version"] == 3
 
     flat = text_report({"value": 2.0, "nested": {"inner": "ok"}})
     assert "value: 2" in flat
@@ -542,3 +542,28 @@ def test_polar_path_loads_no_scipy():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["det", "x.json", "--method", "foo"],
+        ["det", "x.json", "--bogus"],
+        ["det", "x.json", "--grid", "64"],
+        ["frobnicate"],
+    ],
+    ids=["bad choice", "unknown option", "removed option", "unknown subcommand"],
+)
+def test_cli_usage_error_is_an_input_error(argv, capsys):
+    # exit code 2 is kept for mathematical refusals
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_cli_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["det", "--help"])
+    assert exc.value.code == 0
+    assert "--method" in capsys.readouterr().out

@@ -276,19 +276,30 @@ def test_determinant_scaling_matches_mass():
     assert abs(scaled.value / base.value - 9.0) < 1e-8
 
 
-def test_refinement_stability():
-    rng = np.random.default_rng(31)
-    for _ in range(3):
-        f = random_positive_symbol(rng, 2)
-        base = abelian_fk_det(f).value
-        fine = abelian_fk_det(f, TorusGrid(1, 8192)).value
-        assert abs(fine - base) / base < 1e-8
+SINE = scalar({1: -0.5j, -1: 0.5j})  # sin(2 pi theta)
+# sin(2 pi (theta - 0.01))
+SINE_SHIFTED = scalar({1: -0.5j * np.exp(-0.02j * np.pi), -1: 0.5j * np.exp(0.02j * np.pi)})
 
 
 def test_negative_spectrum_refused():
-    f = LaurentMatrix.constant(np.diag([-1.0, 1.0]))
-    with pytest.raises(NegativeSpectrum):
-        abelian_fk_det(f)
+    for f in [
+        LaurentMatrix.constant(np.diag([-1.0, 1.0])),
+        # dips narrower than the spacing of a midpoint grid of 16384 nodes
+        # on the circle and of 256 per axis on the torus; the first reaches
+        # -1e-9, five times below the floor
+        scalar({0: 1.0 - 1e-9, 1: 0.5, -1: 0.5}),
+        scalar({(0, 0): 2.0 - 1e-5, (1, 0): 0.5, (-1, 0): 0.5, (0, 1): 0.5, (0, -1): 0.5}, 2),
+        # the same with y of higher degree, so y is the inner variable
+        scalar({(0, 0): 2.0 - 1e-5, (1, 0): 0.5, (-1, 0): 0.5, (0, 2): 0.5, (0, -2): 0.5}, 2),
+        # negative on (0, 0.01) and (1/2, 0.51), down to -4.1e-9, between a
+        # simple root and one of multiplicity 5, whose computed roots lie
+        # up to 8e-4 off the circle
+        symbol_power(SINE, 5) @ SINE_SHIFTED,
+    ]:
+        with pytest.raises(NegativeSpectrum):
+            abelian_fk_det(f)
+        with pytest.raises(NegativeSpectrum):
+            abelian_determinant_class_check(f)
 
 
 def test_positive_route_requires_hermitian_symbol():
@@ -460,7 +471,7 @@ def test_torus_over_its_deck_group():
     d1 = LaurentMatrix(
         2, {(1, 0): [[1.0, 0.0]], (0, 0): [[-1.0, -1.0]], (0, 1): [[0.0, 1.0]]}
     )
-    report = abelian_torsion([d1, d2], TorusGrid(2, 64))
+    report = abelian_torsion([d1, d2])
     assert report.betti == (0.0, 0.0, 0.0)
     assert report.euler_characteristic == 0
     assert abs(report.log_coordinate) < 1e-9
