@@ -49,7 +49,9 @@ GL_ORDERS = (12, 24)
 SCAN_NODES = 32
 SECTIONS = 16
 BREAKPOINT_TOL = 1e-15
-PANEL_REL_TOL = 1e-14
+# panels per turn at the start: a longer panel rarely passes the panel test
+START_PANELS = 4
+PANEL_REL_TOL = 1e-12
 PANEL_FLOOR = 1e-15
 MAX_PANELS = 500
 # a matrix row whose end blocks both have |det| below this fraction of
@@ -286,8 +288,8 @@ def _boyd(coefficients):
     on a scan are located by repeated sectioning and seed the panel
     breakpoints.  Kinks the scan cannot see, such as a root touching the
     circle tangentially, are caught by the panel test: a panel is split until
-    its two Gauss-Legendre orders agree to PANEL_REL_TOL, or PANEL_FLOOR in
-    absolute terms.  The error estimate is the sum of those disagreements.
+    its two orders agree to PANEL_REL_TOL of its integral of |integrand| (above
+    the integrand's rounding) or to PANEL_FLOOR; the gaps sum to the error estimate.
     The probe points, (x angle, phi) pairs, are those of every row solved.
     """
     powers = np.arange(coefficients.shape[1])
@@ -317,32 +319,31 @@ def _boyd(coefficients):
     x_high, w_high = _gauss_legendre(GL_ORDERS[1])
     unit = np.concatenate([x_low, x_high])
     edges = np.concatenate([[0.0], breakpoints, [1.0]])
-    panels = np.column_stack([edges[:-1], edges[1:]])
+    cuts = np.concatenate([np.linspace(a, b, int(np.ceil(START_PANELS * (b - a))), endpoint=False)
+                           for a, b in zip(edges[:-1], edges[1:])] + [[1.0]])
+    middle, half = 0.5 * (cuts[:-1] + cuts[1:]), 0.5 * np.diff(cuts)
     total, error, settled, evaluated, residual = 0.0, 0.0, 0, 0, 0.0
-    while panels.size:
-        evaluated += len(panels)
+    while half.size:
+        evaluated += half.size
         if evaluated > MAX_PANELS:
             raise IndeterminateConvergence(
                 f"Boyd quadrature did not settle within {MAX_PANELS} panels"
             )
-        middle = 0.5 * (panels[:, 0] + panels[:, 1])
-        half = 0.5 * (panels[:, 1] - panels[:, 0])
         phi = middle[:, None] + half[:, None] * unit[None, :]
         values, _, worst = solve(phi.ravel())
         residual = max(residual, worst)
         values = values.reshape(phi.shape)
         low_order = half * (values[:, : x_low.size] @ w_low)
         high_order = half * (values[:, x_low.size :] @ w_high)
+        magnitude = half * (np.abs(values[:, x_low.size :]) @ w_high)
         gap = np.abs(high_order - low_order)
-        done = gap <= np.maximum(PANEL_FLOOR, PANEL_REL_TOL * np.abs(high_order))
+        done = gap <= np.maximum(PANEL_FLOOR, PANEL_REL_TOL * magnitude)
         total += float(np.sum(high_order[done]))
         error += float(np.sum(gap[done]))
         settled += int(np.sum(done))
-        split = panels[~done]
-        cut = 0.5 * (split[:, 0] + split[:, 1])
-        panels = np.concatenate(
-            [np.column_stack([split[:, 0], cut]), np.column_stack([cut, split[:, 1]])]
-        )
+        quarter = 0.5 * half[~done]
+        middle = np.concatenate([middle[~done] - quarter, middle[~done] + quarter])
+        half = np.tile(quarter, 2)
     return total, {
         "route": "boyd",
         "breakpoints": [float(b) for b in breakpoints],

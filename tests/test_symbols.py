@@ -610,6 +610,25 @@ def test_tangential_toric_zero(axis):
     assert abs(result.log_value - 4 * CATALAN / np.pi) < 1e-12
 
 
+@pytest.mark.parametrize("seed", [68, 102])
+def test_boyd_panels_stop_at_the_rounding_level(seed):
+    # F*F for F a scaled unitary plus perturbations of 0.6 of its norm has a
+    # smooth integrand: a panel test above the integrand's rounding passes on
+    # the first partition, one below it splits on noise (19 and 15 panels)
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    scale = np.exp(rng.uniform(-0.7, 0.7))
+    terms = {(0, 0): scale * np.linalg.qr(z)[0]}
+    exponents = [(1, 0), (0, 1), (-1, 1)]
+    for exponent, share in zip(exponents, rng.dirichlet(np.ones(len(exponents)))):
+        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        terms[exponent] = 0.6 * scale * share * a / np.linalg.norm(a, 2)
+    f = LaurentMatrix(2, terms)
+    result = abelian_fk_det(f.adjoint() @ f)
+    assert result.convergence.diagnostics["panels"] <= 6
+    assert abs(result.log_value - 2 * abelian_fk_det_general(f).log_value) < 1e-12
+
+
 def test_root_on_the_circle_at_every_angle():
     f = scalar({(1, 0): 1.0, (0, 1): -1.0}, rank=2)
     assert abs(abelian_fk_det_general(f).log_value) < 1e-13
