@@ -15,7 +15,10 @@ det(P I) = P^m, stays as well conditioned as the roots of P.
 
 The positive part of a Hermitian symbol of generic rank r has the
 log-determinant m(e_r(F)), the Mahler measure of the product of its r
-nonzero eigenvalue branches; e_r(F) comes from the coefficients.
+nonzero eigenvalue branches; e_r(F) comes from the coefficients.  A map d
+has log Det+(d^H d) = log Det+(d d^H), since the two share their nonzero
+spectrum: 2 m(det d) when d is square of full generic rank, otherwise that
+of the smaller Gram matrix.
 """
 
 from __future__ import annotations
@@ -418,11 +421,11 @@ def newton_nodes(symbol, count):
     return np.stack([a.ravel() for a in axes], axis=-1)
 
 
-def _vanishes(values, samples, count):
+def _vanishes(values, norms, count):
     """Values or coefficients of a polynomial of degree count in the entries
-    stay below SYMBOL_KERNEL_REL_TOL times the largest Frobenius norm of the
-    samples to the power count."""
-    scale = float(np.max(np.sum(np.abs(samples) ** 2, axis=(1, 2)))) ** (count / 2)
+    stay below SYMBOL_KERNEL_REL_TOL times the largest of the samples'
+    Frobenius norms to the power count."""
+    scale = float(np.max(norms)) ** count
     return float(np.max(np.abs(values))) <= SYMBOL_KERNEL_REL_TOL * scale
 
 
@@ -442,7 +445,7 @@ def torus_log_det(symbol, vanishing, message):
     m = symbol.shape[0]
     if m > 1:
         samples = symbol.evaluate_grid(newton_nodes(symbol, m))
-        if _vanishes(np.linalg.det(samples), samples, m):
+        if _vanishes(np.linalg.det(samples), np.linalg.norm(samples, axis=(1, 2)), m):
             raise vanishing(message)
     return _measure(_blocks(symbol))
 
@@ -470,6 +473,33 @@ def positive_log_det(symbol, kernel_tol, vanishing, message):
     else:
         values = _minor_sum(_blocks(symbol), count)
         polynomial = values[..., None, None]
-    if _vanishes(values, samples, count):
+    if _vanishes(values, np.linalg.norm(samples, axis=(1, 2)), count):
         raise vanishing(message)
     return m - count, *_measure(polynomial)[:2]
+
+
+def map_log_det(d, kernel_tol, vanishing, message):
+    """(generic rank r, A = log Det+(d^H d), diagnostics) of a Laurent map d.
+
+    d^H d and d d^H have the same positive spectrum, so one Mahler measure
+    gives A.  A nonzero square d of size m is sampled at the newton_nodes
+    that determine its minors; r is the largest number of squared singular
+    values above kernel_tol times the largest.  At r = m, A = 2 m(det d):
+    half the degree of det(d^H d) per variable.  |det d|^2 must then not
+    vanish to SYMBOL_KERNEL_REL_TOL against the Gram matrix d^H d at those
+    nodes, whose Frobenius norm is that of the squared singular values, or
+    `vanishing` is raised.  Any other d goes to positive_log_det of its
+    smaller Gram matrix, which gives both r and A with the same relative cut.
+    """
+    rows, cols = d.shape
+    if rows == cols and d.coefficients:
+        samples = d.evaluate_grid(newton_nodes(d, rows))
+        squares = np.linalg.svd(samples, compute_uv=False) ** 2
+        if np.max(np.sum(squares > kernel_tol * np.max(squares), axis=1)) == rows:
+            if _vanishes(np.prod(squares, axis=1), np.linalg.norm(squares, axis=1), rows):
+                raise vanishing(message)
+            value, diagnostics, _ = _measure(_blocks(d))
+            return rows, 2.0 * value, dict(diagnostics, error=2.0 * diagnostics["error"])
+    gram = d.adjoint() @ d if cols <= rows else d @ d.adjoint()
+    kernel, value, diagnostics = positive_log_det(gram, kernel_tol, vanishing, message)
+    return gram.shape[0] - kernel, value, diagnostics

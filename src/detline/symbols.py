@@ -21,7 +21,10 @@ Positivity needs no sampled grid: the inertia of a Hermitian symbol is
 constant between the zeros of its determinant (see abelian_fk_det).  Nor
 does kernel rank: the rank of a symbol drops only on the zero set of a
 nonzero trigonometric polynomial, so it is the generic rank, which one
-sample on the grid fixed by the coefficients decides (see abelian_torsion).
+sample on the grid fixed by the coefficients decides.  Torsion takes one
+such rank and one Mahler measure per boundary map, not per degree: the
+Laplacian of a degree splits into the Gram matrices of its two adjacent
+maps (see abelian_torsion).
 """
 
 from __future__ import annotations
@@ -386,12 +389,16 @@ def abelian_spectral_density(
 
 
 def _log_det(symbol, vanishing, message):
+    """(m(det F), report, points): the points are the Mahler measure's
+    probes, one per arc between the roots of det F near the unit circle on
+    every circle solved, and the newton_nodes of det F."""
     # loaded on first use: a CLI process that takes no torus determinant
     # does not compile the Mahler measure code
-    from ._mahler import torus_log_det
+    from ._mahler import newton_nodes, torus_log_det
 
     log_value, diagnostics, probes = torus_log_det(symbol, vanishing, message)
-    return log_value, ConvergenceReport("convergent", diagnostics), probes
+    points = np.concatenate([probes, newton_nodes(symbol, symbol.size)])
+    return log_value, ConvergenceReport("convergent", diagnostics), points
 
 
 @dataclass
@@ -429,12 +436,10 @@ def abelian_fk_det(symbol: LaurentMatrix) -> DeterminantResult:
     the floor.  det F vanishing identically raises KernelDetected.
     """
     symbol.require_hermitian()
-    log_value, verdict, probes = _log_det(
+    log_value, verdict, points = _log_det(
         symbol, KernelDetected, "positive spectral mass at zero"
     )
-    from ._mahler import newton_nodes  # loaded on first use, as in _log_det
-
-    _hermitian_branches(symbol, np.concatenate([probes, newton_nodes(symbol, symbol.size)]))
+    _hermitian_branches(symbol, points)
     return DeterminantResult(float(np.exp(log_value)), log_value, "spectral", verdict)
 
 
@@ -459,7 +464,8 @@ def abelian_fk_det_general(
 @dataclass
 class DenseIsoReport:
     """A square symbol certified injective with dense image, and its
-    determinant."""
+    determinant.  minimum_modulus is the smallest |det F| at the Mahler
+    measure's probe points and the newton_nodes of det F."""
 
     determinant: float
     log_determinant: float
@@ -474,14 +480,17 @@ def abelian_dense_isomorphism_check(symbol: LaurentMatrix) -> DenseIsoReport:
     That holds exactly when det F(theta) does not vanish identically: it is
     a trigonometric polynomial, so its zero set otherwise has measure zero,
     which dense image tolerates, and m(det F) is then finite; _mahler decides
-    it on det F's Newton box.  minimum_modulus samples the default grid.
+    it on det F's Newton box.  minimum_modulus is the smallest |det F| at the
+    probe points the Mahler measure returns, one per arc between the roots
+    of det F near the unit circle on every circle solved, and at the
+    newton_nodes, which include theta = 0.
     """
     if symbol.shape[0] != symbol.shape[1]:
         raise ShapeMismatch(f"symbol of shape {symbol.shape} is not square")
-    moduli = np.abs(np.linalg.det(symbol.evaluate_grid(TorusGrid.default(symbol.rank).nodes())))
-    log_value, verdict, _ = _log_det(
+    log_value, verdict, points = _log_det(
         symbol, NotDenselyExact, "symbol determinant vanishes identically"
     )
+    moduli = np.abs(np.linalg.det(symbol.evaluate_grid(points)))
     return DenseIsoReport(float(np.exp(log_value)), log_value, verdict, float(np.min(moduli)))
 
 
@@ -542,25 +551,22 @@ def _check_composites(boundaries, convention):
             )
 
 
-def _adjacent(items, i, convention):
-    """(outgoing, incoming) neighbours of degree i, None past either end."""
-    before = items[i - 1] if i >= 1 else None
-    after = items[i] if i < len(items) else None
-    return (before, after) if convention == "chain" else (after, before)
-
-
 def abelian_torsion(boundaries, convention: str = "chain") -> AbelianTorsionReport:
     """Torsion of a finite complex of free modules given by Laurent symbols.
 
-    boundaries[i] connects degrees i and i+1 (towards i for the chain
-    convention, towards i+1 for the cochain one).  Each degree gets the
-    Laplacian out^H out + in in^H.  Its generic kernel rank, read off one
-    sample on the grid its coefficients fix with eigenvalues cut at
-    TORSION_KERNEL_TOL times the largest, is the betti number; the positive
-    part's determinant is the Mahler measure of the elementary symmetric
-    polynomial of its nonzero eigenvalue branches
-    (detline._mahler.positive_log_det).  The coordinate multiplies those
-    determinants with exponent (-1)^i i/2 (chain; negated for cochain).
+    boundaries[k] connects degrees k and k+1 (towards k for the chain
+    convention, towards k+1 for the cochain one).  The positive part of each
+    Laplacian splits orthogonally into the positive parts of d^H d and
+    d d^H for its two adjacent maps, and those share their nonzero spectrum
+    (Lück, L2-Invariants, Lemma 3.30).  So each map d gets one measure,
+    A = log Det+(d^H d), and its generic rank r, read off one sample on the
+    grid its coefficients fix with squared singular values cut at
+    TORSION_KERNEL_TOL times the map's own largest
+    (detline._mahler.map_log_det).  Degree i has betti number m_i minus the
+    ranks of its adjacent maps and degree log-determinant the sum of their
+    A.  The coordinate is sum_k (-1)^(k+1) A_k / 2 (chain; negated for
+    cochain), the product of the degree determinants with exponent
+    (-1)^i i/2.  verdicts holds one report per map.
     """
     boundaries = list(boundaries)
     if not boundaries:
@@ -573,39 +579,32 @@ def abelian_torsion(boundaries, convention: str = "chain") -> AbelianTorsionRepo
             raise AlgebraMismatch("maps live on tori of different ranks")
     ranks = _torsion_ranks(boundaries, convention)
     _check_composites(boundaries, convention)
-    from ._mahler import positive_log_det  # loaded on first use, as in _log_det
+    from ._mahler import map_log_det  # loaded on first use, as in _log_det
 
-    degrees = len(ranks)
-    kernel_counts, degree_logs, verdicts = [], [], []
-    for i, m in enumerate(ranks):
-        out, inc = _adjacent(boundaries, i, convention)
-        laplacian = LaurentMatrix.zero(rank, (m, m))
-        if out is not None:
-            laplacian = laplacian + out.adjoint() @ out
-        if inc is not None:
-            laplacian = laplacian + inc @ inc.adjoint()
-        kernel, log_value, diagnostics = positive_log_det(
-            laplacian,
+    measured = [
+        map_log_det(
+            b,
             TORSION_KERNEL_TOL,
             IllConditionedKernel,
-            f"positive branches of the degree {i} Laplacian accumulate at zero",
+            f"positive singular values of map {k} accumulate at zero",
         )
-        kernel_counts.append(kernel)
-        degree_logs.append(log_value)
-        verdicts.append(ConvergenceReport("convergent", diagnostics))
+        for k, b in enumerate(boundaries)
+    ]
+    # degree i sits between maps i - 1 and i; past either end the map is zero
+    map_ranks = [0, *(r for r, _, _ in measured), 0]
+    map_logs = [0.0, *(a for _, a, _ in measured), 0.0]
 
     orientation = 1.0 if convention == "chain" else -1.0
-    log_coordinate = sum(
-        orientation * ((-1.0) ** i) * (i / 2.0) * degree_logs[i]
-        for i in range(degrees)
+    log_coordinate = orientation * sum(
+        (-1.0) ** (k + 1) * a / 2.0 for k, (_, a, _) in enumerate(measured)
     )
-    chi = sum((-1) ** i * ranks[i] for i in range(degrees))
+    chi = sum((-1) ** i * m for i, m in enumerate(ranks))
     return AbelianTorsionReport(
-        tuple(float(c) for c in kernel_counts),
+        tuple(float(m - map_ranks[i] - map_ranks[i + 1]) for i, m in enumerate(ranks)),
         int(chi),
         float(np.exp(log_coordinate)),
         float(log_coordinate),
-        tuple(degree_logs),
-        tuple(verdicts),
+        tuple(map_logs[i] + map_logs[i + 1] for i in range(len(ranks))),
+        tuple(ConvergenceReport("convergent", d) for _, _, d in measured),
         convention,
     )

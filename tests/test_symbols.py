@@ -10,6 +10,7 @@ test.
 import numpy as np
 import pytest
 
+from detline._mahler import map_log_det, positive_log_det
 from detline.determinant import SpectralDensity
 from detline.errors import (
     AlgebraMismatch,
@@ -26,6 +27,7 @@ from detline.errors import (
 )
 from detline.symbols import (
     HERMITIAN_SYMBOL_TOL,
+    TORSION_KERNEL_TOL,
     LaurentMatrix,
     TorusGrid,
     abelian_dense_isomorphism_check,
@@ -408,7 +410,8 @@ def test_dense_isomorphism_accepts_t_minus_1():
     report = abelian_dense_isomorphism_check(T_MINUS_1)
     assert abs(report.determinant - 1.0) < 1e-9
     assert report.verdict.passed
-    assert report.minimum_modulus > 0.0
+    # the infimum of |t - 1|, reached at the Newton node theta = 0
+    assert report.minimum_modulus == 0.0
 
 
 def test_dense_isomorphism_rejects_vanishing_determinant():
@@ -462,19 +465,36 @@ def test_circle_over_the_integers_has_trivial_torsion():
     assert report.betti == (0.0, 0.0)
 
 
+# cells of the square torus with both loops sent to coordinate shifts
+DECK_D2 = LaurentMatrix(
+    2,
+    {(0, 0): [[1.0], [-1.0]], (0, 1): [[-1.0], [0.0]], (1, 0): [[0.0], [1.0]]},
+)
+DECK_D1 = LaurentMatrix(
+    2, {(1, 0): [[1.0, 0.0]], (0, 0): [[-1.0, -1.0]], (0, 1): [[0.0, 1.0]]}
+)
+
+
 def test_torus_over_its_deck_group():
-    # cells of the square torus with both loops sent to coordinate shifts
-    d2 = LaurentMatrix(
-        2,
-        {(0, 0): [[1.0], [-1.0]], (0, 1): [[-1.0], [0.0]], (1, 0): [[0.0], [1.0]]},
-    )
-    d1 = LaurentMatrix(
-        2, {(1, 0): [[1.0, 0.0]], (0, 0): [[-1.0, -1.0]], (0, 1): [[0.0, 1.0]]}
-    )
-    report = abelian_torsion([d1, d2])
+    report = abelian_torsion([DECK_D1, DECK_D2])
     assert report.betti == (0.0, 0.0, 0.0)
     assert report.euler_characteristic == 0
     assert abs(report.log_coordinate) < 1e-9
+
+
+@pytest.mark.parametrize("scale", [1e3, 1e6])
+def test_kernel_cut_does_not_mix_the_scales_of_two_maps(scale):
+    # s d1 scales Det+ of the degree 0 and 1 Laplacian pieces by s^2 and
+    # leaves d2's alone, so the torsion is 1 / s.  A cut against one
+    # Laplacian's largest eigenvalue would put d2's branches (of order 1)
+    # next to s^2
+    chain = abelian_torsion([scale * DECK_D1, DECK_D2])
+    cochain = abelian_torsion(
+        [(scale * DECK_D1).adjoint(), DECK_D2.adjoint()], convention="cochain"
+    )
+    for report, sign in [(chain, -1.0), (cochain, 1.0)]:
+        assert report.betti == (0.0, 0.0, 0.0)
+        assert report.log_coordinate == pytest.approx(sign * np.log(scale), abs=1e-9)
 
 
 def test_zero_map_complex_has_full_homology():
@@ -525,9 +545,9 @@ def test_kernel_with_a_zero_of_high_order(p):
     assert abs(report.log_coordinate + 0.5 * np.log(2.0)) < 1e-12
 
 
-def test_torsion_samples_each_laplacian_once(monkeypatch):
-    # a 3 x 3 map with Newton box [-1, 1] x [0, 1]: both Laplacians have the
-    # box [-2, 2] x [-1, 1], and three times it is a 13 x 7 grid
+def test_torsion_samples_each_map_once(monkeypatch):
+    # a 3 x 3 map with Newton box [-1, 1] x [0, 1]: three times it is a
+    # 7 x 4 grid, which fixes its 3 x 3 minors
     rng = np.random.default_rng(5)
     terms = {k: rng.normal(size=(3, 3)) for k in [(1, 0), (0, 1), (-1, 1)]}
     terms[(0, 0)] = 10.0 * np.eye(3)
@@ -540,7 +560,7 @@ def test_torsion_samples_each_laplacian_once(monkeypatch):
     )
     report = abelian_torsion([LaurentMatrix(2, terms)])
     assert report.betti == (0.0, 0.0)
-    assert sum(nodes) <= 2 * 13 * 7
+    assert sum(nodes) <= 7 * 4
 
 
 def test_positive_part_below_the_vanishing_tolerance_refuses():
@@ -561,6 +581,55 @@ def test_repeated_factors_on_the_two_torus_refuse(p):
     # Boyd's quadrature does not settle there, and no number is returned
     with pytest.raises(MathematicalRefusal):
         abelian_torsion([doubled_row(p)])
+
+
+def laplacian_torsion(boundaries):
+    """(betti, log coordinate) of a chain complex from one positive_log_det
+    per degree Laplacian, with exponent (-1)^i i/2 on degree i."""
+    ranks = [boundaries[0].shape[0]] + [b.shape[1] for b in boundaries]
+    betti, log_coordinate = [], 0.0
+    for i, m in enumerate(ranks):
+        laplacian = LaurentMatrix.zero(boundaries[0].rank, (m, m))
+        if i >= 1:
+            laplacian = laplacian + boundaries[i - 1].adjoint() @ boundaries[i - 1]
+        if i < len(boundaries):
+            laplacian = laplacian + boundaries[i] @ boundaries[i].adjoint()
+        kernel, log_value, _ = positive_log_det(
+            laplacian, TORSION_KERNEL_TOL, IllConditionedKernel, "vanishes"
+        )
+        betti.append(float(kernel))
+        log_coordinate += (-1.0) ** i * (i / 2.0) * log_value
+    return tuple(betti), log_coordinate
+
+
+def random_square_map(seed, rank):
+    rng = np.random.default_rng(seed)
+    return random_symbol(rng, 2, degree=1, rank=rank) + 4.0 * LaurentMatrix.identity(rank, 2)
+
+
+@pytest.mark.parametrize(
+    "boundaries",
+    [
+        [DECK_D1, DECK_D2],
+        [doubled_row(symbol_power(T_MINUS_1, 4))],
+        [doubled_row(symbol_power(X_MINUS_1, 3))],
+        [random_square_map(7, 1)],
+        [random_square_map(8, 2)],
+    ],
+    ids=["deck", "t-1^4", "x-1^3", "square rank 1", "square rank 2"],
+)
+def test_per_map_torsion_matches_the_laplacian_route(boundaries):
+    report = abelian_torsion(boundaries)
+    betti, log_coordinate = laplacian_torsion(boundaries)
+    assert report.betti == betti
+    assert abs(report.log_coordinate - log_coordinate) < 1e-12
+    map_logs = [0.0]
+    for d in boundaries:
+        map_logs.append(map_log_det(d, TORSION_KERNEL_TOL, IllConditionedKernel, "vanishes")[1])
+    map_logs.append(0.0)
+    assert len(report.verdicts) == len(boundaries)
+    for i, log_value in enumerate(report.degree_log_determinants):
+        assert log_value == map_logs[i] + map_logs[i + 1]
 
 
 def test_torsion_agrees_with_general_determinant():
