@@ -278,25 +278,29 @@ class GroupAlgebraDecomposition:
     group_images: list[AlgebraElement]
     table: FiniteGroupTable
 
+    def block_images(self) -> list[np.ndarray]:
+        """img_k(g) for every g, one array of shape (order, n_k, n_k) per block."""
+        return [np.stack(mats) for mats in zip(*(img.block_matrices for img in self.group_images))]
+
     def element_from_coefficients(self, coeffs) -> AlgebraElement:
         """Block image of sum_g coeffs[g] . g."""
         coeffs = np.asarray(coeffs, dtype=complex)
         if coeffs.shape != (self.table.order,):
             raise ShapeMismatch("need one coefficient per group element")
-        out = self.algebra.zero()
-        for c, img in zip(coeffs, self.group_images):
-            out = out + c * img
-        return out
+        return AlgebraElement(
+            self.algebra, [np.tensordot(coeffs, s, axes=1) for s in self.block_images()]
+        )
 
     def coefficients_from_element(self, x: AlgebraElement) -> np.ndarray:
-        """Inverse of element_from_coefficients; the block map is bijective."""
-        cols = np.stack(
-            [np.concatenate([b.ravel() for b in img.block_matrices]) for img in self.group_images],
-            axis=1,
+        """Inverse of element_from_coefficients, by Fourier inversion: the
+        trace is the coefficient of the identity and img(g)* = img(g^-1), so
+        the coefficient of g is tau(x img(g)*) = sum_k w_k tr(x_k img_k(g)^H)."""
+        return sum(
+            w * np.einsum("ab,gab->g", xk, s.conj())
+            for w, xk, s in zip(
+                self.algebra.weights, x.block_matrices, self.block_images(), strict=True
+            )
         )
-        target = np.concatenate([b.ravel() for b in x.block_matrices])
-        coeffs, *_ = np.linalg.lstsq(cols, target, rcond=None)
-        return coeffs
 
 
 def build_group_algebra(table: FiniteGroupTable, *, seed: int = 0) -> GroupAlgebraDecomposition:

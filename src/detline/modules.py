@@ -14,9 +14,14 @@ coordinates key that says which user coordinates its carrier is read in
 direct sum).  Carrier-sized matrices exist only at I/O: a basis_map or
 carrier gram a caller supplies is checked and reduced to blocks once, and
 the basis_map and reference_gram.matrix of a direct sum are built only when
-asked for.  Grams enter as blocks: resolve_gram is the one place a gram
-(carrier matrix, commutant operator or gram data) becomes gram data, and
-with_reference_gram re-metrises a module without touching its coordinates.
+asked for.  Carrier input is checked as _linalg checks residuals: the
+block model is subtracted in place and the Frobenius norm of the rest is
+compared with the tolerance times the largest entry, at least as strict as
+operator norms; no kron, least-squares solve or SVD runs between a
+document and its blocks.  Grams enter as blocks: resolve_gram is the one
+place a gram (carrier matrix, commutant operator or gram data) becomes
+gram data, and with_reference_gram re-metrises a module without touching
+its coordinates.
 
 Everything A-linear is stored blockwise: a morphism M -> N decomposes as
 blkdiag_k(1_{n_k} kron F_k) in canonical coordinates with F_k of shape
@@ -75,7 +80,7 @@ class HilbertianModule:
             u = as_complex_matrix(basis_map)
             if u.shape != (self.carrier_dim, self.carrier_dim):
                 raise ShapeMismatch("basis map has wrong shape")
-            if operator_norm(u.conj().T @ u - np.eye(self.carrier_dim)) > 1e-8:
+            if np.linalg.norm(u.conj().T @ u - np.eye(self.carrier_dim)) > 1e-8:
                 raise ValidationError("basis map must be unitary")
             self._basis_map = u
 
@@ -334,29 +339,25 @@ def resolve_gram(module: HilbertianModule, gram=None) -> _GramData:
 def _extract_blocks(source, target, mat):
     """Blockwise form of an A-linear map, plus the reconstruction residual.
 
-    Returns (blocks, residual, scale) where blocks[k] has shape
-    (m_k(target), m_k(source)).  The residual measures the distance of mat
-    from blkdiag_k(1_{n_k} kron F_k) in canonical coordinates; it is the
-    caller's job to compare against a tolerance.
+    Returns (blocks, residual, scale): blocks[k], of shape (m_k(target),
+    m_k(source)), is the mean of the n_k diagonal copies of F_k in canonical
+    coordinates; the residual is the Frobenius norm of mat there less each
+    1_{n_k} kron F_k, and the scale max(1, largest entry modulus) of mat.
     """
-    can = mat if target.basis_map is None else target.basis_map.conj().T @ mat
-    if source.basis_map is not None:
-        can = can @ source.basis_map
-    dims = source.algebra.block_dims
+    ut, us = target.basis_map, source.basis_map
+    can = mat.copy() if ut is None else ut.conj().T @ mat
+    if us is not None:
+        can = can @ us
+    scale = max(1.0, float(np.max(np.abs(can), initial=0.0)))
     blocks = []
-    recon = np.zeros_like(can)
-    for k, n in enumerate(dims):
-        ms, mt = source.multiplicities[k], target.multiplicities[k]
+    for k, n in enumerate(source.algebra.block_dims):
         piece = can[target.block_slice(k), source.block_slice(k)]
-        piece = piece.reshape(n, mt, n, ms)
+        piece = piece.reshape(n, target.multiplicities[k], n, source.multiplicities[k])
         f = np.einsum("aiaj->ij", piece) / n
         blocks.append(f)
-        recon[target.block_slice(k), source.block_slice(k)] = np.kron(np.eye(n), f).reshape(
-            n * mt, n * ms
-        )
-    resid = operator_norm(can - recon)
-    scale = max(1.0, operator_norm(can))
-    return blocks, resid, scale
+        diag = np.arange(n)
+        piece[diag, :, diag, :] -= f
+    return blocks, float(np.linalg.norm(can)), scale
 
 
 class ModuleMorphism:
@@ -692,6 +693,8 @@ def module_from_group_action(
     images: one unitary matrix per group element.  The basis is built from
     the images of the matrix units of each block, so the stored unitary does
     exactly and deterministically what eigen-clustering would do generically.
+    Matrix-unit images come by Fourier inversion; products and the round
+    trip are checked by Frobenius norms at 1e-8.
     """
     table = dec.table
     images = [as_complex_matrix(m) for m in images]
@@ -713,36 +716,27 @@ def module_from_group_action(
         if bad.size:
             raise ValidationError(f"images do not respect the product at ({g},{bad[0]})")
 
-    def rep_of(x: AlgebraElement) -> np.ndarray:
-        coeffs = dec.coefficients_from_element(x)
-        return sum(c * img for c, img in zip(coeffs, images))
-
+    # units[a] = rep(E_k(a, 0)) = sum_g w_k conj(img_k(g)[a, 0]) images[g];
+    # frame[a] holds the columns of u for copy a.
     alg = dec.algebra
-    cols = []
-    mult = []
-    for k, n in enumerate(alg.block_dims):
-        units_first_col = []
-        for a in range(n):
-            blocks = [np.zeros((nn, nn), dtype=complex) for nn in alg.block_dims]
-            blocks[k][a, 0] = 1.0
-            units_first_col.append(rep_of(AlgebraElement(alg, blocks)))
-        p11 = units_first_col[0]  # projection onto the (k, column-1) slot
-        basis = orthonormal_range(p11, rtol=1e-8)
-        mk = basis.shape[1]
-        mult.append(mk)
-        for a in range(n):
-            shifted = units_first_col[a] @ basis
-            for i in range(mk):
-                cols.append(shifted[:, i])
+    block_images = dec.block_images()
+    frames = []
+    for w, imgs in zip(alg.weights, block_images):
+        units = np.tensordot(w * imgs[:, :, 0].conj().T, stack, axes=1)
+        basis = orthonormal_range(units[0], rtol=1e-8)  # range of the (k, column-1) projection
+        frames.append(units @ basis)
+    mult = [f.shape[2] for f in frames]
     if sum(n * m for n, m in zip(alg.block_dims, mult)) != d:
         raise ValidationError("action does not fill the carrier; not a module over this algebra")
-    u = np.stack(cols, axis=1)
+    u = np.concatenate([f.transpose(1, 0, 2).reshape(d, -1) for f in frames], axis=1)
     module = HilbertianModule(alg, mult, basis_map=u, reference_gram=reference_gram)
-    # round-trip check: the given images must equal the module action
-    for g in range(table.order):
-        want = module.action(dec.group_images[g])
-        if operator_norm(want - images[g]) > 1e-8:
-            raise ValidationError("normalized module does not reproduce the raw action")
+    # round trip: module.action(img(g)) is sum_k,a,b img_k(g)[a, b] frame[a] frame[b]^H
+    resid = -stack.reshape(table.order, -1)
+    for imgs, f in zip(block_images, frames):
+        units = f[:, None] @ f.conj().transpose(0, 2, 1)
+        resid += imgs.reshape(table.order, -1) @ units.reshape(len(f) ** 2, -1)
+    if np.max(np.linalg.norm(resid, axis=1)) > 1e-8:
+        raise ValidationError("normalized module does not reproduce the raw action")
     return module
 
 

@@ -317,13 +317,21 @@ def test_determinism_same_seed():
         assert x.is_close_to(y, tol=1e-14)
 
 
-def test_coefficient_round_trip():
-    table = FiniteGroupTable.cyclic(4)
+@pytest.mark.parametrize(
+    "table",
+    [FiniteGroupTable.cyclic(4), FiniteGroupTable.symmetric(3), FiniteGroupTable.symmetric(4)],
+    ids=["C4", "S3", "S4"],
+)
+def test_coefficient_round_trip(table):
     dec = build_group_algebra(table)
     rng = np.random.default_rng(11)
-    coeffs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    coeffs = rng.standard_normal(table.order) + 1j * rng.standard_normal(table.order)
     x = dec.element_from_coefficients(coeffs)
     back = dec.coefficients_from_element(x)
     assert np.allclose(back, coeffs, atol=1e-10)
     # the trace picks out the identity coefficient
     assert dec.algebra.trace(x) == pytest.approx(complex(coeffs[0]), abs=1e-10)
+    # Fourier inversion sends the image of g to the unit vector e_g
+    units = np.eye(table.order)
+    for g, img in enumerate(dec.group_images):
+        assert np.allclose(dec.coefficients_from_element(img), units[g], atol=1e-10)

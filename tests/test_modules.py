@@ -3,6 +3,7 @@ import pytest
 
 from detline.algebra import FiniteGroupTable, FiniteVonNeumannAlgebra, build_group_algebra
 from detline.determinant import fk_det_spectral
+from detline.documents import decode_module
 from detline.errors import (
     AlgebraMismatch,
     NotAdmissible,
@@ -224,11 +225,8 @@ def test_regular_module_action_is_left_translation():
         CommutantOperator.from_matrix(reg, table.right_translation(g), tol=1e-8)
 
 
-def test_module_from_group_action_round_trip():
-    table = FiniteGroupTable.cyclic(3)
-    dec = build_group_algebra(table)
+def _c3_regular_twice_plus_trivial(table):
     # two copies of the regular rep plus one extra trivial summand
-    omega = np.exp(2j * np.pi / 3)
     images = []
     for g in range(3):
         l = table.left_translation(g)
@@ -241,11 +239,62 @@ def test_module_from_group_action_round_trip():
                 ]
             )
         )
+    return images
+
+
+def _regular_images(table):
+    return [table.left_translation(g) for g in range(table.order)]
+
+
+@pytest.mark.parametrize(
+    "table,images_of,mult",
+    [
+        (FiniteGroupTable.cyclic(3), _c3_regular_twice_plus_trivial, (3, 2, 2)),
+        # blocks (1, 1, 2) with multiplicities (1, 1, 2): n_k = m_k = 2
+        (FiniteGroupTable.symmetric(3), _regular_images, (1, 1, 2)),
+    ],
+    ids=["C3", "S3"],
+)
+def test_module_from_group_action_round_trip(table, images_of, mult):
+    dec = build_group_algebra(table)
+    images = images_of(table)
     mod = module_from_group_action(dec, images)
-    assert sorted(mod.multiplicities) == sorted((3, 2, 2))
-    assert mod.carrier_dim == 7
-    for g in range(3):
+    assert sorted(mod.multiplicities) == sorted(mult)
+    assert mod.carrier_dim == len(images[0])
+    for g in range(table.order):
         assert np.allclose(mod.action(dec.group_images[g]), images[g], atol=1e-8)
+
+
+def test_carrier_input_takes_no_kron_lstsq_or_svd(monkeypatch):
+    # blocks are read by Fourier inversion and in-place block-model
+    # residuals; np.kron is left to the exports (action, to_matrix)
+    reg = regular_module(build_group_algebra(FiniteGroupTable.cyclic(6)))
+    total = direct_sum(reg, reg)
+    rng = np.random.default_rng(4)
+    inputs = [(mod, random_commutant_op(mod, rng).to_matrix()) for mod in (reg, total)]
+    shift = np.roll(np.eye(24), 1, axis=0).tolist()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("carrier kron or lstsq")
+
+    monkeypatch.setattr(np, "kron", refuse)
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    assert decode_module({"action_generators": [shift]}).multiplicities == (1,) * 24
+
+    counts = [0]
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        counts[0] += 1
+        return svd(*args, **kwargs)
+
+    # np.linalg.norm(x, 2) calls the svd of numpy's implementation module
+    impl = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(impl, "svd", counted)
+    for mod, mat in inputs:
+        CommutantOperator.from_matrix(mod, mat)
+    assert counts[0] == 0
 
 
 def test_module_from_group_action_refuses_a_broken_product():
