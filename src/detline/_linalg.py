@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NegativeSpectrum
+from .errors import NegativeSpectrum, ShapeMismatch, ValidationError
 
 HERMITIAN_TOL = 1e-10  # relative residual of is_hermitian
 DEFINITE_TOL = 1e-10  # relative eigenvalue floor of inv_sqrt_pd
@@ -20,9 +20,14 @@ RANK_RTOL = 1e-10  # relative singular-value cut of nullspace and orthonormal_ra
 
 
 def as_complex_matrix(a) -> np.ndarray:
-    m = np.asarray(a, dtype=complex)
+    """a as a complex 2-d array; ValidationError for entries that are not
+    numbers, ShapeMismatch for any other number of dimensions."""
+    try:
+        m = np.asarray(a, dtype=complex)
+    except (TypeError, ValueError) as err:
+        raise ValidationError(f"expected a matrix of numbers: {err}") from None
     if m.ndim != 2:
-        raise ValueError(f"expected a matrix, got ndim={m.ndim}")
+        raise ShapeMismatch(f"expected a matrix, got ndim={m.ndim}")
     return m
 
 

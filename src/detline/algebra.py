@@ -107,14 +107,8 @@ class FiniteVonNeumannAlgebra:
             raise ValidationError("trace scale must be positive")
         return FiniteVonNeumannAlgebra(tuple((n, lam * w) for n, w in self.blocks))
 
-    def random_element(self, rng: np.random.Generator, hermitian: bool = False) -> "AlgebraElement":
-        mats = []
-        for n in self.block_dims:
-            m = random_complex(rng, (n, n))
-            if hermitian:
-                m = 0.5 * (m + m.conj().T)
-            mats.append(m)
-        return AlgebraElement(self, mats)
+    def random_element(self, rng: np.random.Generator) -> "AlgebraElement":
+        return AlgebraElement(self, [random_complex(rng, (n, n)) for n in self.block_dims])
 
 
 class AlgebraElement:
@@ -303,17 +297,18 @@ class GroupAlgebraDecomposition:
         )
 
 
-def build_group_algebra(table: FiniteGroupTable, *, seed: int = 0) -> GroupAlgebraDecomposition:
+def build_group_algebra(table: FiniteGroupTable) -> GroupAlgebraDecomposition:
     """Decompose C[G] into weighted matrix blocks from its table alone.
 
-    Deterministic for a fixed seed; a handful of reseeded retries guard the
-    measure-zero event of eigenvalue collisions across inequivalent blocks.
+    Deterministic: attempts draw from seeds 0 to 5 in turn, and the retries
+    guard the measure-zero event of eigenvalue collisions across
+    inequivalent blocks.
     """
     if table.order > MAX_GROUP_ORDER:
         raise ValidationError(f"group order {table.order} exceeds limit {MAX_GROUP_ORDER}")
     last_err = None
     for attempt in range(6):
-        rng = np.random.default_rng(seed + attempt)
+        rng = np.random.default_rng(attempt)
         try:
             return _decompose_once(table, rng)
         except (DecompositionFailure, NegativeSpectrum) as err:  # resample

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import nullspace, operator_norm, orthonormal_range
+from ._linalg import nullspace, orthonormal_range
 from .determinant import ConvergenceReport, SpectralDensity, _tilde_blocks
 from .errors import IllConditionedKernel, ValidationError
 from .lines import (
@@ -46,7 +46,6 @@ MELLIN_PANELS = 16
 MELLIN_NODES = 24
 MELLIN_T_MIN = 1e-6  # the Mellin integral is cut to [MELLIN_T_MIN, MELLIN_T_MAX]
 MELLIN_T_MAX = 50.0
-VALIDATION_SEED = 0  # seed of validate_complex's random algebra element
 
 CHAIN = "chain"
 COCHAIN = "cochain"
@@ -147,30 +146,19 @@ class HilbertianChainComplex:
 @dataclass
 class ComplexValidationReport:
     boundary_residual: float
-    action_residual: float
     grams_admissible: tuple
     valid: bool
 
 
 def validate_complex(complex_) -> ComplexValidationReport:
-    """Report-style health check: composition residual, A-linearity of the
-    maps, admissibility of the per-degree products."""
-    rng = np.random.default_rng(VALIDATION_SEED)
+    """Report-style health check: composition residual and admissibility of
+    the per-degree products.  The maps are stored as blocks 1 (x) F_k, which
+    commute with the action x_k (x) 1 by construction, so A-linearity needs
+    no check."""
     boundary = complex_.boundary_residual()
-
-    action = 0.0
-    x = complex_.algebra.random_element(rng)
-    for f in complex_.maps:
-        mat = f.to_matrix()
-        left = f.source.action(x)
-        right = f.target.action(x)
-        scale = max(operator_norm(mat) * x.norm(), 1.0)
-        action = max(action, operator_norm(right @ mat - mat @ left) / scale)
-
     grams_ok = [gram_defect(m.reference_gram.blocks) is None for m in complex_.modules]
-
-    valid = boundary <= BOUNDARY_TOL and action <= BOUNDARY_TOL and all(grams_ok)
-    return ComplexValidationReport(boundary, action, tuple(grams_ok), valid)
+    valid = boundary <= BOUNDARY_TOL and all(grams_ok)
+    return ComplexValidationReport(boundary, tuple(grams_ok), valid)
 
 
 # -- Hodge ---------------------------------------------------------------
@@ -448,19 +436,18 @@ class ZetaReport:
         return float(value / math.gamma(s))
 
 
-def zeta_suite(complex_, grid=None, hodge_data: HodgeData | None = None) -> ZetaReport:
+def zeta_suite(complex_, hodge_data: HodgeData | None = None) -> ZetaReport:
     """Closed-form zeta data for the positive Laplacian spectra.
 
     zeta_j(s, lam) = sum w (lam_i + lam)^(-s); its s-derivative at 0 with
     lam -> 0 is -sum w log lam_i; degrees combine with weight (-1)^j j.  The
     normalization exp(zeta'/2) coincides with the cochain-exponent product
-    of the positive determinants; both are computed and reported.
+    of the positive determinants; both are computed and reported.  theta is
+    sampled at 40 log-spaced times from 1e-4 to 10.
     """
     if hodge_data is None:
         hodge_data = hodge(complex_)
-    if grid is None:
-        grid = np.geomspace(1e-4, 10.0, 40)
-    grid = np.asarray(grid, dtype=float)
+    grid = np.geomspace(1e-4, 10.0, 40)
 
     densities = hodge_data.positive_densities
     theta = []

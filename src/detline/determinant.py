@@ -12,7 +12,8 @@ Two independent routes are kept deliberately separate and never collapsed:
 
 A general invertible operator gets the polar route: the square root of the
 spectral determinant of A* A.  Self-adjointness, positivity and adjoints are
-all relative to an admissible gram.
+taken against the module's reference gram; to measure against another
+admissible gram, build the operator on module.with_reference_gram(gram).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .errors import (
     PathLeavesGL,
     ValidationError,
 )
-from .modules import CommutantOperator, HilbertianModule, resolve_gram
+from .modules import CommutantOperator, HilbertianModule
 
 KERNEL_REL_TOL = 1e-12
 SELF_ADJOINT_TOL = 1e-8
@@ -74,9 +75,9 @@ class SpectralDensity:
     def counting(self, lam: float) -> float:
         return float(np.sum(self.weights[self.values <= lam]))
 
-    def log_moment(self, lower: float = 0.0) -> float:
-        """Integral of log(lambda) over atoms with lambda > lower."""
-        keep = self.values > lower
+    def log_moment(self) -> float:
+        """Integral of log(lambda) over the atoms with lambda > 0."""
+        keep = self.values > 0.0
         return float(np.sum(self.weights[keep] * np.log(self.values[keep])))
 
 
@@ -88,13 +89,14 @@ class DeterminantResult:
     convergence: ConvergenceReport = field(default_factory=ConvergenceReport)
 
 
-def _tilde_blocks(module, op, gram=None):
-    """Conjugate blocks into coordinates where the gram is the identity.
+def _tilde_blocks(module, op):
+    """Conjugate blocks into coordinates where the reference gram is the
+    identity.
 
     W B W^{-1} with W = gram^(1/2) turns gram-self-adjoint into Hermitian
     and gram-unitary into unitary, block by block.
     """
-    g = resolve_gram(module, gram)
+    g = module.reference_gram
     return [
         w @ b @ wi for w, b, wi in zip(g.sqrt_blocks, op.blocks, g.inv_sqrt_blocks)
     ]
@@ -110,14 +112,13 @@ def _check_operator(module, op):
 def spectral_density(
     module: HilbertianModule,
     op: CommutantOperator,
-    gram=None,
 ) -> SpectralDensity:
     """Eigenvalue distribution of a gram-self-adjoint positive operator.
 
     scale is the largest |eigenvalue| of the Hermitian parts (at most the
     operator norm) and the self-adjoint residual a Frobenius norm."""
     _check_operator(module, op)
-    tilde = _tilde_blocks(module, op, gram)
+    tilde = _tilde_blocks(module, op)
     vals = []
     weights = []
     for (n, w), b in zip(module.algebra.blocks, tilde):
@@ -143,14 +144,13 @@ def spectral_density(
 def fk_det_spectral(
     module: HilbertianModule,
     op: CommutantOperator,
-    gram=None,
 ) -> DeterminantResult:
     """Determinant of a positive operator from its spectral density.
 
     Refuses (KernelDetected) if any spectral mass sits at zero, where the
     log integral is -inf; no number is produced in that case.
     """
-    density = spectral_density(module, op, gram)
+    density = spectral_density(module, op)
     if density.total_mass == 0.0:
         # zero module: empty product
         return DeterminantResult(1.0, 0.0, "spectral")
@@ -232,7 +232,6 @@ def _positive_factor(b):
 def fk_det_path(
     module: HilbertianModule,
     op: CommutantOperator,
-    gram=None,
     *,
     path: str = "auto",
 ) -> DeterminantResult:
@@ -247,7 +246,7 @@ def fk_det_path(
     _check_operator(module, op)
     if path not in ("auto", "segment", "polar"):
         raise ValidationError(f"unknown path kind {path!r}")
-    tilde = _tilde_blocks(module, op, gram)
+    tilde = _tilde_blocks(module, op)
     _require_invertible(tilde)
     weights = [w for _, w in module.algebra.blocks]
     grid = np.linspace(0.0, 1.0, PATH_STEPS + 1)
@@ -265,16 +264,13 @@ def fk_det_path(
     return DeterminantResult(float(np.exp(log_det)), float(log_det), "path")
 
 
-def fk_det(module: HilbertianModule, op: CommutantOperator, gram=None) -> DeterminantResult:
+def fk_det(module: HilbertianModule, op: CommutantOperator) -> DeterminantResult:
     """Determinant of a general invertible operator: sqrt det of A* A."""
     _check_operator(module, op)
-    tilde = _tilde_blocks(module, op, gram)
-    _require_invertible(tilde)
-    g = resolve_gram(module, gram)
-    star = op.adjoint(source_gram=g, target_gram=g)
-    inner = star @ op
+    _require_invertible(_tilde_blocks(module, op))
+    inner = op.adjoint() @ op
     try:
-        inner_det = fk_det_spectral(module, inner, gram)
+        inner_det = fk_det_spectral(module, inner)
     except KernelDetected as err:
         raise NonInvertible(str(err)) from err
     return DeterminantResult(

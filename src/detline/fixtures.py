@@ -123,14 +123,13 @@ def sign_representation(generators, side: str = "right") -> GroupRepresentation:
     return scalar_representation({name: -1.0 for name in generators}, side)
 
 
-def regular_cyclic_representation(n: int, generator: str = "t",
-                                  side: str = "right") -> GroupRepresentation:
-    """l2 of the cyclic group of order n; the generator acts by right
+def regular_cyclic_representation(n: int, side: str = "right") -> GroupRepresentation:
+    """l2 of the cyclic group of order n; the generator t acts by right
     translation, which generates the commutant of the left action."""
     dec = build_group_algebra(FiniteGroupTable.cyclic(n))
     module = regular_module(dec)
     image = CommutantOperator.from_matrix(module, dec.table.right_translation(1 % n))
-    return GroupRepresentation(module, {generator: image}, side)
+    return GroupRepresentation(module, {"t": image}, side)
 
 
 def regular_product_representation(orders, generators,
@@ -189,16 +188,14 @@ def split_torus_face(complex_: CellComplex):
     return elementary_subdivide(complex_, 2, "F", data)
 
 
-def split_edge(complex_: CellComplex, label: str, names=None):
+def split_edge(complex_: CellComplex, label: str):
     """Split one edge at a new midpoint vertex.
 
     The edge boundary must consist of one +1 word and one -1 word (possibly
-    on the same vertex); the halves run start to midpoint and midpoint to
-    end, keeping the original words.
+    on the same vertex); the halves, label+ and label-, run start to the
+    midpoint labelm and from there to the end, keeping the original words.
     """
-    if names is None:
-        names = (f"{label}+", f"{label}-", f"{label}m")
-    plus, minus, mid = names
+    plus, minus, mid = f"{label}+", f"{label}-", f"{label}m"
     idx = complex_.cell_index(1, label)
     column = [complex_.boundaries[0][j][idx] for j in range(len(complex_.cells[0]))]
     positive = []

@@ -4,8 +4,12 @@ A module over A = sum_k M_{n_k}(C) is stored by its multiplicities
 (m_1, ..., m_r): the canonical carrier is sum_k C^{n_k} (x) C^{m_k} and the
 algebra acts by x |-> blkdiag_k(x_k kron 1_{m_k}).  The carrier has no
 preferred scalar product; a reference gram (positive, invertible, commuting
-with the action) is part of the data and all metric notions are taken
-relative to some admissible gram.
+with the action) is part of the data, and every metric notion (adjoint,
+submodule frame, spectral density, determinant, torsion) is taken against
+it.  The metric is chosen when a module is built, through
+HilbertianModule(reference_gram=), with_reference_gram, regular_module or
+module_from_group_action, and nowhere else: no function takes a per-call
+gram.
 
 Blocks are the representation.  A module is its algebra, its multiplicities,
 one reference-gram block of shape (m_k, m_k) per algebra block, and a
@@ -315,16 +319,14 @@ class _GramData:
         return self._power_blocks()[2]
 
 
-def resolve_gram(module: HilbertianModule, gram=None) -> _GramData:
+def resolve_gram(module: HilbertianModule, gram) -> _GramData:
     """The one way a gram becomes gram data.
 
-    Accepts None (the module's reference), gram data or an operator on a
-    module with the same coordinates (operators are checked blockwise), or
-    a carrier matrix (checked in full: shape, self-adjointness, commutation
-    with the action, positivity).
+    Accepts gram data or an operator on a module with the same coordinates
+    (operators are checked blockwise), or a carrier matrix (checked in
+    full: shape, self-adjointness, commutation with the action,
+    positivity).
     """
-    if gram is None:
-        return module.reference_gram
     if isinstance(gram, _GramData):
         if not gram.module.same_coordinates(module):
             raise AlgebraMismatch("gram belongs to a different module")
@@ -380,14 +382,14 @@ class ModuleMorphism:
         self.blocks = tuple(mats)
 
     @classmethod
-    def from_matrix(cls, source, target, mat, tol=COMMUTANT_TOL):
+    def from_matrix(cls, source, target, mat):
         mat = as_complex_matrix(mat)
         if mat.shape != (target.carrier_dim, source.carrier_dim):
             raise ShapeMismatch(
                 f"matrix shape {mat.shape} does not map {source.carrier_dim} -> {target.carrier_dim}"
             )
         blocks, resid, scale = _extract_blocks(source, target, mat)
-        if resid > tol * scale:
+        if resid > COMMUTANT_TOL * scale:
             raise NotInCommutant(f"matrix is not A-linear (residual {resid:.2e})")
         return cls(source, target, blocks)
 
@@ -441,10 +443,9 @@ class ModuleMorphism:
         if not (self.source.is_same_space(other.source) and self.target.is_same_space(other.target)):
             raise AlgebraMismatch("morphisms have different endpoints")
 
-    def adjoint(self, source_gram=None, target_gram=None) -> "ModuleMorphism":
-        """Adjoint with respect to admissible grams on source and target."""
-        gs = resolve_gram(self.source, source_gram)
-        gt = resolve_gram(self.target, target_gram)
+    def adjoint(self) -> "ModuleMorphism":
+        """Adjoint with respect to the reference grams of source and target."""
+        gs, gt = self.source.reference_gram, self.target.reference_gram
         blocks = [
             gsi @ b.conj().T @ gtb
             for gsi, b, gtb in zip(gs.inv_blocks, self.blocks, gt.blocks)
@@ -481,8 +482,8 @@ class CommutantOperator(ModuleMorphism):
         self.module = module
 
     @classmethod
-    def from_matrix(cls, module, mat, tol=COMMUTANT_TOL):
-        mor = ModuleMorphism.from_matrix(module, module, mat, tol)
+    def from_matrix(cls, module, mat):
+        mor = ModuleMorphism.from_matrix(module, module, mat)
         return cls(module, mor.blocks)
 
     @classmethod
@@ -741,15 +742,15 @@ def module_from_group_action(
 
 
 def submodule_from_blocks(
-    module: HilbertianModule, column_blocks, gram=None
+    module: HilbertianModule, column_blocks
 ) -> tuple[HilbertianModule, ModuleMorphism]:
     """Submodule spanned per block by the given multiplicity-space columns.
 
-    Columns are orthonormalized against the chosen gram, so the submodule's
-    reference gram is the induced product and equals the identity in its own
-    coordinates.  Returns (submodule, embedding).
+    Columns are orthonormalized against the module's reference gram, so the
+    submodule's reference gram is the induced product and equals the
+    identity in its own coordinates.  Returns (submodule, embedding).
     """
-    g = resolve_gram(module, gram)
+    g = module.reference_gram
     ortho = []
     mult = []
     for k, colz in enumerate(column_blocks):
@@ -765,28 +766,26 @@ def submodule_from_blocks(
 
 
 def frame_submodule(
-    module: HilbertianModule, frames, gram=None
+    module: HilbertianModule, frames
 ) -> tuple[HilbertianModule, ModuleMorphism]:
     """Submodule spanned per block by orthonormal frames (SVD output).
 
-    Like submodule_from_blocks, but under an identity gram the frames are
-    used as they are: they are orthonormal already, and orthonormalizing
-    them again would only add rounding.
+    Like submodule_from_blocks, but under an identity reference gram the
+    frames are used as they are: they are orthonormal already, and
+    orthonormalizing them again would only add rounding.
     """
-    g = resolve_gram(module, gram)
+    g = module.reference_gram
     if not g.is_identity:
         frames = [gram_orthonormalize(f, w) for f, w in zip(frames, g.sqrt_blocks)]
     sub = HilbertianModule(module.algebra, [f.shape[1] for f in frames])
     return sub, ModuleMorphism(sub, module, frames)
 
 
-def kernel_submodule(f: ModuleMorphism, gram=None):
+def kernel_submodule(f: ModuleMorphism):
     """Kernel of an A-linear map as a submodule of its source."""
-    cols = [nullspace(b) for b in f.blocks]
-    return frame_submodule(f.source, cols, gram=gram)
+    return frame_submodule(f.source, [nullspace(b) for b in f.blocks])
 
 
-def image_submodule(f: ModuleMorphism, gram=None):
+def image_submodule(f: ModuleMorphism):
     """Closed image of an A-linear map as a submodule of its target."""
-    cols = [orthonormal_range(b) for b in f.blocks]
-    return frame_submodule(f.target, cols, gram=gram)
+    return frame_submodule(f.target, [orthonormal_range(b) for b in f.blocks])

@@ -458,22 +458,21 @@ def torsion(
     complex_: CellComplex,
     rep: GroupRepresentation,
     require_unimodular: bool = True,
-    gram=None,
 ) -> TorsionReport:
     """The torsion coordinate of a cell complex through a representation.
 
     The coordinate expresses the canonical element of
     det(M)^(-chi) (x) det(H_*) against the module's reference product and
-    the Hodge-induced products on homology.  Computed by the Laplacian
-    route and cross-checked against the exact-sequence route; both values
-    are reported.
+    the Hodge-induced products on homology; torsion(complex_,
+    rep.with_module_gram(g)) measures against the product g instead.  The
+    coordinate is the Laplacian route's.  The exact-sequence route's value
+    is reported beside it in route_coordinates, but the two are not
+    compared here (ROADMAP item 6).
     """
     uni = check_unimodular(rep)
     if require_unimodular and not uni.passed:
         bad = {k: v for k, v in uni.determinants.items() if abs(v - 1.0) > uni.tol}
         raise NotUnimodular(f"generator determinants differ from 1: {bad}")
-    if gram is not None:
-        rep = rep.with_module_gram(gram)
 
     assembled = assemble_coefficients(complex_, rep)
     data = hodge(assembled)

@@ -6,6 +6,7 @@ from detline.determinant import fk_det_spectral
 from detline.documents import decode_module
 from detline.errors import (
     AlgebraMismatch,
+    DetlineError,
     NotAdmissible,
     NotInCommutant,
     NotIso,
@@ -35,6 +36,7 @@ from detline.modules import (
     von_neumann_dimension,
     zero_module,
 )
+from detline.symbols import LaurentMatrix
 
 ALG = FiniteVonNeumannAlgebra(((1, 0.5), (2, 0.25)))
 
@@ -222,7 +224,7 @@ def test_regular_module_action_is_left_translation():
         )
     # right translations are commutant operators
     for g in range(table.order):
-        CommutantOperator.from_matrix(reg, table.right_translation(g), tol=1e-8)
+        CommutantOperator.from_matrix(reg, table.right_translation(g))
 
 
 def _c3_regular_twice_plus_trivial(table):
@@ -308,6 +310,41 @@ def test_module_from_group_action_refuses_a_broken_product():
         module_from_group_action(dec, images)
 
 
+BAD_MATRIX_INPUT = {
+    "gram of ndim 1": (
+        ShapeMismatch,
+        lambda: HilbertianModule(ALG, (1, 1), reference_gram=[1, 2]),
+    ),
+    "gram of text": (
+        ValidationError,
+        lambda: HilbertianModule(ALG, (1, 1), reference_gram="x"),
+    ),
+    "operator of ndim 1": (
+        ShapeMismatch,
+        lambda: CommutantOperator.from_matrix(HilbertianModule(ALG, (1, 1)), [1, 2]),
+    ),
+    "basis map of ndim 3": (
+        ShapeMismatch,
+        lambda: HilbertianModule(ALG, (1, 1), basis_map=np.zeros((3, 3, 3))),
+    ),
+    "symbol coefficient of ndim 1": (ShapeMismatch, lambda: LaurentMatrix(1, {(0,): [1, 2]})),
+    "group images of ndim 1": (
+        ShapeMismatch,
+        lambda: module_from_group_action(
+            build_group_algebra(FiniteGroupTable.cyclic(2)), [np.ones(2), np.ones(2)]
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MATRIX_INPUT))
+def test_bad_matrix_input_raises_a_detline_error(case):
+    expected, call = BAD_MATRIX_INPUT[case]
+    with pytest.raises(DetlineError) as err:
+        call()
+    assert err.type is expected
+
+
 def test_morphism_intertwining_enforced():
     m = HilbertianModule(ALG, (2, 1))
     n = HilbertianModule(ALG, (1, 2))
@@ -345,8 +382,8 @@ def test_adjoint_respects_gram():
     t = random_commutant_op(m, rng)
     gram_op = t.adjoint() @ t + CommutantOperator.identity(m)
     gram = gram_op.to_matrix()
-    f = random_commutant_op(m, rng)
-    fstar = f.adjoint(source_gram=gram, target_gram=gram)
+    f = random_commutant_op(m.with_reference_gram(gram), rng)
+    fstar = f.adjoint()
     # <f v, w>_G == <v, f* w>_G on random vectors
     for _ in range(5):
         v = rng.standard_normal(m.carrier_dim) + 1j * rng.standard_normal(m.carrier_dim)
@@ -391,7 +428,9 @@ def _compose(f, g):
 def test_submodule_respects_nontrivial_gram():
     m = HilbertianModule(ALG, (2, 2))
     gram = np.eye(m.carrier_dim, dtype=complex) * 4.0
-    sub, embed = submodule_from_blocks(m, [np.eye(2)[:, :1], np.eye(2)], gram=gram)
+    sub, embed = submodule_from_blocks(
+        m.with_reference_gram(gram), [np.eye(2)[:, :1], np.eye(2)]
+    )
     j = embed.to_matrix()
     assert np.allclose(j.conj().T @ gram @ j, np.eye(sub.carrier_dim), atol=1e-12)
 

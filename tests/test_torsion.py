@@ -27,7 +27,7 @@ from detline.fixtures import (
 )
 from detline import modules
 from detline.modules import CommutantOperator, HilbertianModule, ModuleMorphism, standard_module
-from detline.complexes import HilbertianChainComplex
+from detline.complexes import HilbertianChainComplex, validate_complex
 from detline.torsion import (
     GroupRepresentation,
     GroupRingElement,
@@ -323,7 +323,7 @@ def test_chi_zero_gram_independence():
             r = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
             blocks.append(r.conj().T @ r + 0.3 * np.eye(m))
         gram = CommutantOperator(rep.module, blocks)
-        moved = torsion(K, rep, gram=gram)
+        moved = torsion(K, rep.with_module_gram(gram))
         assert abs(moved.coordinate - base.coordinate) < 1e-8
 
     K = lens_space(2)
@@ -333,7 +333,7 @@ def test_chi_zero_gram_independence():
         np.array([[3.0]]) if m == 1 else np.eye(m) * 1.7
         for m in rep.module.multiplicities
     ]
-    moved = torsion(K, rep, gram=CommutantOperator(rep.module, blocks))
+    moved = torsion(K, rep.with_module_gram(CommutantOperator(rep.module, blocks)))
     assert abs(moved.coordinate - base.coordinate) < 1e-8
 
 
@@ -615,6 +615,15 @@ def test_torsion_builds_no_carrier_matrices(monkeypatch):
     assert report.coefficients.modules[0].carrier_dim == cells * 5
 
 
+def test_validate_complex_builds_no_carrier_matrices(monkeypatch):
+    # maps stored as blocks 1 (x) F_k commute with the action by construction
+    cx = assemble_coefficients(circle(64), regular_cyclic_representation(5))
+    _refuse_carrier_matrices(monkeypatch, 64)
+    report = validate_complex(cx)
+    assert report.valid
+    assert report.grams_admissible == (True, True)
+
+
 def test_remetrising_builds_no_carrier_matrices(monkeypatch):
     rep = regular_cyclic_representation(5)
     cells = 64
@@ -646,7 +655,7 @@ def test_torsion_gram_forms_agree():
         rep.module.with_reference_gram(op).reference_gram,
         ModuleMorphism(rep.module, rep.module, op.blocks),
     )
-    reports = [torsion(circle(8), rep, gram=g) for g in forms]
+    reports = [torsion(circle(8), rep.with_module_gram(g)) for g in forms]
     first = reports[0]
     assert first.reference_hashes != torsion(circle(8), rep).reference_hashes
     for report in reports[1:]:
