@@ -16,18 +16,20 @@ from .errors import NegativeSpectrum, ShapeMismatch, ValidationError
 
 HERMITIAN_TOL = 1e-10  # relative residual of is_hermitian
 DEFINITE_TOL = 1e-10  # relative eigenvalue floor of inv_sqrt_pd
-RANK_RTOL = 1e-10  # relative singular-value cut of nullspace and orthonormal_range
+RANK_RTOL = 1e-10  # relative singular-value cut of range_and_kernel and orthonormal_range
 
 
 def as_complex_matrix(a) -> np.ndarray:
     """a as a complex 2-d array; ValidationError for entries that are not
-    numbers, ShapeMismatch for any other number of dimensions."""
+    finite numbers, ShapeMismatch for any other number of dimensions."""
     try:
         m = np.asarray(a, dtype=complex)
     except (TypeError, ValueError) as err:
         raise ValidationError(f"expected a matrix of numbers: {err}") from None
     if m.ndim != 2:
         raise ShapeMismatch(f"expected a matrix, got ndim={m.ndim}")
+    if not np.all(np.isfinite(m)):
+        raise ValidationError("matrix entries must be finite")
     return m
 
 
@@ -72,16 +74,15 @@ def cluster_values(vals: np.ndarray, rel_gap: float) -> list[slice]:
     return [slice(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
 
 
-def nullspace(a: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) of the kernel of a."""
-    if a.shape[0] == 0:
-        return np.eye(a.shape[1], dtype=complex)
+def range_and_kernel(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases (columns) of the column span and of the kernel of a,
+    from one full SVD: the leading left and the trailing right singular
+    vectors, split at the rank."""
+    if a.size == 0:
+        return np.zeros((a.shape[0], 0), dtype=complex), np.eye(a.shape[1], dtype=complex)
     u, s, vh = np.linalg.svd(a)
-    if s.size == 0:
-        return np.eye(a.shape[1], dtype=complex)
-    cutoff = RANK_RTOL * max(1.0, float(s[0]))
-    rank = int(np.sum(s > cutoff))
-    return vh[rank:].conj().T
+    rank = int(np.sum(s > RANK_RTOL * max(1.0, float(s[0]))))
+    return u[:, :rank], vh[rank:].conj().T
 
 
 def orthonormal_range(a: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:

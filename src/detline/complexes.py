@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import nullspace, orthonormal_range
+from ._linalg import range_and_kernel
 from .determinant import ConvergenceReport, SpectralDensity, _tilde_blocks
 from .errors import IllConditionedKernel, ValidationError
 from .lines import (
@@ -328,40 +328,36 @@ def torsion_iso_via_exact_sequences(complex_, hodge_data: HodgeData | None = Non
     """Same isomorphism, computed by factoring each degree through
     0 -> Z_i -> C_i -> B_out -> 0 and 0 -> B_i -> Z_i -> H_i -> 0.
 
-    Both factors reuse one orthonormal frame per boundary subspace, so the
-    det(B) lines pair to exactly 1 and the per-degree coefficient is
-    1/(kappa_i kappa'_i)."""
+    One full SVD per block of each map gives both frames it bounds: the
+    leading left singular vectors span the boundaries B of its target, the
+    trailing right ones the cycles Z of its source.  Both factors reuse one
+    orthonormal frame per boundary subspace, so the det(B) lines pair to
+    exactly 1 and the per-degree coefficient is 1/(kappa_i kappa'_i)."""
     if hodge_data is None:
         hodge_data = hodge(complex_)
 
-    n = len(complex_)
-    # one frame per degree for the boundary subspace B_i = im(incoming map)
-    boundary_frames = {}
-    for i in complex_.degrees:
-        inc = complex_.incoming(i)
-        mod = complex_.modules[i]
-        if inc is None:
-            frames = [np.zeros((m, 0), dtype=complex) for m in mod.multiplicities]
-        else:
-            frames = [orthonormal_range(b) for b in inc.blocks]
-        boundary_frames[i] = frame_submodule(mod, frames)
+    # a degree with no incoming map bounds nothing; with no outgoing map,
+    # every chain is a cycle
+    ranges = [[np.zeros((m, 0), dtype=complex) for m in mod.multiplicities]
+              for mod in complex_.modules]
+    kernels = [[np.eye(m, dtype=complex) for m in mod.multiplicities]
+               for mod in complex_.modules]
+    for i, f in enumerate(complex_.maps):
+        src, tgt = (i + 1, i) if complex_.convention == CHAIN else (i, i + 1)
+        frames = [range_and_kernel(b) for b in f.blocks]
+        ranges[tgt] = [r for r, _ in frames]
+        kernels[src] = [k for _, k in frames]
+    boundary_frames = [frame_submodule(mod, r) for mod, r in zip(complex_.modules, ranges)]
 
     entries = []
     for i in complex_.degrees:
         mod = complex_.modules[i]
         out = complex_.outgoing(i)
-
-        # cycles: kernel of the outgoing map (all of C_i at the end)
-        if out is None:
-            kernels = [np.eye(m, dtype=complex) for m in mod.multiplicities]
-        else:
-            kernels = [nullspace(b) for b in out.blocks]
-        z_mod, z_embed = frame_submodule(mod, kernels)
+        z_mod, z_embed = frame_submodule(mod, kernels[i])
 
         # 0 -> Z_i -> C_i -> B(target) -> 0
         if out is None:
             kappa = 1.0
-            target_frame = None
         else:
             b_mod, b_embed = boundary_frames[
                 i - 1 if complex_.convention == CHAIN else i + 1

@@ -80,12 +80,23 @@ def _transition_det(module, blocks):
     return fk_det_spectral(module, op)
 
 
+def _inv_sqrt(det) -> float:
+    """Det^(-1/2), taken from the log so that a Det which underflows to 0 is
+    never inverted."""
+    try:
+        return math.exp(-0.5 * det.log_value)
+    except OverflowError:
+        raise ValidationError(
+            f"determinant line coordinate overflows (log {-0.5 * det.log_value:.1f})"
+        ) from None
+
+
 def _product_element(module, gram_blocks, origin) -> DetLineElement:
     """Det(T)^(-1/2) for the transition T = G_ref^{-1} G of a product G."""
     ref = module.reference_gram
     blocks = [gi @ b for gi, b in zip(ref.inv_blocks, gram_blocks)]
     det = _transition_det(module, blocks)
-    return DetLineElement(module, det.value ** -0.5, origin)
+    return DetLineElement(module, _inv_sqrt(det), origin)
 
 
 def element_from_product(module: HilbertianModule, gram) -> DetLineElement:
@@ -131,7 +142,7 @@ def pushforward(f: ModuleMorphism, e: DetLineElement) -> DetLineElement:
         for gni, fi, gmb in zip(gn.inv_blocks, finv.blocks, gm.blocks)
     ]
     det = _transition_det(f.target, blocks)
-    return DetLineElement(f.target, e.coefficient * det.value ** -0.5, "pushforward")
+    return DetLineElement(f.target, e.coefficient * _inv_sqrt(det), "pushforward")
 
 
 def tensor_sum(
@@ -153,17 +164,29 @@ def tensor_sum(
     return DetLineElement(summed, e_m.coefficient * e_n.coefficient, "tensor_sum")
 
 
+def _svd(a: np.ndarray, vectors: bool, full_matrices: bool):
+    """(u, s, vh) of a, or (None, s, None) where no check reads vectors."""
+    if not vectors:
+        return None, np.linalg.svd(a, compute_uv=False), None
+    return np.linalg.svd(a, full_matrices=full_matrices)
+
+
 def _check_exact(alpha: ModuleMorphism, beta: ModuleMorphism, tol: float):
     """alpha injective, beta surjective, im(alpha) = ker(beta) blockwise.
 
-    One SVD per block of each map gives the ranks, the norms, the image
-    frame (leading left vectors of alpha) and the kernel frame (trailing
-    right vectors of beta); the composite and the gap are Frobenius norms.
+    One SVD per block of each map gives the ranks and the norms; the
+    composite and the gap are Frobenius norms.  Singular vectors are taken
+    only in blocks with 0 < cols(alpha) < rows(alpha): there the image frame
+    is the leading left vectors of alpha and the kernel frame the trailing
+    right vectors of beta.  Elsewhere the checks before the gap test fix the
+    verdict: alpha with no columns has no image to compare, and a square
+    injective alpha leaves beta no rows, so both subspaces are the block.
     """
     if not beta.source.is_same_space(alpha.target):
         raise AlgebraMismatch("the two maps do not share the middle module")
-    svd_a = [np.linalg.svd(a, full_matrices=False) for a in alpha.blocks]
-    svd_b = [np.linalg.svd(b) for b in beta.blocks]
+    gapped = [0 < a.shape[1] < a.shape[0] for a in alpha.blocks]
+    svd_a = [_svd(a, g, False) for a, g in zip(alpha.blocks, gapped)]
+    svd_b = [_svd(b, g, True) for b, g in zip(beta.blocks, gapped)]
     top_a = [float(s[0]) if s.size else 0.0 for _, s, _ in svd_a]
     top_b = [float(s[0]) if s.size else 0.0 for _, s, _ in svd_b]
     scale = max(max(top_a, default=0.0) * max(top_b, default=0.0), 1.0)
@@ -177,7 +200,7 @@ def _check_exact(alpha: ModuleMorphism, beta: ModuleMorphism, tol: float):
             raise NotExact(f"composite is nonzero in block {k}")
         if a.shape[1] + b.shape[0] != a.shape[0]:
             raise NotExact(f"rank mismatch in block {k}: middle homology is nonzero")
-        if a.shape[1]:
+        if gapped[k]:
             image = u_a[:, : a.shape[1]]
             kernel = vh_b[b.shape[0] :].conj().T
             gap = float(np.linalg.norm(image @ image.conj().T - kernel @ kernel.conj().T))
@@ -240,7 +263,7 @@ def exact_sequence_iso(
         combined = r.conj().T @ gp @ r + b.conj().T @ gs @ b
         blocks.append(gi @ combined)
     det = _transition_det(m, blocks)
-    coeff = det.value ** -0.5 * e_prime.coefficient * e_second.coefficient
+    coeff = _inv_sqrt(det) * e_prime.coefficient * e_second.coefficient
     return DetLineElement(m, coeff, "exact_sequence")
 
 

@@ -45,9 +45,9 @@ from ._linalg import (
     as_complex_matrix,
     gram_orthonormalize,
     is_hermitian,
-    nullspace,
     operator_norm,
     orthonormal_range,
+    range_and_kernel,
 )
 from .algebra import AlgebraElement, FiniteVonNeumannAlgebra, GroupAlgebraDecomposition
 from .errors import (
@@ -783,7 +783,7 @@ def frame_submodule(
 
 def kernel_submodule(f: ModuleMorphism):
     """Kernel of an A-linear map as a submodule of its source."""
-    return frame_submodule(f.source, [nullspace(b) for b in f.blocks])
+    return frame_submodule(f.source, [range_and_kernel(b)[1] for b in f.blocks])
 
 
 def image_submodule(f: ModuleMorphism):

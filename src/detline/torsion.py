@@ -380,19 +380,18 @@ def _module_power(module: HilbertianModule, count: int) -> HilbertianModule:
 def _assemble_matrix(rep, entries, n_rows, n_cols):
     """Evaluate a group-ring matrix into per-algebra-block numpy blocks.
 
-    Only nonzero entries are evaluated; each lands in its (row, column)
-    tile of preallocated block arrays.
+    Each term coeff * word of entry (r, c) adds into the (row, column) tile
+    of preallocated block arrays, in the order rep.evaluate sums them, so
+    the tiles equal its blocks bit for bit.
     """
     mult = rep.module.multiplicities
     blocks = [np.zeros((m * n_rows, m * n_cols), dtype=complex) for m in mult]
     for r in range(n_rows):
         for c in range(n_cols):
-            entry = entries(r, c)
-            if entry.is_zero():
-                continue
-            op = rep.evaluate(entry)
-            for m, out, b in zip(mult, blocks, op.blocks):
-                out[r * m : (r + 1) * m, c * m : (c + 1) * m] = b
+            for word, coeff in entries(r, c).terms.items():
+                coeff = float(coeff)
+                for m, out, b in zip(mult, blocks, rep.word_operator(word).blocks):
+                    out[r * m : (r + 1) * m, c * m : (c + 1) * m] += coeff * b
     return blocks
 
 

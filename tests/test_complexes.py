@@ -14,8 +14,10 @@ from detline.complexes import (
     validate_complex,
     zeta_suite,
 )
+from detline import lines
 from detline.determinant import fk_det, spectral_density
 from detline.errors import IllConditionedKernel, ValidationError
+from detline.fixtures import circle, regular_cyclic_representation
 from detline.modules import (
     CommutantOperator,
     HilbertianModule,
@@ -24,6 +26,7 @@ from detline.modules import (
     standard_module,
     von_neumann_dimension,
 )
+from detline.torsion import assemble_coefficients
 
 SCALAR = FiniteVonNeumannAlgebra(((1, 1.0),))
 Z2 = build_group_algebra(FiniteGroupTable.cyclic(2)).algebra
@@ -200,6 +203,38 @@ def test_hodge_and_spectral_density_take_no_svd(monkeypatch):
     data = hodge(c)
     for mod, delta in zip(c.modules, data.laplacians):
         assert spectral_density(mod, delta).total_mass > 0
+
+
+def test_exact_sequence_route_factors_each_map_block_once(monkeypatch):
+    # one full SVD per map block gives both frames it bounds; the exactness
+    # checks take vectors (of alpha and of beta) only in blocks with
+    # 0 < cols(alpha) < rows(alpha), where im(alpha) and ker(beta) can differ
+    c = assemble_coefficients(circle(16), regular_cyclic_representation(6))
+    data = hodge(c)
+    gapped = [0]
+    check = lines._check_exact
+
+    def counted_check(alpha, beta, tol):
+        gapped[0] += sum(0 < a.shape[1] < a.shape[0] for a in alpha.blocks)
+        return check(alpha, beta, tol)
+
+    vectors = [0]
+    svd = np.linalg.svd
+
+    def counted_svd(*args, **kwargs):
+        vectors[0] += kwargs.get("compute_uv", True)
+        return svd(*args, **kwargs)
+
+    impl = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
+    monkeypatch.setattr(lines, "_check_exact", counted_check)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(impl, "svd", counted_svd)
+    torsion_iso_via_exact_sequences(c, data)
+    map_blocks = sum(len(f.blocks) for f in c.maps)
+    # six 16 x 16 characters; the trivial one has rank 15, so B_0 in Z_0
+    # and Z_1 in C_1 are the two proper subspaces
+    assert (map_blocks, gapped[0]) == (6, 2)
+    assert vectors[0] <= map_blocks + 2 * gapped[0]
 
 
 def test_ill_conditioned_kernel_refused():

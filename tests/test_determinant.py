@@ -291,6 +291,15 @@ def test_rejects_foreign_module():
         fk_det_spectral(mod, op)
 
 
+def test_non_finite_entries_refused_at_input():
+    alg = FiniteVonNeumannAlgebra(((1, 1.0), (2, 0.5)))
+    mod = HilbertianModule(alg, (1, 1))
+    with pytest.raises(ValidationError, match="finite"):
+        fk_det(mod, CommutantOperator.from_matrix(mod, np.diag([np.nan, 1.0, 1.0])))
+    with pytest.raises(ValidationError, match="finite"):
+        fk_det_spectral(mod, CommutantOperator.from_matrix(mod, np.diag([np.inf, 1.0, 1.0])))
+
+
 def test_bad_path_name():
     mod = standard_module(ALGEBRAS["C"])
     op = CommutantOperator.identity(mod)

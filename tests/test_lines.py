@@ -7,6 +7,7 @@ from detline._linalg import random_complex
 from detline.algebra import FiniteGroupTable, FiniteVonNeumannAlgebra, build_group_algebra
 from detline.determinant import fk_det
 from detline.errors import (
+    DetlineError,
     DuplicateDegree,
     KernelDetected,
     NotAdmissible,
@@ -307,6 +308,17 @@ def test_exact_sequence_matches_pushforward_route():
         abs(via_sequence.coefficient - via_pushforward.coefficient)
         < 1e-9 * via_sequence.coefficient
     )
+
+
+def test_pushforward_raises_only_detline_errors_past_float_range():
+    # Det(0.01 I on C^400) = 1e-800 underflows; its -1/2 power, 1e400,
+    # overflows as a float, which is refused rather than raised by math.exp
+    mod = HilbertianModule(FiniteVonNeumannAlgebra(((1, 1.0),)), (400,))
+    op = CommutantOperator.identity(mod) * 10.0
+    try:
+        pushforward(op, reference_element(mod))
+    except DetlineError:
+        pass
 
 
 def test_not_exact_detected():

@@ -75,6 +75,11 @@ def random_positive_symbol(rng, size, degree=2, rank=1, shift=1.0):
 # LaurentMatrix arithmetic
 
 
+def test_non_finite_coefficients_refused():
+    with pytest.raises(ValidationError, match="finite"):
+        abelian_fk_det_general(LaurentMatrix(1, {(0,): [[np.nan]]}))
+
+
 def test_constructor_validation():
     with pytest.raises(BackendUnsupported):
         LaurentMatrix(3, {(0, 0, 0): [[1.0]]})

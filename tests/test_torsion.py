@@ -588,6 +588,37 @@ def test_sparse_assembly_matches_dense_evaluation():
             assert np.array_equal(got[k], dense)
 
 
+def test_assembly_matches_entrywise_evaluation_bit_for_bit():
+    cases = [
+        (circle(8), regular_cyclic_representation(4)),
+        (lens_space(5), regular_cyclic_representation(5)),
+        (torus(), regular_product_representation((2, 3), ("a", "b"))),
+        (klein_bottle(), regular_product_representation((2, 3), ("a", "b"), side="left")),
+    ]
+    for K, rep in cases:
+        cx = assemble_coefficients(K, rep)
+        counts = K.cell_counts()
+        for q, mat in enumerate(K.boundaries):
+            if rep.side == "right":
+                rows, cols, entry = counts[q], counts[q + 1], lambda r, c: mat[r][c]
+            else:
+                rows, cols, entry = counts[q + 1], counts[q], lambda r, c: mat[c][r]
+            ops = [[rep.evaluate(entry(r, j)) for j in range(cols)] for r in range(rows)]
+            for k, got in enumerate(cx.maps[q].blocks):
+                tiles = np.block([[ops[r][j].blocks[k] for j in range(cols)] for r in range(rows)])
+                assert np.array_equal(got, tiles)
+
+
+def test_torsion_coordinate_past_float_range_of_the_determinant():
+    # t -> 1.1 on C^300: the boundary is -0.1 I, whose transition Det 1e-600
+    # underflows to 0; both routes rescale from the log
+    module = HilbertianModule(FiniteVonNeumannAlgebra(((1, 1.0),)), (300,))
+    rep = GroupRepresentation(module, {"t": 1.1 * np.eye(300)})
+    report = torsion(circle(1), rep, require_unimodular=False)
+    for value in report.route_coordinates.values():
+        assert abs(np.log(value) - 300 * np.log(10.0)) < 1e-9
+
+
 def _refuse_carrier_matrices(monkeypatch, limit):
     """Make the lazy direct-sum builders raise, and np.eye refuse sizes
     above limit (numpy-wide, for the rest of the test).  Returns np.eye."""
