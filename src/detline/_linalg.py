@@ -33,6 +33,18 @@ def as_complex_matrix(a) -> np.ndarray:
     return m
 
 
+def gram_hash(matrix) -> str:
+    """Short digest of a gram matrix for reports, rounded to 10 decimals."""
+    import hashlib  # OpenSSL start-up: only the reports that hash pay it
+
+    mat = np.asarray(matrix, dtype=complex)
+    data = np.round(mat, 10) + 0.0  # -0.0 and 0.0 hash alike
+    digest = hashlib.sha256()
+    digest.update(str(mat.shape).encode())
+    digest.update(data.tobytes())
+    return digest.hexdigest()[:16]
+
+
 def operator_norm(a: np.ndarray) -> float:
     if a.size == 0:
         return 0.0

@@ -43,6 +43,7 @@ from .errors import (
 
 CLUSTER_REL_GAP = 1e-6  # eigenvalue gap that separates irreducible pieces
 MAX_GROUP_ORDER = 256
+ASSOCIATIVITY_BLOCK = 1 << 17  # table entries per associativity gather
 VERIFY_TOL = 1e-8  # bound on the group product residual of the block images
 
 
@@ -210,10 +211,21 @@ class FiniteGroupTable:
             raise NonAssociativeTable("table rows/columns are not permutations")
         if not (np.all(p[e] == idx) and np.all(p[:, e] == idx)):
             raise NonAssociativeTable("identity element does not act as identity")
-        # (ab)c == a(bc) for all b, c, one a at a time in n^2 memory:
-        # p[p[a]][b, c] = p[p[a, b], c] and p[a][p][b, c] = p[a, p[b, c]]
-        for a in range(n):
-            if not np.array_equal(p[p[a]], p[a][p]):
+        # (ab)c == a(bc) for all b, c, a block of rows a at a time:
+        # left[i, b, c] = p[p[a, b], c] and right[i, b, c] = p[a, p[b, c]].
+        # The gathered values take the smallest dtype that holds an element
+        # and go into buffers of ASSOCIATIVITY_BLOCK entries (one row's n^2
+        # when that is more), reused for every block.
+        values = p.astype(np.min_scalar_type(n - 1))
+        rows = min(n, max(1, ASSOCIATIVITY_BLOCK // (n * n)))
+        left = np.empty((rows, n, n), dtype=values.dtype)
+        right = np.empty_like(left)
+        same = np.empty(left.shape, dtype=bool)
+        for a in range(0, n, rows):
+            k = min(rows, n - a)
+            np.take(values, p[a : a + k], axis=0, out=left[:k])
+            np.take(values[a : a + k], p, axis=1, out=right[:k])
+            if not np.equal(left[:k], right[:k], out=same[:k]).all():
                 raise NonAssociativeTable("table is not associative")
 
     def left_translation(self, g: int) -> np.ndarray:

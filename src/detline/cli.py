@@ -7,6 +7,9 @@ a validation or parse problem (the input is at fault), 2 for a mathematical
 refusal (the input is well-formed but the requested quantity does not exist
 under the standing hypotheses, such as a non-unimodular representation or a
 symbol whose determinant vanishes identically).
+
+Each handler imports the layers it runs, and each input kind its own: a
+process compiles only the modules of its subcommand.
 """
 
 from __future__ import annotations
@@ -17,41 +20,11 @@ import sys
 import numpy as np
 
 from . import documents
-from .complexes import HODGE_KERNEL_TOL, determinant_class_check, hodge, zeta_suite
-from .determinant import fk_det, fk_det_path, fk_det_spectral
 from .errors import (
     DetlineError,
     MathematicalRefusal,
     ParseError,
     ValidationError,
-)
-from .fixtures import (
-    circle,
-    interval,
-    klein_bottle,
-    lens_space,
-    projective_plane,
-    regular_cyclic_representation,
-    regular_product_representation,
-    scalar_representation,
-    sign_representation,
-    split_edge,
-    split_torus_face,
-    torus,
-    trivial_representation,
-)
-from .symbols import (
-    LaurentMatrix,
-    abelian_determinant_class_check,
-    abelian_fk_det,
-    abelian_fk_det_general,
-    abelian_torsion,
-)
-from .torsion import (
-    _gram_hash,
-    assemble_coefficients,
-    invariance_check,
-    torsion,
 )
 
 FIXTURE_TOL = 1e-8  # absolute error a fixture value may carry
@@ -108,7 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     betti.add_argument("inputs", nargs="+", help="complex document, or cell complex and representation")
     betti.add_argument("--convention", choices=("chain", "cochain"))
-    betti.add_argument("--kernel-tol", type=float, default=HODGE_KERNEL_TOL)
+    # None: hodge's own default, without importing complexes to parse
+    betti.add_argument("--kernel-tol", type=float)
 
     tors = sub.add_parser(
         "torsion",
@@ -162,6 +136,8 @@ def cmd_det(args) -> dict:
     if kind == "symbol":
         if len(docs) != 1:
             raise ParseError("det over the torus takes exactly one symbol document")
+        from .symbols import abelian_fk_det, abelian_fk_det_general
+
         symbol = documents.decode_symbol(docs[0][1], docs[0][0])
         if args.method == "spectral":
             result = abelian_fk_det(symbol)
@@ -181,6 +157,9 @@ def cmd_det(args) -> dict:
         raise ParseError(f"{docs[0][0]}: expected a module or symbol document")
     if len(docs) != 2:
         raise ParseError("det over a module takes module and operator documents")
+    from ._linalg import gram_hash
+    from .determinant import fk_det, fk_det_path, fk_det_spectral
+
     module = documents.decode_module(docs[0][1], docs[0][0])
     op = documents.decode_operator(docs[1][1], module, docs[1][0])
     if args.method == "spectral":
@@ -196,7 +175,7 @@ def cmd_det(args) -> dict:
         "log_value": result.log_value,
         "method": result.method,
         "convergence": _convergence_payload(result.convergence),
-        "module_gram": _gram_hash(module.reference_gram.matrix),
+        "module_gram": gram_hash(module.reference_gram.matrix),
     }
 
 
@@ -210,31 +189,44 @@ def _betti_payload(data, convention) -> dict:
 
 
 def cmd_betti(args) -> dict:
+    from ._linalg import gram_hash
+    from .complexes import HODGE_KERNEL_TOL, hodge
+
     docs = _load(args.inputs)
     kind = documents.document_kind(docs[0][1])
+    kernel_tol = HODGE_KERNEL_TOL if args.kernel_tol is None else args.kernel_tol
     if kind == "complex":
         if len(docs) != 1:
             raise ParseError("betti of a complex takes one document")
         cx = documents.decode_complex(docs[0][1], docs[0][0], convention=args.convention)
-        data = hodge(cx, kernel_tol=args.kernel_tol)
+        data = hodge(cx, kernel_tol=kernel_tol)
         payload = _betti_payload(data, cx.convention)
         payload["grams"] = [
-            _gram_hash(m.reference_gram.matrix) for m in cx.modules
+            gram_hash(m.reference_gram.matrix) for m in cx.modules
         ]
         return payload
     if kind != "cell_complex" or len(docs) != 2:
         raise ParseError("betti takes a complex document, or a cell complex and a representation")
+    from .torsion import assemble_coefficients
+
     cell = documents.decode_cell_complex(docs[0][1], docs[0][0])
     rep = documents.decode_representation(docs[1][1], cell.generators, docs[1][0])
     assembled = assemble_coefficients(cell, rep)
-    data = hodge(assembled, kernel_tol=args.kernel_tol)
+    if args.convention not in (None, assembled.convention):
+        raise ValidationError(
+            f"--convention {args.convention}: a representation on the {rep.side} "
+            f"side gives the {assembled.convention} complex"
+        )
+    data = hodge(assembled, kernel_tol=kernel_tol)
     payload = _betti_payload(data, assembled.convention)
     payload["euler_characteristic"] = cell.euler_characteristic()
-    payload["module_gram"] = _gram_hash(rep.module.reference_gram.matrix)
+    payload["module_gram"] = gram_hash(rep.module.reference_gram.matrix)
     return payload
 
 
 def cmd_torsion(args) -> dict:
+    from .torsion import torsion
+
     docs = _load(args.inputs)
     cell = documents.decode_cell_complex(docs[0][1], docs[0][0])
     rep = documents.decode_representation(docs[1][1], cell.generators, docs[1][0])
@@ -252,6 +244,9 @@ def cmd_torsion(args) -> dict:
 
 
 def cmd_invariance(args) -> dict:
+    from .fixtures import split_edge
+    from .torsion import invariance_check
+
     docs = _load(args.inputs)
     cell = documents.decode_cell_complex(docs[0][1], docs[0][0])
     rep = documents.decode_representation(docs[1][1], cell.generators, docs[1][0])
@@ -273,6 +268,8 @@ def cmd_invariance(args) -> dict:
 
 
 def cmd_zeta(args) -> dict:
+    from .complexes import zeta_suite
+
     docs = _load(args.inputs)
     cx = documents.decode_complex(docs[0][1], docs[0][0], convention=args.convention)
     report = zeta_suite(cx)
@@ -291,6 +288,8 @@ def cmd_classcheck(args) -> dict:
     docs = _load(args.inputs)
     kind = documents.document_kind(docs[0][1])
     if kind == "symbol":
+        from .symbols import abelian_determinant_class_check
+
         symbol = documents.decode_symbol(docs[0][1], docs[0][0])
         report = abelian_determinant_class_check(symbol)
         payload = {
@@ -307,6 +306,8 @@ def cmd_classcheck(args) -> dict:
         return payload
     if kind != "complex":
         raise ParseError(f"{docs[0][0]}: expected a complex or symbol document")
+    from .complexes import determinant_class_check
+
     cx = documents.decode_complex(docs[0][1], docs[0][0], convention=args.convention)
     report = determinant_class_check(cx)
     return {
@@ -332,6 +333,24 @@ HANDLERS = {
 
 
 def _fixture_checks():
+    from .fixtures import (
+        circle,
+        interval,
+        klein_bottle,
+        lens_space,
+        projective_plane,
+        regular_cyclic_representation,
+        regular_product_representation,
+        scalar_representation,
+        sign_representation,
+        split_edge,
+        split_torus_face,
+        torus,
+        trivial_representation,
+    )
+    from .symbols import LaurentMatrix, abelian_fk_det, abelian_fk_det_general, abelian_torsion
+    from .torsion import invariance_check, torsion
+
     half = 0.5
     yield (
         "torsion interval trivial",

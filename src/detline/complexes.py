@@ -198,7 +198,10 @@ def hodge(complex_, kernel_tol: float = HODGE_KERNEL_TOL) -> HodgeData:
     (the largest |eigenvalue| of the Hermitian blocks); if the smallest
     positive eigenvalue sits within HODGE_GAP_RATIO of the largest "zero" one, the
     kernel dimension is numerically ambiguous and the decomposition refuses.
+    A kernel_tol outside (0, 1), nan included, is a ValidationError.
     """
+    if not 0.0 < kernel_tol < 1.0:
+        raise ValidationError(f"kernel_tol must lie in (0, 1), got {kernel_tol!r}")
     laplacians = []
     h_modules = []
     h_embeddings = []

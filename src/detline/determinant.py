@@ -19,6 +19,7 @@ admissible gram, build the operator on module.with_reference_gram(gram).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -31,7 +32,9 @@ from .errors import (
     PathLeavesGL,
     ValidationError,
 )
-from .modules import CommutantOperator, HilbertianModule
+
+if TYPE_CHECKING:  # the torus backend uses the result types without modules
+    from .modules import CommutantOperator, HilbertianModule
 
 KERNEL_REL_TOL = 1e-12
 SELF_ADJOINT_TOL = 1e-8
@@ -103,6 +106,8 @@ def _tilde_blocks(module, op):
 
 
 def _check_operator(module, op):
+    from .modules import CommutantOperator
+
     if not isinstance(op, CommutantOperator):
         raise ValidationError("expected a CommutantOperator")
     if not op.module.is_same_space(module):

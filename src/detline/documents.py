@@ -6,6 +6,9 @@ read as reals).  Decoders carry a location string so a malformed field is
 reported by its path inside the document, and unknown fields are rejected
 rather than ignored.
 
+Each decoder imports the layer it builds, so a command loads only the
+modules its documents need.
+
 Document shapes:
 
 * algebra: {"blocks": [[n, w], ...]} or
@@ -27,20 +30,18 @@ from __future__ import annotations
 
 import json
 import numbers
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .algebra import FiniteGroupTable, FiniteVonNeumannAlgebra, build_group_algebra
-from .complexes import CHAIN, COCHAIN, HilbertianChainComplex
 from .errors import ParseError, ValidationError
-from .modules import (
-    CommutantOperator,
-    HilbertianModule,
-    ModuleMorphism,
-    module_from_group_action,
-)
-from .symbols import LaurentMatrix
-from .torsion import CellComplex, GroupRepresentation
+
+if TYPE_CHECKING:
+    from .algebra import FiniteVonNeumannAlgebra
+    from .complexes import HilbertianChainComplex
+    from .modules import CommutantOperator, HilbertianModule
+    from .symbols import LaurentMatrix
+    from .torsion import CellComplex, GroupRepresentation
 
 FORMAT_VERSION = 3
 MAX_GENERATED_ORDER = 256
@@ -127,6 +128,8 @@ def encode_matrix(matrix) -> list:
 
 
 def decode_algebra(doc, where="algebra") -> FiniteVonNeumannAlgebra:
+    from .algebra import FiniteGroupTable, FiniteVonNeumannAlgebra, build_group_algebra
+
     doc = _expect_mapping(doc, where)
     if "blocks" in doc:
         _check_keys(doc, where, ("blocks",))
@@ -155,6 +158,9 @@ def decode_algebra(doc, where="algebra") -> FiniteVonNeumannAlgebra:
 
 
 def _generated_group_module(doc, where) -> HilbertianModule:
+    from .algebra import FiniteGroupTable, build_group_algebra
+    from .modules import module_from_group_action
+
     generators = doc["action_generators"]
     if not isinstance(generators, list) or not generators:
         raise ParseError(f"{where}.action_generators: expected a non-empty array")
@@ -213,6 +219,8 @@ def _generated_group_module(doc, where) -> HilbertianModule:
 
 
 def decode_module(doc, where="module") -> HilbertianModule:
+    from .modules import HilbertianModule
+
     doc = _expect_mapping(doc, where)
     if "action_generators" in doc:
         _check_keys(doc, where, ("action_generators",), ("reference_gram",))
@@ -227,6 +235,8 @@ def decode_module(doc, where="module") -> HilbertianModule:
 
 
 def decode_operator(doc, module, where="operator") -> CommutantOperator:
+    from .modules import CommutantOperator
+
     if isinstance(doc, dict):
         _check_keys(doc, where, ("matrix",))
         doc = doc["matrix"]
@@ -236,6 +246,9 @@ def decode_operator(doc, module, where="operator") -> CommutantOperator:
 
 
 def decode_complex(doc, where="complex", convention=None) -> HilbertianChainComplex:
+    from .complexes import CHAIN, COCHAIN, HilbertianChainComplex
+    from .modules import HilbertianModule, ModuleMorphism
+
     doc = _check_keys(
         doc, where, ("algebra", "modules", "boundaries"), ("convention", "grams")
     )
@@ -304,6 +317,8 @@ def _decode_ring_entry(entry, where):
 
 
 def decode_cell_complex(doc, where="cell complex") -> CellComplex:
+    from .torsion import CellComplex
+
     doc = _check_keys(doc, where, ("generators", "cells", "boundaries"))
     generators = doc["generators"]
     if not isinstance(generators, list):
@@ -344,6 +359,8 @@ def decode_cell_complex(doc, where="cell complex") -> CellComplex:
 
 
 def decode_representation(doc, generators, where="representation") -> GroupRepresentation:
+    from .torsion import GroupRepresentation
+
     doc = _check_keys(doc, where, ("module", "generator_images"), ("side",))
     module = decode_module(doc["module"], f"{where}.module")
     side = doc.get("side", "right")
@@ -368,6 +385,8 @@ def decode_representation(doc, generators, where="representation") -> GroupRepre
 
 
 def decode_symbol(doc, where="symbol") -> LaurentMatrix:
+    from .symbols import LaurentMatrix
+
     doc = _check_keys(doc, where, ("rank", "size", "coefficients"))
     rank = _as_integer(doc["rank"], f"{where}.rank")
     size = _as_integer(doc["size"], f"{where}.size")

@@ -14,11 +14,11 @@ at assembly time.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._linalg import gram_hash
 from .complexes import (
     COCHAIN,
     CHAIN,
@@ -429,15 +429,6 @@ def assemble_coefficients(complex_: CellComplex, rep: GroupRepresentation) -> Hi
 # -- torsion -----------------------------------------------------------------
 
 
-def _gram_hash(matrix) -> str:
-    mat = np.asarray(matrix, dtype=complex)
-    data = np.round(mat, 10) + 0.0  # -0.0 and 0.0 hash alike
-    digest = hashlib.sha256()
-    digest.update(str(mat.shape).encode())
-    digest.update(data.tobytes())
-    return digest.hexdigest()[:16]
-
-
 @dataclass
 class TorsionReport:
     chi: int
@@ -481,9 +472,9 @@ def torsion(
     cross = torsion_iso_via_exact_sequences(assembled, data)
     coordinate = graded.coordinate
     hashes = {
-        "module_gram": _gram_hash(rep.module.reference_gram.matrix),
+        "module_gram": gram_hash(rep.module.reference_gram.matrix),
         "harmonic_grams": tuple(
-            _gram_hash(np.eye(m.carrier_dim)) for m in data.harmonic_modules
+            gram_hash(np.eye(m.carrier_dim)) for m in data.harmonic_modules
         ),
     }
     return TorsionReport(

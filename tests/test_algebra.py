@@ -99,8 +99,8 @@ def test_bad_tables_rejected():
 
 
 def test_table_validation_runs_in_quadratic_memory():
-    # associativity is compared one row at a time; comparing the two whole
-    # n^3 gathers peaked at 272 MiB on C16 x C16
+    # associativity is compared a bounded block of rows at a time; comparing
+    # the two whole n^3 gathers peaked at 272 MiB on C16 x C16
     c16 = FiniteGroupTable.cyclic(16)
     table = FiniteGroupTable.direct_product(c16, c16)
     tracemalloc.start()
@@ -110,6 +110,29 @@ def test_table_validation_runs_in_quadratic_memory():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def _loop_with_left_nucleus_of_index_2(m):
+    """A loop on Z/m x Z/2, element (x, t) at index t m + x:
+    (x, 0)(y, t) = (x + y, t) and (x, 1)(y, t) = (x + s(y), 1 + t), where s
+    swaps 1 and 2 and so is not additive.  Every triple with a first factor
+    (x, 0) associates; every (x, 1) fails with b = (1, 0), c = (1, 0)."""
+    s = np.arange(m)
+    s[[1, 2]] = s[[2, 1]]
+    t, x = np.divmod(np.arange(2 * m), m)
+    right = np.where(t[:, None] == 1, s[x][None, :], x[None, :])
+    return (t[:, None] + t[None, :]) % 2 * m + (x[:, None] + right) % m
+
+
+def test_associativity_failure_in_the_last_row_block_is_found():
+    table = _loop_with_left_nucleus_of_index_2(32)
+    n = len(table)
+    # two row blocks of 32, and every failing triple has a in the second
+    assert algebra.ASSOCIATIVITY_BLOCK // (n * n) == n // 2
+    failing = [a for a in range(n) if not np.array_equal(table[table[a]], table[a][table])]
+    assert failing == list(range(n // 2, n))
+    with pytest.raises(NonAssociativeTable, match="not associative"):
+        FiniteGroupTable(table)
 
 
 def test_table_constructors_match_their_definitions():

@@ -1,16 +1,24 @@
-"""The public API as a whole: where the metric is chosen, and the README
-example."""
+"""The public API as a whole: the lazy namespace, where the metric is
+chosen, and the README example."""
 
 import contextlib
+import importlib
 import inspect
 import io
+import os
 import re
+import subprocess
+import sys
+import types
 from pathlib import Path
 
 import pytest
 
 import detline
-from detline import complexes, determinant, fixtures, lines, modules, torsion
+from detline import complexes, determinant, fixtures, lines, modules
+
+# detline.torsion is the function; the module is reached by its full name
+torsion_module = importlib.import_module("detline.torsion")
 
 GRAM_NAMES = {"gram", "source_gram", "target_gram"}
 
@@ -32,7 +40,7 @@ def _public_callables():
     functions, classes and methods defined in the metric-bearing modules."""
     seen = {}
     owners = [getattr(detline, name) for name in detline.__all__]
-    for mod in (modules, determinant, complexes, torsion, lines, fixtures):
+    for mod in (modules, determinant, complexes, torsion_module, lines, fixtures):
         owners += [
             obj
             for name, obj in vars(mod).items()
@@ -74,3 +82,80 @@ def test_readme_library_example_prints_its_comments():
         exec(compile(_readme_library_block(), "README.md", "exec"), {})
     values = [float(line) for line in out.getvalue().split()]
     assert values == pytest.approx([2.0, 3.0 ** (-1.0 / 3.0), 2.0], rel=0.0, abs=1e-12)
+
+
+# -- the lazy namespace ----------------------------------------------------------
+
+PUBLIC_NAMES = [
+    "AlgebraElement", "CHAIN", "COCHAIN", "CellComplex", "CommutantOperator",
+    "DetLineElement", "DeterminantResult", "DetlineError", "FiniteGroupTable",
+    "FiniteVonNeumannAlgebra", "GradedDetLineElement", "GroupAlgebraDecomposition",
+    "GroupRepresentation", "GroupRingElement", "HilbertianChainComplex",
+    "HilbertianModule", "HodgeData", "IllConditionedKernel", "IndeterminateConvergence",
+    "KernelDetected", "LaurentMatrix", "MathematicalRefusal", "ModuleMorphism",
+    "NonInvertible", "NotDenselyExact", "NotDeterminantClass", "NotUnimodular",
+    "ParseError", "SpectralDensity", "TorsionReport", "TorusGrid", "ValidationError",
+    "ZetaReport", "abelian_dense_isomorphism_check", "abelian_determinant_class_check",
+    "abelian_fk_det", "abelian_fk_det_general", "abelian_spectral_density",
+    "abelian_torsion", "algebra", "assemble_coefficients", "build_group_algebra",
+    "canonical_trace", "check_admissible", "circle", "complexes", "determinant",
+    "determinant_class_check", "direct_sum", "element_from_extended_product",
+    "element_from_product", "errors", "exact_sequence_iso", "fixtures", "fk_det",
+    "fk_det_path", "fk_det_spectral", "free_module", "graded_assemble", "hodge",
+    "interval", "invariance_check", "klein_bottle", "lens_space", "lines", "modules",
+    "projective_plane", "pushforward", "reference_element",
+    "regular_cyclic_representation", "regular_product_representation", "ring",
+    "scalar_representation", "sign_representation", "spectral_density", "split_edge",
+    "split_torus_face", "standard_module", "symbols", "tensor_sum", "torsion",
+    "torsion_iso_via_exact_sequences", "torsion_iso_via_laplacians", "torus", "trace",
+    "trivial_representation", "validate_complex", "von_neumann_dimension", "zeta_suite",
+]
+SUBMODULE_NAMES = {
+    "algebra", "complexes", "determinant", "errors", "fixtures", "lines", "modules", "symbols",
+}
+
+
+def _python(code):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return done.stdout.strip()
+
+
+def test_namespace_exports_exactly_the_public_names():
+    assert len(PUBLIC_NAMES) == 89
+    assert detline.__all__ == PUBLIC_NAMES
+    assert set(PUBLIC_NAMES) <= set(dir(detline))
+    for name in PUBLIC_NAMES:
+        value = getattr(detline, name)
+        if name in SUBMODULE_NAMES:
+            assert value is importlib.import_module(f"detline.{name}")
+        else:
+            assert not isinstance(value, types.ModuleType), name
+    assert detline.algebra is sys.modules["detline.algebra"]
+    with pytest.raises(AttributeError):
+        detline.no_such_name
+
+
+@pytest.mark.parametrize("first", ["detline.fixtures", "detline.cli", "detline.torsion"])
+def test_torsion_stays_the_function_once_its_module_loads(first):
+    # the import system binds a loaded submodule on its package; the public
+    # function keeps the name, so the README example keeps working
+    code = (
+        f"import {first}\n"
+        "from detline import torsion\n"
+        "import detline\n"
+        "print(type(torsion).__name__, detline.torsion is torsion, "
+        "type(detline.torsion_iso_via_laplacians).__name__)\n"
+    )
+    assert _python(code) == "function True function"
+
+
+def test_bare_import_loads_no_submodule_and_no_numpy():
+    code = (
+        "import sys, detline\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('detline.', 'numpy'))))"
+    )
+    assert _python(code) == "[]"

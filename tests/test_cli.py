@@ -437,6 +437,43 @@ def test_cli_betti_cell_complex(tmp_path, capsys):
     assert payload["euler_characteristic"] == 0
 
 
+COMPLEX_DOC = {
+    "algebra": {"blocks": [[1, 1.0]]},
+    "modules": [[1], [1]],
+    "boundaries": [[[2.0]]],
+}
+
+
+@pytest.mark.parametrize("kernel_tol", ["-1", "0", "1", "nan", "inf"])
+@pytest.mark.parametrize("kind", ["complex", "cell_complex"])
+def test_cli_betti_refuses_a_kernel_tol_outside_the_unit_interval(tmp_path, capsys, kind, kernel_tol):
+    if kind == "complex":
+        inputs = [write_doc(tmp_path, "cx.json", COMPLEX_DOC)]
+    else:
+        inputs = [
+            write_doc(tmp_path, "circle.json", CIRCLE_DOC),
+            write_doc(tmp_path, "rep.json", rep_doc(1.0)),
+        ]
+    code, out, err = run_cli(capsys, ["betti", *inputs, "--kernel-tol", kernel_tol])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: kernel_tol must lie in (0, 1)")
+
+
+def test_cli_betti_cell_complex_refuses_a_convention_the_side_contradicts(tmp_path, capsys):
+    # a right-side representation gives the chain complex; --convention
+    # cochain used to be dropped and the chain report printed
+    cc = write_doc(tmp_path, "circle.json", CIRCLE_DOC)
+    rep = write_doc(tmp_path, "rep.json", rep_doc(1.0))
+    code, out, err = run_cli(capsys, ["betti", cc, rep, "--convention", "cochain"])
+    assert code == 1
+    assert out == ""
+    assert "right side gives the chain complex" in err
+    code, out, err = run_cli(capsys, ["--format", "structured", "betti", cc, rep, "--convention", "chain"])
+    assert code == 0, err
+    assert json.loads(out)["convention"] == "chain"
+
+
 def test_cli_invariance(tmp_path, capsys):
     cc = write_doc(tmp_path, "circle.json", CIRCLE_DOC)
     rep = write_doc(tmp_path, "rep.json", rep_doc(-1.0))
@@ -502,6 +539,59 @@ def test_cli_import_module_set():
         "gettext", "hashlib", "json", "json.decoder", "json.encoder", "json.scanner",
     }
     assert gained <= allowed, sorted(gained - allowed)
+
+
+MODULE_LAYER = {"errors", "_linalg", "algebra", "modules", "determinant", "documents"}
+TORUS_LAYER = {"errors", "_linalg", "determinant", "documents", "symbols", "_mahler"}
+COMPLEX_LAYER = MODULE_LAYER | {"lines", "complexes"}
+CELL_LAYER = COMPLEX_LAYER | {"torsion"}
+
+
+def _cli_module_set(tmp_path, argv):
+    """The detline modules one `python -m detline.cli argv` run imports
+    (besides the package and cli), read from -X importtime."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "detline.cli", *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    names = re.findall(r"\|\s*detline\.(\w+)$", done.stderr, re.M)
+    return set(names) - {"cli"}
+
+
+MODULE_SET_CASES = [
+    (["det", "module.json", "operator.json"], MODULE_LAYER, {"symbols", "complexes", "torsion"}),
+    (["det", "symbol.json"], TORUS_LAYER, {"algebra", "modules"}),
+    (["classcheck", "symbol.json"], TORUS_LAYER, {"algebra", "modules"}),
+    (["betti", "complex.json"], COMPLEX_LAYER, {"torsion", "fixtures", "symbols"}),
+    (["zeta", "complex.json"], COMPLEX_LAYER, {"torsion", "fixtures", "symbols"}),
+    (["classcheck", "complex.json"], COMPLEX_LAYER, {"torsion", "fixtures", "symbols"}),
+    (["betti", "circle.json", "rep.json"], CELL_LAYER, {"fixtures", "symbols"}),
+    (["torsion", "circle.json", "rep.json"], CELL_LAYER, {"fixtures", "symbols"}),
+    (["invariance", "circle.json", "rep.json"], CELL_LAYER | {"fixtures"}, {"symbols"}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected, absent",
+    MODULE_SET_CASES,
+    ids=[" ".join(argv) for argv, _, _ in MODULE_SET_CASES],
+)
+def test_cli_subcommand_module_set(tmp_path, argv, expected, absent):
+    # a run imports, and with bytecode caching off compiles, only what its
+    # subcommand and input kind use
+    write_doc(tmp_path, "module.json", {"algebra": {"blocks": [[1, 1.0], [2, 0.5]]}, "multiplicities": [1, 1]})
+    write_doc(tmp_path, "operator.json", np.diag([2.0, 3.0, 3.0]).tolist())
+    # 3 + t + 1/t: positive on the circle, so classcheck passes too
+    write_doc(tmp_path, "symbol.json", symbol_doc([([0], [[3.0]]), ([1], [[1.0]]), ([-1], [[1.0]])]))
+    write_doc(tmp_path, "complex.json", COMPLEX_DOC)
+    write_doc(tmp_path, "circle.json", CIRCLE_DOC)
+    write_doc(tmp_path, "rep.json", rep_doc(-1.0))
+    loaded = _cli_module_set(tmp_path, argv)
+    assert not loaded & absent
+    assert loaded == expected
 
 
 def test_mellin_zeta_loads_no_scipy():

@@ -145,6 +145,16 @@ def test_hodge_zero_differentials():
         assert data.positive_densities[i].values.size == 0
 
 
+@pytest.mark.parametrize("kernel_tol", [-1.0, 0.0, 1.0, float("nan"), float("inf")])
+def test_hodge_refuses_a_kernel_tol_outside_the_unit_interval(kernel_tol):
+    # at -1 every eigenvalue counted as positive and betti read 0; nan did
+    # the same silently
+    mod = standard_module(S3)
+    c = HilbertianChainComplex([mod, mod], [CommutantOperator.zero(mod)])
+    with pytest.raises(ValidationError, match="kernel_tol"):
+        hodge(c, kernel_tol=kernel_tol)
+
+
 def test_hodge_two_term_identity_map():
     mod = standard_module(Z3)
     c = HilbertianChainComplex([mod, mod], [CommutantOperator.identity(mod)])

@@ -26,6 +26,7 @@ from detline.fixtures import (
     trivial_representation,
 )
 from detline import modules
+from detline._linalg import gram_hash
 from detline.modules import CommutantOperator, HilbertianModule, ModuleMorphism, standard_module
 from detline.complexes import HilbertianChainComplex, validate_complex
 from detline.torsion import (
@@ -33,7 +34,6 @@ from detline.torsion import (
     GroupRingElement,
     SubdivisionData,
     _assemble_matrix,
-    _gram_hash,
     assemble_coefficients,
     check_unimodular,
     elementary_subdivide,
@@ -567,7 +567,7 @@ def test_reference_hashes_pinned():
 
 def test_gram_hash_ignores_signed_zeros():
     u = regular_cyclic_representation(5).module.basis_map
-    assert _gram_hash(u @ u.conj().T) == _gram_hash(np.eye(5))
+    assert gram_hash(u @ u.conj().T) == gram_hash(np.eye(5))
 
 
 def test_sparse_assembly_matches_dense_evaluation():
