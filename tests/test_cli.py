@@ -408,13 +408,15 @@ def test_cli_classcheck_divergent_is_a_result(tmp_path, capsys):
     assert "value" not in payload
 
 
+COMPLEX_DOC = {
+    "algebra": {"blocks": [[1, 1.0]]},
+    "modules": [[1], [1]],
+    "boundaries": [[[2.0]]],
+}
+
+
 def test_cli_betti_and_zeta(tmp_path, capsys):
-    doc = {
-        "algebra": {"blocks": [[1, 1.0]]},
-        "modules": [[1], [1]],
-        "boundaries": [[[2.0]]],
-    }
-    cx = write_doc(tmp_path, "cx.json", doc)
+    cx = write_doc(tmp_path, "cx.json", COMPLEX_DOC)
     code, out, err = run_cli(capsys, ["--format", "structured", "betti", cx])
     assert code == 0, err
     assert json.loads(out)["betti"] == [0, 0]
@@ -435,13 +437,6 @@ def test_cli_betti_cell_complex(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["betti"] == [1.0, 1.0]
     assert payload["euler_characteristic"] == 0
-
-
-COMPLEX_DOC = {
-    "algebra": {"blocks": [[1, 1.0]]},
-    "modules": [[1], [1]],
-    "boundaries": [[[2.0]]],
-}
 
 
 @pytest.mark.parametrize("kernel_tol", ["-1", "0", "1", "nan", "inf"])
