@@ -1,11 +1,13 @@
 """Small dense-linear-algebra helpers shared across the package.
 
 Everything here works on plain complex ndarrays, one algebra block at a
-time.  Callers take a block's norm from the factorisation they already
-hold where they can (max |eigenvalue| of a Hermitian block); a residual
-check may overestimate its numerator (Frobenius norm) or underestimate its
-scale (largest entry modulus), so it stays at least as strict as one in
-spectral norms.
+time, except shape_groups, stack and stacks, which group the blocks of an
+operator by shape so that a per-block kernel runs as one batched numpy
+call per shape.  Callers take a block's norm from the factorisation they
+already hold where they can (max |eigenvalue| of a Hermitian block); a
+residual check may overestimate its numerator (Frobenius norm) or
+underestimate its scale (largest entry modulus), so it stays at least as
+strict as one in spectral norms.
 """
 
 from __future__ import annotations
@@ -31,6 +33,33 @@ def as_complex_matrix(a) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValidationError("matrix entries must be finite")
     return m
+
+
+def shape_groups(*block_lists) -> list[list[int]]:
+    """Positions k grouped by the shapes of block_lists[i][k] for every i,
+    in order of first appearance, ascending within a group."""
+    groups: dict[tuple, list[int]] = {}
+    for k, shapes in enumerate(zip(*([b.shape for b in blocks] for blocks in block_lists))):
+        groups.setdefault(shapes, []).append(k)
+    return list(groups.values())
+
+
+def stack(blocks, idx) -> np.ndarray:
+    """blocks[k] for k in idx (one shape) as an array of shape (len(idx),
+    rows, cols); a lone block is a view, not a copy."""
+    if len(idx) == 1:
+        return blocks[idx[0]][None]
+    return np.stack([blocks[k] for k in idx])
+
+
+def stacks(blocks) -> list[tuple[list[int], np.ndarray]]:
+    """The nonempty blocks grouped by shape, (indices, stack) per shape.
+
+    numpy's linalg routines run on a stack one LAPACK call per matrix, the
+    same call a single matrix gets, so per-block results come out
+    bit-identical to separate calls.
+    """
+    return [(idx, stack(blocks, idx)) for idx in shape_groups(blocks) if blocks[idx[0]].size]
 
 
 def gram_hash(matrix) -> str:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import cluster_values, inv_sqrt_pd, operator_norm, random_complex
+from ._linalg import cluster_values, inv_sqrt_pd, operator_norm, random_complex, stacks
 from .errors import (
     AlgebraMismatch,
     DecompositionFailure,
@@ -44,6 +44,7 @@ from .errors import (
 CLUSTER_REL_GAP = 1e-6  # eigenvalue gap that separates irreducible pieces
 MAX_GROUP_ORDER = 256
 ASSOCIATIVITY_BLOCK = 1 << 17  # table entries per associativity gather
+VERIFY_BLOCK = 1 << 17  # residual entries per batched decomposition check
 VERIFY_TOL = 1e-8  # bound on the group product residual of the block images
 
 
@@ -339,7 +340,10 @@ def _decompose_once(table, rng):
     # random Hermitian element of it splits the carrier into irreducibles.
     sample = _commutant_element(table, random_complex(rng, n_g))
     vals, vecs = np.linalg.eigh(0.5 * (sample + sample.conj().T))
-    pieces = [np.linalg.qr(vecs[:, sl])[0] for sl in cluster_values(vals, CLUSTER_REL_GAP)]
+    pieces = [vecs[:, sl] for sl in cluster_values(vals, CLUSTER_REL_GAP)]
+    for idx, s in stacks(pieces):  # one batched QR per piece width
+        for k, q in zip(idx, np.linalg.qr(s)[0]):
+            pieces[k] = q
 
     # Group the pieces into families carrying the same block, probing with a
     # second, non-Hermitian commutant element: block (i, j) of Q^H probe Q, Q
@@ -375,10 +379,8 @@ def _decompose_once(table, rng):
         for i in fam[1:]:
             phi = pieces[i].conj().T @ probe @ base
             bases.append(pieces[i] @ (phi @ inv_sqrt_pd(phi.conj().T @ phi)))
-        base_h = base.conj().T
-        images = np.empty((n_g, dim, dim), dtype=complex)
-        for g in range(n_g):
-            images[g] = base_h[:, table.product[g]] @ base
+        # images[g] = base^H L_g base, one matmul over the stack of all g
+        images = np.matmul(base.conj().T[:, table.product].swapaxes(0, 1), base)
         chars = np.trace(images, axis1=1, axis2=2)
         blocks_raw.append({"dim": dim, "bases": bases, "images": images, "chars": chars})
 
@@ -405,7 +407,7 @@ def _decompose_once(table, rng):
         for g in range(n_g)
     ]
 
-    _verify_decomposition(table, unitary, algebra, group_images)
+    _verify_decomposition(table, unitary, [block["images"] for block in blocks_raw])
     # the block trace sum_k w_k chi_k(g) is 1 at the identity and 0 elsewhere
     off = np.asarray(algebra.weights) @ np.array([block["chars"] for block in blocks_raw])
     off[table.identity] -= 1.0
@@ -414,7 +416,7 @@ def _decompose_once(table, rng):
     return GroupAlgebraDecomposition(algebra, unitary, group_images, table)
 
 
-def _verify_decomposition(table, unitary, algebra, group_images):
+def _verify_decomposition(table, unitary, block_images):
     # The table is validated, so L_g L_h = L_gh exactly.  With
     # ||U^H U - 1|| <= t_u and ||U^H L_g U - B(g)|| <= t for every g, where
     # B(g) is the block action of img(g), the images respect the product:
@@ -423,19 +425,30 @@ def _verify_decomposition(table, unitary, algebra, group_images):
     # Both checks run at VERIFY_TOL / 5 on Frobenius norms, which bound the
     # operator norms above, so the product residual stays within VERIFY_TOL
     # without forming the n^2 products.  U^H L_g is U^H with its columns
-    # gathered by h -> g h.  B(g) = blkdiag_k(img_k(g) kron 1), so img_k(g)
-    # is subtracted in place from rows and columns i::n_k of block k.
+    # gathered by h -> g h, and the residuals of a chunk of g are one
+    # batched matmul of VERIFY_BLOCK entries (one n^2 residual when that is
+    # more).  B(g) = blkdiag_k(img_k(g) kron 1): entry (a n_k + i, b n_k + i)
+    # of block k is img_k(g)[a, b], and these entries are subtracted in place.
     tol = VERIFY_TOL / 5
+    n_g = table.order
     uh = unitary.conj().T
-    if np.linalg.norm(uh @ unitary - np.eye(table.order)) > tol:
+    if np.linalg.norm(uh @ unitary - np.eye(n_g)) > tol:
         raise DecompositionFailure("change of basis is not unitary")
-    for g in range(table.order):
-        residual = uh[:, table.product[g]] @ unitary
-        at = 0
-        for n, img in zip(algebra.block_dims, group_images[g].block_matrices):
-            diag = residual[at : at + n * n, at : at + n * n]
-            for i in range(n):
-                diag[i::n, i::n] -= img
-            at += n * n
-        if np.linalg.norm(residual) > tol:
-            raise DecompositionFailure(f"block model mismatch for element {g}")
+    offsets = np.cumsum([0] + [imgs.shape[1] ** 2 for imgs in block_images])
+    rows, cols, model = [], [], []
+    for idx, imgs in stacks(block_images):  # imgs[j] = block_images[idx[j]]
+        n = imgs.shape[2]
+        a, b, i = np.indices((n, n, n)).reshape(3, -1)
+        at = offsets[idx][:, None]
+        rows.append((at + a * n + i).ravel())
+        cols.append((at + b * n + i).ravel())
+        model.append(imgs[:, :, a, b].transpose(1, 0, 2).reshape(n_g, -1))
+    rows, cols, model = np.concatenate(rows), np.concatenate(cols), np.hstack(model)
+    chunk = max(1, VERIFY_BLOCK // (n_g * n_g))
+    for g0 in range(0, n_g, chunk):
+        gs = slice(g0, min(g0 + chunk, n_g))
+        residual = np.matmul(uh[:, table.product[gs]].swapaxes(0, 1), unitary)
+        residual[:, rows, cols] -= model[gs]
+        bad = np.flatnonzero(np.linalg.norm(residual, axis=(1, 2)) > tol)
+        if bad.size:
+            raise DecompositionFailure(f"block model mismatch for element {g0 + bad[0]}")

@@ -14,6 +14,14 @@ A general invertible operator gets the polar route: the square root of the
 spectral determinant of A* A.  Self-adjointness, positivity and adjoints are
 taken against the module's reference gram; to measure against another
 admissible gram, build the operator on module.with_reference_gram(gram).
+
+Each route makes one LAPACK call per block shape, not per block: the
+nonempty blocks are stacked by shape once (_linalg.stacks), and every
+check, eigenvalue, SVD, solve and log-determinant runs on the stack.  numpy
+runs a stack one matrix at a time through the same LAPACK routine, so the
+per-block numbers are those of separate calls, and the weighted sum is
+taken in block order.  C[G] for G abelian has |G| blocks of size 1, all in
+one stack.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._linalg import operator_norm
+from ._linalg import stacks
 from .errors import (
     KernelDetected,
     NegativeSpectrum,
@@ -91,15 +99,26 @@ class DeterminantResult:
     method: str
     convergence: ConvergenceReport = field(default_factory=ConvergenceReport)
 
+    @classmethod
+    def from_log(cls, log_value: float, method: str, convergence=None) -> "DeterminantResult":
+        """The result whose value is exp(log_value): inf past the float range
+        and 0.0 below it, without a floating-point warning."""
+        with np.errstate(over="ignore"):
+            value = float(np.exp(log_value))
+        return cls(value, log_value, method, convergence or ConvergenceReport())
+
 
 def _tilde_blocks(module, op):
     """Conjugate blocks into coordinates where the reference gram is the
     identity.
 
     W B W^{-1} with W = gram^(1/2) turns gram-self-adjoint into Hermitian
-    and gram-unitary into unitary, block by block.
+    and gram-unitary into unitary, block by block.  Under an identity gram
+    the blocks already are in those coordinates.
     """
     g = module.reference_gram
+    if g.is_identity:
+        return op.blocks
     return [
         w @ b @ wi for w, b, wi in zip(g.sqrt_blocks, op.blocks, g.inv_sqrt_blocks)
     ]
@@ -123,23 +142,21 @@ def spectral_density(
     scale is the largest |eigenvalue| of the Hermitian parts (at most the
     operator norm) and the self-adjoint residual a Frobenius norm."""
     _check_operator(module, op)
-    tilde = _tilde_blocks(module, op)
-    vals = []
-    weights = []
-    for (n, w), b in zip(module.algebra.blocks, tilde):
-        if b.size == 0:
-            continue
-        ev = np.linalg.eigvalsh(0.5 * (b + b.conj().T))
-        vals.append(ev)
-        weights.append(np.full(ev.shape, w))
-    scale = max((float(np.max(np.abs(ev))) for ev in vals), default=0.0)
-    for b in tilde:
-        if np.linalg.norm(b - b.conj().T) > SELF_ADJOINT_TOL * max(1.0, scale):
-            raise NotSelfAdjoint("operator is not self-adjoint for this gram")
-    if not vals:
+    evs = {}
+    scale = residual = 0.0
+    for idx, s in stacks(_tilde_blocks(module, op)):
+        sh = s.conj().swapaxes(1, 2)
+        ev = np.linalg.eigvalsh(0.5 * (s + sh))
+        evs.update(zip(idx, ev))
+        scale = max(scale, float(np.max(np.abs(ev))))
+        residual = max(residual, float(np.max(np.linalg.norm(s - sh, axis=(1, 2)))))
+    if residual > SELF_ADJOINT_TOL * max(1.0, scale):
+        raise NotSelfAdjoint("operator is not self-adjoint for this gram")
+    if not evs:
         return SpectralDensity(np.zeros(0), np.zeros(0))
-    values = np.concatenate(vals)
-    weights = np.concatenate(weights)
+    ks = sorted(evs)  # block order
+    values = np.concatenate([evs[k] for k in ks])
+    weights = np.repeat(np.take(module.algebra.weights, ks), [evs[k].size for k in ks])
     if np.min(values) < -1e-10 * max(1.0, scale):
         raise NegativeSpectrum(f"spectrum reaches {np.min(values):.3e}")
     order = np.argsort(values)
@@ -164,74 +181,65 @@ def fk_det_spectral(
     if np.any(density.values <= cut):
         mass = float(np.sum(density.weights[density.values <= cut]))
         raise KernelDetected(f"spectral mass {mass:.3e} at zero; determinant undefined")
-    log_det = density.log_moment()
-    return DeterminantResult(float(np.exp(log_det)), float(log_det), "spectral")
+    return DeterminantResult.from_log(density.log_moment(), "spectral")
 
 
-def _require_invertible(tilde):
-    for b in tilde:
-        if b.size == 0:
-            continue
-        svals = np.linalg.svd(b, compute_uv=False)
-        if svals[-1] <= INVERTIBLE_REL_TOL * max(svals[0], 1e-300):
+def _require_invertible(groups):
+    for _, s in groups:
+        svals = np.linalg.svd(s, compute_uv=False)
+        if np.any(svals[:, -1] <= INVERTIBLE_REL_TOL * np.maximum(svals[:, 0], 1e-300)):
             raise NonInvertible("operator has a (numerical) kernel")
 
 
-def _telescope(blocks_at, t0, t1, weights, depth=0):
+def _telescope(blocks_at, t0, t1, indices, weights, depth=0):
     """Sum of w_k Re tr log(B_k(t0)^{-1} B_k(t1)), subdividing as needed.
 
-    Re tr log r = log|det r| for an invertible matrix r.  A step is taken
-    only once every ratio lies within PATH_STEP_BALL of the identity; a
-    path through a singular point never gets there, and after
+    blocks_at(t) gives one stack per block shape, holding the blocks
+    indices[i].  Re tr log r = log|det r| for an invertible matrix r.  A
+    step is taken only once every ratio lies within PATH_STEP_BALL of the
+    identity; a path through a singular point never gets there, and after
     MAX_PATH_DEPTH halvings it is refused.
     """
     b0 = blocks_at(t0)
     b1 = blocks_at(t1)
-    ratios = []
     worst = 0.0
     try:
-        for a, b in zip(b0, b1):
-            if a.size == 0:
-                ratios.append(a)
-                continue
-            r = np.linalg.solve(a, b)
-            ratios.append(r)
-            worst = max(worst, operator_norm(r - np.eye(r.shape[0])))
+        ratios = [np.linalg.solve(a, b) for a, b in zip(b0, b1)]
+        for r in ratios:
+            dev = np.linalg.svd(r - np.eye(r.shape[1]), compute_uv=False)[:, 0]
+            worst = max(worst, float(np.max(dev)))
     except np.linalg.LinAlgError:
         worst = np.inf
     if worst < PATH_STEP_BALL:
-        return sum(
-            w * float(np.linalg.slogdet(r)[1]) for w, r in zip(weights, ratios) if r.size
-        )
+        logdets = {}
+        for idx, r in zip(indices, ratios):
+            logdets.update(zip(idx, np.linalg.slogdet(r)[1]))
+        return sum(weights[k] * float(logdets[k]) for k in sorted(logdets))
     if depth >= MAX_PATH_DEPTH:
         raise PathLeavesGL("path cannot be subdivided into invertible steps")
     mid = 0.5 * (t0 + t1)
-    return _telescope(blocks_at, t0, mid, weights, depth + 1) + _telescope(
-        blocks_at, mid, t1, weights, depth + 1
+    return _telescope(blocks_at, t0, mid, indices, weights, depth + 1) + _telescope(
+        blocks_at, mid, t1, indices, weights, depth + 1
     )
 
 
-def _segment_is_safe(tilde):
+def _segment_is_safe(groups):
     """The straight path (1-t) 1 + t A misses GL iff A has spectrum on the
     closed negative real ray."""
-    for b in tilde:
-        if b.size == 0:
-            continue
-        eigs = np.linalg.eigvals(b)
-        scale = max(1.0, float(np.max(np.abs(eigs))))
-        for z in eigs:
-            dist = abs(z.imag) if z.real < 0 else abs(z)
-            if dist <= SEGMENT_REL_TOL * scale:
-                return False
+    for _, s in groups:
+        eigs = np.linalg.eigvals(s)
+        scale = np.maximum(1.0, np.max(np.abs(eigs), axis=1, keepdims=True))
+        dist = np.where(eigs.real < 0, np.abs(eigs.imag), np.abs(eigs))
+        if np.any(dist <= SEGMENT_REL_TOL * scale):
+            return False
     return True
 
 
-def _positive_factor(b):
-    """P = (b^H b)^(1/2) = V S V^H from the SVD b = W S V^H (b = (W V^H) P)."""
-    if b.size == 0:
-        return b
-    _, s, vh = np.linalg.svd(b)
-    return (vh.conj().T * s) @ vh
+def _positive_factor(s):
+    """P = (b^H b)^(1/2) = V S V^H from the SVD b = W S V^H (b = (W V^H) P),
+    for each b in a stack."""
+    _, sv, vh = np.linalg.svd(s)
+    return (vh.conj().swapaxes(1, 2) * sv[:, None, :]) @ vh
 
 
 def fk_det_path(
@@ -251,36 +259,33 @@ def fk_det_path(
     _check_operator(module, op)
     if path not in ("auto", "segment", "polar"):
         raise ValidationError(f"unknown path kind {path!r}")
-    tilde = _tilde_blocks(module, op)
-    _require_invertible(tilde)
-    weights = [w for _, w in module.algebra.blocks]
+    groups = stacks(_tilde_blocks(module, op))
+    _require_invertible(groups)
     grid = np.linspace(0.0, 1.0, PATH_STEPS + 1)
 
-    if path == "polar" or (path == "auto" and not _segment_is_safe(tilde)):
-        tilde = [_positive_factor(b) for b in tilde]
-    eyes = [np.eye(b.shape[0], dtype=complex) for b in tilde]
+    if path == "polar" or (path == "auto" and not _segment_is_safe(groups)):
+        groups = [(idx, _positive_factor(s)) for idx, s in groups]
+    indices = [idx for idx, _ in groups]
+    eyes = [np.eye(s.shape[1], dtype=complex) for _, s in groups]
 
     def blocks_at(t):
-        return [(1.0 - t) * e + t * b for e, b in zip(eyes, tilde)]
+        return [(1.0 - t) * e + t * s for e, (_, s) in zip(eyes, groups)]
 
+    weights = module.algebra.weights
     log_det = sum(
-        _telescope(blocks_at, grid[i], grid[i + 1], weights) for i in range(PATH_STEPS)
+        _telescope(blocks_at, grid[i], grid[i + 1], indices, weights)
+        for i in range(PATH_STEPS)
     )
-    return DeterminantResult(float(np.exp(log_det)), float(log_det), "path")
+    return DeterminantResult.from_log(float(log_det), "path")
 
 
 def fk_det(module: HilbertianModule, op: CommutantOperator) -> DeterminantResult:
     """Determinant of a general invertible operator: sqrt det of A* A."""
     _check_operator(module, op)
-    _require_invertible(_tilde_blocks(module, op))
+    _require_invertible(stacks(_tilde_blocks(module, op)))
     inner = op.adjoint() @ op
     try:
         inner_det = fk_det_spectral(module, inner)
     except KernelDetected as err:
         raise NonInvertible(str(err)) from err
-    return DeterminantResult(
-        float(np.sqrt(inner_det.value)),
-        0.5 * inner_det.log_value,
-        "polar",
-        inner_det.convergence,
-    )
+    return DeterminantResult.from_log(0.5 * inner_det.log_value, "polar", inner_det.convergence)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._linalg import shape_groups, stack, stacks
 from .determinant import fk_det_spectral
 from .errors import (
     AlgebraMismatch,
@@ -93,9 +94,7 @@ def _inv_sqrt(det) -> float:
 
 def _product_element(module, gram_blocks, origin) -> DetLineElement:
     """Det(T)^(-1/2) for the transition T = G_ref^{-1} G of a product G."""
-    ref = module.reference_gram
-    blocks = [gi @ b for gi, b in zip(ref.inv_blocks, gram_blocks)]
-    det = _transition_det(module, blocks)
+    det = _transition_det(module, module.reference_gram.inv_times(gram_blocks))
     return DetLineElement(module, _inv_sqrt(det), origin)
 
 
@@ -137,11 +136,8 @@ def pushforward(f: ModuleMorphism, e: DetLineElement) -> DetLineElement:
     finv = f.inverse()
     gm = f.source.reference_gram
     gn = f.target.reference_gram
-    blocks = [
-        gni @ fi.conj().T @ gmb @ fi
-        for gni, fi, gmb in zip(gn.inv_blocks, finv.blocks, gm.blocks)
-    ]
-    det = _transition_det(f.target, blocks)
+    left = gm.right_times(gn.inv_times([fi.conj().T for fi in finv.blocks]))
+    det = _transition_det(f.target, [a @ fi for a, fi in zip(left, finv.blocks)])
     return DetLineElement(f.target, e.coefficient * _inv_sqrt(det), "pushforward")
 
 
@@ -174,38 +170,57 @@ def _svd(a: np.ndarray, vectors: bool, full_matrices: bool):
 def _check_exact(alpha: ModuleMorphism, beta: ModuleMorphism, tol: float):
     """alpha injective, beta surjective, im(alpha) = ker(beta) blockwise.
 
-    One SVD per block of each map gives the ranks and the norms; the
-    composite and the gap are Frobenius norms.  Singular vectors are taken
-    only in blocks with 0 < cols(alpha) < rows(alpha): there the image frame
-    is the leading left vectors of alpha and the kernel frame the trailing
-    right vectors of beta.  Elsewhere the checks before the gap test fix the
-    verdict: alpha with no columns has no image to compare, and a square
-    injective alpha leaves beta no rows, so both subspaces are the block.
+    The blocks are grouped by the shapes of both maps, and each group takes
+    one SVD of each map's stack for the ranks and the norms; the composite
+    and the gap are Frobenius norms.  Singular vectors are taken only where
+    0 < cols(alpha) < rows(alpha) = cols(alpha) + rows(beta): there the
+    image frame is the left vectors of alpha and the kernel frame the
+    trailing right vectors of beta.  Elsewhere the checks before the gap
+    test fix the verdict: alpha with no columns has no image to compare, a
+    square injective alpha leaves beta no rows, so both subspaces are the
+    block, and dimensions that do not add up fail the rank test.  The first
+    failing block is reported, with its first failing check.
     """
     if not beta.source.is_same_space(alpha.target):
         raise AlgebraMismatch("the two maps do not share the middle module")
-    gapped = [0 < a.shape[1] < a.shape[0] for a in alpha.blocks]
-    svd_a = [_svd(a, g, False) for a, g in zip(alpha.blocks, gapped)]
-    svd_b = [_svd(b, g, True) for b, g in zip(beta.blocks, gapped)]
-    top_a = [float(s[0]) if s.size else 0.0 for _, s, _ in svd_a]
-    top_b = [float(s[0]) if s.size else 0.0 for _, s, _ in svd_b]
-    scale = max(max(top_a, default=0.0) * max(top_b, default=0.0), 1.0)
-    for k, (a, b) in enumerate(zip(alpha.blocks, beta.blocks)):
-        (u_a, s_a, _), (_, s_b, vh_b) = svd_a[k], svd_b[k]
-        if a.shape[1] and np.sum(s_a > tol * max(1.0, top_a[k])) < a.shape[1]:
-            raise NotExact(f"first map fails to be injective in block {k}")
-        if b.shape[0] and np.sum(s_b > tol * max(1.0, top_b[k])) < b.shape[0]:
-            raise NotExact(f"second map fails to be surjective in block {k}")
-        if a.size and b.size and np.linalg.norm(b @ a) > tol * scale:
-            raise NotExact(f"composite is nonzero in block {k}")
-        if a.shape[1] + b.shape[0] != a.shape[0]:
-            raise NotExact(f"rank mismatch in block {k}: middle homology is nonzero")
-        if gapped[k]:
-            image = u_a[:, : a.shape[1]]
-            kernel = vh_b[b.shape[0] :].conj().T
-            gap = float(np.linalg.norm(image @ image.conj().T - kernel @ kernel.conj().T))
-            if gap > tol:
-                raise NotExact(f"image and kernel subspaces differ in block {k} (gap {gap:.2e})")
+    n = len(alpha.blocks)
+    rows, cols = np.array([a.shape for a in alpha.blocks]).T
+    quot = np.array([b.shape[0] for b in beta.blocks])
+    rank_a, rank_b = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+    top_a, top_b, composite, gap = np.zeros((4, n))
+    for idx in shape_groups(alpha.blocks, beta.blocks):
+        a, b = stack(alpha.blocks, idx), stack(beta.blocks, idx)
+        k = idx[0]
+        gapped = 0 < cols[k] < rows[k] == cols[k] + quot[k]
+        if a.size:
+            u_a, s_a, _ = _svd(a, gapped, False)
+            top_a[idx] = s_a[:, 0]
+            rank_a[idx] = np.sum(s_a > tol * np.maximum(1.0, s_a[:, :1]), axis=1)
+        if b.size:
+            _, s_b, vh_b = _svd(b, gapped, True)
+            top_b[idx] = s_b[:, 0]
+            rank_b[idx] = np.sum(s_b > tol * np.maximum(1.0, s_b[:, :1]), axis=1)
+            if a.size:
+                composite[idx] = np.linalg.norm(b @ a, axis=(1, 2))
+        if gapped:
+            kernel = vh_b[:, quot[k] :].conj().swapaxes(1, 2)
+            gap[idx] = np.linalg.norm(
+                u_a @ u_a.conj().swapaxes(1, 2) - kernel @ kernel.conj().swapaxes(1, 2),
+                axis=(1, 2),
+            )
+    scale = max(np.max(top_a) * np.max(top_b), 1.0)
+    checks = [
+        (rank_a < cols, "first map fails to be injective in block {k}"),
+        (rank_b < quot, "second map fails to be surjective in block {k}"),
+        (composite > tol * scale, "composite is nonzero in block {k}"),
+        (cols + quot != rows, "rank mismatch in block {k}: middle homology is nonzero"),
+        (gap > tol, "image and kernel subspaces differ in block {k} (gap {gap:.2e})"),
+    ]
+    failed = np.logical_or.reduce([fails for fails, _ in checks])
+    if failed.any():
+        k = int(np.argmax(failed))
+        message = next(message for fails, message in checks if fails[k])
+        raise NotExact(message.format(k=k, gap=gap[k]))
 
 
 def exact_sequence_iso(
@@ -234,15 +249,14 @@ def exact_sequence_iso(
 
     if retraction is None:
         # orthogonal retraction for M's reference: project onto im(alpha),
-        # then invert alpha on its image
-        gm = m.reference_gram
-        r_blocks = []
-        for a, g in zip(alpha.blocks, gm.blocks):
-            if a.shape[1] == 0:
-                r_blocks.append(np.zeros((0, a.shape[0]), dtype=complex))
-                continue
-            gram_a = a.conj().T @ g @ a
-            r_blocks.append(np.linalg.solve(gram_a, a.conj().T @ g))
+        # then invert alpha on its image, r = (a^H G a)^{-1} a^H G; a block
+        # with no columns keeps its empty a^H G
+        ahg = m.reference_gram.right_times([a.conj().T for a in alpha.blocks])
+        r_blocks = list(ahg)
+        for idx, a in stacks(alpha.blocks):
+            h = stack(ahg, idx)
+            for k, r in zip(idx, np.linalg.solve(h @ a, h)):
+                r_blocks[k] = r
         retraction = ModuleMorphism(m, alpha.source, r_blocks)
     else:
         if not (
@@ -254,15 +268,12 @@ def exact_sequence_iso(
         if resid.norm() > EXACTNESS_TOL * max(1.0, retraction.norm() * alpha.norm()):
             raise ValidationError("retraction does not split the first map")
 
-    g_prime = alpha.source.reference_gram
-    g_second = beta.target.reference_gram
-    blocks = []
-    for gi, r, gp, b, gs in zip(
-        m.reference_gram.inv_blocks, retraction.blocks, g_prime.blocks, beta.blocks, g_second.blocks
-    ):
-        combined = r.conj().T @ gp @ r + b.conj().T @ gs @ b
-        blocks.append(gi @ combined)
-    det = _transition_det(m, blocks)
+    rhg = alpha.source.reference_gram.right_times([r.conj().T for r in retraction.blocks])
+    bhg = beta.target.reference_gram.right_times([b.conj().T for b in beta.blocks])
+    combined = [
+        x @ r + y @ b for x, r, y, b in zip(rhg, retraction.blocks, bhg, beta.blocks)
+    ]
+    det = _transition_det(m, m.reference_gram.inv_times(combined))
     coeff = _inv_sqrt(det) * e_prime.coefficient * e_second.coefficient
     return DetLineElement(m, coeff, "exact_sequence")
 

@@ -48,6 +48,7 @@ from ._linalg import (
     operator_norm,
     orthonormal_range,
     range_and_kernel,
+    stacks,
 )
 from .algebra import AlgebraElement, FiniteVonNeumannAlgebra, GroupAlgebraDecomposition
 from .errors import (
@@ -306,6 +307,18 @@ class _GramData:
             self._powers = tuple(zip(*powers))  # an algebra has >= 1 block
         return self._powers
 
+    def inv_times(self, blocks):
+        """G^(-1) B per block; B itself under an identity gram."""
+        if self.is_identity:
+            return blocks
+        return [gi @ b for gi, b in zip(self.inv_blocks, blocks)]
+
+    def right_times(self, blocks):
+        """B G per block; B itself under an identity gram."""
+        if self.is_identity:
+            return blocks
+        return [b @ g for b, g in zip(blocks, self.blocks)]
+
     @property
     def sqrt_blocks(self):
         return self._power_blocks()[0]
@@ -446,26 +459,23 @@ class ModuleMorphism:
     def adjoint(self) -> "ModuleMorphism":
         """Adjoint with respect to the reference grams of source and target."""
         gs, gt = self.source.reference_gram, self.target.reference_gram
-        blocks = [
-            gsi @ b.conj().T @ gtb
-            for gsi, b, gtb in zip(gs.inv_blocks, self.blocks, gt.blocks)
-        ]
+        blocks = gt.right_times(gs.inv_times([b.conj().T for b in self.blocks]))
         if self.source.is_same_space(self.target):
             return CommutantOperator(self.source, blocks)
         return ModuleMorphism(self.target, self.source, blocks)
 
     def is_iso(self) -> bool:
-        for b in self.blocks:
-            if b.shape[0] != b.shape[1]:
-                return False
-            if b.size and np.linalg.cond(b) > COND_LIMIT:
-                return False
-        return True
+        if any(b.shape[0] != b.shape[1] for b in self.blocks):
+            return False
+        return not any(np.any(np.linalg.cond(s) > COND_LIMIT) for _, s in stacks(self.blocks))
 
     def inverse(self) -> "ModuleMorphism":
         if not self.is_iso():
             raise NotIso("morphism is not invertible")
-        blocks = [np.linalg.inv(b) if b.size else b.copy().T for b in self.blocks]
+        blocks = list(self.blocks)  # an empty square block is its own inverse
+        for idx, s in stacks(self.blocks):
+            for k, b in zip(idx, np.linalg.inv(s)):
+                blocks[k] = b
         if self.source.is_same_space(self.target):
             return CommutantOperator(self.source, blocks)
         return ModuleMorphism(self.target, self.source, blocks)
@@ -559,9 +569,7 @@ def check_admissible(module: HilbertianModule, gram) -> AdmissibilityReport:
     commutes = bool(resid <= COMMUTANT_TOL * scale)
     transition = None
     if self_adjoint and positive and homeo and commutes:
-        ref = module.reference_gram
-        t_blocks = [gi @ b for gi, b in zip(ref.inv_blocks, blocks)]
-        transition = CommutantOperator(module, t_blocks)
+        transition = CommutantOperator(module, module.reference_gram.inv_times(blocks))
     return AdmissibilityReport(homeo, self_adjoint, positive, commutes, cond, transition)
 
 

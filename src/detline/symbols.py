@@ -440,7 +440,7 @@ def abelian_fk_det(symbol: LaurentMatrix) -> DeterminantResult:
         symbol, KernelDetected, "positive spectral mass at zero"
     )
     _hermitian_branches(symbol, points)
-    return DeterminantResult(float(np.exp(log_value)), log_value, "spectral", verdict)
+    return DeterminantResult.from_log(log_value, "spectral", verdict)
 
 
 def abelian_fk_det_general(
@@ -458,7 +458,7 @@ def abelian_fk_det_general(
     log_value, verdict, _ = _log_det(
         symbol, KernelDetected, "determinant vanishes identically"
     )
-    return DeterminantResult(float(np.exp(log_value)), log_value, "polar", verdict)
+    return DeterminantResult.from_log(log_value, "polar", verdict)
 
 
 @dataclass

@@ -280,7 +280,9 @@ def test_s4_decomposition():
 
 
 def _verify(dec, images):
-    _verify_decomposition(dec.table, dec.change_of_basis, dec.algebra, images)
+    # the check takes img_k(g) for every g as one (order, n_k, n_k) stack per block
+    stacked = [np.stack(mats) for mats in zip(*(img.block_matrices for img in images))]
+    _verify_decomposition(dec.table, dec.change_of_basis, stacked)
 
 
 def test_verification_rejects_swapped_images():
@@ -289,6 +291,17 @@ def test_verification_rejects_swapped_images():
     swapped = list(dec.group_images)
     swapped[1], swapped[2] = swapped[2], swapped[1]
     with pytest.raises(DecompositionFailure):
+        _verify(dec, swapped)
+
+
+def test_verification_names_the_failing_element_in_a_later_chunk(monkeypatch):
+    # chunks of two residuals: elements 4 and 5 of S3 share the last chunk
+    dec = build_group_algebra(FiniteGroupTable.symmetric(3))
+    monkeypatch.setattr(algebra, "VERIFY_BLOCK", 2 * 36)
+    _verify(dec, dec.group_images)
+    swapped = list(dec.group_images)
+    swapped[4], swapped[5] = swapped[5], swapped[4]
+    with pytest.raises(DecompositionFailure, match="for element 4$"):
         _verify(dec, swapped)
 
 

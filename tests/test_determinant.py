@@ -22,13 +22,17 @@ from detline.errors import (
     KernelDetected,
     NegativeSpectrum,
     NonInvertible,
+    NotExact,
     NotSelfAdjoint,
     PathLeavesGL,
     ValidationError,
 )
+from detline.lines import _check_exact
 from detline.modules import (
+    COND_LIMIT,
     CommutantOperator,
     HilbertianModule,
+    ModuleMorphism,
     direct_sum,
     standard_module,
     von_neumann_dimension,
@@ -314,3 +318,143 @@ def test_result_shape():
     assert isinstance(res, DeterminantResult)
     assert res.convergence.passed
     assert abs(np.exp(res.log_value) - res.value) < 1e-12
+
+
+def test_value_past_the_float_range_is_inf_without_a_warning():
+    # log Det(100 I on C^400) = 1842.07; exp of it overflows a float, which
+    # gives value inf (under pytest's error::RuntimeWarning filter) and
+    # leaves log_value alone
+    mod = HilbertianModule(ALGEBRAS["C"], [400])
+    res = fk_det_spectral(mod, CommutantOperator.identity(mod) * 100.0)
+    assert res.log_value == pytest.approx(400 * np.log(100.0), rel=1e-15)
+    assert res.value == np.inf
+    tiny = fk_det(mod, CommutantOperator.identity(mod) * 0.01)
+    assert tiny.log_value == pytest.approx(400 * np.log(0.01), rel=1e-15)
+    assert tiny.value == 0.0
+
+
+# -- batched blocks: one LAPACK call per block shape ---------------------------
+
+Z5 = build_group_algebra(FiniteGroupTable.cyclic(5)).algebra
+
+
+def z5_operator(values):
+    """Five 1 x 1 blocks, one stack: a single bad block sits among good ones."""
+    mod = standard_module(Z5)
+    return mod, CommutantOperator(mod, [np.array([[v]], dtype=complex) for v in values])
+
+
+def test_one_singular_block_among_equal_shapes_refuses():
+    mod, op = z5_operator([1.5, 2.0, 0.0, 0.5, 3.0])
+    with pytest.raises(NonInvertible):
+        fk_det(mod, op)
+    with pytest.raises(NonInvertible):
+        fk_det_path(mod, op)
+
+
+def test_one_negative_block_among_equal_shapes_leaves_the_segment():
+    mod, op = z5_operator([1.5, 2.0, -1.0, 0.5, 3.0])
+    with pytest.raises(PathLeavesGL):
+        fk_det_path(mod, op, path="segment")
+    auto = fk_det_path(mod, op)
+    assert auto.log_value == fk_det_path(mod, op, path="polar").log_value
+    assert abs(auto.log_value - naive_log_det(mod, op)) < 1e-12
+    with pytest.raises(NegativeSpectrum):
+        spectral_density(mod, op)
+
+
+def test_one_non_hermitian_block_among_equal_shapes_is_refused():
+    mod, op = z5_operator([1.5, 2.0, 1.0 + 1.0j, 0.5, 3.0])
+    with pytest.raises(NotSelfAdjoint):
+        fk_det_spectral(mod, op)
+
+
+BATCHED = {
+    "C[Z/24]": FiniteGroupTable.cyclic(24),
+    "C[S4]": FiniteGroupTable.symmetric(4),
+    "C2xS3": FiniteGroupTable.direct_product(
+        FiniteGroupTable.cyclic(2), FiniteGroupTable.symmetric(3)
+    ),
+}
+
+
+def rel_close(a, b, rtol=1e-14):
+    return abs(a - b) <= rtol * max(abs(a), abs(b))
+
+
+@pytest.mark.parametrize("name", sorted(BATCHED))
+def test_batched_routes_agree_with_a_per_block_loop(name):
+    rng = np.random.default_rng(31)
+    mod = standard_module(build_group_algebra(BATCHED[name]).algebra)
+    weights = mod.algebra.weights
+    for module in (mod, remetrised(rng, mod)):
+        blocks = [3.0 * np.eye(m) + 0.3 * random_complex(rng, (m, m)) for m in module.multiplicities]
+        op = CommutantOperator(module, blocks)
+        loop = sum(w * np.linalg.slogdet(b)[1] for w, b in zip(weights, blocks))
+        for res in (
+            fk_det(module, op),
+            fk_det_path(module, op),
+            fk_det_path(module, op, path="segment"),
+            fk_det_path(module, op, path="polar"),
+        ):
+            assert rel_close(res.log_value, loop)
+        pos = op.adjoint() @ op
+        loop_pos = sum(w * np.linalg.slogdet(b)[1] for w, b in zip(weights, pos.blocks))
+        assert rel_close(fk_det_spectral(module, pos).log_value, loop_pos)
+
+        assert op.is_iso()
+        inverse = op.inverse()
+        for b, inv in zip(blocks, inverse.blocks):
+            loop_inv = np.linalg.inv(b)
+            assert np.linalg.norm(inv - loop_inv) <= 1e-14 * np.linalg.norm(loop_inv)
+        # one block past COND_LIMIT among blocks of its shape
+        bad = list(blocks)
+        k = max(range(len(bad)), key=lambda j: bad[j].shape[0])
+        bad[k] = np.diag([1.0] + [0.5 / COND_LIMIT] * (bad[k].shape[0] - 1))
+        if bad[k].shape[0] == 1:
+            bad[k] = np.zeros((1, 1))
+        assert not all(np.linalg.cond(b) <= COND_LIMIT for b in bad)
+        assert not CommutantOperator(module, bad).is_iso()
+
+
+def first_inexact_block(alpha, beta, tol):
+    """The block a per-block loop finds first failing injectivity,
+    surjectivity or a vanishing composite, or None."""
+    for k, (a, b) in enumerate(zip(alpha.blocks, beta.blocks)):
+        if a.shape[1] and np.linalg.matrix_rank(a, tol * max(1.0, np.linalg.norm(a, 2))) < a.shape[1]:
+            return k
+        if b.shape[0] and np.linalg.matrix_rank(b, tol * max(1.0, np.linalg.norm(b, 2))) < b.shape[0]:
+            return k
+        if np.linalg.norm(b @ a) > tol:
+            return k
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(BATCHED))
+def test_batched_exactness_check_agrees_with_a_per_block_loop(name):
+    # 0 -> M -(a)-> M + M -(b)-> M -> 0 with a = (A, 1)^T and b = (1, -A):
+    # every block is gapped, so singular vectors come from the batched SVDs
+    rng = np.random.default_rng(37)
+    mod = standard_module(build_group_algebra(BATCHED[name]).algebra)
+    total = direct_sum(mod, mod)
+    a_blocks = [random_complex(rng, (m, m)) for m in mod.multiplicities]
+    alpha = ModuleMorphism(mod, total, [np.vstack([a, np.eye(len(a))]) for a in a_blocks])
+    beta = ModuleMorphism(total, mod, [np.hstack([np.eye(len(a)), -a]) for a in a_blocks])
+    assert first_inexact_block(alpha, beta, 1e-8) is None
+    _check_exact(alpha, beta, 1e-8)
+    # break the last block, which shares its shape with another: beta no
+    # longer kills alpha there
+    k = len(a_blocks) - 1
+    broken = list(beta.blocks)
+    broken[k] = np.hstack([np.eye(len(a_blocks[k])), a_blocks[k]])
+    beta = ModuleMorphism(total, mod, broken)
+    assert first_inexact_block(alpha, beta, 1e-8) == k
+    with pytest.raises(NotExact, match=f"composite is nonzero in block {k}$"):
+        _check_exact(alpha, beta, 1e-8)
+    # a zero alpha in block 1, one of the 1 x 1 blocks, fails first
+    broken = list(alpha.blocks)
+    broken[1] = np.zeros_like(broken[1])
+    alpha = ModuleMorphism(mod, total, broken)
+    assert first_inexact_block(alpha, beta, 1e-8) == 1
+    with pytest.raises(NotExact, match="first map fails to be injective in block 1$"):
+        _check_exact(alpha, beta, 1e-8)

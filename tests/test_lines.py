@@ -321,6 +321,17 @@ def test_pushforward_raises_only_detline_errors_past_float_range():
         pass
 
 
+def test_pushforward_of_a_small_scalar_still_underflows():
+    # 0.1 I on C^400: the transition 100 I has log Det = 1842.07, whose exp
+    # is inf without a floating-point warning; the coordinate Det^(-1/2)
+    # underflows to 0 and is refused (the open defect of the benchmark's
+    # group-operators workload)
+    mod = HilbertianModule(FiniteVonNeumannAlgebra(((1, 1.0),)), (400,))
+    op = CommutantOperator.identity(mod) * 0.1
+    with pytest.raises(ValidationError, match="must be positive"):
+        pushforward(op, reference_element(mod))
+
+
 def test_not_exact_detected():
     m = standard_module(Z3)
     total = direct_sum(m, m)
