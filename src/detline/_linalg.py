@@ -1,13 +1,18 @@
 """Small dense-linear-algebra helpers shared across the package.
 
 Everything here works on plain complex ndarrays, one algebra block at a
-time, except shape_groups, stack and stacks, which group the blocks of an
-operator by shape so that a per-block kernel runs as one batched numpy
-call per shape.  Callers take a block's norm from the factorisation they
-already hold where they can (max |eigenvalue| of a Hermitian block); a
-residual check may overestimate its numerator (Frobenius norm) or
-underestimate its scale (largest entry modulus), so it stays at least as
-strict as one in spectral norms.
+time, except key_groups, shape_groups, stack and stacks, which group the
+blocks of an operator by shape (or by any key) so that a per-block kernel
+runs as one batched numpy call per shape, and range_and_kernel, which
+takes the frames of every block from one SVD call per block shape.
+numpy's linalg routines and matmul run on a stack one LAPACK or BLAS call
+per matrix, the call a single matrix gets, so the work is per shape and
+the answers stay those of separate per-block calls, bit for bit.  Callers
+take a block's norm from the factorisation they already hold where they
+can (max |eigenvalue| of a Hermitian block); a residual check may
+overestimate its numerator (Frobenius norm) or underestimate its scale
+(largest entry modulus), so it stays at least as strict as one in
+spectral norms.
 """
 
 from __future__ import annotations
@@ -35,13 +40,18 @@ def as_complex_matrix(a) -> np.ndarray:
     return m
 
 
-def shape_groups(*block_lists) -> list[list[int]]:
-    """Positions k grouped by the shapes of block_lists[i][k] for every i,
-    in order of first appearance, ascending within a group."""
-    groups: dict[tuple, list[int]] = {}
-    for k, shapes in enumerate(zip(*([b.shape for b in blocks] for blocks in block_lists))):
-        groups.setdefault(shapes, []).append(k)
+def key_groups(keys) -> list[list[int]]:
+    """Positions k grouped by equal keys[k], in order of first appearance,
+    ascending within a group."""
+    groups: dict = {}
+    for k, key in enumerate(keys):
+        groups.setdefault(key, []).append(k)
     return list(groups.values())
+
+
+def shape_groups(*block_lists) -> list[list[int]]:
+    """Positions k grouped by the shapes of block_lists[i][k] for every i."""
+    return key_groups(zip(*([b.shape for b in blocks] for blocks in block_lists)))
 
 
 def stack(blocks, idx) -> np.ndarray:
@@ -115,15 +125,26 @@ def cluster_values(vals: np.ndarray, rel_gap: float) -> list[slice]:
     return [slice(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
 
 
-def range_and_kernel(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases (columns) of the column span and of the kernel of a,
-    from one full SVD: the leading left and the trailing right singular
-    vectors, split at the rank."""
-    if a.size == 0:
-        return np.zeros((a.shape[0], 0), dtype=complex), np.eye(a.shape[1], dtype=complex)
-    u, s, vh = np.linalg.svd(a)
-    rank = int(np.sum(s > RANK_RTOL * max(1.0, float(s[0]))))
-    return u[:, :rank], vh[rank:].conj().T
+def range_and_kernel(blocks) -> tuple[list, list]:
+    """Orthonormal bases (columns) of the column span and of the kernel of
+    each block, from one full SVD call per block shape: the leading left
+    and the trailing right singular vectors, split at the block's rank (its
+    singular values above RANK_RTOL times max(1, the largest)).  A block
+    with no entries spans nothing, and its whole source is its kernel."""
+    ranges, kernels = [None] * len(blocks), [None] * len(blocks)
+    for idx in shape_groups(blocks):
+        a = stack(blocks, idx)
+        if a.size == 0:
+            _, rows, cols = a.shape
+            for k in idx:
+                ranges[k] = np.zeros((rows, 0), dtype=complex)
+                kernels[k] = np.eye(cols, dtype=complex)
+            continue
+        u, s, vh = np.linalg.svd(a)
+        ranks = np.sum(s > RANK_RTOL * np.maximum(1.0, s[:, :1]), axis=1)
+        for k, uk, vk, rank in zip(idx, u, vh, ranks):
+            ranges[k], kernels[k] = uk[:, :rank], vk[rank:].conj().T
+    return ranges, kernels
 
 
 def orthonormal_range(a: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import range_and_kernel
+from ._linalg import key_groups, range_and_kernel, shape_groups, stack, stacks
 from .determinant import ConvergenceReport, SpectralDensity, _tilde_blocks
 from .errors import IllConditionedKernel, ValidationError
 from .lines import (
@@ -129,11 +129,14 @@ class HilbertianChainComplex:
         return self.maps[i - 1] if i >= 1 else None
 
     def boundary_residual(self) -> float:
+        """Largest ||composite|| / max(||a|| ||b||, 1) over consecutive maps;
+        each norm takes one singular-value call per block shape."""
+        norms = [f.norm() for f in self.maps]
         worst = 0.0
         for i in range(len(self.maps) - 1):
             a, b = self.maps[i], self.maps[i + 1]
             comp = a @ b if self.convention == CHAIN else b @ a
-            scale = max(a.norm() * b.norm(), 1.0)
+            scale = max(norms[i] * norms[i + 1], 1.0)
             worst = max(worst, comp.norm() / scale)
         return worst
 
@@ -199,6 +202,11 @@ def hodge(complex_, kernel_tol: float = HODGE_KERNEL_TOL) -> HodgeData:
     positive eigenvalue sits within HODGE_GAP_RATIO of the largest "zero" one, the
     kernel dimension is numerically ambiguous and the decomposition refuses.
     A kernel_tol outside (0, 1), nan included, is a ValidationError.
+
+    The work is per block shape: one eigh call per shape and degree, and
+    the cut, the gap and the kernel counts are array operations over each
+    stack.  eigh sorts ascending, so a block's kernel frame is its leading
+    count eigenvectors; frames and projectors are built per (shape, count).
     """
     if not 0.0 < kernel_tol < 1.0:
         raise ValidationError(f"kernel_tol must lie in (0, 1), got {kernel_tol!r}")
@@ -214,29 +222,26 @@ def hodge(complex_, kernel_tol: float = HODGE_KERNEL_TOL) -> HodgeData:
         laplacians.append(delta)
 
         g = mod.reference_gram
-        tilde = _tilde_blocks(mod, delta)
-        eighs = [np.linalg.eigh(0.5 * (b + b.conj().T)) for b in tilde]
+        eighs = []
+        for idx, s in stacks(_tilde_blocks(mod, delta)):
+            eighs.append((idx, *np.linalg.eigh(0.5 * (s + s.conj().swapaxes(1, 2)))))
         spectral_norm = max(
-            (float(np.max(np.abs(vals))) for vals, _ in eighs if vals.size), default=0.0
+            (float(np.max(np.abs(vals))) for _, vals, _ in eighs), default=0.0
         )
         cut = kernel_tol * max(spectral_norm, 1e-300)
 
-        j_blocks = []
-        counts = []
-        val_chunks = []
-        weight_chunks = []
+        counts = np.zeros(len(mod.multiplicities), dtype=int)
         zero_top = 0.0
         pos_bottom = np.inf
-        for (n, w), (vals, vecs), wi in zip(mod.algebra.blocks, eighs, g.inv_sqrt_blocks):
+        positive, owners = [], []  # positive eigenvalues per shape, and their blocks
+        for idx, vals, _ in eighs:
             zero = vals <= cut
-            if np.any(zero):
-                zero_top = max(zero_top, float(np.max(vals[zero])))
-            if np.any(~zero):
-                pos_bottom = min(pos_bottom, float(np.min(vals[~zero])))
-            j_blocks.append(wi @ vecs[:, zero])
-            counts.append(int(np.sum(zero)))
-            val_chunks.append(vals[~zero])
-            weight_chunks.append(np.full(int(np.sum(~zero)), w))
+            count = np.sum(zero, axis=1)
+            counts[idx] = count
+            zero_top = max(zero_top, float(vals[zero].max(initial=0.0)))
+            positive.append(vals[~zero])
+            pos_bottom = min(pos_bottom, float(positive[-1].min(initial=np.inf)))
+            owners.append(np.repeat(idx, vals.shape[1] - count))
         if zero_top > 0.0 and np.isfinite(pos_bottom):
             if pos_bottom / zero_top < HODGE_GAP_RATIO:
                 raise IllConditionedKernel(
@@ -244,19 +249,33 @@ def hodge(complex_, kernel_tol: float = HODGE_KERNEL_TOL) -> HodgeData:
                     f"is too small to trust the Betti number"
                 )
 
+        # an empty block keeps an empty frame and projector
+        j_blocks = [np.zeros((0, 0), dtype=complex)] * len(counts)
+        proj_blocks = list(j_blocks)
+        for idx, _, vecs in eighs:
+            for at in key_groups(counts[idx].tolist()):
+                ks = [idx[t] for t in at]
+                j = vecs[at, :, : counts[ks[0]]]
+                if g.is_identity:
+                    p = j @ j.conj().swapaxes(1, 2)
+                else:
+                    j = stack(g.inv_sqrt_blocks, ks) @ j
+                    p = j @ j.conj().swapaxes(1, 2) @ stack(g.blocks, ks)
+                for k, jk, pk in zip(ks, j, p):
+                    j_blocks[k], proj_blocks[k] = jk, pk
+
         h_mod = HilbertianModule(mod.algebra, counts)
-        embed = ModuleMorphism(h_mod, mod, j_blocks)
-        proj_blocks = [
-            j @ j.conj().T @ gb for j, gb in zip(j_blocks, g.blocks)
-        ]
         h_modules.append(h_mod)
-        h_embeddings.append(embed)
+        h_embeddings.append(ModuleMorphism(h_mod, mod, j_blocks))
         h_projectors.append(CommutantOperator(mod, proj_blocks))
-        if val_chunks:
-            values = np.concatenate(val_chunks)
-            weights = np.concatenate(weight_chunks)
+        if positive:
+            values, owners = np.concatenate(positive), np.concatenate(owners)
+            if len(positive) > 1:  # back to block order
+                order = np.argsort(owners, kind="stable")
+                values, owners = values[order], owners[order]
             order = np.argsort(values)
-            densities.append(SpectralDensity(values[order], weights[order]))
+            weights = np.asarray(mod.algebra.weights)[owners[order]]
+            densities.append(SpectralDensity(values[order], weights))
         else:
             densities.append(SpectralDensity(np.zeros(0), np.zeros(0)))
         betti.append(von_neumann_dimension(h_mod))
@@ -320,36 +339,47 @@ def torsion_iso_via_laplacians(complex_, hodge_data: HodgeData | None = None) ->
 
 
 def _coords_in_frame(embed, vectors_blocks):
-    """Coordinates of given vectors in a reference-orthonormal frame."""
+    """Coordinates of given vectors in a reference-orthonormal frame,
+    j^H G v, one product per block shape; G is skipped when it is the
+    identity."""
     g = embed.target.reference_gram
-    return [
-        j.conj().T @ gb @ v for j, gb, v in zip(embed.blocks, g.blocks, vectors_blocks)
-    ]
+    coords = [None] * len(vectors_blocks)
+    for idx in shape_groups(embed.blocks, vectors_blocks):
+        jh = stack(embed.blocks, idx).conj().swapaxes(1, 2)
+        if not g.is_identity:
+            jh = jh @ stack(g.blocks, idx)
+        for k, c in zip(idx, jh @ stack(vectors_blocks, idx)):
+            coords[k] = c
+    return coords
 
 
 def torsion_iso_via_exact_sequences(complex_, hodge_data: HodgeData | None = None) -> GradedDetLineElement:
     """Same isomorphism, computed by factoring each degree through
     0 -> Z_i -> C_i -> B_out -> 0 and 0 -> B_i -> Z_i -> H_i -> 0.
 
-    One full SVD per block of each map gives both frames it bounds: the
-    leading left singular vectors span the boundaries B of its target, the
-    trailing right ones the cycles Z of its source.  Both factors reuse one
-    orthonormal frame per boundary subspace, so the det(B) lines pair to
-    exactly 1 and the per-degree coefficient is 1/(kappa_i kappa'_i)."""
+    The full SVD of a map block gives both frames it bounds: the leading
+    left singular vectors span the boundaries B of its target, the trailing
+    right ones the cycles Z of its source.  The work is per block shape:
+    one SVD call per shape of each map, and one product per shape for each
+    change of frame, which skips the gram where it is the identity.  Both
+    factors reuse one orthonormal frame per boundary subspace, so the det(B)
+    lines pair to exactly 1 and the per-degree coefficient is
+    1/(kappa_i kappa'_i)."""
     if hodge_data is None:
         hodge_data = hodge(complex_)
 
-    # a degree with no incoming map bounds nothing; with no outgoing map,
-    # every chain is a cycle
-    ranges = [[np.zeros((m, 0), dtype=complex) for m in mod.multiplicities]
-              for mod in complex_.modules]
-    kernels = [[np.eye(m, dtype=complex) for m in mod.multiplicities]
-               for mod in complex_.modules]
+    ranges = [None] * len(complex_.modules)
+    kernels = [None] * len(complex_.modules)
     for i, f in enumerate(complex_.maps):
         src, tgt = (i + 1, i) if complex_.convention == CHAIN else (i, i + 1)
-        frames = [range_and_kernel(b) for b in f.blocks]
-        ranges[tgt] = [r for r, _ in frames]
-        kernels[src] = [k for _, k in frames]
+        ranges[tgt], kernels[src] = range_and_kernel(f.blocks)
+    # a degree with no incoming map bounds nothing; with no outgoing map,
+    # every chain is a cycle
+    for i, mod in enumerate(complex_.modules):
+        if ranges[i] is None:
+            ranges[i] = [np.zeros((m, 0), dtype=complex) for m in mod.multiplicities]
+        if kernels[i] is None:
+            kernels[i] = [np.eye(m, dtype=complex) for m in mod.multiplicities]
     boundary_frames = [frame_submodule(mod, r) for mod, r in zip(complex_.modules, ranges)]
 
     entries = []

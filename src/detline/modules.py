@@ -45,7 +45,7 @@ from ._linalg import (
     as_complex_matrix,
     gram_orthonormalize,
     is_hermitian,
-    operator_norm,
+    key_groups,
     orthonormal_range,
     range_and_kernel,
     stacks,
@@ -229,22 +229,29 @@ class _GramData:
     G^(-1), since metric work happens per block.  The carrier matrix is
     built only when asked for: matrix is the given carrier matrix, a
     function that builds it, or None for the identity and for the operator
-    with these blocks.
+    with these blocks.  The identity builds its blocks only when they (or
+    its powers) are read; code that tests is_identity first never reads
+    them.
     """
 
-    __slots__ = ("module", "blocks", "is_identity", "_matrix", "_powers")
+    __slots__ = ("module", "_blocks", "is_identity", "_matrix", "_powers")
 
     def __init__(self, module, blocks, matrix=None, is_identity=False):
         self.module = module
-        self.blocks = blocks
+        self._blocks = blocks
         self.is_identity = is_identity
         self._matrix = matrix
-        self._powers = (blocks, blocks, blocks) if is_identity else None
+        self._powers = None
 
     @staticmethod
     def identity(module):
-        blocks = tuple(np.eye(m, dtype=complex) for m in module.multiplicities)
-        return _GramData(module, blocks, is_identity=True)
+        return _GramData(module, None, is_identity=True)
+
+    @property
+    def blocks(self):
+        if self._blocks is None:
+            self._blocks = tuple(np.eye(m, dtype=complex) for m in self.module.multiplicities)
+        return self._blocks
 
     @staticmethod
     def direct_sum(module, summands):
@@ -296,8 +303,11 @@ class _GramData:
 
     def _power_blocks(self):
         """(G^(1/2), G^(-1/2), G^(-1)) per block from one eigendecomposition
-        of each; the blocks were checked positive definite on entry."""
-        if self._powers is None:
+        of each; the blocks were checked positive definite on entry.  The
+        identity is its own powers."""
+        if self._powers is None and self.is_identity:
+            self._powers = (self.blocks,) * 3
+        elif self._powers is None:
             powers = []
             for b in self.blocks:
                 vals, vecs = np.linalg.eigh(0.5 * (b + b.conj().T))
@@ -358,20 +368,31 @@ def _extract_blocks(source, target, mat):
     m_k(source)), is the mean of the n_k diagonal copies of F_k in canonical
     coordinates; the residual is the Frobenius norm of mat there less each
     1_{n_k} kron F_k, and the scale max(1, largest entry modulus) of mat.
+    Blocks that share (n_k, m_k(target), m_k(source)) are gathered into one
+    stack, read by one einsum and put back with their copies subtracted.
     """
     ut, us = target.basis_map, source.basis_map
     can = mat.copy() if ut is None else ut.conj().T @ mat
     if us is not None:
         can = can @ us
     scale = max(1.0, float(np.max(np.abs(can), initial=0.0)))
-    blocks = []
-    for k, n in enumerate(source.algebra.block_dims):
-        piece = can[target.block_slice(k), source.block_slice(k)]
-        piece = piece.reshape(n, target.multiplicities[k], n, source.multiplicities[k])
-        f = np.einsum("aiaj->ij", piece) / n
-        blocks.append(f)
+    shapes = list(zip(source.algebra.block_dims, target.multiplicities, source.multiplicities))
+    blocks = [None] * len(shapes)
+    for idx in key_groups(shapes):
+        n, mt, ms = shapes[idx[0]]
+        if len(idx) == 1:  # a lone block is read and reduced in place
+            at = (target.block_slice(idx[0]), source.block_slice(idx[0]))
+        else:
+            rows = target._offsets[idx][:, None, None] + np.arange(n * mt)[:, None]
+            at = (rows, source._offsets[idx][:, None, None] + np.arange(n * ms))
+        pieces = can[at].reshape(len(idx), n, mt, n, ms)
+        f = np.einsum("kaiaj->kij", pieces) / n
         diag = np.arange(n)
-        piece[diag, :, diag, :] -= f
+        pieces[:, diag, :, diag, :] -= f
+        if len(idx) > 1:
+            can[at] = pieces.reshape(len(idx), n * mt, n * ms)
+        for k, fk in zip(idx, f):
+            blocks[k] = fk
     return blocks, float(np.linalg.norm(can)), scale
 
 
@@ -481,7 +502,10 @@ class ModuleMorphism:
         return ModuleMorphism(self.target, self.source, blocks)
 
     def norm(self) -> float:
-        return max((operator_norm(b) for b in self.blocks), default=0.0)
+        """Largest spectral norm of a block, from one singular-value call per
+        block shape."""
+        tops = [np.linalg.svd(s, compute_uv=False)[:, 0].max() for _, s in stacks(self.blocks)]
+        return float(max(tops, default=0.0))
 
 
 class CommutantOperator(ModuleMorphism):
@@ -791,7 +815,7 @@ def frame_submodule(
 
 def kernel_submodule(f: ModuleMorphism):
     """Kernel of an A-linear map as a submodule of its source."""
-    return frame_submodule(f.source, [range_and_kernel(b)[1] for b in f.blocks])
+    return frame_submodule(f.source, range_and_kernel(f.blocks)[1])
 
 
 def image_submodule(f: ModuleMorphism):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import gram_hash
+from ._linalg import gram_hash, key_groups, stack
 from .complexes import (
     COCHAIN,
     CHAIN,
@@ -202,7 +202,9 @@ class CellComplex:
 
     boundaries[q] describes the boundary of the (q+1)-cells: entry [j][i]
     is the coefficient of the j-th q-cell in the boundary of the i-th
-    (q+1)-cell.
+    (q+1)-cell.  boundary_entries[q] lists its nonzero entries as (j, i,
+    coefficient), row by row; a complex is not changed after it is built,
+    so assembly reads this list instead of walking the dense matrix.
     """
 
     def __init__(self, generators, cells, boundaries):
@@ -241,6 +243,7 @@ class CellComplex:
                 clean.append(tuple(row))
             mats.append(tuple(clean))
         self.boundaries = tuple(mats)
+        self.boundary_entries = tuple(_nonzero_entries(m) for m in mats)
 
     @property
     def dimension(self) -> int:
@@ -377,21 +380,42 @@ def _module_power(module: HilbertianModule, count: int) -> HilbertianModule:
     return direct_sum_many([module] * count)
 
 
-def _assemble_matrix(rep, entries, n_rows, n_cols):
-    """Evaluate a group-ring matrix into per-algebra-block numpy blocks.
+def _nonzero_entries(matrix) -> tuple:
+    """(row, column, element) of each nonzero entry of a group-ring matrix,
+    row by row."""
+    return tuple(
+        (r, c, entry)
+        for r, row in enumerate(matrix)
+        for c, entry in enumerate(row)
+        if entry.terms
+    )
 
-    Each term coeff * word of entry (r, c) adds into the (row, column) tile
-    of preallocated block arrays, in the order rep.evaluate sums them, so
-    the tiles equal its blocks bit for bit.
+
+def _assemble_matrix(rep, entries, n_rows, n_cols):
+    """Evaluate a sparse group-ring matrix into per-algebra-block numpy
+    blocks.
+
+    entries lists the nonzero (row, column, element) entries.  The blocks
+    of one multiplicity are assembled as one preallocated stack: each term
+    coeff * word adds coeff times the stack of the word operator's blocks
+    into the (row, column) tile, in the order rep.evaluate sums them, so
+    every tile equals its blocks bit for bit.  The word stacks live for
+    this call only.
     """
     mult = rep.module.multiplicities
-    blocks = [np.zeros((m * n_rows, m * n_cols), dtype=complex) for m in mult]
-    for r in range(n_rows):
-        for c in range(n_cols):
-            for word, coeff in entries(r, c).terms.items():
-                coeff = float(coeff)
-                for m, out, b in zip(mult, blocks, rep.word_operator(word).blocks):
-                    out[r * m : (r + 1) * m, c * m : (c + 1) * m] += coeff * b
+    blocks = [None] * len(mult)
+    for idx in key_groups(mult):
+        m = mult[idx[0]]
+        out = np.zeros((len(idx), m * n_rows, m * n_cols), dtype=complex)
+        words = {}
+        for r, c, element in entries:
+            tile = out[:, r * m : (r + 1) * m, c * m : (c + 1) * m]
+            for word, coeff in element.terms.items():
+                if word not in words:
+                    words[word] = stack(rep.word_operator(word).blocks, idx)
+                tile += float(coeff) * words[word]
+        for k, b in zip(idx, out):
+            blocks[k] = b
     return blocks
 
 
@@ -406,13 +430,14 @@ def assemble_coefficients(complex_: CellComplex, rep: GroupRepresentation) -> Hi
     counts = complex_.cell_counts()
     modules = [_module_power(rep.module, c) for c in counts]
     maps = []
-    for q, mat in enumerate(complex_.boundaries):
+    for q, entries in enumerate(complex_.boundary_entries):
         lo, hi = counts[q], counts[q + 1]
         if rep.side == "right":
-            blocks = _assemble_matrix(rep, lambda r, c: mat[r][c], lo, hi)
+            blocks = _assemble_matrix(rep, entries, lo, hi)
             maps.append(ModuleMorphism(modules[q + 1], modules[q], blocks))
         else:
-            blocks = _assemble_matrix(rep, lambda r, c: mat[c][r], hi, lo)
+            transposed = [(c, r, element) for r, c, element in entries]
+            blocks = _assemble_matrix(rep, transposed, hi, lo)
             maps.append(ModuleMorphism(modules[q], modules[q + 1], blocks))
 
     convention = CHAIN if rep.side == "right" else COCHAIN
@@ -457,7 +482,7 @@ def torsion(
     rep.with_module_gram(g)) measures against the product g instead.  The
     coordinate is the Laplacian route's.  The exact-sequence route's value
     is reported beside it in route_coordinates, but the two are not
-    compared here (ROADMAP item 6).
+    compared here (ROADMAP item 8).
     """
     uni = check_unimodular(rep)
     if require_unimodular and not uni.passed:
@@ -676,9 +701,8 @@ def invariance_check(
     c_new = after.coefficients
     chain_maps = []
     for d in range(len(complex_.cells)):
-        mat = psi.matrices[d]
         rows, cols = len(refined.cells[d]), len(complex_.cells[d])
-        blocks = _assemble_matrix(rep, lambda r, c: mat[r][c], rows, cols)
+        blocks = _assemble_matrix(rep, _nonzero_entries(psi.matrices[d]), rows, cols)
         chain_maps.append(ModuleMorphism(c_old.modules[d], c_new.modules[d], blocks))
 
     for d in range(len(complex_.cells) - 1):

@@ -609,6 +609,27 @@ def test_mellin_zeta_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def test_cellular_torsion_loads_no_numpy_ma():
+    # numpy imports numpy.ma on first use of np.unique and a few other
+    # helpers, about 25 ms of a CLI process; the per-shape Hodge, route and
+    # assembly code avoids them
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = (
+        "import sys\n"
+        "from detline import circle, invariance_check, regular_cyclic_representation\n"
+        "from detline import split_edge, torsion\n"
+        "cx = circle(4)\n"
+        "invariance_check(cx, *split_edge(cx, 'e0'), regular_cyclic_representation(3))\n"
+        "torsion(cx, regular_cyclic_representation(3, side='left'))\n"
+        "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
+
+
 def test_polar_path_loads_no_scipy():
     # the polar path is the segment path to |A|, taken from numpy's SVD
     src = Path(__file__).resolve().parent.parent / "src"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from detline._linalg import operator_norm, random_complex
+from detline._linalg import operator_norm, random_complex, stacks
 from detline.algebra import FiniteGroupTable, FiniteVonNeumannAlgebra, build_group_algebra
 from detline.complexes import (
     HilbertianChainComplex,
@@ -15,14 +15,16 @@ from detline.complexes import (
     zeta_suite,
 )
 from detline import lines
-from detline.determinant import fk_det, spectral_density
+from detline.determinant import _tilde_blocks, fk_det, spectral_density
 from detline.errors import IllConditionedKernel, ValidationError
 from detline.fixtures import circle, regular_cyclic_representation
+from detline.lines import reference_element
 from detline.modules import (
     CommutantOperator,
     HilbertianModule,
     ModuleMorphism,
     direct_sum,
+    frame_submodule,
     standard_module,
     von_neumann_dimension,
 )
@@ -245,6 +247,148 @@ def test_exact_sequence_route_factors_each_map_block_once(monkeypatch):
     # and Z_1 in C_1 are the two proper subspaces
     assert (map_blocks, gapped[0]) == (6, 2)
     assert vectors[0] <= map_blocks + 2 * gapped[0]
+
+
+def _blockwise_hodge(c, data):
+    """Kernel frames, projectors and positive spectra of each degree from
+    one eigh per block, products with the gram powers taken even where they
+    are the identity."""
+    out = []
+    for mod, delta in zip(c.modules, data.laplacians):
+        g = mod.reference_gram
+        eighs = [np.linalg.eigh(0.5 * (b + b.conj().T)) for b in _tilde_blocks(mod, delta)]
+        top = max((float(np.max(np.abs(v))) for v, _ in eighs if v.size), default=0.0)
+        cut = data.kernel_tol * max(top, 1e-300)
+        frames, projectors, values, weights = [], [], [], []
+        for (_, w), (v, u), wi, gb in zip(mod.algebra.blocks, eighs, g.inv_sqrt_blocks, g.blocks):
+            zero = v <= cut
+            j = wi @ u[:, zero]
+            frames.append(j)
+            projectors.append(j @ j.conj().T @ gb)
+            values.append(v[~zero])
+            weights.append(np.full(int(np.sum(~zero)), w))
+        values, weights = np.concatenate(values), np.concatenate(weights)
+        order = np.argsort(values)
+        out.append((frames, projectors, values[order], weights[order]))
+    return out
+
+
+def _blockwise_route(c, data):
+    """The exact-sequence coordinate with one SVD per map block and one
+    frame product per block, the gram included where it is the identity."""
+
+    def frames(b):
+        if b.size == 0:
+            return np.zeros((b.shape[0], 0), dtype=complex), np.eye(b.shape[1], dtype=complex)
+        u, s, vh = np.linalg.svd(b)
+        rank = int(np.sum(s > 1e-10 * max(1.0, float(s[0]))))
+        return u[:, :rank], vh[rank:].conj().T
+
+    def coords(embed, vectors):
+        g = embed.target.reference_gram
+        return [j.conj().T @ gb @ v for j, gb, v in zip(embed.blocks, g.blocks, vectors)]
+
+    chain = c.convention == "chain"
+    ranges = [[np.zeros((m, 0), dtype=complex) for m in mod.multiplicities] for mod in c.modules]
+    kernels = [[np.eye(m, dtype=complex) for m in mod.multiplicities] for mod in c.modules]
+    for i, f in enumerate(c.maps):
+        src, tgt = (i + 1, i) if chain else (i, i + 1)
+        pairs = [frames(b) for b in f.blocks]
+        ranges[tgt] = [r for r, _ in pairs]
+        kernels[src] = [k for _, k in pairs]
+    bounds = [frame_submodule(mod, r) for mod, r in zip(c.modules, ranges)]
+    coordinate = 1.0
+    for i in c.degrees:
+        mod, out = c.modules[i], c.outgoing(i)
+        z_mod, z_embed = frame_submodule(mod, kernels[i])
+        kappa = 1.0
+        if out is not None:
+            b_mod, b_embed = bounds[i - 1 if chain else i + 1]
+            kappa = lines.exact_sequence_iso(
+                z_embed, ModuleMorphism(mod, b_mod, coords(b_embed, out.blocks)),
+                reference_element(z_mod), reference_element(b_mod),
+            ).coefficient
+        b_mod, b_embed = bounds[i]
+        h_mod, h_embed = data.harmonic_modules[i], data.harmonic_embeddings[i]
+        kappa_prime = lines.exact_sequence_iso(
+            ModuleMorphism(b_mod, z_mod, coords(z_embed, b_embed.blocks)),
+            ModuleMorphism(z_mod, h_mod, coords(h_embed, z_embed.blocks)),
+            reference_element(b_mod), reference_element(h_mod),
+        ).coefficient
+        coordinate *= (1.0 / (kappa * kappa_prime)) ** (1 if i % 2 == 0 else -1)
+    return coordinate
+
+
+def _shape_batched_cases():
+    rng = np.random.default_rng(71)
+    # C[S3] blocks of dimensions 1, 1, 2: the first two share a shape in
+    # every degree, the third differs, and the grams are not the identity
+    mixed = make_complex(rng, S3, [(2, 2, 3), (3, 3, 2), (2, 2, 1)], grams=True)
+    # six 16 x 16 characters of one shape; only the trivial one has a kernel
+    cochain = assemble_coefficients(circle(16), regular_cyclic_representation(6, side="left"))
+    # eigenvalue 1 in every block, with weights 1/6, 1/6 and 1/3: the tied
+    # values keep their block order although block 1 has its own shape
+    mod = HilbertianModule(S3, (2, 3, 2))
+    f = CommutantOperator(mod, [np.diag([1.0] + [0.0] * (m - 1)) for m in (2, 3, 2)])
+    tied = HilbertianChainComplex([mod, mod], [f])
+    return {
+        "mixed C[S3] grams": mixed,
+        "cochain circle(16) C[Z/6]": cochain,
+        "tied C[S3] spectra": tied,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_shape_batched_cases()))
+def test_shape_batched_hodge_and_route_match_blockwise_bit_for_bit(name):
+    c = _shape_batched_cases()[name]
+    data = hodge(c)
+    assert any(0 < b < von_neumann_dimension(m) for b, m in zip(data.betti, c.modules))
+    for i, (frames, projectors, values, weights) in enumerate(_blockwise_hodge(c, data)):
+        for got, want in zip(data.harmonic_embeddings[i].blocks, frames):
+            assert got.shape == want.shape and np.array_equal(got, want)
+        for got, want in zip(data.harmonic_projectors[i].blocks, projectors):
+            assert np.array_equal(got, want)
+        assert np.array_equal(data.positive_densities[i].values, values)
+        assert np.array_equal(data.positive_densities[i].weights, weights)
+    assert torsion_iso_via_exact_sequences(c, data).coordinate == _blockwise_route(c, data)
+
+
+def _counting(monkeypatch, name):
+    """Count the calls of np.linalg.<name> for the rest of the test."""
+    calls = [0]
+    original = getattr(np.linalg, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_hodge_takes_one_eigh_per_block_shape_and_degree(monkeypatch):
+    rng = np.random.default_rng(73)
+    cases = [  # (complex, block shapes summed over the degrees)
+        (make_complex(rng, S3, [(2, 2, 3), (3, 3, 2), (2, 2, 1)], grams=False), 6),
+        (assemble_coefficients(circle(16), regular_cyclic_representation(6, side="left")), 2),
+    ]
+    for c, shapes in cases:
+        assert shapes == sum(len({m for m in mod.multiplicities if m}) for mod in c.modules)
+        calls = _counting(monkeypatch, "eigh")
+        hodge(c)
+        assert calls[0] == shapes
+        monkeypatch.undo()
+
+
+def test_boundary_residual_takes_one_svd_per_block_shape_and_map(monkeypatch):
+    rng = np.random.default_rng(79)
+    c = make_complex(rng, S3, [(2, 2, 3), (3, 3, 2), (1, 1, 2)], grams=False)
+    composite = c.maps[0] @ c.maps[1]
+    shapes = sum(len(stacks(f.blocks)) for f in (*c.maps, composite))
+    assert shapes == 6  # two shapes for each of the three norms
+    calls = _counting(monkeypatch, "svd")
+    assert c.boundary_residual() < 1e-12
+    assert calls[0] == shapes
 
 
 def test_ill_conditioned_kernel_refused():

@@ -13,6 +13,7 @@ from detline.errors import (
     ShapeMismatch,
     ValidationError,
 )
+from detline import modules
 from detline.lines import reference_element
 from detline.modules import (
     CommutantOperator,
@@ -405,6 +406,49 @@ def test_gram_powers():
         assert np.linalg.norm(w @ w - b) <= 1e-12 * np.linalg.norm(b)
         assert np.linalg.norm(wi @ b @ wi - eye) <= 1e-12
         assert np.linalg.norm(gi @ b - eye) <= 1e-12
+
+
+def test_identity_gram_builds_its_blocks_when_read():
+    m = HilbertianModule(ALG, (3, 2))
+    g = m.reference_gram
+    assert g.is_identity and g._blocks is None
+    assert g.inv_times(["b"]) == ["b"] and g.right_times(["b"]) == ["b"]
+    assert g._blocks is None
+    for blocks in (g.sqrt_blocks, g.inv_sqrt_blocks, g.inv_blocks, g.blocks):
+        assert [b.tolist() for b in blocks] == [np.eye(k).tolist() for k in (3, 2)]
+
+
+def test_extract_blocks_per_shape_matches_one_einsum_per_block():
+    # blocks of one (n, m_target, m_source) are read as one stack; each
+    # block, the residual and the scale stay those of a per-block reading
+    alg = FiniteVonNeumannAlgebra(tuple((n, 0.1) for n in (2, 1, 2, 3, 2, 1)))
+    source = HilbertianModule(alg, (2, 1, 2, 1, 2, 0))
+    target = HilbertianModule(alg, (3, 1, 3, 2, 3, 1))
+    rng = np.random.default_rng(67)
+    mat = rng.standard_normal((target.carrier_dim, source.carrier_dim)) * (1 + 0.5j)
+    blocks, resid, scale = modules._extract_blocks(source, target, mat)
+    can = mat.copy()
+    for k, n in enumerate(alg.block_dims):
+        piece = can[target.block_slice(k), source.block_slice(k)]
+        piece = piece.reshape(n, target.multiplicities[k], n, source.multiplicities[k])
+        f = np.einsum("aiaj->ij", piece) / n
+        assert np.array_equal(blocks[k], f)
+        piece[np.arange(n), :, np.arange(n), :] -= f
+    assert resid == float(np.linalg.norm(can)) and resid > 0
+    assert scale == max(1.0, float(np.max(np.abs(mat))))
+
+
+def test_norm_is_the_largest_block_norm():
+    # blocks 0 and 1 share a shape and the larger one comes second
+    alg = FiniteVonNeumannAlgebra(((1, 0.25), (1, 0.25), (2, 0.25)))
+    src, tgt = HilbertianModule(alg, (3, 3, 1)), HilbertianModule(alg, (2, 2, 0))
+    rng = np.random.default_rng(59)
+    blocks = [rng.standard_normal((2, 3)), 5.0 * rng.standard_normal((2, 3)), np.zeros((0, 1))]
+    f = ModuleMorphism(src, tgt, blocks)
+    want = max(float(np.linalg.svd(b, compute_uv=False)[0]) for b in blocks[:2])
+    assert f.norm() == want == float(np.linalg.norm(blocks[1], 2))
+    zero = ModuleMorphism(tgt, src, [np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((1, 0))])
+    assert zero.norm() == 0.0
 
 
 def test_kernel_and_image_submodules():

@@ -34,6 +34,7 @@ from detline.torsion import (
     GroupRingElement,
     SubdivisionData,
     _assemble_matrix,
+    _nonzero_entries,
     assemble_coefficients,
     check_unimodular,
     elementary_subdivide,
@@ -581,11 +582,48 @@ def test_sparse_assembly_matches_dense_evaluation():
     mat = [[ring("t") - ring(), zero, ring("t^2", 3)], [zero, ring("t^-1"), zero]]
     for side in ("right", "left"):
         rep = GroupRepresentation(module, {"t": image}, side=side)
-        got = _assemble_matrix(rep, lambda r, c: mat[r][c], 2, 3)
+        got = _assemble_matrix(rep, _nonzero_entries(mat), 2, 3)
         ops = [[rep.evaluate(mat[r][c]) for c in range(3)] for r in range(2)]
         for k in range(len(module.multiplicities)):
             dense = np.block([[ops[r][c].blocks[k] for c in range(3)] for r in range(2)])
             assert np.array_equal(got[k], dense)
+
+
+def test_assembly_reads_only_the_nonzero_boundary_entries(monkeypatch):
+    K = circle(64)
+    rep = regular_cyclic_representation(5)
+    reads = [0]
+
+    class Counted:
+        def __init__(self, element):
+            self.element = element
+
+        @property
+        def terms(self):
+            reads[0] += len(self.element.terms)
+            return self.element.terms
+
+    entries = tuple(tuple((r, c, Counted(e)) for r, c, e in q) for q in K.boundary_entries)
+    want = assemble_coefficients(K, rep)
+    words = []
+    lookup = rep.word_operator
+    monkeypatch.setattr(K, "boundaries", None)  # the dense matrix is not walked
+    monkeypatch.setattr(K, "boundary_entries", entries)
+    monkeypatch.setattr(rep, "word_operator", lambda w: words.append(w) or lookup(w))
+    got = assemble_coefficients(K, rep)
+    # 64 x 64 entries, 128 nonzero, one term each; C[Z/5] has one block
+    # shape, so each of the two words is stacked once
+    assert reads[0] == 128
+    assert sorted(words) == [(), (("t", 1),)]
+    for a, b in zip(got.maps[0].blocks, want.maps[0].blocks):
+        assert np.array_equal(a, b)
+
+
+def test_torsion_reads_no_identity_gram_blocks():
+    report = torsion(circle(16), regular_cyclic_representation(6))
+    modules_ = report.coefficients.modules + report.hodge_data.harmonic_modules
+    assert all(m.reference_gram.is_identity for m in modules_)
+    assert all(m.reference_gram._blocks is None for m in modules_)
 
 
 def test_assembly_matches_entrywise_evaluation_bit_for_bit():
