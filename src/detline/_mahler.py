@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -60,6 +61,11 @@ MAX_PANELS = 500
 # a matrix row whose end blocks both have |det| below this fraction of
 # (sum of block norms)^m is solved through its scalar determinant
 LEADING_BLOCK_TOL = 1e-12
+# a symbol whose largest entry modulus, to the power of the degree of the
+# polynomial measured in its entries, leaves 2^(+-RESCALE_BITS) is measured
+# after an exact scaling by a power of two
+RESCALE_BITS = 256
+LOG2 = math.log(2.0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -76,59 +82,73 @@ def _gauss_legendre(n: int):
     return nodes, 2.0 * vectors[0] ** 2
 
 
-def _linked(points, radius):
-    """Index arrays of the single-linkage clusters of complex points, two
-    points linking when closer than radius times the larger of 1 and their
-    moduli."""
-    moduli = np.maximum(1.0, np.abs(points))
-    near = np.abs(points[:, None] - points[None, :]) <= radius * np.maximum(
-        moduli[:, None], moduli[None, :]
-    )
-    label = np.arange(points.size)
+def _linked(near):
+    """Single-linkage cluster labels from a stack of adjacency matrices, shape
+    (rows, points, points): each point's label is the smallest index in its
+    cluster."""
+    count = near.shape[-1]
+    label = np.broadcast_to(np.arange(count), near.shape[:-1])
     while True:
-        merged = np.min(np.where(near, label[None, :], points.size), axis=1)
-        merged = merged[merged]
+        merged = np.min(np.where(near, label[:, None, :], count), axis=2)
+        merged = np.take_along_axis(merged, merged, axis=1)
         if np.array_equal(merged, label):
-            return [np.nonzero(label == k)[0] for k in sorted(set(label.tolist()))]
+            return label
         label = merged
 
 
 def _merge_clusters(direct, lead, roots, tol):
-    """Roots of one polynomial with each numerical multiple root merged.
+    """Jensen sums, sum log max(1, |root|), of rows of roots with each
+    numerical multiple root merged.
 
     A cluster whose members lie on both sides of the unit circle would make
     Jensen's formula count part of one root outside: (t - 1)^20 has computed
-    roots up to 1.16 in modulus.  Such a cluster is replaced by its centroid,
-    counted with its multiplicity, when the product over the merged roots
-    still reproduces `direct`, the polynomial at CHECK_CIRCLE, to tol;
-    otherwise it is split at the next smaller linkage radius.  Returns
-    (root, multiplicity) pairs.
+    roots up to 1.16 in modulus.  Such a cluster counts as its centroid,
+    with its multiplicity, when the product over the other roots and the
+    centroid still reproduces `direct`, the polynomial at CHECK_CIRCLE, to
+    tol; otherwise it is split at the next smaller linkage radius, and a
+    part that radius does not split fails again untried.  Two roots link
+    when closer than the radius times the larger of 1 and their moduli, so
+    the clusters of each radius refine those of the one before: the tree is
+    walked one radius at a time over every row at once.
     """
-    factors = CHECK_CIRCLE[:, None] - roots[None, :]
-    groups = []
+    n, degree = roots.shape
+    moduli = np.abs(roots)
+    reach = np.maximum(1.0, np.maximum(moduli[:, :, None], moduli[:, None, :]))
+    gaps = np.abs(roots[:, :, None] - roots[:, None, :])
+    factors = CHECK_CIRCLE[None, :, None] - roots[:, None, :]
+    terms = np.log(np.maximum(1.0, moduli))
+    unresolved = np.ones((n, degree), dtype=bool)
+    # size of the failed cluster each root was split from; none at the top
+    parent = np.full((n, degree), degree + 1)
+    for level, radius in enumerate(CLUSTER_RADII):
+        active = np.nonzero(np.any(unresolved, axis=1))[0]
+        if not active.size:
+            break
+        label = _linked(gaps[active] <= radius * reach[active])
+        row, head = np.nonzero(unresolved[active] & (label == np.arange(degree)))
+        member = label[row] == head[:, None]
+        row = active[row]
+        size = np.sum(member, axis=1)
+        # summed in index order, as np.mean sums a short cluster
+        centroid = np.cumsum(np.where(member, roots[row], 0.0), axis=1)[:, -1] / size
+        crossed = (moduli[row] > 1.0) != (np.abs(centroid) > 1.0)[:, None]
+        straddles = np.any(member & crossed, axis=1)
+        tried = np.nonzero(straddles & (size != parent[row, head]))[0]
+        rest = np.prod(np.where(member[tried, None, :], 1.0, factors[row[tried]]), axis=2)
+        power = (CHECK_CIRCLE - centroid[tried, None]) ** size[tried, None]
+        trial = lead[row[tried], None] * rest * power
+        merged = np.zeros(row.size, dtype=bool)
+        merged[tried] = np.max(np.abs(direct[row[tried]] - trial), axis=1) <= tol[row[tried]]
+        split = straddles & ~merged & (level + 1 < len(CLUSTER_RADII))
 
-    def resolve(members, level, failed):
-        for part in _linked(roots[members], CLUSTER_RADII[level]):
-            ids = members[part]
-            centroid = complex(np.mean(roots[ids]))
-            outside = np.abs(roots[ids]) > 1.0
-            if ids.size == 1 or np.all(outside == (abs(centroid) > 1.0)):
-                groups.extend((r, 1) for r in roots[ids])
-                continue
-            # a cluster that the smaller radius did not split failed already
-            if not (failed and ids.size == members.size):
-                rest = np.prod(np.delete(factors, ids, axis=1), axis=1)
-                trial = lead * rest * (CHECK_CIRCLE - centroid) ** ids.size
-                if np.max(np.abs(direct - trial)) <= tol:
-                    groups.append((centroid, ids.size))
-                    continue
-            if level + 1 < len(CLUSTER_RADII):
-                resolve(ids, level + 1, True)
-            else:
-                groups.extend((r, 1) for r in roots[ids])
-
-    resolve(np.arange(roots.size), 0, False)
-    return groups
+        cluster, slot = np.nonzero(member)
+        unresolved[row[cluster], slot] = split[cluster]
+        parent[row[cluster], slot] = size[cluster]
+        cluster, slot = np.nonzero(member & merged[:, None])
+        terms[row[cluster], slot] = 0.0
+        centre_term = np.log(np.maximum(1.0, np.abs(centroid[merged])))
+        terms[row[merged], head[merged]] = size[merged] * centre_term
+    return np.sum(terms, axis=1)
 
 
 def _blurred_straddles(lead, roots, moduli, tol):
@@ -231,10 +251,10 @@ def _jensen_rows(blocks):
         axis=1,
     )
     tol = np.maximum(2.0 * residual, 8.0 * width * m * EPS * scale)
-    for i in np.nonzero(_blurred_straddles(lead_det, roots, moduli, tol) & ~singular)[0]:
-        groups = _merge_clusters(direct[i], lead_det[i], roots[i], tol[i])
-        values[i] = np.log(abs(lead_det[i])) + sum(
-            mult * np.log(max(1.0, abs(root))) for root, mult in groups
+    merge = np.nonzero(_blurred_straddles(lead_det, roots, moduli, tol) & ~singular)[0]
+    if merge.size:
+        values[merge] = np.log(np.abs(lead_det[merge])) + _merge_clusters(
+            direct[merge], lead_det[merge], roots[merge], tol[merge]
         )
     if m == 1:
         values[singular] = np.nan
@@ -285,15 +305,18 @@ def _jensen(coefficients):
 def _boyd(coefficients):
     """m(det M) on the 2-torus, M(x, y) = sum c[i, j] x^i y^j (Boyd).
 
-    Jensen's formula in x is integrated over the angle phi of y by adaptive
-    Gauss-Legendre panels.  The integrand has a kink wherever a root crosses
+    Jensen's formula in x, the inner variable, is integrated over the angle
+    phi of y, the outer one, by adaptive Gauss-Legendre panels; each circle
+    solve takes the eigenvalues of a block companion of size m times the
+    degree in x.  The integrand has a kink wherever a root crosses
     the unit circle: the angles where the number of roots outside changes
     on a scan are located by repeated sectioning and seed the panel
     breakpoints.  Kinks the scan cannot see, such as a root touching the
     circle tangentially, are caught by the panel test: a panel is split until
     its two orders agree to PANEL_REL_TOL of its integral of |integrand| (above
     the integrand's rounding) or to PANEL_FLOOR; the gaps sum to the error estimate.
-    The probe points, (x angle, phi) pairs, are those of every row solved.
+    The breakpoints are angles phi of y.  The probe points, (x angle, phi)
+    pairs, are those of every row solved.
     """
     powers = np.arange(coefficients.shape[1])
     points = []
@@ -358,12 +381,21 @@ def _boyd(coefficients):
 
 def _measure(coefficients):
     """(m(det M), diagnostics, probe points) of a coefficient array over the
-    rank-1 or rank-2 torus.  On the 2-torus the inner variable has the higher
-    degree, and a polynomial in one variable goes to Jensen's formula."""
+    rank-1 or rank-2 torus.
+
+    On the 2-torus the inner variable, whose roots Jensen's formula takes on
+    each circle, is the one of lower degree (x on a tie): its block
+    companion has size m times that degree.  Boyd's diagnostics name the
+    integrated variable, whose angles the breakpoints are, by its exponent
+    index `outer_axis`.  A polynomial constant in one variable goes to
+    Jensen's formula in the other.  The probe points keep the (x, y) order
+    either way.
+    """
     if coefficients.ndim == 3:
         return _jensen(coefficients)
     coefficients = _trim(_trim(coefficients, 0), 1)
-    swapped = coefficients.shape[1] > coefficients.shape[0]
+    rows, cols = coefficients.shape[:2]
+    swapped = rows > cols > 1 or rows == 1 < cols
     if swapped:
         coefficients = np.swapaxes(coefficients, 0, 1)
     if coefficients.shape[1] == 1:
@@ -371,6 +403,7 @@ def _measure(coefficients):
         probes = np.insert(probes, 1, 0.0, axis=1)
     else:
         value, diagnostics, probes = _boyd(coefficients)
+        diagnostics["outer_axis"] = 0 if swapped else 1
     return value, diagnostics, probes[:, ::-1] if swapped else probes
 
 
@@ -429,6 +462,21 @@ def _vanishes(values, norms, count):
     return float(np.max(np.abs(values))) <= SYMBOL_KERNEL_REL_TOL * scale
 
 
+def _rescaled(symbol, count):
+    """(2^-k F, k) for a symbol F measured through a polynomial of degree
+    count in its entries.  k is 0 while the largest entry modulus to the
+    power count stays within 2^(+-RESCALE_BITS), and otherwise brings that
+    modulus into [1/2, 1), so the polynomial stays inside the float range;
+    the scaling is exact, and the polynomial gains the factor 2^(-k count)."""
+    top = np.max(np.abs(np.array(list(symbol.coefficients.values()))), initial=0.0)
+    k = math.frexp(top)[1]
+    if abs(k * count) <= RESCALE_BITS:
+        return symbol, 0
+    scaled = {e: np.ldexp(np.ascontiguousarray(c).view(float), -k).view(complex)
+              for e, c in symbol.coefficients.items()}
+    return type(symbol)(symbol.rank, scaled, shape=symbol.shape), k
+
+
 def torus_log_det(symbol, vanishing, message):
     """(m(det F), diagnostics, probe points) of a square Laurent symbol F.
 
@@ -436,18 +484,23 @@ def torus_log_det(symbol, vanishing, message):
     SYMBOL_KERNEL_REL_TOL, or `vanishing` is raised; a nonzero 1 x 1 symbol
     is its own determinant.  The diagnostics give the route (jensen
     or boyd), the breakpoints, the number of panels, the quadrature error
-    estimate and the largest relative residual of the root factorisation.
+    estimate and the largest relative residual of the root factorisation,
+    and on the boyd route the outer_axis whose angles the breakpoints are.
     The probe points, shape (probes, rank), are one per arc between the
-    roots of det F near the unit circle on every circle solved.
+    roots of det F near the unit circle on every circle solved.  F is
+    measured as _rescaled(F, m) = 2^-k F, whose Mahler measure is m k log 2
+    less.
     """
     if not symbol.coefficients:
         raise vanishing(message)
     m = symbol.shape[0]
+    symbol, k = _rescaled(symbol, m)
     if m > 1:
         samples = symbol.evaluate_grid(newton_nodes(symbol, m))
         if _vanishes(np.linalg.det(samples), np.linalg.norm(samples, axis=(1, 2)), m):
             raise vanishing(message)
-    return _measure(_blocks(symbol))
+    value, diagnostics, probes = _measure(_blocks(symbol))
+    return value + m * k * LOG2, diagnostics, probes
 
 
 def positive_log_det(symbol, kernel_tol, vanishing, message):
@@ -461,10 +514,13 @@ def positive_log_det(symbol, kernel_tol, vanishing, message):
     log-determinant is m(e_r(F)): m(det F) for r = m, otherwise that of the
     sum of the r x r principal minors.  Like det F in torus_log_det, e_r(F)
     must not vanish to SYMBOL_KERNEL_REL_TOL, or `vanishing` is raised.
+    F is measured as _rescaled(F, m) = 2^-k F, whose e_r has the Mahler
+    measure r k log 2 less.
     """
     m = symbol.shape[0]
     if not symbol.coefficients:
         return m, *_measure(np.ones((1,) * symbol.rank + (1, 1), dtype=complex))[:2]
+    symbol, k = _rescaled(symbol, m)
     samples = symbol.evaluate_grid(newton_nodes(symbol, m))
     eigenvalues = np.linalg.eigvalsh(samples)
     count = int(np.max(np.sum(eigenvalues > kernel_tol * np.max(eigenvalues), axis=1)))
@@ -475,7 +531,8 @@ def positive_log_det(symbol, kernel_tol, vanishing, message):
         polynomial = values[..., None, None]
     if _vanishes(values, np.linalg.norm(samples, axis=(1, 2)), count):
         raise vanishing(message)
-    return m - count, *_measure(polynomial)[:2]
+    value, diagnostics, _ = _measure(polynomial)
+    return m - count, value + count * k * LOG2, diagnostics
 
 
 def map_log_det(d, kernel_tol, vanishing, message):
@@ -490,8 +547,11 @@ def map_log_det(d, kernel_tol, vanishing, message):
     nodes, whose Frobenius norm is that of the squared singular values, or
     `vanishing` is raised.  Any other d goes to positive_log_det of its
     smaller Gram matrix, which gives both r and A with the same relative cut.
+    d is measured as _rescaled(d, 2 min(rows, cols)) = 2^-k d, whose A is
+    2 r k log 2 less.
     """
     rows, cols = d.shape
+    d, k = _rescaled(d, 2 * min(rows, cols))
     if rows == cols and d.coefficients:
         samples = d.evaluate_grid(newton_nodes(d, rows))
         squares = np.linalg.svd(samples, compute_uv=False) ** 2
@@ -499,7 +559,9 @@ def map_log_det(d, kernel_tol, vanishing, message):
             if _vanishes(np.prod(squares, axis=1), np.linalg.norm(squares, axis=1), rows):
                 raise vanishing(message)
             value, diagnostics, _ = _measure(_blocks(d))
-            return rows, 2.0 * value, dict(diagnostics, error=2.0 * diagnostics["error"])
+            value = 2.0 * (value + rows * k * LOG2)
+            return rows, value, dict(diagnostics, error=2.0 * diagnostics["error"])
     gram = d.adjoint() @ d if cols <= rows else d @ d.adjoint()
     kernel, value, diagnostics = positive_log_det(gram, kernel_tol, vanishing, message)
-    return gram.shape[0] - kernel, value, diagnostics
+    rank = gram.shape[0] - kernel
+    return rank, value + 2 * rank * k * LOG2, diagnostics

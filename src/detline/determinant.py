@@ -92,6 +92,13 @@ class SpectralDensity:
         return float(np.sum(self.weights[keep] * np.log(self.values[keep])))
 
 
+def exp_of_log(log_value: float) -> float:
+    """exp(log_value): inf past the float range and 0.0 below it, without a
+    floating-point warning."""
+    with np.errstate(over="ignore"):
+        return float(np.exp(log_value))
+
+
 @dataclass
 class DeterminantResult:
     value: float
@@ -101,11 +108,8 @@ class DeterminantResult:
 
     @classmethod
     def from_log(cls, log_value: float, method: str, convergence=None) -> "DeterminantResult":
-        """The result whose value is exp(log_value): inf past the float range
-        and 0.0 below it, without a floating-point warning."""
-        with np.errstate(over="ignore"):
-            value = float(np.exp(log_value))
-        return cls(value, log_value, method, convergence or ConvergenceReport())
+        """The result whose value is exp_of_log(log_value)."""
+        return cls(exp_of_log(log_value), log_value, method, convergence or ConvergenceReport())
 
 
 def _tilde_blocks(module, op):

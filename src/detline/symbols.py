@@ -11,11 +11,14 @@ Determinants are Mahler measures.  For a square symbol F whose determinant
 does not vanish identically, log Det F is the torus integral of
 log|det F|, the Mahler measure m(det F) (Lück, L2-Invariants, Ch. 3), and
 detline._mahler computes it: Jensen's formula on the roots on the circle,
-Boyd's integral of it by adaptive Gauss-Legendre panels on the 2-torus.  A
-nonzero Laurent polynomial always has a finite Mahler measure, so the only
-refusals are a determinant that vanishes identically, roots that do not
-reproduce the polynomial they came from, and quadrature panels that do not
-settle within their budget.
+Boyd's integral of it by adaptive Gauss-Legendre panels on the 2-torus,
+where Jensen's formula takes the variable of lower degree and the panels
+the angle of the other.  A symbol whose determinant would leave the float
+range is measured after an exact power-of-two scaling.  A nonzero Laurent
+polynomial always has a finite Mahler measure, so the only refusals are a
+determinant that vanishes identically, roots that do not reproduce the
+polynomial they came from, and quadrature panels that do not settle within
+their budget.
 
 Positivity needs no sampled grid: the inertia of a Hermitian symbol is
 constant between the zeros of its determinant (see abelian_fk_det).  Nor
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import as_complex_matrix
-from .determinant import ConvergenceReport, DeterminantResult, SpectralDensity
+from .determinant import ConvergenceReport, DeterminantResult, SpectralDensity, exp_of_log
 from .errors import (
     AlgebraMismatch,
     BackendUnsupported,
@@ -490,8 +493,10 @@ def abelian_dense_isomorphism_check(symbol: LaurentMatrix) -> DenseIsoReport:
     log_value, verdict, points = _log_det(
         symbol, NotDenselyExact, "symbol determinant vanishes identically"
     )
-    moduli = np.abs(np.linalg.det(symbol.evaluate_grid(points)))
-    return DenseIsoReport(float(np.exp(log_value)), log_value, verdict, float(np.min(moduli)))
+    log_moduli = np.linalg.slogdet(symbol.evaluate_grid(points))[1]
+    return DenseIsoReport(
+        exp_of_log(log_value), log_value, verdict, exp_of_log(np.min(log_moduli))
+    )
 
 
 @dataclass
@@ -602,7 +607,7 @@ def abelian_torsion(boundaries, convention: str = "chain") -> AbelianTorsionRepo
     return AbelianTorsionReport(
         tuple(float(m - map_ranks[i] - map_ranks[i + 1]) for i, m in enumerate(ranks)),
         int(chi),
-        float(np.exp(log_coordinate)),
+        exp_of_log(log_coordinate),
         float(log_coordinate),
         tuple(map_logs[i] + map_logs[i + 1] for i in range(len(ranks))),
         tuple(ConvergenceReport("convergent", d) for _, _, d in measured),

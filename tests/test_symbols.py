@@ -10,11 +10,13 @@ test.
 import numpy as np
 import pytest
 
-from detline._mahler import map_log_det, positive_log_det
+from detline import _mahler
+from detline._mahler import CHECK_CIRCLE, CLUSTER_RADII, map_log_det, positive_log_det
 from detline.determinant import SpectralDensity
 from detline.errors import (
     AlgebraMismatch,
     BackendUnsupported,
+    DetlineError,
     IllConditionedKernel,
     IndeterminateConvergence,
     KernelDetected,
@@ -296,8 +298,11 @@ def test_negative_spectrum_refused():
         # -1e-9, five times below the floor
         scalar({0: 1.0 - 1e-9, 1: 0.5, -1: 0.5}),
         scalar({(0, 0): 2.0 - 1e-5, (1, 0): 0.5, (-1, 0): 0.5, (0, 1): 0.5, (0, -1): 0.5}, 2),
-        # the same with y of higher degree, so y is the inner variable
+        # the same with y of higher degree, so x stays the inner variable,
+        # and with x of higher degree, so the probe points of the swapped
+        # inner variable y must be swapped back
         scalar({(0, 0): 2.0 - 1e-5, (1, 0): 0.5, (-1, 0): 0.5, (0, 2): 0.5, (0, -2): 0.5}, 2),
+        scalar({(0, 0): 2.0 - 1e-5, (2, 0): 0.5, (-2, 0): 0.5, (0, 1): 0.5, (0, -1): 0.5}, 2),
         # negative on (0, 0.01) and (1/2, 0.51), down to -4.1e-9, between a
         # simple root and one of multiplicity 5, whose computed roots lie
         # up to 8e-4 off the circle
@@ -665,6 +670,62 @@ def test_smyth_measure_of_one_plus_x_plus_y():
     assert diagnostics["error"] < 1e-13
 
 
+def test_breakpoints_belong_to_the_outer_axis():
+    # 1 + x^2 + y has x of higher degree, so y is the inner variable and the
+    # breakpoints are the x angles where |1 + x^2| = 1; x -> x^2 keeps m
+    f = scalar({(0, 0): 1.0, (2, 0): 1.0, (0, 1): 1.0}, rank=2)
+    result = abelian_fk_det_general(f)
+    assert abs(result.log_value - SMYTH_1_X_Y) < 1e-13
+    diagnostics = result.convergence.diagnostics
+    assert diagnostics["route"] == "boyd" and diagnostics["outer_axis"] == 0
+    expected = [1 / 6, 1 / 3, 2 / 3, 5 / 6]
+    assert np.max(np.abs(np.subtract(diagnostics["breakpoints"], expected))) < 1e-9
+    smyth = abelian_fk_det_general(ONE_X_Y).convergence.diagnostics
+    assert smyth["outer_axis"] == 1
+
+
+def swapped_variables(f):
+    """F(y, x) for a symbol F(x, y) on the 2-torus."""
+    return LaurentMatrix(2, {k[::-1]: c for k, c in f.coefficients.items()}, shape=f.shape)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_the_inner_variable_has_the_lower_degree(monkeypatch, size):
+    # x-degree 1 and y-degree 2: the circle solves take x, in blocks of
+    # width 2 for F and 3 for F*F, and the swapped copy gives the same value
+    rng = np.random.default_rng(60 + size)
+    terms = {(0, 0): 3.0 * np.eye(size)}
+    for exponent in [(1, 0), (0, 1), (1, 2), (0, 2)]:
+        z = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        terms[exponent] = 0.2 * z
+    f = LaurentMatrix(2, terms)
+    widths = []
+    jensen_rows = _mahler._jensen_rows
+    monkeypatch.setattr(
+        _mahler,
+        "_jensen_rows",
+        lambda blocks: widths.append(blocks.shape[1]) or jensen_rows(blocks),
+    )
+    for symbol, determinant, width in [
+        (f, abelian_fk_det_general, 2),
+        (f.adjoint() @ f, abelian_fk_det, 3),
+    ]:
+        widths.clear()
+        result = determinant(symbol)
+        swapped = determinant(swapped_variables(symbol))
+        assert set(widths) == {width}
+        assert result.convergence.diagnostics["outer_axis"] == 1
+        assert swapped.convergence.diagnostics["outer_axis"] == 0
+        assert abs(result.log_value - swapped.log_value) < 1e-13
+
+
+@pytest.mark.parametrize("p", [symbol_power(X_MINUS_1, 3), symbol_power(Y_MINUS_1, 3)])
+def test_symbols_constant_in_one_variable_take_jensen(p):
+    result = abelian_fk_det_general(p)
+    assert result.convergence.diagnostics["route"] == "jensen"
+    assert abs(result.log_value) < 1e-12
+
+
 def test_tangent_without_crossing():
     # 2 + x + y touches zero at x = y = -1 only; no root crosses the circle
     f = scalar({(0, 0): 2.0, (1, 0): 1.0, (0, 1): 1.0}, rank=2)
@@ -739,3 +800,128 @@ def test_rank_deficient_map_torsion():
     report = abelian_torsion([row])
     assert report.betti == (0.0, 1.0)
     assert abs(report.log_coordinate + 1.5 * np.log(2.0)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# numerical multiple roots
+
+
+def linked_reference(points, radius):
+    """Index arrays of the single-linkage clusters of one row of points."""
+    moduli = np.maximum(1.0, np.abs(points))
+    near = np.abs(points[:, None] - points[None, :]) <= radius * np.maximum(
+        moduli[:, None], moduli[None, :]
+    )
+    label = np.arange(points.size)
+    while True:
+        merged = np.min(np.where(near, label[None, :], points.size), axis=1)
+        merged = merged[merged]
+        if np.array_equal(merged, label):
+            return [np.nonzero(label == k)[0] for k in sorted(set(label.tolist()))]
+        label = merged
+
+
+def merge_clusters_reference(direct, lead, roots, tol):
+    """(root, multiplicity) pairs of one row, by recursion over the linkage
+    radii: a cluster straddling the unit circle merges into its centroid
+    when the product still reproduces direct to tol, otherwise it splits."""
+    factors = CHECK_CIRCLE[:, None] - roots[None, :]
+    groups = []
+
+    def resolve(members, level, failed):
+        for part in linked_reference(roots[members], CLUSTER_RADII[level]):
+            ids = members[part]
+            centroid = complex(np.mean(roots[ids]))
+            outside = np.abs(roots[ids]) > 1.0
+            if ids.size == 1 or np.all(outside == (abs(centroid) > 1.0)):
+                groups.extend((r, 1) for r in roots[ids])
+                continue
+            if not (failed and ids.size == members.size):
+                rest = np.prod(np.delete(factors, ids, axis=1), axis=1)
+                trial = lead * rest * (CHECK_CIRCLE - centroid) ** ids.size
+                if np.max(np.abs(direct - trial)) <= tol:
+                    groups.append((centroid, ids.size))
+                    continue
+            if level + 1 < len(CLUSTER_RADII):
+                resolve(ids, level + 1, True)
+            else:
+                groups.extend((r, 1) for r in roots[ids])
+
+    resolve(np.arange(roots.size), 0, False)
+    return groups
+
+
+def test_batched_merge_matches_the_per_row_recursion():
+    # each row holds clusters of multiplicity 1 to 3 within 1e-8 to 1e-5 of
+    # the unit circle, each spread as a star of radius 1e-6 the way a
+    # computed multiple root spreads, and a tolerance from 1e-15 to 1e-9 of
+    # the polynomial's size, so that some clusters merge, others split and
+    # others lie on one side of the circle
+    rng = np.random.default_rng(3)
+    merged = kept = 0
+    for _ in range(10):
+        multiplicity = rng.integers(1, 4, size=rng.integers(2, 5))
+        rows, count = 30, multiplicity.size
+        centres = np.exp(2j * np.pi * rng.uniform(size=(rows, count)))
+        offset = 10.0 ** rng.uniform(-8, -5, size=(rows, count))
+        centres *= 1.0 + offset * rng.normal(size=(rows, count))
+        exact = np.repeat(centres, multiplicity, axis=1)
+        star = np.concatenate([np.exp(2j * np.pi * np.arange(k) / k) for k in multiplicity])
+        turn = np.exp(2j * np.pi * rng.uniform(size=(rows, count)))
+        roots = exact + 1e-6 * star * np.repeat(turn, multiplicity, axis=1)
+        lead = rng.normal(size=rows) + 1j * rng.normal(size=rows)
+        direct = lead[:, None] * np.prod(CHECK_CIRCLE[None, :, None] - exact[:, None, :], axis=2)
+        tol = np.abs(lead) * 2.0 ** exact.shape[1] * 10.0 ** rng.uniform(-15, -9, size=rows)
+        batched = _mahler._merge_clusters(direct, lead, roots, tol)
+        for i in range(rows):
+            groups = merge_clusters_reference(direct[i], lead[i], roots[i], tol[i])
+            centre = np.array([r for r, _ in groups])
+            mult = np.array([k for _, k in groups])
+            expected = np.sum(mult * np.log(np.maximum(1.0, np.abs(centre))))
+            assert abs(batched[i] - expected) < 1e-15
+            merged += int(np.sum(mult > 1))
+            kept += int(np.sum(mult == 1))
+    assert merged > 50 and kept > 50
+
+
+# ---------------------------------------------------------------------------
+# determinants outside the float range
+
+
+def scaled_symbols():
+    """A 4 x 4 constant, rank-1 and rank-2 symbol, each invertible on the torus."""
+    rng = np.random.default_rng(17)
+    def symbol(rank, exponents):
+        terms = {(0,) * rank: 4.0 * np.eye(4)}
+        for exponent in exponents:
+            terms[exponent] = 0.3 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        return LaurentMatrix(rank, terms)
+
+    constant = LaurentMatrix.constant(np.diag([1.0, 2.0, 0.5, 3.0]))
+    return [constant, symbol(1, [(1,), (-1,)]), symbol(2, [(1, 0), (0, 1), (1, 1)])]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("c", [1e60, 1e-60, 1e80, 1e-80, 1e200, 1e-200])
+@pytest.mark.parametrize("f", scaled_symbols(), ids=["constant", "rank 1", "rank 2"])
+def test_determinants_past_the_float_range(f, c):
+    # det(c F) = c^4 det F for 4 x 4 F: every route adds 4 log c, and the
+    # torsion of c F keeps no kernel
+    shift = 4.0 * np.log(c)
+    hermitian = f.adjoint() @ f
+    cases = [
+        (abelian_fk_det_general(f).log_value, lambda: abelian_fk_det_general(c * f).log_value),
+        (abelian_fk_det(hermitian).log_value, lambda: abelian_fk_det(c * hermitian).log_value),
+        (
+            abelian_dense_isomorphism_check(f).log_determinant,
+            lambda: abelian_dense_isomorphism_check(c * f).log_determinant,
+        ),
+        (-abelian_torsion([f]).log_coordinate, lambda: -abelian_torsion([c * f]).log_coordinate),
+    ]
+    for base, scaled in cases:
+        try:
+            value = scaled()
+        except DetlineError as exc:
+            pytest.fail(f"refused: {exc!r}")
+        assert abs(value - (base + shift)) <= 1e-12 * abs(base + shift)
+    assert abelian_torsion([c * f]).betti == (0.0, 0.0)
