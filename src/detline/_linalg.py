@@ -1,16 +1,16 @@
 """Small dense-linear-algebra helpers shared across the package.
 
-Everything here works on plain complex ndarrays, one algebra block at a
-time, except key_groups, shape_groups, stack and stacks, which group the
-blocks of an operator by shape (or by any key) so that a per-block kernel
-runs as one batched numpy call per shape, and range_and_kernel, which
-takes the frames of every block from one SVD call per block shape.
-numpy's linalg routines and matmul run on a stack one LAPACK or BLAS call
-per matrix, the call a single matrix gets, so the work is per shape and
-the answers stay those of separate per-block calls, bit for bit.  Callers
-take a block's norm from the factorisation they already hold where they
-can (max |eigenvalue| of a Hermitian block); a residual check may
-overestimate its numerator (Frobenius norm) or underestimate its scale
+Everything here works on plain complex ndarrays, one matrix at a time or,
+where a docstring says so, on a stack of matrices.  A-linear maps keep
+their blocks stored by shape (modules.BlockStacks), so the per-shape
+grouping of module blocks is decided in modules, not here; key_groups is
+the grouping rule it uses, and stacks groups a list of arrays by shape for
+the group-algebra decomposition.  numpy's linalg routines and matmul run
+on a stack one LAPACK or BLAS call per matrix, the call a single matrix
+gets, so per-shape work gives the answers of separate calls, bit for bit.
+Callers take a block's norm from the factorisation they already hold
+where they can (max |eigenvalue| of a Hermitian block); a residual check
+may overestimate its numerator (Frobenius norm) or underestimate its scale
 (largest entry modulus), so it stays at least as strict as one in
 spectral norms.
 """
@@ -23,7 +23,7 @@ from .errors import NegativeSpectrum, ShapeMismatch, ValidationError
 
 HERMITIAN_TOL = 1e-10  # relative residual of is_hermitian
 DEFINITE_TOL = 1e-10  # relative eigenvalue floor of inv_sqrt_pd
-RANK_RTOL = 1e-10  # relative singular-value cut of range_and_kernel and orthonormal_range
+RANK_RTOL = 1e-10  # relative singular-value cut of modules.range_and_kernel and orthonormal_range
 
 
 def as_complex_matrix(a) -> np.ndarray:
@@ -49,27 +49,15 @@ def key_groups(keys) -> list[list[int]]:
     return list(groups.values())
 
 
-def shape_groups(*block_lists) -> list[list[int]]:
-    """Positions k grouped by the shapes of block_lists[i][k] for every i."""
-    return key_groups(zip(*([b.shape for b in blocks] for blocks in block_lists)))
-
-
-def stack(blocks, idx) -> np.ndarray:
-    """blocks[k] for k in idx (one shape) as an array of shape (len(idx),
-    rows, cols); a lone block is a view, not a copy."""
-    if len(idx) == 1:
-        return blocks[idx[0]][None]
-    return np.stack([blocks[k] for k in idx])
-
-
-def stacks(blocks) -> list[tuple[list[int], np.ndarray]]:
-    """The nonempty blocks grouped by shape, (indices, stack) per shape.
-
-    numpy's linalg routines run on a stack one LAPACK call per matrix, the
-    same call a single matrix gets, so per-block results come out
-    bit-identical to separate calls.
-    """
-    return [(idx, stack(blocks, idx)) for idx in shape_groups(blocks) if blocks[idx[0]].size]
+def stacks(arrays) -> list[tuple[list[int], np.ndarray]]:
+    """The nonempty arrays grouped by shape, (indices, stack) per shape; a
+    lone array is stacked as a view, not a copy."""
+    out = []
+    for idx in key_groups(a.shape for a in arrays):
+        if arrays[idx[0]].size:
+            s = arrays[idx[0]][None] if len(idx) == 1 else np.stack([arrays[k] for k in idx])
+            out.append((idx, s))
+    return out
 
 
 def gram_hash(matrix) -> str:
@@ -92,12 +80,14 @@ def operator_norm(a: np.ndarray) -> float:
 
 
 def is_hermitian(a: np.ndarray) -> bool:
-    """||a - a^H||_F <= HERMITIAN_TOL * max(1, max |a_ij|): at least as strict as
-    the spectral-norm test, since ||.||_F >= ||.||_2 >= max |a_ij|."""
+    """||a - a^H||_F <= HERMITIAN_TOL * max(1, max |a_ij|) for a matrix, or
+    for every matrix of a stack: at least as strict as the spectral-norm
+    test, since ||.||_F >= ||.||_2 >= max |a_ij|."""
     if a.size == 0:
         return True
-    scale = max(1.0, float(np.max(np.abs(a))))
-    return float(np.linalg.norm(a - a.conj().T)) <= HERMITIAN_TOL * scale
+    scale = np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1)))
+    resid = np.linalg.norm(a - a.conj().swapaxes(-2, -1), axis=(-2, -1))
+    return bool(np.all(resid <= HERMITIAN_TOL * scale))
 
 
 def inv_sqrt_pd(a: np.ndarray) -> np.ndarray:
@@ -125,28 +115,6 @@ def cluster_values(vals: np.ndarray, rel_gap: float) -> list[slice]:
     return [slice(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
 
 
-def range_and_kernel(blocks) -> tuple[list, list]:
-    """Orthonormal bases (columns) of the column span and of the kernel of
-    each block, from one full SVD call per block shape: the leading left
-    and the trailing right singular vectors, split at the block's rank (its
-    singular values above RANK_RTOL times max(1, the largest)).  A block
-    with no entries spans nothing, and its whole source is its kernel."""
-    ranges, kernels = [None] * len(blocks), [None] * len(blocks)
-    for idx in shape_groups(blocks):
-        a = stack(blocks, idx)
-        if a.size == 0:
-            _, rows, cols = a.shape
-            for k in idx:
-                ranges[k] = np.zeros((rows, 0), dtype=complex)
-                kernels[k] = np.eye(cols, dtype=complex)
-            continue
-        u, s, vh = np.linalg.svd(a)
-        ranks = np.sum(s > RANK_RTOL * np.maximum(1.0, s[:, :1]), axis=1)
-        for k, uk, vk, rank in zip(idx, u, vh, ranks):
-            ranges[k], kernels[k] = uk[:, :rank], vk[rank:].conj().T
-    return ranges, kernels
-
-
 def orthonormal_range(a: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
     """Orthonormal basis (columns) of the column span of a."""
     if a.size == 0:
@@ -155,18 +123,6 @@ def orthonormal_range(a: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
     cutoff = rtol * max(1.0, float(s[0]) if s.size else 1.0)
     rank = int(np.sum(s > cutoff))
     return u[:, :rank]
-
-
-def gram_orthonormalize(cols: np.ndarray, sqrt_gram: np.ndarray) -> np.ndarray:
-    """Recombine columns so they become orthonormal for <v, w> = w^H G v,
-    given W = G^(1/2).
-
-    Columns must be linearly independent.
-    """
-    if cols.shape[1] == 0:
-        return cols.astype(complex)
-    q, r = np.linalg.qr(sqrt_gram @ cols)
-    return cols @ np.linalg.inv(r)
 
 
 def random_complex(rng: np.random.Generator, shape) -> np.ndarray:

@@ -26,6 +26,7 @@ above, at the operator-norm tolerances.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -119,14 +120,12 @@ class AlgebraElement:
     __slots__ = ("algebra", "block_matrices")
 
     def __init__(self, algebra: FiniteVonNeumannAlgebra, block_matrices):
-        mats = []
-        for n, mat in zip(algebra.block_dims, block_matrices, strict=True):
-            m = np.asarray(mat, dtype=complex)
-            if m.shape != (n, n):
-                raise ShapeMismatch(f"block of shape {m.shape} does not fit dimension {n}")
-            mats.append(m)
+        mats = tuple(np.asarray(mat, dtype=complex) for mat in block_matrices)
+        shapes, want = [m.shape for m in mats], [(n, n) for n in algebra.block_dims]
+        if shapes != want:
+            raise ShapeMismatch(f"blocks of shapes {shapes} do not fit dimensions {want}")
         self.algebra = algebra
-        self.block_matrices = tuple(mats)
+        self.block_matrices = mats
 
     def _check_peer(self, other: "AlgebraElement"):
         if not isinstance(other, AlgebraElement):
@@ -276,18 +275,26 @@ class GroupAlgebraDecomposition:
 
     algebra: the block model of C[G].
     change_of_basis: unitary U with U^H L_g U = blkdiag_k(image_k(g) kron 1).
-    group_images: per group element, its block image in the algebra.
+    images: per block k, img_k(g) for every g as one (order, n_k, n_k) stack.
     table: the input table.
     """
 
     algebra: FiniteVonNeumannAlgebra
     change_of_basis: np.ndarray
-    group_images: list[AlgebraElement]
+    images: list[np.ndarray]
     table: FiniteGroupTable
 
     def block_images(self) -> list[np.ndarray]:
         """img_k(g) for every g, one array of shape (order, n_k, n_k) per block."""
-        return [np.stack(mats) for mats in zip(*(img.block_matrices for img in self.group_images))]
+        return self.images
+
+    @functools.cached_property
+    def group_images(self) -> list[AlgebraElement]:
+        """Per group element, its block image in the algebra; built when first read."""
+        return [
+            AlgebraElement(self.algebra, [s[g] for s in self.images])
+            for g in range(self.table.order)
+        ]
 
     def element_from_coefficients(self, coeffs) -> AlgebraElement:
         """Block image of sum_g coeffs[g] . g."""
@@ -402,18 +409,14 @@ def _decompose_once(table, rng):
     algebra = FiniteVonNeumannAlgebra(
         tuple((block["dim"], block["dim"] / n_g) for block in blocks_raw)
     )
-    group_images = [
-        AlgebraElement(algebra, [block["images"][g] for block in blocks_raw])
-        for g in range(n_g)
-    ]
-
-    _verify_decomposition(table, unitary, [block["images"] for block in blocks_raw])
+    images = [block["images"] for block in blocks_raw]
+    _verify_decomposition(table, unitary, images)
     # the block trace sum_k w_k chi_k(g) is 1 at the identity and 0 elsewhere
     off = np.asarray(algebra.weights) @ np.array([block["chars"] for block in blocks_raw])
     off[table.identity] -= 1.0
     if np.max(np.abs(off)) > 1e-10:
         raise DecompositionFailure(f"block traces miss [g = e] by {np.max(np.abs(off)):.2e}")
-    return GroupAlgebraDecomposition(algebra, unitary, group_images, table)
+    return GroupAlgebraDecomposition(algebra, unitary, images, table)
 
 
 def _verify_decomposition(table, unitary, block_images):

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import key_groups, range_and_kernel, shape_groups, stack, stacks
 from .determinant import ConvergenceReport, SpectralDensity, _tilde_blocks
 from .errors import IllConditionedKernel, ValidationError
 from .lines import (
@@ -31,11 +30,14 @@ from .lines import (
     reference_element,
 )
 from .modules import (
+    BlockStacks,
     CommutantOperator,
     HilbertianModule,
     ModuleMorphism,
+    _frames,
     frame_submodule,
     gram_defect,
+    range_and_kernel,
     von_neumann_dimension,
 )
 
@@ -94,7 +96,7 @@ class HilbertianChainComplex:
             if isinstance(f, ModuleMorphism):
                 if not (f.source.same_coordinates(src) and f.target.same_coordinates(tgt)):
                     raise ValidationError(f"map {i} does not connect degrees {i} and {i + 1}")
-                f = ModuleMorphism(src, tgt, [b.copy() for b in f.blocks])
+                f = ModuleMorphism._of(src, tgt, f.stacked)
             else:
                 f = ModuleMorphism.from_matrix(src, tgt, f)
             wrapped.append(f)
@@ -159,7 +161,7 @@ def validate_complex(complex_) -> ComplexValidationReport:
     commute with the action x_k (x) 1 by construction, so A-linearity needs
     no check."""
     boundary = complex_.boundary_residual()
-    grams_ok = [gram_defect(m.reference_gram.blocks) is None for m in complex_.modules]
+    grams_ok = [gram_defect(m.reference_gram.stacked) is None for m in complex_.modules]
     valid = boundary <= BOUNDARY_TOL and all(grams_ok)
     return ComplexValidationReport(boundary, tuple(grams_ok), valid)
 
@@ -182,6 +184,8 @@ class HodgeData:
 
 
 def _laplacian(complex_, i) -> CommutantOperator:
+    """out* out + in in*, one product per block shape for each term; the sum
+    starts from zero, as a sum of operators does."""
     mod = complex_.modules[i]
     out = complex_.outgoing(i)
     inc = complex_.incoming(i)
@@ -203,10 +207,11 @@ def hodge(complex_, kernel_tol: float = HODGE_KERNEL_TOL) -> HodgeData:
     kernel dimension is numerically ambiguous and the decomposition refuses.
     A kernel_tol outside (0, 1), nan included, is a ValidationError.
 
-    The work is per block shape: one eigh call per shape and degree, and
-    the cut, the gap and the kernel counts are array operations over each
-    stack.  eigh sorts ascending, so a block's kernel frame is its leading
-    count eigenvectors; frames and projectors are built per (shape, count).
+    The work is per block shape: one eigh call per stored stack of the
+    Laplacian, and the cut, the gap and the kernel counts are array
+    operations over each stack.  eigh sorts ascending, so a block's kernel
+    frame is its leading count eigenvectors; the frames are gathered per
+    (shape, count) from the eigenvector stacks.
     """
     if not 0.0 < kernel_tol < 1.0:
         raise ValidationError(f"kernel_tol must lie in (0, 1), got {kernel_tol!r}")
@@ -222,62 +227,44 @@ def hodge(complex_, kernel_tol: float = HODGE_KERNEL_TOL) -> HodgeData:
         laplacians.append(delta)
 
         g = mod.reference_gram
-        eighs = []
-        for idx, s in stacks(_tilde_blocks(mod, delta)):
-            eighs.append((idx, *np.linalg.eigh(0.5 * (s + s.conj().swapaxes(1, 2)))))
+        tilde = _tilde_blocks(mod, delta)
+        eighs = [
+            (idx, *np.linalg.eigh(0.5 * (s + s.conj().swapaxes(1, 2))))
+            for idx, s in zip(tilde.layout.index, tilde.stacks)
+        ]
         spectral_norm = max(
-            (float(np.max(np.abs(vals))) for _, vals, _ in eighs), default=0.0
+            (float(np.max(np.abs(vals), initial=0.0)) for _, vals, _ in eighs), default=0.0
         )
         cut = kernel_tol * max(spectral_norm, 1e-300)
 
         counts = np.zeros(len(mod.multiplicities), dtype=int)
         zero_top = 0.0
-        pos_bottom = np.inf
-        positive, owners = [], []  # positive eigenvalues per shape, and their blocks
+        positive = []  # (blocks, positive eigenvalues) per stack
         for idx, vals, _ in eighs:
             zero = vals <= cut
-            count = np.sum(zero, axis=1)
-            counts[idx] = count
+            counts[idx] = np.sum(zero, axis=1)
             zero_top = max(zero_top, float(vals[zero].max(initial=0.0)))
-            positive.append(vals[~zero])
-            pos_bottom = min(pos_bottom, float(positive[-1].min(initial=np.inf)))
-            owners.append(np.repeat(idx, vals.shape[1] - count))
-        if zero_top > 0.0 and np.isfinite(pos_bottom):
-            if pos_bottom / zero_top < HODGE_GAP_RATIO:
+            positive.append((np.repeat(idx, np.sum(~zero, axis=1)), vals[~zero]))
+        density = SpectralDensity.from_parts(mod.algebra.weights, positive)
+        if zero_top > 0.0 and density.values.size:
+            if density.values[0] / zero_top < HODGE_GAP_RATIO:
                 raise IllConditionedKernel(
-                    f"degree {i}: kernel gap ratio {pos_bottom / zero_top:.2f} "
+                    f"degree {i}: kernel gap ratio {density.values[0] / zero_top:.2f} "
                     f"is too small to trust the Betti number"
                 )
 
-        # an empty block keeps an empty frame and projector
-        j_blocks = [np.zeros((0, 0), dtype=complex)] * len(counts)
-        proj_blocks = list(j_blocks)
-        for idx, _, vecs in eighs:
-            for at in key_groups(counts[idx].tolist()):
-                ks = [idx[t] for t in at]
-                j = vecs[at, :, : counts[ks[0]]]
-                if g.is_identity:
-                    p = j @ j.conj().swapaxes(1, 2)
-                else:
-                    j = stack(g.inv_sqrt_blocks, ks) @ j
-                    p = j @ j.conj().swapaxes(1, 2) @ stack(g.blocks, ks)
-                for k, jk, pk in zip(ks, j, p):
-                    j_blocks[k], proj_blocks[k] = jk, pk
-
         h_mod = HilbertianModule(mod.algebra, counts)
-        h_modules.append(h_mod)
-        h_embeddings.append(ModuleMorphism(h_mod, mod, j_blocks))
-        h_projectors.append(CommutantOperator(mod, proj_blocks))
-        if positive:
-            values, owners = np.concatenate(positive), np.concatenate(owners)
-            if len(positive) > 1:  # back to block order
-                order = np.argsort(owners, kind="stable")
-                values, owners = values[order], owners[order]
-            order = np.argsort(values)
-            weights = np.asarray(mod.algebra.weights)[owners[order]]
-            densities.append(SpectralDensity(values[order], weights))
+        vecs = [(idx, v) for idx, _, v in eighs]
+        frames = _frames(mod.multiplicities, vecs, np.zeros_like(counts), counts)
+        if g.is_identity:
+            proj = frames @ frames.H
         else:
-            densities.append(SpectralDensity(np.zeros(0), np.zeros(0)))
+            frames = g.inv_sqrt @ frames
+            proj = (frames @ frames.H) @ g.stacked
+        h_modules.append(h_mod)
+        h_embeddings.append(ModuleMorphism._of(h_mod, mod, frames))
+        h_projectors.append(CommutantOperator._of(mod, mod, proj))
+        densities.append(density)
         betti.append(von_neumann_dimension(h_mod))
     return HodgeData(
         tuple(laplacians), tuple(h_modules), tuple(h_embeddings),
@@ -338,19 +325,14 @@ def torsion_iso_via_laplacians(complex_, hodge_data: HodgeData | None = None) ->
     return graded_assemble(entries)
 
 
-def _coords_in_frame(embed, vectors_blocks):
-    """Coordinates of given vectors in a reference-orthonormal frame,
-    j^H G v, one product per block shape; G is skipped when it is the
+def _in_frame(embed, f) -> ModuleMorphism:
+    """f followed by the coordinates in a reference-orthonormal frame,
+    j^H G f, one product per block shape; G is skipped when it is the
     identity."""
     g = embed.target.reference_gram
-    coords = [None] * len(vectors_blocks)
-    for idx in shape_groups(embed.blocks, vectors_blocks):
-        jh = stack(embed.blocks, idx).conj().swapaxes(1, 2)
-        if not g.is_identity:
-            jh = jh @ stack(g.blocks, idx)
-        for k, c in zip(idx, jh @ stack(vectors_blocks, idx)):
-            coords[k] = c
-    return coords
+    jh = embed.stacked.H
+    coords = (jh if g.is_identity else jh @ g.stacked) @ f.stacked
+    return ModuleMorphism._of(f.source, embed.source, coords)
 
 
 def torsion_iso_via_exact_sequences(complex_, hodge_data: HodgeData | None = None) -> GradedDetLineElement:
@@ -372,14 +354,15 @@ def torsion_iso_via_exact_sequences(complex_, hodge_data: HodgeData | None = Non
     kernels = [None] * len(complex_.modules)
     for i, f in enumerate(complex_.maps):
         src, tgt = (i + 1, i) if complex_.convention == CHAIN else (i, i + 1)
-        ranges[tgt], kernels[src] = range_and_kernel(f.blocks)
+        ranges[tgt], kernels[src] = range_and_kernel(f.stacked)
     # a degree with no incoming map bounds nothing; with no outgoing map,
     # every chain is a cycle
     for i, mod in enumerate(complex_.modules):
+        mult = mod.multiplicities
         if ranges[i] is None:
-            ranges[i] = [np.zeros((m, 0), dtype=complex) for m in mod.multiplicities]
+            ranges[i] = BlockStacks.zeros(mult, (0,) * len(mult))
         if kernels[i] is None:
-            kernels[i] = [np.eye(m, dtype=complex) for m in mod.multiplicities]
+            kernels[i] = BlockStacks.identity(mult)
     boundary_frames = [frame_submodule(mod, r) for mod, r in zip(complex_.modules, ranges)]
 
     entries = []
@@ -395,21 +378,15 @@ def torsion_iso_via_exact_sequences(complex_, hodge_data: HodgeData | None = Non
             b_mod, b_embed = boundary_frames[
                 i - 1 if complex_.convention == CHAIN else i + 1
             ]
-            core_blocks = _coords_in_frame(b_embed, out.blocks)
-            corestricted = ModuleMorphism(mod, b_mod, core_blocks)
             kappa = exact_sequence_iso(
-                z_embed, corestricted, reference_element(z_mod), reference_element(b_mod)
+                z_embed, _in_frame(b_embed, out), reference_element(z_mod), reference_element(b_mod)
             ).coefficient
 
         # 0 -> B_i -> Z_i -> H_i -> 0
         b_mod_i, b_embed_i = boundary_frames[i]
-        incl_blocks = _coords_in_frame(z_embed, b_embed_i.blocks)
-        inclusion = ModuleMorphism(b_mod_i, z_mod, incl_blocks)
-        h_embed = hodge_data.harmonic_embeddings[i]
-        proj_blocks = _coords_in_frame(h_embed, z_embed.blocks)
-        projection = ModuleMorphism(z_mod, hodge_data.harmonic_modules[i], proj_blocks)
         kappa_prime = exact_sequence_iso(
-            inclusion, projection,
+            _in_frame(z_embed, b_embed_i),
+            _in_frame(hodge_data.harmonic_embeddings[i], z_embed),
             reference_element(b_mod_i),
             reference_element(hodge_data.harmonic_modules[i]),
         ).coefficient

@@ -15,13 +15,13 @@ spectral determinant of A* A.  Self-adjointness, positivity and adjoints are
 taken against the module's reference gram; to measure against another
 admissible gram, build the operator on module.with_reference_gram(gram).
 
-Each route makes one LAPACK call per block shape, not per block: the
-nonempty blocks are stacked by shape once (_linalg.stacks), and every
-check, eigenvalue, SVD, solve and log-determinant runs on the stack.  numpy
-runs a stack one matrix at a time through the same LAPACK routine, so the
-per-block numbers are those of separate calls, and the weighted sum is
-taken in block order.  C[G] for G abelian has |G| blocks of size 1, all in
-one stack.
+Each route makes one LAPACK call per block shape, not per block: operators
+keep their blocks stored by shape (modules.BlockStacks), and every check,
+eigenvalue, SVD, solve and log-determinant runs on the stored stacks.
+numpy runs a stack one matrix at a time through the same LAPACK routine,
+so the per-block numbers are those of separate calls, and the weighted sum
+is taken in block order.  C[G] for G abelian has |G| blocks of size 1, all
+in one stack.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._linalg import stacks
 from .errors import (
     KernelDetected,
     NegativeSpectrum,
@@ -83,6 +82,19 @@ class SpectralDensity:
     def total_mass(self) -> float:
         return float(np.sum(self.weights))
 
+    @classmethod
+    def from_parts(cls, weights, parts) -> "SpectralDensity":
+        """The atomic density of eigenvalues given per stack as (owners,
+        values), owners[i] the block of values[i]: the values in block order,
+        sorted, each carrying its block's trace weight."""
+        if not parts:
+            return cls(np.zeros(0), np.zeros(0))
+        owners, values = (np.concatenate(x) for x in zip(*parts))
+        order = np.argsort(owners, kind="stable")  # block order
+        values, owners = values[order], owners[order]
+        order = np.argsort(values)
+        return cls(values[order], np.asarray(weights)[owners[order]])
+
     def counting(self, lam: float) -> float:
         return float(np.sum(self.weights[self.values <= lam]))
 
@@ -113,8 +125,8 @@ class DeterminantResult:
 
 
 def _tilde_blocks(module, op):
-    """Conjugate blocks into coordinates where the reference gram is the
-    identity.
+    """The operator's block stacks in coordinates where the reference gram
+    is the identity.
 
     W B W^{-1} with W = gram^(1/2) turns gram-self-adjoint into Hermitian
     and gram-unitary into unitary, block by block.  Under an identity gram
@@ -122,10 +134,8 @@ def _tilde_blocks(module, op):
     """
     g = module.reference_gram
     if g.is_identity:
-        return op.blocks
-    return [
-        w @ b @ wi for w, b, wi in zip(g.sqrt_blocks, op.blocks, g.inv_sqrt_blocks)
-    ]
+        return op.stacked
+    return g.sqrt @ op.stacked @ g.inv_sqrt
 
 
 def _check_operator(module, op):
@@ -146,25 +156,20 @@ def spectral_density(
     scale is the largest |eigenvalue| of the Hermitian parts (at most the
     operator norm) and the self-adjoint residual a Frobenius norm."""
     _check_operator(module, op)
-    evs = {}
+    parts = []
     scale = residual = 0.0
-    for idx, s in stacks(_tilde_blocks(module, op)):
+    for idx, s in _tilde_blocks(module, op).nonempty():
         sh = s.conj().swapaxes(1, 2)
         ev = np.linalg.eigvalsh(0.5 * (s + sh))
-        evs.update(zip(idx, ev))
+        parts.append((np.repeat(idx, ev.shape[1]), ev.ravel()))
         scale = max(scale, float(np.max(np.abs(ev))))
         residual = max(residual, float(np.max(np.linalg.norm(s - sh, axis=(1, 2)))))
     if residual > SELF_ADJOINT_TOL * max(1.0, scale):
         raise NotSelfAdjoint("operator is not self-adjoint for this gram")
-    if not evs:
-        return SpectralDensity(np.zeros(0), np.zeros(0))
-    ks = sorted(evs)  # block order
-    values = np.concatenate([evs[k] for k in ks])
-    weights = np.repeat(np.take(module.algebra.weights, ks), [evs[k].size for k in ks])
-    if np.min(values) < -1e-10 * max(1.0, scale):
-        raise NegativeSpectrum(f"spectrum reaches {np.min(values):.3e}")
-    order = np.argsort(values)
-    return SpectralDensity(values[order], weights[order])
+    density = SpectralDensity.from_parts(module.algebra.weights, parts)
+    if density.values.size and density.values[0] < -1e-10 * max(1.0, scale):
+        raise NegativeSpectrum(f"spectrum reaches {density.values[0]:.3e}")
+    return density
 
 
 def fk_det_spectral(
@@ -263,7 +268,7 @@ def fk_det_path(
     _check_operator(module, op)
     if path not in ("auto", "segment", "polar"):
         raise ValidationError(f"unknown path kind {path!r}")
-    groups = stacks(_tilde_blocks(module, op))
+    groups = _tilde_blocks(module, op).nonempty()
     _require_invertible(groups)
     grid = np.linspace(0.0, 1.0, PATH_STEPS + 1)
 
@@ -286,7 +291,7 @@ def fk_det_path(
 def fk_det(module: HilbertianModule, op: CommutantOperator) -> DeterminantResult:
     """Determinant of a general invertible operator: sqrt det of A* A."""
     _check_operator(module, op)
-    _require_invertible(stacks(_tilde_blocks(module, op)))
+    _require_invertible(_tilde_blocks(module, op).nonempty())
     inner = op.adjoint() @ op
     try:
         inner_det = fk_det_spectral(module, inner)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import shape_groups, stack, stacks
 from .determinant import fk_det_spectral
 from .errors import (
     AlgebraMismatch,
@@ -26,6 +25,7 @@ from .errors import (
     ValidationError,
 )
 from .modules import (
+    BlockStacks,
     CommutantOperator,
     HilbertianModule,
     ModuleMorphism,
@@ -75,10 +75,9 @@ def reference_element(module: HilbertianModule) -> DetLineElement:
     return DetLineElement(module, 1.0, "reference")
 
 
-def _transition_det(module, blocks):
-    """Det of the reference-positive transition with the given blocks."""
-    op = CommutantOperator(module, blocks)
-    return fk_det_spectral(module, op)
+def _transition_det(module, stacked):
+    """Det of the reference-positive transition with the given block stacks."""
+    return fk_det_spectral(module, CommutantOperator._of(module, module, stacked))
 
 
 def _inv_sqrt(det) -> float:
@@ -92,16 +91,17 @@ def _inv_sqrt(det) -> float:
         ) from None
 
 
-def _product_element(module, gram_blocks, origin) -> DetLineElement:
-    """Det(T)^(-1/2) for the transition T = G_ref^{-1} G of a product G."""
-    det = _transition_det(module, module.reference_gram.inv_times(gram_blocks))
+def _product_element(module, gram, origin) -> DetLineElement:
+    """Det(T)^(-1/2) for the transition T = G_ref^{-1} G of a product G,
+    given by its block stacks."""
+    det = _transition_det(module, module.reference_gram.inv_times(gram))
     return DetLineElement(module, _inv_sqrt(det), origin)
 
 
 def element_from_product(module: HilbertianModule, gram) -> DetLineElement:
     """The element determined by an admissible scalar product: a carrier
     matrix, a commutant operator or gram data."""
-    return _product_element(module, resolve_gram(module, gram).blocks, "product")
+    return _product_element(module, resolve_gram(module, gram).stacked, "product")
 
 
 def element_from_extended_product(module: HilbertianModule, gram) -> DetLineElement:
@@ -116,7 +116,7 @@ def element_from_extended_product(module: HilbertianModule, gram) -> DetLineElem
         op = gram
     else:
         op = CommutantOperator.from_matrix(module, gram)
-    return _product_element(module, op.blocks, "extended_product")
+    return _product_element(module, op.stacked, "extended_product")
 
 
 def pushforward(f: ModuleMorphism, e: DetLineElement) -> DetLineElement:
@@ -134,10 +134,7 @@ def pushforward(f: ModuleMorphism, e: DetLineElement) -> DetLineElement:
     if not f.is_iso():
         raise NotIso("pushforward needs an isomorphism")
     finv = f.inverse()
-    gm = f.source.reference_gram
-    gn = f.target.reference_gram
-    left = gm.right_times(gn.inv_times([fi.conj().T for fi in finv.blocks]))
-    det = _transition_det(f.target, [a @ fi for a, fi in zip(left, finv.blocks)])
+    det = fk_det_spectral(f.target, finv.adjoint() @ finv)
     return DetLineElement(f.target, e.coefficient * _inv_sqrt(det), "pushforward")
 
 
@@ -183,13 +180,13 @@ def _check_exact(alpha: ModuleMorphism, beta: ModuleMorphism, tol: float):
     """
     if not beta.source.is_same_space(alpha.target):
         raise AlgebraMismatch("the two maps do not share the middle module")
-    n = len(alpha.blocks)
-    rows, cols = np.array([a.shape for a in alpha.blocks]).T
-    quot = np.array([b.shape[0] for b in beta.blocks])
+    rows = np.array(alpha.target.multiplicities)
+    cols = np.array(alpha.source.multiplicities)
+    quot = np.array(beta.target.multiplicities)
+    n = len(rows)
     rank_a, rank_b = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
     top_a, top_b, composite, gap = np.zeros((4, n))
-    for idx in shape_groups(alpha.blocks, beta.blocks):
-        a, b = stack(alpha.blocks, idx), stack(beta.blocks, idx)
+    for idx, b, a in beta.stacked.pairs(alpha.stacked):
         k = idx[0]
         gapped = 0 < cols[k] < rows[k] == cols[k] + quot[k]
         if a.size:
@@ -251,13 +248,13 @@ def exact_sequence_iso(
         # orthogonal retraction for M's reference: project onto im(alpha),
         # then invert alpha on its image, r = (a^H G a)^{-1} a^H G; a block
         # with no columns keeps its empty a^H G
-        ahg = m.reference_gram.right_times([a.conj().T for a in alpha.blocks])
-        r_blocks = list(ahg)
-        for idx, a in stacks(alpha.blocks):
-            h = stack(ahg, idx)
-            for k, r in zip(idx, np.linalg.solve(h @ a, h)):
-                r_blocks[k] = r
-        retraction = ModuleMorphism(m, alpha.source, r_blocks)
+        ahg = m.reference_gram.right_times(alpha.stacked.H)
+        # ahg has alpha's transposed layout: its stacks pair with alpha's
+        r = BlockStacks(ahg.layout, tuple(
+            np.linalg.solve(h @ a, h) if a.size else h
+            for h, a in zip(ahg.stacks, alpha.stacked.stacks)
+        ))
+        retraction = ModuleMorphism._of(m, alpha.source, r)
     else:
         if not (
             retraction.source.is_same_space(m)
@@ -268,11 +265,9 @@ def exact_sequence_iso(
         if resid.norm() > EXACTNESS_TOL * max(1.0, retraction.norm() * alpha.norm()):
             raise ValidationError("retraction does not split the first map")
 
-    rhg = alpha.source.reference_gram.right_times([r.conj().T for r in retraction.blocks])
-    bhg = beta.target.reference_gram.right_times([b.conj().T for b in beta.blocks])
-    combined = [
-        x @ r + y @ b for x, r, y, b in zip(rhg, retraction.blocks, bhg, beta.blocks)
-    ]
+    rhg = alpha.source.reference_gram.right_times(retraction.stacked.H)
+    bhg = beta.target.reference_gram.right_times(beta.stacked.H)
+    combined = rhg @ retraction.stacked + bhg @ beta.stacked
     det = _transition_det(m, m.reference_gram.inv_times(combined))
     coeff = _inv_sqrt(det) * e_prime.coefficient * e_second.coefficient
     return DetLineElement(m, coeff, "exact_sequence")

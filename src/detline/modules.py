@@ -27,29 +27,33 @@ place a gram (carrier matrix, commutant operator or gram data) becomes
 gram data, and with_reference_gram re-metrises a module without touching
 its coordinates.
 
-Everything A-linear is stored blockwise: a morphism M -> N decomposes as
+Everything A-linear is made of blocks: a morphism M -> N decomposes as
 blkdiag_k(1_{n_k} kron F_k) in canonical coordinates with F_k of shape
-(m_k(N), m_k(M)).  Commutant operators are the square case.  The canonical
-trace of a commutant operator is sum_k w_k tr(F_k), which agrees with the
-free-embedding formula on free modules (tested, not assumed).
+(m_k(N), m_k(M)).  Commutant operators are the square case, and a gram is
+a positive commutant operator.  The blocks are stored by shape
+(BlockStacks): the blocks that share a shape form one (count, rows, cols)
+stack, next to their block indices.  The grouping is decided here once per
+multiplicity layout and cached (_layout), so every operation is one numpy
+call per shape; a product of maps whose layouts group differently gathers
+its operands from the stored stacks along a cached plan (_pairing).
+numpy's linalg routines and matmul run on a stack one LAPACK or BLAS call
+per matrix, the call a single matrix gets, so the numbers are those of
+separate per-block calls, bit for bit.  Per-block lists appear only at I/O:
+the ModuleMorphism constructor, from_matrix, to_matrix and the read-only
+blocks view.  The canonical trace of a commutant operator is
+sum_k w_k tr(F_k), which agrees with the free-embedding formula on free
+modules (tested, not assumed).
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import (
-    as_complex_matrix,
-    gram_orthonormalize,
-    is_hermitian,
-    key_groups,
-    orthonormal_range,
-    range_and_kernel,
-    stacks,
-)
+from ._linalg import RANK_RTOL, as_complex_matrix, is_hermitian, key_groups, orthonormal_range
 from .algebra import AlgebraElement, FiniteVonNeumannAlgebra, GroupAlgebraDecomposition
 from .errors import (
     AlgebraMismatch,
@@ -64,15 +68,17 @@ COMMUTANT_TOL = 1e-10
 COND_LIMIT = 1e12
 POSITIVITY_FLOOR = 1e-10
 SAME_SPACE_TOL = 1e-12
+LAYOUT_CACHE = 4096  # layouts, groupings and product plans kept per process
 
 
 def _close(a: np.ndarray, b: np.ndarray) -> bool:
-    """Entrywise equality to SAME_SPACE_TOL times max(1, largest |a_ij|);
-    no relative term, so a gram off by a factor 1 + 5e-6 differs."""
+    """Entrywise equality to SAME_SPACE_TOL times max(1, largest |a_ij|),
+    for a matrix or for each matrix of a stack; no relative term, so a gram
+    off by a factor 1 + 5e-6 differs."""
     if a.size == 0:
         return True
-    scale = max(1.0, float(np.max(np.abs(a))))
-    return float(np.max(np.abs(a - b))) <= SAME_SPACE_TOL * scale
+    scale = np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1)))
+    return bool(np.all(np.max(np.abs(a - b), axis=(-2, -1)) <= SAME_SPACE_TOL * scale))
 
 
 class HilbertianModule:
@@ -90,7 +96,7 @@ class HilbertianModule:
             self._basis_map = u
 
         if reference_gram is None:
-            self.reference_gram = _GramData.identity(self)
+            self.reference_gram = _GramData(self)
         else:
             self.reference_gram = resolve_gram(self, reference_gram)
 
@@ -200,20 +206,21 @@ class HilbertianModule:
         ga, gb = self.reference_gram, other.reference_gram
         if ga.is_identity and gb.is_identity:
             return True
-        return all(_close(a, b) for a, b in zip(ga.blocks, gb.blocks))
+        return all(_close(a, b) for a, b in zip(ga.stacked.stacks, gb.stacked.stacks))
 
     def __repr__(self):
         return f"HilbertianModule(dims={self.algebra.block_dims}, mult={self.multiplicities})"
 
 
-def gram_defect(blocks) -> str | None:
-    """Why gram blocks are not a scalar product, or None if they are: each
+def gram_defect(stacked) -> str | None:
+    """Why gram stacks are not a scalar product, or None if they are: each
     block self-adjoint to 1e-10, every eigenvalue above POSITIVITY_FLOOR
     times the largest."""
-    if not all(is_hermitian(b) for b in blocks):
+    if not all(is_hermitian(s) for s in stacked.stacks):
         return "not self-adjoint"
     vals = np.concatenate(
-        [np.linalg.eigvalsh(0.5 * (b + b.conj().T)) for b in blocks if b.size]
+        [np.linalg.eigvalsh(0.5 * (s + s.conj().swapaxes(1, 2))).ravel()
+         for _, s in stacked.nonempty()]
         or [np.ones(1)]
     )
     top = float(np.max(np.abs(vals)))
@@ -222,72 +229,222 @@ def gram_defect(blocks) -> str | None:
     return None
 
 
+# ---------------------------------------------------------------------------
+# blocks stored by shape
+
+
+@functools.lru_cache(maxsize=LAYOUT_CACHE)
+def _groups(*vectors) -> tuple:
+    """Block indices grouped by equal entries in every vector, in order of
+    first appearance and ascending within a group; cached per layout, so
+    the index arrays are read-only."""
+    groups = tuple(np.array(idx) for idx in key_groups(zip(*vectors)))
+    for idx in groups:
+        idx.flags.writeable = False
+    return groups
+
+
+class _Layout:
+    """Blocks k of shape (rows[k], cols[k]), grouped by shape: index[g]
+    holds the blocks of shape shapes[g].  A transposed layout groups the
+    same blocks in the same order."""
+
+    def __init__(self, rows, cols):
+        self.rows, self.cols, self.index = rows, cols, _groups(rows, cols)
+        self.shapes = tuple((rows[idx[0]], cols[idx[0]]) for idx in self.index)
+        self.group = {int(k): g for g, idx in enumerate(self.index) for k in idx}
+
+    def locate(self, idx):
+        """(group, selection) of blocks idx, which share a group here; the
+        selection is None when idx is the whole group."""
+        g = self.group[int(idx[0])]
+        full = len(idx) == len(self.index[g])
+        return g, None if full else np.searchsorted(self.index[g], idx)
+
+
+_layout = functools.lru_cache(maxsize=LAYOUT_CACHE)(_Layout)  # one object per (rows, cols)
+
+
+@functools.lru_cache(maxsize=LAYOUT_CACHE)
+def _pairing(left: _Layout, right: _Layout):
+    """The plan of left @ right, left of shapes (P_k, N_k) and right of
+    (N_k, M_k): the product's layout, and per group of blocks that share
+    (P_k, N_k, M_k) its indices and where they sit in left, right and the
+    product."""
+    out = _layout(left.rows, right.cols)
+    steps = tuple(
+        (idx, *left.locate(idx), *right.locate(idx), *out.locate(idx))
+        for idx in _groups(left.rows, left.cols, right.cols)
+    )
+    return out, steps
+
+
+def _place(layout: _Layout, pieces) -> tuple:
+    """The stacks of layout from (group, selection, stack) pieces that hold
+    every block once; a piece that is a whole group is used as it is."""
+    stacks = [None] * len(layout.index)
+    for g, sel, s in pieces:
+        if sel is None:
+            stacks[g] = s
+            continue
+        if stacks[g] is None:
+            stacks[g] = np.empty((len(layout.index[g]), *layout.shapes[g]), dtype=complex)
+        stacks[g][sel] = s
+    return tuple(stacks)
+
+
+class BlockStacks:
+    """The blocks of an A-linear map stored by shape: stacks[g], of shape
+    (count, rows, cols), holds the blocks layout.index[g].  Stacks are not
+    written once built; every operation returns new ones."""
+
+    __slots__ = ("layout", "stacks")
+
+    def __init__(self, layout: _Layout, stacks: tuple):
+        self.layout = layout
+        self.stacks = stacks
+
+    @staticmethod
+    def from_blocks(rows, cols, blocks) -> "BlockStacks":
+        """Per-block input, checked: one block per algebra block, block k
+        of shape (rows[k], cols[k])."""
+        blocks = list(blocks)
+        if len(blocks) != len(rows):
+            raise ShapeMismatch(f"need one block per algebra block, got {len(blocks)}")
+        layout = _layout(tuple(rows), tuple(cols))
+        stacks = []
+        for idx, shape in zip(layout.index, layout.shapes):
+            try:
+                stacks.append(np.array([blocks[k] for k in idx], dtype=complex))
+            except (TypeError, ValueError):  # ragged, or not numbers
+                stacks.append(None)
+            if stacks[-1] is None or stacks[-1].shape[1:] != shape:
+                for k in idx:
+                    if np.shape(blocks[k]) != shape:
+                        got = np.shape(blocks[k])
+                        raise ShapeMismatch(f"block {k} has shape {got}, expected {shape}")
+                raise ValidationError("blocks must be matrices of numbers")
+        return BlockStacks(layout, tuple(stacks))
+
+    @staticmethod
+    def from_pieces(rows, cols, pieces) -> "BlockStacks":
+        """Stacks of blocks of shape (rows[k], cols[k]) from (block indices,
+        stack) pieces that hold every block once."""
+        layout = _layout(tuple(rows), tuple(cols))
+        return BlockStacks(layout, _place(layout, [(*layout.locate(idx), s) for idx, s in pieces]))
+
+    @staticmethod
+    def zeros(rows: tuple, cols: tuple) -> "BlockStacks":
+        layout = _layout(rows, cols)
+        return BlockStacks(layout, tuple(
+            np.zeros((len(idx), *shape), dtype=complex)
+            for idx, shape in zip(layout.index, layout.shapes)
+        ))
+
+    @staticmethod
+    def identity(mult: tuple) -> "BlockStacks":
+        return BlockStacks.zeros(mult, mult).map(lambda s: s + np.eye(s.shape[1]))
+
+    @property
+    def blocks(self) -> tuple:
+        """Block k, as a read-only view into its stack."""
+        out = [None] * len(self.layout.rows)
+        for idx, s in zip(self.layout.index, self.stacks):
+            view = s.view()
+            view.flags.writeable = False
+            for k, b in zip(idx, view):
+                out[k] = b
+        return tuple(out)
+
+    def nonempty(self) -> list:
+        """(block indices, stack) of each stack with entries."""
+        return [(idx, s) for idx, s in zip(self.layout.index, self.stacks) if s.size]
+
+    def map(self, fn) -> "BlockStacks":
+        """fn applied to every stack; fn keeps the shape of the blocks."""
+        return BlockStacks(self.layout, tuple([fn(s) for s in self.stacks]))
+
+    @property
+    def H(self) -> "BlockStacks":
+        """The conjugate transpose of every block."""
+        layout = _layout(self.layout.cols, self.layout.rows)
+        return BlockStacks(layout, tuple([s.conj().swapaxes(1, 2) for s in self.stacks]))
+
+    def pairs(self, other: "BlockStacks") -> list:
+        """(block indices, stack here, stack of other) per group of blocks
+        that share their shapes in both factors of self @ other."""
+        _, steps = _pairing(self.layout, other.layout)
+        a, b = self.stacks, other.stacks
+        return [
+            (idx, a[lg] if ls is None else a[lg][ls], b[rg] if rs is None else b[rg][rs])
+            for idx, lg, ls, rg, rs, _, _ in steps
+        ]
+
+    def __matmul__(self, other: "BlockStacks") -> "BlockStacks":
+        out, steps = _pairing(self.layout, other.layout)
+        a, b = self.stacks, other.stacks
+        return BlockStacks(out, _place(out, [
+            (og, osel, (a[lg] if ls is None else a[lg][ls]) @ (b[rg] if rs is None else b[rg][rs]))
+            for _, lg, ls, rg, rs, og, osel in steps
+        ]))
+
+    def __add__(self, other: "BlockStacks") -> "BlockStacks":
+        return BlockStacks(self.layout, tuple([a + b for a, b in zip(self.stacks, other.stacks)]))
+
+    def __sub__(self, other: "BlockStacks") -> "BlockStacks":
+        return BlockStacks(self.layout, tuple([a - b for a, b in zip(self.stacks, other.stacks)]))
+
+
 class _GramData:
     """A positive invertible commutant operator used as a scalar product.
 
-    Stored by its blocks; caches the blockwise powers G^(1/2), G^(-1/2) and
-    G^(-1), since metric work happens per block.  The carrier matrix is
-    built only when asked for: matrix is the given carrier matrix, a
-    function that builds it, or None for the identity and for the operator
-    with these blocks.  The identity builds its blocks only when they (or
-    its powers) are read; code that tests is_identity first never reads
-    them.
+    Stored as block stacks; caches the blockwise powers G^(1/2), G^(-1/2)
+    and G^(-1) in the same layout, since metric work happens per block.
+    The carrier matrix is built only when asked for: matrix is the given
+    carrier matrix, a function that builds it, or None for the identity and
+    for the operator with these blocks.  The identity (stacked None) builds
+    its stacks only when they (or its powers) are read; code that tests
+    is_identity first never reads them.
     """
 
-    __slots__ = ("module", "_blocks", "is_identity", "_matrix", "_powers")
+    __slots__ = ("module", "_stacked", "is_identity", "_matrix", "_powers")
 
-    def __init__(self, module, blocks, matrix=None, is_identity=False):
+    def __init__(self, module, stacked=None, matrix=None):
         self.module = module
-        self._blocks = blocks
-        self.is_identity = is_identity
+        self._stacked = stacked
+        self.is_identity = stacked is None
         self._matrix = matrix
         self._powers = None
 
-    @staticmethod
-    def identity(module):
-        return _GramData(module, None, is_identity=True)
+    @property
+    def stacked(self) -> BlockStacks:
+        if self._stacked is None:
+            self._stacked = BlockStacks.identity(self.module.multiplicities)
+        return self._stacked
 
     @property
     def blocks(self):
-        if self._blocks is None:
-            self._blocks = tuple(np.eye(m, dtype=complex) for m in self.module.multiplicities)
-        return self._blocks
+        return self.stacked.blocks
 
     @staticmethod
     def direct_sum(module, summands):
         """Block sum of the summands' references, one block per algebra block."""
         grams = [s.reference_gram for s in summands]
         if all(g.is_identity for g in grams):
-            return _GramData.identity(module)
+            return _GramData(module)
         blocks = []
+        summand_blocks = [g.blocks for g in grams]
         for k, m in enumerate(module.multiplicities):
             block = np.zeros((m, m), dtype=complex)
             at = 0
-            for g in grams:
-                mk = g.blocks[k].shape[0]
-                block[at : at + mk, at : at + mk] = g.blocks[k]
+            for gb in summand_blocks:
+                mk = gb[k].shape[0]
+                block[at : at + mk, at : at + mk] = gb[k]
                 at += mk
             blocks.append(block)
-        return _GramData(module, tuple(blocks), lambda: _direct_sum_gram_matrix(module))
-
-    @staticmethod
-    def from_blocks(module, blocks, matrix=None):
-        defect = gram_defect(blocks)
-        if defect:
-            raise NotAdmissible(f"gram is {defect}")
-        return _GramData(module, tuple(blocks), matrix)
-
-    @staticmethod
-    def from_matrix(module, gram):
-        gram = as_complex_matrix(gram)
-        if gram.shape != (module.carrier_dim,) * 2:
-            raise ShapeMismatch("gram has wrong shape")
-        if not is_hermitian(gram):
-            raise NotAdmissible("gram is not self-adjoint")
-        blocks, resid, scale = _extract_blocks(module, module, gram)
-        if resid > COMMUTANT_TOL * scale:
-            raise NotAdmissible("gram does not commute with the algebra action")
-        return _GramData.from_blocks(module, blocks, gram)
+        mult = module.multiplicities
+        stacked = BlockStacks.from_blocks(mult, mult, blocks)
+        return _GramData(module, stacked, lambda: _direct_sum_gram_matrix(module))
 
     @property
     def matrix(self):
@@ -296,50 +453,47 @@ class _GramData:
             if self.is_identity:
                 self._matrix = np.eye(self.module.carrier_dim, dtype=complex)
             else:
-                self._matrix = CommutantOperator(self.module, self.blocks).to_matrix()
+                op = CommutantOperator._of(self.module, self.module, self.stacked)
+                self._matrix = op.to_matrix()
         elif callable(self._matrix):
             self._matrix = self._matrix()
         return self._matrix
 
-    def _power_blocks(self):
-        """(G^(1/2), G^(-1/2), G^(-1)) per block from one eigendecomposition
-        of each; the blocks were checked positive definite on entry.  The
-        identity is its own powers."""
+    def _power_stacks(self):
+        """(G^(1/2), G^(-1/2), G^(-1)) from one eigendecomposition of each
+        block, one eigh call per stack; the blocks were checked positive
+        definite on entry.  The identity is its own powers."""
         if self._powers is None and self.is_identity:
-            self._powers = (self.blocks,) * 3
+            self._powers = (self.stacked,) * 3
         elif self._powers is None:
             powers = []
-            for b in self.blocks:
-                vals, vecs = np.linalg.eigh(0.5 * (b + b.conj().T))
-                root = np.sqrt(vals)
-                vh = vecs.conj().T
+            for s in self.stacked.stacks:
+                vals, vecs = np.linalg.eigh(0.5 * (s + s.conj().swapaxes(1, 2)))
+                root, vals = np.sqrt(vals)[:, None, :], vals[:, None, :]
+                vh = vecs.conj().swapaxes(1, 2)
                 powers.append(((vecs * root) @ vh, (vecs / root) @ vh, (vecs / vals) @ vh))
-            self._powers = tuple(zip(*powers))  # an algebra has >= 1 block
+            self._powers = tuple(BlockStacks(self.stacked.layout, p) for p in zip(*powers))
         return self._powers
 
-    def inv_times(self, blocks):
-        """G^(-1) B per block; B itself under an identity gram."""
-        if self.is_identity:
-            return blocks
-        return [gi @ b for gi, b in zip(self.inv_blocks, blocks)]
+    def inv_times(self, x: BlockStacks) -> BlockStacks:
+        """G^(-1) X per block; X itself under an identity gram."""
+        return x if self.is_identity else self.inv @ x
 
-    def right_times(self, blocks):
-        """B G per block; B itself under an identity gram."""
-        if self.is_identity:
-            return blocks
-        return [b @ g for b, g in zip(blocks, self.blocks)]
+    def right_times(self, x: BlockStacks) -> BlockStacks:
+        """X G per block; X itself under an identity gram."""
+        return x if self.is_identity else x @ self.stacked
 
     @property
-    def sqrt_blocks(self):
-        return self._power_blocks()[0]
+    def sqrt(self) -> BlockStacks:
+        return self._power_stacks()[0]
 
     @property
-    def inv_sqrt_blocks(self):
-        return self._power_blocks()[1]
+    def inv_sqrt(self) -> BlockStacks:
+        return self._power_stacks()[1]
 
     @property
-    def inv_blocks(self):
-        return self._power_blocks()[2]
+    def inv(self) -> BlockStacks:
+        return self._power_stacks()[2]
 
 
 def resolve_gram(module: HilbertianModule, gram) -> _GramData:
@@ -354,17 +508,30 @@ def resolve_gram(module: HilbertianModule, gram) -> _GramData:
         if not gram.module.same_coordinates(module):
             raise AlgebraMismatch("gram belongs to a different module")
         return gram
+    matrix = None
     if isinstance(gram, ModuleMorphism):
         if not (gram.source.same_coordinates(module) and gram.target.same_coordinates(module)):
             raise AlgebraMismatch("gram belongs to a different module")
-        return _GramData.from_blocks(module, gram.blocks)
-    return _GramData.from_matrix(module, gram)
+        stacked = gram.stacked
+    else:
+        matrix = as_complex_matrix(gram)
+        if matrix.shape != (module.carrier_dim,) * 2:
+            raise ShapeMismatch("gram has wrong shape")
+        if not is_hermitian(matrix):
+            raise NotAdmissible("gram is not self-adjoint")
+        stacked, resid, scale = _extract_blocks(module, module, matrix)
+        if resid > COMMUTANT_TOL * scale:
+            raise NotAdmissible("gram does not commute with the algebra action")
+    defect = gram_defect(stacked)
+    if defect:
+        raise NotAdmissible(f"gram is {defect}")
+    return _GramData(module, stacked, matrix)
 
 
 def _extract_blocks(source, target, mat):
     """Blockwise form of an A-linear map, plus the reconstruction residual.
 
-    Returns (blocks, residual, scale): blocks[k], of shape (m_k(target),
+    Returns (stacked, residual, scale): block k, of shape (m_k(target),
     m_k(source)), is the mean of the n_k diagonal copies of F_k in canonical
     coordinates; the residual is the Frobenius norm of mat there less each
     1_{n_k} kron F_k, and the scale max(1, largest entry modulus) of mat.
@@ -376,44 +543,54 @@ def _extract_blocks(source, target, mat):
     if us is not None:
         can = can @ us
     scale = max(1.0, float(np.max(np.abs(can), initial=0.0)))
-    shapes = list(zip(source.algebra.block_dims, target.multiplicities, source.multiplicities))
-    blocks = [None] * len(shapes)
-    for idx in key_groups(shapes):
-        n, mt, ms = shapes[idx[0]]
+    dims, mt, ms = source.algebra.block_dims, target.multiplicities, source.multiplicities
+    found = []
+    for idx in _groups(dims, mt, ms):
+        k = idx[0]
+        n = dims[k]
         if len(idx) == 1:  # a lone block is read and reduced in place
-            at = (target.block_slice(idx[0]), source.block_slice(idx[0]))
+            at = (target.block_slice(k), source.block_slice(k))
         else:
-            rows = target._offsets[idx][:, None, None] + np.arange(n * mt)[:, None]
-            at = (rows, source._offsets[idx][:, None, None] + np.arange(n * ms))
-        pieces = can[at].reshape(len(idx), n, mt, n, ms)
+            rows = target._offsets[idx][:, None, None] + np.arange(n * mt[k])[:, None]
+            at = (rows, source._offsets[idx][:, None, None] + np.arange(n * ms[k]))
+        pieces = can[at].reshape(len(idx), n, mt[k], n, ms[k])
         f = np.einsum("kaiaj->kij", pieces) / n
         diag = np.arange(n)
         pieces[:, diag, :, diag, :] -= f
         if len(idx) > 1:
-            can[at] = pieces.reshape(len(idx), n * mt, n * ms)
-        for k, fk in zip(idx, f):
-            blocks[k] = fk
-    return blocks, float(np.linalg.norm(can)), scale
+            can[at] = pieces.reshape(len(idx), n * mt[k], n * ms[k])
+        found.append((idx, f))
+    return BlockStacks.from_pieces(mt, ms, found), float(np.linalg.norm(can)), scale
 
 
 class ModuleMorphism:
-    """A-linear map between Hilbertian modules, stored per block."""
+    """A-linear map between Hilbertian modules, stored as block stacks.
+
+    The constructor takes one block per algebra block; blocks is the
+    read-only per-block view of the stored stacks.
+    """
 
     def __init__(self, source, target, blocks):
         if source.algebra != target.algebra:
             raise AlgebraMismatch("morphism endpoints live over different algebras")
         self.source = source
         self.target = target
-        mats = []
-        for k, b in enumerate(blocks):
-            b = np.asarray(b, dtype=complex)
-            want = (target.multiplicities[k], source.multiplicities[k])
-            if b.shape != want:
-                raise ShapeMismatch(f"block {k} has shape {b.shape}, expected {want}")
-            mats.append(b)
-        if len(mats) != len(source.algebra.blocks):
-            raise ShapeMismatch("need one block per algebra block")
-        self.blocks = tuple(mats)
+        self.stacked = BlockStacks.from_blocks(target.multiplicities, source.multiplicities, blocks)
+
+    @classmethod
+    def _of(cls, source, target, stacked: BlockStacks):
+        """The map with these stacks, whose layout is already (target,
+        source); nothing is checked."""
+        out = object.__new__(cls)
+        out.source, out.target, out.stacked = source, target, stacked
+        return out
+
+    def _with(self, stacked: BlockStacks):
+        return type(self)._of(self.source, self.target, stacked)
+
+    @property
+    def blocks(self) -> tuple:
+        return self.stacked.blocks
 
     @classmethod
     def from_matrix(cls, source, target, mat):
@@ -422,17 +599,15 @@ class ModuleMorphism:
             raise ShapeMismatch(
                 f"matrix shape {mat.shape} does not map {source.carrier_dim} -> {target.carrier_dim}"
             )
-        blocks, resid, scale = _extract_blocks(source, target, mat)
+        stacked, resid, scale = _extract_blocks(source, target, mat)
         if resid > COMMUTANT_TOL * scale:
             raise NotInCommutant(f"matrix is not A-linear (residual {resid:.2e})")
-        return cls(source, target, blocks)
+        return cls._of(source, target, stacked)
 
     def to_matrix(self) -> np.ndarray:
         out = np.zeros((self.target.carrier_dim, self.source.carrier_dim), dtype=complex)
-        for k, n in enumerate(self.source.algebra.block_dims):
-            out[self.target.block_slice(k), self.source.block_slice(k)] = np.kron(
-                np.eye(n), self.blocks[k]
-            )
+        for k, (n, b) in enumerate(zip(self.source.algebra.block_dims, self.blocks)):
+            out[self.target.block_slice(k), self.source.block_slice(k)] = np.kron(np.eye(n), b)
         if self.target.basis_map is not None:
             out = self.target.basis_map @ out
         if self.source.basis_map is not None:
@@ -444,34 +619,25 @@ class ModuleMorphism:
             return NotImplemented
         if not other.target.is_same_space(self.source):
             raise AlgebraMismatch("morphisms do not compose")
-        blocks = [a @ b for a, b in zip(self.blocks, other.blocks)]
-        if other.source.is_same_space(self.target):
-            return CommutantOperator(self.target, blocks)
-        return ModuleMorphism(other.source, self.target, blocks)
+        return _morphism(other.source, self.target, self.stacked @ other.stacked)
 
     def __add__(self, other):
         self._check_same_shape(other)
-        return type(self)._rebuild(self, [a + b for a, b in zip(self.blocks, other.blocks)])
+        return self._with(self.stacked + other.stacked)
 
     def __sub__(self, other):
         self._check_same_shape(other)
-        return type(self)._rebuild(self, [a - b for a, b in zip(self.blocks, other.blocks)])
+        return self._with(self.stacked - other.stacked)
 
     def __mul__(self, scalar):
         if not np.isscalar(scalar):
             return NotImplemented
-        return type(self)._rebuild(self, [scalar * b for b in self.blocks])
+        return self._with(self.stacked.map(lambda s: scalar * s))
 
     __rmul__ = __mul__
 
     def __neg__(self):
         return self * (-1.0)
-
-    @classmethod
-    def _rebuild(cls, proto, blocks):
-        if isinstance(proto, CommutantOperator):
-            return CommutantOperator(proto.module, blocks)
-        return ModuleMorphism(proto.source, proto.target, blocks)
 
     def _check_same_shape(self, other):
         if not (self.source.is_same_space(other.source) and self.target.is_same_space(other.target)):
@@ -480,32 +646,33 @@ class ModuleMorphism:
     def adjoint(self) -> "ModuleMorphism":
         """Adjoint with respect to the reference grams of source and target."""
         gs, gt = self.source.reference_gram, self.target.reference_gram
-        blocks = gt.right_times(gs.inv_times([b.conj().T for b in self.blocks]))
-        if self.source.is_same_space(self.target):
-            return CommutantOperator(self.source, blocks)
-        return ModuleMorphism(self.target, self.source, blocks)
+        return _morphism(self.target, self.source, gt.right_times(gs.inv_times(self.stacked.H)))
 
     def is_iso(self) -> bool:
-        if any(b.shape[0] != b.shape[1] for b in self.blocks):
+        if any(rows != cols for rows, cols in self.stacked.layout.shapes):
             return False
-        return not any(np.any(np.linalg.cond(s) > COND_LIMIT) for _, s in stacks(self.blocks))
+        return not any(np.any(np.linalg.cond(s) > COND_LIMIT) for _, s in self.stacked.nonempty())
 
     def inverse(self) -> "ModuleMorphism":
         if not self.is_iso():
             raise NotIso("morphism is not invertible")
-        blocks = list(self.blocks)  # an empty square block is its own inverse
-        for idx, s in stacks(self.blocks):
-            for k, b in zip(idx, np.linalg.inv(s)):
-                blocks[k] = b
-        if self.source.is_same_space(self.target):
-            return CommutantOperator(self.source, blocks)
-        return ModuleMorphism(self.target, self.source, blocks)
+        # an empty square block is its own inverse
+        inv = self.stacked.map(lambda s: np.linalg.inv(s) if s.size else s)
+        return _morphism(self.target, self.source, inv)
 
     def norm(self) -> float:
         """Largest spectral norm of a block, from one singular-value call per
         block shape."""
-        tops = [np.linalg.svd(s, compute_uv=False)[:, 0].max() for _, s in stacks(self.blocks)]
+        tops = [np.linalg.svd(s, compute_uv=False)[:, 0].max() for _, s in self.stacked.nonempty()]
         return float(max(tops, default=0.0))
+
+
+def _morphism(source, target, stacked: BlockStacks) -> ModuleMorphism:
+    """The map source -> target with these stacks; a commutant operator on
+    target when the two are the same space."""
+    if source.is_same_space(target):
+        return CommutantOperator._of(target, target, stacked)
+    return ModuleMorphism._of(source, target, stacked)
 
 
 class CommutantOperator(ModuleMorphism):
@@ -513,20 +680,23 @@ class CommutantOperator(ModuleMorphism):
 
     def __init__(self, module, blocks):
         super().__init__(module, module, blocks)
-        self.module = module
+
+    @property
+    def module(self):
+        return self.source
 
     @classmethod
     def from_matrix(cls, module, mat):
-        mor = ModuleMorphism.from_matrix(module, module, mat)
-        return cls(module, mor.blocks)
+        return super().from_matrix(module, module, mat)
 
     @classmethod
     def identity(cls, module):
-        return cls(module, [np.eye(m, dtype=complex) for m in module.multiplicities])
+        return cls._of(module, module, BlockStacks.identity(module.multiplicities))
 
     @classmethod
     def zero(cls, module):
-        return cls(module, [np.zeros((m, m), dtype=complex) for m in module.multiplicities])
+        mult = module.multiplicities
+        return cls._of(module, module, BlockStacks.zeros(mult, mult))
 
 
 # ---------------------------------------------------------------------------
@@ -589,11 +759,11 @@ def check_admissible(module: HilbertianModule, gram) -> AdmissibilityReport:
     positive = bool(vals.size == 0 or np.min(vals) > POSITIVITY_FLOOR * top)
     cond = float(np.max(vals) / np.min(vals)) if positive and vals.size else np.inf
     homeo = bool(np.isfinite(cond) and cond < COND_LIMIT)
-    blocks, resid, scale = _extract_blocks(module, module, gram)
+    stacked, resid, scale = _extract_blocks(module, module, gram)
     commutes = bool(resid <= COMMUTANT_TOL * scale)
     transition = None
     if self_adjoint and positive and homeo and commutes:
-        transition = CommutantOperator(module, module.reference_gram.inv_times(blocks))
+        transition = CommutantOperator._of(module, module, module.reference_gram.inv_times(stacked))
     return AdmissibilityReport(homeo, self_adjoint, positive, commutes, cond, transition)
 
 
@@ -782,23 +952,31 @@ def submodule_from_blocks(
     submodule's reference gram is the induced product and equals the
     identity in its own coordinates.  Returns (submodule, embedding).
     """
-    g = module.reference_gram
-    ortho = []
-    mult = []
-    for k, colz in enumerate(column_blocks):
-        colz = np.asarray(colz, dtype=complex)
-        if colz.ndim != 2 or colz.shape[0] != module.multiplicities[k]:
-            raise ShapeMismatch(f"column block {k} has wrong shape {colz.shape}")
-        y = gram_orthonormalize(colz, g.sqrt_blocks[k]) if colz.shape[1] else colz
-        ortho.append(y)
-        mult.append(y.shape[1])
-    sub = HilbertianModule(module.algebra, mult)
-    embed = ModuleMorphism(sub, module, ortho)
-    return sub, embed
+    column_blocks = [np.asarray(c, dtype=complex) for c in column_blocks]
+    if any(c.ndim != 2 for c in column_blocks):
+        raise ShapeMismatch("column blocks must be matrices")
+    cols = [c.shape[1] for c in column_blocks]
+    frames = BlockStacks.from_blocks(module.multiplicities, cols, column_blocks)
+    return _frame_module(module, _orthonormalized(module.reference_gram, frames))
+
+
+def _orthonormalized(g: _GramData, frames: BlockStacks) -> BlockStacks:
+    """Columns recombined to be orthonormal for <v, w> = w^H G v: C R^(-1)
+    from the QR factorization G^(1/2) C = Q R, one call per stack.  Columns
+    must be linearly independent."""
+    return BlockStacks(frames.layout, tuple(
+        c @ np.linalg.inv(np.linalg.qr(wc)[1]) if c.size else c
+        for c, wc in zip(frames.stacks, (g.sqrt @ frames).stacks)
+    ))
+
+
+def _frame_module(module, frames: BlockStacks):
+    sub = HilbertianModule(module.algebra, frames.layout.cols)
+    return sub, ModuleMorphism._of(sub, module, frames)
 
 
 def frame_submodule(
-    module: HilbertianModule, frames
+    module: HilbertianModule, frames: BlockStacks
 ) -> tuple[HilbertianModule, ModuleMorphism]:
     """Submodule spanned per block by orthonormal frames (SVD output).
 
@@ -807,17 +985,46 @@ def frame_submodule(
     orthonormalizing them again would only add rounding.
     """
     g = module.reference_gram
-    if not g.is_identity:
-        frames = [gram_orthonormalize(f, w) for f, w in zip(frames, g.sqrt_blocks)]
-    sub = HilbertianModule(module.algebra, [f.shape[1] for f in frames])
-    return sub, ModuleMorphism(sub, module, frames)
+    return _frame_module(module, frames if g.is_identity else _orthonormalized(g, frames))
+
+
+def _frames(rows, parts, start, width) -> BlockStacks:
+    """Frames of shape (rows[k], width[k]): block k keeps columns start[k]
+    to start[k] + width[k] of its matrix in parts, a list of (block
+    indices, stack); blocks that keep the same columns are cut together."""
+    pieces = []
+    for idx, s in parts:
+        for at in key_groups(zip(start[idx].tolist(), width[idx].tolist())):
+            k = idx[at[0]]
+            pieces.append((idx[at], s[at, :, start[k] : start[k] + width[k]]))
+    return BlockStacks.from_pieces(rows, width.tolist(), pieces)
+
+
+def range_and_kernel(f: BlockStacks) -> tuple[BlockStacks, BlockStacks]:
+    """Orthonormal bases (columns) of the column span and of the kernel of
+    each block, from one full SVD call per stack: the leading left and the
+    trailing right singular vectors, split at the block's rank (its
+    singular values above RANK_RTOL times max(1, the largest)).  A block
+    with no entries spans nothing, and its whole source is its kernel."""
+    rank = np.zeros(len(f.layout.rows), dtype=int)
+    lefts, rights = [], []
+    for idx, s in zip(f.layout.index, f.stacks):
+        u, sv, vh = np.linalg.svd(s)
+        rank[idx] = np.sum(sv > RANK_RTOL * np.maximum(1.0, sv[:, :1]), axis=1)
+        lefts.append((idx, u))
+        rights.append((idx, vh.conj().swapaxes(1, 2)))
+    cols = np.array(f.layout.cols)
+    return (
+        _frames(f.layout.rows, lefts, np.zeros_like(rank), rank),
+        _frames(f.layout.cols, rights, rank, cols - rank),
+    )
 
 
 def kernel_submodule(f: ModuleMorphism):
     """Kernel of an A-linear map as a submodule of its source."""
-    return frame_submodule(f.source, range_and_kernel(f.blocks)[1])
+    return frame_submodule(f.source, range_and_kernel(f.stacked)[1])
 
 
 def image_submodule(f: ModuleMorphism):
     """Closed image of an A-linear map as a submodule of its target."""
-    return frame_submodule(f.target, [orthonormal_range(b) for b in f.blocks])
+    return frame_submodule(f.target, range_and_kernel(f.stacked)[0])

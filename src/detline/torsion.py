@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import gram_hash, key_groups, stack
+from ._linalg import gram_hash
 from .complexes import (
     COCHAIN,
     CHAIN,
@@ -41,9 +41,11 @@ from .errors import (
 )
 from .lines import GradedDetLineElement, pushforward, reference_element
 from .modules import (
+    BlockStacks,
     CommutantOperator,
     HilbertianModule,
     ModuleMorphism,
+    _layout,
     direct_sum_many,
     zero_module,
 )
@@ -313,7 +315,7 @@ class GroupRepresentation:
     def with_module_gram(self, gram) -> "GroupRepresentation":
         module = self.module.with_reference_gram(gram)
         images = {
-            name: CommutantOperator(module, [b.copy() for b in op.blocks])
+            name: CommutantOperator._of(module, module, op.stacked)
             for name, op in self.images.items()
         }
         return GroupRepresentation(module, images, self.side)
@@ -325,8 +327,8 @@ class GroupRepresentation:
         if name not in self.images:
             raise ValidationError(f"representation has no image for generator {name!r}")
         base = self.images[name] if power > 0 else self.images[name].inverse()
-        blocks = [np.linalg.matrix_power(b, abs(power)) for b in base.blocks]
-        op = CommutantOperator(self.module, blocks)
+        stacked = base.stacked.map(lambda s: np.linalg.matrix_power(s, abs(power)))
+        op = CommutantOperator._of(self.module, self.module, stacked)
         self._letter_cache[key] = op
         return op
 
@@ -391,32 +393,30 @@ def _nonzero_entries(matrix) -> tuple:
     )
 
 
-def _assemble_matrix(rep, entries, n_rows, n_cols):
-    """Evaluate a sparse group-ring matrix into per-algebra-block numpy
-    blocks.
+def _assemble_matrix(rep, entries, n_rows, n_cols) -> BlockStacks:
+    """Evaluate a sparse group-ring matrix into block stacks.
 
     entries lists the nonzero (row, column, element) entries.  The blocks
-    of one multiplicity are assembled as one preallocated stack: each term
-    coeff * word adds coeff times the stack of the word operator's blocks
-    into the (row, column) tile, in the order rep.evaluate sums them, so
-    every tile equals its blocks bit for bit.  The word stacks live for
+    of each stored stack of the module are assembled as one preallocated
+    stack: each term coeff * word adds coeff times the word operator's
+    stack into the (row, column) tile, in the order rep.evaluate sums them,
+    so every tile equals its blocks bit for bit.  The word stacks live for
     this call only.
     """
     mult = rep.module.multiplicities
-    blocks = [None] * len(mult)
-    for idx in key_groups(mult):
-        m = mult[idx[0]]
+    pieces = []
+    square = _layout(mult, mult)  # the layout of every word operator
+    for g, (idx, (m, _)) in enumerate(zip(square.index, square.shapes)):
         out = np.zeros((len(idx), m * n_rows, m * n_cols), dtype=complex)
         words = {}
         for r, c, element in entries:
             tile = out[:, r * m : (r + 1) * m, c * m : (c + 1) * m]
             for word, coeff in element.terms.items():
                 if word not in words:
-                    words[word] = stack(rep.word_operator(word).blocks, idx)
+                    words[word] = rep.word_operator(word).stacked.stacks[g]
                 tile += float(coeff) * words[word]
-        for k, b in zip(idx, out):
-            blocks[k] = b
-    return blocks
+        pieces.append((idx, out))
+    return BlockStacks.from_pieces([m * n_rows for m in mult], [m * n_cols for m in mult], pieces)
 
 
 def assemble_coefficients(complex_: CellComplex, rep: GroupRepresentation) -> HilbertianChainComplex:
@@ -433,12 +433,12 @@ def assemble_coefficients(complex_: CellComplex, rep: GroupRepresentation) -> Hi
     for q, entries in enumerate(complex_.boundary_entries):
         lo, hi = counts[q], counts[q + 1]
         if rep.side == "right":
-            blocks = _assemble_matrix(rep, entries, lo, hi)
-            maps.append(ModuleMorphism(modules[q + 1], modules[q], blocks))
+            stacked = _assemble_matrix(rep, entries, lo, hi)
+            maps.append(ModuleMorphism._of(modules[q + 1], modules[q], stacked))
         else:
             transposed = [(c, r, element) for r, c, element in entries]
-            blocks = _assemble_matrix(rep, transposed, hi, lo)
-            maps.append(ModuleMorphism(modules[q], modules[q + 1], blocks))
+            stacked = _assemble_matrix(rep, transposed, hi, lo)
+            maps.append(ModuleMorphism._of(modules[q], modules[q + 1], stacked))
 
     convention = CHAIN if rep.side == "right" else COCHAIN
     out = HilbertianChainComplex(modules, maps, convention=convention, validate=False)
@@ -702,8 +702,8 @@ def invariance_check(
     chain_maps = []
     for d in range(len(complex_.cells)):
         rows, cols = len(refined.cells[d]), len(complex_.cells[d])
-        blocks = _assemble_matrix(rep, _nonzero_entries(psi.matrices[d]), rows, cols)
-        chain_maps.append(ModuleMorphism(c_old.modules[d], c_new.modules[d], blocks))
+        stacked = _assemble_matrix(rep, _nonzero_entries(psi.matrices[d]), rows, cols)
+        chain_maps.append(ModuleMorphism._of(c_old.modules[d], c_new.modules[d], stacked))
 
     for d in range(len(complex_.cells) - 1):
         lhs = chain_maps[d] @ c_old.maps[d]
@@ -722,15 +722,8 @@ def invariance_check(
         j_old = h_old.harmonic_embeddings[d]
         j_new = h_new.harmonic_embeddings[d]
         g_new = c_new.modules[d].reference_gram
-        blocks = [
-            jn.conj().T @ gb @ psib @ jo
-            for jn, gb, psib, jo in zip(
-                j_new.blocks, g_new.blocks, chain_maps[d].blocks, j_old.blocks
-            )
-        ]
-        induced = ModuleMorphism(
-            h_old.harmonic_modules[d], h_new.harmonic_modules[d], blocks
-        )
+        stacked = j_new.stacked.H @ g_new.stacked @ chain_maps[d].stacked @ j_old.stacked
+        induced = ModuleMorphism._of(h_old.harmonic_modules[d], h_new.harmonic_modules[d], stacked)
         pushed = pushforward(induced, reference_element(h_old.harmonic_modules[d]))
         factors.append(pushed.coefficient)
         predicted *= pushed.coefficient ** ((-1) ** d)

@@ -20,6 +20,7 @@ from detline.errors import IllConditionedKernel, ValidationError
 from detline.fixtures import circle, regular_cyclic_representation
 from detline.lines import reference_element
 from detline.modules import (
+    BlockStacks,
     CommutantOperator,
     HilbertianModule,
     ModuleMorphism,
@@ -256,11 +257,11 @@ def _blockwise_hodge(c, data):
     out = []
     for mod, delta in zip(c.modules, data.laplacians):
         g = mod.reference_gram
-        eighs = [np.linalg.eigh(0.5 * (b + b.conj().T)) for b in _tilde_blocks(mod, delta)]
+        eighs = [np.linalg.eigh(0.5 * (b + b.conj().T)) for b in _tilde_blocks(mod, delta).blocks]
         top = max((float(np.max(np.abs(v))) for v, _ in eighs if v.size), default=0.0)
         cut = data.kernel_tol * max(top, 1e-300)
         frames, projectors, values, weights = [], [], [], []
-        for (_, w), (v, u), wi, gb in zip(mod.algebra.blocks, eighs, g.inv_sqrt_blocks, g.blocks):
+        for (_, w), (v, u), wi, gb in zip(mod.algebra.blocks, eighs, g.inv_sqrt.blocks, g.blocks):
             zero = v <= cut
             j = wi @ u[:, zero]
             frames.append(j)
@@ -296,11 +297,15 @@ def _blockwise_route(c, data):
         pairs = [frames(b) for b in f.blocks]
         ranges[tgt] = [r for r, _ in pairs]
         kernels[src] = [k for _, k in pairs]
-    bounds = [frame_submodule(mod, r) for mod, r in zip(c.modules, ranges)]
+    def submodule(mod, frames):
+        cols = [f.shape[1] for f in frames]
+        return frame_submodule(mod, BlockStacks.from_blocks(mod.multiplicities, cols, frames))
+
+    bounds = [submodule(mod, r) for mod, r in zip(c.modules, ranges)]
     coordinate = 1.0
     for i in c.degrees:
         mod, out = c.modules[i], c.outgoing(i)
-        z_mod, z_embed = frame_submodule(mod, kernels[i])
+        z_mod, z_embed = submodule(mod, kernels[i])
         kappa = 1.0
         if out is not None:
             b_mod, b_embed = bounds[i - 1 if chain else i + 1]

@@ -335,6 +335,14 @@ BAD_MATRIX_INPUT = {
             build_group_algebra(FiniteGroupTable.cyclic(2)), [np.ones(2), np.ones(2)]
         ),
     ),
+    "operator with a block too many": (
+        ShapeMismatch,
+        lambda: CommutantOperator(HilbertianModule(ALG, (1, 1)), [np.eye(1)] * 3),
+    ),
+    "algebra element with a block too few": (
+        ShapeMismatch,
+        lambda: ALG.element([np.eye(1)]),
+    ),
 }
 
 
@@ -401,7 +409,7 @@ def test_gram_powers():
     m = HilbertianModule(ALG, (3, 2))
     t = random_commutant_op(m, rng)
     g = resolve_gram(m, t.adjoint() @ t + CommutantOperator.identity(m))
-    for b, w, wi, gi in zip(g.blocks, g.sqrt_blocks, g.inv_sqrt_blocks, g.inv_blocks):
+    for b, w, wi, gi in zip(g.blocks, g.sqrt.blocks, g.inv_sqrt.blocks, g.inv.blocks):
         eye = np.eye(b.shape[0])
         assert np.linalg.norm(w @ w - b) <= 1e-12 * np.linalg.norm(b)
         assert np.linalg.norm(wi @ b @ wi - eye) <= 1e-12
@@ -411,10 +419,10 @@ def test_gram_powers():
 def test_identity_gram_builds_its_blocks_when_read():
     m = HilbertianModule(ALG, (3, 2))
     g = m.reference_gram
-    assert g.is_identity and g._blocks is None
-    assert g.inv_times(["b"]) == ["b"] and g.right_times(["b"]) == ["b"]
-    assert g._blocks is None
-    for blocks in (g.sqrt_blocks, g.inv_sqrt_blocks, g.inv_blocks, g.blocks):
+    assert g.is_identity and g._stacked is None
+    assert g.inv_times("x") == "x" and g.right_times("x") == "x"
+    assert g._stacked is None
+    for blocks in (g.sqrt.blocks, g.inv_sqrt.blocks, g.inv.blocks, g.blocks):
         assert [b.tolist() for b in blocks] == [np.eye(k).tolist() for k in (3, 2)]
 
 
@@ -426,7 +434,8 @@ def test_extract_blocks_per_shape_matches_one_einsum_per_block():
     target = HilbertianModule(alg, (3, 1, 3, 2, 3, 1))
     rng = np.random.default_rng(67)
     mat = rng.standard_normal((target.carrier_dim, source.carrier_dim)) * (1 + 0.5j)
-    blocks, resid, scale = modules._extract_blocks(source, target, mat)
+    stacked, resid, scale = modules._extract_blocks(source, target, mat)
+    blocks = stacked.blocks
     can = mat.copy()
     for k, n in enumerate(alg.block_dims):
         piece = can[target.block_slice(k), source.block_slice(k)]
@@ -565,3 +574,75 @@ def test_is_same_space_tolerance_is_scale_relative():
     a = regular_module(dec, reference_gram=big)
     b = regular_module(dec, reference_gram=big * (1 + 1e-14))
     assert a.is_same_space(b)
+
+
+def test_stacked_blocks_match_a_per_block_loop_bit_for_bit():
+    # C[S4] has blocks of dimensions 1, 1, 2, 3, 3.  Block 1 is empty
+    # everywhere; f and g have shape (3, 2) in blocks 2 and 4 and a shape
+    # of their own in blocks 0 and 3.  h @ f has shape (1, 2) in blocks 0, 2
+    # and 4, so its stack is put together from the products of two groups.
+    alg = build_group_algebra(FiniteGroupTable.symmetric(4)).algebra
+    assert alg.block_dims == (1, 1, 2, 3, 3)
+    rng = np.random.default_rng(97)
+    mult = {"src": (2, 0, 2, 3, 2), "tgt": (1, 0, 3, 1, 3), "far": (1, 0, 1, 2, 1)}
+
+    def blocks(rows, cols):
+        return [
+            rng.standard_normal((r, c)) + 1j * rng.standard_normal((r, c))
+            for r, c in zip(rows, cols)
+        ]
+
+    def powers(b):  # G^(1/2), G^(-1/2) and G^(-1) of one gram block
+        vals, vecs = np.linalg.eigh(0.5 * (b + b.conj().T))
+        vh = vecs.conj().T
+        return [(vecs * np.sqrt(vals)) @ vh, (vecs / np.sqrt(vals)) @ vh, (vecs / vals) @ vh]
+
+    for with_grams in (False, True):
+        mods = {name: HilbertianModule(alg, m) for name, m in mult.items()}
+        if with_grams:
+            for name, mod in mods.items():
+                m = mod.multiplicities
+                pos = [b.conj().T @ b + np.eye(len(b)) for b in blocks(m, m)]
+                mods[name] = mod.with_reference_gram(CommutantOperator(mod, pos))
+        src, tgt, far = mods["src"], mods["tgt"], mods["far"]
+        fb, gb = blocks(mult["tgt"], mult["src"]), blocks(mult["tgt"], mult["src"])
+        hb = blocks(mult["far"], mult["tgt"])
+        ab = [b + 3 * np.eye(len(b)) for b in blocks(mult["src"], mult["src"])]
+        f, g = ModuleMorphism(src, tgt, fb), ModuleMorphism(src, tgt, gb)
+        h = ModuleMorphism(tgt, far, hb)
+        a = CommutantOperator(src, ab)
+        grams = {name: [b.copy() for b in mod.reference_gram.blocks] for name, mod in mods.items()}
+        inv_src = [powers(b)[2] for b in grams["src"]]
+        wants = [
+            (f, fb),
+            (h @ f, [y @ x for x, y in zip(fb, hb)]),
+            (f + g, [x + y for x, y in zip(fb, gb)]),
+            (f - g, [x - y for x, y in zip(fb, gb)]),
+            (2.5 * f, [2.5 * x for x in fb]),
+            (a.inverse(), [np.linalg.inv(x) if x.size else x for x in ab]),
+            (
+                f.adjoint(),
+                [
+                    (gi @ x.conj().T) @ gt if with_grams else x.conj().T
+                    for x, gi, gt in zip(fb, inv_src, grams["tgt"])
+                ],
+            ),
+        ]
+        for got, want in wants:
+            assert len(got.blocks) == len(want)
+            for x, y in zip(got.blocks, want):
+                assert x.shape == y.shape and np.array_equal(x, y)
+        for name, mod in mods.items():
+            g_data = mod.reference_gram
+            for k, b in enumerate(grams[name]):
+                want = powers(b) if with_grams else [np.eye(len(b))] * 3
+                got = (g_data.sqrt.blocks[k], g_data.inv_sqrt.blocks[k], g_data.inv.blocks[k])
+                assert all(np.array_equal(x, y) for x, y in zip(got, want))
+        assert f.norm() == max(np.linalg.svd(x, compute_uv=False)[0] for x in fb if x.size)
+        dense = np.zeros((tgt.carrier_dim, src.carrier_dim), dtype=complex)
+        for k, (n, x) in enumerate(zip(alg.block_dims, fb)):
+            dense[tgt.block_slice(k), src.block_slice(k)] = np.kron(np.eye(n), x)
+        assert np.array_equal(f.to_matrix(), dense)
+        assert not any(x.flags.writeable for x in f.blocks)
+        with pytest.raises(ValueError):
+            f.blocks[0][0, 0] = 1.0

@@ -586,7 +586,7 @@ def test_sparse_assembly_matches_dense_evaluation():
         ops = [[rep.evaluate(mat[r][c]) for c in range(3)] for r in range(2)]
         for k in range(len(module.multiplicities)):
             dense = np.block([[ops[r][c].blocks[k] for c in range(3)] for r in range(2)])
-            assert np.array_equal(got[k], dense)
+            assert np.array_equal(got.blocks[k], dense)
 
 
 def test_assembly_reads_only_the_nonzero_boundary_entries(monkeypatch):
@@ -623,7 +623,7 @@ def test_torsion_reads_no_identity_gram_blocks():
     report = torsion(circle(16), regular_cyclic_representation(6))
     modules_ = report.coefficients.modules + report.hodge_data.harmonic_modules
     assert all(m.reference_gram.is_identity for m in modules_)
-    assert all(m.reference_gram._blocks is None for m in modules_)
+    assert all(m.reference_gram._stacked is None for m in modules_)
 
 
 def test_assembly_matches_entrywise_evaluation_bit_for_bit():
