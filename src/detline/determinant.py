@@ -4,11 +4,14 @@ Two independent routes are kept deliberately separate and never collapsed:
 
 * spectral: for positive operators, integrate log(lambda) against the
   spectral density (a finite weighted sum here);
-* path: for invertible operators, telescope Re Tr_tau log(A_i^{-1} A_{i+1})
-  along a path from the identity.  The algebra is a finite sum of matrix
-  blocks, so each step's Re tr log r is log|det r| for every block.  Steps
-  are subdivided until each ratio r satisfies ||r - 1|| < 1/2; that ball
-  test is the guard that detects a path leaving the invertibles.
+* path: for invertible operators, the integral of Re Tr_tau(A_t^{-1} dA_t)
+  along a path A_t through the invertibles from the identity to A.  The
+  algebra is a finite sum of matrix blocks and determinants multiply, so
+  every subdivision of every such path telescopes to sum_k w_k log|det A_k|:
+  the value does not depend on the path and is taken from one
+  log-determinant (an LU factorisation) per block.  Which paths exist is
+  decided by the spectrum: the straight segment (1-t) 1 + t A stays
+  invertible iff no eigenvalue lies on the closed negative real ray.
 
 A general invertible operator gets the polar route: the square root of the
 spectral determinant of A* A.  Self-adjointness, positivity and adjoints are
@@ -17,7 +20,7 @@ admissible gram, build the operator on module.with_reference_gram(gram).
 
 Each route makes one LAPACK call per block shape, not per block: operators
 keep their blocks stored by shape (modules.BlockStacks), and every check,
-eigenvalue, SVD, solve and log-determinant runs on the stored stacks.
+eigenvalue, SVD and log-determinant runs on the stored stacks.
 numpy runs a stack one matrix at a time through the same LAPACK routine,
 so the per-block numbers are those of separate calls, and the weighted sum
 is taken in block order.  C[G] for G abelian has |G| blocks of size 1, all
@@ -47,9 +50,6 @@ KERNEL_REL_TOL = 1e-12
 SELF_ADJOINT_TOL = 1e-8
 INVERTIBLE_REL_TOL = 1e-12  # smallest singular value of an invertible block, relative
 SEGMENT_REL_TOL = 1e-8  # distance of the spectrum from the negative ray, relative
-PATH_STEP_BALL = 0.5
-MAX_PATH_DEPTH = 48
-PATH_STEPS = 8
 
 
 @dataclass
@@ -200,38 +200,6 @@ def _require_invertible(groups):
             raise NonInvertible("operator has a (numerical) kernel")
 
 
-def _telescope(blocks_at, t0, t1, indices, weights, depth=0):
-    """Sum of w_k Re tr log(B_k(t0)^{-1} B_k(t1)), subdividing as needed.
-
-    blocks_at(t) gives one stack per block shape, holding the blocks
-    indices[i].  Re tr log r = log|det r| for an invertible matrix r.  A
-    step is taken only once every ratio lies within PATH_STEP_BALL of the
-    identity; a path through a singular point never gets there, and after
-    MAX_PATH_DEPTH halvings it is refused.
-    """
-    b0 = blocks_at(t0)
-    b1 = blocks_at(t1)
-    worst = 0.0
-    try:
-        ratios = [np.linalg.solve(a, b) for a, b in zip(b0, b1)]
-        for r in ratios:
-            dev = np.linalg.svd(r - np.eye(r.shape[1]), compute_uv=False)[:, 0]
-            worst = max(worst, float(np.max(dev)))
-    except np.linalg.LinAlgError:
-        worst = np.inf
-    if worst < PATH_STEP_BALL:
-        logdets = {}
-        for idx, r in zip(indices, ratios):
-            logdets.update(zip(idx, np.linalg.slogdet(r)[1]))
-        return sum(weights[k] * float(logdets[k]) for k in sorted(logdets))
-    if depth >= MAX_PATH_DEPTH:
-        raise PathLeavesGL("path cannot be subdivided into invertible steps")
-    mid = 0.5 * (t0 + t1)
-    return _telescope(blocks_at, t0, mid, indices, weights, depth + 1) + _telescope(
-        blocks_at, mid, t1, indices, weights, depth + 1
-    )
-
-
 def _segment_is_safe(groups):
     """The straight path (1-t) 1 + t A misses GL iff A has spectrum on the
     closed negative real ray."""
@@ -244,47 +212,37 @@ def _segment_is_safe(groups):
     return True
 
 
-def _positive_factor(s):
-    """P = (b^H b)^(1/2) = V S V^H from the SVD b = W S V^H (b = (W V^H) P),
-    for each b in a stack."""
-    _, sv, vh = np.linalg.svd(s)
-    return (vh.conj().swapaxes(1, 2) * sv[:, None, :]) @ vh
-
-
 def fk_det_path(
     module: HilbertianModule,
     op: CommutantOperator,
     *,
     path: str = "auto",
 ) -> DeterminantResult:
-    """Determinant of an invertible operator by telescoping along a path.
+    """Determinant of an invertible operator as a path integral from the
+    identity.
 
-    path "segment" interpolates (1-t) 1 + t A and fails (PathLeavesGL) when
-    that leaves the invertibles; "polar" takes the segment path to the
-    positive factor |A| = (A* A)^(1/2) instead, which always stays
-    invertible (A = U |A| with U unitary, and a unitary adds log|det U| = 0);
-    "auto" picks segment when the spectrum clears the negative ray.
+    Every path through the invertibles gives sum_k w_k log|det A_k|, so the
+    value is one log-determinant per block whichever path is named; path
+    only says which paths may be taken.  "segment" is the straight path
+    (1-t) 1 + t A and is refused (PathLeavesGL) when the spectrum of A meets
+    the closed negative real ray, where that path passes a singular
+    operator.  "polar" goes through the positive factor |A| = (A* A)^(1/2),
+    which always stays invertible (A = U |A| with U unitary, log|det U| = 0
+    and det|A| = |det A|); "auto" takes the segment when it is invertible
+    and the polar path otherwise, with the same value.
     """
     _check_operator(module, op)
     if path not in ("auto", "segment", "polar"):
         raise ValidationError(f"unknown path kind {path!r}")
     groups = _tilde_blocks(module, op).nonempty()
     _require_invertible(groups)
-    grid = np.linspace(0.0, 1.0, PATH_STEPS + 1)
-
-    if path == "polar" or (path == "auto" and not _segment_is_safe(groups)):
-        groups = [(idx, _positive_factor(s)) for idx, s in groups]
-    indices = [idx for idx, _ in groups]
-    eyes = [np.eye(s.shape[1], dtype=complex) for _, s in groups]
-
-    def blocks_at(t):
-        return [(1.0 - t) * e + t * s for e, (_, s) in zip(eyes, groups)]
-
+    if path == "segment" and not _segment_is_safe(groups):
+        raise PathLeavesGL("the segment from the identity meets the negative real ray")
+    logdets = {}
+    for idx, s in groups:
+        logdets.update(zip(idx, np.linalg.slogdet(s)[1]))
     weights = module.algebra.weights
-    log_det = sum(
-        _telescope(blocks_at, grid[i], grid[i + 1], indices, weights)
-        for i in range(PATH_STEPS)
-    )
+    log_det = sum(weights[k] * float(logdets[k]) for k in sorted(logdets))
     return DeterminantResult.from_log(float(log_det), "path")
 
 

@@ -131,9 +131,10 @@ def pushforward(f: ModuleMorphism, e: DetLineElement) -> DetLineElement:
     """
     if not e.module.is_same_space(f.source):
         raise AlgebraMismatch("element does not live on the source of the morphism")
-    if not f.is_iso():
-        raise NotIso("pushforward needs an isomorphism")
-    finv = f.inverse()
+    try:
+        finv = f.inverse()
+    except NotIso as err:
+        raise NotIso("pushforward needs an isomorphism") from err
     det = fk_det_spectral(f.target, finv.adjoint() @ finv)
     return DetLineElement(f.target, e.coefficient * _inv_sqrt(det), "pushforward")
 

@@ -215,7 +215,7 @@ def test_c02_path_and_spectral_routes():
             spectral = fk_det_spectral(module, op).value
             assert rel(fk_det_path(module, op).value, spectral) <= 1e-8
 
-            # two genuinely different paths into the invertibles
+            # the segment and polar paths name different paths, which give one value
             segment = fk_det_path(module, op, path="segment").value
             polar = fk_det_path(module, op, path="polar").value
             assert rel(segment, polar) <= 1e-7

@@ -631,7 +631,7 @@ def test_cellular_torsion_loads_no_numpy_ma():
 
 
 def test_polar_path_loads_no_scipy():
-    # the polar path is the segment path to |A|, taken from numpy's SVD
+    # the polar and auto paths take their log-determinant from numpy's LU
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     probe = (

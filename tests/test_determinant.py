@@ -417,6 +417,58 @@ def test_batched_routes_agree_with_a_per_block_loop(name):
         assert not CommutantOperator(module, bad).is_iso()
 
 
+def _counting(monkeypatch, name):
+    """Count the calls of np.linalg.<name> for the rest of the test."""
+    calls = [0]
+    original = getattr(np.linalg, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_path_route_takes_one_slogdet_per_block_shape(monkeypatch):
+    mod = standard_module(build_group_algebra(BATCHED["C[S4]"]).algebra)
+    shapes = len(set(mod.multiplicities))
+    assert shapes == 3  # multiplicities 1, 1, 2, 3, 3
+    rng = np.random.default_rng(37)
+    op = CommutantOperator(
+        mod, [3.0 * np.eye(m) + 0.3 * random_complex(rng, (m, m)) for m in mod.multiplicities]
+    )
+    for kind in ("auto", "segment", "polar"):
+        slogdet = _counting(monkeypatch, "slogdet")
+        eigvals = _counting(monkeypatch, "eigvals")
+        res = fk_det_path(mod, op, path=kind)
+        assert slogdet[0] == shapes
+        # only the segment asks where the spectrum lies
+        assert eigvals[0] == (shapes if kind == "segment" else 0)
+        assert rel_close(res.log_value, naive_log_det(mod, op), 1e-12)
+        monkeypatch.undo()
+
+
+def test_path_route_on_a_large_scalar_block():
+    # 0.1 I on C^400: log Det = -400 log 10, past the linear float range
+    mod = HilbertianModule(ALGEBRAS["C"], [400])
+    op = CommutantOperator.identity(mod) * 0.1
+    for kind in ("auto", "segment", "polar"):
+        res = fk_det_path(mod, op, path=kind)
+        assert res.log_value == pytest.approx(-400 * np.log(10.0), rel=1e-14)
+
+
+def test_segment_near_the_negative_ray():
+    # 2 R(pi - 0.01) has eigenvalues 2 exp(+-i(pi - 0.01)), 0.02 off the
+    # negative real ray: the segment stays invertible, and |det| = 4
+    mod = HilbertianModule(ALGEBRAS["C"], [2])
+    theta = np.pi - 0.01
+    rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    op = CommutantOperator(mod, [2.0 * rot])
+    for kind in ("segment", "auto", "polar"):
+        assert abs(fk_det_path(mod, op, path=kind).log_value - 2 * np.log(2.0)) < 1e-14
+
+
 def first_inexact_block(alpha, beta, tol):
     """The block a per-block loop finds first failing injectivity,
     surjectivity or a vanishing composite, or None."""

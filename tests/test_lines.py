@@ -33,6 +33,7 @@ from detline.modules import (
     direct_sum,
     direct_sum_many,
     inclusion_morphisms,
+    regular_module,
     standard_module,
     von_neumann_dimension,
     zero_module,
@@ -170,8 +171,26 @@ def test_pushforward_independent_of_representative():
 
 def test_pushforward_requires_iso():
     mod = standard_module(Z3)
-    with pytest.raises(NotIso):
+    with pytest.raises(NotIso, match="pushforward needs an isomorphism"):
         pushforward(CommutantOperator.zero(mod), reference_element(mod))
+
+
+def test_pushforward_takes_one_condition_number_per_block_stack(monkeypatch):
+    # the regular module of C[S3] has multiplicities (1, 1, 2): two stacks
+    dec = build_group_algebra(FiniteGroupTable.symmetric(3))
+    mod = regular_module(dec)
+    f = random_invertible(np.random.default_rng(43), mod)
+    calls = [0]
+    cond = np.linalg.cond
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return cond(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cond", counted)
+    out = pushforward(f, reference_element(mod))
+    assert calls[0] == 2
+    assert out.coefficient == pytest.approx(fk_det(mod, f).value, rel=1e-9)
 
 
 def test_tensor_sum_of_references_is_unit():
