@@ -10,7 +10,12 @@ The torsion isomorphism between det(C) and det(H_*) is computed by two
 deliberately independent routes: factorization through the exact sequences
 0 -> Z -> C -> B -> 0 and 0 -> B -> Z -> H -> 0, and the closed Laplacian
 formula prod Det(Delta_i^+)^(+-i/2).  Their agreement is a theorem; here it
-is a test.
+is a test.  The exact-sequence route hands all of a complex's sequences to
+one call of the exact-sequence core in lines, which checks and measures
+them together, one LAPACK call per block shape; its exactness check bounds
+the image/kernel gap from singular values and takes singular vectors only
+where the bound cannot settle a block, so its verdicts are those of the
+exact gap.
 """
 
 from __future__ import annotations
@@ -25,9 +30,9 @@ from .errors import IllConditionedKernel, ValidationError
 from .lines import (
     DetLineElement,
     GradedDetLineElement,
-    exact_sequence_iso,
+    _Sequence,
+    _sequence_coordinates,
     graded_assemble,
-    reference_element,
 )
 from .modules import (
     BlockStacks,
@@ -35,7 +40,7 @@ from .modules import (
     HilbertianModule,
     ModuleMorphism,
     _frames,
-    frame_submodule,
+    _orthonormalized,
     gram_defect,
     range_and_kernel,
     von_neumann_dimension,
@@ -132,9 +137,12 @@ class HilbertianChainComplex:
 
     def boundary_residual(self) -> float:
         """Largest ||composite|| / max(||a|| ||b||, 1) over consecutive maps;
-        each norm takes one singular-value call per block shape."""
-        norms = [f.norm() for f in self.maps]
+        each norm takes one singular-value call per block shape.  A complex
+        with fewer than two maps has no composite, and takes no norm."""
         worst = 0.0
+        if len(self.maps) < 2:
+            return worst
+        norms = [f.norm() for f in self.maps]
         for i in range(len(self.maps) - 1):
             a, b = self.maps[i], self.maps[i + 1]
             comp = a @ b if self.convention == CHAIN else b @ a
@@ -325,14 +333,12 @@ def torsion_iso_via_laplacians(complex_, hodge_data: HodgeData | None = None) ->
     return graded_assemble(entries)
 
 
-def _in_frame(embed, f) -> ModuleMorphism:
+def _in_frame(frame, gram, f: BlockStacks) -> BlockStacks:
     """f followed by the coordinates in a reference-orthonormal frame,
-    j^H G f, one product per block shape; G is skipped when it is the
-    identity."""
-    g = embed.target.reference_gram
-    jh = embed.stacked.H
-    coords = (jh if g.is_identity else jh @ g.stacked) @ f.stacked
-    return ModuleMorphism._of(f.source, embed.source, coords)
+    j^H G f, one product per block shape; a gram of None is the identity,
+    and its product is skipped."""
+    jh = frame.H
+    return (jh if gram is None else jh @ gram.stacked) @ f
 
 
 def torsion_iso_via_exact_sequences(complex_, hodge_data: HodgeData | None = None) -> GradedDetLineElement:
@@ -341,57 +347,55 @@ def torsion_iso_via_exact_sequences(complex_, hodge_data: HodgeData | None = Non
 
     The full SVD of a map block gives both frames it bounds: the leading
     left singular vectors span the boundaries B of its target, the trailing
-    right ones the cycles Z of its source.  The work is per block shape:
+    right ones the cycles Z of its source; under a gram that is not the
+    identity they are orthonormalized for it.  The work is per block shape:
     one SVD call per shape of each map, and one product per shape for each
-    change of frame, which skips the gram where it is the identity.  Both
-    factors reuse one orthonormal frame per boundary subspace, so the det(B)
-    lines pair to exactly 1 and the per-degree coefficient is
-    1/(kappa_i kappa'_i)."""
+    change of frame, which skips the gram where it is the identity.  The
+    frames stay block stacks, and all the sequences, in degree order with
+    the Z sequence first, are checked and measured by one call of the
+    exact-sequence core (lines._sequence_coordinates), one LAPACK call per
+    block shape over the whole list.  Both factors reuse one orthonormal
+    frame per boundary subspace, so the det(B) lines pair to exactly 1 and
+    the per-degree coefficient is 1/(kappa_i kappa'_i)."""
     if hodge_data is None:
         hodge_data = hodge(complex_)
 
-    ranges = [None] * len(complex_.modules)
-    kernels = [None] * len(complex_.modules)
+    n = len(complex_.modules)
+    ranges, kernels = [None] * n, [None] * n
     for i, f in enumerate(complex_.maps):
         src, tgt = (i + 1, i) if complex_.convention == CHAIN else (i, i + 1)
         ranges[tgt], kernels[src] = range_and_kernel(f.stacked)
     # a degree with no incoming map bounds nothing; with no outgoing map,
     # every chain is a cycle
+    grams = [None if m.reference_gram.is_identity else m.reference_gram for m in complex_.modules]
     for i, mod in enumerate(complex_.modules):
         mult = mod.multiplicities
         if ranges[i] is None:
             ranges[i] = BlockStacks.zeros(mult, (0,) * len(mult))
         if kernels[i] is None:
             kernels[i] = BlockStacks.identity(mult)
-    boundary_frames = [frame_submodule(mod, r) for mod, r in zip(complex_.modules, ranges)]
+        if grams[i] is not None:
+            ranges[i], kernels[i] = (_orthonormalized(grams[i], f) for f in (ranges[i], kernels[i]))
+
+    sequences = []
+    for i in complex_.degrees:
+        out = complex_.outgoing(i)
+        if out is not None:  # 0 -> Z_i -> C_i -> B(target) -> 0
+            j = i - 1 if complex_.convention == CHAIN else i + 1
+            beta = _in_frame(ranges[j], grams[j], out.stacked)
+            sequences.append(_Sequence(kernels[i], beta, (None, grams[i], None)))
+        # 0 -> B_i -> Z_i -> H_i -> 0
+        harmonic = hodge_data.harmonic_embeddings[i].stacked
+        sequences.append(_Sequence(
+            _in_frame(kernels[i], grams[i], ranges[i]),
+            _in_frame(harmonic, grams[i], kernels[i]),
+        ))
+    kappas = iter(_sequence_coordinates(complex_.algebra.weights, sequences))
 
     entries = []
     for i in complex_.degrees:
-        mod = complex_.modules[i]
-        out = complex_.outgoing(i)
-        z_mod, z_embed = frame_submodule(mod, kernels[i])
-
-        # 0 -> Z_i -> C_i -> B(target) -> 0
-        if out is None:
-            kappa = 1.0
-        else:
-            b_mod, b_embed = boundary_frames[
-                i - 1 if complex_.convention == CHAIN else i + 1
-            ]
-            kappa = exact_sequence_iso(
-                z_embed, _in_frame(b_embed, out), reference_element(z_mod), reference_element(b_mod)
-            ).coefficient
-
-        # 0 -> B_i -> Z_i -> H_i -> 0
-        b_mod_i, b_embed_i = boundary_frames[i]
-        kappa_prime = exact_sequence_iso(
-            _in_frame(z_embed, b_embed_i),
-            _in_frame(hodge_data.harmonic_embeddings[i], z_embed),
-            reference_element(b_mod_i),
-            reference_element(hodge_data.harmonic_modules[i]),
-        ).coefficient
-
-        coeff = 1.0 / (kappa * kappa_prime)
+        kappa = 1.0 if complex_.outgoing(i) is None else next(kappas)
+        coeff = 1.0 / (kappa * next(kappas))
         entries.append((i, DetLineElement(hodge_data.harmonic_modules[i], coeff, "torsion_iso")))
     return graded_assemble(entries)
 

@@ -147,29 +147,53 @@ def _check_operator(module, op):
         raise ValidationError("operator lives on a different module")
 
 
+def _hermitian_spectra(stacked) -> list:
+    """(block indices, eigenvalues of the Hermitian parts, Frobenius norms
+    of B - B^H) per nonempty stack, one eigvalsh call per stack."""
+    out = []
+    for idx, s in stacked.nonempty():
+        sh = s.conj().swapaxes(1, 2)
+        out.append((idx, np.linalg.eigvalsh(0.5 * (s + sh)), np.linalg.norm(s - sh, axis=(1, 2))))
+    return out
+
+
+def _density(weights, spectra) -> SpectralDensity:
+    """The density of block spectra given as _hermitian_spectra gives them,
+    once the blocks pass as self-adjoint and positive: the scale is the
+    largest |eigenvalue| (at most the operator norm), and the self-adjoint
+    residual the largest Frobenius norm."""
+    scale = max((float(np.max(np.abs(ev))) for _, ev, _ in spectra), default=0.0)
+    residual = max((float(np.max(r)) for _, _, r in spectra), default=0.0)
+    if residual > SELF_ADJOINT_TOL * max(1.0, scale):
+        raise NotSelfAdjoint("operator is not self-adjoint for this gram")
+    parts = [(np.repeat(idx, ev.shape[1]), ev.ravel()) for idx, ev, _ in spectra]
+    density = SpectralDensity.from_parts(weights, parts)
+    if density.values.size and density.values[0] < -1e-10 * max(1.0, scale):
+        raise NegativeSpectrum(f"spectrum reaches {density.values[0]:.3e}")
+    return density
+
+
 def spectral_density(
     module: HilbertianModule,
     op: CommutantOperator,
 ) -> SpectralDensity:
-    """Eigenvalue distribution of a gram-self-adjoint positive operator.
-
-    scale is the largest |eigenvalue| of the Hermitian parts (at most the
-    operator norm) and the self-adjoint residual a Frobenius norm."""
+    """Eigenvalue distribution of a gram-self-adjoint positive operator."""
     _check_operator(module, op)
-    parts = []
-    scale = residual = 0.0
-    for idx, s in _tilde_blocks(module, op).nonempty():
-        sh = s.conj().swapaxes(1, 2)
-        ev = np.linalg.eigvalsh(0.5 * (s + sh))
-        parts.append((np.repeat(idx, ev.shape[1]), ev.ravel()))
-        scale = max(scale, float(np.max(np.abs(ev))))
-        residual = max(residual, float(np.max(np.linalg.norm(s - sh, axis=(1, 2)))))
-    if residual > SELF_ADJOINT_TOL * max(1.0, scale):
-        raise NotSelfAdjoint("operator is not self-adjoint for this gram")
-    density = SpectralDensity.from_parts(module.algebra.weights, parts)
-    if density.values.size and density.values[0] < -1e-10 * max(1.0, scale):
-        raise NegativeSpectrum(f"spectrum reaches {density.values[0]:.3e}")
-    return density
+    return _density(module.algebra.weights, _hermitian_spectra(_tilde_blocks(module, op)))
+
+
+def _log_det(density: SpectralDensity) -> float:
+    """log Det of a positive operator from its spectral density; 0 on the
+    zero module.  Refuses (KernelDetected) if any spectral mass sits at
+    zero, where the log integral is -inf."""
+    if density.total_mass == 0.0:
+        return 0.0  # zero module: empty product
+    top = float(np.max(density.values))
+    cut = KERNEL_REL_TOL * max(top, 1e-300)
+    if np.any(density.values <= cut):
+        mass = float(np.sum(density.weights[density.values <= cut]))
+        raise KernelDetected(f"spectral mass {mass:.3e} at zero; determinant undefined")
+    return density.log_moment()
 
 
 def fk_det_spectral(
@@ -181,16 +205,7 @@ def fk_det_spectral(
     Refuses (KernelDetected) if any spectral mass sits at zero, where the
     log integral is -inf; no number is produced in that case.
     """
-    density = spectral_density(module, op)
-    if density.total_mass == 0.0:
-        # zero module: empty product
-        return DeterminantResult(1.0, 0.0, "spectral")
-    top = float(np.max(density.values))
-    cut = KERNEL_REL_TOL * max(top, 1e-300)
-    if np.any(density.values <= cut):
-        mass = float(np.sum(density.weights[density.values <= cut]))
-        raise KernelDetected(f"spectral mass {mass:.3e} at zero; determinant undefined")
-    return DeterminantResult.from_log(density.log_moment(), "spectral")
+    return DeterminantResult.from_log(_log_det(spectral_density(module, op)), "spectral")
 
 
 def _require_invertible(groups):

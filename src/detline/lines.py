@@ -7,16 +7,30 @@ product multiplies the coordinate by Det_tau(A)^(-1/2), where A is the
 transition operator of the pair.  All constructions below (pushforward,
 direct sums, exact sequences, graded assembly) reduce to determinants of
 explicit transition operators; positivity of every coordinate is enforced.
+
+Short exact sequences have one body, _sequence_coordinates, which takes a
+list: exact_sequence_iso runs it on a list of one, and the torsion route of
+complexes on all of a complex's sequences at once.  The blocks of the list
+are joined, so each singular-value, solve and eigenvalue call covers one
+block shape across every sequence, while scales, tolerances, log sums and
+refusals stay per sequence.  The exactness check decides the gap between
+im(alpha) and ker(beta) from values it has anyway: where the ranks pass,
+||P_im(alpha) - P_ker(beta)||_F <= sqrt(2) ||beta alpha||_F /
+(s_min(alpha) s_min(beta)), and a block whose bound is at most half the
+tolerance passes, as its exact gap (at most that bound, plus rounding)
+would; every other block takes singular vectors and the exact gap, so
+every verdict is the one the exact gap gives.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .determinant import fk_det_spectral
+from .determinant import _density, _hermitian_spectra, _log_det, fk_det_spectral
 from .errors import (
     AlgebraMismatch,
     DuplicateDegree,
@@ -29,12 +43,20 @@ from .modules import (
     CommutantOperator,
     HilbertianModule,
     ModuleMorphism,
+    _block_range,
     direct_sum,
     resolve_gram,
 )
 
 EXACTNESS_TOL = 1e-8
 CLOSE_REL_TOL = 1e-10  # relative coordinate difference of is_close_to
+
+
+def _positive(coefficient) -> float:
+    c = float(coefficient)
+    if not (math.isfinite(c) and c > 0.0):
+        raise ValidationError(f"determinant line coordinate must be positive, got {c!r}")
+    return c
 
 
 @dataclass(frozen=True)
@@ -50,10 +72,7 @@ class DetLineElement:
     origin: str = "reference"
 
     def __post_init__(self):
-        c = float(self.coefficient)
-        if not (math.isfinite(c) and c > 0.0):
-            raise ValidationError(f"determinant line coordinate must be positive, got {c!r}")
-        object.__setattr__(self, "coefficient", c)
+        object.__setattr__(self, "coefficient", _positive(self.coefficient))
 
     def __mul__(self, scalar):
         s = float(scalar)
@@ -80,14 +99,14 @@ def _transition_det(module, stacked):
     return fk_det_spectral(module, CommutantOperator._of(module, module, stacked))
 
 
-def _inv_sqrt(det) -> float:
-    """Det^(-1/2), taken from the log so that a Det which underflows to 0 is
-    never inverted."""
+def _inv_sqrt(log_det: float) -> float:
+    """Det^(-1/2) from log Det, so that a Det which underflows to 0 is never
+    inverted."""
     try:
-        return math.exp(-0.5 * det.log_value)
+        return math.exp(-0.5 * log_det)
     except OverflowError:
         raise ValidationError(
-            f"determinant line coordinate overflows (log {-0.5 * det.log_value:.1f})"
+            f"determinant line coordinate overflows (log {-0.5 * log_det:.1f})"
         ) from None
 
 
@@ -95,7 +114,7 @@ def _product_element(module, gram, origin) -> DetLineElement:
     """Det(T)^(-1/2) for the transition T = G_ref^{-1} G of a product G,
     given by its block stacks."""
     det = _transition_det(module, module.reference_gram.inv_times(gram))
-    return DetLineElement(module, _inv_sqrt(det), origin)
+    return DetLineElement(module, _inv_sqrt(det.log_value), origin)
 
 
 def element_from_product(module: HilbertianModule, gram) -> DetLineElement:
@@ -136,7 +155,7 @@ def pushforward(f: ModuleMorphism, e: DetLineElement) -> DetLineElement:
     except NotIso as err:
         raise NotIso("pushforward needs an isomorphism") from err
     det = fk_det_spectral(f.target, finv.adjoint() @ finv)
-    return DetLineElement(f.target, e.coefficient * _inv_sqrt(det), "pushforward")
+    return DetLineElement(f.target, e.coefficient * _inv_sqrt(det.log_value), "pushforward")
 
 
 def tensor_sum(
@@ -158,67 +177,185 @@ def tensor_sum(
     return DetLineElement(summed, e_m.coefficient * e_n.coefficient, "tensor_sum")
 
 
-def _svd(a: np.ndarray, vectors: bool, full_matrices: bool):
-    """(u, s, vh) of a, or (None, s, None) where no check reads vectors."""
-    if not vectors:
-        return None, np.linalg.svd(a, compute_uv=False), None
-    return np.linalg.svd(a, full_matrices=full_matrices)
+class _Sequence(NamedTuple):
+    """0 -> M' -alpha-> M -beta-> M'' -> 0 by its block stacks.  grams
+    holds the reference grams of M', M and M'', None standing for the
+    identity; retraction is a given left inverse of alpha, or None for the
+    orthogonal one."""
+
+    alpha: BlockStacks
+    beta: BlockStacks
+    grams: tuple = (None, None, None)
+    retraction: BlockStacks | None = None
 
 
-def _check_exact(alpha: ModuleMorphism, beta: ModuleMorphism, tol: float):
-    """alpha injective, beta surjective, im(alpha) = ker(beta) blockwise.
+def _singular_values(x: BlockStacks):
+    """Largest and smallest singular value and rank of each block, from one
+    singular-value call per stack; 0 for a block with no entries."""
+    n = len(x.layout.rows)
+    top, low, rank = np.zeros(n), np.zeros(n), np.zeros(n, dtype=int)
+    for idx, s in x.nonempty():
+        sv = np.linalg.svd(s, compute_uv=False)
+        top[idx], low[idx] = sv[:, 0], sv[:, -1]
+        rank[idx] = np.sum(sv > EXACTNESS_TOL * np.maximum(1.0, sv[:, :1]), axis=1)
+    return top, low, rank
 
-    The blocks are grouped by the shapes of both maps, and each group takes
-    one SVD of each map's stack for the ranks and the norms; the composite
-    and the gap are Frobenius norms.  Singular vectors are taken only where
-    0 < cols(alpha) < rows(alpha) = cols(alpha) + rows(beta): there the
-    image frame is the left vectors of alpha and the kernel frame the
-    trailing right vectors of beta.  Elsewhere the checks before the gap
-    test fix the verdict: alpha with no columns has no image to compare, a
-    square injective alpha leaves beta no rows, so both subspaces are the
-    block, and dimensions that do not add up fail the rank test.  The first
-    failing block is reported, with its first failing check.
+
+def _first_inexact(alpha: BlockStacks, beta: BlockStacks, spans):
+    """(s, NotExact) for the first sequence s whose pair is not exact, or
+    None: alpha injective, beta surjective, im(alpha) = ker(beta) blockwise.
+
+    alpha and beta are joined, and sequence s holds blocks spans[s] to
+    spans[s + 1] - 1.  Each stack takes one singular-value call for the
+    ranks and the norms, whose scale is per sequence; the composite and the
+    gap are Frobenius norms.  A gap exists only where 0 < cols(alpha) <
+    rows(alpha) = cols(alpha) + rows(beta): elsewhere the checks before the
+    gap test fix the verdict (alpha with no columns has no image to compare,
+    a square injective alpha leaves beta no rows, so both subspaces are the
+    block, and dimensions that do not add up fail the rank test).  Where
+    the ranks pass, the two projections have equal rank and
+
+        ||P_im(alpha) - P_ker(beta)||_F <= sqrt(2) ||beta alpha||_F
+                                            / (s_min(alpha) s_min(beta)),
+
+    since P_im(alpha) - P_ker(beta) has the norm of sqrt(2) (1 - P_ker)
+    P_im = sqrt(2) beta^+ (beta alpha) alpha^+.  A block whose bound is at
+    most tol/2 passes the gap test as the exact gap would, with room for
+    its rounding, and needs no singular vectors.  Only the others take them:
+    the image frame is the left vectors of alpha, the kernel frame the
+    trailing right vectors of beta.  The first failing block is reported
+    with its first failing check.
     """
-    if not beta.source.is_same_space(alpha.target):
-        raise AlgebraMismatch("the two maps do not share the middle module")
-    rows = np.array(alpha.target.multiplicities)
-    cols = np.array(alpha.source.multiplicities)
-    quot = np.array(beta.target.multiplicities)
-    n = len(rows)
-    rank_a, rank_b = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
-    top_a, top_b, composite, gap = np.zeros((4, n))
-    for idx, b, a in beta.stacked.pairs(alpha.stacked):
-        k = idx[0]
-        gapped = 0 < cols[k] < rows[k] == cols[k] + quot[k]
-        if a.size:
-            u_a, s_a, _ = _svd(a, gapped, False)
-            top_a[idx] = s_a[:, 0]
-            rank_a[idx] = np.sum(s_a > tol * np.maximum(1.0, s_a[:, :1]), axis=1)
-        if b.size:
-            _, s_b, vh_b = _svd(b, gapped, True)
-            top_b[idx] = s_b[:, 0]
-            rank_b[idx] = np.sum(s_b > tol * np.maximum(1.0, s_b[:, :1]), axis=1)
-            if a.size:
-                composite[idx] = np.linalg.norm(b @ a, axis=(1, 2))
-        if gapped:
-            kernel = vh_b[:, quot[k] :].conj().swapaxes(1, 2)
-            gap[idx] = np.linalg.norm(
+    rows = np.array(alpha.layout.rows)
+    cols = np.array(alpha.layout.cols)
+    quot = np.array(beta.layout.rows)
+    tol = EXACTNESS_TOL
+    top_a, low_a, rank_a = _singular_values(alpha)
+    top_b, low_b, rank_b = _singular_values(beta)
+    composite = np.zeros(len(rows))
+    for idx, b, a in beta.pairs(alpha):
+        if a.size and b.size:
+            composite[idx] = np.linalg.norm(b @ a, axis=(1, 2))
+
+    gapped = (0 < cols) & (cols < rows) & (rows == cols + quot)
+    bounded = gapped & (rank_a == cols) & (rank_b == quot)
+    bound = np.full(len(rows), np.inf)
+    with np.errstate(over="ignore"):  # a bound past the float range is inf: no verdict
+        bound[bounded] = math.sqrt(2.0) * composite[bounded] / low_a[bounded] / low_b[bounded]
+    vectors = gapped & ~(bound <= 0.5 * tol)
+    gap = np.zeros(len(rows))
+    for idx, b, a in beta.pairs(alpha) if vectors.any() else ():
+        take = vectors[idx]
+        if take.any():
+            u_a = np.linalg.svd(a[take], full_matrices=False)[0]
+            kernel = np.linalg.svd(b[take])[2][:, quot[idx[0]] :].conj().swapaxes(1, 2)
+            gap[idx[take]] = np.linalg.norm(
                 u_a @ u_a.conj().swapaxes(1, 2) - kernel @ kernel.conj().swapaxes(1, 2),
                 axis=(1, 2),
             )
-    scale = max(np.max(top_a) * np.max(top_b), 1.0)
+
+    starts = spans[:-1]
+    scale = np.maximum(
+        np.maximum.reduceat(top_a, starts) * np.maximum.reduceat(top_b, starts), 1.0
+    )
     checks = [
         (rank_a < cols, "first map fails to be injective in block {k}"),
         (rank_b < quot, "second map fails to be surjective in block {k}"),
-        (composite > tol * scale, "composite is nonzero in block {k}"),
+        (composite > tol * np.repeat(scale, np.diff(spans)), "composite is nonzero in block {k}"),
         (cols + quot != rows, "rank mismatch in block {k}: middle homology is nonzero"),
         (gap > tol, "image and kernel subspaces differ in block {k} (gap {gap:.2e})"),
     ]
     failed = np.logical_or.reduce([fails for fails, _ in checks])
-    if failed.any():
-        k = int(np.argmax(failed))
-        message = next(message for fails, message in checks if fails[k])
-        raise NotExact(message.format(k=k, gap=gap[k]))
+    if not failed.any():
+        return None
+    j = int(np.argmax(failed))
+    s = int(np.searchsorted(spans, j, side="right")) - 1
+    message = next(message for fails, message in checks if fails[j])
+    return s, NotExact(message.format(k=j - spans[s], gap=gap[j]))
+
+
+def _sequence_coordinates(weights, sequences) -> list:
+    """Det(T)^(-1/2) for the transition T of each short exact sequence over
+    one algebra (trace weights given), in order.
+
+    This is the one body of exact_sequence_iso, run on all sequences
+    together: their blocks are joined (BlockStacks.join), so that blocks of
+    equal shape from different sequences share one stack, and every
+    singular-value, solve and eigenvalue call is one LAPACK call per block
+    shape over the whole list.  numpy runs a stack one matrix at a time, so
+    every block's numbers are those it gets alone.  Scales, tolerances,
+    weighted log sums and refusals stay per sequence: the refusal raised is
+    that of the first failing sequence, and the sequences after one that is
+    not exact are not measured (its alpha need not be injective, and one
+    singular a^H G a would fail the solve of its whole stack).
+
+    T is the product <r v, r w>' + <b v, b w>'' against M's reference,
+    with r the given retraction or the orthogonal one for M's reference
+    gram, r = (a^H G a)^{-1} a^H G.  Products with a gram are taken per
+    sequence and only where it is not the identity, as the gram data takes
+    them; T enters the eigenvalue call in the coordinates where M's gram is
+    the identity, as in fk_det_spectral.
+    """
+    spans = np.cumsum([0] + [len(s.alpha.layout.rows) for s in sequences])
+    alpha = BlockStacks.join([s.alpha for s in sequences])
+    beta = BlockStacks.join([s.beta for s in sequences])
+    inexact = _first_inexact(alpha, beta, spans)
+    if inexact is not None:
+        sequences, spans = sequences[: inexact[0]], spans[: inexact[0] + 1]
+        alpha, beta = alpha.part(0, spans[-1]), beta.part(0, spans[-1])
+    out = _measure(weights, sequences, spans, alpha, beta) if sequences else []
+    if inexact is not None:
+        raise inexact[1]
+    return out
+
+
+def _measure(weights, sequences, spans, alpha, beta):
+    """Det(T)^(-1/2) per sequence for _sequence_coordinates, whose joined
+    pairs passed as exact; raises the first sequence's refusal."""
+    spans = list(zip(spans[:-1].tolist(), spans[1:].tolist()))
+
+    def by_gram(x, which, times):
+        """x with times(gram, blocks) applied to the blocks of each sequence
+        whose gram number `which` is not the identity."""
+        grams = [s.grams[which] for s in sequences]
+        if all(g is None for g in grams):
+            return x
+        parts = [x.part(lo, hi) for lo, hi in spans]
+        return BlockStacks.join([p if g is None else times(g, p) for g, p in zip(grams, parts)])
+
+    def right_times(g, x):
+        return g.right_times(x)
+
+    # orthogonal retraction: project onto im(alpha), then invert alpha on its
+    # image; a block with no columns keeps its empty a^H G, and a^H G has
+    # alpha's transposed layout, so its stacks pair with alpha's
+    ahg = by_gram(alpha.H, 1, right_times)
+    r = BlockStacks(ahg.layout, tuple(
+        np.linalg.solve(h @ a, h) if a.size else h for h, a in zip(ahg.stacks, alpha.stacks)
+    ))
+    if any(s.retraction is not None for s in sequences):
+        r = BlockStacks.join([
+            r.part(lo, hi) if s.retraction is None else s.retraction
+            for s, (lo, hi) in zip(sequences, spans)
+        ])
+    combined = by_gram(r.H, 0, right_times) @ r + by_gram(beta.H, 2, right_times) @ beta
+    tilde = by_gram(combined, 1, lambda g, x: g.sqrt @ g.inv_times(x) @ g.inv_sqrt)
+    spectra = _hermitian_spectra(tilde)
+
+    out = []
+    for s, (lo, hi) in zip(sequences, spans):
+        if s.retraction is not None:
+            a = alpha.part(lo, hi)
+            resid = s.retraction @ a - BlockStacks.identity(a.layout.cols)
+            if resid.norm() > EXACTNESS_TOL * max(1.0, s.retraction.norm() * a.norm()):
+                raise ValidationError("retraction does not split the first map")
+        own = []
+        for idx, ev, res in spectra:
+            at = _block_range(idx, lo, hi)
+            if at.stop > at.start:
+                own.append((idx[at] - lo, ev[at], res[at]))
+        out.append(_positive(_inv_sqrt(_log_det(_density(weights, own)))))
+    return out
 
 
 def exact_sequence_iso(
@@ -236,42 +373,30 @@ def exact_sequence_iso(
     product of M); the element of that product times the incoming
     coordinates is the image.  The result does not depend on the retraction:
     two retractions differ by gamma∘beta, an upper-triangular change with
-    unit determinant.
+    unit determinant.  The exactness check and the measurement are those of
+    _sequence_coordinates on a list of one; the endpoints are checked first.
     """
-    _check_exact(alpha, beta, EXACTNESS_TOL)
     m = alpha.target
+    if not beta.source.is_same_space(m):
+        raise AlgebraMismatch("the two maps do not share the middle module")
     if not e_prime.module.is_same_space(alpha.source):
         raise AlgebraMismatch("first element does not live on the sub module")
     if not e_second.module.is_same_space(beta.target):
         raise AlgebraMismatch("second element does not live on the quotient module")
+    if retraction is not None and not (
+        retraction.source.is_same_space(m) and retraction.target.is_same_space(alpha.source)
+    ):
+        raise AlgebraMismatch("retraction endpoints do not match the sequence")
 
-    if retraction is None:
-        # orthogonal retraction for M's reference: project onto im(alpha),
-        # then invert alpha on its image, r = (a^H G a)^{-1} a^H G; a block
-        # with no columns keeps its empty a^H G
-        ahg = m.reference_gram.right_times(alpha.stacked.H)
-        # ahg has alpha's transposed layout: its stacks pair with alpha's
-        r = BlockStacks(ahg.layout, tuple(
-            np.linalg.solve(h @ a, h) if a.size else h
-            for h, a in zip(ahg.stacks, alpha.stacked.stacks)
-        ))
-        retraction = ModuleMorphism._of(m, alpha.source, r)
-    else:
-        if not (
-            retraction.source.is_same_space(m)
-            and retraction.target.is_same_space(alpha.source)
-        ):
-            raise AlgebraMismatch("retraction endpoints do not match the sequence")
-        resid = (retraction @ alpha) - CommutantOperator.identity(alpha.source)
-        if resid.norm() > EXACTNESS_TOL * max(1.0, retraction.norm() * alpha.norm()):
-            raise ValidationError("retraction does not split the first map")
-
-    rhg = alpha.source.reference_gram.right_times(retraction.stacked.H)
-    bhg = beta.target.reference_gram.right_times(beta.stacked.H)
-    combined = rhg @ retraction.stacked + bhg @ beta.stacked
-    det = _transition_det(m, m.reference_gram.inv_times(combined))
-    coeff = _inv_sqrt(det) * e_prime.coefficient * e_second.coefficient
-    return DetLineElement(m, coeff, "exact_sequence")
+    grams = tuple(
+        None if g.is_identity else g
+        for g in (alpha.source.reference_gram, m.reference_gram, beta.target.reference_gram)
+    )
+    sequence = _Sequence(
+        alpha.stacked, beta.stacked, grams, None if retraction is None else retraction.stacked
+    )
+    (coeff,) = _sequence_coordinates(m.algebra.weights, [sequence])
+    return DetLineElement(m, coeff * e_prime.coefficient * e_second.coefficient, "exact_sequence")
 
 
 @dataclass(frozen=True)

@@ -293,6 +293,13 @@ def _place(layout: _Layout, pieces) -> tuple:
     return tuple(stacks)
 
 
+def _block_range(idx, start: int, stop: int) -> slice:
+    """Where the blocks start to stop - 1 sit in a group's ascending block
+    indices idx."""
+    lo, hi = np.searchsorted(idx, (start, stop))
+    return slice(int(lo), int(hi))
+
+
 class BlockStacks:
     """The blocks of an A-linear map stored by shape: stacks[g], of shape
     (count, rows, cols), holds the blocks layout.index[g].  Stacks are not
@@ -332,6 +339,32 @@ class BlockStacks:
         stack) pieces that hold every block once."""
         layout = _layout(tuple(rows), tuple(cols))
         return BlockStacks(layout, _place(layout, [(*layout.locate(idx), s) for idx, s in pieces]))
+
+    @staticmethod
+    def join(parts) -> "BlockStacks":
+        """The blocks of every part in turn as one BlockStacks: block k of
+        parts[s] becomes block k plus the block count of the parts before
+        it, and blocks of equal shape share one stack whichever part they
+        come from."""
+        rows, cols, pieces, at = [], [], [], 0
+        for p in parts:
+            rows += p.layout.rows
+            cols += p.layout.cols
+            pieces += [(idx + at, s) for idx, s in zip(p.layout.index, p.stacks)]
+            at += len(p.layout.rows)
+        return BlockStacks.from_pieces(rows, cols, pieces)
+
+    def part(self, start: int, stop: int) -> "BlockStacks":
+        """Blocks start to stop - 1 as their own BlockStacks, the inverse of
+        join; the stacks are views into these, since a group holds its
+        blocks in ascending order."""
+        layout = self.layout
+        pieces = []
+        for idx, s in zip(layout.index, self.stacks):
+            at = _block_range(idx, start, stop)
+            if at.stop > at.start:
+                pieces.append((idx[at] - start, s[at]))
+        return BlockStacks.from_pieces(layout.rows[start:stop], layout.cols[start:stop], pieces)
 
     @staticmethod
     def zeros(rows: tuple, cols: tuple) -> "BlockStacks":
@@ -393,6 +426,12 @@ class BlockStacks:
 
     def __sub__(self, other: "BlockStacks") -> "BlockStacks":
         return BlockStacks(self.layout, tuple([a - b for a, b in zip(self.stacks, other.stacks)]))
+
+    def norm(self) -> float:
+        """Largest spectral norm of a block, from one singular-value call per
+        stack."""
+        tops = [np.linalg.svd(s, compute_uv=False)[:, 0].max() for _, s in self.nonempty()]
+        return float(max(tops, default=0.0))
 
 
 class _GramData:
@@ -663,8 +702,7 @@ class ModuleMorphism:
     def norm(self) -> float:
         """Largest spectral norm of a block, from one singular-value call per
         block shape."""
-        tops = [np.linalg.svd(s, compute_uv=False)[:, 0].max() for _, s in self.stacked.nonempty()]
-        return float(max(tops, default=0.0))
+        return self.stacked.norm()
 
 
 def _morphism(source, target, stacked: BlockStacks) -> ModuleMorphism:

@@ -16,8 +16,14 @@ from detline.complexes import (
 )
 from detline import lines
 from detline.determinant import _tilde_blocks, fk_det, spectral_density
-from detline.errors import IllConditionedKernel, ValidationError
-from detline.fixtures import circle, regular_cyclic_representation
+from detline.errors import IllConditionedKernel, NotExact, ValidationError
+from detline.fixtures import (
+    circle,
+    lens_space,
+    regular_cyclic_representation,
+    regular_product_representation,
+    torus,
+)
 from detline.lines import reference_element
 from detline.modules import (
     BlockStacks,
@@ -220,16 +226,20 @@ def test_hodge_and_spectral_density_take_no_svd(monkeypatch):
 
 def test_exact_sequence_route_factors_each_map_block_once(monkeypatch):
     # one full SVD per map block gives both frames it bounds; the exactness
-    # checks take vectors (of alpha and of beta) only in blocks with
-    # 0 < cols(alpha) < rows(alpha), where im(alpha) and ker(beta) can differ
+    # check settles a gapped block (0 < cols(alpha) < rows(alpha), where
+    # im(alpha) and ker(beta) can differ) from singular values where its
+    # bound on the gap is small, so no check here takes singular vectors
     c = assemble_coefficients(circle(16), regular_cyclic_representation(6))
     data = hodge(c)
     gapped = [0]
-    check = lines._check_exact
+    check = lines._first_inexact
 
-    def counted_check(alpha, beta, tol):
-        gapped[0] += sum(0 < a.shape[1] < a.shape[0] for a in alpha.blocks)
-        return check(alpha, beta, tol)
+    def counted_check(alpha, beta, spans):
+        gapped[0] += sum(
+            0 < cols < rows == cols + quot
+            for rows, cols, quot in zip(alpha.layout.rows, alpha.layout.cols, beta.layout.rows)
+        )
+        return check(alpha, beta, spans)
 
     vectors = [0]
     svd = np.linalg.svd
@@ -239,15 +249,16 @@ def test_exact_sequence_route_factors_each_map_block_once(monkeypatch):
         return svd(*args, **kwargs)
 
     impl = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
-    monkeypatch.setattr(lines, "_check_exact", counted_check)
+    monkeypatch.setattr(lines, "_first_inexact", counted_check)
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(impl, "svd", counted_svd)
     torsion_iso_via_exact_sequences(c, data)
     map_blocks = sum(len(f.blocks) for f in c.maps)
-    # six 16 x 16 characters; the trivial one has rank 15, so B_0 in Z_0
-    # and Z_1 in C_1 are the two proper subspaces
-    assert (map_blocks, gapped[0]) == (6, 2)
-    assert vectors[0] <= map_blocks + 2 * gapped[0]
+    map_stacks = sum(len(f.stacked.stacks) for f in c.maps)
+    # six 16 x 16 characters in one stack; the trivial one has rank 15, so
+    # B_0 in Z_0 and Z_1 in C_1 are the two proper subspaces
+    assert (map_blocks, map_stacks, gapped[0]) == (6, 1, 2)
+    assert vectors[0] == map_stacks
 
 
 def _blockwise_hodge(c, data):
@@ -358,6 +369,34 @@ def test_shape_batched_hodge_and_route_match_blockwise_bit_for_bit(name):
     assert torsion_iso_via_exact_sequences(c, data).coordinate == _blockwise_route(c, data)
 
 
+def test_batched_route_matches_blockwise_bit_for_bit_on_larger_representations():
+    # many sequences share one stack per block shape: twelve 1 x 1 blocks
+    # per lens space degree, and the C[Z/2 x Z/3] blocks of the torus
+    for cx, rep in (
+        (lens_space(12), regular_cyclic_representation(12)),
+        (torus(), regular_product_representation((2, 3), ("a", "b"))),
+    ):
+        c = assemble_coefficients(cx, rep)
+        data = hodge(c)
+        assert torsion_iso_via_exact_sequences(c, data).coordinate == _blockwise_route(c, data)
+
+
+def test_batched_route_refuses_as_the_blockwise_route():
+    # d = diag(1, 1e-6): Hodge counts the 1e-6 direction as kernel (its
+    # Laplacian eigenvalue 1e-12 is under the cut), the frames count it as
+    # rank, so the harmonic frame does not kill the boundaries of degree 0
+    mod = HilbertianModule(SCALAR, (2,))
+    c = HilbertianChainComplex([mod, mod], [CommutantOperator(mod, [np.diag([1.0, 1e-6])])])
+    data = hodge(c)
+    assert data.betti == (1.0, 1.0)
+    refusals = []
+    for route in (torsion_iso_via_exact_sequences, _blockwise_route):
+        with pytest.raises(NotExact) as err:
+            route(c, data)
+        refusals.append(str(err.value))
+    assert refusals == ["composite is nonzero in block 0"] * 2
+
+
 def _counting(monkeypatch, name):
     """Count the calls of np.linalg.<name> for the rest of the test."""
     calls = [0]
@@ -394,6 +433,19 @@ def test_boundary_residual_takes_one_svd_per_block_shape_and_map(monkeypatch):
     calls = _counting(monkeypatch, "svd")
     assert c.boundary_residual() < 1e-12
     assert calls[0] == shapes
+
+
+def test_boundary_residual_takes_norms_only_with_two_maps(monkeypatch):
+    # circle(k) has one map and no composite to scale
+    c = assemble_coefficients(circle(8), regular_cyclic_representation(3))
+    assert len(c.maps) == 1
+    calls = _counting(monkeypatch, "svd")
+    assert c.boundary_residual() == 0.0
+    assert calls[0] == 0
+    monkeypatch.undo()
+    lens = assemble_coefficients(lens_space(5), regular_cyclic_representation(5))
+    assert len(lens.maps) == 3
+    assert lens.boundary_residual() == float.fromhex("0x1.0d2ca0da1530dp-52")
 
 
 def test_ill_conditioned_kernel_refused():

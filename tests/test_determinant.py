@@ -27,7 +27,8 @@ from detline.errors import (
     PathLeavesGL,
     ValidationError,
 )
-from detline.lines import _check_exact
+from detline import lines
+from detline.lines import exact_sequence_iso, reference_element
 from detline.modules import (
     COND_LIMIT,
     CommutantOperator,
@@ -485,15 +486,17 @@ def first_inexact_block(alpha, beta, tol):
 @pytest.mark.parametrize("name", sorted(BATCHED))
 def test_batched_exactness_check_agrees_with_a_per_block_loop(name):
     # 0 -> M -(a)-> M + M -(b)-> M -> 0 with a = (A, 1)^T and b = (1, -A):
-    # every block is gapped, so singular vectors come from the batched SVDs
+    # every block is gapped
     rng = np.random.default_rng(37)
     mod = standard_module(build_group_algebra(BATCHED[name]).algebra)
     total = direct_sum(mod, mod)
+    e = reference_element(mod)
     a_blocks = [random_complex(rng, (m, m)) for m in mod.multiplicities]
     alpha = ModuleMorphism(mod, total, [np.vstack([a, np.eye(len(a))]) for a in a_blocks])
     beta = ModuleMorphism(total, mod, [np.hstack([np.eye(len(a)), -a]) for a in a_blocks])
     assert first_inexact_block(alpha, beta, 1e-8) is None
-    _check_exact(alpha, beta, 1e-8)
+    exact = lines._Sequence(alpha.stacked, beta.stacked)
+    exact_sequence_iso(alpha, beta, e, e)
     # break the last block, which shares its shape with another: beta no
     # longer kills alpha there
     k = len(a_blocks) - 1
@@ -502,11 +505,16 @@ def test_batched_exactness_check_agrees_with_a_per_block_loop(name):
     beta = ModuleMorphism(total, mod, broken)
     assert first_inexact_block(alpha, beta, 1e-8) == k
     with pytest.raises(NotExact, match=f"composite is nonzero in block {k}$"):
-        _check_exact(alpha, beta, 1e-8)
+        exact_sequence_iso(alpha, beta, e, e)
+    # behind an exact sequence in one batch the block keeps its number
+    with pytest.raises(NotExact, match=f"composite is nonzero in block {k}$"):
+        lines._sequence_coordinates(
+            mod.algebra.weights, [exact, lines._Sequence(alpha.stacked, beta.stacked)]
+        )
     # a zero alpha in block 1, one of the 1 x 1 blocks, fails first
     broken = list(alpha.blocks)
     broken[1] = np.zeros_like(broken[1])
     alpha = ModuleMorphism(mod, total, broken)
     assert first_inexact_block(alpha, beta, 1e-8) == 1
     with pytest.raises(NotExact, match="first map fails to be injective in block 1$"):
-        _check_exact(alpha, beta, 1e-8)
+        exact_sequence_iso(alpha, beta, e, e)

@@ -388,6 +388,28 @@ def test_not_exact_detected():
         exact_sequence_iso(tilted, proj_second * 1e-6, e, e)
 
 
+def test_gap_bound_leaves_an_ill_conditioned_block_to_the_singular_vectors(monkeypatch):
+    # 0 -> C -> C^3 -> C^2 -> 0, exact: beta has singular values 1 and
+    # 1e-5, and im(alpha) is tilted 1e-12 toward beta's large direction.
+    # The bound sqrt(2) 1e-12 / 1e-5 = 1.4e-7 exceeds half the tolerance,
+    # so the block's gap comes from singular vectors, and it is 1.4e-12
+    one, three, two = (HilbertianModule(SCALAR, (k,)) for k in (1, 3, 2))
+    alpha = ModuleMorphism(one, three, [np.array([[1.0], [1e-12], [0.0]])])
+    beta = ModuleMorphism(three, two, [np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1e-5]])])
+    vectors = []
+    svd = np.linalg.svd
+
+    def counted_svd(*args, **kwargs):
+        vectors.append(kwargs.get("compute_uv", True))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    out = exact_sequence_iso(alpha, beta, reference_element(one), reference_element(two))
+    assert vectors.count(True) == 2  # the image frame of alpha, the kernel frame of beta
+    # the transition is about diag(1, 1, 1e-10), so the coordinate is about 1e5
+    assert out.coefficient == float.fromhex("0x1.86a000000000ep+16")
+
+
 def test_composite_check_refuses_just_past_spectral_threshold():
     # beta alpha = eps * 1 with eps 1.01 times EXACTNESS_TOL * ||a|| ||b||,
     # the bound the check had with spectral norms; the Frobenius norm of
