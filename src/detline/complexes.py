@@ -354,7 +354,10 @@ def torsion_iso_via_exact_sequences(complex_, hodge_data: HodgeData | None = Non
     frames stay block stacks, and all the sequences, in degree order with
     the Z sequence first, are checked and measured by one call of the
     exact-sequence core (lines._sequence_coordinates), one LAPACK call per
-    block shape over the whole list.  Both factors reuse one orthonormal
+    block shape over the whole list: each coordinate is
+    Det(beta beta*)^(-1/2) Det(alpha* alpha)^(1/2), from the singular values
+    the exactness check takes, with no transition operator formed.  Both
+    factors reuse one orthonormal
     frame per boundary subspace, so the det(B) lines pair to exactly 1 and
     the per-degree coefficient is 1/(kappa_i kappa'_i)."""
     if hodge_data is None:

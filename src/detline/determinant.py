@@ -13,14 +13,17 @@ Two independent routes are kept deliberately separate and never collapsed:
   decided by the spectrum: the straight segment (1-t) 1 + t A stays
   invertible iff no eigenvalue lies on the closed negative real ray.
 
-A general invertible operator gets the polar route: the square root of the
-spectral determinant of A* A.  Self-adjointness, positivity and adjoints are
-taken against the module's reference gram; to measure against another
-admissible gram, build the operator on module.with_reference_gram(gram).
+A general invertible operator gets the polar route: Det|A| = Det(A* A)^(1/2)
+from the singular values of each block.  Self-adjointness, positivity and
+adjoints are taken against the module's reference gram; to measure against
+another admissible gram, build the operator on module.with_reference_gram(gram).
 
 Each route makes one LAPACK call per block shape, not per block: operators
 keep their blocks stored by shape (modules.BlockStacks), and every check,
-eigenvalue, SVD and log-determinant runs on the stored stacks.
+eigenvalue, SVD and log-determinant runs on the stored stacks.  The three
+routes stay three LAPACK computations: an LU factorisation for the path,
+singular values for the polar route and Hermitian eigenvalues for the
+spectral one.
 numpy runs a stack one matrix at a time through the same LAPACK routine,
 so the per-block numbers are those of separate calls, and the weighted sum
 is taken in block order.  C[G] for G abelian has |G| blocks of size 1, all
@@ -147,53 +150,29 @@ def _check_operator(module, op):
         raise ValidationError("operator lives on a different module")
 
 
-def _hermitian_spectra(stacked) -> list:
-    """(block indices, eigenvalues of the Hermitian parts, Frobenius norms
-    of B - B^H) per nonempty stack, one eigvalsh call per stack."""
-    out = []
-    for idx, s in stacked.nonempty():
-        sh = s.conj().swapaxes(1, 2)
-        out.append((idx, np.linalg.eigvalsh(0.5 * (s + sh)), np.linalg.norm(s - sh, axis=(1, 2))))
-    return out
-
-
-def _density(weights, spectra) -> SpectralDensity:
-    """The density of block spectra given as _hermitian_spectra gives them,
-    once the blocks pass as self-adjoint and positive: the scale is the
-    largest |eigenvalue| (at most the operator norm), and the self-adjoint
-    residual the largest Frobenius norm."""
-    scale = max((float(np.max(np.abs(ev))) for _, ev, _ in spectra), default=0.0)
-    residual = max((float(np.max(r)) for _, _, r in spectra), default=0.0)
-    if residual > SELF_ADJOINT_TOL * max(1.0, scale):
-        raise NotSelfAdjoint("operator is not self-adjoint for this gram")
-    parts = [(np.repeat(idx, ev.shape[1]), ev.ravel()) for idx, ev, _ in spectra]
-    density = SpectralDensity.from_parts(weights, parts)
-    if density.values.size and density.values[0] < -1e-10 * max(1.0, scale):
-        raise NegativeSpectrum(f"spectrum reaches {density.values[0]:.3e}")
-    return density
-
-
 def spectral_density(
     module: HilbertianModule,
     op: CommutantOperator,
 ) -> SpectralDensity:
-    """Eigenvalue distribution of a gram-self-adjoint positive operator."""
+    """Eigenvalue distribution of a gram-self-adjoint positive operator.
+
+    scale is the largest |eigenvalue| of the Hermitian parts (at most the
+    operator norm) and the self-adjoint residual a Frobenius norm."""
     _check_operator(module, op)
-    return _density(module.algebra.weights, _hermitian_spectra(_tilde_blocks(module, op)))
-
-
-def _log_det(density: SpectralDensity) -> float:
-    """log Det of a positive operator from its spectral density; 0 on the
-    zero module.  Refuses (KernelDetected) if any spectral mass sits at
-    zero, where the log integral is -inf."""
-    if density.total_mass == 0.0:
-        return 0.0  # zero module: empty product
-    top = float(np.max(density.values))
-    cut = KERNEL_REL_TOL * max(top, 1e-300)
-    if np.any(density.values <= cut):
-        mass = float(np.sum(density.weights[density.values <= cut]))
-        raise KernelDetected(f"spectral mass {mass:.3e} at zero; determinant undefined")
-    return density.log_moment()
+    parts = []
+    scale = residual = 0.0
+    for idx, s in _tilde_blocks(module, op).nonempty():
+        sh = s.conj().swapaxes(1, 2)
+        ev = np.linalg.eigvalsh(0.5 * (s + sh))
+        parts.append((np.repeat(idx, ev.shape[1]), ev.ravel()))
+        scale = max(scale, float(np.max(np.abs(ev))))
+        residual = max(residual, float(np.max(np.linalg.norm(s - sh, axis=(1, 2)))))
+    if residual > SELF_ADJOINT_TOL * max(1.0, scale):
+        raise NotSelfAdjoint("operator is not self-adjoint for this gram")
+    density = SpectralDensity.from_parts(module.algebra.weights, parts)
+    if density.values.size and density.values[0] < -1e-10 * max(1.0, scale):
+        raise NegativeSpectrum(f"spectrum reaches {density.values[0]:.3e}")
+    return density
 
 
 def fk_det_spectral(
@@ -205,14 +184,34 @@ def fk_det_spectral(
     Refuses (KernelDetected) if any spectral mass sits at zero, where the
     log integral is -inf; no number is produced in that case.
     """
-    return DeterminantResult.from_log(_log_det(spectral_density(module, op)), "spectral")
+    density = spectral_density(module, op)
+    if density.total_mass == 0.0:
+        # zero module: empty product
+        return DeterminantResult(1.0, 0.0, "spectral")
+    top = float(np.max(density.values))
+    cut = KERNEL_REL_TOL * max(top, 1e-300)
+    if np.any(density.values <= cut):
+        mass = float(np.sum(density.weights[density.values <= cut]))
+        raise KernelDetected(f"spectral mass {mass:.3e} at zero; determinant undefined")
+    return DeterminantResult.from_log(density.log_moment(), "spectral")
 
 
-def _require_invertible(groups):
-    for _, s in groups:
+def _weighted_sum(weights, per_block: dict) -> float:
+    """sum_k w_k per_block[k] in block order."""
+    return float(sum(weights[k] * float(per_block[k]) for k in sorted(per_block)))
+
+
+def _require_invertible(groups) -> dict:
+    """log|det| of each block, the sum of its log singular values, from one
+    singular-value call per stack; refuses (NonInvertible) a block whose
+    smallest singular value is at most INVERTIBLE_REL_TOL times its largest."""
+    logs = {}
+    for idx, s in groups:
         svals = np.linalg.svd(s, compute_uv=False)
         if np.any(svals[:, -1] <= INVERTIBLE_REL_TOL * np.maximum(svals[:, 0], 1e-300)):
             raise NonInvertible("operator has a (numerical) kernel")
+        logs.update(zip(idx, np.sum(np.log(svals), axis=1)))
+    return logs
 
 
 def _segment_is_safe(groups):
@@ -256,18 +255,14 @@ def fk_det_path(
     logdets = {}
     for idx, s in groups:
         logdets.update(zip(idx, np.linalg.slogdet(s)[1]))
-    weights = module.algebra.weights
-    log_det = sum(weights[k] * float(logdets[k]) for k in sorted(logdets))
-    return DeterminantResult.from_log(float(log_det), "path")
+    return DeterminantResult.from_log(_weighted_sum(module.algebra.weights, logdets), "path")
 
 
 def fk_det(module: HilbertianModule, op: CommutantOperator) -> DeterminantResult:
-    """Determinant of a general invertible operator: sqrt det of A* A."""
+    """Determinant of a general invertible operator: Det|A| = Det(A* A)^(1/2),
+    sum_k w_k sum log s(A~_k) from the singular values that decide that A is
+    invertible.  A* A, whose spectrum squares the condition number into the
+    kernel cut, is not formed."""
     _check_operator(module, op)
-    _require_invertible(_tilde_blocks(module, op).nonempty())
-    inner = op.adjoint() @ op
-    try:
-        inner_det = fk_det_spectral(module, inner)
-    except KernelDetected as err:
-        raise NonInvertible(str(err)) from err
-    return DeterminantResult.from_log(0.5 * inner_det.log_value, "polar", inner_det.convergence)
+    logs = _require_invertible(_tilde_blocks(module, op).nonempty())
+    return DeterminantResult.from_log(_weighted_sum(module.algebra.weights, logs), "polar")

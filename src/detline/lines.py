@@ -11,10 +11,13 @@ explicit transition operators; positivity of every coordinate is enforced.
 Short exact sequences have one body, _sequence_coordinates, which takes a
 list: exact_sequence_iso runs it on a list of one, and the torsion route of
 complexes on all of a complex's sequences at once.  The blocks of the list
-are joined, so each singular-value, solve and eigenvalue call covers one
-block shape across every sequence, while scales, tolerances, log sums and
-refusals stay per sequence.  The exactness check decides the gap between
-im(alpha) and ker(beta) from values it has anyway: where the ranks pass,
+are joined, so each singular-value call covers one block shape across every
+sequence, while scales, tolerances, log sums and refusals stay per
+sequence.  The exactness check and the measurement share one set of
+singular values: for an exact pair in the coordinates where the grams are
+the identity, Det T = Det(beta beta*) / Det(alpha* alpha), a product of
+singular values.  The check decides the gap between im(alpha) and
+ker(beta) from values it has anyway: where the ranks pass,
 ||P_im(alpha) - P_ker(beta)||_F <= sqrt(2) ||beta alpha||_F /
 (s_min(alpha) s_min(beta)), and a block whose bound is at most half the
 tolerance passes, as its exact gap (at most that bound, plus rounding)
@@ -30,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .determinant import _density, _hermitian_spectra, _log_det, fk_det_spectral
+from .determinant import fk_det_spectral
 from .errors import (
     AlgebraMismatch,
     DuplicateDegree,
@@ -39,11 +42,11 @@ from .errors import (
     ValidationError,
 )
 from .modules import (
+    COND_LIMIT,
     BlockStacks,
     CommutantOperator,
     HilbertianModule,
     ModuleMorphism,
-    _block_range,
     direct_sum,
     resolve_gram,
 )
@@ -138,24 +141,45 @@ def element_from_extended_product(module: HilbertianModule, gram) -> DetLineElem
     return _product_element(module, op.stacked, "extended_product")
 
 
+def _gram(module: HilbertianModule):
+    """The module's reference gram data, None for the identity."""
+    g = module.reference_gram
+    return None if g.is_identity else g
+
+
+def _gram_coordinates(x: BlockStacks, source, target) -> BlockStacks:
+    """G_t^(1/2) X G_s^(-1/2): the map X in the coordinates where the grams
+    of its source and target are the identity; a gram given as None, the
+    identity, is skipped."""
+    if target is not None:
+        x = target.sqrt @ x
+    return x if source is None else x @ source.inv_sqrt
+
+
 def pushforward(f: ModuleMorphism, e: DetLineElement) -> DetLineElement:
     """Image of e under the canonical isomorphism det(M) -> det(N) of an
     A-linear isomorphism f: M -> N.
 
     The reference product of M pushes to the product ⟨f^{-1}v, f^{-1}w⟩ on
     N, whose transition against N's reference is G_N^{-1} f^{-H} G_M f^{-1};
-    its determinant to the -1/2 rescales the coordinate.  For an
-    automorphism with matching references this is multiplication by
-    Det_tau(f).
+    its determinant to the -1/2, Det|f~| for f~ = G_N^(1/2) f G_M^(-1/2),
+    rescales the coordinate (Det_tau(f) for an automorphism with matching
+    references).  The singular values of f~, one call per block stack, give
+    it and decide that f is an isomorphism: square blocks, s_max <=
+    COND_LIMIT s_min.
     """
     if not e.module.is_same_space(f.source):
         raise AlgebraMismatch("element does not live on the source of the morphism")
-    try:
-        finv = f.inverse()
-    except NotIso as err:
-        raise NotIso("pushforward needs an isomorphism") from err
-    det = fk_det_spectral(f.target, finv.adjoint() @ finv)
-    return DetLineElement(f.target, e.coefficient * _inv_sqrt(det.log_value), "pushforward")
+    layout = f.stacked.layout
+    if any(rows != cols for rows, cols in layout.shapes):
+        raise NotIso("pushforward needs an isomorphism")
+    tilde = _gram_coordinates(f.stacked, _gram(f.source), _gram(f.target))
+    top, low, _, logs = _singular_values(tilde)
+    empty = np.array(layout.rows) == 0  # a 0 x 0 block is its own inverse
+    if not np.all(empty | ((low > 0.0) & (top <= COND_LIMIT * low))):
+        raise NotIso("pushforward needs an isomorphism")
+    log_det = float(np.asarray(f.target.algebra.weights) @ logs)  # log Det|f~|
+    return DetLineElement(f.target, e.coefficient * _inv_sqrt(-2.0 * log_det), "pushforward")
 
 
 def tensor_sum(
@@ -180,8 +204,8 @@ def tensor_sum(
 class _Sequence(NamedTuple):
     """0 -> M' -alpha-> M -beta-> M'' -> 0 by its block stacks.  grams
     holds the reference grams of M', M and M'', None standing for the
-    identity; retraction is a given left inverse of alpha, or None for the
-    orthogonal one."""
+    identity; retraction is a given left inverse of alpha, which is only
+    validated, or None."""
 
     alpha: BlockStacks
     beta: BlockStacks
@@ -190,20 +214,27 @@ class _Sequence(NamedTuple):
 
 
 def _singular_values(x: BlockStacks):
-    """Largest and smallest singular value and rank of each block, from one
-    singular-value call per stack; 0 for a block with no entries."""
+    """Largest and smallest singular value, rank and sum of the log singular
+    values of each block, from one singular-value call per stack; 0 for a
+    block with no entries.  A zero singular value makes the log sum -inf
+    without a warning: the callers refuse such a block before they read it."""
     n = len(x.layout.rows)
-    top, low, rank = np.zeros(n), np.zeros(n), np.zeros(n, dtype=int)
+    top, low, rank, logs = np.zeros(n), np.zeros(n), np.zeros(n, dtype=int), np.zeros(n)
     for idx, s in x.nonempty():
         sv = np.linalg.svd(s, compute_uv=False)
         top[idx], low[idx] = sv[:, 0], sv[:, -1]
         rank[idx] = np.sum(sv > EXACTNESS_TOL * np.maximum(1.0, sv[:, :1]), axis=1)
-    return top, low, rank
+        with np.errstate(divide="ignore"):
+            logs[idx] = np.sum(np.log(sv), axis=1)
+    return top, low, rank, logs
 
 
 def _first_inexact(alpha: BlockStacks, beta: BlockStacks, spans):
-    """(s, NotExact) for the first sequence s whose pair is not exact, or
-    None: alpha injective, beta surjective, im(alpha) = ker(beta) blockwise.
+    """(first, log_alpha, log_beta): first is (s, NotExact) for the first
+    sequence s whose pair is not exact, or None: alpha injective, beta
+    surjective, im(alpha) = ker(beta) blockwise.  log_alpha and log_beta
+    hold each block's sum of log singular values, finite in every block
+    before the first failing one.
 
     alpha and beta are joined, and sequence s holds blocks spans[s] to
     spans[s + 1] - 1.  Each stack takes one singular-value call for the
@@ -230,8 +261,8 @@ def _first_inexact(alpha: BlockStacks, beta: BlockStacks, spans):
     cols = np.array(alpha.layout.cols)
     quot = np.array(beta.layout.rows)
     tol = EXACTNESS_TOL
-    top_a, low_a, rank_a = _singular_values(alpha)
-    top_b, low_b, rank_b = _singular_values(beta)
+    top_a, low_a, rank_a, log_a = _singular_values(alpha)
+    top_b, low_b, rank_b, log_b = _singular_values(beta)
     composite = np.zeros(len(rows))
     for idx, b, a in beta.pairs(alpha):
         if a.size and b.size:
@@ -267,11 +298,11 @@ def _first_inexact(alpha: BlockStacks, beta: BlockStacks, spans):
     ]
     failed = np.logical_or.reduce([fails for fails, _ in checks])
     if not failed.any():
-        return None
+        return None, log_a, log_b
     j = int(np.argmax(failed))
     s = int(np.searchsorted(spans, j, side="right")) - 1
     message = next(message for fails, message in checks if fails[j])
-    return s, NotExact(message.format(k=j - spans[s], gap=gap[j]))
+    return (s, NotExact(message.format(k=j - spans[s], gap=gap[j]))), log_a, log_b
 
 
 def _sequence_coordinates(weights, sequences) -> list:
@@ -279,82 +310,49 @@ def _sequence_coordinates(weights, sequences) -> list:
     one algebra (trace weights given), in order.
 
     This is the one body of exact_sequence_iso, run on all sequences
-    together: their blocks are joined (BlockStacks.join), so that blocks of
-    equal shape from different sequences share one stack, and every
-    singular-value, solve and eigenvalue call is one LAPACK call per block
-    shape over the whole list.  numpy runs a stack one matrix at a time, so
-    every block's numbers are those it gets alone.  Scales, tolerances,
-    weighted log sums and refusals stay per sequence: the refusal raised is
-    that of the first failing sequence, and the sequences after one that is
-    not exact are not measured (its alpha need not be injective, and one
-    singular a^H G a would fail the solve of its whole stack).
+    together.  Each pair is taken in the coordinates where its grams are the
+    identity, alpha~ = G^(1/2) alpha G'^(-1/2) and beta~ = G''^(1/2) beta
+    G^(-1/2), a factor applied only where its gram is not the identity, and
+    the pairs are joined (BlockStacks.join): blocks of equal shape from
+    different sequences share one stack, and numpy runs a stack one matrix
+    at a time, so every block's numbers are those it gets alone.  Scales,
+    tolerances, weighted log sums and refusals stay per sequence: the
+    sequences before the first one that is not exact are measured, a given
+    retraction validated, and then its NotExact is raised.
 
-    T is the product <r v, r w>' + <b v, b w>'' against M's reference,
-    with r the given retraction or the orthogonal one for M's reference
-    gram, r = (a^H G a)^{-1} a^H G.  Products with a gram are taken per
-    sequence and only where it is not the identity, as the gram data takes
-    them; T enters the eigenvalue call in the coordinates where M's gram is
-    the identity, as in fk_det_spectral.
+    T = <r v, r w>' + <b v, b w>'' for a retraction r of alpha is S^H S
+    with S = [r~; beta~], and when beta alpha = 0
+
+        [r~; beta~] [alpha~, beta~^H] = [[1, r~ beta~^H], [0, beta~ beta~^H]],
+        [alpha~, beta~^H]^H [alpha~, beta~^H] = diag(alpha~^H alpha~, beta~ beta~^H),
+
+    so Det T = Det(beta~ beta~^H) / Det(alpha~^H alpha~) whichever the
+    retraction: the coordinate is exp(sum_k w_k (sum log s(alpha~_k) -
+    sum log s(beta~_k))), from the singular values the exactness check
+    takes.  With E = beta~ alpha~ the same products give, for the
+    orthogonal retraction, Det T = Det(beta~ beta~^H - E (alpha~^H
+    alpha~)^{-1} E^H) / Det(alpha~^H alpha~), so a composite that passes
+    the check moves the coordinate at second order in ||E|| /
+    (s_min(alpha~) s_min(beta~)).
     """
     spans = np.cumsum([0] + [len(s.alpha.layout.rows) for s in sequences])
-    alpha = BlockStacks.join([s.alpha for s in sequences])
-    beta = BlockStacks.join([s.beta for s in sequences])
-    inexact = _first_inexact(alpha, beta, spans)
-    if inexact is not None:
-        sequences, spans = sequences[: inexact[0]], spans[: inexact[0] + 1]
-        alpha, beta = alpha.part(0, spans[-1]), beta.part(0, spans[-1])
-    out = _measure(weights, sequences, spans, alpha, beta) if sequences else []
+    alpha = BlockStacks.join([_gram_coordinates(s.alpha, *s.grams[:2]) for s in sequences])
+    beta = BlockStacks.join([_gram_coordinates(s.beta, *s.grams[1:]) for s in sequences])
+    inexact, log_a, log_b = _first_inexact(alpha, beta, spans)
+    count = len(sequences) if inexact is None else inexact[0]
+    # the log coordinate of each sequence measured, summed row by row as for
+    # a list of one; its blocks passed every check, so the logs are finite
+    at = spans[count]
+    logs = np.sum(np.reshape(log_a[:at] - log_b[:at], (count, len(weights))) * weights, axis=1)
+    out = []
+    for s, log_coordinate in zip(sequences, logs.tolist()):
+        if s.retraction is not None:
+            resid = s.retraction @ s.alpha - BlockStacks.identity(s.alpha.layout.cols)
+            if resid.norm() > EXACTNESS_TOL * max(1.0, s.retraction.norm() * s.alpha.norm()):
+                raise ValidationError("retraction does not split the first map")
+        out.append(_positive(_inv_sqrt(-2.0 * log_coordinate)))
     if inexact is not None:
         raise inexact[1]
-    return out
-
-
-def _measure(weights, sequences, spans, alpha, beta):
-    """Det(T)^(-1/2) per sequence for _sequence_coordinates, whose joined
-    pairs passed as exact; raises the first sequence's refusal."""
-    spans = list(zip(spans[:-1].tolist(), spans[1:].tolist()))
-
-    def by_gram(x, which, times):
-        """x with times(gram, blocks) applied to the blocks of each sequence
-        whose gram number `which` is not the identity."""
-        grams = [s.grams[which] for s in sequences]
-        if all(g is None for g in grams):
-            return x
-        parts = [x.part(lo, hi) for lo, hi in spans]
-        return BlockStacks.join([p if g is None else times(g, p) for g, p in zip(grams, parts)])
-
-    def right_times(g, x):
-        return g.right_times(x)
-
-    # orthogonal retraction: project onto im(alpha), then invert alpha on its
-    # image; a block with no columns keeps its empty a^H G, and a^H G has
-    # alpha's transposed layout, so its stacks pair with alpha's
-    ahg = by_gram(alpha.H, 1, right_times)
-    r = BlockStacks(ahg.layout, tuple(
-        np.linalg.solve(h @ a, h) if a.size else h for h, a in zip(ahg.stacks, alpha.stacks)
-    ))
-    if any(s.retraction is not None for s in sequences):
-        r = BlockStacks.join([
-            r.part(lo, hi) if s.retraction is None else s.retraction
-            for s, (lo, hi) in zip(sequences, spans)
-        ])
-    combined = by_gram(r.H, 0, right_times) @ r + by_gram(beta.H, 2, right_times) @ beta
-    tilde = by_gram(combined, 1, lambda g, x: g.sqrt @ g.inv_times(x) @ g.inv_sqrt)
-    spectra = _hermitian_spectra(tilde)
-
-    out = []
-    for s, (lo, hi) in zip(sequences, spans):
-        if s.retraction is not None:
-            a = alpha.part(lo, hi)
-            resid = s.retraction @ a - BlockStacks.identity(a.layout.cols)
-            if resid.norm() > EXACTNESS_TOL * max(1.0, s.retraction.norm() * a.norm()):
-                raise ValidationError("retraction does not split the first map")
-        own = []
-        for idx, ev, res in spectra:
-            at = _block_range(idx, lo, hi)
-            if at.stop > at.start:
-                own.append((idx[at] - lo, ev[at], res[at]))
-        out.append(_positive(_inv_sqrt(_log_det(_density(weights, own)))))
     return out
 
 
@@ -368,13 +366,14 @@ def exact_sequence_iso(
     """Canonical isomorphism det(M') (x) det(M'') -> det(M) of a short exact
     sequence 0 -> M' -a-> M -b-> M'' -> 0.
 
-    Builds the product ⟨r v, r w⟩' + ⟨b v, b w⟩'' on M, where r is a
-    retraction of alpha (by default the orthogonal one for the reference
-    product of M); the element of that product times the incoming
-    coordinates is the image.  The result does not depend on the retraction:
-    two retractions differ by gamma∘beta, an upper-triangular change with
-    unit determinant.  The exactness check and the measurement are those of
-    _sequence_coordinates on a list of one; the endpoints are checked first.
+    The image is the element of the product ⟨r v, r w⟩' + ⟨b v, b w⟩'' on
+    M, for a retraction r of alpha, times the incoming coordinates.  The
+    result does not depend on the retraction: two retractions differ by
+    gamma∘beta, an upper-triangular change with unit determinant, and the
+    element is Det(b~ b~*)^(-1/2) Det(a~* a~)^(1/2) with every gram made the
+    identity, so a given retraction is only validated.  The exactness check
+    and the measurement are those of _sequence_coordinates on a list of
+    one; the endpoints are checked first.
     """
     m = alpha.target
     if not beta.source.is_same_space(m):
@@ -388,10 +387,7 @@ def exact_sequence_iso(
     ):
         raise AlgebraMismatch("retraction endpoints do not match the sequence")
 
-    grams = tuple(
-        None if g.is_identity else g
-        for g in (alpha.source.reference_gram, m.reference_gram, beta.target.reference_gram)
-    )
+    grams = (_gram(alpha.source), _gram(m), _gram(beta.target))
     sequence = _Sequence(
         alpha.stacked, beta.stacked, grams, None if retraction is None else retraction.stacked
     )

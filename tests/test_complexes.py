@@ -252,6 +252,9 @@ def test_exact_sequence_route_factors_each_map_block_once(monkeypatch):
     monkeypatch.setattr(lines, "_first_inexact", counted_check)
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(impl, "svd", counted_svd)
+    # the coordinates come from the check's singular values: no transition
+    # spectrum, no retraction solve and no inverse
+    solvers = [_counting(monkeypatch, name) for name in ("eigvalsh", "solve", "inv")]
     torsion_iso_via_exact_sequences(c, data)
     map_blocks = sum(len(f.blocks) for f in c.maps)
     map_stacks = sum(len(f.stacked.stacks) for f in c.maps)
@@ -259,6 +262,7 @@ def test_exact_sequence_route_factors_each_map_block_once(monkeypatch):
     # B_0 in Z_0 and Z_1 in C_1 are the two proper subspaces
     assert (map_blocks, map_stacks, gapped[0]) == (6, 1, 2)
     assert vectors[0] == map_stacks
+    assert [calls[0] for calls in solvers] == [0, 0, 0]
 
 
 def _blockwise_hodge(c, data):

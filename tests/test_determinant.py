@@ -288,6 +288,20 @@ def test_non_invertible_refusal():
         fk_det_path(mod, op)
 
 
+def test_polar_route_keeps_ill_conditioned_invertibles():
+    # A* A of diag(1, 1e-7) has relative eigenvalue 1e-14, under the kernel
+    # cut of the spectral route; the singular values of A are far from it
+    mod = HilbertianModule(ALGEBRAS["C"], [2])
+    for small in (1e-7, 1e-11):
+        op = CommutantOperator(mod, [np.diag([1.0, small])])
+        polar, path = fk_det(mod, op), fk_det_path(mod, op)
+        assert polar.method == "polar"
+        assert abs(polar.log_value - path.log_value) <= 1e-14
+        assert abs(polar.log_value - np.log(small)) <= 1e-14
+    with pytest.raises(NonInvertible):
+        fk_det(mod, CommutantOperator(mod, [np.diag([1.0, 1e-13])]))
+
+
 def test_rejects_foreign_module():
     mod = standard_module(ALGEBRAS["C[Z/2]"])
     other = HilbertianModule(ALGEBRAS["C[Z/2]"], [2, 1])

@@ -176,21 +176,33 @@ def test_pushforward_requires_iso():
 
 
 def test_pushforward_takes_one_condition_number_per_block_stack(monkeypatch):
-    # the regular module of C[S3] has multiplicities (1, 1, 2): two stacks
+    # the regular module of C[S3] has multiplicities (1, 1, 2): two stacks,
+    # and one singular-value call per stack gives both the condition number
+    # and the coefficient
     dec = build_group_algebra(FiniteGroupTable.symmetric(3))
     mod = regular_module(dec)
     f = random_invertible(np.random.default_rng(43), mod)
     calls = [0]
-    cond = np.linalg.cond
+    svd = np.linalg.svd
 
     def counted(*args, **kwargs):
         calls[0] += 1
-        return cond(*args, **kwargs)
+        return svd(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "cond", counted)
+    monkeypatch.setattr(np.linalg, "svd", counted)
     out = pushforward(f, reference_element(mod))
     assert calls[0] == 2
     assert out.coefficient == pytest.approx(fk_det(mod, f).value, rel=1e-9)
+
+
+def test_pushforward_of_an_ill_conditioned_isomorphism():
+    # f* f of diag(1, 1e-7) has relative eigenvalue 1e-14, under the kernel
+    # cut; f itself passes the condition-number test of is_iso
+    mod = HilbertianModule(SCALAR, (2,))
+    f = CommutantOperator(mod, [np.diag([1.0, 1e-7])])
+    assert f.is_iso()
+    out = pushforward(f, reference_element(mod))
+    assert abs(np.log(out.coefficient) - np.log(1e-7)) <= 1e-14
 
 
 def test_tensor_sum_of_references_is_unit():
@@ -303,6 +315,58 @@ def test_exact_sequence_retraction_independence():
     assert abs(out2.coefficient - base.coefficient) < 1e-10 * base.coefficient
 
 
+def _transition_coordinate(alpha, beta, retraction=None):
+    """Det(T)^(-1/2) from the transition itself, one eigvalsh per block:
+    G^{-1/2} (r^H G' r + beta^H G'' beta) G^{-1/2}, for the given retraction
+    r or the orthogonal one for G."""
+    grams = [m.reference_gram.blocks for m in (alpha.source, alpha.target, beta.target)]
+    log_det = 0.0
+    for k, w in enumerate(alpha.target.algebra.weights):
+        a, b = alpha.blocks[k], beta.blocks[k]
+        g_sub, g, g_quot = (blocks[k] for blocks in grams)
+        ah = a.conj().T
+        r = np.linalg.solve(ah @ g @ a, ah @ g) if retraction is None else retraction.blocks[k]
+        vals, vecs = np.linalg.eigh(g)
+        inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
+        t = r.conj().T @ g_sub @ r + b.conj().T @ g_quot @ b
+        log_det += w * np.sum(np.log(np.linalg.eigvalsh(inv_sqrt @ t @ inv_sqrt)))
+    return np.exp(-0.5 * log_det)
+
+
+def test_exact_sequence_matches_the_transition_eigenvalues_under_grams():
+    rng = np.random.default_rng(61)
+    for sub_mult, total_mult in (([1, 1, 1], [2, 2, 3]), ([1, 2, 1], [3, 2, 2])):
+        sub, total, quot, alpha, beta = _random_exact_sequence(rng, S3, sub_mult, total_mult)
+        sub, total, quot = (
+            HilbertianModule(S3, m.multiplicities, reference_gram=random_gram_matrix(rng, m))
+            for m in (sub, total, quot)
+        )
+        alpha = ModuleMorphism(sub, total, alpha.blocks)
+        beta = ModuleMorphism(total, quot, beta.blocks)
+        e1 = element_from_product(sub, random_gram_matrix(rng, sub))
+        e2 = element_from_product(quot, random_gram_matrix(rng, quot))
+        # a sheared retraction r + gamma beta, r a left inverse of alpha
+        gamma = [random_complex(rng, (ms, mq)) for ms, mq in zip(sub_mult, quot.multiplicities)]
+        sheared = ModuleMorphism(total, sub, [
+            np.linalg.pinv(a) + c @ b for a, b, c in zip(alpha.blocks, beta.blocks, gamma)
+        ])
+        for retraction in (None, sheared):
+            got = exact_sequence_iso(alpha, beta, e1, e2, retraction=retraction).coefficient
+            want = _transition_coordinate(alpha, beta, retraction) * e1.coefficient * e2.coefficient
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_exact_sequence_with_an_ill_conditioned_quotient_map():
+    # 0 -> 0 -> C^2 -> C^2 -> 0 with beta = diag(1, 1e-7): beta beta* has
+    # relative eigenvalue 1e-14, under the kernel cut of a transition
+    # spectrum, but beta passes the exactness check and Det|beta|^-1 = 1e7
+    zero, two = HilbertianModule(SCALAR, (0,)), HilbertianModule(SCALAR, (2,))
+    alpha = ModuleMorphism(zero, two, [np.zeros((2, 0))])
+    beta = ModuleMorphism(two, two, [np.diag([1.0, 1e-7])])
+    out = exact_sequence_iso(alpha, beta, reference_element(zero), reference_element(two))
+    assert out.coefficient == pytest.approx(1e7, rel=1e-14, abs=0.0)
+
+
 def test_exact_sequence_matches_pushforward_route():
     # assemble phi: M' + M'' -> M from alpha and the compatible section;
     # the exact sequence element must be the pushforward of the tensor sum
@@ -406,8 +470,9 @@ def test_gap_bound_leaves_an_ill_conditioned_block_to_the_singular_vectors(monke
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     out = exact_sequence_iso(alpha, beta, reference_element(one), reference_element(two))
     assert vectors.count(True) == 2  # the image frame of alpha, the kernel frame of beta
-    # the transition is about diag(1, 1, 1e-10), so the coordinate is about 1e5
-    assert out.coefficient == float.fromhex("0x1.86a000000000ep+16")
+    # Det T = Det(beta beta*) / Det(alpha* alpha) with s(alpha) = 1 to 1e-24,
+    # so the coordinate is 1 / s_min(beta) = 1e5
+    assert out.coefficient == pytest.approx(1e5, rel=1e-15, abs=0.0)
 
 
 def test_composite_check_refuses_just_past_spectral_threshold():
