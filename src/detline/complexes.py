@@ -10,12 +10,18 @@ The torsion isomorphism between det(C) and det(H_*) is computed by two
 deliberately independent routes: factorization through the exact sequences
 0 -> Z -> C -> B -> 0 and 0 -> B -> Z -> H -> 0, and the closed Laplacian
 formula prod Det(Delta_i^+)^(+-i/2).  Their agreement is a theorem; here it
-is a test.  The exact-sequence route hands all of a complex's sequences to
-one call of the exact-sequence core in lines, which checks and measures
-them together, one LAPACK call per block shape; its exactness check bounds
-the image/kernel gap from singular values and takes singular vectors only
-where the bound cannot settle a block, so its verdicts are those of the
-exact gap.
+is a test: the Laplacian route diagonalises each Delta (eigh), the
+exact-sequence route takes the singular values of each map.  That route
+takes one singular-value call per block shape of each map, in the
+coordinates where the grams are the identity, and singular vectors only for
+the blocks that are not square and invertible.  The values measure
+0 -> Z -> C -> B -> 0 by theorem, with no check; the sequences
+0 -> B -> Z -> H -> 0, which pair these frames with Hodge's harmonic
+frames, go to one call of the exact-sequence core in lines, which checks
+and measures them together, one LAPACK call per block shape.  Its
+exactness check bounds the image/kernel gap from singular values and takes
+singular vectors only where the bound cannot settle a block, so its
+verdicts are those of the exact gap.
 """
 
 from __future__ import annotations
@@ -31,6 +37,9 @@ from .lines import (
     DetLineElement,
     GradedDetLineElement,
     _Sequence,
+    _gram_coordinates,
+    _inv_sqrt,
+    _positive,
     _sequence_coordinates,
     graded_assemble,
 )
@@ -40,7 +49,6 @@ from .modules import (
     HilbertianModule,
     ModuleMorphism,
     _frames,
-    _orthonormalized,
     gram_defect,
     range_and_kernel,
     von_neumann_dimension,
@@ -333,72 +341,65 @@ def torsion_iso_via_laplacians(complex_, hodge_data: HodgeData | None = None) ->
     return graded_assemble(entries)
 
 
-def _in_frame(frame, gram, f: BlockStacks) -> BlockStacks:
-    """f followed by the coordinates in a reference-orthonormal frame,
-    j^H G f, one product per block shape; a gram of None is the identity,
-    and its product is skipped."""
-    jh = frame.H
-    return (jh if gram is None else jh @ gram.stacked) @ f
-
-
 def torsion_iso_via_exact_sequences(complex_, hodge_data: HodgeData | None = None) -> GradedDetLineElement:
     """Same isomorphism, computed by factoring each degree through
     0 -> Z_i -> C_i -> B_out -> 0 and 0 -> B_i -> Z_i -> H_i -> 0.
 
-    The full SVD of a map block gives both frames it bounds: the leading
-    left singular vectors span the boundaries B of its target, the trailing
-    right ones the cycles Z of its source; under a gram that is not the
-    identity they are orthonormalized for it.  The work is per block shape:
-    one SVD call per shape of each map, and one product per shape for each
-    change of frame, which skips the gram where it is the identity.  The
-    frames stay block stacks, and all the sequences, in degree order with
-    the Z sequence first, are checked and measured by one call of the
-    exact-sequence core (lines._sequence_coordinates), one LAPACK call per
-    block shape over the whole list: each coordinate is
-    Det(beta beta*)^(-1/2) Det(alpha* alpha)^(1/2), from the singular values
-    the exactness check takes, with no transition operator formed.  Both
-    factors reuse one orthonormal
-    frame per boundary subspace, so the det(B) lines pair to exactly 1 and
-    the per-degree coefficient is 1/(kappa_i kappa'_i)."""
+    Every frame is kept in the coordinates where its degree's gram is the
+    identity: each map is taken once as d~ = G_t^(1/2) d G_s^(-1/2), a
+    factor applied only where its gram is not the identity, and
+    range_and_kernel gives d~'s singular values and the frames it bounds,
+    one singular-value call per block shape and a full SVD only for the
+    blocks that are not square and invertible.  The leading left singular
+    vectors U_r span the boundaries B of the target, the trailing right
+    ones V_0 the cycles Z of the source; a square invertible block bounds
+    its whole target (the identity frame) and has no cycles.  In these
+    coordinates the frames are orthonormal as they come, a degree with no
+    outgoing map has the identity as its cycle frame, and one with no
+    incoming map bounds nothing.
+
+    The Z sequence is measured by theorem: alpha = V_0 is an isometry and
+    beta = U_r^H d~ has the singular values of d~ above its rank, with
+    beta alpha = 0, so kappa_i = exp(-sum_k w_k sum_{j < r_k} log s_j(d~_k)).
+    The B sequences pair these frames with Hodge's harmonic frames,
+    alpha = Z^H B and beta = H~^H Z with H~ = G^(1/2) H; that pairing is
+    what compares the SVD with the Laplacian decomposition, so those
+    sequences, in degree order, go to one call of the exact-sequence core
+    (lines._sequence_coordinates), which checks and measures them with one
+    LAPACK call per block shape over the whole list.  Both factors reuse
+    one orthonormal frame per boundary subspace, so the det(B) lines pair
+    to exactly 1 and the per-degree coefficient is 1/(kappa_i kappa'_i)."""
     if hodge_data is None:
         hodge_data = hodge(complex_)
 
+    weights = np.asarray(complex_.algebra.weights)
+    grams = [None if m.reference_gram.is_identity else m.reference_gram for m in complex_.modules]
     n = len(complex_.modules)
-    ranges, kernels = [None] * n, [None] * n
+    ranges, kernels, log_kappas = [None] * n, [None] * n, [0.0] * n
     for i, f in enumerate(complex_.maps):
         src, tgt = (i + 1, i) if complex_.convention == CHAIN else (i, i + 1)
-        ranges[tgt], kernels[src] = range_and_kernel(f.stacked)
+        tilde = _gram_coordinates(f.stacked, grams[src], grams[tgt])
+        ranges[tgt], kernels[src], logs = range_and_kernel(tilde)
+        log_kappas[src] = float(weights @ logs)
     # a degree with no incoming map bounds nothing; with no outgoing map,
     # every chain is a cycle
-    grams = [None if m.reference_gram.is_identity else m.reference_gram for m in complex_.modules]
     for i, mod in enumerate(complex_.modules):
         mult = mod.multiplicities
         if ranges[i] is None:
             ranges[i] = BlockStacks.zeros(mult, (0,) * len(mult))
         if kernels[i] is None:
             kernels[i] = BlockStacks.identity(mult)
-        if grams[i] is not None:
-            ranges[i], kernels[i] = (_orthonormalized(grams[i], f) for f in (ranges[i], kernels[i]))
 
     sequences = []
-    for i in complex_.degrees:
-        out = complex_.outgoing(i)
-        if out is not None:  # 0 -> Z_i -> C_i -> B(target) -> 0
-            j = i - 1 if complex_.convention == CHAIN else i + 1
-            beta = _in_frame(ranges[j], grams[j], out.stacked)
-            sequences.append(_Sequence(kernels[i], beta, (None, grams[i], None)))
-        # 0 -> B_i -> Z_i -> H_i -> 0
-        harmonic = hodge_data.harmonic_embeddings[i].stacked
-        sequences.append(_Sequence(
-            _in_frame(kernels[i], grams[i], ranges[i]),
-            _in_frame(harmonic, grams[i], kernels[i]),
-        ))
-    kappas = iter(_sequence_coordinates(complex_.algebra.weights, sequences))
+    for i in complex_.degrees:  # 0 -> B_i -> Z_i -> H_i -> 0
+        harmonic = _gram_coordinates(hodge_data.harmonic_embeddings[i].stacked, None, grams[i])
+        sequences.append(_Sequence(kernels[i].H @ ranges[i], harmonic.H @ kernels[i]))
+    kappas = _sequence_coordinates(weights, sequences)
 
     entries = []
-    for i in complex_.degrees:
-        kappa = 1.0 if complex_.outgoing(i) is None else next(kappas)
-        coeff = 1.0 / (kappa * next(kappas))
+    for i, kappa_prime in zip(complex_.degrees, kappas):
+        kappa = _positive(_inv_sqrt(2.0 * log_kappas[i]))
+        coeff = 1.0 / (kappa * kappa_prime)
         entries.append((i, DetLineElement(hodge_data.harmonic_modules[i], coeff, "torsion_iso")))
     return graded_assemble(entries)
 

@@ -10,7 +10,9 @@ explicit transition operators; positivity of every coordinate is enforced.
 
 Short exact sequences have one body, _sequence_coordinates, which takes a
 list: exact_sequence_iso runs it on a list of one, and the torsion route of
-complexes on all of a complex's sequences at once.  The blocks of the list
+complexes on all of a complex's 0 -> B -> Z -> H -> 0 sequences at once
+(it measures its 0 -> Z -> C -> B -> 0 sequences from each map's own
+singular values, exact by construction).  The blocks of the list
 are joined, so each singular-value call covers one block shape across every
 sequence, while scales, tolerances, log sums and refusals stay per
 sequence.  The exactness check and the measurement share one set of
@@ -216,14 +218,17 @@ class _Sequence(NamedTuple):
 def _singular_values(x: BlockStacks):
     """Largest and smallest singular value, rank and sum of the log singular
     values of each block, from one singular-value call per stack; 0 for a
-    block with no entries.  A zero singular value makes the log sum -inf
-    without a warning: the callers refuse such a block before they read it."""
+    block with no entries.  The rank counts the singular values above
+    EXACTNESS_TOL times the block's largest, a cut relative to the block
+    alone, so a map scaled by any positive factor keeps its rank.  A zero
+    singular value makes the log sum -inf without a warning: the callers
+    refuse such a block before they read it."""
     n = len(x.layout.rows)
     top, low, rank, logs = np.zeros(n), np.zeros(n), np.zeros(n, dtype=int), np.zeros(n)
     for idx, s in x.nonempty():
         sv = np.linalg.svd(s, compute_uv=False)
         top[idx], low[idx] = sv[:, 0], sv[:, -1]
-        rank[idx] = np.sum(sv > EXACTNESS_TOL * np.maximum(1.0, sv[:, :1]), axis=1)
+        rank[idx] = np.sum(sv > EXACTNESS_TOL * sv[:, :1], axis=1)
         with np.errstate(divide="ignore"):
             logs[idx] = np.sum(np.log(sv), axis=1)
     return top, low, rank, logs
@@ -238,9 +243,11 @@ def _first_inexact(alpha: BlockStacks, beta: BlockStacks, spans):
 
     alpha and beta are joined, and sequence s holds blocks spans[s] to
     spans[s + 1] - 1.  Each stack takes one singular-value call for the
-    ranks and the norms, whose scale is per sequence; the composite and the
-    gap are Frobenius norms.  A gap exists only where 0 < cols(alpha) <
-    rows(alpha) = cols(alpha) + rows(beta): elsewhere the checks before the
+    ranks and the norms; a rank is cut relative to its block's largest
+    singular value, and the composite test keeps a scale per sequence,
+    max(1, ||alpha|| ||beta||); the composite and the gap are Frobenius
+    norms.  A gap exists only where 0 < cols(alpha) < rows(alpha) =
+    cols(alpha) + rows(beta): elsewhere the checks before the
     gap test fix the verdict (alpha with no columns has no image to compare,
     a square injective alpha leaves beta no rows, so both subspaces are the
     block, and dimensions that do not add up fail the rank test).  Where

@@ -1038,23 +1038,42 @@ def _frames(rows, parts, start, width) -> BlockStacks:
     return BlockStacks.from_pieces(rows, width.tolist(), pieces)
 
 
-def range_and_kernel(f: BlockStacks) -> tuple[BlockStacks, BlockStacks]:
+def range_and_kernel(f: BlockStacks) -> tuple[BlockStacks, BlockStacks, np.ndarray]:
     """Orthonormal bases (columns) of the column span and of the kernel of
-    each block, from one full SVD call per stack: the leading left and the
-    trailing right singular vectors, split at the block's rank (its
-    singular values above RANK_RTOL times max(1, the largest)).  A block
-    with no entries spans nothing, and its whole source is its kernel."""
-    rank = np.zeros(len(f.layout.rows), dtype=int)
+    each block, and each block's sum of log singular values over its rank.
+
+    One singular-value call per stack decides the ranks: a block's rank
+    counts its singular values above RANK_RTOL times max(1, the largest).
+    A square block of full rank spans its whole target and has no kernel,
+    so its frames are the identity and an empty frame, read off without
+    singular vectors.  Only the other blocks take a full SVD, one call per
+    stack over those blocks: the leading left and the trailing right
+    singular vectors, split at the rank.  A block with no entries spans
+    nothing, and its whole source is its kernel."""
+    cols = np.array(f.layout.cols)
+    rank, logs = np.zeros(len(cols), dtype=int), np.zeros(len(cols))
     lefts, rights = [], []
     for idx, s in zip(f.layout.index, f.stacks):
-        u, sv, vh = np.linalg.svd(s)
-        rank[idx] = np.sum(sv > RANK_RTOL * np.maximum(1.0, sv[:, :1]), axis=1)
-        lefts.append((idx, u))
-        rights.append((idx, vh.conj().swapaxes(1, 2)))
-    cols = np.array(f.layout.cols)
+        r, c = s.shape[1:]
+        vectors = np.zeros(len(idx), dtype=bool)
+        if s.size:
+            sv = np.linalg.svd(s, compute_uv=False)
+            kept = sv > RANK_RTOL * np.maximum(1.0, sv[:, :1])
+            rank[idx] = np.sum(kept, axis=1)
+            logs[idx] = np.sum(np.log(np.where(kept, sv, 1.0)), axis=1)
+            vectors = rank[idx] < max(r, c)  # all but the square blocks of full rank
+        if not vectors.all():
+            keep, n = idx[~vectors], int(np.sum(~vectors))
+            lefts.append((keep, np.broadcast_to(np.eye(r, dtype=complex), (n, r, r))))
+            rights.append((keep, np.broadcast_to(np.eye(c, dtype=complex), (n, c, c))))
+        if vectors.any():
+            u, _, vh = np.linalg.svd(s if vectors.all() else s[vectors])
+            lefts.append((idx[vectors], u))
+            rights.append((idx[vectors], vh.conj().swapaxes(1, 2)))
     return (
         _frames(f.layout.rows, lefts, np.zeros_like(rank), rank),
         _frames(f.layout.cols, rights, rank, cols - rank),
+        logs,
     )
 
 

@@ -14,7 +14,7 @@ from detline.complexes import (
     validate_complex,
     zeta_suite,
 )
-from detline import lines
+from detline import complexes, lines
 from detline.determinant import _tilde_blocks, fk_det, spectral_density
 from detline.errors import IllConditionedKernel, NotExact, ValidationError
 from detline.fixtures import (
@@ -36,6 +36,7 @@ from detline.modules import (
     von_neumann_dimension,
 )
 from detline.torsion import assemble_coefficients
+from test_acceptance import random_complexes
 
 SCALAR = FiniteVonNeumannAlgebra(((1, 1.0),))
 Z2 = build_group_algebra(FiniteGroupTable.cyclic(2)).algebra
@@ -224,45 +225,77 @@ def test_hodge_and_spectral_density_take_no_svd(monkeypatch):
         assert spectral_density(mod, delta).total_mass > 0
 
 
-def test_exact_sequence_route_factors_each_map_block_once(monkeypatch):
-    # one full SVD per map block gives both frames it bounds; the exactness
-    # check settles a gapped block (0 < cols(alpha) < rows(alpha), where
-    # im(alpha) and ker(beta) can differ) from singular values where its
-    # bound on the gap is small, so no check here takes singular vectors
-    c = assemble_coefficients(circle(16), regular_cyclic_representation(6))
+def _check_route_factors_each_map_block_once(monkeypatch, c):
+    """On circle(16) x C[Z/6]: one singular-value call per map stack decides
+    the ranks and measures 0 -> Z -> C -> B -> 0; singular vectors only for
+    the trivial character, the one block with a kernel; the exactness check
+    sees only the B -> Z -> H sequences and settles its one gapped block
+    (0 < cols(alpha) < rows(alpha), where im(alpha) and ker(beta) can
+    differ) from singular values."""
     data = hodge(c)
-    gapped = [0]
+    checked = []
     check = lines._first_inexact
 
     def counted_check(alpha, beta, spans):
-        gapped[0] += sum(
-            0 < cols < rows == cols + quot
-            for rows, cols, quot in zip(alpha.layout.rows, alpha.layout.cols, beta.layout.rows)
-        )
+        checked.append((alpha.layout, beta.layout, tuple(spans)))
         return check(alpha, beta, spans)
 
-    vectors = [0]
+    calls = []  # (inside range_and_kernel, computes vectors, argument)
+    inside = [False]
     svd = np.linalg.svd
+    frames = complexes.range_and_kernel
 
-    def counted_svd(*args, **kwargs):
-        vectors[0] += kwargs.get("compute_uv", True)
-        return svd(*args, **kwargs)
+    def counted_svd(a, *args, **kwargs):
+        calls.append((inside[0], kwargs.get("compute_uv", True), a))
+        return svd(a, *args, **kwargs)
+
+    def counted_frames(f):
+        inside[0] = True
+        try:
+            return frames(f)
+        finally:
+            inside[0] = False
 
     impl = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
     monkeypatch.setattr(lines, "_first_inexact", counted_check)
+    monkeypatch.setattr(complexes, "range_and_kernel", counted_frames)
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(impl, "svd", counted_svd)
-    # the coordinates come from the check's singular values: no transition
-    # spectrum, no retraction solve and no inverse
-    solvers = [_counting(monkeypatch, name) for name in ("eigvalsh", "solve", "inv")]
-    torsion_iso_via_exact_sequences(c, data)
-    map_blocks = sum(len(f.blocks) for f in c.maps)
-    map_stacks = sum(len(f.stacked.stacks) for f in c.maps)
-    # six 16 x 16 characters in one stack; the trivial one has rank 15, so
-    # B_0 in Z_0 and Z_1 in C_1 are the two proper subspaces
-    assert (map_blocks, map_stacks, gapped[0]) == (6, 1, 2)
-    assert vectors[0] == map_stacks
-    assert [calls[0] for calls in solvers] == [0, 0, 0]
+    # no transition spectrum, retraction solve, inverse or orthonormalization
+    solvers = [_counting(monkeypatch, name) for name in ("eigvalsh", "solve", "inv", "qr")]
+    got = torsion_iso_via_exact_sequences(c, data).coordinate
+    # six 16 x 16 characters in one stack
+    assert [len(f.stacked.stacks) for f in c.maps] == [1]
+    values = [a.shape for within, uv, a in calls if within and not uv]
+    vectors = [a for within, uv, a in calls if uv]
+    assert values == [(6, 16, 16)]
+    assert len(vectors) == 1 and vectors[0].shape == (1, 16, 16)
+    assert svd(vectors[0], compute_uv=False)[0, -1] < 1e-10  # the trivial character's kernel
+    assert [n[0] for n in solvers] == [0, 0, 0, 0]
+    # one call of the check, on the B -> Z -> H sequence of each degree:
+    # the second maps land in the harmonic modules
+    ((alpha, beta, spans),) = checked
+    assert spans == (0, 6, 12)
+    assert beta.rows == sum((h.multiplicities for h in data.harmonic_modules), ())
+    # the trivial character has rank 15, so B_0 in Z_0 is the one proper subspace
+    assert sum(0 < q < r for r, q in zip(alpha.rows, alpha.cols)) == 1
+    assert got == _blockwise_route(c, data)
+    assert abs(np.log(got) - np.log(torsion_iso_via_laplacians(c, data).coordinate)) <= 1e-12
+
+
+def test_exact_sequence_route_factors_each_map_block_once(monkeypatch):
+    c = assemble_coefficients(circle(16), regular_cyclic_representation(6))
+    _check_route_factors_each_map_block_once(monkeypatch, c)
+
+
+def test_exact_sequence_route_with_a_gram_on_a_degree_without_outgoing_map(monkeypatch):
+    # degree 0 has no outgoing map, so its cycle frame is the whole degree:
+    # G^(-1/2) in the module's coordinates, the identity in the route's
+    c = assemble_coefficients(circle(16), regular_cyclic_representation(6))
+    g = random_gram_matrix(np.random.default_rng(29), c.modules[0])
+    c = HilbertianChainComplex(c.modules, c.maps, grams=[g, None])
+    assert not c.modules[0].reference_gram.is_identity
+    _check_route_factors_each_map_block_once(monkeypatch, c)
 
 
 def _blockwise_hodge(c, data):
@@ -290,8 +323,60 @@ def _blockwise_hodge(c, data):
 
 
 def _blockwise_route(c, data):
-    """The exact-sequence coordinate with one SVD per map block and one
-    frame product per block, the gram included where it is the identity."""
+    """The exact-sequence coordinate with one singular-value call per map
+    block, in the coordinates where the grams are the identity (d~ =
+    G_t^(1/2) d G_s^(-1/2)), and a full SVD only for a block that is not
+    square of full rank, whose frames are otherwise the identity and an
+    empty one; kappa from d~'s singular values, and each B -> Z -> H
+    sequence by its own exact_sequence_iso call.  Products with the gram
+    powers are taken even where they are the identity."""
+    weights = np.asarray(c.algebra.weights)
+
+    def frames(b):
+        if b.size == 0:
+            return np.zeros((b.shape[0], 0), dtype=complex), np.eye(b.shape[1], dtype=complex), 0.0
+        s = np.linalg.svd(b, compute_uv=False)
+        kept = s > 1e-10 * max(1.0, float(s[0]))
+        rank, log = int(np.sum(kept)), float(np.sum(np.log(np.where(kept, s, 1.0))))
+        if rank == b.shape[0] == b.shape[1]:
+            return np.eye(rank, dtype=complex), np.zeros((rank, 0), dtype=complex), log
+        u, _, vh = np.linalg.svd(b)
+        return u[:, :rank], vh[rank:].conj().T, log
+
+    def module(frames):
+        return HilbertianModule(c.algebra, [f.shape[1] for f in frames])
+
+    chain = c.convention == "chain"
+    ranges = [[np.zeros((m, 0), dtype=complex) for m in mod.multiplicities] for mod in c.modules]
+    kernels = [[np.eye(m, dtype=complex) for m in mod.multiplicities] for mod in c.modules]
+    kappas = [1.0] * len(c.modules)
+    for i, f in enumerate(c.maps):
+        src, tgt = (i + 1, i) if chain else (i, i + 1)
+        gs, gt = c.modules[src].reference_gram, c.modules[tgt].reference_gram
+        tilde = [(r @ b) @ w for r, b, w in zip(gt.sqrt.blocks, f.blocks, gs.inv_sqrt.blocks)]
+        triples = [frames(b) for b in tilde]
+        ranges[tgt] = [r for r, _, _ in triples]
+        kernels[src] = [k for _, k, _ in triples]
+        kappas[src] = lines._inv_sqrt(2.0 * float(weights @ np.array([x for _, _, x in triples])))
+    coordinate = 1.0
+    for i, mod in enumerate(c.modules):
+        b_mod, z_mod, h_mod = module(ranges[i]), module(kernels[i]), data.harmonic_modules[i]
+        harmonic = [r @ h for r, h in zip(mod.reference_gram.sqrt.blocks, data.harmonic_embeddings[i].blocks)]
+        kappa_prime = lines.exact_sequence_iso(
+            ModuleMorphism(b_mod, z_mod, [z.conj().T @ b for z, b in zip(kernels[i], ranges[i])]),
+            ModuleMorphism(z_mod, h_mod, [h.conj().T @ z for h, z in zip(harmonic, kernels[i])]),
+            reference_element(b_mod), reference_element(h_mod),
+        ).coefficient
+        coordinate *= (1.0 / (kappas[i] * kappa_prime)) ** (1 if i % 2 == 0 else -1)
+    return coordinate
+
+
+def _composed_route(c, data):
+    """The exact-sequence coordinate composed of public calls: one full SVD
+    per map block for its frames, orthonormalized for the gram by
+    frame_submodule, and both sequences of each degree by their own
+    exact_sequence_iso calls, with one frame product per block, the gram
+    included where it is the identity."""
 
     def frames(b):
         if b.size == 0:
@@ -383,6 +468,23 @@ def test_batched_route_matches_blockwise_bit_for_bit_on_larger_representations()
         c = assemble_coefficients(cx, rep)
         data = hodge(c)
         assert torsion_iso_via_exact_sequences(c, data).coordinate == _blockwise_route(c, data)
+
+
+def test_route_matches_the_composed_reference_on_random_complexes():
+    # the route reads kappa from singular values and keeps its frames in the
+    # coordinates where the grams are the identity; composing public
+    # exact_sequence_iso calls over frames orthonormalized for the grams
+    # measures the same sequences another way
+    cases = list(_shape_batched_cases().values())
+    for seed in (505, 17, 29):
+        cases += list(random_complexes(seed))
+    assert len(cases) == 603
+    worst = 0.0
+    for c in cases:
+        data = hodge(c)
+        got = torsion_iso_via_exact_sequences(c, data).coordinate
+        worst = max(worst, abs(np.log(got) - np.log(_composed_route(c, data))))
+    assert worst <= 1e-13
 
 
 def test_batched_route_refuses_as_the_blockwise_route():

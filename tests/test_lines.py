@@ -367,6 +367,29 @@ def test_exact_sequence_with_an_ill_conditioned_quotient_map():
     assert out.coefficient == pytest.approx(1e7, rel=1e-14, abs=0.0)
 
 
+def _scaled_quotient_sequence(blocks):
+    """0 -> 0 -> C^2 -> C^2 -> 0 with beta the given 2 x 2 matrix."""
+    zero, two = HilbertianModule(SCALAR, (0,)), HilbertianModule(SCALAR, (2,))
+    alpha = ModuleMorphism(zero, two, [np.zeros((2, 0))])
+    beta = ModuleMorphism(two, two, [np.asarray(blocks, dtype=float)])
+    return exact_sequence_iso(alpha, beta, reference_element(zero), reference_element(two))
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1e-7])
+def test_exact_sequence_of_a_small_invertible_map(scale):
+    # beta = s I is surjective at every s > 0: the rank is cut relative to
+    # the block's largest singular value, with no floor at 1, so the
+    # sequence measures Det|beta|^-1 = s^-2 instead of refusing
+    out = _scaled_quotient_sequence(scale * np.eye(2))
+    assert out.coefficient == pytest.approx(scale**-2, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("values", [(1.0, 1e-12), (1e-9, 1e-21)])
+def test_exact_sequence_refuses_a_map_singular_relative_to_its_norm(values):
+    with pytest.raises(NotExact, match="second map fails to be surjective in block 0"):
+        _scaled_quotient_sequence(np.diag(values))
+
+
 def test_exact_sequence_matches_pushforward_route():
     # assemble phi: M' + M'' -> M from alpha and the compatible section;
     # the exact sequence element must be the pushforward of the tensor sum

@@ -657,6 +657,32 @@ def test_torsion_coordinate_past_float_range_of_the_determinant():
         assert abs(np.log(value) - 300 * np.log(10.0)) < 1e-9
 
 
+def _route_grid():
+    cases = [
+        (circle(k), regular_cyclic_representation(n))
+        for k in (4, 8, 16, 32, 64)
+        for n in (3, 5, 6)
+    ]
+    cases += [(lens_space(p), regular_cyclic_representation(p)) for p in (3, 5, 8, 12)]
+    cases += [
+        (circle(16), regular_cyclic_representation(5, side="left")),
+        (lens_space(5), regular_cyclic_representation(5, side="left")),
+    ]
+    return cases
+
+
+def test_routes_agree_on_the_fixture_grid():
+    # the Laplacian route (eigh of each Delta) and the exact-sequence route
+    # (the singular values and frames of each d) are independent: their log
+    # coordinates agree to a few hundred ulps of the log, worst on circle(64)
+    # over C[Z/6] (about 1.8e-13)
+    worst = 0.0
+    for K, rep in _route_grid():
+        routes = torsion(K, rep).route_coordinates
+        worst = max(worst, abs(np.log(routes["laplacian"]) - np.log(routes["exact_sequence"])))
+    assert worst <= 1e-12
+
+
 def _refuse_carrier_matrices(monkeypatch, limit):
     """Make the lazy direct-sum builders raise, and np.eye refuse sizes
     above limit (numpy-wide, for the rest of the test).  Returns np.eye."""
