@@ -8,11 +8,13 @@ the grouping rule it uses, and stacks groups a list of arrays by shape for
 the group-algebra decomposition.  numpy's linalg routines and matmul run
 on a stack one LAPACK or BLAS call per matrix, the call a single matrix
 gets, so per-shape work gives the answers of separate calls, bit for bit.
-Callers take a block's norm from the factorisation they already hold
-where they can (max |eigenvalue| of a Hermitian block); a residual check
-may overestimate its numerator (Frobenius norm) or underestimate its scale
-(largest entry modulus), so it stays at least as strict as one in
-spectral norms.
+singular_values is the one singular-value pass over block stacks: every
+norm, rank, invertibility test and log|det| of the package's blocks is
+read from it.  Callers take a block's norm from the factorisation they
+already hold where they can (max |eigenvalue| of a Hermitian block); a
+residual check may overestimate its numerator (Frobenius norm) or
+underestimate its scale (largest entry modulus), so it stays at least as
+strict as one in spectral norms.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .errors import NegativeSpectrum, ShapeMismatch, ValidationError
 HERMITIAN_TOL = 1e-10  # relative residual of is_hermitian
 DEFINITE_TOL = 1e-10  # relative eigenvalue floor of inv_sqrt_pd
 RANK_RTOL = 1e-10  # relative singular-value cut of modules.range_and_kernel and orthonormal_range
+INVERTIBLE_RTOL = 1e-12  # smallest singular value of an invertible block, relative to its largest
 
 
 def as_complex_matrix(a) -> np.ndarray:
@@ -77,6 +80,24 @@ def operator_norm(a: np.ndarray) -> float:
         return 0.0
     # the same value np.linalg.norm(a, 2) takes, without its axis handling
     return float(np.linalg.svd(a, compute_uv=False)[0])
+
+
+def singular_values(parts, n: int, rtol: float = RANK_RTOL, scale: float | None = None):
+    """(top, low, rank, logs) of each of n blocks, from one
+    svd(compute_uv=False) per stack of parts, a list of (block indices,
+    stack) of the stacks with entries: the largest and the smallest
+    singular value, the rank and the sum of the log singular values the
+    rank counts.  The rank counts the singular values above rtol times the
+    block's largest, or times scale when it is given; a block in no stack
+    of parts reads 0 in all four."""
+    top, low, rank, logs = np.zeros(n), np.zeros(n), np.zeros(n, dtype=int), np.zeros(n)
+    for idx, s in parts:
+        sv = np.linalg.svd(s, compute_uv=False)
+        top[idx], low[idx] = sv[:, 0], sv[:, -1]
+        kept = sv > rtol * (sv[:, :1] if scale is None else scale)
+        rank[idx] = np.sum(kept, axis=1)
+        logs[idx] = np.sum(np.log(np.where(kept, sv, 1.0)), axis=1)
+    return top, low, rank, logs
 
 
 def is_hermitian(a: np.ndarray) -> bool:

@@ -37,7 +37,6 @@ from .lines import (
     DetLineElement,
     GradedDetLineElement,
     _Sequence,
-    _gram_coordinates,
     _inv_sqrt,
     _positive,
     _sequence_coordinates,
@@ -49,6 +48,7 @@ from .modules import (
     HilbertianModule,
     ModuleMorphism,
     _frames,
+    gram_coordinates,
     gram_defect,
     range_and_kernel,
     von_neumann_dimension,
@@ -194,9 +194,6 @@ class HodgeData:
     positive_densities: tuple
     betti: tuple
     kernel_tol: float
-
-    def betti_number(self, i: int) -> float:
-        return self.betti[i]
 
 
 def _laplacian(complex_, i) -> CommutantOperator:
@@ -346,11 +343,16 @@ def torsion_iso_via_exact_sequences(complex_, hodge_data: HodgeData | None = Non
     0 -> Z_i -> C_i -> B_out -> 0 and 0 -> B_i -> Z_i -> H_i -> 0.
 
     Every frame is kept in the coordinates where its degree's gram is the
-    identity: each map is taken once as d~ = G_t^(1/2) d G_s^(-1/2), a
-    factor applied only where its gram is not the identity, and
-    range_and_kernel gives d~'s singular values and the frames it bounds,
-    one singular-value call per block shape and a full SVD only for the
-    blocks that are not square and invertible.  The leading left singular
+    identity: each map is taken once as d~ = G_t^(1/2) d G_s^(-1/2)
+    (modules.gram_coordinates), and range_and_kernel gives d~'s singular
+    values and the frames it bounds, one singular-value call per block
+    shape and a full SVD only for the blocks that are not square and
+    invertible.  Ranks are cut at RANK_RTOL times the complex's largest
+    singular value, the square root of the largest positive Laplacian
+    eigenvalue (the spectrum of Delta_i is that of d* d and d d* for its
+    two maps), so no SVD is added for it: a map that is small next to 1
+    keeps its rank, as in Hodge, and a block that is zero up to rounding
+    next to the rest of the complex has none.  The leading left singular
     vectors U_r span the boundaries B of the target, the trailing right
     ones V_0 the cycles Z of the source; a square invertible block bounds
     its whole target (the identity frame) and has no cycles.  In these
@@ -373,13 +375,14 @@ def torsion_iso_via_exact_sequences(complex_, hodge_data: HodgeData | None = Non
         hodge_data = hodge(complex_)
 
     weights = np.asarray(complex_.algebra.weights)
-    grams = [None if m.reference_gram.is_identity else m.reference_gram for m in complex_.modules]
+    tops = [float(d.values[-1]) for d in hodge_data.positive_densities if d.values.size]
+    scale = math.sqrt(max(tops, default=0.0))  # the complex's largest singular value
     n = len(complex_.modules)
     ranges, kernels, log_kappas = [None] * n, [None] * n, [0.0] * n
     for i, f in enumerate(complex_.maps):
         src, tgt = (i + 1, i) if complex_.convention == CHAIN else (i, i + 1)
-        tilde = _gram_coordinates(f.stacked, grams[src], grams[tgt])
-        ranges[tgt], kernels[src], logs = range_and_kernel(tilde)
+        tilde = gram_coordinates(f.stacked, f.source, f.target)
+        ranges[tgt], kernels[src], logs = range_and_kernel(tilde, scale)
         log_kappas[src] = float(weights @ logs)
     # a degree with no incoming map bounds nothing; with no outgoing map,
     # every chain is a cycle
@@ -392,7 +395,8 @@ def torsion_iso_via_exact_sequences(complex_, hodge_data: HodgeData | None = Non
 
     sequences = []
     for i in complex_.degrees:  # 0 -> B_i -> Z_i -> H_i -> 0
-        harmonic = _gram_coordinates(hodge_data.harmonic_embeddings[i].stacked, None, grams[i])
+        h = hodge_data.harmonic_embeddings[i]
+        harmonic = gram_coordinates(h.stacked, h.source, h.target)
         sequences.append(_Sequence(kernels[i].H @ ranges[i], harmonic.H @ kernels[i]))
     kappas = _sequence_coordinates(weights, sequences)
 

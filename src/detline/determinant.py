@@ -17,17 +17,21 @@ A general invertible operator gets the polar route: Det|A| = Det(A* A)^(1/2)
 from the singular values of each block.  Self-adjointness, positivity and
 adjoints are taken against the module's reference gram; to measure against
 another admissible gram, build the operator on module.with_reference_gram(gram).
+Every route reads the blocks A~ = G^(1/2) A G^(-1/2) of modules.gram_coordinates.
 
 Each route makes one LAPACK call per block shape, not per block: operators
 keep their blocks stored by shape (modules.BlockStacks), and every check,
 eigenvalue, SVD and log-determinant runs on the stored stacks.  The three
 routes stay three LAPACK computations: an LU factorisation for the path,
 singular values for the polar route and Hermitian eigenvalues for the
-spectral one.
+spectral one.  The path and the polar route decide invertibility by the
+singular-value pass of _linalg.singular_values: full rank at
+INVERTIBLE_RTOL, as ModuleMorphism.is_iso and lines.pushforward do.
 numpy runs a stack one matrix at a time through the same LAPACK routine,
 so the per-block numbers are those of separate calls, and the weighted sum
 is taken in block order.  C[G] for G abelian has |G| blocks of size 1, all
-in one stack.
+in one stack.  detline.modules is imported only when an operator is read,
+so the torus backend, which uses the result types alone, never loads it.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ._linalg import INVERTIBLE_RTOL
 from .errors import (
     KernelDetected,
     NegativeSpectrum,
@@ -51,7 +56,6 @@ if TYPE_CHECKING:  # the torus backend uses the result types without modules
 
 KERNEL_REL_TOL = 1e-12
 SELF_ADJOINT_TOL = 1e-8
-INVERTIBLE_REL_TOL = 1e-12  # smallest singular value of an invertible block, relative
 SEGMENT_REL_TOL = 1e-8  # distance of the spectrum from the negative ray, relative
 
 
@@ -128,26 +132,20 @@ class DeterminantResult:
 
 
 def _tilde_blocks(module, op):
-    """The operator's block stacks in coordinates where the reference gram
-    is the identity.
+    """The block stacks of op, a commutant operator on module, in
+    coordinates where the reference gram is the identity.
 
     W B W^{-1} with W = gram^(1/2) turns gram-self-adjoint into Hermitian
     and gram-unitary into unitary, block by block.  Under an identity gram
     the blocks already are in those coordinates.
     """
-    g = module.reference_gram
-    if g.is_identity:
-        return op.stacked
-    return g.sqrt @ op.stacked @ g.inv_sqrt
-
-
-def _check_operator(module, op):
-    from .modules import CommutantOperator
+    from .modules import CommutantOperator, gram_coordinates
 
     if not isinstance(op, CommutantOperator):
         raise ValidationError("expected a CommutantOperator")
     if not op.module.is_same_space(module):
         raise ValidationError("operator lives on a different module")
+    return gram_coordinates(op.stacked, module, module)
 
 
 def spectral_density(
@@ -158,7 +156,6 @@ def spectral_density(
 
     scale is the largest |eigenvalue| of the Hermitian parts (at most the
     operator norm) and the self-adjoint residual a Frobenius norm."""
-    _check_operator(module, op)
     parts = []
     scale = residual = 0.0
     for idx, s in _tilde_blocks(module, op).nonempty():
@@ -196,21 +193,18 @@ def fk_det_spectral(
     return DeterminantResult.from_log(density.log_moment(), "spectral")
 
 
-def _weighted_sum(weights, per_block: dict) -> float:
+def _weighted_sum(weights, per_block) -> float:
     """sum_k w_k per_block[k] in block order."""
-    return float(sum(weights[k] * float(per_block[k]) for k in sorted(per_block)))
+    return float(sum(w * float(x) for w, x in zip(weights, per_block)))
 
 
-def _require_invertible(groups) -> dict:
+def _require_invertible(tilde) -> np.ndarray:
     """log|det| of each block, the sum of its log singular values, from one
-    singular-value call per stack; refuses (NonInvertible) a block whose
-    smallest singular value is at most INVERTIBLE_REL_TOL times its largest."""
-    logs = {}
-    for idx, s in groups:
-        svals = np.linalg.svd(s, compute_uv=False)
-        if np.any(svals[:, -1] <= INVERTIBLE_REL_TOL * np.maximum(svals[:, 0], 1e-300)):
-            raise NonInvertible("operator has a (numerical) kernel")
-        logs.update(zip(idx, np.sum(np.log(svals), axis=1)))
+    singular-value pass; refuses (NonInvertible) a block of less than full
+    rank at INVERTIBLE_RTOL."""
+    _, _, rank, logs = tilde.singular_values(INVERTIBLE_RTOL)
+    if np.any(rank != tilde.layout.rows):
+        raise NonInvertible("operator has a (numerical) kernel")
     return logs
 
 
@@ -245,16 +239,16 @@ def fk_det_path(
     and det|A| = |det A|); "auto" takes the segment when it is invertible
     and the polar path otherwise, with the same value.
     """
-    _check_operator(module, op)
+    tilde = _tilde_blocks(module, op)
     if path not in ("auto", "segment", "polar"):
         raise ValidationError(f"unknown path kind {path!r}")
-    groups = _tilde_blocks(module, op).nonempty()
-    _require_invertible(groups)
+    _require_invertible(tilde)
+    groups = tilde.nonempty()
     if path == "segment" and not _segment_is_safe(groups):
         raise PathLeavesGL("the segment from the identity meets the negative real ray")
-    logdets = {}
+    logdets = np.zeros(len(tilde.layout.rows))
     for idx, s in groups:
-        logdets.update(zip(idx, np.linalg.slogdet(s)[1]))
+        logdets[idx] = np.linalg.slogdet(s)[1]
     return DeterminantResult.from_log(_weighted_sum(module.algebra.weights, logdets), "path")
 
 
@@ -263,6 +257,5 @@ def fk_det(module: HilbertianModule, op: CommutantOperator) -> DeterminantResult
     sum_k w_k sum log s(A~_k) from the singular values that decide that A is
     invertible.  A* A, whose spectrum squares the condition number into the
     kernel cut, is not formed."""
-    _check_operator(module, op)
-    logs = _require_invertible(_tilde_blocks(module, op).nonempty())
+    logs = _require_invertible(_tilde_blocks(module, op))
     return DeterminantResult.from_log(_weighted_sum(module.algebra.weights, logs), "polar")

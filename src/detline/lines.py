@@ -8,6 +8,14 @@ transition operator of the pair.  All constructions below (pushforward,
 direct sums, exact sequences, graded assembly) reduce to determinants of
 explicit transition operators; positivity of every coordinate is enforced.
 
+Every map is measured in the coordinates where the grams are the identity,
+f~ = G_t^(1/2) f G_s^(-1/2) (modules.gram_coordinates), and every rank,
+norm and log|det| comes from one singular-value pass over its block stacks
+(_linalg.singular_values): pushforward accepts f when each block has full
+rank at INVERTIBLE_RTOL, as ModuleMorphism.is_iso does, and the exactness
+check cuts ranks at EXACTNESS_TOL times each block's largest singular
+value.
+
 Short exact sequences have one body, _sequence_coordinates, which takes a
 list: exact_sequence_iso runs it on a list of one, and the torsion route of
 complexes on all of a complex's 0 -> B -> Z -> H -> 0 sequences at once
@@ -35,6 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._linalg import INVERTIBLE_RTOL
 from .determinant import fk_det_spectral
 from .errors import (
     AlgebraMismatch,
@@ -44,12 +53,12 @@ from .errors import (
     ValidationError,
 )
 from .modules import (
-    COND_LIMIT,
     BlockStacks,
     CommutantOperator,
     HilbertianModule,
     ModuleMorphism,
     direct_sum,
+    gram_coordinates,
     resolve_gram,
 )
 
@@ -143,21 +152,6 @@ def element_from_extended_product(module: HilbertianModule, gram) -> DetLineElem
     return _product_element(module, op.stacked, "extended_product")
 
 
-def _gram(module: HilbertianModule):
-    """The module's reference gram data, None for the identity."""
-    g = module.reference_gram
-    return None if g.is_identity else g
-
-
-def _gram_coordinates(x: BlockStacks, source, target) -> BlockStacks:
-    """G_t^(1/2) X G_s^(-1/2): the map X in the coordinates where the grams
-    of its source and target are the identity; a gram given as None, the
-    identity, is skipped."""
-    if target is not None:
-        x = target.sqrt @ x
-    return x if source is None else x @ source.inv_sqrt
-
-
 def pushforward(f: ModuleMorphism, e: DetLineElement) -> DetLineElement:
     """Image of e under the canonical isomorphism det(M) -> det(N) of an
     A-linear isomorphism f: M -> N.
@@ -166,19 +160,18 @@ def pushforward(f: ModuleMorphism, e: DetLineElement) -> DetLineElement:
     N, whose transition against N's reference is G_N^{-1} f^{-H} G_M f^{-1};
     its determinant to the -1/2, Det|f~| for f~ = G_N^(1/2) f G_M^(-1/2),
     rescales the coordinate (Det_tau(f) for an automorphism with matching
-    references).  The singular values of f~, one call per block stack, give
-    it and decide that f is an isomorphism: square blocks, s_max <=
-    COND_LIMIT s_min.
+    references).  One singular-value pass over f~ gives it and decides
+    that f is an isomorphism as ModuleMorphism.is_iso does: square blocks,
+    each of full rank at INVERTIBLE_RTOL.
     """
     if not e.module.is_same_space(f.source):
         raise AlgebraMismatch("element does not live on the source of the morphism")
     layout = f.stacked.layout
-    if any(rows != cols for rows, cols in layout.shapes):
+    if layout.rows != layout.cols:
         raise NotIso("pushforward needs an isomorphism")
-    tilde = _gram_coordinates(f.stacked, _gram(f.source), _gram(f.target))
-    top, low, _, logs = _singular_values(tilde)
-    empty = np.array(layout.rows) == 0  # a 0 x 0 block is its own inverse
-    if not np.all(empty | ((low > 0.0) & (top <= COND_LIMIT * low))):
+    tilde = gram_coordinates(f.stacked, f.source, f.target)
+    _, _, rank, logs = tilde.singular_values(INVERTIBLE_RTOL)
+    if np.any(rank != layout.rows):
         raise NotIso("pushforward needs an isomorphism")
     log_det = float(np.asarray(f.target.algebra.weights) @ logs)  # log Det|f~|
     return DetLineElement(f.target, e.coefficient * _inv_sqrt(-2.0 * log_det), "pushforward")
@@ -204,34 +197,11 @@ def tensor_sum(
 
 
 class _Sequence(NamedTuple):
-    """0 -> M' -alpha-> M -beta-> M'' -> 0 by its block stacks.  grams
-    holds the reference grams of M', M and M'', None standing for the
-    identity; retraction is a given left inverse of alpha, which is only
-    validated, or None."""
+    """0 -> M' -alpha-> M -beta-> M'' -> 0 by its block stacks, in the
+    coordinates where the grams of M', M and M'' are the identity."""
 
     alpha: BlockStacks
     beta: BlockStacks
-    grams: tuple = (None, None, None)
-    retraction: BlockStacks | None = None
-
-
-def _singular_values(x: BlockStacks):
-    """Largest and smallest singular value, rank and sum of the log singular
-    values of each block, from one singular-value call per stack; 0 for a
-    block with no entries.  The rank counts the singular values above
-    EXACTNESS_TOL times the block's largest, a cut relative to the block
-    alone, so a map scaled by any positive factor keeps its rank.  A zero
-    singular value makes the log sum -inf without a warning: the callers
-    refuse such a block before they read it."""
-    n = len(x.layout.rows)
-    top, low, rank, logs = np.zeros(n), np.zeros(n), np.zeros(n, dtype=int), np.zeros(n)
-    for idx, s in x.nonempty():
-        sv = np.linalg.svd(s, compute_uv=False)
-        top[idx], low[idx] = sv[:, 0], sv[:, -1]
-        rank[idx] = np.sum(sv > EXACTNESS_TOL * sv[:, :1], axis=1)
-        with np.errstate(divide="ignore"):
-            logs[idx] = np.sum(np.log(sv), axis=1)
-    return top, low, rank, logs
 
 
 def _first_inexact(alpha: BlockStacks, beta: BlockStacks, spans):
@@ -268,8 +238,8 @@ def _first_inexact(alpha: BlockStacks, beta: BlockStacks, spans):
     cols = np.array(alpha.layout.cols)
     quot = np.array(beta.layout.rows)
     tol = EXACTNESS_TOL
-    top_a, low_a, rank_a, log_a = _singular_values(alpha)
-    top_b, low_b, rank_b, log_b = _singular_values(beta)
+    top_a, low_a, rank_a, log_a = alpha.singular_values(tol)
+    top_b, low_b, rank_b, log_b = beta.singular_values(tol)
     composite = np.zeros(len(rows))
     for idx, b, a in beta.pairs(alpha):
         if a.size and b.size:
@@ -317,15 +287,14 @@ def _sequence_coordinates(weights, sequences) -> list:
     one algebra (trace weights given), in order.
 
     This is the one body of exact_sequence_iso, run on all sequences
-    together.  Each pair is taken in the coordinates where its grams are the
+    together.  Each pair comes in the coordinates where its grams are the
     identity, alpha~ = G^(1/2) alpha G'^(-1/2) and beta~ = G''^(1/2) beta
-    G^(-1/2), a factor applied only where its gram is not the identity, and
-    the pairs are joined (BlockStacks.join): blocks of equal shape from
-    different sequences share one stack, and numpy runs a stack one matrix
-    at a time, so every block's numbers are those it gets alone.  Scales,
-    tolerances, weighted log sums and refusals stay per sequence: the
-    sequences before the first one that is not exact are measured, a given
-    retraction validated, and then its NotExact is raised.
+    G^(-1/2) (modules.gram_coordinates), and the pairs are joined
+    (BlockStacks.join): blocks of equal shape from different sequences
+    share one stack, and numpy runs a stack one matrix at a time, so every
+    block's numbers are those it gets alone.  Scales, tolerances, weighted
+    log sums and refusals stay per sequence: the sequences before the first
+    one that is not exact are measured, and then its NotExact is raised.
 
     T = <r v, r w>' + <b v, b w>'' for a retraction r of alpha is S^H S
     with S = [r~; beta~], and when beta alpha = 0
@@ -343,21 +312,15 @@ def _sequence_coordinates(weights, sequences) -> list:
     (s_min(alpha~) s_min(beta~)).
     """
     spans = np.cumsum([0] + [len(s.alpha.layout.rows) for s in sequences])
-    alpha = BlockStacks.join([_gram_coordinates(s.alpha, *s.grams[:2]) for s in sequences])
-    beta = BlockStacks.join([_gram_coordinates(s.beta, *s.grams[1:]) for s in sequences])
+    alpha = BlockStacks.join([s.alpha for s in sequences])
+    beta = BlockStacks.join([s.beta for s in sequences])
     inexact, log_a, log_b = _first_inexact(alpha, beta, spans)
     count = len(sequences) if inexact is None else inexact[0]
     # the log coordinate of each sequence measured, summed row by row as for
     # a list of one; its blocks passed every check, so the logs are finite
     at = spans[count]
     logs = np.sum(np.reshape(log_a[:at] - log_b[:at], (count, len(weights))) * weights, axis=1)
-    out = []
-    for s, log_coordinate in zip(sequences, logs.tolist()):
-        if s.retraction is not None:
-            resid = s.retraction @ s.alpha - BlockStacks.identity(s.alpha.layout.cols)
-            if resid.norm() > EXACTNESS_TOL * max(1.0, s.retraction.norm() * s.alpha.norm()):
-                raise ValidationError("retraction does not split the first map")
-        out.append(_positive(_inv_sqrt(-2.0 * log_coordinate)))
+    out = [_positive(_inv_sqrt(-2.0 * log_coordinate)) for log_coordinate in logs.tolist()]
     if inexact is not None:
         raise inexact[1]
     return out
@@ -378,9 +341,10 @@ def exact_sequence_iso(
     result does not depend on the retraction: two retractions differ by
     gamma∘beta, an upper-triangular change with unit determinant, and the
     element is Det(b~ b~*)^(-1/2) Det(a~* a~)^(1/2) with every gram made the
-    identity, so a given retraction is only validated.  The exactness check
-    and the measurement are those of _sequence_coordinates on a list of
-    one; the endpoints are checked first.
+    identity, so a given retraction is only validated, once the sequence
+    is found exact.  The exactness check and the measurement are those of
+    _sequence_coordinates on a list of one; the endpoints are checked
+    first.
     """
     m = alpha.target
     if not beta.source.is_same_space(m):
@@ -394,11 +358,13 @@ def exact_sequence_iso(
     ):
         raise AlgebraMismatch("retraction endpoints do not match the sequence")
 
-    grams = (_gram(alpha.source), _gram(m), _gram(beta.target))
-    sequence = _Sequence(
-        alpha.stacked, beta.stacked, grams, None if retraction is None else retraction.stacked
-    )
+    a, b = alpha.stacked, beta.stacked
+    sequence = _Sequence(gram_coordinates(a, alpha.source, m), gram_coordinates(b, m, beta.target))
     (coeff,) = _sequence_coordinates(m.algebra.weights, [sequence])
+    if retraction is not None:
+        resid = retraction.stacked @ a - BlockStacks.identity(a.layout.cols)
+        if resid.norm() > EXACTNESS_TOL * max(1.0, retraction.norm() * alpha.norm()):
+            raise ValidationError("retraction does not split the first map")
     return DetLineElement(m, coeff * e_prime.coefficient * e_second.coefficient, "exact_sequence")
 
 

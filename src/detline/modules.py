@@ -53,7 +53,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import RANK_RTOL, as_complex_matrix, is_hermitian, key_groups, orthonormal_range
+from ._linalg import (
+    INVERTIBLE_RTOL,
+    RANK_RTOL,
+    as_complex_matrix,
+    is_hermitian,
+    key_groups,
+    orthonormal_range,
+    singular_values,
+)
 from .algebra import AlgebraElement, FiniteVonNeumannAlgebra, GroupAlgebraDecomposition
 from .errors import (
     AlgebraMismatch,
@@ -65,7 +73,7 @@ from .errors import (
 )
 
 COMMUTANT_TOL = 1e-10
-COND_LIMIT = 1e12
+COND_LIMIT = 1e12  # largest condition number of an admissible gram (check_admissible)
 POSITIVITY_FLOOR = 1e-10
 SAME_SPACE_TOL = 1e-12
 LAYOUT_CACHE = 4096  # layouts, groupings and product plans kept per process
@@ -293,13 +301,6 @@ def _place(layout: _Layout, pieces) -> tuple:
     return tuple(stacks)
 
 
-def _block_range(idx, start: int, stop: int) -> slice:
-    """Where the blocks start to stop - 1 sit in a group's ascending block
-    indices idx."""
-    lo, hi = np.searchsorted(idx, (start, stop))
-    return slice(int(lo), int(hi))
-
-
 class BlockStacks:
     """The blocks of an A-linear map stored by shape: stacks[g], of shape
     (count, rows, cols), holds the blocks layout.index[g].  Stacks are not
@@ -353,18 +354,6 @@ class BlockStacks:
             pieces += [(idx + at, s) for idx, s in zip(p.layout.index, p.stacks)]
             at += len(p.layout.rows)
         return BlockStacks.from_pieces(rows, cols, pieces)
-
-    def part(self, start: int, stop: int) -> "BlockStacks":
-        """Blocks start to stop - 1 as their own BlockStacks, the inverse of
-        join; the stacks are views into these, since a group holds its
-        blocks in ascending order."""
-        layout = self.layout
-        pieces = []
-        for idx, s in zip(layout.index, self.stacks):
-            at = _block_range(idx, start, stop)
-            if at.stop > at.start:
-                pieces.append((idx[at] - start, s[at]))
-        return BlockStacks.from_pieces(layout.rows[start:stop], layout.cols[start:stop], pieces)
 
     @staticmethod
     def zeros(rows: tuple, cols: tuple) -> "BlockStacks":
@@ -427,11 +416,15 @@ class BlockStacks:
     def __sub__(self, other: "BlockStacks") -> "BlockStacks":
         return BlockStacks(self.layout, tuple([a - b for a, b in zip(self.stacks, other.stacks)]))
 
+    def singular_values(self, rtol: float = RANK_RTOL, scale: float | None = None):
+        """(top, low, rank, logs) of each block: _linalg.singular_values on
+        the stored stacks."""
+        return singular_values(self.nonempty(), len(self.layout.rows), rtol, scale)
+
     def norm(self) -> float:
         """Largest spectral norm of a block, from one singular-value call per
         stack."""
-        tops = [np.linalg.svd(s, compute_uv=False)[:, 0].max() for _, s in self.nonempty()]
-        return float(max(tops, default=0.0))
+        return float(np.max(self.singular_values()[0], initial=0.0))
 
 
 class _GramData:
@@ -533,6 +526,17 @@ class _GramData:
     @property
     def inv(self) -> BlockStacks:
         return self._power_stacks()[2]
+
+
+def gram_coordinates(x: BlockStacks, source: HilbertianModule, target: HilbertianModule):
+    """G_t^(1/2) X G_s^(-1/2): the blocks X of a map source -> target in the
+    coordinates where the reference grams G_s and G_t of its source and
+    target are the identity, a factor applied only where its gram is not
+    the identity."""
+    gs, gt = source.reference_gram, target.reference_gram
+    if not gt.is_identity:
+        x = gt.sqrt @ x
+    return x if gs.is_identity else x @ gs.inv_sqrt
 
 
 def resolve_gram(module: HilbertianModule, gram) -> _GramData:
@@ -688,9 +692,11 @@ class ModuleMorphism:
         return _morphism(self.target, self.source, gt.right_times(gs.inv_times(self.stacked.H)))
 
     def is_iso(self) -> bool:
-        if any(rows != cols for rows, cols in self.stacked.layout.shapes):
+        """Square blocks, each of full rank at INVERTIBLE_RTOL."""
+        layout = self.stacked.layout
+        if layout.rows != layout.cols:
             return False
-        return not any(np.any(np.linalg.cond(s) > COND_LIMIT) for _, s in self.stacked.nonempty())
+        return bool(np.all(self.stacked.singular_values(INVERTIBLE_RTOL)[2] == layout.rows))
 
     def inverse(self) -> "ModuleMorphism":
         if not self.is_iso():
@@ -1038,30 +1044,27 @@ def _frames(rows, parts, start, width) -> BlockStacks:
     return BlockStacks.from_pieces(rows, width.tolist(), pieces)
 
 
-def range_and_kernel(f: BlockStacks) -> tuple[BlockStacks, BlockStacks, np.ndarray]:
+def range_and_kernel(f: BlockStacks, scale: float) -> tuple[BlockStacks, BlockStacks, np.ndarray]:
     """Orthonormal bases (columns) of the column span and of the kernel of
     each block, and each block's sum of log singular values over its rank.
 
-    One singular-value call per stack decides the ranks: a block's rank
-    counts its singular values above RANK_RTOL times max(1, the largest).
-    A square block of full rank spans its whole target and has no kernel,
+    One singular-value pass (BlockStacks.singular_values) decides the
+    ranks: a block's rank counts its singular values above RANK_RTOL times
+    scale, one scale for every block, so a block that is zero up to the
+    rounding of larger ones has rank 0 where a cut relative to the block
+    would count that rounding.  A square block of full rank spans its whole target and has no kernel,
     so its frames are the identity and an empty frame, read off without
     singular vectors.  Only the other blocks take a full SVD, one call per
     stack over those blocks: the leading left and the trailing right
     singular vectors, split at the rank.  A block with no entries spans
     nothing, and its whole source is its kernel."""
     cols = np.array(f.layout.cols)
-    rank, logs = np.zeros(len(cols), dtype=int), np.zeros(len(cols))
+    _, _, rank, logs = f.singular_values(RANK_RTOL, scale)
     lefts, rights = [], []
     for idx, s in zip(f.layout.index, f.stacks):
         r, c = s.shape[1:]
-        vectors = np.zeros(len(idx), dtype=bool)
-        if s.size:
-            sv = np.linalg.svd(s, compute_uv=False)
-            kept = sv > RANK_RTOL * np.maximum(1.0, sv[:, :1])
-            rank[idx] = np.sum(kept, axis=1)
-            logs[idx] = np.sum(np.log(np.where(kept, sv, 1.0)), axis=1)
-            vectors = rank[idx] < max(r, c)  # all but the square blocks of full rank
+        # all but the blocks with no entries and the square blocks of full rank
+        vectors = (rank[idx] < max(r, c)) & (s.size > 0)
         if not vectors.all():
             keep, n = idx[~vectors], int(np.sum(~vectors))
             lefts.append((keep, np.broadcast_to(np.eye(r, dtype=complex), (n, r, r))))
@@ -1078,10 +1081,12 @@ def range_and_kernel(f: BlockStacks) -> tuple[BlockStacks, BlockStacks, np.ndarr
 
 
 def kernel_submodule(f: ModuleMorphism):
-    """Kernel of an A-linear map as a submodule of its source."""
-    return frame_submodule(f.source, range_and_kernel(f.stacked)[1])
+    """Kernel of an A-linear map as a submodule of its source; ranks cut
+    against the map's largest singular value."""
+    return frame_submodule(f.source, range_and_kernel(f.stacked, f.norm())[1])
 
 
 def image_submodule(f: ModuleMorphism):
-    """Closed image of an A-linear map as a submodule of its target."""
-    return frame_submodule(f.target, range_and_kernel(f.stacked)[0])
+    """Closed image of an A-linear map as a submodule of its target; ranks
+    cut against the map's largest singular value."""
+    return frame_submodule(f.target, range_and_kernel(f.stacked, f.norm())[0])

@@ -153,6 +153,17 @@ def test_torsion_stays_the_function_once_its_module_loads(first):
     assert _python(code) == "function True function"
 
 
+def test_symbols_and_determinant_load_no_modules_or_algebra():
+    # determinant reaches modules only inside _tilde_blocks, so the torus
+    # backend and every CLI process that needs no modules skip their import
+    code = (
+        "import sys, detline.symbols, detline.determinant\n"
+        "print(sorted(m for m in sys.modules if m.startswith('detline.')))"
+    )
+    loaded = _python(code)
+    assert "detline.modules" not in loaded and "detline.algebra" not in loaded
+
+
 def test_bare_import_loads_no_submodule_and_no_numpy():
     code = (
         "import sys, detline\n"

@@ -249,10 +249,10 @@ def _check_route_factors_each_map_block_once(monkeypatch, c):
         calls.append((inside[0], kwargs.get("compute_uv", True), a))
         return svd(a, *args, **kwargs)
 
-    def counted_frames(f):
+    def counted_frames(f, scale):
         inside[0] = True
         try:
-            return frames(f)
+            return frames(f, scale)
         finally:
             inside[0] = False
 
@@ -501,6 +501,19 @@ def test_batched_route_refuses_as_the_blockwise_route():
             route(c, data)
         refusals.append(str(err.value))
     assert refusals == ["composite is nonzero in block 0"] * 2
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-9, 1e-11, 1e-13])
+def test_routes_agree_on_a_small_invertible_map(eps):
+    # C^2 -(eps I)-> C^2 is acyclic at every eps; the route cuts ranks
+    # against the complex's largest singular value, eps here, so an eps
+    # below 1e-10 is not read as a kernel
+    mod = HilbertianModule(SCALAR, (2,))
+    c = HilbertianChainComplex([mod, mod], [CommutantOperator(mod, [eps * np.eye(2)])])
+    data = hodge(c)
+    assert data.betti == (0.0, 0.0)
+    for route in (torsion_iso_via_laplacians, torsion_iso_via_exact_sequences):
+        assert abs(np.log(route(c, data).coordinate) + 2.0 * np.log(eps)) <= 1e-12
 
 
 def _counting(monkeypatch, name):

@@ -8,7 +8,7 @@ under test never compute that formula directly.
 import numpy as np
 import pytest
 
-from detline._linalg import random_complex
+from detline._linalg import INVERTIBLE_RTOL, random_complex
 from detline.algebra import FiniteGroupTable, build_group_algebra, FiniteVonNeumannAlgebra
 from detline.determinant import (
     SELF_ADJOINT_TOL,
@@ -23,12 +23,13 @@ from detline.errors import (
     NegativeSpectrum,
     NonInvertible,
     NotExact,
+    NotIso,
     NotSelfAdjoint,
     PathLeavesGL,
     ValidationError,
 )
 from detline import lines
-from detline.lines import exact_sequence_iso, reference_element
+from detline.lines import exact_sequence_iso, pushforward, reference_element
 from detline.modules import (
     COND_LIMIT,
     CommutantOperator,
@@ -430,6 +431,27 @@ def test_batched_routes_agree_with_a_per_block_loop(name):
             bad[k] = np.zeros((1, 1))
         assert not all(np.linalg.cond(b) <= COND_LIMIT for b in bad)
         assert not CommutantOperator(module, bad).is_iso()
+
+
+@pytest.mark.parametrize("x", [1e-11, 2e-12, 5e-13, 1e-13])
+def test_every_invertibility_test_decides_alike(x):
+    # is_iso, inverse, pushforward and the polar and path routes read one
+    # singular-value pass: full rank at INVERTIBLE_RTOL
+    mod = HilbertianModule(ALGEBRAS["C"], (2,))
+    op = CommutantOperator(mod, [np.diag([1.0, x])])
+    verdicts = [op.is_iso()]
+    for call, refusal in (
+        (op.inverse, NotIso),
+        (lambda: pushforward(op, reference_element(mod)), NotIso),
+        (lambda: fk_det(mod, op), NonInvertible),
+        (lambda: fk_det_path(mod, op), NonInvertible),
+    ):
+        try:
+            call()
+            verdicts.append(True)
+        except refusal:
+            verdicts.append(False)
+    assert verdicts == [x > INVERTIBLE_RTOL] * 5
 
 
 def _counting(monkeypatch, name):
