@@ -25,7 +25,9 @@ from .errors import NegativeSpectrum, ShapeMismatch, ValidationError
 
 HERMITIAN_TOL = 1e-10  # relative residual of is_hermitian
 DEFINITE_TOL = 1e-10  # relative eigenvalue floor of inv_sqrt_pd
-RANK_RTOL = 1e-10  # relative singular-value cut of modules.range_and_kernel and orthonormal_range
+# singular-value cut: relative to the largest in orthonormal_range, times a
+# given scale in modules.range_and_kernel
+RANK_RTOL = 1e-10
 INVERTIBLE_RTOL = 1e-12  # smallest singular value of an invertible block, relative to its largest
 
 

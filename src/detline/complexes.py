@@ -14,14 +14,13 @@ is a test: the Laplacian route diagonalises each Delta (eigh), the
 exact-sequence route takes the singular values of each map.  That route
 takes one singular-value call per block shape of each map, in the
 coordinates where the grams are the identity, and singular vectors only for
-the blocks that are not square and invertible.  The values measure
-0 -> Z -> C -> B -> 0 by theorem, with no check; the sequences
-0 -> B -> Z -> H -> 0, which pair these frames with Hodge's harmonic
-frames, go to one call of the exact-sequence core in lines, which checks
-and measures them together, one LAPACK call per block shape.  Its
-exactness check bounds the image/kernel gap from singular values and takes
-singular vectors only where the bound cannot settle a block, so its
-verdicts are those of the exact gap.
+the blocks that are not square and invertible.  In those coordinates every
+frame is orthonormal, so both sequences are measured by theorem, with no
+exact-sequence core call: 0 -> Z -> C -> B -> 0 by the map's singular
+values above its rank, and 0 -> B -> Z -> H -> 0, an isometric inclusion
+followed by an orthogonal projection, has transition 1.  What the route
+checks is that Hodge's harmonic frames complete its boundary frames to its
+cycle frames, from products only as many rows high as the Betti count.
 """
 
 from __future__ import annotations
@@ -32,14 +31,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .determinant import ConvergenceReport, SpectralDensity, _tilde_blocks
-from .errors import IllConditionedKernel, ValidationError
+from .errors import IllConditionedKernel, NotExact, ValidationError
 from .lines import (
+    EXACTNESS_TOL,
     DetLineElement,
     GradedDetLineElement,
-    _Sequence,
     _inv_sqrt,
     _positive,
-    _sequence_coordinates,
     graded_assemble,
 )
 from .modules import (
@@ -218,7 +216,8 @@ def hodge(complex_, kernel_tol: float = HODGE_KERNEL_TOL) -> HodgeData:
     (the largest |eigenvalue| of the Hermitian blocks); if the smallest
     positive eigenvalue sits within HODGE_GAP_RATIO of the largest "zero" one, the
     kernel dimension is numerically ambiguous and the decomposition refuses.
-    A kernel_tol outside (0, 1), nan included, is a ValidationError.
+    A kernel_tol outside (0, 1), nan included, is a ValidationError, and so
+    is a Laplacian with an entry past the float range.
 
     The work is per block shape: one eigh call per stored stack of the
     Laplacian, and the cut, the gap and the kernel counts are array
@@ -236,11 +235,14 @@ def hodge(complex_, kernel_tol: float = HODGE_KERNEL_TOL) -> HodgeData:
     betti = []
     for i in complex_.degrees:
         mod = complex_.modules[i]
-        delta = _laplacian(complex_, i)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
+            delta = _laplacian(complex_, i)
+            tilde = _tilde_blocks(mod, delta)
+        if not all(np.isfinite(s).all() for s in tilde.stacks):
+            raise ValidationError(f"degree {i}: the Laplacian is past the float range")
         laplacians.append(delta)
 
         g = mod.reference_gram
-        tilde = _tilde_blocks(mod, delta)
         eighs = [
             (idx, *np.linalg.eigh(0.5 * (s + s.conj().swapaxes(1, 2))))
             for idx, s in zip(tilde.layout.index, tilde.stacks)
@@ -360,17 +362,19 @@ def torsion_iso_via_exact_sequences(complex_, hodge_data: HodgeData | None = Non
     outgoing map has the identity as its cycle frame, and one with no
     incoming map bounds nothing.
 
-    The Z sequence is measured by theorem: alpha = V_0 is an isometry and
-    beta = U_r^H d~ has the singular values of d~ above its rank, with
-    beta alpha = 0, so kappa_i = exp(-sum_k w_k sum_{j < r_k} log s_j(d~_k)).
-    The B sequences pair these frames with Hodge's harmonic frames,
-    alpha = Z^H B and beta = H~^H Z with H~ = G^(1/2) H; that pairing is
-    what compares the SVD with the Laplacian decomposition, so those
-    sequences, in degree order, go to one call of the exact-sequence core
-    (lines._sequence_coordinates), which checks and measures them with one
-    LAPACK call per block shape over the whole list.  Both factors reuse
-    one orthonormal frame per boundary subspace, so the det(B) lines pair
-    to exactly 1 and the per-degree coefficient is 1/(kappa_i kappa'_i)."""
+    Both sequences are measured by theorem (d* d and d d* share their
+    positive spectrum; Lück, L2-Invariants, Lemma 3.30).  The Z sequence:
+    alpha = V_0 is an isometry and beta = U_r^H d~ has the singular values
+    of d~ above its rank, with beta alpha = 0, so kappa_i = exp(-sum_k w_k
+    sum_{j < r_k} log s_j(d~_k)).  The B sequence: B lies in Z because
+    d_out d_in = 0, and with H~ = G^(1/2) H, Hodge's harmonic frame in the
+    same coordinates, B~ -> Z~ is an isometry and Z~ -> H~ the orthogonal
+    projection, so its transition is P_B + P_H = 1 on Z and kappa'_i = 1.
+    Both factors reuse one orthonormal frame per boundary subspace, so the
+    det(B) lines pair to exactly 1 and the per-degree coefficient is
+    1/kappa_i.  What is checked, degree by degree, is that the SVD frames
+    and Hodge's agree (_check_homology).
+    """
     if hodge_data is None:
         hodge_data = hodge(complex_)
 
@@ -393,19 +397,52 @@ def torsion_iso_via_exact_sequences(complex_, hodge_data: HodgeData | None = Non
         if kernels[i] is None:
             kernels[i] = BlockStacks.identity(mult)
 
-    sequences = []
-    for i in complex_.degrees:  # 0 -> B_i -> Z_i -> H_i -> 0
-        h = hodge_data.harmonic_embeddings[i]
-        harmonic = gram_coordinates(h.stacked, h.source, h.target)
-        sequences.append(_Sequence(kernels[i].H @ ranges[i], harmonic.H @ kernels[i]))
-    kappas = _sequence_coordinates(weights, sequences)
-
+    for i, h in enumerate(hodge_data.harmonic_embeddings):
+        _check_homology(gram_coordinates(h.stacked, h.source, h.target).H, kernels[i], ranges[i])
     entries = []
-    for i, kappa_prime in zip(complex_.degrees, kappas):
-        kappa = _positive(_inv_sqrt(2.0 * log_kappas[i]))
-        coeff = 1.0 / (kappa * kappa_prime)
-        entries.append((i, DetLineElement(hodge_data.harmonic_modules[i], coeff, "torsion_iso")))
+    for i, (h_mod, log_kappa) in enumerate(zip(hodge_data.harmonic_modules, log_kappas)):
+        kappa = _positive(_inv_sqrt(2.0 * log_kappa))
+        entries.append((i, DetLineElement(h_mod, 1.0 / kappa, "torsion_iso")))
     return graded_assemble(entries)
+
+
+def _frobenius(x: BlockStacks) -> np.ndarray:
+    """The Frobenius norm of each block."""
+    out = np.zeros(len(x.layout.rows))
+    for idx, s in x.nonempty():
+        out[idx] = np.linalg.norm(s, axis=(1, 2))
+    return out
+
+
+def _check_homology(harmonic_h: BlockStacks, cycles: BlockStacks, bounds: BlockStacks):
+    """NotExact unless 0 -> B -> Z -> H -> 0 is exact in every block, for
+    orthonormal frames: harmonic_h = H~^H, cycles = Z~ and bounds = B~.
+
+    beta = H~^H Z~ must be a co-isometry, ||beta beta^H - 1||_F <=
+    EXACTNESS_TOL (H lies in Z), H~^H B~ must vanish to the same tolerance
+    (H is orthogonal to B), and cols(Z) = cols(B) + h with h = rows(H~^H),
+    the Betti count: then Z = B + H.  Every product is h rows high, so a
+    block without homology takes only the count.  The first failing block
+    is reported with its first failing check.
+    """
+    tol = EXACTNESS_TOL
+    beta = harmonic_h @ cycles
+    h = beta.layout.rows
+    checks = [
+        (
+            ~(_frobenius(beta @ beta.H - BlockStacks.identity(h)) <= tol),
+            "second map fails to be surjective in block {k}",
+        ),
+        (~(_frobenius(harmonic_h @ bounds) <= tol), "composite is nonzero in block {k}"),
+        (
+            np.array(cycles.layout.cols) != np.array(bounds.layout.cols) + np.array(h),
+            "rank mismatch in block {k}: middle homology is nonzero",
+        ),
+    ]
+    failed = np.logical_or.reduce([fails for fails, _ in checks])
+    if failed.any():
+        k = int(np.argmax(failed))
+        raise NotExact(next(message for fails, message in checks if fails[k]).format(k=k))
 
 
 # -- zeta ------------------------------------------------------------------

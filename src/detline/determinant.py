@@ -1,6 +1,7 @@
 """Fuglede-Kadison determinants of commutant operators.
 
-Two independent routes are kept deliberately separate and never collapsed:
+Three independent routes are kept deliberately separate and never
+collapsed:
 
 * spectral: for positive operators, integrate log(lambda) against the
   spectral density (a finite weighted sum here);
@@ -11,10 +12,11 @@ Two independent routes are kept deliberately separate and never collapsed:
   the value does not depend on the path and is taken from one
   log-determinant (an LU factorisation) per block.  Which paths exist is
   decided by the spectrum: the straight segment (1-t) 1 + t A stays
-  invertible iff no eigenvalue lies on the closed negative real ray.
+  invertible iff no eigenvalue lies on the closed negative real ray;
+* polar: for a general invertible operator, Det|A| = Det(A* A)^(1/2) from
+  the singular values of each block.
 
-A general invertible operator gets the polar route: Det|A| = Det(A* A)^(1/2)
-from the singular values of each block.  Self-adjointness, positivity and
+Self-adjointness, positivity and
 adjoints are taken against the module's reference gram; to measure against
 another admissible gram, build the operator on module.with_reference_gram(gram).
 Every route reads the blocks A~ = G^(1/2) A G^(-1/2) of modules.gram_coordinates.

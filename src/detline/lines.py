@@ -16,30 +16,24 @@ rank at INVERTIBLE_RTOL, as ModuleMorphism.is_iso does, and the exactness
 check cuts ranks at EXACTNESS_TOL times each block's largest singular
 value.
 
-Short exact sequences have one body, _sequence_coordinates, which takes a
-list: exact_sequence_iso runs it on a list of one, and the torsion route of
-complexes on all of a complex's 0 -> B -> Z -> H -> 0 sequences at once
-(it measures its 0 -> Z -> C -> B -> 0 sequences from each map's own
-singular values, exact by construction).  The blocks of the list
-are joined, so each singular-value call covers one block shape across every
-sequence, while scales, tolerances, log sums and refusals stay per
-sequence.  The exactness check and the measurement share one set of
-singular values: for an exact pair in the coordinates where the grams are
-the identity, Det T = Det(beta beta*) / Det(alpha* alpha), a product of
-singular values.  The check decides the gap between im(alpha) and
-ker(beta) from values it has anyway: where the ranks pass,
-||P_im(alpha) - P_ker(beta)||_F <= sqrt(2) ||beta alpha||_F /
-(s_min(alpha) s_min(beta)), and a block whose bound is at most half the
-tolerance passes, as its exact gap (at most that bound, plus rounding)
-would; every other block takes singular vectors and the exact gap, so
-every verdict is the one the exact gap gives.
+A short exact sequence is checked and measured by exact_sequence_iso
+from one set of singular values (_first_inexact takes them): for an exact
+pair in the coordinates where the grams are the identity, Det T =
+Det(beta beta*) / Det(alpha* alpha), a product of singular values.  The
+check decides the gap between im(alpha) and ker(beta) from values it has
+anyway: where the ranks pass, ||P_im(alpha) - P_ker(beta)||_F <= sqrt(2)
+||beta alpha||_F / (s_min(alpha) s_min(beta)), and a block whose bound is
+at most half the tolerance passes, as its exact gap (at most that bound,
+plus rounding) would; every other block takes singular vectors and the
+exact gap, so every verdict is the one the exact gap gives.  The torsion
+route of complexes needs no call here: in its coordinates both of its
+sequences are measured by theorem.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -196,28 +190,16 @@ def tensor_sum(
     return DetLineElement(summed, e_m.coefficient * e_n.coefficient, "tensor_sum")
 
 
-class _Sequence(NamedTuple):
-    """0 -> M' -alpha-> M -beta-> M'' -> 0 by its block stacks, in the
-    coordinates where the grams of M', M and M'' are the identity."""
+def _first_inexact(alpha: BlockStacks, beta: BlockStacks):
+    """(log_alpha, log_beta), each block's sum of log singular values, of a
+    pair that is exact: alpha injective, beta surjective, im(alpha) =
+    ker(beta) blockwise.  Otherwise NotExact.
 
-    alpha: BlockStacks
-    beta: BlockStacks
-
-
-def _first_inexact(alpha: BlockStacks, beta: BlockStacks, spans):
-    """(first, log_alpha, log_beta): first is (s, NotExact) for the first
-    sequence s whose pair is not exact, or None: alpha injective, beta
-    surjective, im(alpha) = ker(beta) blockwise.  log_alpha and log_beta
-    hold each block's sum of log singular values, finite in every block
-    before the first failing one.
-
-    alpha and beta are joined, and sequence s holds blocks spans[s] to
-    spans[s + 1] - 1.  Each stack takes one singular-value call for the
-    ranks and the norms; a rank is cut relative to its block's largest
-    singular value, and the composite test keeps a scale per sequence,
-    max(1, ||alpha|| ||beta||); the composite and the gap are Frobenius
-    norms.  A gap exists only where 0 < cols(alpha) < rows(alpha) =
-    cols(alpha) + rows(beta): elsewhere the checks before the
+    Each stack takes one singular-value call for the ranks and the norms; a
+    rank is cut relative to its block's largest singular value, and the
+    composite test is against max(1, ||alpha|| ||beta||); the composite and
+    the gap are Frobenius norms.  A gap exists only where 0 < cols(alpha) <
+    rows(alpha) = cols(alpha) + rows(beta): elsewhere the checks before the
     gap test fix the verdict (alpha with no columns has no image to compare,
     a square injective alpha leaves beta no rows, so both subspaces are the
     block, and dimensions that do not add up fail the rank test).  Where
@@ -262,68 +244,20 @@ def _first_inexact(alpha: BlockStacks, beta: BlockStacks, spans):
                 axis=(1, 2),
             )
 
-    starts = spans[:-1]
-    scale = np.maximum(
-        np.maximum.reduceat(top_a, starts) * np.maximum.reduceat(top_b, starts), 1.0
-    )
+    scale = np.maximum(np.max(top_a) * np.max(top_b), 1.0)
     checks = [
         (rank_a < cols, "first map fails to be injective in block {k}"),
         (rank_b < quot, "second map fails to be surjective in block {k}"),
-        (composite > tol * np.repeat(scale, np.diff(spans)), "composite is nonzero in block {k}"),
+        (composite > tol * scale, "composite is nonzero in block {k}"),
         (cols + quot != rows, "rank mismatch in block {k}: middle homology is nonzero"),
         (gap > tol, "image and kernel subspaces differ in block {k} (gap {gap:.2e})"),
     ]
     failed = np.logical_or.reduce([fails for fails, _ in checks])
-    if not failed.any():
-        return None, log_a, log_b
-    j = int(np.argmax(failed))
-    s = int(np.searchsorted(spans, j, side="right")) - 1
-    message = next(message for fails, message in checks if fails[j])
-    return (s, NotExact(message.format(k=j - spans[s], gap=gap[j]))), log_a, log_b
-
-
-def _sequence_coordinates(weights, sequences) -> list:
-    """Det(T)^(-1/2) for the transition T of each short exact sequence over
-    one algebra (trace weights given), in order.
-
-    This is the one body of exact_sequence_iso, run on all sequences
-    together.  Each pair comes in the coordinates where its grams are the
-    identity, alpha~ = G^(1/2) alpha G'^(-1/2) and beta~ = G''^(1/2) beta
-    G^(-1/2) (modules.gram_coordinates), and the pairs are joined
-    (BlockStacks.join): blocks of equal shape from different sequences
-    share one stack, and numpy runs a stack one matrix at a time, so every
-    block's numbers are those it gets alone.  Scales, tolerances, weighted
-    log sums and refusals stay per sequence: the sequences before the first
-    one that is not exact are measured, and then its NotExact is raised.
-
-    T = <r v, r w>' + <b v, b w>'' for a retraction r of alpha is S^H S
-    with S = [r~; beta~], and when beta alpha = 0
-
-        [r~; beta~] [alpha~, beta~^H] = [[1, r~ beta~^H], [0, beta~ beta~^H]],
-        [alpha~, beta~^H]^H [alpha~, beta~^H] = diag(alpha~^H alpha~, beta~ beta~^H),
-
-    so Det T = Det(beta~ beta~^H) / Det(alpha~^H alpha~) whichever the
-    retraction: the coordinate is exp(sum_k w_k (sum log s(alpha~_k) -
-    sum log s(beta~_k))), from the singular values the exactness check
-    takes.  With E = beta~ alpha~ the same products give, for the
-    orthogonal retraction, Det T = Det(beta~ beta~^H - E (alpha~^H
-    alpha~)^{-1} E^H) / Det(alpha~^H alpha~), so a composite that passes
-    the check moves the coordinate at second order in ||E|| /
-    (s_min(alpha~) s_min(beta~)).
-    """
-    spans = np.cumsum([0] + [len(s.alpha.layout.rows) for s in sequences])
-    alpha = BlockStacks.join([s.alpha for s in sequences])
-    beta = BlockStacks.join([s.beta for s in sequences])
-    inexact, log_a, log_b = _first_inexact(alpha, beta, spans)
-    count = len(sequences) if inexact is None else inexact[0]
-    # the log coordinate of each sequence measured, summed row by row as for
-    # a list of one; its blocks passed every check, so the logs are finite
-    at = spans[count]
-    logs = np.sum(np.reshape(log_a[:at] - log_b[:at], (count, len(weights))) * weights, axis=1)
-    out = [_positive(_inv_sqrt(-2.0 * log_coordinate)) for log_coordinate in logs.tolist()]
-    if inexact is not None:
-        raise inexact[1]
-    return out
+    if failed.any():
+        k = int(np.argmax(failed))
+        message = next(message for fails, message in checks if fails[k])
+        raise NotExact(message.format(k=k, gap=gap[k]))
+    return log_a, log_b
 
 
 def exact_sequence_iso(
@@ -342,9 +276,23 @@ def exact_sequence_iso(
     gamma∘beta, an upper-triangular change with unit determinant, and the
     element is Det(b~ b~*)^(-1/2) Det(a~* a~)^(1/2) with every gram made the
     identity, so a given retraction is only validated, once the sequence
-    is found exact.  The exactness check and the measurement are those of
-    _sequence_coordinates on a list of one; the endpoints are checked
-    first.
+    is found exact.  The endpoints are checked first.
+
+    The pair is taken in the coordinates where its grams are the identity,
+    a~ = G^(1/2) a G'^(-1/2) and b~ = G''^(1/2) b G^(-1/2)
+    (modules.gram_coordinates), and _first_inexact's singular values both
+    check and measure it.  T = <r v, r w>' + <b v, b w>'' is S^H S with
+    S = [r~; b~], and when b a = 0
+
+        [r~; b~] [a~, b~^H] = [[1, r~ b~^H], [0, b~ b~^H]],
+        [a~, b~^H]^H [a~, b~^H] = diag(a~^H a~, b~ b~^H),
+
+    so Det T = Det(b~ b~^H) / Det(a~^H a~) whichever the retraction: the
+    coordinate is exp(sum_k w_k (sum log s(a~_k) - sum log s(b~_k))).  With
+    E = b~ a~ the same products give, for the orthogonal retraction, Det T
+    = Det(b~ b~^H - E (a~^H a~)^{-1} E^H) / Det(a~^H a~), so a composite
+    that passes the check moves the coordinate at second order in ||E|| /
+    (s_min(a~) s_min(b~)).
     """
     m = alpha.target
     if not beta.source.is_same_space(m):
@@ -359,8 +307,10 @@ def exact_sequence_iso(
         raise AlgebraMismatch("retraction endpoints do not match the sequence")
 
     a, b = alpha.stacked, beta.stacked
-    sequence = _Sequence(gram_coordinates(a, alpha.source, m), gram_coordinates(b, m, beta.target))
-    (coeff,) = _sequence_coordinates(m.algebra.weights, [sequence])
+    log_a, log_b = _first_inexact(
+        gram_coordinates(a, alpha.source, m), gram_coordinates(b, m, beta.target)
+    )
+    coeff = _positive(_inv_sqrt(-2.0 * float(np.sum((log_a - log_b) * m.algebra.weights))))
     if retraction is not None:
         resid = retraction.stacked @ a - BlockStacks.identity(a.layout.cols)
         if resid.norm() > EXACTNESS_TOL * max(1.0, retraction.norm() * alpha.norm()):

@@ -102,6 +102,7 @@ class HilbertianModule:
             if np.linalg.norm(u.conj().T @ u - np.eye(self.carrier_dim)) > 1e-8:
                 raise ValidationError("basis map must be unitary")
             self._basis_map = u
+        self._key = None if basis_map is None else id(self._basis_map)
 
         if reference_gram is None:
             self.reference_gram = _GramData(self)
@@ -115,6 +116,7 @@ class HilbertianModule:
         out._set_layout(algebra, multiplicities)
         out._summands = tuple(summands)
         out._basis_map = None
+        out._key = tuple((s.multiplicities, s._key) for s in out._summands)
         out.reference_gram = _GramData.direct_sum(out, out._summands)
         return out
 
@@ -170,37 +172,21 @@ class HilbertianModule:
 
     # -- structure -----------------------------------------------------------
 
-    def _same_coordinates_key(self, other: "HilbertianModule") -> bool:
-        """Same user coordinates by construction: both canonical, the same
-        given basis map object, or direct sums of summands that pairwise
-        have the same layout and key."""
-        if self is other:
-            return True
-        a, b = self._summands, other._summands
-        if a is None and b is None:
-            return self._basis_map is other._basis_map
-        return (
-            a is not None
-            and b is not None
-            and len(a) == len(b)
-            and all(
-                x.multiplicities == y.multiplicities and x._same_coordinates_key(y)
-                for x, y in zip(a, b)
-            )
-        )
-
     def same_coordinates(self, other: "HilbertianModule") -> bool:
         """Same algebra, layout and user coordinates; grams may differ.
 
         Equal coordinates keys decide at once; otherwise (say a direct sum
         against a module given its basis map) the carrier basis maps are
-        compared.
+        compared.  The key is fixed at construction: None for canonical
+        coordinates, the id of a given basis map (held by the module, so no
+        other live map shares it), and for a direct sum the tuple of
+        (multiplicities, key) over its summands.
         """
         if self is other:
             return True
         if self.algebra != other.algebra or self.multiplicities != other.multiplicities:
             return False
-        if self._same_coordinates_key(other):
+        if self._key == other._key:
             return True
         a, b = self.basis_map, other.basis_map
         eye = np.eye(self.carrier_dim)
@@ -340,20 +326,6 @@ class BlockStacks:
         stack) pieces that hold every block once."""
         layout = _layout(tuple(rows), tuple(cols))
         return BlockStacks(layout, _place(layout, [(*layout.locate(idx), s) for idx, s in pieces]))
-
-    @staticmethod
-    def join(parts) -> "BlockStacks":
-        """The blocks of every part in turn as one BlockStacks: block k of
-        parts[s] becomes block k plus the block count of the parts before
-        it, and blocks of equal shape share one stack whichever part they
-        come from."""
-        rows, cols, pieces, at = [], [], [], 0
-        for p in parts:
-            rows += p.layout.rows
-            cols += p.layout.cols
-            pieces += [(idx + at, s) for idx, s in zip(p.layout.index, p.stacks)]
-            at += len(p.layout.rows)
-        return BlockStacks.from_pieces(rows, cols, pieces)
 
     @staticmethod
     def zeros(rows: tuple, cols: tuple) -> "BlockStacks":

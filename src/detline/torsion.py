@@ -241,6 +241,13 @@ class CellComplex:
                     bad = entry.generators_used() - known
                     if bad:
                         raise ValidationError(f"unknown generators {sorted(bad)} in boundary")
+                    try:
+                        for coeff in entry.terms.values():
+                            float(coeff)
+                    except OverflowError:
+                        raise ValidationError(
+                            f"boundary {q + 1} has a coefficient past the float range"
+                        ) from None
                     row.append(entry)
                 clean.append(tuple(row))
             mats.append(tuple(clean))

@@ -439,6 +439,26 @@ def test_cli_betti_cell_complex(tmp_path, capsys):
     assert payload["euler_characteristic"] == 0
 
 
+@pytest.mark.parametrize("subcommand", ["betti", "torsion"])
+@pytest.mark.parametrize(
+    "exponent, message",
+    [
+        (300, "degree 0: the Laplacian is past the float range"),
+        (400, "boundary 1 has a coefficient past the float range"),
+    ],
+)
+def test_cli_refuses_a_boundary_coefficient_past_the_float_range(
+    tmp_path, capsys, subcommand, exponent, message
+):
+    # circle(1) with boundary entry 10**exponent t - 1 and t -> 1: invertible,
+    # but its Laplacian (or the coefficient itself) is no float
+    doc = dict(CIRCLE_DOC, boundaries={"1": [[[[10**exponent, "t"], [-1, ""]]]]})
+    cc = write_doc(tmp_path, "circle.json", doc)
+    rep = write_doc(tmp_path, "rep.json", rep_doc(1.0))
+    code, out, err = run_cli(capsys, [subcommand, cc, rep])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("kernel_tol", ["-1", "0", "1", "nan", "inf"])
 @pytest.mark.parametrize("kind", ["complex", "cell_complex"])
 def test_cli_betti_refuses_a_kernel_tol_outside_the_unit_interval(tmp_path, capsys, kind, kernel_tol):

@@ -1,5 +1,7 @@
 """Chain complex, Hodge, torsion-isomorphism and zeta tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -228,17 +230,20 @@ def test_hodge_and_spectral_density_take_no_svd(monkeypatch):
 def _check_route_factors_each_map_block_once(monkeypatch, c):
     """On circle(16) x C[Z/6]: one singular-value call per map stack decides
     the ranks and measures 0 -> Z -> C -> B -> 0; singular vectors only for
-    the trivial character, the one block with a kernel; the exactness check
-    sees only the B -> Z -> H sequences and settles its one gapped block
-    (0 < cols(alpha) < rows(alpha), where im(alpha) and ker(beta) can
-    differ) from singular values."""
+    the trivial character, the one block with a kernel; the exact-sequence
+    core never runs, and each degree's 0 -> B -> Z -> H -> 0 is checked
+    from products as many rows high as its Betti counts, with no singular
+    values."""
     data = hodge(c)
     checked = []
-    check = lines._first_inexact
+    check = complexes._check_homology
 
-    def counted_check(alpha, beta, spans):
-        checked.append((alpha.layout, beta.layout, tuple(spans)))
-        return check(alpha, beta, spans)
+    def counted_check(harmonic_h, cycles, bounds):
+        checked.append(harmonic_h.layout.rows)
+        return check(harmonic_h, cycles, bounds)
+
+    def no_core(*args, **kwargs):
+        raise AssertionError("lines._first_inexact called")
 
     calls = []  # (inside range_and_kernel, computes vectors, argument)
     inside = [False]
@@ -257,7 +262,8 @@ def _check_route_factors_each_map_block_once(monkeypatch, c):
             inside[0] = False
 
     impl = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
-    monkeypatch.setattr(lines, "_first_inexact", counted_check)
+    monkeypatch.setattr(lines, "_first_inexact", no_core)
+    monkeypatch.setattr(complexes, "_check_homology", counted_check)
     monkeypatch.setattr(complexes, "range_and_kernel", counted_frames)
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(impl, "svd", counted_svd)
@@ -266,19 +272,16 @@ def _check_route_factors_each_map_block_once(monkeypatch, c):
     got = torsion_iso_via_exact_sequences(c, data).coordinate
     # six 16 x 16 characters in one stack
     assert [len(f.stacked.stacks) for f in c.maps] == [1]
-    values = [a.shape for within, uv, a in calls if within and not uv]
-    vectors = [a for within, uv, a in calls if uv]
+    assert all(within for within, _, _ in calls)  # no SVD outside the frames
+    values = [a.shape for _, uv, a in calls if not uv]
+    vectors = [a for _, uv, a in calls if uv]
     assert values == [(6, 16, 16)]
     assert len(vectors) == 1 and vectors[0].shape == (1, 16, 16)
     assert svd(vectors[0], compute_uv=False)[0, -1] < 1e-10  # the trivial character's kernel
     assert [n[0] for n in solvers] == [0, 0, 0, 0]
-    # one call of the check, on the B -> Z -> H sequence of each degree:
-    # the second maps land in the harmonic modules
-    ((alpha, beta, spans),) = checked
-    assert spans == (0, 6, 12)
-    assert beta.rows == sum((h.multiplicities for h in data.harmonic_modules), ())
-    # the trivial character has rank 15, so B_0 in Z_0 is the one proper subspace
-    assert sum(0 < q < r for r, q in zip(alpha.rows, alpha.cols)) == 1
+    # one check per degree, h rows high: the trivial character in each
+    assert checked == [h.multiplicities for h in data.harmonic_modules]
+    assert [sum(rows) for rows in checked] == [1, 1]
     assert got == _blockwise_route(c, data)
     assert abs(np.log(got) - np.log(torsion_iso_via_laplacians(c, data).coordinate)) <= 1e-12
 
@@ -327,9 +330,11 @@ def _blockwise_route(c, data):
     block, in the coordinates where the grams are the identity (d~ =
     G_t^(1/2) d G_s^(-1/2)), and a full SVD only for a block that is not
     square of full rank, whose frames are otherwise the identity and an
-    empty one; kappa from d~'s singular values, and each B -> Z -> H
-    sequence by its own exact_sequence_iso call.  Products with the gram
-    powers are taken even where they are the identity."""
+    empty one; kappa from d~'s singular values.  0 -> B -> Z -> H -> 0 is
+    checked block by block, degree by degree, with H~ = G^(1/2) H: H~^H Z~
+    a co-isometry, H~^H B~ zero, cols(Z) = cols(B) + cols(H), and it
+    contributes 1.  Products with the gram powers are taken even where they
+    are the identity."""
     weights = np.asarray(c.algebra.weights)
 
     def frames(b):
@@ -343,9 +348,6 @@ def _blockwise_route(c, data):
         u, _, vh = np.linalg.svd(b)
         return u[:, :rank], vh[rank:].conj().T, log
 
-    def module(frames):
-        return HilbertianModule(c.algebra, [f.shape[1] for f in frames])
-
     chain = c.convention == "chain"
     ranges = [[np.zeros((m, 0), dtype=complex) for m in mod.multiplicities] for mod in c.modules]
     kernels = [[np.eye(m, dtype=complex) for m in mod.multiplicities] for mod in c.modules]
@@ -358,16 +360,19 @@ def _blockwise_route(c, data):
         ranges[tgt] = [r for r, _, _ in triples]
         kernels[src] = [k for _, k, _ in triples]
         kappas[src] = lines._inv_sqrt(2.0 * float(weights @ np.array([x for _, _, x in triples])))
-    coordinate = 1.0
     for i, mod in enumerate(c.modules):
-        b_mod, z_mod, h_mod = module(ranges[i]), module(kernels[i]), data.harmonic_modules[i]
-        harmonic = [r @ h for r, h in zip(mod.reference_gram.sqrt.blocks, data.harmonic_embeddings[i].blocks)]
-        kappa_prime = lines.exact_sequence_iso(
-            ModuleMorphism(b_mod, z_mod, [z.conj().T @ b for z, b in zip(kernels[i], ranges[i])]),
-            ModuleMorphism(z_mod, h_mod, [h.conj().T @ z for h, z in zip(harmonic, kernels[i])]),
-            reference_element(b_mod), reference_element(h_mod),
-        ).coefficient
-        coordinate *= (1.0 / (kappas[i] * kappa_prime)) ** (1 if i % 2 == 0 else -1)
+        harmonic = zip(mod.reference_gram.sqrt.blocks, data.harmonic_embeddings[i].blocks)
+        for k, ((r, h), z, b) in enumerate(zip(harmonic, kernels[i], ranges[i])):
+            beta = (r @ h).conj().T @ z
+            if np.linalg.norm(beta @ beta.conj().T - np.eye(len(beta))) > 1e-8:
+                raise NotExact(f"second map fails to be surjective in block {k}")
+            if np.linalg.norm((r @ h).conj().T @ b) > 1e-8:
+                raise NotExact(f"composite is nonzero in block {k}")
+            if z.shape[1] != b.shape[1] + h.shape[1]:
+                raise NotExact(f"rank mismatch in block {k}: middle homology is nonzero")
+    coordinate = 1.0
+    for i, kappa in enumerate(kappas):
+        coordinate *= (1.0 / kappa) ** (1 if i % 2 == 0 else -1)
     return coordinate
 
 
@@ -490,17 +495,69 @@ def test_route_matches_the_composed_reference_on_random_complexes():
 def test_batched_route_refuses_as_the_blockwise_route():
     # d = diag(1, 1e-6): Hodge counts the 1e-6 direction as kernel (its
     # Laplacian eigenvalue 1e-12 is under the cut), the frames count it as
-    # rank, so the harmonic frame does not kill the boundaries of degree 0
+    # rank, so the harmonic frame does not kill the boundaries of degree 0;
+    # in the cochain mirror degree 0 has, for the frames, no cycles at all
     mod = HilbertianModule(SCALAR, (2,))
-    c = HilbertianChainComplex([mod, mod], [CommutantOperator(mod, [np.diag([1.0, 1e-6])])])
-    data = hodge(c)
-    assert data.betti == (1.0, 1.0)
+    d = CommutantOperator(mod, [np.diag([1.0, 1e-6])])
     refusals = []
+    for convention in ("chain", "cochain"):
+        c = HilbertianChainComplex([mod, mod], [d], convention=convention)
+        data = hodge(c)
+        assert data.betti == (1.0, 1.0)
+        for route in (torsion_iso_via_exact_sequences, _blockwise_route):
+            with pytest.raises(NotExact) as err:
+                route(c, data)
+            refusals.append(str(err.value))
+    assert refusals == ["composite is nonzero in block 0"] * 2 + [
+        "second map fails to be surjective in block 0"
+    ] * 2
+
+
+def _sign_complex():
+    """Over C[Z/2], d = (1, diag(1, 0)): the first character is an
+    isomorphism, the second has Z_1 = span(e_2) and B_0 = span(e_1), and
+    Hodge gives e_2 as the harmonic frame of either degree."""
+    mod = HilbertianModule(Z2, (2, 2))
+    c = HilbertianChainComplex([mod, mod], [CommutantOperator(mod, [np.eye(2), np.diag([1.0, 0.0])])])
+    data = hodge(c)
+    assert data.betti == (0.5, 0.5)
+    return c, data
+
+
+def _with_harmonic_frame(data, degree, frame):
+    """data with the degree's harmonic frame in the second character
+    replaced by frame."""
+    mod = data.harmonic_embeddings[degree].target
+    h_mod = HilbertianModule(Z2, (0, frame.shape[1]))
+    h = ModuleMorphism(h_mod, mod, [np.zeros((2, 0)), frame])
+    def swap(entries, entry):
+        return tuple(entry if i == degree else e for i, e in enumerate(entries))
+
+    return dataclasses.replace(
+        data,
+        harmonic_modules=swap(data.harmonic_modules, h_mod),
+        harmonic_embeddings=swap(data.harmonic_embeddings, h),
+    )
+
+
+@pytest.mark.parametrize(
+    "degree, frame, message",
+    [
+        # e_1 is not a cycle of degree 1
+        (1, np.array([[1.0], [0.0]]), "second map fails to be surjective in block 1"),
+        # e_1 is the boundary of degree 0
+        (0, np.array([[1.0], [0.0]]), "composite is nonzero in block 1"),
+        # Z_0 = C^2 and B_0 = span(e_1) leave one dimension no frame fills
+        (0, np.zeros((2, 0)), "rank mismatch in block 1: middle homology is nonzero"),
+    ],
+)
+def test_route_reaches_each_refusal_as_the_blockwise_route(degree, frame, message):
+    c, data = _sign_complex()
+    assert torsion_iso_via_exact_sequences(c, data).coordinate == _blockwise_route(c, data) == 1.0
+    data = _with_harmonic_frame(data, degree, frame)
     for route in (torsion_iso_via_exact_sequences, _blockwise_route):
-        with pytest.raises(NotExact) as err:
+        with pytest.raises(NotExact, match=f"^{message}$"):
             route(c, data)
-        refusals.append(str(err.value))
-    assert refusals == ["composite is nonzero in block 0"] * 2
 
 
 @pytest.mark.parametrize("eps", [1e-3, 1e-9, 1e-11, 1e-13])

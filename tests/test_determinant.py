@@ -28,7 +28,6 @@ from detline.errors import (
     PathLeavesGL,
     ValidationError,
 )
-from detline import lines
 from detline.lines import exact_sequence_iso, pushforward, reference_element
 from detline.modules import (
     COND_LIMIT,
@@ -531,7 +530,6 @@ def test_batched_exactness_check_agrees_with_a_per_block_loop(name):
     alpha = ModuleMorphism(mod, total, [np.vstack([a, np.eye(len(a))]) for a in a_blocks])
     beta = ModuleMorphism(total, mod, [np.hstack([np.eye(len(a)), -a]) for a in a_blocks])
     assert first_inexact_block(alpha, beta, 1e-8) is None
-    exact = lines._Sequence(alpha.stacked, beta.stacked)
     exact_sequence_iso(alpha, beta, e, e)
     # break the last block, which shares its shape with another: beta no
     # longer kills alpha there
@@ -542,11 +540,6 @@ def test_batched_exactness_check_agrees_with_a_per_block_loop(name):
     assert first_inexact_block(alpha, beta, 1e-8) == k
     with pytest.raises(NotExact, match=f"composite is nonzero in block {k}$"):
         exact_sequence_iso(alpha, beta, e, e)
-    # behind an exact sequence in one batch the block keeps its number
-    with pytest.raises(NotExact, match=f"composite is nonzero in block {k}$"):
-        lines._sequence_coordinates(
-            mod.algebra.weights, [exact, lines._Sequence(alpha.stacked, beta.stacked)]
-        )
     # a zero alpha in block 1, one of the 1 x 1 blocks, fails first
     broken = list(alpha.blocks)
     broken[1] = np.zeros_like(broken[1])

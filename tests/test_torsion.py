@@ -28,7 +28,7 @@ from detline.fixtures import (
 from detline import modules
 from detline._linalg import gram_hash
 from detline.modules import CommutantOperator, HilbertianModule, ModuleMorphism, standard_module
-from detline.complexes import HilbertianChainComplex, validate_complex
+from detline.complexes import HilbertianChainComplex, hodge, validate_complex
 from detline.torsion import (
     GroupRepresentation,
     GroupRingElement,
@@ -96,6 +96,29 @@ def test_cell_complex_validation():
         CellComplex((), (("p", "p"),), ())
     with pytest.raises(ValidationError):
         CellComplex((), (("v",), ("e",)), ([[ring("t")]],))  # unknown generator
+
+
+def _big_circle(c):
+    """circle(1) with boundary entry c t - 1."""
+    from detline.torsion import CellComplex
+
+    return CellComplex(("t",), (("p",), ("e",)), ([[ring("t", c) - ring("")]],))
+
+
+def test_boundary_coefficients_past_the_float_range_are_refused():
+    # c = 10**400 is no float; at c = 10**300 the map is invertible, but
+    # Delta = (c - 1)^2 overflows, and hodge refuses it instead of reading
+    # eigenvalues of inf
+    with pytest.raises(ValidationError, match="^boundary 1 has a coefficient past the float range$"):
+        _big_circle(10**400)
+    rep = scalar_representation({"t": 1.0})
+    complex_ = assemble_coefficients(_big_circle(10**300), rep)
+    with pytest.raises(ValidationError, match="^degree 0: the Laplacian is past the float range$"):
+        hodge(complex_)
+    with pytest.raises(ValidationError, match="^degree 0: the Laplacian is past the float range$"):
+        torsion(_big_circle(10**300), rep)
+    # at c = 10**150 Delta = 1e300 is still a float, and the map is invertible
+    assert hodge(assemble_coefficients(_big_circle(10**150), rep)).betti == (0.0, 0.0)
 
 
 def test_euler_characteristics():
