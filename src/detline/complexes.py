@@ -144,16 +144,24 @@ class HilbertianChainComplex:
     def boundary_residual(self) -> float:
         """Largest ||composite|| / max(||a|| ||b||, 1) over consecutive maps;
         each norm takes one singular-value call per block shape.  A complex
-        with fewer than two maps has no composite, and takes no norm."""
+        with fewer than two maps has no composite, and takes no norm.  A
+        composite or norm past the float range (inf, or nan from inf - inf)
+        reads inf: it is no evidence that the maps compose to zero."""
         worst = 0.0
         if len(self.maps) < 2:
             return worst
-        norms = [f.norm() for f in self.maps]
-        for i in range(len(self.maps) - 1):
-            a, b = self.maps[i], self.maps[i + 1]
-            comp = a @ b if self.convention == CHAIN else b @ a
-            scale = max(norms[i] * norms[i + 1], 1.0)
-            worst = max(worst, comp.norm() / scale)
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = [f.norm() for f in self.maps]
+            for i in range(len(self.maps) - 1):
+                a, b = self.maps[i], self.maps[i + 1]
+                comp = (a @ b if self.convention == CHAIN else b @ a).norm()
+                if not np.isfinite([comp, norms[i], norms[i + 1]]).all():
+                    return math.inf
+                scale = norms[i] * norms[i + 1]
+                if math.isinf(scale):  # two finite norms whose product overflows
+                    worst = max(worst, comp / norms[i] / norms[i + 1])
+                else:
+                    worst = max(worst, comp / max(scale, 1.0))
         return worst
 
     def euler_characteristic(self) -> float:

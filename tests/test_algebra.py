@@ -156,6 +156,119 @@ def test_table_constructors_match_their_definitions():
         assert table.identity == t1.identity * n2 + t2.identity
 
 
+@pytest.mark.parametrize("n", [2.5, 0, -2, True, "3", 3.0])
+def test_cyclic_refuses_an_order_that_is_not_a_positive_integer(n):
+    # 2.5 used to build C3 through arange, and 0 and -2 failed later as an
+    # identity index out of range
+    with pytest.raises(ValidationError, match=f"positive integer, got {n!r}$"):
+        FiniteGroupTable.cyclic(n)
+    assert FiniteGroupTable.cyclic(np.int64(4)).cyclic_factors == (4,)
+
+
+def test_only_cyclic_tables_and_their_products_record_factors():
+    c, s = FiniteGroupTable.cyclic, FiniteGroupTable.symmetric
+    product = FiniteGroupTable.direct_product
+    assert c(6).cyclic_factors == (6,)
+    assert product(c(2), c(3)).cyclic_factors == (2, 3)
+    assert product(product(c(2), c(3)), c(4)).cyclic_factors == (2, 3, 4)
+    for table in [product(c(2), s(3)), product(s(3), c(2)), s(3), FiniteGroupTable.trivial(),
+                  FiniteGroupTable(c(4).product)]:
+        assert table.cyclic_factors is None
+
+
+def _cyclic_product(orders):
+    table = FiniteGroupTable.cyclic(orders[0])
+    for n in orders[1:]:
+        table = FiniteGroupTable.direct_product(table, FiniteGroupTable.cyclic(n))
+    return table
+
+
+_CLOSED_FORM_CASES = [(n,) for n in [*range(1, 33), 64, 128]] + [
+    (2, 3), (3, 4), (2, 4), (2, 8), (4, 4), (2, 2, 2)
+]
+
+
+@pytest.mark.parametrize("factors", _CLOSED_FORM_CASES, ids=lambda f: "x".join(map(str, f)))
+def test_closed_form_matches_the_numerical_path(factors):
+    table = _cyclic_product(factors)
+    assert table.cyclic_factors == factors
+    closed = build_group_algebra(table)
+    # the same product array with no recorded factors takes the numerical path
+    numeric = build_group_algebra(FiniteGroupTable(table.product))
+    # the same blocks in the same order: each image is the character
+    assert closed.algebra == numeric.algebra
+    for a, b in zip(closed.images, numeric.images, strict=True):
+        assert np.max(np.abs(a - b)) <= 1e-12
+    # characters are homomorphisms, chi(g h) = chi(g) chi(h), and U
+    # diagonalizes every left translation into them
+    chars = np.array([img[:, 0, 0] for img in closed.images])
+    u = closed.change_of_basis
+    uh = u.conj().T
+    assert np.linalg.norm(uh @ u - np.eye(table.order)) <= 1e-12
+    for g in range(table.order):
+        assert np.max(np.abs(chars[:, table.product[g]] - chars[:, [g]] * chars)) <= 1e-12
+        assert np.max(np.abs(uh[:, table.product[g]] @ u - np.diag(chars[:, g]))) <= 1e-12
+
+
+def test_closed_form_takes_no_eigensolver_probe_or_numerical_path(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("numerical decomposition step taken")
+
+    for name in ["eigh", "qr", "svd"]:
+        monkeypatch.setattr(np.linalg, name, refuse)
+    monkeypatch.setattr(algebra, "_decompose_once", refuse)
+    monkeypatch.setattr(algebra, "random_complex", refuse)
+    c = FiniteGroupTable.cyclic
+    for table in [c(256), FiniteGroupTable.direct_product(c(16), c(16))]:
+        dec = build_group_algebra(table)
+        assert dec.algebra.block_dims == (1,) * 256
+
+
+def test_generators_and_word_lengths():
+    c = FiniteGroupTable.cyclic
+    table = FiniteGroupTable.direct_product(c(4), c(6))
+    assert algebra._generators(table) == [6, 1]
+    parent, step, depth = algebra._cayley_tree(table, algebra._generators(table))
+    g1, g2 = np.divmod(np.arange(24), 6)
+    assert np.array_equal(depth, g1 + g2)
+    assert np.array_equal(table.product[parent, step], np.arange(24))
+    # a table with no factors takes a greedy closure: S3 needs two transpositions
+    assert algebra._generators(FiniteGroupTable.symmetric(3)) == [1, 2]
+    assert algebra._generators(FiniteGroupTable(c(12).product)) == [1]
+    assert algebra._generators(FiniteGroupTable.trivial()) == []
+
+
+@pytest.mark.parametrize(
+    "table,generator",
+    [
+        (FiniteGroupTable.cyclic(12), 1),
+        (_cyclic_product((2, 4)), 4),
+        (FiniteGroupTable.symmetric(3), 2),
+    ],
+    ids=["C12", "C2xC4", "S3"],
+)
+def test_verification_refuses_a_doctored_generator_image(table, generator):
+    dec = build_group_algebra(table)
+    _verify_decomposition(table, dec.change_of_basis, dec.images)
+    # a change of 1e-8 in one entry of one block at a generator, or a nan there
+    for change in [1e-8, np.nan]:
+        images = [img.copy() for img in dec.images]
+        images[-1][generator, 0, 0] += change
+        with pytest.raises(DecompositionFailure, match=f"for element {generator}$"):
+            _verify_decomposition(table, dec.change_of_basis, images)
+
+
+@pytest.mark.parametrize(
+    "product,factors",
+    [((6,), (2, 3)), ((4,), (2, 2)), ((2, 2), (4,)), ((6,), (3,)), ((3, 2), (2, 3))],
+)
+def test_decomposition_refuses_wrong_recorded_factors(product, factors):
+    table = _cyclic_product(product)
+    table.cyclic_factors = factors
+    with pytest.raises(DecompositionFailure):
+        build_group_algebra(table)
+
+
 def _c2_s3():
     c2, s3 = FiniteGroupTable.cyclic(2), FiniteGroupTable.symmetric(3)
     return FiniteGroupTable.direct_product(c2, s3)
@@ -196,7 +309,8 @@ def test_decomposition_builds_no_translation_matrix(table, monkeypatch):
 def test_decomposition_takes_at_most_one_svd_per_attempt(monkeypatch):
     # families come from the Frobenius block norms of one intertwiner
     # matrix and the checks use Frobenius residuals; only the probe's
-    # operator norm is an SVD (C64 took 2082 when each was its own SVD)
+    # operator norm is an SVD (C64 took 2082 when each was its own SVD); the
+    # table is an untagged copy of C64, so the numerical path runs
     counts = {"svd": 0, "attempts": 0}
     svd = np.linalg.svd
     attempt = algebra._decompose_once
@@ -211,7 +325,7 @@ def test_decomposition_takes_at_most_one_svd_per_attempt(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(algebra, "_decompose_once", counted_attempt)
-    dec = build_group_algebra(FiniteGroupTable.cyclic(64))
+    dec = build_group_algebra(FiniteGroupTable(FiniteGroupTable.cyclic(64).product))
     assert dec.algebra.block_dims == (1,) * 64
     assert 1 <= counts["attempts"] and counts["svd"] <= counts["attempts"]
 

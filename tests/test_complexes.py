@@ -127,6 +127,35 @@ def test_rejects_nonzero_composition():
     assert report.boundary_residual > 0.1
 
 
+def test_composites_past_the_float_range_are_violations():
+    # [c, c] then [c, -1.5 c]^T compose to -c^2 / 2: at c = 1e100 the
+    # residual is 0.196, and at 1e200 the composite is inf - inf = nan, which
+    # must read as a violation, not as 0
+    one, two = HilbertianModule(SCALAR, [1]), HilbertianModule(SCALAR, [2])
+
+    def maps(c):
+        return [np.array([[c, c]]), np.array([[c], [-1.5 * c]])]
+
+    for c, want in [(1e100, 0.19611613513818402), (1e200, np.inf)]:
+        with pytest.raises(ValidationError, match="do not compose to zero"):
+            HilbertianChainComplex([one, two, one], maps(c))
+        unchecked = HilbertianChainComplex([one, two, one], maps(c), validate=False)
+        assert unchecked.boundary_residual() == pytest.approx(want)
+        assert not validate_complex(unchecked).valid
+    # norms whose product overflows divide the composite one at a time: a
+    # zero composite stays valid, and 0.6e308 over 1.9e308 is still refused
+    c = 1e200
+    zero = HilbertianChainComplex(
+        [one, two, one], [np.array([[c, 0.0]]), np.array([[0.0], [c]])]
+    )
+    assert zero.boundary_residual() == 0.0
+    big = [np.array([[c, c]]), np.array([[1.2e108], [-0.6e108]])]
+    with pytest.raises(ValidationError, match="do not compose to zero"):
+        HilbertianChainComplex([one, two, one], big)
+    unchecked = HilbertianChainComplex([one, two, one], big, validate=False)
+    assert unchecked.boundary_residual() == pytest.approx(0.6 / np.sqrt(2 * 1.8))
+
+
 def test_validate_clean_complexes():
     mod = standard_module(S3)
     zero = CommutantOperator.zero(mod)
@@ -621,7 +650,7 @@ def test_boundary_residual_takes_norms_only_with_two_maps(monkeypatch):
     monkeypatch.undo()
     lens = assemble_coefficients(lens_space(5), regular_cyclic_representation(5))
     assert len(lens.maps) == 3
-    assert lens.boundary_residual() == float.fromhex("0x1.0d2ca0da1530dp-52")
+    assert lens.boundary_residual() == float.fromhex("0x1.7bb85756cb194p-54")
 
 
 def test_ill_conditioned_kernel_refused():

@@ -30,6 +30,7 @@ from detline._linalg import gram_hash
 from detline.modules import CommutantOperator, HilbertianModule, ModuleMorphism, standard_module
 from detline.complexes import HilbertianChainComplex, hodge, validate_complex
 from detline.torsion import (
+    CellComplex,
     GroupRepresentation,
     GroupRingElement,
     SubdivisionData,
@@ -119,6 +120,20 @@ def test_boundary_coefficients_past_the_float_range_are_refused():
         torsion(_big_circle(10**300), rep)
     # at c = 10**150 Delta = 1e300 is still a float, and the map is invertible
     assert hodge(assemble_coefficients(_big_circle(10**150), rep)).betti == (0.0, 0.0)
+
+
+def test_assembly_refuses_a_composite_past_the_float_range():
+    # d1 = [c, c] and d2 = [c, -1.5 c]^T compose to -c^2 / 2, not 0: at
+    # c = 1e100 the residual reads 0.196; at 1e200 the composite is
+    # inf - inf = nan, and that must refuse too
+    def complex_(c):
+        boundaries = ([[ring("", c), ring("", c)]], [[ring("", c)], [ring("", -1.5 * c)]])
+        return CellComplex((), (("p",), ("a", "b"), ("f",)), boundaries)
+
+    rep = scalar_representation({})
+    for c, residual in [(1e100, "1.96e-01"), (1e200, "inf")]:
+        with pytest.raises(RelationViolation, match=rf"\(residual {residual}\)"):
+            assemble_coefficients(complex_(c), rep)
 
 
 def test_euler_characteristics():
