@@ -104,7 +104,6 @@ _EXPORTS = {
         "abelian_dense_isomorphism_check",
         "abelian_fk_det",
         "abelian_fk_det_general",
-        "abelian_spectral_density",
         "abelian_torsion",
     ),
     "torsion": (

@@ -305,10 +305,6 @@ class GroupAlgebraDecomposition:
     images: list[np.ndarray]
     table: FiniteGroupTable
 
-    def block_images(self) -> list[np.ndarray]:
-        """img_k(g) for every g, one array of shape (order, n_k, n_k) per block."""
-        return self.images
-
     @functools.cached_property
     def group_images(self) -> list[AlgebraElement]:
         """Per group element, its block image in the algebra; built when first read."""
@@ -323,7 +319,7 @@ class GroupAlgebraDecomposition:
         if coeffs.shape != (self.table.order,):
             raise ShapeMismatch("need one coefficient per group element")
         return AlgebraElement(
-            self.algebra, [np.tensordot(coeffs, s, axes=1) for s in self.block_images()]
+            self.algebra, [np.tensordot(coeffs, s, axes=1) for s in self.images]
         )
 
     def coefficients_from_element(self, x: AlgebraElement) -> np.ndarray:
@@ -333,7 +329,7 @@ class GroupAlgebraDecomposition:
         return sum(
             w * np.einsum("ab,gab->g", xk, s.conj())
             for w, xk, s in zip(
-                self.algebra.weights, x.block_matrices, self.block_images(), strict=True
+                self.algebra.weights, x.block_matrices, self.images, strict=True
             )
         )
 

@@ -10,9 +10,8 @@ collapsed:
   algebra is a finite sum of matrix blocks and determinants multiply, so
   every subdivision of every such path telescopes to sum_k w_k log|det A_k|:
   the value does not depend on the path and is taken from one
-  log-determinant (an LU factorisation) per block.  Which paths exist is
-  decided by the spectrum: the straight segment (1-t) 1 + t A stays
-  invertible iff no eigenvalue lies on the closed negative real ray;
+  log-determinant (an LU factorisation) per block.  GL of a finite sum of
+  matrix algebras is connected, so such a path always exists;
 * polar: for a general invertible operator, Det|A| = Det(A* A)^(1/2) from
   the singular values of each block.
 
@@ -49,7 +48,6 @@ from .errors import (
     NegativeSpectrum,
     NonInvertible,
     NotSelfAdjoint,
-    PathLeavesGL,
     ValidationError,
 )
 
@@ -58,7 +56,6 @@ if TYPE_CHECKING:  # the torus backend uses the result types without modules
 
 KERNEL_REL_TOL = 1e-12
 SELF_ADJOINT_TOL = 1e-8
-SEGMENT_REL_TOL = 1e-8  # distance of the spectrum from the negative ray, relative
 
 
 @dataclass
@@ -75,17 +72,12 @@ class ConvergenceReport:
 class SpectralDensity:
     """Trace-weighted eigenvalue distribution of a positive operator.
 
-    kind "atomic": values/weights enumerate the finitely many atoms; the
-    counting function is sum of weights at or below lambda.  kind "sampled"
-    (torus backends): values/weights sample the density on a grid, carrying
-    quadrature weights instead of exact masses.
+    values/weights enumerate the finitely many atoms; the counting function
+    is the sum of the weights at or below lambda.
     """
 
     values: np.ndarray
     weights: np.ndarray
-    kind: str = "atomic"
-    consistency: float | None = None  # sampled kind: counting-function gap
-    # between the sampling grid and its refinement, sup over probe levels
 
     @property
     def total_mass(self) -> float:
@@ -210,46 +202,21 @@ def _require_invertible(tilde) -> np.ndarray:
     return logs
 
 
-def _segment_is_safe(groups):
-    """The straight path (1-t) 1 + t A misses GL iff A has spectrum on the
-    closed negative real ray."""
-    for _, s in groups:
-        eigs = np.linalg.eigvals(s)
-        scale = np.maximum(1.0, np.max(np.abs(eigs), axis=1, keepdims=True))
-        dist = np.where(eigs.real < 0, np.abs(eigs.imag), np.abs(eigs))
-        if np.any(dist <= SEGMENT_REL_TOL * scale):
-            return False
-    return True
-
-
-def fk_det_path(
-    module: HilbertianModule,
-    op: CommutantOperator,
-    *,
-    path: str = "auto",
-) -> DeterminantResult:
+def fk_det_path(module: HilbertianModule, op: CommutantOperator) -> DeterminantResult:
     """Determinant of an invertible operator as a path integral from the
     identity.
 
     Every path through the invertibles gives sum_k w_k log|det A_k|, so the
-    value is one log-determinant per block whichever path is named; path
-    only says which paths may be taken.  "segment" is the straight path
-    (1-t) 1 + t A and is refused (PathLeavesGL) when the spectrum of A meets
-    the closed negative real ray, where that path passes a singular
-    operator.  "polar" goes through the positive factor |A| = (A* A)^(1/2),
-    which always stays invertible (A = U |A| with U unitary, log|det U| = 0
-    and det|A| = |det A|); "auto" takes the segment when it is invertible
-    and the polar path otherwise, with the same value.
+    value is one log-determinant per block, whichever path is taken: the
+    straight segment (1-t) 1 + t A where it stays invertible, or the polar
+    path through |A| = (A* A)^(1/2), which always does (A = U |A| with U
+    unitary, log|det U| = 0 and det|A| = |det A|).  An eigenvalue on the
+    negative real ray therefore changes no value.
     """
     tilde = _tilde_blocks(module, op)
-    if path not in ("auto", "segment", "polar"):
-        raise ValidationError(f"unknown path kind {path!r}")
     _require_invertible(tilde)
-    groups = tilde.nonempty()
-    if path == "segment" and not _segment_is_safe(groups):
-        raise PathLeavesGL("the segment from the identity meets the negative real ray")
     logdets = np.zeros(len(tilde.layout.rows))
-    for idx, s in groups:
+    for idx, s in tilde.nonempty():
         logdets[idx] = np.linalg.slogdet(s)[1]
     return DeterminantResult.from_log(_weighted_sum(module.algebra.weights, logdets), "path")
 

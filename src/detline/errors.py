@@ -81,10 +81,6 @@ class BackendUnsupported(ValidationError):
     pass
 
 
-class PathLeavesGL(DetlineError):
-    """No invertibility-preserving path to the target was found."""
-
-
 class MathematicalRefusal(DetlineError):
     """Requested quantity is mathematically undefined for this input."""
 

@@ -6,7 +6,8 @@ module's reference scalar product.  Re-expressing against another admissible
 product multiplies the coordinate by Det_tau(A)^(-1/2), where A is the
 transition operator of the pair.  All constructions below (pushforward,
 direct sums, exact sequences, graded assembly) reduce to determinants of
-explicit transition operators; positivity of every coordinate is enforced.
+the maps they are given, with no choice (a retraction, a target copy of a
+direct sum) taken as input; positivity of every coordinate is enforced.
 
 Every map is measured in the coordinates where the grams are the identity,
 f~ = G_t^(1/2) f G_s^(-1/2) (modules.gram_coordinates), and every rank,
@@ -19,12 +20,12 @@ value.
 A short exact sequence is checked and measured by exact_sequence_iso
 from one set of singular values (_first_inexact takes them): for an exact
 pair in the coordinates where the grams are the identity, Det T =
-Det(beta beta*) / Det(alpha* alpha), a product of singular values.  The
-check decides the gap between im(alpha) and ker(beta) from values it has
-anyway: where the ranks pass, ||P_im(alpha) - P_ker(beta)||_F <= sqrt(2)
-||beta alpha||_F / (s_min(alpha) s_min(beta)), and a block whose bound is
-at most half the tolerance passes, as its exact gap (at most that bound,
-plus rounding) would; every other block takes singular vectors and the
+Det(beta beta*) / Det(alpha* alpha), a product of singular values that no
+retraction of alpha enters.  The check decides the gap between im(alpha)
+and ker(beta) from values it has anyway: where the ranks pass,
+||P_im(alpha) - P_ker(beta)||_F <= sqrt(2) ||beta alpha||_F / (s_min(alpha)
+s_min(beta)), and a block whose bound is at most half the tolerance
+passes, as its exact gap (at most that bound, plus rounding) would; every other block takes singular vectors and the
 exact gap, so every verdict is the one the exact gap gives.  The torsion
 route of complexes needs no call here: in its coordinates both of its
 sequences are measured by theorem.
@@ -171,23 +172,18 @@ def pushforward(f: ModuleMorphism, e: DetLineElement) -> DetLineElement:
     return DetLineElement(f.target, e.coefficient * _inv_sqrt(-2.0 * log_det), "pushforward")
 
 
-def tensor_sum(
-    e_m: DetLineElement, e_n: DetLineElement, total: HilbertianModule | None = None
-) -> DetLineElement:
+def tensor_sum(e_m: DetLineElement, e_n: DetLineElement) -> DetLineElement:
     """The image of e_m (x) e_n under det(M) (x) det(N) -> det(M + N).
 
     The direct sum carries the block sum of the reference products, so the
-    coordinate simply multiplies.  Pass total to target an existing copy of
-    the direct sum (it must have the same layout).
+    coordinate simply multiplies.  Sums taken in another nesting land on
+    modules of the same space, so their elements compare by is_close_to.
     """
     if e_m.module.algebra != e_n.module.algebra:
         raise AlgebraMismatch("summands live over different algebras")
-    summed = direct_sum(e_m.module, e_n.module)
-    if total is not None:
-        if not total.is_same_space(summed):
-            raise AlgebraMismatch("total module does not match the direct sum layout")
-        summed = total
-    return DetLineElement(summed, e_m.coefficient * e_n.coefficient, "tensor_sum")
+    return DetLineElement(
+        direct_sum(e_m.module, e_n.module), e_m.coefficient * e_n.coefficient, "tensor_sum"
+    )
 
 
 def _first_inexact(alpha: BlockStacks, beta: BlockStacks):
@@ -265,7 +261,6 @@ def exact_sequence_iso(
     beta: ModuleMorphism,
     e_prime: DetLineElement,
     e_second: DetLineElement,
-    retraction: ModuleMorphism | None = None,
 ) -> DetLineElement:
     """Canonical isomorphism det(M') (x) det(M'') -> det(M) of a short exact
     sequence 0 -> M' -a-> M -b-> M'' -> 0.
@@ -275,8 +270,8 @@ def exact_sequence_iso(
     result does not depend on the retraction: two retractions differ by
     gamma∘beta, an upper-triangular change with unit determinant, and the
     element is Det(b~ b~*)^(-1/2) Det(a~* a~)^(1/2) with every gram made the
-    identity, so a given retraction is only validated, once the sequence
-    is found exact.  The endpoints are checked first.
+    identity, so no retraction is taken as input or computed.  The endpoints
+    are checked first.
 
     The pair is taken in the coordinates where its grams are the identity,
     a~ = G^(1/2) a G'^(-1/2) and b~ = G''^(1/2) b G^(-1/2)
@@ -301,20 +296,12 @@ def exact_sequence_iso(
         raise AlgebraMismatch("first element does not live on the sub module")
     if not e_second.module.is_same_space(beta.target):
         raise AlgebraMismatch("second element does not live on the quotient module")
-    if retraction is not None and not (
-        retraction.source.is_same_space(m) and retraction.target.is_same_space(alpha.source)
-    ):
-        raise AlgebraMismatch("retraction endpoints do not match the sequence")
 
     a, b = alpha.stacked, beta.stacked
     log_a, log_b = _first_inexact(
         gram_coordinates(a, alpha.source, m), gram_coordinates(b, m, beta.target)
     )
     coeff = _positive(_inv_sqrt(-2.0 * float(np.sum((log_a - log_b) * m.algebra.weights))))
-    if retraction is not None:
-        resid = retraction.stacked @ a - BlockStacks.identity(a.layout.cols)
-        if resid.norm() > EXACTNESS_TOL * max(1.0, retraction.norm() * alpha.norm()):
-            raise ValidationError("retraction does not split the first map")
     return DetLineElement(m, coeff * e_prime.coefficient * e_second.coefficient, "exact_sequence")
 
 

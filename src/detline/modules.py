@@ -7,9 +7,9 @@ preferred scalar product; a reference gram (positive, invertible, commuting
 with the action) is part of the data, and every metric notion (adjoint,
 submodule frame, spectral density, determinant, torsion) is taken against
 it.  The metric is chosen when a module is built, through
-HilbertianModule(reference_gram=), with_reference_gram, regular_module or
-module_from_group_action, and nowhere else: no function takes a per-call
-gram.
+HilbertianModule(reference_gram=), with_reference_gram or
+module_from_group_action(reference_gram=), and nowhere else: no function
+takes a per-call gram, and regular_module builds the identity gram.
 
 Blocks are the representation.  A module is its algebra, its multiplicities,
 one reference-gram block of shape (m_k, m_k) per algebra block, and a
@@ -894,14 +894,11 @@ def right_action_operator(free: HilbertianModule, alpha) -> CommutantOperator:
     return CommutantOperator(free, blocks)
 
 
-def regular_module(dec: GroupAlgebraDecomposition, reference_gram=None) -> HilbertianModule:
-    """l2 of the group algebra in group-element coordinates."""
-    return HilbertianModule(
-        dec.algebra,
-        dec.algebra.block_dims,
-        basis_map=dec.change_of_basis,
-        reference_gram=reference_gram,
-    )
+def regular_module(dec: GroupAlgebraDecomposition) -> HilbertianModule:
+    """l2 of the group algebra in group-element coordinates, with the
+    identity gram; regular_module(dec).with_reference_gram(g) re-metrises
+    it."""
+    return HilbertianModule(dec.algebra, dec.algebra.block_dims, basis_map=dec.change_of_basis)
 
 
 def module_from_group_action(
@@ -938,9 +935,8 @@ def module_from_group_action(
     # units[a] = rep(E_k(a, 0)) = sum_g w_k conj(img_k(g)[a, 0]) images[g];
     # frame[a] holds the columns of u for copy a.
     alg = dec.algebra
-    block_images = dec.block_images()
     frames = []
-    for w, imgs in zip(alg.weights, block_images):
+    for w, imgs in zip(alg.weights, dec.images):
         units = np.tensordot(w * imgs[:, :, 0].conj().T, stack, axes=1)
         basis = orthonormal_range(units[0], rtol=1e-8)  # range of the (k, column-1) projection
         frames.append(units @ basis)
@@ -951,7 +947,7 @@ def module_from_group_action(
     module = HilbertianModule(alg, mult, basis_map=u, reference_gram=reference_gram)
     # round trip: module.action(img(g)) is sum_k,a,b img_k(g)[a, b] frame[a] frame[b]^H
     resid = -stack.reshape(table.order, -1)
-    for imgs, f in zip(block_images, frames):
+    for imgs, f in zip(dec.images, frames):
         units = f[:, None] @ f.conj().transpose(0, 2, 1)
         resid += imgs.reshape(table.order, -1) @ units.reshape(len(f) ** 2, -1)
     if np.max(np.linalg.norm(resid, axis=1)) > 1e-8:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import as_complex_matrix
-from .determinant import ConvergenceReport, DeterminantResult, SpectralDensity, exp_of_log
+from .determinant import ConvergenceReport, DeterminantResult, exp_of_log
 from .errors import (
     AlgebraMismatch,
     BackendUnsupported,
@@ -325,9 +325,6 @@ class TorusGrid:
         mesh = np.meshgrid(*([axis] * self.rank), indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
-    def refine(self):
-        return TorusGrid(self.rank, 2 * self.resolution)
-
 
 def _resolve_grid(symbol: LaurentMatrix, grid) -> TorusGrid:
     if grid is None:
@@ -353,7 +350,8 @@ def laurent_trace(symbol: LaurentMatrix) -> complex:
 
 
 def _hermitian_branches(symbol, nodes):
-    """Eigenvalue branches of a Hermitian symbol at the nodes, clipped at 0."""
+    """Refuses (NegativeSpectrum) a Hermitian symbol whose eigenvalue
+    branches reach below zero at the nodes."""
     samples = symbol.evaluate_grid(nodes)
     samples += np.conj(np.swapaxes(samples, -1, -2))
     samples *= 0.5
@@ -361,34 +359,6 @@ def _hermitian_branches(symbol, nodes):
     floor = -1e-10 * max(1.0, float(np.max(np.abs(values), initial=0.0)))
     if float(np.min(values, initial=0.0)) < floor:
         raise NegativeSpectrum("symbol has eigenvalue branches below zero")
-    return np.clip(values.ravel(), 0.0, None)
-
-
-def abelian_spectral_density(
-    symbol: LaurentMatrix, grid: TorusGrid | None = None
-) -> SpectralDensity:
-    """Sampled eigenvalue distribution of a Hermitian symbol.
-
-    Weights are quadrature weights 1/N per branch, so the total mass is the
-    matrix size.  The consistency field reports the largest change of the
-    counting function under one grid refinement, probed at the sampled
-    values; it estimates how far the sampling is from the true density.
-    """
-    symbol.require_hermitian()
-    grid = _resolve_grid(symbol, grid)
-    values = np.sort(_hermitian_branches(symbol, grid.nodes()))
-    weights = np.full(values.shape, 1.0 / grid.total)
-
-    fine = grid.refine()
-    fine_values = np.sort(_hermitian_branches(symbol, fine.nodes()))
-    fine_weight = 1.0 / fine.total
-    probes = np.unique(np.concatenate([values, fine_values]))
-    if probes.size > 256:
-        probes = probes[:: max(1, probes.size // 256)]
-    coarse_counts = np.searchsorted(values, probes, side="right") / grid.total
-    fine_counts = np.searchsorted(fine_values, probes, side="right") * fine_weight
-    consistency = float(np.max(np.abs(coarse_counts - fine_counts), initial=0.0))
-    return SpectralDensity(values, weights, kind="sampled", consistency=consistency)
 
 
 def _log_det(symbol, vanishing, message):

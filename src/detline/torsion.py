@@ -22,10 +22,8 @@ from ._linalg import gram_hash
 from .complexes import (
     COCHAIN,
     CHAIN,
-    DeterminantClassReport,
     HilbertianChainComplex,
     HodgeData,
-    determinant_class_check,
     hodge,
     torsion_iso_via_exact_sequences,
     torsion_iso_via_laplacians,
@@ -468,7 +466,6 @@ class TorsionReport:
     coordinate: float
     convention: str
     route_coordinates: dict
-    determinant_class: DeterminantClassReport
     unimodularity: UnimodularityReport
     reference_hashes: dict
     graded: GradedDetLineElement = field(repr=False, default=None)
@@ -489,7 +486,9 @@ def torsion(
     rep.with_module_gram(g)) measures against the product g instead.  The
     coordinate is the Laplacian route's.  The exact-sequence route's value
     is reported beside it in route_coordinates, but the two are not
-    compared here (ROADMAP item 8).
+    compared here (ROADMAP item 8).  A finite complex is always of
+    determinant class, so the report carries no verdict on it;
+    complexes.determinant_class_check gives the spectral margins.
     """
     uni = check_unimodular(rep)
     if require_unimodular and not uni.passed:
@@ -498,7 +497,6 @@ def torsion(
 
     assembled = assemble_coefficients(complex_, rep)
     data = hodge(assembled)
-    verdicts = determinant_class_check(assembled, data)
 
     graded = torsion_iso_via_laplacians(assembled, data)
     cross = torsion_iso_via_exact_sequences(assembled, data)
@@ -518,7 +516,6 @@ def torsion(
             "laplacian": coordinate,
             "exact_sequence": cross.coordinate,
         },
-        determinant_class=verdicts,
         unimodularity=uni,
         reference_hashes=hashes,
         graded=graded,

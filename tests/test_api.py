@@ -70,6 +70,21 @@ def test_only_construction_entry_points_take_a_gram():
     assert offenders == []
 
 
+def test_no_entry_point_takes_a_choice_that_cannot_change_its_answer():
+    # the path route's value and the exact-sequence isomorphism do not depend
+    # on the path or the retraction, a tensor sum lands on the direct sum of
+    # its summands, and a regular module is re-metrised by with_reference_gram
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert params(determinant.fk_det_path) == ["module", "op"]
+    assert "retraction" not in params(lines.exact_sequence_iso)
+    assert "total" not in params(lines.tensor_sum)
+    assert params(modules.regular_module) == ["dec"]
+    assert "abelian_spectral_density" not in detline.__all__
+    assert not hasattr(detline, "abelian_spectral_density")
+
+
 def _readme_library_block():
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = text.split("\n## Library\n", 1)[1]
@@ -96,9 +111,8 @@ PUBLIC_NAMES = [
     "NonInvertible", "NotDenselyExact", "NotDeterminantClass", "NotUnimodular",
     "ParseError", "SpectralDensity", "TorsionReport", "TorusGrid", "ValidationError",
     "ZetaReport", "abelian_dense_isomorphism_check", "abelian_determinant_class_check",
-    "abelian_fk_det", "abelian_fk_det_general", "abelian_spectral_density",
-    "abelian_torsion", "algebra", "assemble_coefficients", "build_group_algebra",
-    "canonical_trace", "check_admissible", "circle", "complexes", "determinant",
+    "abelian_fk_det", "abelian_fk_det_general", "abelian_torsion", "algebra",
+    "assemble_coefficients", "build_group_algebra", "canonical_trace", "check_admissible", "circle", "complexes", "determinant",
     "determinant_class_check", "direct_sum", "element_from_extended_product",
     "element_from_product", "errors", "exact_sequence_iso", "fixtures", "fk_det",
     "fk_det_path", "fk_det_spectral", "free_module", "graded_assemble", "hodge",
@@ -125,7 +139,7 @@ def _python(code):
 
 
 def test_namespace_exports_exactly_the_public_names():
-    assert len(PUBLIC_NAMES) == 89
+    assert len(PUBLIC_NAMES) == 88
     assert detline.__all__ == PUBLIC_NAMES
     assert set(PUBLIC_NAMES) <= set(dir(detline))
     for name in PUBLIC_NAMES:

@@ -651,7 +651,7 @@ def test_cellular_torsion_loads_no_numpy_ma():
 
 
 def test_polar_path_loads_no_scipy():
-    # the polar and auto paths take their log-determinant from numpy's LU
+    # the path route takes its log-determinant from numpy's LU
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     probe = (
@@ -660,8 +660,7 @@ def test_polar_path_loads_no_scipy():
         "from detline.determinant import fk_det_path\n"
         "mod = HilbertianModule(FiniteVonNeumannAlgebra(((1, 1.0),)), [2])\n"
         "op = CommutantOperator(mod, [np.diag([-1.0, -2.0])])\n"
-        "for kind in ('polar', 'auto'):\n"
-        "    assert abs(fk_det_path(mod, op, path=kind).log_value - np.log(2.0)) < 1e-8\n"
+        "assert abs(fk_det_path(mod, op).log_value - np.log(2.0)) < 1e-8\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
     done = subprocess.run(

@@ -25,7 +25,6 @@ from detline.errors import (
     NotExact,
     NotIso,
     NotSelfAdjoint,
-    PathLeavesGL,
     ValidationError,
 )
 from detline.lines import exact_sequence_iso, pushforward, reference_element
@@ -100,7 +99,6 @@ def test_spectral_density_counting():
     mod = standard_module(ALGEBRAS["C[Z/3]"])
     op = CommutantOperator(mod, [np.array([[v]]) for v in (1.0, 4.0, 9.0)])
     dens = spectral_density(mod, op)
-    assert dens.kind == "atomic"
     assert abs(dens.total_mass - von_neumann_dimension(mod)) < 1e-12
     assert abs(dens.counting(0.5) - 0.0) < 1e-12
     assert abs(dens.counting(4.0) - 2.0 / 3.0) < 1e-12
@@ -256,7 +254,7 @@ def test_unitary_has_determinant_one():
         blocks.append(q)
     op = CommutantOperator(mod, blocks)
     assert abs(fk_det(mod, op).log_value) < 1e-10
-    assert abs(fk_det_path(mod, op, path="polar").log_value) < 1e-8
+    assert abs(fk_det_path(mod, op).log_value) < 1e-8
 
 
 def test_path_independence_segment_vs_polar():
@@ -264,19 +262,20 @@ def test_path_independence_segment_vs_polar():
     mod = standard_module(ALGEBRAS["C[Z/3]"])
     for trial in range(8):
         op = random_operator(rng, mod) + CommutantOperator.identity(mod) * 3.0
-        seg = fk_det_path(mod, op, path="segment")
-        pol = fk_det_path(mod, op, path="polar")
-        assert abs(seg.log_value - pol.log_value) < 1e-7
+        # the segment from the identity stays invertible here; the value is
+        # that of the polar route through |A|
+        path = fk_det_path(mod, op)
+        assert abs(path.log_value - fk_det(mod, op).log_value) < 1e-7
 
 
 def test_segment_path_leaves_gl():
+    # the segment from the identity to diag(-1, -2) passes a singular
+    # operator; other paths do not, and every path gives log|det| = log 2
     mod = HilbertianModule(ALGEBRAS["C"], [2])
     op = CommutantOperator(mod, [np.diag([-1.0, -2.0])])
-    with pytest.raises(PathLeavesGL):
-        fk_det_path(mod, op, path="segment")
-    # auto falls back to the polar path and matches |det| = 2
-    res = fk_det_path(mod, op, path="auto")
-    assert abs(res.log_value - np.log(2.0)) < 1e-8
+    res = fk_det_path(mod, op)
+    assert abs(res.log_value - np.log(2.0)) < 1e-12
+    assert abs(res.log_value - fk_det(mod, op).log_value) < 1e-12
 
 
 def test_non_invertible_refusal():
@@ -317,13 +316,6 @@ def test_non_finite_entries_refused_at_input():
         fk_det(mod, CommutantOperator.from_matrix(mod, np.diag([np.nan, 1.0, 1.0])))
     with pytest.raises(ValidationError, match="finite"):
         fk_det_spectral(mod, CommutantOperator.from_matrix(mod, np.diag([np.inf, 1.0, 1.0])))
-
-
-def test_bad_path_name():
-    mod = standard_module(ALGEBRAS["C"])
-    op = CommutantOperator.identity(mod)
-    with pytest.raises(ValidationError):
-        fk_det_path(mod, op, path="spiral")
 
 
 def test_result_shape():
@@ -368,12 +360,14 @@ def test_one_singular_block_among_equal_shapes_refuses():
 
 
 def test_one_negative_block_among_equal_shapes_leaves_the_segment():
+    # the block -1 puts the segment from the identity through a singular
+    # operator; the value is the weighted sum of log|det| all the same
     mod, op = z5_operator([1.5, 2.0, -1.0, 0.5, 3.0])
-    with pytest.raises(PathLeavesGL):
-        fk_det_path(mod, op, path="segment")
-    auto = fk_det_path(mod, op)
-    assert auto.log_value == fk_det_path(mod, op, path="polar").log_value
-    assert abs(auto.log_value - naive_log_det(mod, op)) < 1e-12
+    res = fk_det_path(mod, op)
+    closed_form = np.log([1.5, 2.0, 1.0, 0.5, 3.0]).sum() / 5
+    assert abs(res.log_value - closed_form) < 1e-12
+    assert abs(res.log_value - fk_det(mod, op).log_value) < 1e-12
+    assert abs(res.log_value - naive_log_det(mod, op)) < 1e-12
     with pytest.raises(NegativeSpectrum):
         spectral_density(mod, op)
 
@@ -406,12 +400,7 @@ def test_batched_routes_agree_with_a_per_block_loop(name):
         blocks = [3.0 * np.eye(m) + 0.3 * random_complex(rng, (m, m)) for m in module.multiplicities]
         op = CommutantOperator(module, blocks)
         loop = sum(w * np.linalg.slogdet(b)[1] for w, b in zip(weights, blocks))
-        for res in (
-            fk_det(module, op),
-            fk_det_path(module, op),
-            fk_det_path(module, op, path="segment"),
-            fk_det_path(module, op, path="polar"),
-        ):
+        for res in (fk_det(module, op), fk_det_path(module, op)):
             assert rel_close(res.log_value, loop)
         pos = op.adjoint() @ op
         loop_pos = sum(w * np.linalg.slogdet(b)[1] for w, b in zip(weights, pos.blocks))
@@ -474,35 +463,33 @@ def test_path_route_takes_one_slogdet_per_block_shape(monkeypatch):
     op = CommutantOperator(
         mod, [3.0 * np.eye(m) + 0.3 * random_complex(rng, (m, m)) for m in mod.multiplicities]
     )
-    for kind in ("auto", "segment", "polar"):
-        slogdet = _counting(monkeypatch, "slogdet")
-        eigvals = _counting(monkeypatch, "eigvals")
-        res = fk_det_path(mod, op, path=kind)
-        assert slogdet[0] == shapes
-        # only the segment asks where the spectrum lies
-        assert eigvals[0] == (shapes if kind == "segment" else 0)
-        assert rel_close(res.log_value, naive_log_det(mod, op), 1e-12)
-        monkeypatch.undo()
+    slogdet = _counting(monkeypatch, "slogdet")
+    eigvals = _counting(monkeypatch, "eigvals")
+    res = fk_det_path(mod, op)
+    assert slogdet[0] == shapes
+    # no path is chosen, so nothing asks where the spectrum lies
+    assert eigvals[0] == 0
+    assert rel_close(res.log_value, naive_log_det(mod, op), 1e-12)
 
 
 def test_path_route_on_a_large_scalar_block():
     # 0.1 I on C^400: log Det = -400 log 10, past the linear float range
     mod = HilbertianModule(ALGEBRAS["C"], [400])
     op = CommutantOperator.identity(mod) * 0.1
-    for kind in ("auto", "segment", "polar"):
-        res = fk_det_path(mod, op, path=kind)
-        assert res.log_value == pytest.approx(-400 * np.log(10.0), rel=1e-14)
+    res = fk_det_path(mod, op)
+    assert res.log_value == pytest.approx(-400 * np.log(10.0), rel=1e-14)
 
 
 def test_segment_near_the_negative_ray():
     # 2 R(pi - 0.01) has eigenvalues 2 exp(+-i(pi - 0.01)), 0.02 off the
-    # negative real ray: the segment stays invertible, and |det| = 4
+    # negative real ray, and |det| = 4
     mod = HilbertianModule(ALGEBRAS["C"], [2])
     theta = np.pi - 0.01
     rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
     op = CommutantOperator(mod, [2.0 * rot])
-    for kind in ("segment", "auto", "polar"):
-        assert abs(fk_det_path(mod, op, path=kind).log_value - 2 * np.log(2.0)) < 1e-14
+    res = fk_det_path(mod, op)
+    assert abs(res.log_value - 2 * np.log(2.0)) < 1e-14
+    assert abs(res.log_value - fk_det(mod, op).log_value) < 1e-12
 
 
 def first_inexact_block(alpha, beta, tol):

@@ -516,9 +516,9 @@ def test_direct_sum_of_user_bases_matches_carrier_construction():
     plain = regular_module(dec)
     canon = HilbertianModule(alg, (2, 1, 1))
     summands = [
-        regular_module(dec, reference_gram=_positive_op(plain, rng).to_matrix()),
+        regular_module(dec).with_reference_gram(_positive_op(plain, rng).to_matrix()),
         HilbertianModule(alg, (2, 1, 1), reference_gram=_positive_op(canon, rng).to_matrix()),
-        regular_module(dec, reference_gram=_positive_op(plain, rng).to_matrix()),
+        regular_module(dec).with_reference_gram(_positive_op(plain, rng).to_matrix()),
     ]
     total = direct_sum_many(summands)
 
@@ -563,7 +563,7 @@ def test_direct_sum_of_user_bases_matches_carrier_construction():
 def test_is_same_space_tolerance_is_scale_relative():
     dec = build_group_algebra(FiniteGroupTable.cyclic(3))
     plain = regular_module(dec)
-    near = regular_module(dec, reference_gram=(1 + 5e-6) * np.eye(3))
+    near = regular_module(dec).with_reference_gram((1 + 5e-6) * np.eye(3))
     assert not plain.is_same_space(near)
     assert not reference_element(plain).is_close_to(reference_element(near))
     with pytest.raises(ValidationError):
@@ -571,8 +571,8 @@ def test_is_same_space_tolerance_is_scale_relative():
     assert plain.same_coordinates(near)
     # roundoff in a large gram still counts as the same space
     big = 1e6 * np.eye(3)
-    a = regular_module(dec, reference_gram=big)
-    b = regular_module(dec, reference_gram=big * (1 + 1e-14))
+    a = regular_module(dec).with_reference_gram(big)
+    b = regular_module(dec).with_reference_gram(big * (1 + 1e-14))
     assert a.is_same_space(b)
 
 

@@ -12,7 +12,6 @@ import pytest
 
 from detline import _mahler
 from detline._mahler import CHECK_CIRCLE, CLUSTER_RADII, map_log_det, positive_log_det
-from detline.determinant import SpectralDensity
 from detline.errors import (
     AlgebraMismatch,
     BackendUnsupported,
@@ -36,7 +35,6 @@ from detline.symbols import (
     abelian_determinant_class_check,
     abelian_fk_det,
     abelian_fk_det_general,
-    abelian_spectral_density,
     abelian_torsion,
     laurent_trace,
 )
@@ -211,15 +209,14 @@ def test_grid_validation_and_refinement():
     g = TorusGrid.default(1)
     assert g.resolution == 4096 and g.total == 4096
     assert TorusGrid.default(2).resolution == 64
-    assert g.refine().resolution == 8192
     nodes = TorusGrid(1, 4).nodes()
     assert np.allclose(nodes[:, 0], [0.125, 0.375, 0.625, 0.875])
     assert TorusGrid(2, 4).nodes().shape == (16, 2)
     # a fractional resolution would weight its nodes by 1 / 100.5 while
-    # sampling 101 of them, giving the identity of size 3 mass 3.015
+    # sampling 101 of them
     for rank, resolution in [(1, 100.5), (1, 64.0), (True, 8)]:
         with pytest.raises(ValidationError):
-            abelian_spectral_density(LaurentMatrix.identity(1, 3), TorusGrid(rank, resolution))
+            TorusGrid(rank, resolution)
 
 
 # ---------------------------------------------------------------------------
@@ -373,43 +370,6 @@ def test_class_check_passes_cleanly():
     assert report.passed and report.refusal is None
     assert abs(report.value - 4.0) < 1e-9
     assert report.verdict.status == "convergent"
-
-
-# ---------------------------------------------------------------------------
-# spectral densities
-
-
-def test_density_of_the_identity():
-    d = abelian_spectral_density(LaurentMatrix.identity(1, 3))
-    assert isinstance(d, SpectralDensity)
-    assert d.kind == "sampled"
-    assert d.total_mass == pytest.approx(3.0)
-    assert np.allclose(d.values, 1.0)
-    assert d.counting(0.5) == 0.0
-    assert d.counting(1.0) == pytest.approx(3.0)
-
-
-def test_density_support_of_shifted_circle():
-    d = abelian_spectral_density(T_MINUS_2.adjoint() @ T_MINUS_2)
-    # |e^(2 pi i theta) - 2|^2 sweeps [1, 9]
-    assert 0.999 < d.values.min() < 1.01
-    assert 8.99 < d.values.max() < 9.001
-    assert d.counting(0.999) == 0.0
-    assert d.counting(9.001) == pytest.approx(1.0)
-    assert d.consistency < 1e-3
-
-
-def test_density_square_root_edge():
-    d = abelian_spectral_density(T_MINUS_1.adjoint() @ T_MINUS_1)
-    # counting function of |t-1|^2 grows like sqrt(lambda)/pi at the edge
-    for lam in (1e-2, 1e-3):
-        ratio = d.counting(lam) / np.sqrt(lam)
-        assert abs(ratio * np.pi - 1.0) < 0.05
-
-
-def test_density_rejects_non_hermitian():
-    with pytest.raises(NotHermitianSymbol):
-        abelian_spectral_density(T_MINUS_1)
 
 
 # ---------------------------------------------------------------------------
