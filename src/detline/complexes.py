@@ -1,10 +1,11 @@
 """Chain and cochain complexes of Hilbertian modules.
 
 A complex stores one module per degree plus the connecting maps; the
-convention flag decides whether maps[i] runs from degree i+1 down to i
-(chain) or from degree i up to i+1 (cochain).  Chosen scalar products are
-baked into the degree modules as their reference grams, so every adjoint,
-Laplacian and determinant downstream is taken with respect to them.
+convention flag decides, through map_ends alone, whether maps[i] runs from
+degree i+1 down to i (chain) or from degree i up to i+1 (cochain).  Each
+degree module carries its scalar product as its reference gram, chosen
+when the module was built, so every adjoint, Laplacian and determinant
+downstream is taken with respect to it.
 
 The torsion isomorphism between det(C) and det(H_*) is computed by two
 deliberately independent routes: factorization through the exact sequences
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .determinant import ConvergenceReport, SpectralDensity, _tilde_blocks
+from .determinant import ConvergenceReport, SpectralDensity, _tilde_blocks, exp_of_log
 from .errors import IllConditionedKernel, NotExact, ValidationError
 from .lines import (
     EXACTNESS_TOL,
@@ -47,7 +48,6 @@ from .modules import (
     ModuleMorphism,
     _frames,
     gram_coordinates,
-    gram_defect,
     range_and_kernel,
     von_neumann_dimension,
 )
@@ -64,20 +64,26 @@ CHAIN = "chain"
 COCHAIN = "cochain"
 
 
+def map_ends(convention: str, i: int) -> tuple:
+    """(source degree, target degree) of maps[i]: a chain map lowers the
+    degree by one, a cochain map raises it."""
+    return (i + 1, i) if convention == CHAIN else (i, i + 1)
+
+
 class HilbertianChainComplex:
     """Finite complex 0 <- C_0 <- ... <- C_N <- 0 (chain) or its cochain
     mirror 0 -> C_0 -> ... -> C_N -> 0.
 
-    maps[i] connects degrees i and i+1: for the chain convention it is a
-    morphism C_{i+1} -> C_i, for the cochain convention C_i -> C_{i+1}.
-    grams optionally overrides the scalar product per degree; the modules
-    are rebuilt so their reference IS the chosen product.
+    maps[i] runs between the degrees map_ends(convention, i) names, as a
+    morphism between modules with their coordinates (rebound to the
+    degrees) or a carrier matrix.  The modules are taken as given, metric
+    included: re-metrise a degree with module.with_reference_gram first.
     """
 
-    def __init__(self, modules, maps, convention=CHAIN, grams=None, validate=True):
+    def __init__(self, modules, maps, convention=CHAIN, validate=True):
         if convention not in (CHAIN, COCHAIN):
             raise ValidationError(f"unknown convention {convention!r}")
-        modules = list(modules)
+        modules = tuple(modules)
         maps = list(maps)
         if not modules:
             raise ValidationError("a complex needs at least one degree")
@@ -88,22 +94,15 @@ class HilbertianChainComplex:
             if m.algebra != alg:
                 raise ValidationError("all degrees must share one algebra")
 
-        if grams is not None:
-            grams = list(grams)
-            if len(grams) != len(modules):
-                raise ValidationError("need one gram per degree")
-            modules = [
-                m if g is None else m.with_reference_gram(g) for m, g in zip(modules, grams)
-            ]
-
         self.algebra = alg
-        self.modules = tuple(modules)
+        self.modules = modules
         self.convention = convention
 
         wrapped = []
+        self._out, self._in = {}, {}  # degree -> the map out of / into it
         for i, f in enumerate(maps):
-            lo, hi = modules[i], modules[i + 1]
-            src, tgt = (hi, lo) if convention == CHAIN else (lo, hi)
+            s, t = self.ends(i)
+            src, tgt = modules[s], modules[t]
             if isinstance(f, ModuleMorphism):
                 if not (f.source.same_coordinates(src) and f.target.same_coordinates(tgt)):
                     raise ValidationError(f"map {i} does not connect degrees {i} and {i + 1}")
@@ -111,6 +110,7 @@ class HilbertianChainComplex:
             else:
                 f = ModuleMorphism.from_matrix(src, tgt, f)
             wrapped.append(f)
+            self._out[s] = self._in[t] = f
         self.maps = tuple(wrapped)
 
         if validate:
@@ -129,37 +129,38 @@ class HilbertianChainComplex:
     def degrees(self):
         return range(len(self.modules))
 
+    def ends(self, i: int) -> tuple:
+        """(source degree, target degree) of maps[i]."""
+        return map_ends(self.convention, i)
+
     def outgoing(self, i: int):
         """The map out of degree i, or None at the end of the complex."""
-        if self.convention == CHAIN:
-            return self.maps[i - 1] if i >= 1 else None
-        return self.maps[i] if i < len(self.maps) else None
+        return self._out.get(i)
 
     def incoming(self, i: int):
         """The map into degree i, or None."""
-        if self.convention == CHAIN:
-            return self.maps[i] if i < len(self.maps) else None
-        return self.maps[i - 1] if i >= 1 else None
+        return self._in.get(i)
 
     def boundary_residual(self) -> float:
-        """Largest ||composite|| / max(||a|| ||b||, 1) over consecutive maps;
-        each norm takes one singular-value call per block shape.  A complex
-        with fewer than two maps has no composite, and takes no norm.  A
-        composite or norm past the float range (inf, or nan from inf - inf)
-        reads inf: it is no evidence that the maps compose to zero."""
+        """Largest ||out in|| / max(||out|| ||in||, 1) over the interior
+        degrees, for the maps out of and into each; each norm takes one
+        singular-value call per block shape.  A complex with fewer than two
+        maps has no composite, and takes no norm.  A composite or norm past
+        the float range (inf, or nan from inf - inf) reads inf: it is no
+        evidence that the maps compose to zero."""
         worst = 0.0
         if len(self.maps) < 2:
             return worst
         with np.errstate(over="ignore", invalid="ignore"):
-            norms = [f.norm() for f in self.maps]
-            for i in range(len(self.maps) - 1):
-                a, b = self.maps[i], self.maps[i + 1]
-                comp = (a @ b if self.convention == CHAIN else b @ a).norm()
-                if not np.isfinite([comp, norms[i], norms[i + 1]]).all():
+            norms = {id(f): f.norm() for f in self.maps}
+            for d in self.degrees[1:-1]:
+                out, inc = self.outgoing(d), self.incoming(d)
+                comp, a, b = (out @ inc).norm(), norms[id(out)], norms[id(inc)]
+                if not np.isfinite([comp, a, b]).all():
                     return math.inf
-                scale = norms[i] * norms[i + 1]
+                scale = a * b
                 if math.isinf(scale):  # two finite norms whose product overflows
-                    worst = max(worst, comp / norms[i] / norms[i + 1])
+                    worst = max(worst, comp / a / b)
                 else:
                     worst = max(worst, comp / max(scale, 1.0))
         return worst
@@ -173,19 +174,16 @@ class HilbertianChainComplex:
 @dataclass
 class ComplexValidationReport:
     boundary_residual: float
-    grams_admissible: tuple
     valid: bool
 
 
 def validate_complex(complex_) -> ComplexValidationReport:
-    """Report-style health check: composition residual and admissibility of
-    the per-degree products.  The maps are stored as blocks 1 (x) F_k, which
-    commute with the action x_k (x) 1 by construction, so A-linearity needs
-    no check."""
+    """Report-style health check: the composition residual.  The maps are
+    stored as blocks 1 (x) F_k, which commute with the action x_k (x) 1 by
+    construction, so A-linearity needs no check, and each degree's gram
+    passed resolve_gram when its module was built."""
     boundary = complex_.boundary_residual()
-    grams_ok = [gram_defect(m.reference_gram.stacked) is None for m in complex_.modules]
-    valid = boundary <= BOUNDARY_TOL and all(grams_ok)
-    return ComplexValidationReport(boundary, tuple(grams_ok), valid)
+    return ComplexValidationReport(boundary, boundary <= BOUNDARY_TOL)
 
 
 # -- Hodge ---------------------------------------------------------------
@@ -343,7 +341,7 @@ def torsion_iso_via_laplacians(complex_, hodge_data: HodgeData | None = None) ->
     entries = []
     for i in complex_.degrees:
         log_det = hodge_data.positive_densities[i].log_moment()
-        coeff = float(np.exp(sign * 0.5 * i * log_det))
+        coeff = exp_of_log(sign * 0.5 * i * log_det)
         entries.append((i, DetLineElement(hodge_data.harmonic_modules[i], coeff, "torsion_iso")))
     return graded_assemble(entries)
 
@@ -392,7 +390,7 @@ def torsion_iso_via_exact_sequences(complex_, hodge_data: HodgeData | None = Non
     n = len(complex_.modules)
     ranges, kernels, log_kappas = [None] * n, [None] * n, [0.0] * n
     for i, f in enumerate(complex_.maps):
-        src, tgt = (i + 1, i) if complex_.convention == CHAIN else (i, i + 1)
+        src, tgt = complex_.ends(i)
         tilde = gram_coordinates(f.stacked, f.source, f.target)
         ranges[tgt], kernels[src], logs = range_and_kernel(tilde, scale)
         log_kappas[src] = float(weights @ logs)
@@ -524,11 +522,11 @@ def zeta_suite(complex_, hodge_data: HodgeData | None = None) -> ZetaReport:
             zeta_prime.append(0.0)
 
     combined = float(sum((-1) ** j * j * zp for j, zp in enumerate(zeta_prime)))
-    normalization = float(np.exp(0.5 * combined))
+    normalization = exp_of_log(0.5 * combined)
     log_product = sum(
         (-1) ** (j + 1) * 0.5 * j * d.log_moment() for j, d in enumerate(densities)
     )
     return ZetaReport(
         complex_.convention, grid, tuple(theta), tuple(zeta_prime),
-        combined, normalization, float(np.exp(log_product)), tuple(densities),
+        combined, normalization, exp_of_log(log_product), tuple(densities),
     )

@@ -218,20 +218,24 @@ def _generated_group_module(doc, where) -> HilbertianModule:
     return module_from_group_action(dec, elements, gram)
 
 
-def decode_module(doc, where="module") -> HilbertianModule:
+def _layout_module(algebra, doc, where) -> HilbertianModule:
+    """A layout document's module over an algebra already decoded."""
     from .modules import HilbertianModule
 
-    doc = _expect_mapping(doc, where)
-    if "action_generators" in doc:
-        _check_keys(doc, where, ("action_generators",), ("reference_gram",))
-        return _generated_group_module(doc, where)
-    _check_keys(doc, where, ("algebra", "multiplicities"), ("reference_gram",))
-    algebra = decode_algebra(doc["algebra"], f"{where}.algebra")
     mult = _decode_integers(doc["multiplicities"], f"{where}.multiplicities")
     gram = doc.get("reference_gram")
     if gram is not None:
         gram = decode_matrix(gram, f"{where}.reference_gram")
     return HilbertianModule(algebra, mult, reference_gram=gram)
+
+
+def decode_module(doc, where="module") -> HilbertianModule:
+    doc = _expect_mapping(doc, where)
+    if "action_generators" in doc:
+        _check_keys(doc, where, ("action_generators",), ("reference_gram",))
+        return _generated_group_module(doc, where)
+    _check_keys(doc, where, ("algebra", "multiplicities"), ("reference_gram",))
+    return _layout_module(decode_algebra(doc["algebra"], f"{where}.algebra"), doc, where)
 
 
 def decode_operator(doc, module, where="operator") -> CommutantOperator:
@@ -246,8 +250,10 @@ def decode_operator(doc, module, where="operator") -> CommutantOperator:
 
 
 def decode_complex(doc, where="complex", convention=None) -> HilbertianChainComplex:
+    """Each degree is a layout module (a bare array is its multiplicities);
+    grams[i] re-metrises degree i over its reference_gram.  The complex
+    orients the boundary matrices by the convention."""
     from .complexes import CHAIN, COCHAIN, HilbertianChainComplex
-    from .modules import HilbertianModule, ModuleMorphism
 
     doc = _check_keys(
         doc, where, ("algebra", "modules", "boundaries"), ("convention", "grams")
@@ -266,24 +272,13 @@ def decode_complex(doc, where="complex", convention=None) -> HilbertianChainComp
         if isinstance(entry, list):
             entry = {"multiplicities": entry}
         entry = _check_keys(entry, sub, ("multiplicities",), ("reference_gram",))
-        mult = _decode_integers(entry["multiplicities"], f"{sub}.multiplicities")
-        gram = entry.get("reference_gram")
-        if gram is not None:
-            gram = decode_matrix(gram, f"{sub}.reference_gram")
-        modules.append(HilbertianModule(algebra, mult, reference_gram=gram))
+        modules.append(_layout_module(algebra, entry, sub))
     raw_maps = doc["boundaries"]
     if not isinstance(raw_maps, list) or len(raw_maps) != len(modules) - 1:
         raise ParseError(
             f"{where}.boundaries: expected {len(modules) - 1} matrices"
         )
-    maps = []
-    for i, entry in enumerate(raw_maps):
-        matrix = decode_matrix(entry, f"{where}.boundaries[{i}]")
-        if convention == CHAIN:
-            source, target = modules[i + 1], modules[i]
-        else:
-            source, target = modules[i], modules[i + 1]
-        maps.append(ModuleMorphism.from_matrix(source, target, matrix))
+    maps = [decode_matrix(entry, f"{where}.boundaries[{i}]") for i, entry in enumerate(raw_maps)]
     grams = doc.get("grams")
     if grams is not None:
         if not isinstance(grams, list) or len(grams) != len(modules):
@@ -292,7 +287,8 @@ def decode_complex(doc, where="complex", convention=None) -> HilbertianChainComp
             None if g is None else decode_matrix(g, f"{where}.grams[{i}]")
             for i, g in enumerate(grams)
         ]
-    return HilbertianChainComplex(modules, maps, convention, grams=grams)
+        modules = [m if g is None else m.with_reference_gram(g) for m, g in zip(modules, grams)]
+    return HilbertianChainComplex(modules, maps, convention)
 
 
 def _decode_ring_entry(entry, where):

@@ -42,8 +42,8 @@ def interval() -> CellComplex:
 
 def circle(k: int = 1) -> CellComplex:
     """The circle with k edges; the deck generator closes the loop."""
-    if k < 1:
-        raise ValidationError("need at least one edge")
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValidationError(f"the number of edges must be a positive integer, got {k!r}")
     vertices = tuple(f"p{i}" for i in range(k))
     edges = tuple(f"e{i}" for i in range(k))
     zero = GroupRingElement.zero()
@@ -86,8 +86,8 @@ def projective_plane() -> CellComplex:
 
 def lens_space(n: int) -> CellComplex:
     """One cell per dimension up to 3, deck group of order n."""
-    if n < 2:
-        raise ValidationError("lens parameter must be >= 2")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
+        raise ValidationError(f"lens parameter must be an integer >= 2, got {n!r}")
     d1 = [[ring("t") - ring("")]]
     d2 = [[GroupRingElement.from_pairs([(1, (("t", i),)) for i in range(n)])]]
     d3 = [[ring("t") - ring("")]]
@@ -126,10 +126,7 @@ def sign_representation(generators, side: str = "right") -> GroupRepresentation:
 def regular_cyclic_representation(n: int, side: str = "right") -> GroupRepresentation:
     """l2 of the cyclic group of order n; the generator t acts by right
     translation, which generates the commutant of the left action."""
-    dec = build_group_algebra(FiniteGroupTable.cyclic(n))
-    module = regular_module(dec)
-    image = CommutantOperator.from_matrix(module, dec.table.right_translation(1 % n))
-    return GroupRepresentation(module, {"t": image}, side)
+    return regular_product_representation((n,), ("t",), side)
 
 
 def regular_product_representation(orders, generators,
@@ -139,7 +136,7 @@ def regular_product_representation(orders, generators,
     Used for surface groups through their finite abelian quotients: each
     generator acts by right translation with its own cyclic factor.
     """
-    orders = tuple(int(n) for n in orders)
+    orders = tuple(orders)
     generators = tuple(generators)
     if len(orders) != len(generators):
         raise ValidationError("need one cyclic order per generator")
@@ -149,7 +146,7 @@ def regular_product_representation(orders, generators,
     dec = build_group_algebra(table)
     module = regular_module(dec)
     images = {}
-    stride = int(np.prod(orders))
+    stride = table.order
     for name, n in zip(generators, orders):
         stride //= n
         images[name] = CommutantOperator.from_matrix(

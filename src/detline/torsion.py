@@ -25,6 +25,7 @@ from .complexes import (
     HilbertianChainComplex,
     HodgeData,
     hodge,
+    map_ends,
     torsion_iso_via_exact_sequences,
     torsion_iso_via_laplacians,
 )
@@ -434,18 +435,14 @@ def assemble_coefficients(complex_: CellComplex, rep: GroupRepresentation) -> Hi
     """
     counts = complex_.cell_counts()
     modules = [_module_power(rep.module, c) for c in counts]
+    convention = CHAIN if rep.side == "right" else COCHAIN
     maps = []
     for q, entries in enumerate(complex_.boundary_entries):
-        lo, hi = counts[q], counts[q + 1]
-        if rep.side == "right":
-            stacked = _assemble_matrix(rep, entries, lo, hi)
-            maps.append(ModuleMorphism._of(modules[q + 1], modules[q], stacked))
-        else:
-            transposed = [(c, r, element) for r, c, element in entries]
-            stacked = _assemble_matrix(rep, transposed, hi, lo)
-            maps.append(ModuleMorphism._of(modules[q], modules[q + 1], stacked))
-
-    convention = CHAIN if rep.side == "right" else COCHAIN
+        src, tgt = map_ends(convention, q)
+        if convention == COCHAIN:
+            entries = [(c, r, element) for r, c, element in entries]
+        stacked = _assemble_matrix(rep, entries, counts[tgt], counts[src])
+        maps.append(ModuleMorphism._of(modules[src], modules[tgt], stacked))
     out = HilbertianChainComplex(modules, maps, convention=convention, validate=False)
     resid = out.boundary_residual()
     if resid > RELATION_TOL:

@@ -138,8 +138,9 @@ def make_complex(rng, alg, mults, convention="chain", grams=True):
                 right = frames[j][k][:, used:used + r]
                 blks.append((left * sv) @ right.conj().T)
             maps.append(ModuleMorphism(modules[j], modules[j + 1], blks))
-    gram_list = [random_gram_matrix(rng, m) for m in modules] if grams else None
-    return HilbertianChainComplex(modules, maps, convention=convention, grams=gram_list)
+    if grams:
+        modules = [m.with_reference_gram(random_gram_matrix(rng, m)) for m in modules]
+    return HilbertianChainComplex(modules, maps, convention=convention)
 
 
 def random_complexes(seed):

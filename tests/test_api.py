@@ -20,7 +20,7 @@ from detline import complexes, determinant, fixtures, lines, modules
 # detline.torsion is the function; the module is reached by its full name
 torsion_module = importlib.import_module("detline.torsion")
 
-GRAM_NAMES = {"gram", "source_gram", "target_gram"}
+GRAM_NAMES = {"gram", "grams", "source_gram", "target_gram"}
 
 # The metric is chosen when a module is built.  These take a gram because
 # choosing or testing one is what they do; resolve_gram is the conversion

@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from detline._linalg import random_complex
-from detline.algebra import FiniteGroupTable, build_group_algebra
+from detline._linalg import gram_hash, random_complex
+from detline.algebra import FiniteGroupTable, FiniteVonNeumannAlgebra, build_group_algebra
+from detline.complexes import HilbertianChainComplex, determinant_class_check, hodge, zeta_suite
 from detline.cli import main, run_fixture_suite
 from detline.documents import (
     decode_algebra,
@@ -31,6 +32,7 @@ from detline.errors import ParseError, ValidationError
 from detline.fixtures import circle, scalar_representation
 from detline.symbols import LaurentMatrix
 from detline.torsion import torsion
+from test_acceptance import make_complex, random_gram_matrix
 
 
 def write_doc(tmp_path, name, doc):
@@ -429,6 +431,56 @@ def test_cli_betti_and_zeta(tmp_path, capsys):
     assert abs(payload["zeta_prime"][0] + np.log(4.0)) < 1e-12
 
 
+@pytest.mark.parametrize("convention", ["chain", "cochain"])
+def test_complex_document_grams(tmp_path, capsys, convention):
+    # degree 0 carries a reference_gram, degree 1 a reference_gram that
+    # grams[1] overrides, and degree 2 only grams[2]; the decoded complex
+    # and the one built in the library give the same betti, zeta and
+    # classcheck answers
+    rng = np.random.default_rng(43)
+    blocks = [[1, 1.0], [2, 0.5]]
+    plain = make_complex(
+        rng, FiniteVonNeumannAlgebra(tuple(map(tuple, blocks))),
+        [(1, 2), (2, 2), (1, 1)], convention, grams=False,
+    )
+    ref = [random_gram_matrix(rng, m) for m in plain.modules[:2]]
+    over = [None] + [random_gram_matrix(rng, m) for m in plain.modules[1:]]
+    doc = {
+        "algebra": {"blocks": blocks},
+        "modules": [
+            {"multiplicities": list(m.multiplicities), "reference_gram": encode_matrix(g)}
+            for m, g in zip(plain.modules, ref)
+        ] + [list(plain.modules[2].multiplicities)],
+        "boundaries": [encode_matrix(f.to_matrix()) for f in plain.maps],
+        "convention": convention,
+        "grams": [None] + [encode_matrix(g) for g in over[1:]],
+    }
+    decoded = decode_complex(doc)
+    grams = [ref[0], over[1], over[2]]
+    for m, g in zip(decoded.modules, grams):
+        assert np.array_equal(m.reference_gram.matrix, g)
+    cx = HilbertianChainComplex(
+        [m.with_reference_gram(g) for m, g in zip(plain.modules, grams)], plain.maps, convention
+    )
+
+    path = write_doc(tmp_path, "cx.json", doc)
+    answers = {}
+    for sub in ("betti", "zeta", "classcheck"):
+        code, out, err = run_cli(capsys, ["--format", "structured", sub, path])
+        assert code == 0, err
+        answers[sub] = json.loads(out)
+    data = hodge(cx)
+    assert answers["betti"]["betti"] == list(data.betti)
+    assert answers["betti"]["grams"] == [gram_hash(g) for g in grams]
+    zeta = zeta_suite(cx, data)
+    assert answers["zeta"]["zeta_prime"] == list(zeta.zeta_prime)
+    for key in ("combined_prime", "normalization", "laplacian_product"):
+        assert answers["zeta"][key] == getattr(zeta, key)
+    verdicts = determinant_class_check(cx, data)
+    assert answers["classcheck"]["passed"] is verdicts.passed
+    assert answers["classcheck"]["per_degree"] == [{"status": r.status} for r in verdicts.per_degree]
+
+
 def test_cli_betti_cell_complex(tmp_path, capsys):
     cc = write_doc(tmp_path, "circle.json", CIRCLE_DOC)
     rep = write_doc(tmp_path, "rep.json", rep_doc(1.0))
@@ -457,6 +509,31 @@ def test_cli_refuses_a_boundary_coefficient_past_the_float_range(
     rep = write_doc(tmp_path, "rep.json", rep_doc(1.0))
     code, out, err = run_cli(capsys, [subcommand, cc, rep])
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_cli_torsion_past_the_float_range_is_one_error_line(tmp_path, capsys):
+    # lens_space(3) with t -> e^(2 pi i / 3) on C with trace weight 450: the
+    # Laplacian route's degree-3 factor e^(741.6) overflows; the error is
+    # reported as one line, with no floating-point warning (pytest turns
+    # warnings into errors)
+    root = np.exp(2j * np.pi / 3)
+    lens = {
+        "generators": ["t"],
+        "cells": {"0": ["v"], "1": ["e"], "2": ["F"], "3": ["S"]},
+        "boundaries": {
+            "1": [[[[1, "t"], [-1, ""]]]],
+            "2": [[[[1, ""], [1, "t"], [1, "t^2"]]]],
+            "3": [[[[1, "t"], [-1, ""]]]],
+        },
+    }
+    rep = {
+        "module": {"algebra": {"blocks": [[1, 450.0]]}, "multiplicities": [1]},
+        "generator_images": {"t": [[[root.real, root.imag]]]},
+    }
+    argv = ["torsion", write_doc(tmp_path, "lens.json", lens), write_doc(tmp_path, "rep.json", rep)]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == "error: determinant line coordinate must be positive, got inf\n"
 
 
 @pytest.mark.parametrize("kernel_tol", ["-1", "0", "1", "nan", "inf"])

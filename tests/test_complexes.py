@@ -106,14 +106,16 @@ def make_complex(rng, alg, mults, convention="chain", grams=True):
                 right = frames[j][k][:, used:used + r]
                 blks.append((left * sv) @ right.conj().T)
             maps.append(ModuleMorphism(modules[j], modules[j + 1], blks))
-    gram_list = [random_gram_matrix(rng, m) for m in modules] if grams else None
-    return HilbertianChainComplex(modules, maps, convention=convention, grams=gram_list)
+    if grams:
+        modules = [m.with_reference_gram(random_gram_matrix(rng, m)) for m in modules]
+    return HilbertianChainComplex(modules, maps, convention=convention)
 
 
-def two_term_acyclic(alg, f_blocks, convention="chain", grams=None):
+def two_term_acyclic(alg, f_blocks, convention="chain", grams=(None, None)):
     mod = standard_module(alg)
     f = CommutantOperator(mod, f_blocks)
-    return HilbertianChainComplex([mod, mod], [f], convention=convention, grams=grams)
+    modules = [mod if g is None else mod.with_reference_gram(g) for g in grams]
+    return HilbertianChainComplex(modules, [f], convention=convention)
 
 
 def test_rejects_nonzero_composition():
@@ -325,7 +327,7 @@ def test_exact_sequence_route_with_a_gram_on_a_degree_without_outgoing_map(monke
     # G^(-1/2) in the module's coordinates, the identity in the route's
     c = assemble_coefficients(circle(16), regular_cyclic_representation(6))
     g = random_gram_matrix(np.random.default_rng(29), c.modules[0])
-    c = HilbertianChainComplex(c.modules, c.maps, grams=[g, None])
+    c = HilbertianChainComplex([c.modules[0].with_reference_gram(g), c.modules[1]], c.maps)
     assert not c.modules[0].reference_gram.is_identity
     _check_route_factors_each_map_block_once(monkeypatch, c)
 
@@ -831,12 +833,11 @@ def test_unitary_naturality():
         new_grams.append(ui.conj().T @ m.reference_gram.matrix @ ui)
     plain_modules = [HilbertianModule(alg, m.multiplicities) for m in c.modules]
     conj = HilbertianChainComplex(
-        plain_modules,
+        [m.with_reference_gram(g) for m, g in zip(plain_modules, new_grams)],
         [
             ModuleMorphism(plain_modules[j + 1], plain_modules[j], f.blocks)
             for j, f in enumerate(new_maps)
         ],
-        grams=new_grams,
     )
     for route in (torsion_iso_via_laplacians, torsion_iso_via_exact_sequences):
         a = route(c).coordinate
@@ -878,6 +879,18 @@ def test_zeta_identity_on_random_complexes():
         )
 
 
+def test_zeta_past_the_float_range_reads_inf_without_a_warning():
+    # 10 I on C^400: zeta'_0 = zeta'_1 = -400 log 100, so exp(zeta'/2) and
+    # the Laplacian product are 10^400; pytest turns warnings into errors
+    mod = HilbertianModule(SCALAR, [400])
+    c = HilbertianChainComplex([mod, mod], [CommutantOperator.identity(mod) * 10.0])
+    report = zeta_suite(c)
+    assert report.combined_prime == pytest.approx(400 * np.log(100.0), rel=1e-12)
+    assert report.normalization == np.inf and report.laplacian_product == np.inf
+    with pytest.raises(ValidationError, match="must be positive, got inf$"):
+        torsion_iso_via_laplacians(c)
+
+
 def test_zeta_closed_form_values():
     c = two_term_acyclic(SCALAR, [np.array([[2.0]])])
     report = zeta_suite(c)
@@ -905,7 +918,7 @@ def test_grams_are_baked_into_modules():
     mod = standard_module(Z2)
     g = random_gram_matrix(rng, mod)
     c = HilbertianChainComplex(
-        [mod, mod], [CommutantOperator.identity(mod)], grams=[g, None]
+        [mod.with_reference_gram(g), mod], [CommutantOperator.identity(mod)]
     )
     assert operator_norm(c.modules[0].reference_gram.matrix - g) < 1e-12
     assert operator_norm(c.modules[1].reference_gram.matrix - np.eye(mod.carrier_dim)) < 1e-12
