@@ -19,6 +19,8 @@ strict as one in spectral norms.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import NegativeSpectrum, ShapeMismatch, ValidationError
@@ -77,6 +79,22 @@ def gram_hash(matrix) -> str:
     return digest.hexdigest()[:16]
 
 
+@functools.lru_cache(maxsize=64)
+def identity_hash(n: int) -> str:
+    """gram_hash(np.eye(n)), from one row of length 2n + 1 whose windows
+    are the rows of the identity: no n x n matrix is built, and the hash
+    depends only on n, so it is kept per n."""
+    import hashlib
+
+    line = np.zeros(2 * n + 1, dtype=complex)
+    line[n] = 1.0
+    digest = hashlib.sha256()
+    digest.update(str((n, n)).encode())
+    for i in range(n):
+        digest.update(line[n - i : 2 * n - i])
+    return digest.hexdigest()[:16]
+
+
 def operator_norm(a: np.ndarray) -> float:
     if a.size == 0:
         return 0.0
@@ -87,16 +105,17 @@ def operator_norm(a: np.ndarray) -> float:
 def singular_values(parts, n: int, rtol: float = RANK_RTOL, scale: float | None = None):
     """(top, low, rank, logs) of each of n blocks, from one
     svd(compute_uv=False) per stack of parts, a list of (block indices,
-    stack) of the stacks with entries: the largest and the smallest
-    singular value, the rank and the sum of the log singular values the
-    rank counts.  The rank counts the singular values above rtol times the
-    block's largest, or times scale when it is given; a block in no stack
-    of parts reads 0 in all four."""
-    top, low, rank, logs = np.zeros(n), np.zeros(n), np.zeros(n, dtype=int), np.zeros(n)
+    stack) of the stacks with entries: the largest singular value, the
+    smallest one the rank counts (sigma_r), the rank and the sum of the log
+    singular values the rank counts.  The rank counts the singular values
+    above rtol times the block's largest, or times scale when it is given.
+    A block of rank 0 counts no singular value, so its sigma_r reads inf; a
+    block in no stack of parts has rank 0 and reads 0 in the other three."""
+    top, low, rank, logs = np.zeros(n), np.full(n, np.inf), np.zeros(n, dtype=int), np.zeros(n)
     for idx, s in parts:
         sv = np.linalg.svd(s, compute_uv=False)
-        top[idx], low[idx] = sv[:, 0], sv[:, -1]
         kept = sv > rtol * (sv[:, :1] if scale is None else scale)
+        top[idx], low[idx] = sv[:, 0], np.min(np.where(kept, sv, np.inf), axis=1)
         rank[idx] = np.sum(kept, axis=1)
         logs[idx] = np.sum(np.log(np.where(kept, sv, 1.0)), axis=1)
     return top, low, rank, logs

@@ -14,23 +14,26 @@ formula prod Det(Delta_i^+)^(+-i/2).  Their agreement is a theorem; here it
 is a test: the Laplacian route diagonalises each Delta (eigh), the
 exact-sequence route takes the singular values of each map.  That route
 takes one singular-value call per block shape of each map, in the
-coordinates where the grams are the identity, and singular vectors only for
-the blocks that are not square and invertible.  In those coordinates every
-frame is orthonormal, so both sequences are measured by theorem, with no
-exact-sequence core call: 0 -> Z -> C -> B -> 0 by the map's singular
-values above its rank, and 0 -> B -> Z -> H -> 0, an isometric inclusion
-followed by an orthogonal projection, has transition 1.  What the route
-checks is that Hodge's harmonic frames complete its boundary frames to its
-cycle frames, from products only as many rows high as the Betti count.
+coordinates where the grams are the identity, and no singular vectors.  In
+those coordinates the SVD frames are orthonormal, so both sequences are
+measured by theorem, with no exact-sequence core call: 0 -> Z -> C -> B ->
+0 by the map's singular values above its rank, and 0 -> B -> Z -> H -> 0,
+an isometric inclusion followed by an orthogonal projection, has
+transition 1.  What the route checks is that Hodge's harmonic frames
+complete the boundaries to the cycles: by bounds from the same singular
+values and from products only as wide as the Betti count, and, in a degree
+the bounds do not decide, by the frames themselves.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._linalg import RANK_RTOL
 from .determinant import ConvergenceReport, SpectralDensity, _tilde_blocks, exp_of_log
 from .errors import IllConditionedKernel, NotExact, ValidationError
 from .lines import (
@@ -194,10 +197,21 @@ class HodgeData:
     laplacians: tuple
     harmonic_modules: tuple
     harmonic_embeddings: tuple
-    harmonic_projectors: tuple
     positive_densities: tuple
     betti: tuple
     kernel_tol: float
+
+    @functools.cached_property
+    def harmonic_projectors(self) -> tuple:
+        """The orthogonal projection onto each degree's harmonic module,
+        H H^* = H H^H G for the embedding H and the degree's gram G, built
+        on first read."""
+        out = []
+        for h in self.harmonic_embeddings:
+            frames, g = h.stacked, h.target.reference_gram
+            proj = frames @ frames.H if g.is_identity else (frames @ frames.H) @ g.stacked
+            out.append(CommutantOperator._of(h.target, h.target, proj))
+        return tuple(out)
 
 
 def _laplacian(complex_, i) -> CommutantOperator:
@@ -236,7 +250,6 @@ def hodge(complex_, kernel_tol: float = HODGE_KERNEL_TOL) -> HodgeData:
     laplacians = []
     h_modules = []
     h_embeddings = []
-    h_projectors = []
     densities = []
     betti = []
     for i in complex_.degrees:
@@ -277,19 +290,15 @@ def hodge(complex_, kernel_tol: float = HODGE_KERNEL_TOL) -> HodgeData:
         h_mod = HilbertianModule(mod.algebra, counts)
         vecs = [(idx, v) for idx, _, v in eighs]
         frames = _frames(mod.multiplicities, vecs, np.zeros_like(counts), counts)
-        if g.is_identity:
-            proj = frames @ frames.H
-        else:
+        if not g.is_identity:
             frames = g.inv_sqrt @ frames
-            proj = (frames @ frames.H) @ g.stacked
         h_modules.append(h_mod)
         h_embeddings.append(ModuleMorphism._of(h_mod, mod, frames))
-        h_projectors.append(CommutantOperator._of(mod, mod, proj))
         densities.append(density)
         betti.append(von_neumann_dimension(h_mod))
     return HodgeData(
         tuple(laplacians), tuple(h_modules), tuple(h_embeddings),
-        tuple(h_projectors), tuple(densities), tuple(betti), kernel_tol,
+        tuple(densities), tuple(betti), kernel_tol,
     )
 
 
@@ -350,36 +359,37 @@ def torsion_iso_via_exact_sequences(complex_, hodge_data: HodgeData | None = Non
     """Same isomorphism, computed by factoring each degree through
     0 -> Z_i -> C_i -> B_out -> 0 and 0 -> B_i -> Z_i -> H_i -> 0.
 
-    Every frame is kept in the coordinates where its degree's gram is the
-    identity: each map is taken once as d~ = G_t^(1/2) d G_s^(-1/2)
-    (modules.gram_coordinates), and range_and_kernel gives d~'s singular
-    values and the frames it bounds, one singular-value call per block
-    shape and a full SVD only for the blocks that are not square and
-    invertible.  Ranks are cut at RANK_RTOL times the complex's largest
-    singular value, the square root of the largest positive Laplacian
-    eigenvalue (the spectrum of Delta_i is that of d* d and d d* for its
-    two maps), so no SVD is added for it: a map that is small next to 1
-    keeps its rank, as in Hodge, and a block that is zero up to rounding
-    next to the rest of the complex has none.  The leading left singular
-    vectors U_r span the boundaries B of the target, the trailing right
-    ones V_0 the cycles Z of the source; a square invertible block bounds
-    its whole target (the identity frame) and has no cycles.  In these
-    coordinates the frames are orthonormal as they come, a degree with no
-    outgoing map has the identity as its cycle frame, and one with no
-    incoming map bounds nothing.
+    Everything is taken in the coordinates where its degree's gram is the
+    identity: each map once as d~ = G_t^(1/2) d G_s^(-1/2)
+    (modules.gram_coordinates), and Hodge's harmonic frame as H~ = G^(1/2)
+    H.  One singular-value pass per block shape of each d~ gives its ranks,
+    the smallest singular value each rank counts (sigma_r) and its log
+    singular values, with no singular vectors.  Ranks are cut at RANK_RTOL
+    times the complex's largest singular value, the square root of the
+    largest positive Laplacian eigenvalue (the spectrum of Delta_i is that
+    of d* d and d d* for its two maps), so no SVD is added for it: a map
+    that is small next to 1 keeps its rank, as in Hodge, and a block that
+    is zero up to rounding next to the rest of the complex has none.
 
     Both sequences are measured by theorem (d* d and d d* share their
-    positive spectrum; Lück, L2-Invariants, Lemma 3.30).  The Z sequence:
-    alpha = V_0 is an isometry and beta = U_r^H d~ has the singular values
-    of d~ above its rank, with beta alpha = 0, so kappa_i = exp(-sum_k w_k
-    sum_{j < r_k} log s_j(d~_k)).  The B sequence: B lies in Z because
-    d_out d_in = 0, and with H~ = G^(1/2) H, Hodge's harmonic frame in the
-    same coordinates, B~ -> Z~ is an isometry and Z~ -> H~ the orthogonal
-    projection, so its transition is P_B + P_H = 1 on Z and kappa'_i = 1.
-    Both factors reuse one orthonormal frame per boundary subspace, so the
+    positive spectrum; Lück, L2-Invariants, Lemma 3.30).  In these
+    coordinates the frames of Z (trailing right singular vectors) and B
+    (leading left ones) are orthonormal, so the Z sequence has alpha = V_0
+    an isometry and beta = U_r^H d~ with the singular values of d~ above
+    its rank: kappa_i = exp(-sum_k w_k sum_{j < r_k} log s_j(d~_k)).  The B
+    sequence, an isometric inclusion followed by the orthogonal projection
+    onto H, has transition P_B + P_H = 1 on Z, so kappa'_i = 1.  Both
+    factors reuse one orthonormal frame per boundary subspace, so the
     det(B) lines pair to exactly 1 and the per-degree coefficient is
-    1/kappa_i.  What is checked, degree by degree, is that the SVD frames
-    and Hodge's agree (_check_homology).
+    1/kappa_i.
+
+    What is checked, degree by degree, is that H~ completes B to Z
+    (_homology_bounds): bounds from the norms of the products d~_out H~
+    and H~^H d~_in, each as many columns or rows wide as the Betti count,
+    over the sigma_r of the maps.  A degree whose bounds pass at half of
+    EXACTNESS_TOL and whose counts add up is exact; any other degree takes
+    the frames of its maps (range_and_kernel) and _check_homology, which
+    decides and words the refusal.
     """
     if hodge_data is None:
         hodge_data = hodge(complex_)
@@ -388,23 +398,21 @@ def torsion_iso_via_exact_sequences(complex_, hodge_data: HodgeData | None = Non
     tops = [float(d.values[-1]) for d in hodge_data.positive_densities if d.values.size]
     scale = math.sqrt(max(tops, default=0.0))  # the complex's largest singular value
     n = len(complex_.modules)
-    ranges, kernels, log_kappas = [None] * n, [None] * n, [0.0] * n
+    # the singular-value pass of the map out of and into each degree
+    outs, ins, log_kappas = [None] * n, [None] * n, [0.0] * n
     for i, f in enumerate(complex_.maps):
         src, tgt = complex_.ends(i)
         tilde = gram_coordinates(f.stacked, f.source, f.target)
-        ranges[tgt], kernels[src], logs = range_and_kernel(tilde, scale)
+        _, low, rank, logs = tilde.singular_values(RANK_RTOL, scale)
+        outs[src] = ins[tgt] = (tilde, low, rank)
         log_kappas[src] = float(weights @ logs)
-    # a degree with no incoming map bounds nothing; with no outgoing map,
-    # every chain is a cycle
-    for i, mod in enumerate(complex_.modules):
-        mult = mod.multiplicities
-        if ranges[i] is None:
-            ranges[i] = BlockStacks.zeros(mult, (0,) * len(mult))
-        if kernels[i] is None:
-            kernels[i] = BlockStacks.identity(mult)
 
     for i, h in enumerate(hodge_data.harmonic_embeddings):
-        _check_homology(gram_coordinates(h.stacked, h.source, h.target).H, kernels[i], ranges[i])
+        harmonic = gram_coordinates(h.stacked, h.source, h.target)
+        out, inc = outs[i], ins[i]
+        if not _homology_within_bounds(harmonic, out, inc):
+            mult = complex_.modules[i].multiplicities
+            _check_homology(harmonic.H, *_homology_frames(mult, out, inc, scale))
     entries = []
     for i, (h_mod, log_kappa) in enumerate(zip(hodge_data.harmonic_modules, log_kappas)):
         kappa = _positive(_inv_sqrt(2.0 * log_kappa))
@@ -420,9 +428,71 @@ def _frobenius(x: BlockStacks) -> np.ndarray:
     return out
 
 
+def _homology_bounds(harmonic: BlockStacks, out, inc) -> tuple:
+    """Per block, upper bounds on the two products _check_homology measures
+    with frames, for the harmonic frame harmonic = H~ and the singular-value
+    passes out = (d~_out, sigma_r, rank) and inc = (d~_in, sigma_r, rank),
+    each None for a missing map, all in the coordinates where the grams are
+    the identity.  Pythagoras on each SVD:
+
+    - ||beta beta^H - 1||_F <= ||H~^H H~ - 1||_F + (||d~_out H~||_F /
+      sigma_r(d~_out))^2, since beta beta^H = H~^H H~ - H~^H P H~ for P the
+      projection onto the row space of d~_out, and ||d~_out H~||_F >=
+      sigma_r ||P H~||_F;
+    - ||H~^H B~||_F <= ||H~^H d~_in||_F / sigma_r(d~_in), since ||H~^H
+      d~_in||_F >= sigma_r ||H~^H B~||_F.
+
+    A missing map, or a block of rank 0 (sigma_r = inf), adds 0.  Every
+    product is as many columns or rows wide as the Betti count, so a block
+    without homology reads 0 in both."""
+    def over(a, b, low):  # ||a b||_F / sigma_r per block
+        norms = np.zeros(len(low))
+        for idx, x, y in a.pairs(b):
+            norms[idx] = np.linalg.norm(x @ y, axis=(1, 2))
+        return norms / low
+
+    inside = np.zeros(len(harmonic.layout.rows))
+    for idx, s in harmonic.nonempty():
+        gram = s.conj().swapaxes(1, 2) @ s
+        inside[idx] = np.linalg.norm(gram - np.eye(s.shape[2]), axis=(1, 2))
+    # a bound past the float range is inf, and inf / inf is nan: no verdict
+    with np.errstate(over="ignore", invalid="ignore"):
+        if out is not None:
+            inside = inside + over(out[0], harmonic, out[1]) ** 2
+        across = np.zeros_like(inside) if inc is None else over(harmonic.H, inc[0], inc[1])
+    return inside, across
+
+
+def _homology_within_bounds(harmonic: BlockStacks, out, inc) -> bool:
+    """True when _homology_bounds pass at EXACTNESS_TOL / 2 in every block,
+    so the frame products pass _check_homology with room for their
+    rounding, and cols(Z) = cols(B) + h, read from the ranks."""
+    inside, across = _homology_bounds(harmonic, out, inc)
+    cycles = np.array(harmonic.layout.rows) - (0 if out is None else out[2])
+    bounds = 0 if inc is None else inc[2]
+    return bool(
+        np.all(inside <= 0.5 * EXACTNESS_TOL)
+        and np.all(across <= 0.5 * EXACTNESS_TOL)
+        and np.all(cycles == bounds + np.array(harmonic.layout.cols))
+    )
+
+
+def _homology_frames(mult: tuple, out, inc, scale: float) -> tuple:
+    """(Z~, B~): orthonormal frames of the cycles and the boundaries of a
+    degree of multiplicities mult, from the SVDs of the maps out of and
+    into it (range_and_kernel, ranks cut at RANK_RTOL times scale).  A
+    degree with no outgoing map is all cycles; one with no incoming map
+    bounds nothing."""
+    cycles = BlockStacks.identity(mult) if out is None else range_and_kernel(out[0], scale)[1]
+    if inc is None:
+        return cycles, BlockStacks.zeros(mult, (0,) * len(mult))
+    return cycles, range_and_kernel(inc[0], scale)[0]
+
+
 def _check_homology(harmonic_h: BlockStacks, cycles: BlockStacks, bounds: BlockStacks):
     """NotExact unless 0 -> B -> Z -> H -> 0 is exact in every block, for
-    orthonormal frames: harmonic_h = H~^H, cycles = Z~ and bounds = B~.
+    orthonormal frames: harmonic_h = H~^H, cycles = Z~ and bounds = B~; the
+    route's fallback for a degree that its bounds do not decide.
 
     beta = H~^H Z~ must be a co-isometry, ||beta beta^H - 1||_F <=
     EXACTNESS_TOL (H lies in Z), H~^H B~ must vanish to the same tolerance

@@ -220,8 +220,7 @@ def _first_inexact(alpha: BlockStacks, beta: BlockStacks):
     top_b, low_b, rank_b, log_b = beta.singular_values(tol)
     composite = np.zeros(len(rows))
     for idx, b, a in beta.pairs(alpha):
-        if a.size and b.size:
-            composite[idx] = np.linalg.norm(b @ a, axis=(1, 2))
+        composite[idx] = np.linalg.norm(b @ a, axis=(1, 2))
 
     gapped = (0 < cols) & (cols < rows) & (rows == cols + quot)
     bounded = gapped & (rank_a == cols) & (rank_b == quot)

@@ -366,12 +366,15 @@ class BlockStacks:
 
     def pairs(self, other: "BlockStacks") -> list:
         """(block indices, stack here, stack of other) per group of blocks
-        that share their shapes in both factors of self @ other."""
+        that share their shapes in both factors of self @ other, for the
+        groups where both factors have entries: in the others the product
+        is zero."""
         _, steps = _pairing(self.layout, other.layout)
         a, b = self.stacks, other.stacks
         return [
             (idx, a[lg] if ls is None else a[lg][ls], b[rg] if rs is None else b[rg][rs])
             for idx, lg, ls, rg, rs, _, _ in steps
+            if a[lg].size and b[rg].size
         ]
 
     def __matmul__(self, other: "BlockStacks") -> "BlockStacks":

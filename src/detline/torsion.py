@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import gram_hash
+from ._linalg import gram_hash, identity_hash
 from .complexes import (
     COCHAIN,
     CHAIN,
@@ -500,9 +500,9 @@ def torsion(
     coordinate = graded.coordinate
     hashes = {
         "module_gram": gram_hash(rep.module.reference_gram.matrix),
-        "harmonic_grams": tuple(
-            gram_hash(np.eye(m.carrier_dim)) for m in data.harmonic_modules
-        ),
+        # Hodge's harmonic frames are orthonormal: each homology module
+        # carries the identity gram
+        "harmonic_grams": tuple(identity_hash(m.carrier_dim) for m in data.harmonic_modules),
     }
     return TorsionReport(
         chi=complex_.euler_characteristic(),

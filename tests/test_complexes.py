@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from detline._linalg import operator_norm, random_complex, stacks
+from detline._linalg import RANK_RTOL, operator_norm, random_complex, stacks
 from detline.algebra import FiniteGroupTable, FiniteVonNeumannAlgebra, build_group_algebra
 from detline.complexes import (
     HilbertianChainComplex,
@@ -34,6 +34,7 @@ from detline.modules import (
     ModuleMorphism,
     direct_sum,
     frame_submodule,
+    gram_coordinates,
     standard_module,
     von_neumann_dimension,
 )
@@ -260,42 +261,36 @@ def test_hodge_and_spectral_density_take_no_svd(monkeypatch):
 
 def _check_route_factors_each_map_block_once(monkeypatch, c):
     """On circle(16) x C[Z/6]: one singular-value call per map stack decides
-    the ranks and measures 0 -> Z -> C -> B -> 0; singular vectors only for
-    the trivial character, the one block with a kernel; the exact-sequence
-    core never runs, and each degree's 0 -> B -> Z -> H -> 0 is checked
-    from products as many rows high as its Betti counts, with no singular
-    values."""
+    the ranks, measures 0 -> Z -> C -> B -> 0 and gives the sigma_r of the
+    bounds; no singular vectors, no frames and no frame check; the
+    exact-sequence core never runs, and each degree's 0 -> B -> Z -> H -> 0
+    is bounded from products as wide as its Betti counts."""
     data = hodge(c)
-    checked = []
-    check = complexes._check_homology
+    bounded = []
+    bounds = complexes._homology_bounds
 
-    def counted_check(harmonic_h, cycles, bounds):
-        checked.append(harmonic_h.layout.rows)
-        return check(harmonic_h, cycles, bounds)
+    def counted_bounds(harmonic, out, inc):
+        bounded.append(harmonic.layout.cols)
+        return bounds(harmonic, out, inc)
 
-    def no_core(*args, **kwargs):
-        raise AssertionError("lines._first_inexact called")
+    def refuse(name):
+        def called(*args, **kwargs):
+            raise AssertionError(f"{name} called")
 
-    calls = []  # (inside range_and_kernel, computes vectors, argument)
-    inside = [False]
+        return called
+
+    calls = []  # (computes vectors, argument)
     svd = np.linalg.svd
-    frames = complexes.range_and_kernel
 
     def counted_svd(a, *args, **kwargs):
-        calls.append((inside[0], kwargs.get("compute_uv", True), a))
+        calls.append((kwargs.get("compute_uv", True), a))
         return svd(a, *args, **kwargs)
 
-    def counted_frames(f, scale):
-        inside[0] = True
-        try:
-            return frames(f, scale)
-        finally:
-            inside[0] = False
-
     impl = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
-    monkeypatch.setattr(lines, "_first_inexact", no_core)
-    monkeypatch.setattr(complexes, "_check_homology", counted_check)
-    monkeypatch.setattr(complexes, "range_and_kernel", counted_frames)
+    monkeypatch.setattr(lines, "_first_inexact", refuse("lines._first_inexact"))
+    monkeypatch.setattr(complexes, "_check_homology", refuse("_check_homology"))
+    monkeypatch.setattr(complexes, "range_and_kernel", refuse("range_and_kernel"))
+    monkeypatch.setattr(complexes, "_homology_bounds", counted_bounds)
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(impl, "svd", counted_svd)
     # no transition spectrum, retraction solve, inverse or orthonormalization
@@ -303,16 +298,11 @@ def _check_route_factors_each_map_block_once(monkeypatch, c):
     got = torsion_iso_via_exact_sequences(c, data).coordinate
     # six 16 x 16 characters in one stack
     assert [len(f.stacked.stacks) for f in c.maps] == [1]
-    assert all(within for within, _, _ in calls)  # no SVD outside the frames
-    values = [a.shape for _, uv, a in calls if not uv]
-    vectors = [a for _, uv, a in calls if uv]
-    assert values == [(6, 16, 16)]
-    assert len(vectors) == 1 and vectors[0].shape == (1, 16, 16)
-    assert svd(vectors[0], compute_uv=False)[0, -1] < 1e-10  # the trivial character's kernel
+    assert [(uv, a.shape) for uv, a in calls] == [(False, (6, 16, 16))]
     assert [n[0] for n in solvers] == [0, 0, 0, 0]
-    # one check per degree, h rows high: the trivial character in each
-    assert checked == [h.multiplicities for h in data.harmonic_modules]
-    assert [sum(rows) for rows in checked] == [1, 1]
+    # one bound per degree, h columns wide: the trivial character in each
+    assert bounded == [h.multiplicities for h in data.harmonic_modules]
+    assert [sum(cols) for cols in bounded] == [1, 1]
     assert got == _blockwise_route(c, data)
     assert abs(np.log(got) - np.log(torsion_iso_via_laplacians(c, data).coordinate)) <= 1e-12
 
@@ -504,6 +494,60 @@ def test_batched_route_matches_blockwise_bit_for_bit_on_larger_representations()
         c = assemble_coefficients(cx, rep)
         data = hodge(c)
         assert torsion_iso_via_exact_sequences(c, data).coordinate == _blockwise_route(c, data)
+
+
+def _map_passes(c, data):
+    """The route's singular-value pass of the map out of and into each
+    degree, (d~, sigma_r, rank) in the coordinates where the grams are the
+    identity, ranks cut against the complex's largest singular value."""
+    tops = [float(d.values[-1]) for d in data.positive_densities if d.values.size]
+    scale = np.sqrt(max(tops, default=0.0))
+    outs, ins = [None] * len(c.modules), [None] * len(c.modules)
+    for i, f in enumerate(c.maps):
+        src, tgt = c.ends(i)
+        tilde = gram_coordinates(f.stacked, f.source, f.target)
+        _, low, rank, _ = tilde.singular_values(RANK_RTOL, scale)
+        outs[src] = ins[tgt] = (tilde, low, rank)
+    return outs, ins, scale
+
+
+def _frame_products(harmonic, out, inc, mult, scale):
+    """||beta beta^H - 1||_F and ||H~^H B~||_F of each block, from the
+    frames of the maps' SVDs, as _check_homology measures them."""
+    cycles, bounds = complexes._homology_frames(mult, out, inc, scale)
+    beta = harmonic.H @ cycles
+    inside = complexes._frobenius(beta @ beta.H - BlockStacks.identity(beta.layout.rows))
+    return inside, complexes._frobenius(harmonic.H @ bounds)
+
+
+def test_homology_bounds_hold_on_random_complexes_with_homology():
+    # each bound is at least the frame product it bounds, up to the frames'
+    # own rounding (a few ulps): on Hodge's harmonic frames, where both read
+    # about 1e-15, and on frames moved off the harmonic space by 1e-3, where
+    # the products are large and the bounds must follow them
+    rng = np.random.default_rng(83)
+    slack = 16 * np.finfo(float).eps
+    with_homology = 0
+    for alg in ALGEBRAS.values():
+        for grams in (False, True):
+            for convention in ("chain", "cochain"):
+                for _ in range(3):
+                    mults = [tuple(int(m) for m in rng.integers(1, 5, len(alg.blocks)))] * 3
+                    c = make_complex(rng, alg, mults, convention=convention, grams=grams)
+                    data = hodge(c)
+                    with_homology += any(b > 0 for b in data.betti)
+                    outs, ins, scale = _map_passes(c, data)
+                    for i, h in enumerate(data.harmonic_embeddings):
+                        mult = c.modules[i].multiplicities
+                        moved = h.stacked.map(lambda s: s + 1e-3 * random_complex(rng, s.shape))
+                        for frames in (h.stacked, moved):
+                            harmonic = gram_coordinates(frames, h.source, h.target)
+                            bound = complexes._homology_bounds(harmonic, outs[i], ins[i])
+                            products = _frame_products(harmonic, outs[i], ins[i], mult, scale)
+                            for b, p in zip(bound, products):
+                                assert np.all(p <= b + slack)
+                    assert torsion_iso_via_exact_sequences(c, data).coordinate == _blockwise_route(c, data)
+    assert with_homology >= 40
 
 
 def test_route_matches_the_composed_reference_on_random_complexes():

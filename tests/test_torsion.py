@@ -26,7 +26,7 @@ from detline.fixtures import (
     trivial_representation,
 )
 from detline import modules
-from detline._linalg import gram_hash
+from detline._linalg import gram_hash, identity_hash
 from detline.modules import CommutantOperator, HilbertianModule, ModuleMorphism, standard_module
 from detline.complexes import HilbertianChainComplex, hodge, validate_complex
 from detline.torsion import (
@@ -655,6 +655,11 @@ def test_gram_hash_ignores_signed_zeros():
     assert gram_hash(u @ u.conj().T) == gram_hash(np.eye(5))
 
 
+def test_identity_hash_is_the_hash_of_the_identity_matrix():
+    for n in (0, 1, 2, 5, 64, 320):
+        assert identity_hash(n) == gram_hash(np.eye(n))
+
+
 def test_sparse_assembly_matches_dense_evaluation():
     alg = FiniteVonNeumannAlgebra(((1, 1.0), (2, 0.5)))
     module = HilbertianModule(alg, (2, 3))
@@ -765,6 +770,36 @@ def test_routes_agree_on_the_fixture_grid():
         routes = torsion(K, rep).route_coordinates
         worst = max(worst, abs(np.log(routes["laplacian"]) - np.log(routes["exact_sequence"])))
     assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("k, n", [(64, 5), (32, 6), (64, 64), (64, 128), (32, 256)])
+def test_exact_route_meets_the_closed_form_of_circles_over_cyclic_groups(k, n):
+    # circle(k) x C[Z/n], right side: the n - 1 nontrivial characters give
+    # sum_j log|1 - zeta^j| = log n, and the positive singular values of the
+    # trivial character's boundary multiply to k.  The Laplacian coordinate
+    # squares each map's condition number and is held only to 1e-12 above
+    routes = torsion(circle(k), regular_cyclic_representation(n)).route_coordinates
+    want = -(np.log(n) + np.log(k)) / n
+    assert abs(np.log(routes["exact_sequence"]) - want) <= 1e-13
+
+
+def test_torsion_takes_no_singular_vectors_on_the_fixture_grid(monkeypatch):
+    # every rank, sigma_r and log|det| comes from singular values alone, and
+    # the grid's homology passes its bounds, so no degree falls back to frames
+    svd = np.linalg.svd
+    vectors = []
+
+    def counted(a, *args, **kwargs):
+        if kwargs.get("compute_uv", True):
+            vectors.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    impl = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(impl, "svd", counted)
+    for K, rep in _route_grid():
+        torsion(K, rep)
+    assert vectors == []
 
 
 def _refuse_carrier_matrices(monkeypatch, limit):
