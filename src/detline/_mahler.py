@@ -299,6 +299,7 @@ def _jensen(coefficients):
         "panels": 0,
         "error": 0.0,
         "residual": residual,
+        "nodes": 1,
     }, _probe_angles(roots)[1][:, None]
 
 
@@ -306,22 +307,38 @@ def _boyd(coefficients):
     """m(det M) on the 2-torus, M(x, y) = sum c[i, j] x^i y^j (Boyd).
 
     Jensen's formula in x, the inner variable, is integrated over the angle
-    phi of y, the outer one, by adaptive Gauss-Legendre panels; each circle
-    solve takes the eigenvalues of a block companion of size m times the
-    degree in x.  The integrand has a kink wherever a root crosses
-    the unit circle: the angles where the number of roots outside changes
-    on a scan are located by repeated sectioning and seed the panel
-    breakpoints.  Kinks the scan cannot see, such as a root touching the
-    circle tangentially, are caught by the panel test: a panel is split until
-    its two orders agree to PANEL_REL_TOL of its integral of |integrand| (above
-    the integrand's rounding) or to PANEL_FLOOR; the gaps sum to the error estimate.
-    The breakpoints are angles phi of y.  The probe points, (x angle, phi)
-    pairs, are those of every row solved.
+    phi of y, the outer one; each circle solve takes the eigenvalues of a
+    block companion of size m times the degree in x.  The integrand has a
+    kink wherever a root crosses the unit circle: the angles where the
+    number of roots outside changes on a scan of SCAN_NODES midpoints are
+    located by repeated sectioning and are the breakpoints, angles phi of y.
+
+    With no breakpoint the integrand is periodic, and analytic unless a root
+    touches the circle without crossing it, so the equispaced trapezoid rule
+    converges geometrically (Trefethen and Weideman, SIAM Review 56, 2014).
+    The scan is its first level; each further level adds the midpoints of
+    the nodes so far, up to 4 SCAN_NODES nodes, until two levels agree to
+    PANEL_REL_TOL of the mean |integrand| or to PANEL_FLOOR.  Two levels
+    more than the square root of that fraction apart show a kink the scan
+    cannot see, such as a tangential zero: geometric convergence would not
+    reach the tolerance at the next level, and the panels take over.
+
+    The panels are adaptive Gauss-Legendre ones between the breakpoints.  A
+    panel is split until its two orders agree to PANEL_REL_TOL of its
+    integral of |integrand| (above the integrand's rounding) or to
+    PANEL_FLOOR; the gaps sum to the error estimate.
+
+    In the diagnostics `panels` counts the settled panels and reads 0 when
+    the trapezoid rule settled, whose `error` is then the gap between its
+    last two levels; `nodes` counts the circles solved, the scan and the
+    breakpoint search included: N for the trapezoid rule on N nodes.  The
+    probe points, (x angle, phi) pairs, are those of every row solved.
     """
     powers = np.arange(coefficients.shape[1])
-    points = []
+    points, solved = [], []
 
     def solve(phi):
+        solved.append(phi.size)
         phases = np.exp(2j * np.pi * np.outer(phi, powers))
         *result, roots = _jensen_rows(np.einsum("pj,ijab->piab", phases, coefficients))
         row, theta = _probe_angles(roots)
@@ -329,7 +346,7 @@ def _boyd(coefficients):
         return result
 
     scan = (np.arange(SCAN_NODES) + 0.5) / SCAN_NODES
-    counts = solve(scan)[1]
+    values, counts, residual = solve(scan)
     change = np.nonzero(counts != np.roll(counts, -1))[0]
     low, width, base = scan[change], 1.0 / SCAN_NODES, counts[change]
     steps = np.arange(1, SECTIONS)
@@ -340,6 +357,31 @@ def _boyd(coefficients):
         moved = seen != base[:, None]
         low = low + width * np.where(moved.any(axis=1), np.argmax(moved, axis=1), SECTIONS - 1)
     breakpoints = np.sort((low + 0.5 * width) % 1.0)
+
+    def report(total, panels, error, residual):
+        return total, {
+            "route": "boyd",
+            "breakpoints": [float(b) for b in breakpoints],
+            "panels": panels,
+            "error": error,
+            "residual": residual,
+            "nodes": sum(solved),
+        }, np.concatenate(points)
+
+    if not change.size:
+        nodes, level = scan, float(np.mean(values))
+        for _ in range(2):
+            # the midpoints of equispaced nodes, shifted by half a spacing
+            fresh = (nodes - 0.5 / nodes.size) % 1.0
+            more, _, worst = solve(fresh)
+            nodes, values = np.concatenate([nodes, fresh]), np.concatenate([values, more])
+            residual = max(residual, worst)
+            previous, level = level, float(np.mean(values))
+            gap, magnitude = abs(level - previous), float(np.mean(np.abs(values)))
+            if gap <= max(PANEL_FLOOR, PANEL_REL_TOL * magnitude):
+                return report(level, 0, gap, residual)
+            if not gap <= math.sqrt(PANEL_REL_TOL) * magnitude:
+                break
 
     x_low, w_low = _gauss_legendre(GL_ORDERS[0])
     x_high, w_high = _gauss_legendre(GL_ORDERS[1])
@@ -370,13 +412,7 @@ def _boyd(coefficients):
         quarter = 0.5 * half[~done]
         middle = np.concatenate([middle[~done] - quarter, middle[~done] + quarter])
         half = np.tile(quarter, 2)
-    return total, {
-        "route": "boyd",
-        "breakpoints": [float(b) for b in breakpoints],
-        "panels": settled,
-        "error": error,
-        "residual": residual,
-    }, np.concatenate(points)
+    return report(total, settled, error, residual)
 
 
 def _measure(coefficients):
@@ -484,8 +520,9 @@ def torus_log_det(symbol, vanishing, message):
     SYMBOL_KERNEL_REL_TOL, or `vanishing` is raised; a nonzero 1 x 1 symbol
     is its own determinant.  The diagnostics give the route (jensen
     or boyd), the breakpoints, the number of panels, the quadrature error
-    estimate and the largest relative residual of the root factorisation,
-    and on the boyd route the outer_axis whose angles the breakpoints are.
+    estimate, the largest relative residual of the root factorisation and
+    the number of circles solved (nodes), and on the boyd route the
+    outer_axis whose angles the breakpoints are.
     The probe points, shape (probes, rank), are one per arc between the
     roots of det F near the unit circle on every circle solved.  F is
     measured as _rescaled(F, m) = 2^-k F, whose Mahler measure is m k log 2

@@ -21,12 +21,13 @@ bounds U^H L_g U - B(g) for every g.
 Translations act on l2(G) as permutations of the table's indices, so the
 decomposition never builds them as matrices: a commutant element
 sum_h c_h R_h is one gather of the coefficients, and L_g applied to a basis
-is a row gather.  L_g R_h = R_h L_g is associativity, which
+is a row gather.  L_g R_h = R_h L_g is associativity, which holds by
+construction for the tables FiniteGroupTable builds and which
 FiniteGroupTable.validate checks exhaustively, one row at a time in n^2
-memory, so every commutant element commutes with every left translation
-exactly and nothing re-checks it.  Past the probe's operator norm, which sets
-the family cut, every check takes Frobenius norms, which bound operator norms
-above, at the operator-norm tolerances.
+memory, for any other, so every commutant element commutes with every left
+translation exactly and nothing re-checks it.  Past the probe's operator
+norm, which sets the family cut, every check takes Frobenius norms, which
+bound operator norms above, at the operator-norm tolerances.
 """
 
 from __future__ import annotations
@@ -190,24 +191,38 @@ def trace(algebra: FiniteVonNeumannAlgebra, x: AlgebraElement) -> complex:
 
 
 class FiniteGroupTable:
-    """Multiplication table of a finite group: product[a, b] = a * b."""
+    """Multiplication table of a finite group: product[a, b] = a * b.
+
+    A table given as an array is validated; cyclic(), symmetric() and
+    direct_product() build groups, so their tables skip the n^3 check.
+    """
 
     def __init__(self, product, identity: int = 0):
         prod = np.asarray(product, dtype=int)
         if prod.ndim != 2 or prod.shape[0] != prod.shape[1]:
             raise ValidationError("product table must be square")
-        self.order = int(prod.shape[0])
-        self.product = prod
-        self.identity = int(identity)
+        self._fill(prod, identity, None)
         self.validate()
+
+    @classmethod
+    def _group(cls, product, identity=0, cyclic_factors=None) -> "FiniteGroupTable":
+        """The table of a group by construction, which skips validate()."""
+        table = cls.__new__(cls)
+        table._fill(product, identity, cyclic_factors)
+        return table
+
+    def _fill(self, product, identity, cyclic_factors):
+        self.order = int(product.shape[0])
+        self.product = product
+        self.identity = int(identity)
         # Each row is a permutation, so the identity occurs once in row a, at
         # a's right inverse; in an associative table that is a's inverse.
-        self.inverse = np.argmax(prod == self.identity, axis=1)
+        self.inverse = np.argmax(product == self.identity, axis=1)
         # (n_1, ..., n_r) when cyclic() and direct_product() built the table
         # as Z/n_1 x ... x Z/n_r, element g at the mixed-radix index of its
         # coordinates (g_1 most significant); None for a table given as an
         # array, whatever group it is
-        self.cyclic_factors: tuple[int, ...] | None = None
+        self.cyclic_factors: tuple[int, ...] | None = cyclic_factors
 
     def validate(self):
         n, e = self.order, self.identity
@@ -259,9 +274,7 @@ class FiniteGroupTable:
             raise ValidationError(f"cyclic group order must be a positive integer, got {n!r}")
         n = int(n)
         idx = np.arange(n)
-        table = FiniteGroupTable((idx[:, None] + idx[None, :]) % n)
-        table.cyclic_factors = (n,)
-        return table
+        return FiniteGroupTable._group((idx[:, None] + idx[None, :]) % n, cyclic_factors=(n,))
 
     @staticmethod
     def symmetric(n: int) -> "FiniteGroupTable":
@@ -270,7 +283,7 @@ class FiniteGroupTable:
         # sorted order is the order of the base-n numbers the rows spell, and
         # (a b)[k] = a[b[k]] is perms[a, perms[b, k]]
         digits = n ** np.arange(n - 1, -1, -1)
-        return FiniteGroupTable(np.searchsorted(perms @ digits, perms[:, perms] @ digits))
+        return FiniteGroupTable._group(np.searchsorted(perms @ digits, perms[:, perms] @ digits))
 
     @staticmethod
     def direct_product(t1: "FiniteGroupTable", t2: "FiniteGroupTable") -> "FiniteGroupTable":
@@ -278,11 +291,11 @@ class FiniteGroupTable:
         n = t1.order * n2
         # (a1, a2) is index a1 * n2 + a2; axes [a1, a2, b1, b2] reshape to [a, b]
         prod = t1.product[:, None, :, None] * n2 + t2.product[None, :, None, :]
-        table = FiniteGroupTable(prod.reshape(n, n), identity=t1.identity * n2 + t2.identity)
+        factors = None
         if t1.cyclic_factors is not None and t2.cyclic_factors is not None:
             # the index a1 n2 + a2 appends t2's mixed radix to t1's
-            table.cyclic_factors = t1.cyclic_factors + t2.cyclic_factors
-        return table
+            factors = t1.cyclic_factors + t2.cyclic_factors
+        return FiniteGroupTable._group(prod.reshape(n, n), t1.identity * n2 + t2.identity, factors)
 
 
 # ---------------------------------------------------------------------------
@@ -368,15 +381,22 @@ def _fourier_decomposition(table):
     factors, n_g = table.cyclic_factors, table.order
     if int(np.prod(factors)) != n_g:
         raise DecompositionFailure(f"cyclic factors {factors} do not multiply to order {n_g}")
-    # coords[j][g] = g_j, and phase[k, g] = |G| sum_j k_j g_j / n_j mod |G|,
-    # an integer, so chi_k(g) is one of the |G|-th roots of unity
-    coords = np.unravel_index(np.arange(n_g), factors)
-    phase = sum((np.outer(c, c) % n) * (n_g // n) for c, n in zip(coords, factors)) % n_g
-    chars = np.exp(-2j * np.pi * np.arange(n_g) / n_g)[phase]
+    chars = _characters(factors)
     chars = chars[_block_order(np.ones(n_g, dtype=int), chars)]
     algebra = FiniteVonNeumannAlgebra(((1, 1.0 / n_g),) * n_g)
     unitary = chars.conj().T / np.sqrt(n_g)
     return _checked(table, algebra, unitary, list(chars[:, :, None, None]), chars)
+
+
+def _characters(factors):
+    """chars[k, g] = chi_k(g) on Z/n_1 x ... x Z/n_r, k and g at the
+    mixed-radix indices of their coordinates."""
+    n_g = int(np.prod(factors))
+    # coords[j][g] = g_j, and phase[k, g] = |G| sum_j k_j g_j / n_j mod |G|,
+    # an integer, so chi_k(g) is one of the |G|-th roots of unity
+    coords = np.unravel_index(np.arange(n_g), factors)
+    phase = sum((np.outer(c, c) % n) * (n_g // n) for c, n in zip(coords, factors)) % n_g
+    return np.exp(-2j * np.pi * np.arange(n_g) / n_g)[phase]
 
 
 def _commutant_element(table, coeffs):
@@ -454,9 +474,23 @@ def _block_order(dims, chars):
     """Canonical block order: by dimension, then by the character vector
     rounded to 9 places, compared entry by entry as (Re chi(g), Im chi(g))
     from g = 0 on.  dims: one per block; chars: (blocks, order)."""
-    rounded = np.round(chars, 9)
-    keys = np.stack([rounded.real, rounded.imag], axis=2).reshape(len(dims), -1)
-    return np.lexsort(np.vstack([keys.T[::-1], dims]))  # the last key sorts first
+    # Only the first elements whose characters tell the blocks apart decide
+    # the order.  The elements are sorted in runs of doubling length, each
+    # ranked within the ranks of the ones before, until the ranks separate
+    # the blocks: at most twice the shortest separating prefix.  lexsort
+    # keeps ties in index order, as one sort of every key does.
+    rank, low, high = np.asarray(dims), 0, 8
+    while True:
+        # a complex array viewed as floats interleaves (Re, Im)
+        keys = np.round(chars[:, low:high], 9).view(float)
+        run = np.vstack([rank, keys.T])
+        order = np.lexsort(run[::-1])  # the last key sorts first
+        step = np.any(np.diff(run[:, order], axis=1) != 0, axis=0)
+        if high >= chars.shape[1] or step.all():
+            return order
+        rank = np.empty(len(order), dtype=int)
+        rank[order] = np.concatenate([[0], np.cumsum(step)])
+        low, high = high, 2 * high
 
 
 def _checked(table, algebra, unitary, images, chars):

@@ -431,6 +431,23 @@ def _fixture_checks():
         lambda: abelian_fk_det_general(LaurentMatrix.monomial(3)).value,
         1.0,
     )
+    # no root of 3 + x + y crosses the circle, so the trapezoid rule
+    # integrates it; those of 1 + x + y cross at 1/3 and 2/3, and the panels do
+    yield (
+        "torus Mahler measure of 3 + x + y",
+        lambda: abelian_fk_det_general(
+            LaurentMatrix.from_scalar({(0, 0): 3.0, (1, 0): 1.0, (0, 1): 1.0}, 2)
+        ).log_value,
+        float(np.log(3.0)),
+    )
+    yield (
+        "torus Mahler measure of 1 + x + y",
+        lambda: abelian_fk_det_general(
+            LaurentMatrix.from_scalar({(0, 0): 1.0, (1, 0): 1.0, (0, 1): 1.0}, 2)
+        ).log_value,
+        # Smyth: 3 sqrt(3) / (4 pi) L(chi_-3, 2)
+        0.323065947219450514,
+    )
     yield (
         "torus torsion of (t - 1)^4",
         lambda: abelian_torsion(

@@ -11,14 +11,15 @@ Determinants are Mahler measures.  For a square symbol F whose determinant
 does not vanish identically, log Det F is the torus integral of
 log|det F|, the Mahler measure m(det F) (Lück, L2-Invariants, Ch. 3), and
 detline._mahler computes it: Jensen's formula on the roots on the circle,
-Boyd's integral of it by adaptive Gauss-Legendre panels on the 2-torus,
-where Jensen's formula takes the variable of lower degree and the panels
-the angle of the other.  A symbol whose determinant would leave the float
-range is measured after an exact power-of-two scaling.  A nonzero Laurent
-polynomial always has a finite Mahler measure, so the only refusals are a
-determinant that vanishes identically, roots that do not reproduce the
-polynomial they came from, and quadrature panels that do not settle within
-their budget.
+Boyd's integral of it on the 2-torus, where Jensen's formula takes the
+variable of lower degree and the quadrature the angle of the other: the
+equispaced trapezoid rule while no root crosses the circle, otherwise
+adaptive Gauss-Legendre panels between the crossings.  A symbol whose
+determinant would leave the float range is measured after an exact
+power-of-two scaling.  A nonzero Laurent polynomial always has a finite
+Mahler measure, so the only refusals are a determinant that vanishes
+identically, roots that do not reproduce the polynomial they came from, and
+quadrature panels that do not settle within their budget.
 
 Positivity needs no sampled grid: the inertia of a Hermitian symbol is
 constant between the zeros of its determinant (see abelian_fk_det).  Nor

@@ -705,23 +705,105 @@ def test_tangential_toric_zero(axis):
     assert abs(result.log_value - 4 * CATALAN / np.pi) < 1e-12
 
 
-@pytest.mark.parametrize("seed", [68, 102])
-def test_boyd_panels_stop_at_the_rounding_level(seed):
-    # F*F for F a scaled unitary plus perturbations of 0.6 of its norm has a
-    # smooth integrand: a panel test above the integrand's rounding passes on
-    # the first partition, one below it splits on noise (19 and 15 panels)
+def perturbed_unitary(seed, size, share, exponents):
+    """A scaled unitary constant term plus one term per exponent, whose
+    operator norms sum to `share` times the constant term's."""
     rng = np.random.default_rng(seed)
-    z = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    z = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
     scale = np.exp(rng.uniform(-0.7, 0.7))
     terms = {(0, 0): scale * np.linalg.qr(z)[0]}
-    exponents = [(1, 0), (0, 1), (-1, 1)]
-    for exponent, share in zip(exponents, rng.dirichlet(np.ones(len(exponents)))):
-        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        terms[exponent] = 0.6 * scale * share * a / np.linalg.norm(a, 2)
-    f = LaurentMatrix(2, terms)
-    result = abelian_fk_det(f.adjoint() @ f)
-    assert result.convergence.diagnostics["panels"] <= 6
-    assert abs(result.log_value - 2 * abelian_fk_det_general(f).log_value) < 1e-12
+    for exponent, part in zip(exponents, rng.dirichlet(np.ones(len(exponents)))):
+        a = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        terms[exponent] = share * scale * part * a / np.linalg.norm(a, 2)
+    return LaurentMatrix(2, terms)
+
+
+def circle_solves(monkeypatch):
+    """The number of circles of each _jensen_rows call, in call order."""
+    counts = []
+    jensen_rows = _mahler._jensen_rows
+    monkeypatch.setattr(
+        _mahler,
+        "_jensen_rows",
+        lambda blocks: counts.append(blocks.shape[0]) or jensen_rows(blocks),
+    )
+    return counts
+
+
+def trapezoid_levels(counts):
+    """Solves after the scan of the size of a trapezoid level: panel solves
+    take 36 circles per panel, sectioning 15 per breakpoint."""
+    assert counts[0] == _mahler.SCAN_NODES
+    return [c for c in counts[1:] if c in (_mahler.SCAN_NODES, 2 * _mahler.SCAN_NODES)]
+
+
+@pytest.mark.parametrize("seed", [68, 102])
+def test_smooth_circles_take_the_trapezoid_rule(monkeypatch, seed):
+    # no root crosses the circle, so the scan is the first level of the
+    # trapezoid rule, which converges geometrically: at most two more levels,
+    # 96 circles, and no Gauss-Legendre panel
+    counts = circle_solves(monkeypatch)
+    f = perturbed_unitary(seed, 3, 0.6, [(1, 0), (0, 1), (-1, 1)])
+    three = scalar({(0, 0): 3.0, (1, 0): 1.0, (0, 1): 1.0}, rank=2)
+    values = []
+    for determinant, symbol in [
+        (abelian_fk_det_general, three),
+        (abelian_fk_det_general, f),
+        (abelian_fk_det, f.adjoint() @ f),
+    ]:
+        counts.clear()
+        result = determinant(symbol)
+        diagnostics = result.convergence.diagnostics
+        assert diagnostics["route"] == "boyd" and diagnostics["breakpoints"] == []
+        assert diagnostics["panels"] == 0 and diagnostics["error"] < 1e-13
+        assert diagnostics["nodes"] == sum(counts) in (64, 128)
+        assert sum(trapezoid_levels(counts)) == sum(counts) - _mahler.SCAN_NODES <= 96
+        values.append(result.log_value)
+    assert abs(values[0] - np.log(3.0)) < 1e-13
+    assert abs(values[2] - 2 * values[1]) < 1e-13
+
+
+def test_a_crossing_never_enters_the_trapezoid_rule(monkeypatch):
+    counts = circle_solves(monkeypatch)
+    result = abelian_fk_det_general(ONE_X_Y)
+    assert abs(result.log_value - SMYTH_1_X_Y) < 1e-13
+    diagnostics = result.convergence.diagnostics
+    assert len(diagnostics["breakpoints"]) == 2 and diagnostics["panels"] > 0
+    assert diagnostics["nodes"] == sum(counts)
+    assert trapezoid_levels(counts) == []
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_a_tangential_zero_leaves_the_trapezoid_rule_after_one_level(monkeypatch, k):
+    # m(4 - x - 1/x - y^k - 1/y^k) = 4G/pi: its zeros at x = 1, y^k = 1 cross
+    # no circle, and the kinks they leave show at the first added level
+    counts = circle_solves(monkeypatch)
+    terms = {(0, 0): 4.0, (1, 0): -1.0, (-1, 0): -1.0, (0, k): -1.0, (0, -k): -1.0}
+    result = abelian_fk_det_general(scalar(terms, rank=2))
+    assert abs(result.log_value - 4 * CATALAN / np.pi) < 1e-12
+    diagnostics = result.convergence.diagnostics
+    assert diagnostics["breakpoints"] == [] and diagnostics["panels"] > 0
+    assert diagnostics["nodes"] == sum(counts)
+    assert trapezoid_levels(counts) == [_mahler.SCAN_NODES]
+
+
+@pytest.mark.parametrize("seed", [60, 83])
+def test_boyd_panels_stop_at_the_rounding_level(seed):
+    # perturbations of 1.5 times the constant term's norm: det F vanishes on
+    # a curve of the torus, and its roots cross the circle at two angles in
+    # either inner variable.  A panel test above the integrand's rounding
+    # passes on the first partition between the breakpoints; one below it
+    # (PANEL_REL_TOL 1e-16, PANEL_FLOOR 1e-18) splits on noise past
+    # MAX_PANELS.  The Newton box is a square, so the swapped copy takes the
+    # other variable as the inner one
+    f = perturbed_unitary(seed, 3, 1.5, [(1, 0), (0, 1), (-1, -1)])
+    results = [abelian_fk_det_general(f), abelian_fk_det_general(swapped_variables(f))]
+    for result in results:
+        diagnostics = result.convergence.diagnostics
+        edges = [0.0, *diagnostics["breakpoints"], 1.0]
+        first = sum(int(np.ceil(_mahler.START_PANELS * (b - a))) for a, b in zip(edges, edges[1:]))
+        assert len(edges) == 4 and diagnostics["panels"] == first
+    assert abs(results[0].log_value - results[1].log_value) < 1e-12
 
 
 def test_root_on_the_circle_at_every_angle():
