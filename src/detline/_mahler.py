@@ -321,7 +321,15 @@ def _boyd(coefficients):
     PANEL_REL_TOL of the mean |integrand| or to PANEL_FLOOR.  Two levels
     more than the square root of that fraction apart show a kink the scan
     cannot see, such as a tangential zero: geometric convergence would not
-    reach the tolerance at the next level, and the panels take over.
+    reach the tolerance at the next level, and the panels take over.  Two
+    levels also agree whatever the integrand's Fourier coefficients at
+    multiples of the coarser level's node count: every node sees m(4 + x)
+    = log 4 on 3 + x + y^64, whose measure is log 3.  So the rule runs only
+    when det M has degree below SCAN_NODES / 2 in y, where the integrand's
+    coefficients do not all sit past the band a level samples, and a level
+    settles only once its sampled coefficients from a quarter of its node
+    count on are below the square root of that fraction of the mean
+    |integrand|, as geometric convergence to the tolerance implies.
 
     The panels are adaptive Gauss-Legendre ones between the breakpoints.  A
     panel is split until its two orders agree to PANEL_REL_TOL of its
@@ -368,7 +376,9 @@ def _boyd(coefficients):
             "nodes": sum(solved),
         }, np.concatenate(points)
 
-    if not change.size:
+    # det M has degree at most m (n - 1) in y, n the coefficients' y extent
+    degree = coefficients.shape[2] * (coefficients.shape[1] - 1)
+    if not change.size and 2 * degree < SCAN_NODES:
         nodes, level = scan, float(np.mean(values))
         for _ in range(2):
             # the midpoints of equispaced nodes, shifted by half a spacing
@@ -378,7 +388,10 @@ def _boyd(coefficients):
             residual = max(residual, worst)
             previous, level = level, float(np.mean(values))
             gap, magnitude = abs(level - previous), float(np.mean(np.abs(values)))
-            if gap <= max(PANEL_FLOOR, PANEL_REL_TOL * magnitude):
+            # the sampled Fourier coefficients from a quarter of the nodes on
+            spectrum = np.abs(np.fft.rfft(values[np.argsort(nodes)])) / nodes.size
+            decayed = spectrum[nodes.size // 4 :].max() <= math.sqrt(PANEL_REL_TOL) * magnitude
+            if decayed and gap <= max(PANEL_FLOOR, PANEL_REL_TOL * magnitude):
                 return report(level, 0, gap, residual)
             if not gap <= math.sqrt(PANEL_REL_TOL) * magnitude:
                 break

@@ -381,22 +381,15 @@ def _fourier_decomposition(table):
     factors, n_g = table.cyclic_factors, table.order
     if int(np.prod(factors)) != n_g:
         raise DecompositionFailure(f"cyclic factors {factors} do not multiply to order {n_g}")
-    chars = _characters(factors)
-    chars = chars[_block_order(np.ones(n_g, dtype=int), chars)]
-    algebra = FiniteVonNeumannAlgebra(((1, 1.0 / n_g),) * n_g)
-    unitary = chars.conj().T / np.sqrt(n_g)
-    return _checked(table, algebra, unitary, list(chars[:, :, None, None]), chars)
-
-
-def _characters(factors):
-    """chars[k, g] = chi_k(g) on Z/n_1 x ... x Z/n_r, k and g at the
-    mixed-radix indices of their coordinates."""
-    n_g = int(np.prod(factors))
     # coords[j][g] = g_j, and phase[k, g] = |G| sum_j k_j g_j / n_j mod |G|,
     # an integer, so chi_k(g) is one of the |G|-th roots of unity
     coords = np.unravel_index(np.arange(n_g), factors)
     phase = sum((np.outer(c, c) % n) * (n_g // n) for c, n in zip(coords, factors)) % n_g
-    return np.exp(-2j * np.pi * np.arange(n_g) / n_g)[phase]
+    chars = np.exp(-2j * np.pi * np.arange(n_g) / n_g)[phase]
+    chars = chars[_block_order(np.ones(n_g, dtype=int), chars)]
+    algebra = FiniteVonNeumannAlgebra(((1, 1.0 / n_g),) * n_g)
+    unitary = chars.conj().T / np.sqrt(n_g)
+    return _checked(table, algebra, unitary, list(chars[:, :, None, None]), chars)
 
 
 def _commutant_element(table, coeffs):
@@ -474,23 +467,9 @@ def _block_order(dims, chars):
     """Canonical block order: by dimension, then by the character vector
     rounded to 9 places, compared entry by entry as (Re chi(g), Im chi(g))
     from g = 0 on.  dims: one per block; chars: (blocks, order)."""
-    # Only the first elements whose characters tell the blocks apart decide
-    # the order.  The elements are sorted in runs of doubling length, each
-    # ranked within the ranks of the ones before, until the ranks separate
-    # the blocks: at most twice the shortest separating prefix.  lexsort
-    # keeps ties in index order, as one sort of every key does.
-    rank, low, high = np.asarray(dims), 0, 8
-    while True:
-        # a complex array viewed as floats interleaves (Re, Im)
-        keys = np.round(chars[:, low:high], 9).view(float)
-        run = np.vstack([rank, keys.T])
-        order = np.lexsort(run[::-1])  # the last key sorts first
-        step = np.any(np.diff(run[:, order], axis=1) != 0, axis=0)
-        if high >= chars.shape[1] or step.all():
-            return order
-        rank = np.empty(len(order), dtype=int)
-        rank[order] = np.concatenate([[0], np.cumsum(step)])
-        low, high = high, 2 * high
+    rounded = np.round(chars, 9)
+    keys = np.stack([rounded.real, rounded.imag], axis=2).reshape(len(dims), -1)
+    return np.lexsort(np.vstack([keys.T[::-1], dims]))  # the last key sorts first
 
 
 def _checked(table, algebra, unitary, images, chars):

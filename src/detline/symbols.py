@@ -13,7 +13,8 @@ log|det F|, the Mahler measure m(det F) (Lück, L2-Invariants, Ch. 3), and
 detline._mahler computes it: Jensen's formula on the roots on the circle,
 Boyd's integral of it on the 2-torus, where Jensen's formula takes the
 variable of lower degree and the quadrature the angle of the other: the
-equispaced trapezoid rule while no root crosses the circle, otherwise
+equispaced trapezoid rule while no root crosses the circle and the
+determinant's degree in that angle's variable is below 16, otherwise
 adaptive Gauss-Legendre panels between the crossings.  A symbol whose
 determinant would leave the float range is measured after an exact
 power-of-two scaling.  A nonzero Laurent polynomial always has a finite

@@ -11,8 +11,6 @@ from detline.algebra import (
     AlgebraElement,
     FiniteGroupTable,
     FiniteVonNeumannAlgebra,
-    _block_order,
-    _characters,
     _commutant_element,
     _verify_decomposition,
     build_group_algebra,
@@ -178,48 +176,6 @@ def test_tables_built_as_groups_skip_the_associativity_check(monkeypatch):
     ]:
         with pytest.raises(AssertionError, match="validate"):
             build()
-
-
-def _full_block_order(dims, chars):
-    """The canonical order by one lexsort of every key."""
-    rounded = np.round(chars, 9)
-    keys = np.stack([rounded.real, rounded.imag], axis=2).reshape(len(dims), -1)
-    return np.lexsort(np.vstack([keys.T[::-1], dims]))
-
-
-def _compositions(limit, prefix=(), order=1):
-    """Every tuple of factors of at least 2 whose product is at most limit."""
-    for n in range(2, limit // order + 1):
-        yield prefix + (n,)
-        yield from _compositions(limit, prefix + (n,), order * n)
-
-
-def test_block_order_sorts_only_the_keys_that_separate_the_blocks(monkeypatch):
-    # tables with cyclic factors take their characters' order from as many
-    # elements as tell them apart, the same permutation as one sort of every
-    # key: each cyclic table up to order 256, each product up to order 64,
-    # and each product of order 256, where C2 x C128 needs the characters
-    # at 129 of its 256 elements (all 4742 products up to order 256 took
-    # about 20 s on a 2-vCPU Xeon)
-    tables = [(n,) for n in range(1, 257)] + list(_compositions(64))
-    for factors in tables + [f for f in _compositions(256) if np.prod(f) == 256]:
-        chars = _characters(factors)
-        dims = np.ones(len(chars), dtype=int)
-        assert np.array_equal(_block_order(dims, chars), _full_block_order(dims, chars))
-    # the numerical path: blocks of several dimensions, and characters that
-    # tie at the identity
-    pairs = []
-
-    def both(dims, chars):
-        pairs.append((_block_order(dims, chars), _full_block_order(dims, chars)))
-        return pairs[-1][0]
-
-    monkeypatch.setattr(algebra, "_block_order", both)
-    c, s = FiniteGroupTable.cyclic, FiniteGroupTable.symmetric
-    for table in [s(3), s(4), FiniteGroupTable.direct_product(c(2), s(3))]:
-        pairs.clear()
-        build_group_algebra(table)
-        assert len(pairs) == 1 and np.array_equal(*pairs[0])
 
 
 @pytest.mark.parametrize("n", [2.5, 0, -2, True, "3", 3.0])

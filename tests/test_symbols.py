@@ -773,6 +773,40 @@ def test_a_crossing_never_enters_the_trapezoid_rule(monkeypatch):
     assert trapezoid_levels(counts) == []
 
 
+@pytest.mark.parametrize("power", [64, 128])
+def test_an_outer_degree_past_the_scan_never_enters_the_trapezoid_rule(monkeypatch, power):
+    # 3 + x + y^64 takes m(4 + x) = log 4 at every node of T_64 and T_128,
+    # which would agree to rounding; m is log 3.  An outer degree of
+    # SCAN_NODES / 2 or more goes to the panels, which settle on log 3 or
+    # refuse
+    counts = circle_solves(monkeypatch)
+    symbol = scalar({(0, 0): 3.0, (1, 0): 1.0, (0, power): 1.0}, rank=2)
+    try:
+        result = abelian_fk_det_general(symbol)
+    except IndeterminateConvergence:
+        pass
+    else:
+        assert abs(result.log_value - np.log(3.0)) < 1e-12
+    assert counts[0] == _mahler.SCAN_NODES and trapezoid_levels(counts) == []
+
+
+def test_an_aliased_spectrum_leaves_the_trapezoid_rule(monkeypatch):
+    # 1e-3 x + (y - r)(y - r w) with r = 0.9 and w^32 = -1: no root crosses
+    # the circle, and the integrand log|(y - r)(y - r w)| has the Fourier
+    # coefficients -r^k (1 + w^k) / 2k at -k, which vanish at k = 32 and 96.
+    # T_32 and T_64 agree to rounding, though both miss m = 0 by r^64 / 32;
+    # the coefficients from 16 on have not decayed, T_128 moves by as much,
+    # and the panels take over
+    counts = circle_solves(monkeypatch)
+    r, w = 0.9, np.exp(1j * np.pi / 32)
+    terms = {(1, 0): 1e-3, (0, 2): 1.0, (0, 1): -r * (1 + w), (0, 0): r * r * w}
+    result = abelian_fk_det_general(scalar(terms, rank=2))
+    assert abs(result.log_value) < 1e-12
+    diagnostics = result.convergence.diagnostics
+    assert diagnostics["breakpoints"] == [] and diagnostics["panels"] > 0
+    assert trapezoid_levels(counts) == [_mahler.SCAN_NODES, 2 * _mahler.SCAN_NODES]
+
+
 @pytest.mark.parametrize("k", [1, 3])
 def test_a_tangential_zero_leaves_the_trapezoid_rule_after_one_level(monkeypatch, k):
     # m(4 - x - 1/x - y^k - 1/y^k) = 4G/pi: its zeros at x = 1, y^k = 1 cross
