@@ -8,13 +8,13 @@ the grouping rule it uses, and stacks groups a list of arrays by shape for
 the group-algebra decomposition.  numpy's linalg routines and matmul run
 on a stack one LAPACK or BLAS call per matrix, the call a single matrix
 gets, so per-shape work gives the answers of separate calls, bit for bit.
-singular_values is the one singular-value pass over block stacks: every
-norm, rank, invertibility test and log|det| of the package's blocks is
-read from it.  Callers take a block's norm from the factorisation they
-already hold where they can (max |eigenvalue| of a Hermitian block); a
-residual check may overestimate its numerator (Frobenius norm) or
-underestimate its scale (largest entry modulus), so it stays at least as
-strict as one in spectral norms.
+singular_value_stacks is the one singular-value pass over block stacks:
+every norm, rank, invertibility test and log|det| of the package's blocks
+is read from it, through rank_data where ranks are cut.  Callers take a
+block's norm from the factorisation they already hold where they can (max
+|eigenvalue| of a Hermitian block); a residual check may overestimate its
+numerator (Frobenius norm) or underestimate its scale (largest entry
+modulus), so it stays at least as strict as one in spectral norms.
 """
 
 from __future__ import annotations
@@ -102,23 +102,34 @@ def operator_norm(a: np.ndarray) -> float:
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
-def singular_values(parts, n: int, rtol: float = RANK_RTOL, scale: float | None = None):
-    """(top, low, rank, logs) of each of n blocks, from one
-    svd(compute_uv=False) per stack of parts, a list of (block indices,
-    stack) of the stacks with entries: the largest singular value, the
-    smallest one the rank counts (sigma_r), the rank and the sum of the log
-    singular values the rank counts.  The rank counts the singular values
-    above rtol times the block's largest, or times scale when it is given.
-    A block of rank 0 counts no singular value, so its sigma_r reads inf; a
-    block in no stack of parts has rank 0 and reads 0 in the other three."""
+def singular_value_stacks(parts) -> list:
+    """(block indices, singular values) of each stack of parts, a list of
+    (block indices, stack) of the stacks with entries: one
+    svd(compute_uv=False) per stack, each block's values descending."""
+    return [(idx, np.linalg.svd(s, compute_uv=False)) for idx, s in parts]
+
+
+def rank_data(values, n: int, rtol: float = RANK_RTOL, scale: float | None = None):
+    """(top, low, rank, logs) of each of n blocks from their singular values,
+    given per stack as singular_value_stacks gives them: the largest
+    singular value, the smallest one the rank counts (sigma_r), the rank and
+    the sum of the log singular values the rank counts.  The rank counts the
+    singular values above rtol times the block's largest, or times scale
+    when it is given.  A block of rank 0 counts no singular value, so its
+    sigma_r reads inf; a block in no stack has rank 0 and reads 0 in the
+    other three."""
     top, low, rank, logs = np.zeros(n), np.full(n, np.inf), np.zeros(n, dtype=int), np.zeros(n)
-    for idx, s in parts:
-        sv = np.linalg.svd(s, compute_uv=False)
+    for idx, sv in values:
         kept = sv > rtol * (sv[:, :1] if scale is None else scale)
         top[idx], low[idx] = sv[:, 0], np.min(np.where(kept, sv, np.inf), axis=1)
         rank[idx] = np.sum(kept, axis=1)
         logs[idx] = np.sum(np.log(np.where(kept, sv, 1.0)), axis=1)
     return top, low, rank, logs
+
+
+def singular_values(parts, n: int, rtol: float = RANK_RTOL, scale: float | None = None):
+    """rank_data of the singular_value_stacks of parts."""
+    return rank_data(singular_value_stacks(parts), n, rtol, scale)
 
 
 def is_hermitian(a: np.ndarray) -> bool:

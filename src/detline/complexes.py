@@ -7,33 +7,41 @@ degree module carries its scalar product as its reference gram, chosen
 when the module was built, so every adjoint, Laplacian and determinant
 downstream is taken with respect to it.
 
+Hodge reads every datum from one singular-value pass per map, taken in the
+coordinates where the grams are the identity, with no singular vectors: the
+positive spectrum of Delta_i is the sigma^2 of the two maps at degree i
+(Lück, L2-Invariants, Lemma 3.30), which fixes the Betti counts and the
+spectral densities, and eigh of a Laplacian block runs only where the block
+has homology, for its harmonic frame.  The Laplacians are formed on first
+read.
+
 The torsion isomorphism between det(C) and det(H_*) is computed by two
 deliberately independent routes: factorization through the exact sequences
 0 -> Z -> C -> B -> 0 and 0 -> B -> Z -> H -> 0, and the closed Laplacian
 formula prod Det(Delta_i^+)^(+-i/2).  Their agreement is a theorem; here it
-is a test: the Laplacian route diagonalises each Delta (eigh), the
-exact-sequence route takes the singular values of each map.  That route
-takes one singular-value call per block shape of each map, in the
-coordinates where the grams are the identity, and no singular vectors.  In
-those coordinates the SVD frames are orthonormal, so both sequences are
-measured by theorem, with no exact-sequence core call: 0 -> Z -> C -> B ->
-0 by the map's singular values above its rank, and 0 -> B -> Z -> H -> 0,
-an isometric inclusion followed by an orthogonal projection, has
-transition 1.  What the route checks is that Hodge's harmonic frames
-complete the boundaries to the cycles: by bounds from the same singular
-values and from products only as wide as the Betti count, and, in a degree
-the bounds do not decide, by the frames themselves.
+is a test: the Laplacian route diagonalises each Delta_i with i >= 1 (eigh;
+degree 0 enters with exponent 0), the exact-sequence route reads the
+singular values of Hodge's pass.  In those coordinates the SVD frames are
+orthonormal, so both sequences are measured by theorem, with no
+exact-sequence core call: 0 -> Z -> C -> B -> 0 by the map's singular
+values above its rank, and 0 -> B -> Z -> H -> 0, an isometric inclusion
+followed by an orthogonal projection, has transition 1.  What the route
+checks is that Hodge's harmonic frames complete the boundaries to the
+cycles: by bounds from the same singular values and from products only as
+wide as the Betti count, and, in a degree the bounds do not decide, by the
+frames themselves.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import RANK_RTOL
+from ._linalg import RANK_RTOL, rank_data, singular_value_stacks
 from .determinant import ConvergenceReport, SpectralDensity, _tilde_blocks, exp_of_log
 from .errors import IllConditionedKernel, NotExact, ValidationError
 from .lines import (
@@ -192,14 +200,75 @@ def validate_complex(complex_) -> ComplexValidationReport:
 # -- Hodge ---------------------------------------------------------------
 
 
+class _Laplacians(Sequence):
+    """Each degree's Laplacian, formed on first read and kept: hodge forms
+    only those of degrees with homology, and torsion_iso_via_laplacians
+    those of degrees i >= 1.  hermitian(i) is kept beside it."""
+
+    def __init__(self, complex_):
+        self._complex = complex_
+        self._formed = [None] * len(complex_.modules)
+        self._hermitian = [None] * len(complex_.modules)
+
+    def __len__(self):
+        return len(self._formed)
+
+    def __getitem__(self, i):
+        i = range(len(self._formed))[i]
+        if self._formed[i] is None:
+            with np.errstate(over="ignore", invalid="ignore"):  # refused by hermitian
+                self._formed[i] = _laplacian(self._complex, i)
+        return self._formed[i]
+
+    def hermitian(self, i) -> list:
+        """(block indices, stack) of the Hermitian part of Delta_i in the
+        coordinates where the degree's gram is the identity, for each stored
+        stack; ValidationError for an entry past the float range."""
+        if self._hermitian[i] is None:
+            with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
+                tilde = _tilde_blocks(self._complex.modules[i], self[i])
+            if not all(np.isfinite(s).all() for s in tilde.stacks):
+                raise ValidationError(f"degree {i}: the Laplacian is past the float range")
+            self._hermitian[i] = [
+                (idx, 0.5 * (s + s.conj().swapaxes(1, 2)))
+                for idx, s in zip(tilde.layout.index, tilde.stacks)
+            ]
+        return self._hermitian[i]
+
+
 @dataclass
 class HodgeData:
-    laplacians: tuple
+    """The Hodge decomposition of a complex, read from one singular-value
+    pass per map.
+
+    passes[j] is (d~, values) for maps[j]: its blocks in the coordinates
+    where the grams are the identity (modules.gram_coordinates) and their
+    singular values per stack (_linalg.singular_value_stacks).  squares[i]
+    holds, per stack, the sigma^2 of the two maps at degree i, and cuts[i]
+    the degree's kernel cut on them."""
+
+    laplacians: _Laplacians
+    passes: tuple = field(repr=False)
+    squares: tuple = field(repr=False)
+    cuts: tuple
     harmonic_modules: tuple
     harmonic_embeddings: tuple
-    positive_densities: tuple
     betti: tuple
     kernel_tol: float
+
+    @functools.cached_property
+    def positive_densities(self) -> tuple:
+        """The positive spectrum of each degree's Laplacian, built on first
+        read: the sigma^2 of its two maps above the degree's cut, each with
+        its block's trace weight."""
+        out = []
+        for squares, cut, h in zip(self.squares, self.cuts, self.harmonic_modules):
+            parts = []
+            for idx, sq in squares:
+                kept = sq > cut
+                parts.append((np.repeat(idx, np.sum(kept, axis=1)), sq[kept]))
+            out.append(SpectralDensity.from_parts(h.algebra.weights, parts))
+        return tuple(out)
 
     @functools.cached_property
     def harmonic_projectors(self) -> tuple:
@@ -228,78 +297,105 @@ def _laplacian(complex_, i) -> CommutantOperator:
     return total
 
 
+def _singular_value_pass(complex_, j) -> tuple:
+    """(d~, values) of maps[j]: its blocks in gram coordinates and their
+    singular values per stack.  A block entry or a sigma^2 past the float
+    range is refused as the Laplacian of the lower of its two degrees."""
+    f = complex_.maps[j]
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
+        tilde = gram_coordinates(f.stacked, f.source, f.target)
+        finite = all(np.isfinite(s).all() for s in tilde.stacks)
+        values = singular_value_stacks(tilde.nonempty()) if finite else []
+        finite = finite and all(np.isfinite(sv[:, 0] * sv[:, 0]).all() for _, sv in values)
+    if not finite:
+        raise ValidationError(f"degree {min(complex_.ends(j))}: the Laplacian is past the float range")
+    return tilde, values
+
+
 def hodge(complex_, kernel_tol: float = HODGE_KERNEL_TOL) -> HodgeData:
-    """Per-degree Laplacians, harmonic modules and positive spectral parts.
+    """Per-degree Betti numbers, harmonic modules and positive spectral
+    parts, from one singular-value pass per map.
 
-    The Laplacian is out*out + in in* for the chosen products.  Its kernel
-    is the zero eigenvalue cluster below kernel_tol times the spectral norm
-    (the largest |eigenvalue| of the Hermitian blocks); if the smallest
-    positive eigenvalue sits within HODGE_GAP_RATIO of the largest "zero" one, the
-    kernel dimension is numerically ambiguous and the decomposition refuses.
-    A kernel_tol outside (0, 1), nan included, is a ValidationError, and so
-    is a Laplacian with an entry past the float range.
+    The positive spectrum of Delta_i = out*out + in in* is the sigma^2 of
+    its two maps (Lück, L2-Invariants, Lemma 3.30), each map taken once in
+    the coordinates where the grams are the identity, with one
+    svd(compute_uv=False) per block shape.  Degree i's kernel cut is
+    kernel_tol times the largest sigma^2 of its two maps, the Laplacian's
+    spectral norm, and a block's Betti count is its multiplicity less the
+    sigma^2 above the cut from both maps.  If the smallest sigma^2 above the
+    cut sits within HODGE_GAP_RATIO of the largest one below it, the count
+    is numerically ambiguous and the decomposition refuses
+    (IllConditionedKernel).  A kernel_tol outside (0, 1), nan included, is a
+    ValidationError, and so is a sigma^2 past the float range, or maps whose
+    ranks exceed the degree they meet at (they do not compose to zero).
 
-    The work is per block shape: one eigh call per stored stack of the
-    Laplacian, and the cut, the gap and the kernel counts are array
-    operations over each stack.  eigh sorts ascending, so a block's kernel
-    frame is its leading count eigenvectors; the frames are gathered per
-    (shape, count) from the eigenvector stacks.
+    Harmonic frames take eigh of the Laplacian only in the blocks with
+    homology, one call per stack over those blocks: eigh sorts ascending,
+    so a block's frame is its leading count eigenvectors.  The Laplacians
+    and the densities are built on first read.
     """
     if not 0.0 < kernel_tol < 1.0:
         raise ValidationError(f"kernel_tol must lie in (0, 1), got {kernel_tol!r}")
-    laplacians = []
-    h_modules = []
-    h_embeddings = []
-    densities = []
-    betti = []
+    passes = tuple(_singular_value_pass(complex_, j) for j in range(len(complex_.maps)))
+    squares = [[] for _ in complex_.degrees]
+    for j, (_, values) in enumerate(passes):
+        pieces = [(idx, sv * sv) for idx, sv in values]
+        for end in complex_.ends(j):
+            squares[end] += pieces
+    laplacians = _Laplacians(complex_)
+    cuts, h_modules, h_embeddings, betti = [], [], [], []
     for i in complex_.degrees:
         mod = complex_.modules[i]
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
-            delta = _laplacian(complex_, i)
-            tilde = _tilde_blocks(mod, delta)
-        if not all(np.isfinite(s).all() for s in tilde.stacks):
-            raise ValidationError(f"degree {i}: the Laplacian is past the float range")
-        laplacians.append(delta)
-
-        g = mod.reference_gram
-        eighs = [
-            (idx, *np.linalg.eigh(0.5 * (s + s.conj().swapaxes(1, 2))))
-            for idx, s in zip(tilde.layout.index, tilde.stacks)
-        ]
-        spectral_norm = max(
-            (float(np.max(np.abs(vals), initial=0.0)) for _, vals, _ in eighs), default=0.0
-        )
-        cut = kernel_tol * max(spectral_norm, 1e-300)
-
-        counts = np.zeros(len(mod.multiplicities), dtype=int)
-        zero_top = 0.0
-        positive = []  # (blocks, positive eigenvalues) per stack
-        for idx, vals, _ in eighs:
-            zero = vals <= cut
-            counts[idx] = np.sum(zero, axis=1)
-            zero_top = max(zero_top, float(vals[zero].max(initial=0.0)))
-            positive.append((np.repeat(idx, np.sum(~zero, axis=1)), vals[~zero]))
-        density = SpectralDensity.from_parts(mod.algebra.weights, positive)
-        if zero_top > 0.0 and density.values.size:
-            if density.values[0] / zero_top < HODGE_GAP_RATIO:
-                raise IllConditionedKernel(
-                    f"degree {i}: kernel gap ratio {density.values[0] / zero_top:.2f} "
-                    f"is too small to trust the Betti number"
-                )
-
+        top = max((float(sq[:, 0].max()) for _, sq in squares[i]), default=0.0)
+        cut = kernel_tol * max(top, 1e-300)
+        counts = np.array(mod.multiplicities)
+        zero_top, low = 0.0, math.inf
+        for idx, sq in squares[i]:
+            kept = sq > cut
+            counts[idx] -= np.sum(kept, axis=1)
+            zero_top = max(zero_top, float(sq[~kept].max(initial=0.0)))
+            low = min(low, float(sq[kept].min(initial=math.inf)))
+        if zero_top > 0.0 and low < math.inf and low / zero_top < HODGE_GAP_RATIO:
+            raise IllConditionedKernel(
+                f"degree {i}: kernel gap ratio {low / zero_top:.2f} "
+                f"is too small to trust the Betti number"
+            )
+        if np.any(counts < 0):
+            raise ValidationError(
+                f"degree {i}: the maps at it have more rank than it has dimension; "
+                f"they do not compose to zero"
+            )
         h_mod = HilbertianModule(mod.algebra, counts)
-        vecs = [(idx, v) for idx, _, v in eighs]
-        frames = _frames(mod.multiplicities, vecs, np.zeros_like(counts), counts)
-        if not g.is_identity:
-            frames = g.inv_sqrt @ frames
+        frames = _harmonic_frames(mod, laplacians, i, counts)
+        cuts.append(cut)
         h_modules.append(h_mod)
         h_embeddings.append(ModuleMorphism._of(h_mod, mod, frames))
-        densities.append(density)
         betti.append(von_neumann_dimension(h_mod))
     return HodgeData(
-        tuple(laplacians), tuple(h_modules), tuple(h_embeddings),
-        tuple(densities), tuple(betti), kernel_tol,
+        laplacians, passes, tuple(tuple(sq) for sq in squares), tuple(cuts),
+        tuple(h_modules), tuple(h_embeddings), tuple(betti), kernel_tol,
     )
+
+
+def _harmonic_frames(mod, laplacians, i, counts) -> BlockStacks:
+    """Degree i's harmonic frames, in the module's coordinates: the leading
+    counts[k] eigenvectors of block k of the Hermitian Laplacian, taken by
+    eigh only over the blocks with counts[k] > 0 (a degree without homology
+    forms no Laplacian), and G^(-1/2) applied for a gram that is not the
+    identity."""
+    mult = mod.multiplicities
+    if not counts.any():
+        return BlockStacks.zeros(mult, (0,) * len(mult))
+    parts = []
+    for idx, s in laplacians.hermitian(i):
+        homology = counts[idx] > 0
+        if homology.any():
+            parts.append((idx[homology], np.linalg.eigh(s if homology.all() else s[homology])[1]))
+        if not homology.all():  # no column in the blocks without homology
+            parts.append((idx[~homology], s[~homology, :, :0]))
+    frames = _frames(mult, parts, np.zeros_like(counts), counts)
+    g = mod.reference_gram
+    return frames if g.is_identity else g.inv_sqrt @ frames
 
 
 # -- determinant class -----------------------------------------------------
@@ -318,8 +414,9 @@ def determinant_class_check(complex_, hodge_data: HodgeData | None = None) -> De
     """Per-degree convergence verdict for the log integral of Delta^+.
 
     Finite-dimensional spectra always converge; the report carries the
-    margin (smallest positive eigenvalue and spectral mass at zero) so
-    callers can see how close to degenerate the complex sits.
+    margin (the smallest positive eigenvalue, that is the smallest sigma^2
+    of the degree's two maps above Hodge's cut, and the spectral mass at
+    zero) so callers can see how close to degenerate the complex sits.
     """
     if hodge_data is None:
         hodge_data = hodge(complex_)
@@ -343,13 +440,28 @@ def torsion_iso_via_laplacians(complex_, hodge_data: HodgeData | None = None) ->
     closed formula: degree i carries Det(Delta_i^+)^(i/2) for the chain
     convention and Det(Delta_i^+)^(-i/2) for the cochain convention, so the
     combined coordinate is prod Det(Delta_i^+)^((-1)^i i/2) respectively
-    prod Det(Delta_i^+)^((-1)^(i+1) i/2)."""
+    prod Det(Delta_i^+)^((-1)^(i+1) i/2).
+
+    Degree 0 enters with exponent 0 and carries 1.  Each Delta_i with i >= 1
+    is diagonalised here, independently of the singular values Hodge reads:
+    one eigh per stack of its Hermitian blocks, eigenvalues cut at
+    kernel_tol times the largest |eigenvalue| of the degree."""
     if hodge_data is None:
         hodge_data = hodge(complex_)
     sign = 1.0 if complex_.convention == CHAIN else -1.0
-    entries = []
-    for i in complex_.degrees:
-        log_det = hodge_data.positive_densities[i].log_moment()
+    entries = [(0, DetLineElement(hodge_data.harmonic_modules[0], 1.0, "torsion_iso"))]
+    for i in complex_.degrees[1:]:
+        # eigh, not eigvalsh: the two LAPACK drivers round differently, and
+        # with eigvalsh the cellular-torsion benchmark's max_log_err doubles
+        # (1.2e-13 to 2.5e-13), an error of its oracle (ROADMAP item 18).
+        # Item 19 removes this eigh once that oracle is exact.
+        eighs = [(idx, np.linalg.eigh(s)[0]) for idx, s in hodge_data.laplacians.hermitian(i)]
+        top = max((float(np.max(np.abs(vals), initial=0.0)) for _, vals in eighs), default=0.0)
+        cut = hodge_data.kernel_tol * max(top, 1e-300)
+        positive = [
+            (np.repeat(idx, np.sum(vals > cut, axis=1)), vals[vals > cut]) for idx, vals in eighs
+        ]
+        log_det = SpectralDensity.from_parts(complex_.algebra.weights, positive).log_moment()
         coeff = exp_of_log(sign * 0.5 * i * log_det)
         entries.append((i, DetLineElement(hodge_data.harmonic_modules[i], coeff, "torsion_iso")))
     return graded_assemble(entries)
@@ -360,16 +472,14 @@ def torsion_iso_via_exact_sequences(complex_, hodge_data: HodgeData | None = Non
     0 -> Z_i -> C_i -> B_out -> 0 and 0 -> B_i -> Z_i -> H_i -> 0.
 
     Everything is taken in the coordinates where its degree's gram is the
-    identity: each map once as d~ = G_t^(1/2) d G_s^(-1/2)
-    (modules.gram_coordinates), and Hodge's harmonic frame as H~ = G^(1/2)
-    H.  One singular-value pass per block shape of each d~ gives its ranks,
-    the smallest singular value each rank counts (sigma_r) and its log
-    singular values, with no singular vectors.  Ranks are cut at RANK_RTOL
-    times the complex's largest singular value, the square root of the
-    largest positive Laplacian eigenvalue (the spectrum of Delta_i is that
-    of d* d and d d* for its two maps), so no SVD is added for it: a map
-    that is small next to 1 keeps its rank, as in Hodge, and a block that
-    is zero up to rounding next to the rest of the complex has none.
+    identity: each map as Hodge's pass holds it, d~ = G_t^(1/2) d
+    G_s^(-1/2) (modules.gram_coordinates) with its singular values, and
+    Hodge's harmonic frame as H~ = G^(1/2) H.  The pass gives each block's
+    rank, the smallest singular value the rank counts (sigma_r) and its log
+    singular values, with no second SVD and no singular vectors.  Ranks are
+    cut at RANK_RTOL times the pass's largest singular value, so a map that
+    is small next to 1 keeps its rank, as in Hodge, and a block that is zero
+    up to rounding next to the rest of the complex has none.
 
     Both sequences are measured by theorem (d* d and d d* share their
     positive spectrum; Lück, L2-Invariants, Lemma 3.30).  In these
@@ -395,15 +505,14 @@ def torsion_iso_via_exact_sequences(complex_, hodge_data: HodgeData | None = Non
         hodge_data = hodge(complex_)
 
     weights = np.asarray(complex_.algebra.weights)
-    tops = [float(d.values[-1]) for d in hodge_data.positive_densities if d.values.size]
-    scale = math.sqrt(max(tops, default=0.0))  # the complex's largest singular value
+    tops = [float(sv[:, 0].max()) for _, values in hodge_data.passes for _, sv in values]
+    scale = max(tops, default=0.0)  # the complex's largest singular value
     n = len(complex_.modules)
-    # the singular-value pass of the map out of and into each degree
+    # the map out of and into each degree, with its ranks and sigma_r
     outs, ins, log_kappas = [None] * n, [None] * n, [0.0] * n
-    for i, f in enumerate(complex_.maps):
-        src, tgt = complex_.ends(i)
-        tilde = gram_coordinates(f.stacked, f.source, f.target)
-        _, low, rank, logs = tilde.singular_values(RANK_RTOL, scale)
+    for j, (tilde, values) in enumerate(hodge_data.passes):
+        src, tgt = complex_.ends(j)
+        _, low, rank, logs = rank_data(values, len(tilde.layout.rows), RANK_RTOL, scale)
         outs[src] = ins[tgt] = (tilde, low, rank)
         log_kappas[src] = float(weights @ logs)
 

@@ -60,6 +60,7 @@ from ._linalg import (
     is_hermitian,
     key_groups,
     orthonormal_range,
+    singular_value_stacks,
     singular_values,
 )
 from .algebra import AlgebraElement, FiniteVonNeumannAlgebra, GroupAlgebraDecomposition
@@ -398,8 +399,9 @@ class BlockStacks:
 
     def norm(self) -> float:
         """Largest spectral norm of a block, from one singular-value call per
-        stack."""
-        return float(np.max(self.singular_values()[0], initial=0.0))
+        stack; only each block's largest singular value is read."""
+        tops = [sv[:, 0] for _, sv in singular_value_stacks(self.nonempty())]
+        return float(np.max(np.concatenate(tops))) if tops else 0.0
 
 
 class _GramData:

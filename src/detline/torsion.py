@@ -498,8 +498,12 @@ def torsion(
     graded = torsion_iso_via_laplacians(assembled, data)
     cross = torsion_iso_via_exact_sequences(assembled, data)
     coordinate = graded.coordinate
+    gram = rep.module.reference_gram
     hashes = {
-        "module_gram": gram_hash(rep.module.reference_gram.matrix),
+        # an identity gram hashes from its size alone, with no matrix built
+        "module_gram": (
+            identity_hash(rep.module.carrier_dim) if gram.is_identity else gram_hash(gram.matrix)
+        ),
         # Hodge's harmonic frames are orthonormal: each homology module
         # carries the identity gram
         "harmonic_grams": tuple(identity_hash(m.carrier_dim) for m in data.harmonic_modules),

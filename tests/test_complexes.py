@@ -1,6 +1,7 @@
 """Chain complex, Hodge, torsion-isomorphism and zeta tests."""
 
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
@@ -17,13 +18,15 @@ from detline.complexes import (
     zeta_suite,
 )
 from detline import complexes, lines
-from detline.determinant import _tilde_blocks, fk_det, spectral_density
+from detline.determinant import SpectralDensity, _tilde_blocks, fk_det, spectral_density
 from detline.errors import IllConditionedKernel, NotExact, ValidationError
 from detline.fixtures import (
     circle,
+    klein_bottle,
     lens_space,
     regular_cyclic_representation,
     regular_product_representation,
+    sign_representation,
     torus,
 )
 from detline.lines import reference_element
@@ -244,28 +247,28 @@ def test_hodge_consistency_random():
             assert abs(total - von_neumann_dimension(mod)) < 1e-9
 
 
-def test_hodge_and_spectral_density_take_no_svd(monkeypatch):
-    # every norm either function needs is max |eigenvalue| of the Hermitian
+def test_spectral_density_takes_no_svd(monkeypatch):
+    # every norm spectral_density needs is max |eigenvalue| of the Hermitian
     # blocks it diagonalises anyway; identity grams have no powers to take
     rng = np.random.default_rng(53)
     c = make_complex(rng, S3, [(2, 2, 2), (3, 3, 3), (2, 2, 2)], grams=False)
+    laplacians = hodge(c).laplacians
 
     def no_svd(*args, **kwargs):
         raise AssertionError("np.linalg.svd called")
 
     monkeypatch.setattr(np.linalg, "svd", no_svd)
-    data = hodge(c)
-    for mod, delta in zip(c.modules, data.laplacians):
+    for mod, delta in zip(c.modules, laplacians):
         assert spectral_density(mod, delta).total_mass > 0
 
 
 def _check_route_factors_each_map_block_once(monkeypatch, c):
-    """On circle(16) x C[Z/6]: one singular-value call per map stack decides
-    the ranks, measures 0 -> Z -> C -> B -> 0 and gives the sigma_r of the
-    bounds; no singular vectors, no frames and no frame check; the
-    exact-sequence core never runs, and each degree's 0 -> B -> Z -> H -> 0
-    is bounded from products as wide as its Betti counts."""
-    data = hodge(c)
+    """On circle(16) x C[Z/6]: Hodge's one singular-value call per map stack
+    decides the ranks, measures 0 -> Z -> C -> B -> 0 and gives the sigma_r
+    of the bounds, and the route takes no other; no singular vectors, no
+    frames and no frame check; the exact-sequence core never runs, and each
+    degree's 0 -> B -> Z -> H -> 0 is bounded from products as wide as its
+    Betti counts."""
     bounded = []
     bounds = complexes._homology_bounds
 
@@ -295,6 +298,7 @@ def _check_route_factors_each_map_block_once(monkeypatch, c):
     monkeypatch.setattr(impl, "svd", counted_svd)
     # no transition spectrum, retraction solve, inverse or orthonormalization
     solvers = [_counting(monkeypatch, name) for name in ("eigvalsh", "solve", "inv", "qr")]
+    data = hodge(c)
     got = torsion_iso_via_exact_sequences(c, data).coordinate
     # six 16 x 16 characters in one stack
     assert [len(f.stacked.stacks) for f in c.maps] == [1]
@@ -323,9 +327,11 @@ def test_exact_sequence_route_with_a_gram_on_a_degree_without_outgoing_map(monke
 
 
 def _blockwise_hodge(c, data):
-    """Kernel frames, projectors and positive spectra of each degree from
-    one eigh per block, products with the gram powers taken even where they
-    are the identity."""
+    """The dense eigh-of-Laplacian Hodge decomposition, the oracle of the
+    singular-value one: kernel frames, projectors, positive spectra and
+    Betti numbers of each degree from one eigh per block of the whole
+    Laplacian, cut at kernel_tol times its largest |eigenvalue|, products
+    with the gram powers taken even where they are the identity."""
     out = []
     for mod, delta in zip(c.modules, data.laplacians):
         g = mod.reference_gram
@@ -342,8 +348,53 @@ def _blockwise_hodge(c, data):
             weights.append(np.full(int(np.sum(~zero)), w))
         values, weights = np.concatenate(values), np.concatenate(weights)
         order = np.argsort(values)
-        out.append((frames, projectors, values[order], weights[order]))
+        counts = [f.shape[1] for f in frames]
+        betti = von_neumann_dimension(HilbertianModule(mod.algebra, counts))
+        out.append((frames, projectors, values[order], weights[order], betti))
     return out
+
+
+def _blockwise_squares(c, data):
+    """Each degree's positive spectrum as sigma^2 of its two maps, one
+    svd(compute_uv=False) per block of d~ = G_t^(1/2) d G_s^(-1/2), cut at
+    Hodge's cut: (values, weights) listed block by block, the lower map
+    first, then sorted as SpectralDensity.from_parts sorts them."""
+    out = []
+    for i, mod in enumerate(c.modules):
+        per_block = [[] for _ in mod.multiplicities]
+        for j, f in enumerate(c.maps):
+            if i not in c.ends(j):
+                continue
+            gs, gt = f.source.reference_gram, f.target.reference_gram
+            for k, (r, b, w) in enumerate(zip(gt.sqrt.blocks, f.blocks, gs.inv_sqrt.blocks)):
+                if b.size:
+                    sq = np.linalg.svd((r @ b) @ w, compute_uv=False) ** 2
+                    per_block[k].append(sq[sq > data.cuts[i]])
+        values = np.concatenate([v for vs in per_block for v in vs] or [np.zeros(0)])
+        weights = np.concatenate(
+            [np.full(len(v), w) for (_, w), vs in zip(mod.algebra.blocks, per_block) for v in vs]
+            or [np.zeros(0)]
+        )
+        order = np.argsort(values)
+        out.append((values[order], weights[order]))
+    return out
+
+
+def _eigh_route(c, data):
+    """The Laplacian route's coordinate from one eigh per block of each
+    Delta_i with i >= 1, cut at kernel_tol times the degree's largest
+    |eigenvalue|; degree 0 carries 1."""
+    sign = 1.0 if c.convention == "chain" else -1.0
+    coordinate = 1.0
+    for i in c.degrees[1:]:
+        mod = c.modules[i]
+        tilde = _tilde_blocks(mod, data.laplacians[i]).blocks
+        vals = [np.linalg.eigh(0.5 * (b + b.conj().T))[0] for b in tilde]
+        cut = data.kernel_tol * max(max((float(np.max(np.abs(v))) for v in vals if v.size), default=0.0), 1e-300)
+        parts = [(np.full(int(np.sum(v > cut)), k), v[v > cut]) for k, v in enumerate(vals)]
+        log_det = SpectralDensity.from_parts(mod.algebra.weights, parts).log_moment()
+        coordinate *= float(np.exp(sign * 0.5 * i * log_det)) ** (1 if i % 2 == 0 else -1)
+    return coordinate
 
 
 def _blockwise_route(c, data):
@@ -471,17 +522,75 @@ def _shape_batched_cases():
 
 @pytest.mark.parametrize("name", sorted(_shape_batched_cases()))
 def test_shape_batched_hodge_and_route_match_blockwise_bit_for_bit(name):
+    # harmonic frames and projectors as the eigh oracle's, sigma^2 densities
+    # as a blockwise SVD's, and each route as its blockwise computation
     c = _shape_batched_cases()[name]
     data = hodge(c)
     assert any(0 < b < von_neumann_dimension(m) for b, m in zip(data.betti, c.modules))
-    for i, (frames, projectors, values, weights) in enumerate(_blockwise_hodge(c, data)):
+    blockwise = zip(_blockwise_hodge(c, data), _blockwise_squares(c, data))
+    for i, ((frames, projectors, _, _, betti), (values, weights)) in enumerate(blockwise):
+        assert data.betti[i] == betti
         for got, want in zip(data.harmonic_embeddings[i].blocks, frames):
             assert got.shape == want.shape and np.array_equal(got, want)
         for got, want in zip(data.harmonic_projectors[i].blocks, projectors):
             assert np.array_equal(got, want)
         assert np.array_equal(data.positive_densities[i].values, values)
         assert np.array_equal(data.positive_densities[i].weights, weights)
+    assert torsion_iso_via_laplacians(c, data).coordinate == _eigh_route(c, data)
     assert torsion_iso_via_exact_sequences(c, data).coordinate == _blockwise_route(c, data)
+
+
+def _oracle_cases():
+    """(cell complex, representation) of every kind the deck runs: circles
+    over C[Z/3], C[Z/5] and C[Z/6], lens spaces, the torus and the Klein
+    bottle through product representations, the left side, and a module
+    gram that is not the identity."""
+    cases = {
+        f"circle({k}) C[Z/{n}]": (circle(k), regular_cyclic_representation(n))
+        for k in (4, 16, 64) for n in (3, 5, 6)
+    }
+    cases.update({
+        f"lens({n}) C[Z/{n}]": (lens_space(n), regular_cyclic_representation(n))
+        for n in (3, 5, 8, 12)
+    })
+    cases.update({
+        "torus C[Z/2 x Z/3]": (torus(), regular_product_representation((2, 3), ("a", "b"))),
+        "torus C[Z/3 x Z/4]": (torus(), regular_product_representation((3, 4), ("a", "b"))),
+        "klein C[Z/2 x Z/4]": (klein_bottle(), regular_product_representation((2, 4), ("a", "b"))),
+        "circle(8) C[Z/3] left": (circle(8), regular_cyclic_representation(3, side="left")),
+        "lens(5) C[Z/5] left": (lens_space(5), regular_cyclic_representation(5, side="left")),
+        "torus C[Z/2 x Z/3] left": (
+            torus(), regular_product_representation((2, 3), ("a", "b"), side="left")
+        ),
+    })
+    rep = regular_cyclic_representation(5)
+    rng = np.random.default_rng(89)
+    gram = [r.conj().T @ r + 0.5 * np.eye(m) for r, m in (
+        (random_complex(rng, (m, m)), m) for m in rep.module.multiplicities
+    )]
+    cases["circle(8) C[Z/5] gram"] = (
+        circle(8), rep.with_module_gram(CommutantOperator(rep.module, gram))
+    )
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_oracle_cases()))
+def test_hodge_matches_the_eigh_oracle(name):
+    # Betti numbers exactly, projectors to 1e-10 and sigma^2 densities to
+    # 1e-12 against eigh of the whole Laplacian, relative to the degree's
+    # largest value: eigh resolves an eigenvalue to a few eps times the
+    # Laplacian's norm (4.8e-16 at 2.7e-4 on circle(64) C[Z/6]), not to eps
+    # times the value
+    cx, rep = _oracle_cases()[name]
+    c = assemble_coefficients(cx, rep)
+    data = hodge(c)
+    for i, (_, projectors, values, weights, betti) in enumerate(_blockwise_hodge(c, data)):
+        assert data.betti[i] == betti
+        for got, want in zip(data.harmonic_projectors[i].blocks, projectors):
+            assert np.linalg.norm(got - want) <= 1e-10
+        density = data.positive_densities[i]
+        assert np.array_equal(density.weights, weights)
+        assert np.all(np.abs(density.values - values) <= 1e-12 * values.max(initial=0.0))
 
 
 def test_batched_route_matches_blockwise_bit_for_bit_on_larger_representations():
@@ -497,11 +606,11 @@ def test_batched_route_matches_blockwise_bit_for_bit_on_larger_representations()
 
 
 def _map_passes(c, data):
-    """The route's singular-value pass of the map out of and into each
+    """The route's reading of Hodge's pass for the map out of and into each
     degree, (d~, sigma_r, rank) in the coordinates where the grams are the
     identity, ranks cut against the complex's largest singular value."""
-    tops = [float(d.values[-1]) for d in data.positive_densities if d.values.size]
-    scale = np.sqrt(max(tops, default=0.0))
+    tops = [float(sv[:, 0].max()) for _, values in data.passes for _, sv in values]
+    scale = max(tops, default=0.0)
     outs, ins = [None] * len(c.modules), [None] * len(c.modules)
     for i, f in enumerate(c.maps):
         src, tgt = c.ends(i)
@@ -661,18 +770,124 @@ def _counting(monkeypatch, name):
     return calls
 
 
-def test_hodge_takes_one_eigh_per_block_shape_and_degree(monkeypatch):
+def _recording(monkeypatch, name):
+    """Record (shape, compute_uv) of the argument of each np.linalg.<name>
+    call for the rest of the test; compute_uv reads None for a function
+    without it."""
+    calls = []
+    original = getattr(np.linalg, name)
+    impl = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
+
+    def recorded(a, *args, **kwargs):
+        calls.append((a.shape, kwargs.get("compute_uv") if name == "svd" else None))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, recorded)
+    monkeypatch.setattr(impl, name, recorded)
+    return calls
+
+
+def test_hodge_takes_eigh_only_on_blocks_with_homology(monkeypatch):
     rng = np.random.default_rng(73)
-    cases = [  # (complex, block shapes summed over the degrees)
-        (make_complex(rng, S3, [(2, 2, 3), (3, 3, 2), (2, 2, 1)], grams=False), 6),
-        (assemble_coefficients(circle(16), regular_cyclic_representation(6, side="left")), 2),
+    cases = [
+        make_complex(rng, S3, [(2, 2, 3), (3, 3, 2), (2, 2, 1)], grams=False),
+        assemble_coefficients(circle(16), regular_cyclic_representation(6, side="left")),
+        # t -> -1: acyclic, so no eigh and no Laplacian at all
+        assemble_coefficients(circle(16), sign_representation(("t",))),
     ]
-    for c, shapes in cases:
-        assert shapes == sum(len({m for m in mod.multiplicities if m}) for mod in c.modules)
-        calls = _counting(monkeypatch, "eigh")
-        hodge(c)
-        assert calls[0] == shapes
+    for c in cases:
+        eighs = _recording(monkeypatch, "eigh")
+        svds = _recording(monkeypatch, "svd")
+        data = hodge(c)
+        # one call per stack that has a block with homology, over those blocks
+        want = []
+        for i, (mod, h) in enumerate(zip(c.modules, data.harmonic_modules)):
+            for m in dict.fromkeys(mod.multiplicities):
+                count = sum(
+                    1 for mk, hk in zip(mod.multiplicities, h.multiplicities) if mk == m and hk
+                )
+                if count:
+                    want.append(((count, m, m), None))
+        assert eighs == want
+        assert data.laplacians._formed == [
+            None if not any(h.multiplicities) else data.laplacians[i]
+            for i, h in enumerate(data.harmonic_modules)
+        ]
+        # one singular-value call per stack of each map
+        assert svds == [
+            (s.shape, False) for f in c.maps for s in f.stacked.stacks if s.size
+        ]
         monkeypatch.undo()
+    assert data.betti == (0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "cx, rep, svds, eighs, formed",
+    [
+        # the trivial character has homology in both degrees: eigh of its
+        # block in Hodge, and of all six in the route's degree 1
+        (
+            circle(16), regular_cyclic_representation(6),
+            [(6, 16, 16)], [(1, 16, 16), (1, 16, 16), (6, 16, 16)], [0, 1],
+        ),
+        # homology in degrees 0 and 3 only; the route takes degrees 1 to 3
+        (
+            lens_space(5), regular_cyclic_representation(5, side="left"),
+            [(5, 1, 1)] * 3, [(1, 1, 1), (1, 1, 1), (5, 1, 1), (5, 1, 1), (5, 1, 1)], [0, 3, 1, 2],
+        ),
+        (
+            torus(), regular_product_representation((2, 3), ("a", "b")),
+            [(6, 1, 2), (6, 2, 1)], [(1, 1, 1), (1, 2, 2), (1, 1, 1), (6, 2, 2), (6, 1, 1)],
+            [0, 1, 2],
+        ),
+        # acyclic: Delta_0 is never formed
+        (circle(16), sign_representation(("t",)), [(1, 16, 16)], [(1, 16, 16)], [1]),
+    ],
+)
+def test_torsion_takes_one_svd_per_map_stack_and_forms_each_laplacian_once(
+    monkeypatch, cx, rep, svds, eighs, formed
+):
+    # after assembly: one svd(compute_uv=False) per block shape of each map,
+    # eigh in Hodge only on blocks with homology (none on a Delta_0 block
+    # without it) and in the Laplacian route on Delta_i, i >= 1, and each
+    # Delta_i formed at most once
+    cellular = importlib.import_module("detline.torsion")
+    assemble, laplacian = cellular.assemble_coefficients, complexes._laplacian
+    svd_calls = _recording(monkeypatch, "svd")
+    eigh_calls = _recording(monkeypatch, "eigh")
+    formed_degrees = []
+
+    def assembled(*args):
+        out = assemble(*args)
+        svd_calls.clear()  # the unimodularity check and the boundary residual
+        eigh_calls.clear()
+        return out
+
+    def forming(c, i):
+        formed_degrees.append(i)
+        return laplacian(c, i)
+
+    monkeypatch.setattr(cellular, "assemble_coefficients", assembled)
+    monkeypatch.setattr(complexes, "_laplacian", forming)
+    report = cellular.torsion(cx, rep)
+    assert svd_calls == [(shape, False) for shape in svds]
+    assert [shape for shape, _ in eigh_calls] == eighs
+    assert formed_degrees == formed
+    # the coordinate is the eigh formula and the exact-sequence value is
+    # sum log sigma, bit for bit
+    c, data = report.coefficients, report.hodge_data
+    assert report.coordinate == _eigh_route(c, data)
+    assert report.route_coordinates["exact_sequence"] == _blockwise_route(c, data)
+
+
+def test_hodge_refuses_maps_whose_ranks_exceed_a_degree():
+    # C -1-> C -1-> C does not compose to zero: degree 1 would have Betti
+    # count 1 - 1 - 1
+    mod = HilbertianModule(SCALAR, [1])
+    one = CommutantOperator.identity(mod)
+    c = HilbertianChainComplex([mod, mod, mod], [one, one], validate=False)
+    with pytest.raises(ValidationError, match="^degree 1: the maps at it have more rank"):
+        hodge(c)
 
 
 def test_boundary_residual_takes_one_svd_per_block_shape_and_map(monkeypatch):
