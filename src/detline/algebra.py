@@ -5,18 +5,21 @@ together with strictly positive trace weights w_k.  The trace of an element
 x = (x_1, ..., x_r) is sum_k w_k tr(x_k); it is faithful and tracial by
 construction and nothing forces tr(1) = 1.
 
-Group algebras C[G] enter through a multiplication table.  When the table
-records cyclic factors, because FiniteGroupTable.cyclic and direct_product
-built it, G is abelian and its decomposition is known by theorem: the
-blocks are the characters, U is the discrete Fourier transform, and no
-eigensolver runs.  Any other table is decomposed numerically: the commutant
-of left translation is spanned by right translations, a random Hermitian
-element of that commutant is diagonalized, eigenvalue clusters cut the
-carrier into irreducible invariant subspaces, and unitary intertwiners
-transport one matrix realization across each isotypic family.  Either way
-the weights make the block trace restrict to the coefficient of the
-identity, and one check, on a generating set and along the Cayley graph,
-bounds U^H L_g U - B(g) for every g.
+Group algebras C[G] enter through a multiplication table.  A table that
+FiniteGroupTable.cyclic, symmetric and direct_product built records how,
+and its blocks are known by theorem, with no eigensolver: the characters
+of cyclic factors, Young's orthogonal form of S_n, and the tensor products
+rho (x) sigma of the factors' blocks for G x H; U follows from the images
+by Peter-Weyl, and for cyclic factors it is the discrete Fourier
+transform.  Any other table, and a factor given as an array on its own, is
+decomposed numerically: the commutant of left translation is spanned by
+right translations, a random Hermitian element of that commutant is
+diagonalized, eigenvalue clusters cut the carrier into irreducible
+invariant subspaces, and unitary intertwiners transport one matrix
+realization across each isotypic family.  Either way the weights make the
+block trace restrict to the coefficient of the identity, and one check, on
+a generating set and along the Cayley graph, bounds U^H L_g U - B(g) for
+every g.
 
 Translations act on l2(G) as permutations of the table's indices, so the
 decomposition never builds them as matrices: a commutant element
@@ -35,6 +38,7 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,24 +209,37 @@ class FiniteGroupTable:
         self.validate()
 
     @classmethod
-    def _group(cls, product, identity=0, cyclic_factors=None) -> "FiniteGroupTable":
+    def _group(cls, product, identity=0, structure=None) -> "FiniteGroupTable":
         """The table of a group by construction, which skips validate()."""
         table = cls.__new__(cls)
-        table._fill(product, identity, cyclic_factors)
+        table._fill(product, identity, structure)
         return table
 
-    def _fill(self, product, identity, cyclic_factors):
+    def _fill(self, product, identity, structure):
         self.order = int(product.shape[0])
         self.product = product
         self.identity = int(identity)
         # Each row is a permutation, so the identity occurs once in row a, at
         # a's right inverse; in an associative table that is a's inverse.
         self.inverse = np.argmax(product == self.identity, axis=1)
-        # (n_1, ..., n_r) when cyclic() and direct_product() built the table
-        # as Z/n_1 x ... x Z/n_r, element g at the mixed-radix index of its
-        # coordinates (g_1 most significant); None for a table given as an
-        # array, whatever group it is
-        self.cyclic_factors: tuple[int, ...] | None = cyclic_factors
+        # how the table was built: ("cyclic", n), ("symmetric", n), or
+        # ("product", t1, t2) with (a1, a2) at index a1 * t2.order + a2; None
+        # for a table given as an array, whatever group it is
+        self.structure: tuple | None = structure
+
+    @property
+    def cyclic_factors(self) -> tuple[int, ...] | None:
+        """(n_1, ..., n_r) when cyclic() and direct_product() built the table
+        as Z/n_1 x ... x Z/n_r, element g at the mixed-radix index of its
+        coordinates (g_1 most significant); else None."""
+        kind, *args = self.structure or (None,)
+        if kind == "cyclic":
+            return (args[0],)
+        if kind == "product":
+            left, right = (t.cyclic_factors for t in args)
+            if left is not None and right is not None:
+                return left + right
+        return None
 
     def validate(self):
         n, e = self.order, self.identity
@@ -270,20 +287,20 @@ class FiniteGroupTable:
 
     @staticmethod
     def cyclic(n: int) -> "FiniteGroupTable":
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValidationError(f"cyclic group order must be a positive integer, got {n!r}")
-        n = int(n)
+        n = _positive_integer(n, "cyclic group order")
         idx = np.arange(n)
-        return FiniteGroupTable._group((idx[:, None] + idx[None, :]) % n, cyclic_factors=(n,))
+        return FiniteGroupTable._group((idx[:, None] + idx[None, :]) % n, structure=("cyclic", n))
 
     @staticmethod
     def symmetric(n: int) -> "FiniteGroupTable":
         """Symmetric group on n letters; element 0 is the identity."""
+        n = _positive_integer(n, "symmetric group degree")
         perms = np.array(sorted(itertools.permutations(range(n))), dtype=int)
         # sorted order is the order of the base-n numbers the rows spell, and
         # (a b)[k] = a[b[k]] is perms[a, perms[b, k]]
         digits = n ** np.arange(n - 1, -1, -1)
-        return FiniteGroupTable._group(np.searchsorted(perms @ digits, perms[:, perms] @ digits))
+        product = np.searchsorted(perms @ digits, perms[:, perms] @ digits)
+        return FiniteGroupTable._group(product, structure=("symmetric", n))
 
     @staticmethod
     def direct_product(t1: "FiniteGroupTable", t2: "FiniteGroupTable") -> "FiniteGroupTable":
@@ -291,11 +308,14 @@ class FiniteGroupTable:
         n = t1.order * n2
         # (a1, a2) is index a1 * n2 + a2; axes [a1, a2, b1, b2] reshape to [a, b]
         prod = t1.product[:, None, :, None] * n2 + t2.product[None, :, None, :]
-        factors = None
-        if t1.cyclic_factors is not None and t2.cyclic_factors is not None:
-            # the index a1 n2 + a2 appends t2's mixed radix to t1's
-            factors = t1.cyclic_factors + t2.cyclic_factors
-        return FiniteGroupTable._group(prod.reshape(n, n), t1.identity * n2 + t2.identity, factors)
+        identity = t1.identity * n2 + t2.identity
+        return FiniteGroupTable._group(prod.reshape(n, n), identity, ("product", t1, t2))
+
+
+def _positive_integer(n, what: str) -> int:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValidationError(f"{what} must be a positive integer, got {n!r}")
+    return int(n)
 
 
 # ---------------------------------------------------------------------------
@@ -350,20 +370,24 @@ class GroupAlgebraDecomposition:
 def build_group_algebra(table: FiniteGroupTable) -> GroupAlgebraDecomposition:
     """Decompose C[G] into weighted matrix blocks.
 
-    A table with cyclic factors (n_1, ..., n_r), which cyclic() and
-    direct_product() record, is decomposed in closed form: one block per
-    character chi_k(g) = exp(-2 pi i sum_j k_j g_j / n_j), each of weight
-    1/|G|, and U the normalized discrete Fourier transform.  Any other table
-    is decomposed numerically, deterministically: attempts draw from seeds 0
+    A table that cyclic(), symmetric() and direct_product() built is
+    decomposed in closed form (_closed_form_images), with no eigensolver:
+    cyclic factors (n_1, ..., n_r) by the characters chi_k(g) =
+    exp(-2 pi i sum_j k_j g_j / n_j), S_n by Young's orthogonal form, and a
+    product by the tensor products of its factors' blocks; a factor given as
+    an array is decomposed numerically on its own.  Any other table is
+    decomposed numerically, deterministically: attempts draw from seeds 0
     to 5 in turn, and the retries guard the measure-zero event of eigenvalue
     collisions across inequivalent blocks.  Both give the blocks in one
-    canonical order (_block_order) and pass one check (_verify_decomposition)
-    and the block-trace check.
+    canonical order (_block_order), each of weight n_k/|G|, and pass one
+    check (_verify_decomposition) and the block-trace check.
     """
     if table.order > MAX_GROUP_ORDER:
         raise ValidationError(f"group order {table.order} exceeds limit {MAX_GROUP_ORDER}")
     if table.cyclic_factors is not None:
         return _fourier_decomposition(table)
+    if table.structure is not None:
+        return _peter_weyl(table, _closed_form_images(table))
     last_err = None
     for attempt in range(6):
         rng = np.random.default_rng(attempt)
@@ -374,22 +398,130 @@ def build_group_algebra(table: FiniteGroupTable) -> GroupAlgebraDecomposition:
     raise DecompositionFailure(f"decomposition failed after retries: {last_err}")
 
 
-def _fourier_decomposition(table):
-    """C[Z/n_1 x ... x Z/n_r] from its characters.  U[h, k] =
-    conj(chi_k(h)) / sqrt(|G|), so L_g U[:, k] = chi_k(g) U[:, k], the sign the
-    numerical path gives (img(g) = base^H L_g base)."""
-    factors, n_g = table.cyclic_factors, table.order
-    if int(np.prod(factors)) != n_g:
-        raise DecompositionFailure(f"cyclic factors {factors} do not multiply to order {n_g}")
+def _characters(factors) -> np.ndarray:
+    """chi[k, g] = exp(-2 pi i sum_j k_j g_j / n_j) on Z/n_1 x ... x Z/n_r,
+    k and g at the mixed-radix indices of their coordinates."""
+    n_g = int(np.prod(factors))
     # coords[j][g] = g_j, and phase[k, g] = |G| sum_j k_j g_j / n_j mod |G|,
     # an integer, so chi_k(g) is one of the |G|-th roots of unity
     coords = np.unravel_index(np.arange(n_g), factors)
     phase = sum((np.outer(c, c) % n) * (n_g // n) for c, n in zip(coords, factors)) % n_g
-    chars = np.exp(-2j * np.pi * np.arange(n_g) / n_g)[phase]
+    return np.exp(-2j * np.pi * np.arange(n_g) / n_g)[phase]
+
+
+def _fourier_decomposition(table):
+    """C[Z/n_1 x ... x Z/n_r] from its characters: _peter_weyl with 1 x 1
+    blocks written out, U[h, k] = conj(chi_k(h)) / sqrt(|G|), the discrete
+    Fourier transform.  Kept apart because the general step costs 20 to
+    40 us more per call at C6 to C24."""
+    factors, n_g = table.cyclic_factors, table.order
+    if int(np.prod(factors)) != n_g:
+        raise DecompositionFailure(f"cyclic factors {factors} do not multiply to order {n_g}")
+    chars = _characters(factors)
     chars = chars[_block_order(np.ones(n_g, dtype=int), chars)]
     algebra = FiniteVonNeumannAlgebra(((1, 1.0 / n_g),) * n_g)
     unitary = chars.conj().T / np.sqrt(n_g)
     return _checked(table, algebra, unitary, list(chars[:, :, None, None]), chars)
+
+
+def _closed_form_images(table) -> list[np.ndarray]:
+    """img_k(g) for every g and every irreducible block k of a table that
+    cyclic(), symmetric() and direct_product() built, as one (blocks,
+    order, d, d) stack per block dimension d, ascending: the characters of
+    cyclic factors; Young's orthogonal form for S_n; for G x H, rho (x)
+    sigma over every pair of blocks of the factors, which are the
+    irreducibles of G x H (Serre, Linear Representations of Finite Groups,
+    3.2), at index g1 |H| + g2.  A factor given as an array takes the
+    numerical path on its own."""
+    factors = table.cyclic_factors
+    if factors is not None:
+        return [_characters(factors)[:, :, None, None]]
+    kind, *args = table.structure or (None,)
+    if kind == "symmetric":
+        return _young_images(table, args[0])
+    if kind != "product":
+        return [s for _, s in stacks(build_group_algebra(table).images)]
+    left, right = (_closed_form_images(t) for t in args)
+    by_dim = {}
+    for r in left:
+        for s in right:
+            # axes [k1, k2, g1, g2, a, c, b, e] hold r[k1, g1, a, b] s[k2, g2, c, e]
+            kron = r[:, None, :, None, :, None, :, None] * s[None, :, None, :, None, :, None, :]
+            m, n, d = len(r) * len(s), r.shape[1] * s.shape[1], r.shape[2] * s.shape[2]
+            by_dim.setdefault(d, []).append(kron.reshape(m, n, d, d))
+    return [np.concatenate(by_dim[d]) for d in sorted(by_dim)]
+
+
+def _young_images(table, n) -> list[np.ndarray]:
+    """Young's orthogonal form of S_n (Okounkov and Vershik, Selecta Math. 2,
+    1996) as _closed_form_images gives it: per partition of n, one real
+    matrix per adjacent transposition s_i = (i i+1) on the standard tableaux
+    of that shape, s_i T = T / r + sqrt(1 - 1 / r^2) s_i(T), r the axial
+    distance from i to i + 1 in T.  All shapes go side by side as one block
+    diagonal, carried to every g along the Cayley tree of the s_i with one
+    matmul per depth."""
+    # standard tableaux as words: letter k sits in row word[k], and each
+    # prefix fills rows no longer than the row above
+    words = [()]
+    for _ in range(n):
+        words = [
+            w + (r,)
+            for w in words
+            for r in range(max(w, default=-1) + 2)
+            if r == 0 or w.count(r) < w.count(r - 1)
+        ]
+    shapes = {}
+    for w in words:
+        shapes.setdefault(tuple(w.count(r) for r in range(max(w) + 1)), []).append(w)
+    groups = sorted(shapes.values(), key=len)  # by block dimension
+    words = [w for group in groups for w in group]
+    index = {w: j for j, w in enumerate(words)}
+    gens = np.zeros((n - 1, len(words), len(words)))  # gens[i] is s_i
+    for j, w in enumerate(words):
+        content = [w[:k].count(w[k]) - w[k] for k in range(n)]
+        for i in range(n - 1):
+            r = content[i + 1] - content[i]
+            gens[i, j, j] = 1.0 / r
+            if abs(r) > 1:  # i and i + 1 share no row or column
+                gens[i, index[w[:i] + (w[i + 1], w[i]) + w[i + 2 :]], j] = np.sqrt(1.0 - 1.0 / r**2)
+    # s_i, which swaps the letters i and i + 1, is the permutation of index
+    # (n - 1 - i)! in sorted order: its one inversion sits at position i
+    steps = [math.factorial(n - 1 - i) for i in range(n - 1)]
+    parent, step, depth = _cayley_tree(table, steps)
+    which = np.zeros(table.order, dtype=int)
+    which[steps] = np.arange(n - 1)
+    full = np.zeros((table.order, len(words), len(words)))
+    full[table.identity] = np.eye(len(words))
+    for level in range(1, int(np.max(depth)) + 1):
+        g = np.flatnonzero(depth == level)
+        full[g] = full[parent[g]] @ gens[which[step[g]]]
+    cuts = np.cumsum([0] + [len(group) for group in groups])
+    blocks = [full[:, a:b, a:b] for a, b in zip(cuts[:-1], cuts[1:])]
+    return [s.astype(complex) for _, s in stacks(blocks)]
+
+
+def _peter_weyl(table, images):
+    """The decomposition from _closed_form_images's stacks of one
+    irreducible unitary representation per class.  By Schur orthogonality
+    the columns U[h, off_k + a d_k + i] = conj(img_k(h)[a, i]) sqrt(d_k / |G|)
+    are orthonormal, and L_g U[:, off_k + a d_k + i] is
+    sum_b U[:, off_k + b d_k + i] img_k(g)[b, a]: U^H L_g U is the block
+    model, with img(g) = base^H L_g base as on the numerical path."""
+    n_g = table.order
+    if any(s.shape[1] != n_g for s in images) or sum(s.size for s in images) != n_g * n_g:
+        raise DecompositionFailure(f"the recorded structure does not give order {n_g}")
+    chars = np.concatenate([np.trace(s, axis1=2, axis2=3) for s in images])
+    dims = np.concatenate([np.full(len(s), s.shape[2]) for s in images])
+    order = _block_order(dims, chars)
+    # The order sorts by dimension first, so each stack is a run of it, and
+    # the columns (k, a, i) of a run are its entries in order.
+    runs = np.cumsum([0] + [len(s) for s in images])
+    images = [s[order[a:b] - a] for s, a, b in zip(images, runs[:-1], runs[1:])]
+    unitary = np.concatenate(
+        [(s.conj() / np.sqrt(n_g / s.shape[2])).transpose(0, 2, 3, 1).reshape(-1, n_g) for s in images]
+    ).T
+    algebra = FiniteVonNeumannAlgebra(tuple((d, d / n_g) for d in dims[order].tolist()))
+    return _checked(table, algebra, unitary, [img for s in images for img in s], chars[order])
 
 
 def _commutant_element(table, coeffs):

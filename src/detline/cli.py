@@ -333,6 +333,8 @@ HANDLERS = {
 
 
 def _fixture_checks():
+    from .algebra import FiniteGroupTable, build_group_algebra
+    from .determinant import fk_det
     from .fixtures import (
         circle,
         interval,
@@ -348,6 +350,7 @@ def _fixture_checks():
         torus,
         trivial_representation,
     )
+    from .modules import CommutantOperator, regular_module
     from .symbols import LaurentMatrix, abelian_fk_det, abelian_fk_det_general, abelian_torsion
     from .torsion import invariance_check, torsion
 
@@ -386,6 +389,22 @@ def _fixture_checks():
         "torsion lens space regular order 3",
         lambda: torsion(lens_space(3), regular_cyclic_representation(3)).coordinate,
         3.0 ** (-1.0 / 3.0),
+    )
+
+    def _two_plus_involution(table, g):
+        # right translation by an element of order 2 swaps the elements in
+        # pairs, so its eigenvalues are +1 and -1 in equal number, and
+        # (1/|G|) log |det(2 + R_g)| = (1/2) log 3
+        module = regular_module(build_group_algebra(table))
+        op = 2.0 * np.eye(table.order) + table.right_translation(g)
+        return fk_det(module, CommutantOperator.from_matrix(module, op)).value
+
+    s3 = FiniteGroupTable.symmetric(3)
+    yield ("fk_det of 2 + transposition in C[S3]", lambda: _two_plus_involution(s3, 1), 3.0**0.5)
+    yield (
+        "fk_det of 2 + (1, transposition) in C[Z/2 x S3]",
+        lambda: _two_plus_involution(FiniteGroupTable.direct_product(FiniteGroupTable.cyclic(2), s3), 7),
+        3.0**0.5,
     )
 
     def _invariance(complex_, rep, label=None):

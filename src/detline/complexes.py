@@ -203,12 +203,15 @@ def validate_complex(complex_) -> ComplexValidationReport:
 class _Laplacians(Sequence):
     """Each degree's Laplacian, formed on first read and kept: hodge forms
     only those of degrees with homology, and torsion_iso_via_laplacians
-    those of degrees i >= 1.  hermitian(i) is kept beside it."""
+    those of degrees i >= 1.  hermitian(i) is kept beside it, and taken[i,
+    j] holds (mask, eigenvalues) of the blocks of stack j of hermitian(i)
+    that hodge took eigh of for their harmonic frames."""
 
     def __init__(self, complex_):
         self._complex = complex_
         self._formed = [None] * len(complex_.modules)
         self._hermitian = [None] * len(complex_.modules)
+        self.taken = {}
 
     def __len__(self):
         return len(self._formed)
@@ -234,6 +237,26 @@ class _Laplacians(Sequence):
                 for idx, s in zip(tilde.layout.index, tilde.stacks)
             ]
         return self._hermitian[i]
+
+    def eigenvalues(self, i) -> list:
+        """(block indices, ascending eigenvalues) of each stack of
+        hermitian(i): those hodge took where it took them, and one eigh over
+        the other blocks of the stack.  eigh diagonalises each matrix of a
+        stack on its own, so every value is the one eigh of the whole stack
+        gives, bit for bit."""
+        out = []
+        for j, (idx, s) in enumerate(self.hermitian(i)):
+            done, taken = self.taken.get((i, j), (np.zeros(len(idx), dtype=bool), None))
+            if done.all():
+                vals = taken
+            elif not done.any():
+                vals = np.linalg.eigh(s)[0]
+            else:
+                vals = np.empty(s.shape[:2])
+                vals[done] = taken
+                vals[~done] = np.linalg.eigh(s[~done])[0]
+            out.append((idx, vals))
+        return out
 
 
 @dataclass
@@ -382,15 +405,17 @@ def _harmonic_frames(mod, laplacians, i, counts) -> BlockStacks:
     counts[k] eigenvectors of block k of the Hermitian Laplacian, taken by
     eigh only over the blocks with counts[k] > 0 (a degree without homology
     forms no Laplacian), and G^(-1/2) applied for a gram that is not the
-    identity."""
+    identity.  The eigenvalues are kept on laplacians.taken."""
     mult = mod.multiplicities
     if not counts.any():
         return BlockStacks.zeros(mult, (0,) * len(mult))
     parts = []
-    for idx, s in laplacians.hermitian(i):
+    for j, (idx, s) in enumerate(laplacians.hermitian(i)):
         homology = counts[idx] > 0
         if homology.any():
-            parts.append((idx[homology], np.linalg.eigh(s if homology.all() else s[homology])[1]))
+            vals, vecs = np.linalg.eigh(s if homology.all() else s[homology])
+            laplacians.taken[i, j] = (homology, vals)
+            parts.append((idx[homology], vecs))
         if not homology.all():  # no column in the blocks without homology
             parts.append((idx[~homology], s[~homology, :, :0]))
     frames = _frames(mult, parts, np.zeros_like(counts), counts)
@@ -443,9 +468,10 @@ def torsion_iso_via_laplacians(complex_, hodge_data: HodgeData | None = None) ->
     prod Det(Delta_i^+)^((-1)^(i+1) i/2).
 
     Degree 0 enters with exponent 0 and carries 1.  Each Delta_i with i >= 1
-    is diagonalised here, independently of the singular values Hodge reads:
-    one eigh per stack of its Hermitian blocks, eigenvalues cut at
-    kernel_tol times the largest |eigenvalue| of the degree."""
+    is diagonalised, independently of the singular values Hodge reads: by
+    eigh of its Hermitian blocks, Hodge's where it took them for the
+    harmonic frames, eigenvalues cut at kernel_tol times the largest
+    |eigenvalue| of the degree."""
     if hodge_data is None:
         hodge_data = hodge(complex_)
     sign = 1.0 if complex_.convention == CHAIN else -1.0
@@ -455,7 +481,7 @@ def torsion_iso_via_laplacians(complex_, hodge_data: HodgeData | None = None) ->
         # with eigvalsh the cellular-torsion benchmark's max_log_err doubles
         # (1.2e-13 to 2.5e-13), an error of its oracle (ROADMAP item 18).
         # Item 19 removes this eigh once that oracle is exact.
-        eighs = [(idx, np.linalg.eigh(s)[0]) for idx, s in hodge_data.laplacians.hermitian(i)]
+        eighs = hodge_data.laplacians.eigenvalues(i)
         top = max((float(np.max(np.abs(vals), initial=0.0)) for _, vals in eighs), default=0.0)
         cut = hodge_data.kernel_tol * max(top, 1e-300)
         positive = [

@@ -139,7 +139,7 @@ def test_associativity_failure_in_the_last_row_block_is_found():
 def test_table_constructors_match_their_definitions():
     # reference loops: symmetric composes permutations, (a b)[k] = a[b[k]],
     # and direct_product multiplies pairs coordinatewise
-    for n in range(5):
+    for n in range(1, 5):
         perms = sorted(itertools.permutations(range(n)))
         index = {p: i for i, p in enumerate(perms)}
         want = [[index[tuple(a[b[k]] for k in range(n))] for b in perms] for a in perms]
@@ -187,6 +187,14 @@ def test_cyclic_refuses_an_order_that_is_not_a_positive_integer(n):
     assert FiniteGroupTable.cyclic(np.int64(4)).cyclic_factors == (4,)
 
 
+@pytest.mark.parametrize("n", [2.5, 0, -1, True, "3", 3.0])
+def test_symmetric_refuses_a_degree_that_is_not_a_positive_integer(n):
+    # 2.5 and "3" raised TypeError, and -1, 0 and True built the trivial group
+    with pytest.raises(ValidationError, match=f"positive integer, got {n!r}$"):
+        FiniteGroupTable.symmetric(n)
+    assert FiniteGroupTable.symmetric(np.int64(3)).structure == ("symmetric", 3)
+
+
 def test_only_cyclic_tables_and_their_products_record_factors():
     c, s = FiniteGroupTable.cyclic, FiniteGroupTable.symmetric
     product = FiniteGroupTable.direct_product
@@ -196,13 +204,24 @@ def test_only_cyclic_tables_and_their_products_record_factors():
     for table in [product(c(2), s(3)), product(s(3), c(2)), s(3), FiniteGroupTable.trivial(),
                   FiniteGroupTable(c(4).product)]:
         assert table.cyclic_factors is None
+    # the constructors record how they built the table; a table given as an
+    # array records nothing
+    c2, s3, array = c(2), s(3), FiniteGroupTable(c(4).product)
+    assert (c2.structure, s3.structure) == (("cyclic", 2), ("symmetric", 3))
+    assert product(c2, s3).structure == ("product", c2, s3)
+    assert product(array, s3).structure == ("product", array, s3)
+    assert array.structure is None and FiniteGroupTable.trivial().structure is None
+
+
+def _product(*tables):
+    table = tables[0]
+    for t in tables[1:]:
+        table = FiniteGroupTable.direct_product(table, t)
+    return table
 
 
 def _cyclic_product(orders):
-    table = FiniteGroupTable.cyclic(orders[0])
-    for n in orders[1:]:
-        table = FiniteGroupTable.direct_product(table, FiniteGroupTable.cyclic(n))
-    return table
+    return _product(*map(FiniteGroupTable.cyclic, orders))
 
 
 _CLOSED_FORM_CASES = [(n,) for n in [*range(1, 33), 64, 128]] + [
@@ -246,6 +265,64 @@ def test_closed_form_takes_no_eigensolver_probe_or_numerical_path(monkeypatch):
         assert dec.algebra.block_dims == (1,) * 256
 
 
+_S, _C = FiniteGroupTable.symmetric, FiniteGroupTable.cyclic
+_NON_ABELIAN_CASES = {
+    **{f"S{n}": (lambda n=n: _S(n)) for n in range(1, 6)},
+    "C2xS3": lambda: _product(_C(2), _S(3)),
+    "S3xC2": lambda: _product(_S(3), _C(2)),
+    "S3xS3": lambda: _product(_S(3), _S(3)),
+    "S4xC10": lambda: _product(_S(4), _C(10)),
+}
+
+
+@pytest.mark.parametrize("build", _NON_ABELIAN_CASES.values(), ids=_NON_ABELIAN_CASES.keys())
+def test_closed_form_of_symmetric_groups_and_products_matches_the_numerical_path(build):
+    table = build()
+    closed = build_group_algebra(table)
+    numeric = build_group_algebra(FiniteGroupTable(table.product))
+    # the same blocks in the same order, with the same characters
+    assert closed.algebra == numeric.algebra
+    for a, b in zip(closed.images, numeric.images, strict=True):
+        chars = [np.trace(img, axis1=1, axis2=2) for img in (a, b)]
+        assert np.max(np.abs(chars[0] - chars[1])) <= 1e-12
+    u = closed.change_of_basis
+    uh = u.conj().T
+    assert np.linalg.norm(uh @ u - np.eye(table.order)) <= 1e-12
+    for g in range(table.order):
+        assert np.max(np.abs(uh[:, table.product[g]] @ u - blkdiag_model(closed, g))) <= 1e-12
+
+
+def test_symmetric_groups_and_products_take_no_eigensolver_probe_or_numerical_path(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("numerical decomposition step taken")
+
+    for name in ["eigh", "qr", "svd"]:
+        monkeypatch.setattr(np.linalg, name, refuse)
+    monkeypatch.setattr(algebra, "_decompose_once", refuse)
+    monkeypatch.setattr(algebra, "random_complex", refuse)
+    s5 = build_group_algebra(_S(5))
+    assert s5.algebra.block_dims == (1, 1, 4, 4, 5, 5, 6)
+    c2_s4 = build_group_algebra(_product(_C(2), _S(4)))
+    assert c2_s4.algebra.block_dims == (1,) * 4 + (2,) * 2 + (3,) * 4
+
+
+def test_a_product_decomposes_a_factor_given_as_an_array_alone(monkeypatch):
+    orders = []
+    attempt = algebra._decompose_once
+
+    def counted_attempt(table, rng):
+        orders.append(table.order)
+        return attempt(table, rng)
+
+    monkeypatch.setattr(algebra, "_decompose_once", counted_attempt)
+    array = FiniteGroupTable(_C(4).product)
+    for table in [_product(array, _S(3)), _product(_S(3), _C(2), array)]:
+        orders.clear()
+        dec = build_group_algebra(table)
+        assert orders == [4]
+        assert dec.algebra.trace_of_identity == pytest.approx(1.0, abs=1e-12)
+
+
 def test_generators_and_word_lengths():
     c = FiniteGroupTable.cyclic
     table = FiniteGroupTable.direct_product(c(4), c(6))
@@ -286,9 +363,20 @@ def test_verification_refuses_a_doctored_generator_image(table, generator):
 )
 def test_decomposition_refuses_wrong_recorded_factors(product, factors):
     table = _cyclic_product(product)
-    table.cyclic_factors = factors
+    table.structure = _cyclic_product(factors).structure
     with pytest.raises(DecompositionFailure):
         build_group_algebra(table)
+
+
+def test_decomposition_refuses_a_wrong_recorded_structure():
+    # an S3 recorded on C2 x S3 gives blocks of total dimension 6, not 12;
+    # C2 x C3 recorded on S3 gives characters that fail the check
+    c2_s3, s3 = _product(_C(2), _S(3)), _S(3)
+    c2_s3.structure = ("symmetric", 3)
+    s3.structure = _product(_C(2), _C(3)).structure
+    for table in [c2_s3, s3]:
+        with pytest.raises(DecompositionFailure):
+            build_group_algebra(table)
 
 
 def _c2_s3():

@@ -825,19 +825,20 @@ def test_hodge_takes_eigh_only_on_blocks_with_homology(monkeypatch):
     "cx, rep, svds, eighs, formed",
     [
         # the trivial character has homology in both degrees: eigh of its
-        # block in Hodge, and of all six in the route's degree 1
+        # block in Hodge, and of the other five in the route's degree 1
         (
             circle(16), regular_cyclic_representation(6),
-            [(6, 16, 16)], [(1, 16, 16), (1, 16, 16), (6, 16, 16)], [0, 1],
+            [(6, 16, 16)], [(1, 16, 16), (1, 16, 16), (5, 16, 16)], [0, 1],
         ),
-        # homology in degrees 0 and 3 only; the route takes degrees 1 to 3
+        # homology in degrees 0 and 3 only; the route takes degrees 1 to 3,
+        # and in degree 3 the blocks Hodge did not take
         (
             lens_space(5), regular_cyclic_representation(5, side="left"),
-            [(5, 1, 1)] * 3, [(1, 1, 1), (1, 1, 1), (5, 1, 1), (5, 1, 1), (5, 1, 1)], [0, 3, 1, 2],
+            [(5, 1, 1)] * 3, [(1, 1, 1), (1, 1, 1), (5, 1, 1), (5, 1, 1), (4, 1, 1)], [0, 3, 1, 2],
         ),
         (
             torus(), regular_product_representation((2, 3), ("a", "b")),
-            [(6, 1, 2), (6, 2, 1)], [(1, 1, 1), (1, 2, 2), (1, 1, 1), (6, 2, 2), (6, 1, 1)],
+            [(6, 1, 2), (6, 2, 1)], [(1, 1, 1), (1, 2, 2), (1, 1, 1), (5, 2, 2), (5, 1, 1)],
             [0, 1, 2],
         ),
         # acyclic: Delta_0 is never formed
@@ -849,8 +850,8 @@ def test_torsion_takes_one_svd_per_map_stack_and_forms_each_laplacian_once(
 ):
     # after assembly: one svd(compute_uv=False) per block shape of each map,
     # eigh in Hodge only on blocks with homology (none on a Delta_0 block
-    # without it) and in the Laplacian route on Delta_i, i >= 1, and each
-    # Delta_i formed at most once
+    # without it) and in the Laplacian route on the other blocks of Delta_i,
+    # i >= 1, and each Delta_i formed at most once
     cellular = importlib.import_module("detline.torsion")
     assemble, laplacian = cellular.assemble_coefficients, complexes._laplacian
     svd_calls = _recording(monkeypatch, "svd")
