@@ -8,9 +8,10 @@ the grouping rule it uses, and stacks groups a list of arrays by shape for
 the group-algebra decomposition.  numpy's linalg routines and matmul run
 on a stack one LAPACK or BLAS call per matrix, the call a single matrix
 gets, so per-shape work gives the answers of separate calls, bit for bit.
-singular_value_stacks is the one singular-value pass over block stacks:
-every norm, rank, invertibility test and log|det| of the package's blocks
-is read from it, through rank_data where ranks are cut.  Callers take a
+singular_value_stacks is the one singular-value pass over block stacks,
+and BlockStacks keeps its result for the stacks it stores: every norm,
+rank, invertibility test and log|det| of the package's blocks is read from
+it, through rank_data where ranks are cut.  Callers take a
 block's norm from the factorisation they already hold where they can (max
 |eigenvalue| of a Hermitian block); a residual check may overestimate its
 numerator (Frobenius norm) or underestimate its scale (largest entry
@@ -125,11 +126,6 @@ def rank_data(values, n: int, rtol: float = RANK_RTOL, scale: float | None = Non
         rank[idx] = np.sum(kept, axis=1)
         logs[idx] = np.sum(np.log(np.where(kept, sv, 1.0)), axis=1)
     return top, low, rank, logs
-
-
-def singular_values(parts, n: int, rtol: float = RANK_RTOL, scale: float | None = None):
-    """rank_data of the singular_value_stacks of parts."""
-    return rank_data(singular_value_stacks(parts), n, rtol, scale)
 
 
 def is_hermitian(a: np.ndarray) -> bool:

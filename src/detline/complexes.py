@@ -12,8 +12,8 @@ coordinates where the grams are the identity, with no singular vectors: the
 positive spectrum of Delta_i is the sigma^2 of the two maps at degree i
 (Lück, L2-Invariants, Lemma 3.30), which fixes the Betti counts and the
 spectral densities, and eigh of a Laplacian block runs only where the block
-has homology, for its harmonic frame.  The Laplacians are formed on first
-read.
+has homology, for its harmonic frame.  The Hermitian Laplacian stacks that
+eigh reads are formed from the same maps, d~^H d~ + d~ d~^H, on first read.
 
 The torsion isomorphism between det(C) and det(H_*) is computed by two
 deliberately independent routes: factorization through the exact sequences
@@ -41,8 +41,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import RANK_RTOL, rank_data, singular_value_stacks
-from .determinant import ConvergenceReport, SpectralDensity, _tilde_blocks, exp_of_log
+from ._linalg import RANK_RTOL, rank_data
+from .determinant import ConvergenceReport, SpectralDensity, exp_of_log
 from .errors import IllConditionedKernel, NotExact, ValidationError
 from .lines import (
     EXACTNESS_TOL,
@@ -201,16 +201,22 @@ def validate_complex(complex_) -> ComplexValidationReport:
 
 
 class _Laplacians(Sequence):
-    """Each degree's Laplacian, formed on first read and kept: hodge forms
-    only those of degrees with homology, and torsion_iso_via_laplacians
-    those of degrees i >= 1.  hermitian(i) is kept beside it, and taken[i,
-    j] holds (mask, eigenvalues) of the blocks of stack j of hermitian(i)
-    that hodge took eigh of for their harmonic frames."""
+    """Each degree's Laplacian as an operator, formed on first read and
+    kept; nothing in torsion() reads it.  hermitian(i), the Hermitian
+    stacks of Delta~_i that eigh reads, is built from the maps of Hodge's
+    pass instead, on first read and kept: hodge builds those of degrees with
+    homology, and torsion_iso_via_laplacians those of degrees i >= 1.
+    taken[i, j] holds (mask, eigenvalues) of the blocks of stack j of
+    hermitian(i) that hodge took eigh of for their harmonic frames."""
 
-    def __init__(self, complex_):
+    def __init__(self, complex_, passes):
         self._complex = complex_
         self._formed = [None] * len(complex_.modules)
         self._hermitian = [None] * len(complex_.modules)
+        self._out, self._in = {}, {}  # degree -> d~ of the map out of / into it
+        for j, (tilde, _) in enumerate(passes):
+            s, t = complex_.ends(j)
+            self._out[s] = self._in[t] = tilde
         self.taken = {}
 
     def __len__(self):
@@ -224,17 +230,26 @@ class _Laplacians(Sequence):
         return self._formed[i]
 
     def hermitian(self, i) -> list:
-        """(block indices, stack) of the Hermitian part of Delta_i in the
-        coordinates where the degree's gram is the identity, for each stored
-        stack; ValidationError for an entry past the float range."""
+        """(block indices, stack) of the Hermitian part of Delta~_i = d~_out^H
+        d~_out + d~_in d~_in^H, the Laplacian in the coordinates where the
+        grams are the identity, for each stored stack; ValidationError for
+        an entry past the float range.  The sum starts from zero and adds
+        the out term first, as _laplacian does, so under identity grams
+        every stack equals that of Delta_i bit for bit; under other grams it
+        is the same operator, G^(1/2) Delta_i G^(-1/2), rounded otherwise."""
         if self._hermitian[i] is None:
+            mult = self._complex.modules[i].multiplicities
+            total = BlockStacks.zeros(mult, mult)
             with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
-                tilde = _tilde_blocks(self._complex.modules[i], self[i])
-            if not all(np.isfinite(s).all() for s in tilde.stacks):
+                if i in self._out:
+                    total = total + self._out[i].H @ self._out[i]
+                if i in self._in:
+                    total = total + self._in[i] @ self._in[i].H
+            if not all(np.isfinite(s).all() for s in total.stacks):
                 raise ValidationError(f"degree {i}: the Laplacian is past the float range")
             self._hermitian[i] = [
                 (idx, 0.5 * (s + s.conj().swapaxes(1, 2)))
-                for idx, s in zip(tilde.layout.index, tilde.stacks)
+                for idx, s in zip(total.layout.index, total.stacks)
             ]
         return self._hermitian[i]
 
@@ -266,7 +281,7 @@ class HodgeData:
 
     passes[j] is (d~, values) for maps[j]: its blocks in the coordinates
     where the grams are the identity (modules.gram_coordinates) and their
-    singular values per stack (_linalg.singular_value_stacks).  squares[i]
+    singular values per stack (BlockStacks.singular_value_stacks).  squares[i]
     holds, per stack, the sigma^2 of the two maps at degree i, and cuts[i]
     the degree's kernel cut on them."""
 
@@ -322,13 +337,15 @@ def _laplacian(complex_, i) -> CommutantOperator:
 
 def _singular_value_pass(complex_, j) -> tuple:
     """(d~, values) of maps[j]: its blocks in gram coordinates and their
-    singular values per stack.  A block entry or a sigma^2 past the float
-    range is refused as the Laplacian of the lower of its two degrees."""
+    singular values per stack, kept with d~; under identity grams d~ is the
+    map's own stacks, whose values the relation check took.  A block entry
+    or a sigma^2 past the float range is refused as the Laplacian of the
+    lower of its two degrees."""
     f = complex_.maps[j]
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
         tilde = gram_coordinates(f.stacked, f.source, f.target)
         finite = all(np.isfinite(s).all() for s in tilde.stacks)
-        values = singular_value_stacks(tilde.nonempty()) if finite else []
+        values = tilde.singular_value_stacks() if finite else ()
         finite = finite and all(np.isfinite(sv[:, 0] * sv[:, 0]).all() for _, sv in values)
     if not finite:
         raise ValidationError(f"degree {min(complex_.ends(j))}: the Laplacian is past the float range")
@@ -355,7 +372,8 @@ def hodge(complex_, kernel_tol: float = HODGE_KERNEL_TOL) -> HodgeData:
     Harmonic frames take eigh of the Laplacian only in the blocks with
     homology, one call per stack over those blocks: eigh sorts ascending,
     so a block's frame is its leading count eigenvectors.  The Laplacians
-    and the densities are built on first read.
+    are formed from the pass's maps, and they and the densities are built
+    on first read.
     """
     if not 0.0 < kernel_tol < 1.0:
         raise ValidationError(f"kernel_tol must lie in (0, 1), got {kernel_tol!r}")
@@ -365,7 +383,7 @@ def hodge(complex_, kernel_tol: float = HODGE_KERNEL_TOL) -> HodgeData:
         pieces = [(idx, sv * sv) for idx, sv in values]
         for end in complex_.ends(j):
             squares[end] += pieces
-    laplacians = _Laplacians(complex_)
+    laplacians = _Laplacians(complex_, passes)
     cuts, h_modules, h_embeddings, betti = [], [], [], []
     for i in complex_.degrees:
         mod = complex_.modules[i]

@@ -26,8 +26,10 @@ eigenvalue, SVD and log-determinant runs on the stored stacks.  The three
 routes stay three LAPACK computations: an LU factorisation for the path,
 singular values for the polar route and Hermitian eigenvalues for the
 spectral one.  The path and the polar route decide invertibility by the
-singular-value pass of _linalg.singular_values: full rank at
-INVERTIBLE_RTOL, as ModuleMorphism.is_iso and lines.pushforward do.
+singular-value pass the stacks keep (BlockStacks.singular_values): full
+rank at INVERTIBLE_RTOL, as ModuleMorphism.is_iso and lines.pushforward
+do.  Under an identity gram A~ is A's own stacks, so a determinant of an
+operator whose invertibility was already tested takes no second SVD.
 numpy runs a stack one matrix at a time through the same LAPACK routine,
 so the per-block numbers are those of separate calls, and the weighted sum
 is taken in block order.  C[G] for G abelian has |G| blocks of size 1, all

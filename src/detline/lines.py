@@ -11,11 +11,11 @@ direct sum) taken as input; positivity of every coordinate is enforced.
 
 Every map is measured in the coordinates where the grams are the identity,
 f~ = G_t^(1/2) f G_s^(-1/2) (modules.gram_coordinates), and every rank,
-norm and log|det| comes from one singular-value pass over its block stacks
-(_linalg.singular_values): pushforward accepts f when each block has full
-rank at INVERTIBLE_RTOL, as ModuleMorphism.is_iso does, and the exactness
-check cuts ranks at EXACTNESS_TOL times each block's largest singular
-value.
+norm and log|det| comes from one singular-value pass over its block stacks,
+kept with them (BlockStacks.singular_values): pushforward accepts f when
+each block has full rank at INVERTIBLE_RTOL, as ModuleMorphism.is_iso
+does, and the exactness check cuts ranks at EXACTNESS_TOL times each
+block's largest singular value.
 
 A short exact sequence is checked and measured by exact_sequence_iso
 from one set of singular values (_first_inexact takes them): for an exact

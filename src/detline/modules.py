@@ -38,7 +38,11 @@ call per shape; a product of maps whose layouts group differently gathers
 its operands from the stored stacks along a cached plan (_pairing).
 numpy's linalg routines and matmul run on a stack one LAPACK or BLAS call
 per matrix, the call a single matrix gets, so the numbers are those of
-separate per-block calls, bit for bit.  Per-block lists appear only at I/O:
+separate per-block calls, bit for bit.  Stored stacks are read-only once
+built, and each BlockStacks keeps the singular values of its stacks after
+the first request, so a map whose norm, ranks or invertibility several
+callers read (the relation check, Hodge, a determinant) takes one
+svd(compute_uv=False) per stack.  Per-block lists appear only at I/O:
 the ModuleMorphism constructor, from_matrix, to_matrix and the read-only
 blocks view.  The canonical trace of a commutant operator is
 sum_k w_k tr(F_k), which agrees with the free-embedding formula on free
@@ -60,8 +64,8 @@ from ._linalg import (
     is_hermitian,
     key_groups,
     orthonormal_range,
+    rank_data,
     singular_value_stacks,
-    singular_values,
 )
 from .algebra import AlgebraElement, FiniteVonNeumannAlgebra, GroupAlgebraDecomposition
 from .errors import (
@@ -276,7 +280,9 @@ def _pairing(left: _Layout, right: _Layout):
 
 def _place(layout: _Layout, pieces) -> tuple:
     """The stacks of layout from (group, selection, stack) pieces that hold
-    every block once; a piece that is a whole group is used as it is."""
+    every block once; a piece that is a whole group is used as it is.  The
+    stacks it fills are built only once filled: BlockStacks makes them
+    read-only."""
     stacks = [None] * len(layout.index)
     for g, sel, s in pieces:
         if sel is None:
@@ -290,14 +296,21 @@ def _place(layout: _Layout, pieces) -> tuple:
 
 class BlockStacks:
     """The blocks of an A-linear map stored by shape: stacks[g], of shape
-    (count, rows, cols), holds the blocks layout.index[g].  Stacks are not
-    written once built; every operation returns new ones."""
+    (count, rows, cols), holds the blocks layout.index[g].  Stacks are
+    read-only once built, so an in-place write raises ValueError, and every
+    operation returns new ones.  Their singular values are therefore taken
+    once, on first request, and kept (singular_value_stacks): every norm,
+    rank, invertibility test and log|det| of the same stacks reads that one
+    pass."""
 
-    __slots__ = ("layout", "stacks")
+    __slots__ = ("layout", "stacks", "_values")
 
     def __init__(self, layout: _Layout, stacks: tuple):
+        for s in stacks:
+            s.flags.writeable = False
         self.layout = layout
         self.stacks = stacks
+        self._values = None
 
     @staticmethod
     def from_blocks(rows, cols, blocks) -> "BlockStacks":
@@ -345,9 +358,7 @@ class BlockStacks:
         """Block k, as a read-only view into its stack."""
         out = [None] * len(self.layout.rows)
         for idx, s in zip(self.layout.index, self.stacks):
-            view = s.view()
-            view.flags.writeable = False
-            for k, b in zip(idx, view):
+            for k, b in zip(idx, s):
                 out[k] = b
         return tuple(out)
 
@@ -392,15 +403,26 @@ class BlockStacks:
     def __sub__(self, other: "BlockStacks") -> "BlockStacks":
         return BlockStacks(self.layout, tuple([a - b for a, b in zip(self.stacks, other.stacks)]))
 
+    def singular_value_stacks(self) -> tuple:
+        """(block indices, singular values) of each stack with entries:
+        _linalg.singular_value_stacks of the stored stacks, one
+        svd(compute_uv=False) per stack on the first request, kept for the
+        next."""
+        if self._values is None:
+            self._values = tuple(singular_value_stacks(self.nonempty()))
+            for _, sv in self._values:
+                sv.flags.writeable = False
+        return self._values
+
     def singular_values(self, rtol: float = RANK_RTOL, scale: float | None = None):
-        """(top, low, rank, logs) of each block: _linalg.singular_values on
-        the stored stacks."""
-        return singular_values(self.nonempty(), len(self.layout.rows), rtol, scale)
+        """(top, low, rank, logs) of each block: _linalg.rank_data of the
+        kept singular values."""
+        return rank_data(self.singular_value_stacks(), len(self.layout.rows), rtol, scale)
 
     def norm(self) -> float:
-        """Largest spectral norm of a block, from one singular-value call per
-        stack; only each block's largest singular value is read."""
-        tops = [sv[:, 0] for _, sv in singular_value_stacks(self.nonempty())]
+        """Largest spectral norm of a block: each block's largest kept
+        singular value."""
+        tops = [sv[:, 0] for _, sv in self.singular_value_stacks()]
         return float(np.max(np.concatenate(tops))) if tops else 0.0
 
 

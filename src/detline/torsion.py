@@ -14,7 +14,9 @@ at assembly time.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -299,6 +301,12 @@ class GroupRepresentation:
     letter images.  side "left" (cohomology): the word is first reversed
     and inverted (the ring involution), which converts the right action
     into the left structure used by the Hom complex.
+
+    images is read-only, and so are the stacks of each image, so what is
+    derived from them once per representation is kept beside them: the
+    letter and word operators, check_unimodular's report and the module
+    powers assemble_coefficients takes for each cell count.
+    with_module_gram builds a new representation, with memos of its own.
     """
 
     def __init__(self, module: HilbertianModule, images: dict, side: str = "right"):
@@ -306,7 +314,7 @@ class GroupRepresentation:
             raise ValidationError(f"unknown side {side!r}")
         self.module = module
         self.side = side
-        self.images = {}
+        checked = {}
         for name, op in dict(images).items():
             if not isinstance(op, CommutantOperator):
                 op = CommutantOperator.from_matrix(module, op)
@@ -314,9 +322,12 @@ class GroupRepresentation:
                 raise ValidationError(f"image of {name!r} lives on a different module")
             if not op.is_iso():
                 raise NotIso(f"image of {name!r} is not invertible")
-            self.images[str(name)] = op
+            checked[str(name)] = op
+        self.images = MappingProxyType(checked)
         self._word_cache = {}
         self._letter_cache = {}
+        self._unimodularity = None
+        self._powers = {}
 
     def with_module_gram(self, gram) -> "GroupRepresentation":
         module = self.module.with_reference_gram(gram)
@@ -357,9 +368,9 @@ class GroupRepresentation:
         return total
 
 
-@dataclass
+@dataclass(frozen=True)
 class UnimodularityReport:
-    determinants: dict
+    determinants: Mapping
     tol: float
 
     @property
@@ -371,21 +382,28 @@ def check_unimodular(rep: GroupRepresentation) -> UnimodularityReport:
     """Fuglede-Kadison determinant of every generator image; all must be 1.
 
     Determinants are multiplicative, so generators suffice for the whole
-    group.  Unitary images pass automatically.
+    group.  The report is computed once per representation and kept on it,
+    its determinants read-only; under an identity gram each determinant
+    reads the singular values the invertibility check of its image took.
     """
-    dets = {
-        name: fk_det(rep.module, op).value for name, op in rep.images.items()
-    }
-    return UnimodularityReport(dets, UNIMODULAR_TOL)
+    if rep._unimodularity is None:
+        dets = {name: fk_det(rep.module, op).value for name, op in rep.images.items()}
+        rep._unimodularity = UnimodularityReport(MappingProxyType(dets), UNIMODULAR_TOL)
+    return rep._unimodularity
 
 
 # -- assembly ----------------------------------------------------------------
 
 
-def _module_power(module: HilbertianModule, count: int) -> HilbertianModule:
-    if count == 0:
-        return zero_module(module.algebra)
-    return direct_sum_many([module] * count)
+def _module_power(rep: GroupRepresentation, count: int) -> HilbertianModule:
+    """count copies of the representation's module, built once per count
+    and kept on the representation."""
+    if count not in rep._powers:
+        module = rep.module
+        rep._powers[count] = (
+            zero_module(module.algebra) if count == 0 else direct_sum_many([module] * count)
+        )
+    return rep._powers[count]
 
 
 def _nonzero_entries(matrix) -> tuple:
@@ -434,7 +452,7 @@ def assemble_coefficients(complex_: CellComplex, rep: GroupRepresentation) -> Hi
     supplied by the side's evaluation rule.
     """
     counts = complex_.cell_counts()
-    modules = [_module_power(rep.module, c) for c in counts]
+    modules = [_module_power(rep, c) for c in counts]
     convention = CHAIN if rep.side == "right" else COCHAIN
     maps = []
     for q, entries in enumerate(complex_.boundary_entries):

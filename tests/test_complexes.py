@@ -326,16 +326,45 @@ def test_exact_sequence_route_with_a_gram_on_a_degree_without_outgoing_map(monke
     _check_route_factors_each_map_block_once(monkeypatch, c)
 
 
+def _blockwise_laplacians(c):
+    """Each degree's Laplacian in the coordinates where the grams are the
+    identity, block by block: the Hermitian part of d~_out^H d~_out + d~_in
+    d~_in^H, summed from zero with the out term first, for each map's
+    blocks d~ = G_t^(1/2) d G_s^(-1/2), a gram power applied only where the
+    gram is not the identity (as modules.gram_coordinates does)."""
+
+    def tilde(f, k):
+        gs, gt = f.source.reference_gram, f.target.reference_gram
+        b = f.blocks[k] if gt.is_identity else gt.sqrt.blocks[k] @ f.blocks[k]
+        return b if gs.is_identity else b @ gs.inv_sqrt.blocks[k]
+
+    out = []
+    for i, mod in enumerate(c.modules):
+        blocks = []
+        for k, m in enumerate(mod.multiplicities):
+            total = np.zeros((m, m), dtype=complex)
+            if c.outgoing(i) is not None:
+                d = tilde(c.outgoing(i), k)
+                total = total + d.conj().T @ d
+            if c.incoming(i) is not None:
+                d = tilde(c.incoming(i), k)
+                total = total + d @ d.conj().T
+            blocks.append(0.5 * (total + total.conj().T))
+        out.append(blocks)
+    return out
+
+
 def _blockwise_hodge(c, data):
     """The dense eigh-of-Laplacian Hodge decomposition, the oracle of the
     singular-value one: kernel frames, projectors, positive spectra and
     Betti numbers of each degree from one eigh per block of the whole
-    Laplacian, cut at kernel_tol times its largest |eigenvalue|, products
-    with the gram powers taken even where they are the identity."""
+    Laplacian (_blockwise_laplacians), cut at kernel_tol times its largest
+    |eigenvalue|, products with the gram powers taken even where they are
+    the identity."""
     out = []
-    for mod, delta in zip(c.modules, data.laplacians):
+    for mod, laplacian in zip(c.modules, _blockwise_laplacians(c)):
         g = mod.reference_gram
-        eighs = [np.linalg.eigh(0.5 * (b + b.conj().T)) for b in _tilde_blocks(mod, delta).blocks]
+        eighs = [np.linalg.eigh(b) for b in laplacian]
         top = max((float(np.max(np.abs(v))) for v, _ in eighs if v.size), default=0.0)
         cut = data.kernel_tol * max(top, 1e-300)
         frames, projectors, values, weights = [], [], [], []
@@ -386,10 +415,10 @@ def _eigh_route(c, data):
     |eigenvalue|; degree 0 carries 1."""
     sign = 1.0 if c.convention == "chain" else -1.0
     coordinate = 1.0
+    laplacians = _blockwise_laplacians(c)
     for i in c.degrees[1:]:
         mod = c.modules[i]
-        tilde = _tilde_blocks(mod, data.laplacians[i]).blocks
-        vals = [np.linalg.eigh(0.5 * (b + b.conj().T))[0] for b in tilde]
+        vals = [np.linalg.eigh(b)[0] for b in laplacians[i]]
         cut = data.kernel_tol * max(max((float(np.max(np.abs(v))) for v in vals if v.size), default=0.0), 1e-300)
         parts = [(np.full(int(np.sum(v > cut)), k), v[v > cut]) for k, v in enumerate(vals)]
         log_det = SpectralDensity.from_parts(mod.algebra.weights, parts).log_moment()
@@ -585,6 +614,15 @@ def test_hodge_matches_the_eigh_oracle(name):
     c = assemble_coefficients(cx, rep)
     data = hodge(c)
     for i, (_, projectors, values, weights, betti) in enumerate(_blockwise_hodge(c, data)):
+        # the Hermitian stacks built from Hodge's pass are the operator
+        # Laplacian's in gram coordinates: the same bits under identity grams
+        delta = _tilde_blocks(c.modules[i], data.laplacians[i])
+        for (_, got), want in zip(data.laplacians.hermitian(i), delta.stacks):
+            want = 0.5 * (want + want.conj().swapaxes(1, 2))
+            if all(m.reference_gram.is_identity for m in c.modules):
+                assert np.array_equal(got, want)
+            else:
+                assert np.abs(got - want).max(initial=0.0) <= 1e-13 * np.abs(want).max()
         assert data.betti[i] == betti
         for got, want in zip(data.harmonic_projectors[i].blocks, projectors):
             assert np.linalg.norm(got - want) <= 1e-10
@@ -796,6 +834,10 @@ def test_hodge_takes_eigh_only_on_blocks_with_homology(monkeypatch):
         assemble_coefficients(circle(16), sign_representation(("t",))),
     ]
     for c in cases:
+        # the relation check of a complex with two maps has taken their
+        # singular values already; a lone map has had none taken
+        fresh = [f.stacked._values is None for f in c.maps]
+        assert fresh == [len(c.maps) < 2] * len(c.maps)
         eighs = _recording(monkeypatch, "eigh")
         svds = _recording(monkeypatch, "svd")
         data = hodge(c)
@@ -809,14 +851,20 @@ def test_hodge_takes_eigh_only_on_blocks_with_homology(monkeypatch):
                 if count:
                     want.append(((count, m, m), None))
         assert eighs == want
-        assert data.laplacians._formed == [
-            None if not any(h.multiplicities) else data.laplacians[i]
-            for i, h in enumerate(data.harmonic_modules)
-        ]
-        # one singular-value call per stack of each map
+        # Hermitian Laplacian stacks only where there is homology, and no
+        # Laplacian operator
+        built = [h is not None for h in data.laplacians._hermitian]
+        assert built == [any(h.multiplicities) for h in data.harmonic_modules]
+        assert data.laplacians._formed == [None] * len(c.modules)
+        # one singular-value call per stored stack of each map: Hodge takes
+        # those the relation check did not, and a second pass takes none
         assert svds == [
-            (s.shape, False) for f in c.maps for s in f.stacked.stacks if s.size
+            (s.shape, False)
+            for f, new in zip(c.maps, fresh) if new for s in f.stacked.stacks if s.size
         ]
+        svds.clear()
+        hodge(c)
+        assert svds == []
         monkeypatch.undo()
     assert data.betti == (0.0, 0.0)
 
@@ -825,20 +873,23 @@ def test_hodge_takes_eigh_only_on_blocks_with_homology(monkeypatch):
     "cx, rep, svds, eighs, formed",
     [
         # the trivial character has homology in both degrees: eigh of its
-        # block in Hodge, and of the other five in the route's degree 1
+        # block in Hodge, and of the other five in the route's degree 1; one
+        # map, so no relation check, and Hodge takes the map's stack
         (
             circle(16), regular_cyclic_representation(6),
             [(6, 16, 16)], [(1, 16, 16), (1, 16, 16), (5, 16, 16)], [0, 1],
         ),
         # homology in degrees 0 and 3 only; the route takes degrees 1 to 3,
-        # and in degree 3 the blocks Hodge did not take
+        # and in degree 3 the blocks Hodge did not take; the relation check
+        # takes the three maps' stacks and the two composites'
         (
             lens_space(5), regular_cyclic_representation(5, side="left"),
-            [(5, 1, 1)] * 3, [(1, 1, 1), (1, 1, 1), (5, 1, 1), (5, 1, 1), (4, 1, 1)], [0, 3, 1, 2],
+            [(5, 1, 1)] * 5, [(1, 1, 1), (1, 1, 1), (5, 1, 1), (5, 1, 1), (4, 1, 1)], [0, 3, 1, 2],
         ),
         (
             torus(), regular_product_representation((2, 3), ("a", "b")),
-            [(6, 1, 2), (6, 2, 1)], [(1, 1, 1), (1, 2, 2), (1, 1, 1), (5, 2, 2), (5, 1, 1)],
+            [(6, 1, 2), (6, 2, 1), (6, 1, 1)],
+            [(1, 1, 1), (1, 2, 2), (1, 1, 1), (5, 2, 2), (5, 1, 1)],
             [0, 1, 2],
         ),
         # acyclic: Delta_0 is never formed
@@ -848,30 +899,45 @@ def test_hodge_takes_eigh_only_on_blocks_with_homology(monkeypatch):
 def test_torsion_takes_one_svd_per_map_stack_and_forms_each_laplacian_once(
     monkeypatch, cx, rep, svds, eighs, formed
 ):
-    # after assembly: one svd(compute_uv=False) per block shape of each map,
-    # eigh in Hodge only on blocks with homology (none on a Delta_0 block
-    # without it) and in the Laplacian route on the other blocks of Delta_i,
-    # i >= 1, and each Delta_i formed at most once
+    # one svd(compute_uv=False) per stored stack over the whole call: the
+    # images' stacks were taken when the representation was built, and the
+    # unimodularity check reads them; each map stack is taken once, by the
+    # relation check or else by Hodge, and read by Hodge and both routes;
+    # each composite of the relation check is taken once.  eigh in Hodge
+    # only on blocks with homology (none on a Delta_0 block without it) and
+    # in the Laplacian route on the other blocks of Delta_i, i >= 1; each
+    # Delta_i's Hermitian stacks built at most once, from Hodge's pass, and
+    # no Laplacian operator formed
     cellular = importlib.import_module("detline.torsion")
-    assemble, laplacian = cellular.assemble_coefficients, complexes._laplacian
-    svd_calls = _recording(monkeypatch, "svd")
     eigh_calls = _recording(monkeypatch, "eigh")
-    formed_degrees = []
+    taken = []  # (argument, compute_uv) of each svd call
+    svd = np.linalg.svd
 
-    def assembled(*args):
-        out = assemble(*args)
-        svd_calls.clear()  # the unimodularity check and the boundary residual
-        eigh_calls.clear()
-        return out
+    def taking(a, *args, **kwargs):
+        taken.append((a, kwargs.get("compute_uv")))
+        return svd(a, *args, **kwargs)
 
-    def forming(c, i):
-        formed_degrees.append(i)
-        return laplacian(c, i)
+    impl = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
+    monkeypatch.setattr(np.linalg, "svd", taking)
+    monkeypatch.setattr(impl, "svd", taking)
+    hermitian, formed_degrees = complexes._Laplacians.hermitian, []
 
-    monkeypatch.setattr(cellular, "assemble_coefficients", assembled)
-    monkeypatch.setattr(complexes, "_laplacian", forming)
+    def building(laplacians, i):
+        if laplacians._hermitian[i] is None:
+            formed_degrees.append(i)
+        return hermitian(laplacians, i)
+
+    def refuse(*args):
+        raise AssertionError("a Laplacian operator was formed")
+
+    monkeypatch.setattr(complexes._Laplacians, "hermitian", building)
+    monkeypatch.setattr(complexes, "_laplacian", refuse)
+    images = [s for op in rep.images.values() for s in op.stacked.stacks]
     report = cellular.torsion(cx, rep)
-    assert svd_calls == [(shape, False) for shape in svds]
+    assert [(a.shape, uv) for a, uv in taken] == [(shape, False) for shape in svds]
+    assert not any(a is s for a, _ in taken for s in images)
+    for f in report.coefficients.maps:
+        assert all(sum(a is s for a, _ in taken) == 1 for s in f.stacked.stacks if s.size)
     assert [shape for shape, _ in eigh_calls] == eighs
     assert formed_degrees == formed
     # the coordinate is the eigh formula and the exact-sequence value is
@@ -898,8 +964,18 @@ def test_boundary_residual_takes_one_svd_per_block_shape_and_map(monkeypatch):
     shapes = sum(len(stacks(f.blocks)) for f in (*c.maps, composite))
     assert shapes == 6  # two shapes for each of the three norms
     calls = _counting(monkeypatch, "svd")
-    assert c.boundary_residual() < 1e-12
+    # maps with fresh stacks: one svd per stack of each map and of the
+    # composite
+    fresh = [ModuleMorphism(f.source, f.target, f.blocks) for f in c.maps]
+    fresh = HilbertianChainComplex(c.modules, fresh, validate=False)
+    assert fresh.boundary_residual() < 1e-12
     assert calls[0] == shapes
+    # the maps keep their singular values: a second check, and Hodge, take
+    # only the new composite's
+    calls[0] = 0
+    assert fresh.boundary_residual() < 1e-12
+    hodge(fresh)
+    assert calls[0] == len(stacks(composite.blocks)) == 2
 
 
 def test_boundary_residual_takes_norms_only_with_two_maps(monkeypatch):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from detline._linalg import random_complex
 from detline.algebra import FiniteGroupTable, FiniteVonNeumannAlgebra, build_group_algebra
-from detline.determinant import fk_det_spectral
+from detline.determinant import fk_det, fk_det_spectral
 from detline.documents import decode_module
 from detline.errors import (
     AlgebraMismatch,
@@ -458,6 +459,42 @@ def test_norm_is_the_largest_block_norm():
     assert f.norm() == want == float(np.linalg.norm(blocks[1], 2))
     zero = ModuleMorphism(tgt, src, [np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((1, 0))])
     assert zero.norm() == 0.0
+
+
+def test_stored_stacks_are_read_only_and_keep_their_singular_values(monkeypatch):
+    # a write into a stored stack raises instead of leaving the kept
+    # singular values stale; that holds for the stacks _place fills too
+    alg = FiniteVonNeumannAlgebra(((1, 0.25), (1, 0.25), (2, 0.25)))
+    src, mid, tgt = (HilbertianModule(alg, m) for m in ((2, 2, 1), (2, 3, 1), (2, 2, 1)))
+    rng = np.random.default_rng(61)
+    a = ModuleMorphism(mid, tgt, [random_complex(rng, s) for s in ((2, 2), (2, 3), (1, 1))])
+    b = ModuleMorphism(src, mid, [random_complex(rng, s) for s in ((2, 2), (3, 2), (1, 1))])
+    op = a @ b  # blocks 0 and 1 share a stack here, one product per block
+    assert [len(s) for s in op.stacked.stacks] == [2, 1]
+    with pytest.raises(ValueError):
+        op.stacked.stacks[0][0] = 0.0
+    for x in (op.stacked, a.stacked, op.stacked.H, (op + op).stacked, op.inverse().stacked):
+        for s in x.stacks:
+            with pytest.raises(ValueError):
+                s[...] = 0.0
+    # norm, ranks, invertibility and the polar determinant read one
+    # svd(compute_uv=False) per stack, taken on the first request
+    counts = [0]
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        counts[0] += 1
+        return svd(*args, **kwargs)
+
+    impl = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(impl, "svd", counted)
+    fresh = CommutantOperator(tgt, op.blocks)
+    for _ in range(2):
+        fresh.norm(), fresh.is_iso(), fresh.stacked.singular_values(), fk_det(tgt, fresh)
+    assert counts[0] == len(fresh.stacked.stacks) == 2
+    monkeypatch.undo()
+    assert fresh.norm() == max(float(np.linalg.norm(x, 2)) for x in op.blocks)
 
 
 def test_kernel_and_image_submodules():

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,14 @@ from detline.fixtures import (
 )
 from detline import modules
 from detline._linalg import gram_hash, identity_hash
-from detline.modules import CommutantOperator, HilbertianModule, ModuleMorphism, standard_module
+from detline.determinant import fk_det
+from detline.modules import (
+    CommutantOperator,
+    HilbertianModule,
+    ModuleMorphism,
+    direct_sum_many,
+    standard_module,
+)
 from detline.complexes import HilbertianChainComplex, hodge, validate_complex
 from detline.torsion import (
     CellComplex,
@@ -211,6 +220,83 @@ def test_unimodularity_report():
     assert abs(report.determinants["t"] - 2.0) < 1e-12
 
     assert check_unimodular(regular_cyclic_representation(4)).passed
+
+
+def test_representation_images_are_read_only_and_remetrising_starts_fresh_memos():
+    # the word, letter, unimodularity and module-power memos are derived
+    # from the images, so the images cannot be replaced
+    rep = regular_cyclic_representation(3)
+    with pytest.raises(TypeError):
+        rep.images["t"] = rep.images["t"].inverse()
+    report = check_unimodular(rep)
+    assert check_unimodular(rep) is report
+    with pytest.raises(TypeError):
+        report.determinants["t"] = 2.0
+    K = circle(4)
+    torsion(K, rep)
+    # a re-metrised representation measures under its own gram: its
+    # report, its word operators and its module powers are its own
+    rng = np.random.default_rng(17)
+    blocks = []
+    for m in rep.module.multiplicities:
+        r = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+        blocks.append(r.conj().T @ r + 0.3 * np.eye(m))
+    moved = rep.with_module_gram(CommutantOperator(rep.module, blocks))
+    moved_report = check_unimodular(moved)
+    assert moved_report is not report and moved_report.passed
+    assert moved_report.determinants["t"] == fk_det(moved.module, moved.images["t"]).value
+    assert moved.word_operator("t").module is moved.module
+    for m in assemble_coefficients(K, moved).modules:  # four copies of the moved module
+        assert not m.reference_gram.is_identity
+        pairs = zip(m.reference_gram.blocks, blocks)
+        assert all(np.array_equal(g[: len(b), : len(b)], b) for g, b in pairs)
+
+
+def test_torsion_reuses_what_the_representation_keeps(monkeypatch):
+    # a second call on the same representation takes no svd of the image
+    # stacks, builds no module power and reports the same bits
+    cellular = importlib.import_module("detline.torsion")
+    rep = regular_product_representation((2, 3), ("a", "b"))
+    images = [s for op in rep.images.values() for s in op.stacked.stacks]
+    first = torsion(torus(), rep)
+    taken, built, dets = [], [], []
+    svd = np.linalg.svd
+
+    def taking(a, *args, **kwargs):
+        taken.append(a)
+        return svd(a, *args, **kwargs)
+
+    def building(modules_):
+        built.append(len(modules_))
+        return direct_sum_many(modules_)
+
+    def determinant(module, op):
+        dets.append(op)
+        return fk_det(module, op)
+
+    impl = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
+    monkeypatch.setattr(np.linalg, "svd", taking)
+    monkeypatch.setattr(impl, "svd", taking)
+    monkeypatch.setattr(cellular, "direct_sum_many", building)
+    monkeypatch.setattr(cellular, "fk_det", determinant)
+    second = torsion(torus(), rep)
+    assert taken and not any(a is s for a in taken for s in images)
+    assert built == [] and dets == []
+    assert second.unimodularity is first.unimodularity
+    assert all(a is b for a, b in zip(first.coefficients.modules, second.coefficients.modules))
+    assert second.coordinate == first.coordinate
+    assert second.route_coordinates == first.route_coordinates
+    assert second.betti == first.betti and second.reference_hashes == first.reference_hashes
+    # invariance_check's two torsion calls share the report and each module
+    # power: cells (1, 2, 1) before the torus face is split, (1, 3, 2) after
+    fresh = regular_product_representation((2, 3), ("a", "b"))
+    refined, psi = split_torus_face(torus())
+    report = invariance_check(torus(), refined, psi, fresh)
+    assert len(dets) == len(fresh.images)
+    assert sorted(built) == [1, 2, 3]
+    assert report.before.unimodularity is report.after.unimodularity
+    before, after = report.before.coefficients.modules, report.after.coefficients.modules
+    assert before[0] is before[2] is after[0] and before[1] is after[2]
 
 
 @pytest.mark.parametrize(
