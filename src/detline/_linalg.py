@@ -4,8 +4,9 @@ Everything here works on plain complex ndarrays, one matrix at a time or,
 where a docstring says so, on a stack of matrices.  A-linear maps keep
 their blocks stored by shape (modules.BlockStacks), so the per-shape
 grouping of module blocks is decided in modules, not here; key_groups is
-the grouping rule it uses, and stacks groups a list of arrays by shape for
-the group-algebra decomposition.  numpy's linalg routines and matmul run
+the grouping rule it uses, and stacks groups a list of arrays by shape: the
+group-algebra decomposition hands its block images to Peter-Weyl as one
+stack per block dimension.  numpy's linalg routines and matmul run
 on a stack one LAPACK or BLAS call per matrix, the call a single matrix
 gets, so per-shape work gives the answers of separate calls, bit for bit.
 singular_value_stacks is the one singular-value pass over block stacks,
@@ -24,10 +25,9 @@ import functools
 
 import numpy as np
 
-from .errors import NegativeSpectrum, ShapeMismatch, ValidationError
+from .errors import ShapeMismatch, ValidationError
 
 HERMITIAN_TOL = 1e-10  # relative residual of is_hermitian
-DEFINITE_TOL = 1e-10  # relative eigenvalue floor of inv_sqrt_pd
 # singular-value cut: relative to the largest in orthonormal_range, times a
 # given scale in modules.range_and_kernel
 RANK_RTOL = 1e-10
@@ -137,18 +137,6 @@ def is_hermitian(a: np.ndarray) -> bool:
     scale = np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1)))
     resid = np.linalg.norm(a - a.conj().swapaxes(-2, -1), axis=(-2, -1))
     return bool(np.all(resid <= HERMITIAN_TOL * scale))
-
-
-def inv_sqrt_pd(a: np.ndarray) -> np.ndarray:
-    """Inverse principal square root of a positive definite matrix that is
-    Hermitian by construction (phi^H phi); only definiteness is checked."""
-    if a.size == 0:
-        return a.copy()
-    vals, vecs = np.linalg.eigh(0.5 * (a + a.conj().T))
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    if np.min(vals) <= DEFINITE_TOL * scale:
-        raise NegativeSpectrum("matrix is not positive definite")
-    return (vecs / np.sqrt(vals)) @ vecs.conj().T
 
 
 def cluster_values(vals: np.ndarray, rel_gap: float) -> list[slice]:

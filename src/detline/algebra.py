@@ -9,17 +9,17 @@ Group algebras C[G] enter through a multiplication table.  A table that
 FiniteGroupTable.cyclic, symmetric and direct_product built records how,
 and its blocks are known by theorem, with no eigensolver: the characters
 of cyclic factors, Young's orthogonal form of S_n, and the tensor products
-rho (x) sigma of the factors' blocks for G x H; U follows from the images
-by Peter-Weyl, and for cyclic factors it is the discrete Fourier
-transform.  Any other table, and a factor given as an array on its own, is
-decomposed numerically: the commutant of left translation is spanned by
-right translations, a random Hermitian element of that commutant is
-diagonalized, eigenvalue clusters cut the carrier into irreducible
-invariant subspaces, and unitary intertwiners transport one matrix
-realization across each isotypic family.  Either way the weights make the
-block trace restrict to the coefficient of the identity, and one check, on
-a generating set and along the Cayley graph, bounds U^H L_g U - B(g) for
-every g.
+rho (x) sigma of the factors' blocks for G x H.  Any other table, and a
+factor given as an array on its own, is decomposed numerically: the
+commutant of left translation is spanned by right translations, a random
+Hermitian element of that commutant is diagonalized, eigenvalue clusters
+cut the carrier into irreducible invariant subspaces, and a probe groups
+them into isotypic families, of which one piece each gives a matrix
+realization of its block.  Either way the images give U by Peter-Weyl
+(for cyclic factors it is the discrete Fourier transform), the weights
+make the block trace restrict to the coefficient of the identity, and one
+check, on a generating set and along the Cayley graph, bounds
+U^H L_g U - B(g) for every g.
 
 Translations act on l2(G) as permutations of the table's indices, so the
 decomposition never builds them as matrices: a commutant element
@@ -43,11 +43,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import cluster_values, inv_sqrt_pd, operator_norm, random_complex, stacks
+from ._linalg import cluster_values, operator_norm, random_complex, stacks
 from .errors import (
     AlgebraMismatch,
     DecompositionFailure,
-    NegativeSpectrum,
     NonAssociativeTable,
     ShapeMismatch,
     ValidationError,
@@ -376,24 +375,23 @@ def build_group_algebra(table: FiniteGroupTable) -> GroupAlgebraDecomposition:
     exp(-2 pi i sum_j k_j g_j / n_j), S_n by Young's orthogonal form, and a
     product by the tensor products of its factors' blocks; a factor given as
     an array is decomposed numerically on its own.  Any other table is
-    decomposed numerically, deterministically: attempts draw from seeds 0
-    to 5 in turn, and the retries guard the measure-zero event of eigenvalue
-    collisions across inequivalent blocks.  Both give the blocks in one
-    canonical order (_block_order), each of weight n_k/|G|, and pass one
-    check (_verify_decomposition) and the block-trace check.
+    decomposed numerically (_decompose_once), deterministically: attempts
+    draw from seeds 0 to 5 in turn, and the retries guard the measure-zero
+    event of eigenvalue collisions across inequivalent blocks.  Either way
+    the images go to _peter_weyl, which forms U from them, puts the blocks
+    in one canonical order (_block_order), each of weight n_k/|G|, and runs
+    one check (_verify_decomposition) and the block-trace check.
     """
     if table.order > MAX_GROUP_ORDER:
         raise ValidationError(f"group order {table.order} exceeds limit {MAX_GROUP_ORDER}")
-    if table.cyclic_factors is not None:
-        return _fourier_decomposition(table)
     if table.structure is not None:
         return _peter_weyl(table, _closed_form_images(table))
     last_err = None
     for attempt in range(6):
         rng = np.random.default_rng(attempt)
         try:
-            return _decompose_once(table, rng)
-        except (DecompositionFailure, NegativeSpectrum) as err:  # resample
+            return _peter_weyl(table, _decompose_once(table, rng))
+        except DecompositionFailure as err:  # resample
             last_err = err
     raise DecompositionFailure(f"decomposition failed after retries: {last_err}")
 
@@ -407,21 +405,6 @@ def _characters(factors) -> np.ndarray:
     coords = np.unravel_index(np.arange(n_g), factors)
     phase = sum((np.outer(c, c) % n) * (n_g // n) for c, n in zip(coords, factors)) % n_g
     return np.exp(-2j * np.pi * np.arange(n_g) / n_g)[phase]
-
-
-def _fourier_decomposition(table):
-    """C[Z/n_1 x ... x Z/n_r] from its characters: _peter_weyl with 1 x 1
-    blocks written out, U[h, k] = conj(chi_k(h)) / sqrt(|G|), the discrete
-    Fourier transform.  Kept apart because the general step costs 20 to
-    40 us more per call at C6 to C24."""
-    factors, n_g = table.cyclic_factors, table.order
-    if int(np.prod(factors)) != n_g:
-        raise DecompositionFailure(f"cyclic factors {factors} do not multiply to order {n_g}")
-    chars = _characters(factors)
-    chars = chars[_block_order(np.ones(n_g, dtype=int), chars)]
-    algebra = FiniteVonNeumannAlgebra(((1, 1.0 / n_g),) * n_g)
-    unitary = chars.conj().T / np.sqrt(n_g)
-    return _checked(table, algebra, unitary, list(chars[:, :, None, None]), chars)
 
 
 def _closed_form_images(table) -> list[np.ndarray]:
@@ -501,27 +484,43 @@ def _young_images(table, n) -> list[np.ndarray]:
 
 
 def _peter_weyl(table, images):
-    """The decomposition from _closed_form_images's stacks of one
-    irreducible unitary representation per class.  By Schur orthogonality
-    the columns U[h, off_k + a d_k + i] = conj(img_k(h)[a, i]) sqrt(d_k / |G|)
-    are orthonormal, and L_g U[:, off_k + a d_k + i] is
-    sum_b U[:, off_k + b d_k + i] img_k(g)[b, a]: U^H L_g U is the block
-    model, with img(g) = base^H L_g base as on the numerical path."""
+    """The decomposition from one irreducible unitary representation per
+    class, given as one (blocks, order, d, d) stack of img_k(g) per block
+    dimension d, ascending: _closed_form_images's, or _decompose_once's.
+    By Schur orthogonality the columns U[h, off_k + a d_k + i] =
+    conj(img_k(h)[a, i]) sqrt(d_k / |G|) are orthonormal, and L_g
+    U[:, off_k + a d_k + i] is sum_b U[:, off_k + b d_k + i] img_k(g)[b, a]:
+    U^H L_g U is the block model.  The blocks take the canonical order
+    (_block_order), and the decomposition is returned once it passes
+    _verify_decomposition and the block trace check."""
     n_g = table.order
     if any(s.shape[1] != n_g for s in images) or sum(s.size for s in images) != n_g * n_g:
-        raise DecompositionFailure(f"the recorded structure does not give order {n_g}")
-    chars = np.concatenate([np.trace(s, axis1=2, axis2=3) for s in images])
-    dims = np.concatenate([np.full(len(s), s.shape[2]) for s in images])
+        raise DecompositionFailure(f"the block images do not give order {n_g}")
+    dims = [s.shape[2] for s in images for _ in range(len(s))]
+    chars = np.concatenate([s.diagonal(0, 2, 3).sum(2) for s in images])
     order = _block_order(dims, chars)
+    chars = chars[order]
     # The order sorts by dimension first, so each stack is a run of it, and
     # the columns (k, a, i) of a run are its entries in order.
-    runs = np.cumsum([0] + [len(s) for s in images])
-    images = [s[order[a:b] - a] for s, a, b in zip(images, runs[:-1], runs[1:])]
+    runs, at = [], 0
+    for s in images:
+        runs.append(s[order[at : at + len(s)] - at])
+        at += len(s)
     unitary = np.concatenate(
-        [(s.conj() / np.sqrt(n_g / s.shape[2])).transpose(0, 2, 3, 1).reshape(-1, n_g) for s in images]
+        [(s.conj() / np.sqrt(n_g / s.shape[2])).transpose(0, 2, 3, 1).reshape(-1, n_g) for s in runs]
     ).T
-    algebra = FiniteVonNeumannAlgebra(tuple((d, d / n_g) for d in dims[order].tolist()))
-    return _checked(table, algebra, unitary, [img for s in images for img in s], chars[order])
+    algebra = FiniteVonNeumannAlgebra(
+        tuple(block for s in runs for block in [(s.shape[2], s.shape[2] / n_g)] * len(s))
+    )
+    images = list(itertools.chain.from_iterable(runs))
+    _verify_decomposition(table, unitary, images)
+    # the block trace sum_k (d_k / |G|) chi_k(g) is 1 at the identity and 0
+    # elsewhere
+    off = np.asarray(dims) @ chars / n_g
+    off[table.identity] -= 1.0
+    if np.max(np.abs(off)) > 1e-10:
+        raise DecompositionFailure(f"block traces miss [g = e] by {np.max(np.abs(off)):.2e}")
+    return GroupAlgebraDecomposition(algebra, unitary, images, table)
 
 
 def _commutant_element(table, coeffs):
@@ -530,6 +529,9 @@ def _commutant_element(table, coeffs):
 
 
 def _decompose_once(table, rng):
+    """One draw of the numerical path: img(g) = base^H L_g base for one
+    irreducible piece base of each isotypic family, as _peter_weyl takes
+    them, one (blocks, order, d, d) stack per dimension d, ascending."""
     n_g = table.order
     # Commutant of left translation is spanned by right translations; a
     # random Hermitian element of it splits the carrier into irreducibles.
@@ -558,41 +560,19 @@ def _decompose_once(table, rng):
         else:
             fam.append(i)
 
-    # Within each family, transport the first realization onto the others by
-    # the unitary part of the intertwiner, then read off one matrix block.
-    # base^H L_g is base^H with its columns gathered by h -> g h.  The
-    # characters give both the canonical order and the trace check.
-    blocks_raw = []
-    for fam in families:
+    # A block of dimension d occurs d times in the regular representation.
+    # base^H L_g is base^H with its columns gathered by h -> g h, so the
+    # images of every g are one matmul over the stack.
+    images = []
+    for fam in sorted(families, key=lambda f: pieces[f[0]].shape[1]):
         base = pieces[fam[0]]
         dim = base.shape[1]
         if len(fam) != dim:
             raise DecompositionFailure(
                 f"family of dimension {dim} has {len(fam)} copies; expected {dim}"
             )
-        bases = [base]
-        for i in fam[1:]:
-            phi = pieces[i].conj().T @ probe @ base
-            bases.append(pieces[i] @ (phi @ inv_sqrt_pd(phi.conj().T @ phi)))
-        # images[g] = base^H L_g base, one matmul over the stack of all g
-        images = np.matmul(base.conj().T[:, table.product].swapaxes(0, 1), base)
-        blocks_raw.append({"dim": dim, "bases": bases, "images": images})
-
-    if sum(b["dim"] ** 2 for b in blocks_raw) != n_g:
-        raise DecompositionFailure("block dimensions do not exhaust the group algebra")
-    chars = np.array([np.trace(b["images"], axis1=1, axis2=2) for b in blocks_raw])
-    order = _block_order(np.array([b["dim"] for b in blocks_raw]), chars)
-    blocks_raw = [blocks_raw[k] for k in order]
-    # Column a * dim + i of a block is bases[i][:, a]; multiplicity equals
-    # dimension here.
-    unitary = np.concatenate(
-        [np.stack(block["bases"], axis=2).reshape(n_g, -1) for block in blocks_raw], axis=1
-    )
-    algebra = FiniteVonNeumannAlgebra(
-        tuple((block["dim"], block["dim"] / n_g) for block in blocks_raw)
-    )
-    images = [block["images"] for block in blocks_raw]
-    return _checked(table, algebra, unitary, images, chars[order])
+        images.append(np.matmul(base.conj().T[:, table.product].swapaxes(0, 1), base))
+    return [s for _, s in stacks(images)]
 
 
 def _block_order(dims, chars):
@@ -602,18 +582,6 @@ def _block_order(dims, chars):
     rounded = np.round(chars, 9)
     keys = np.stack([rounded.real, rounded.imag], axis=2).reshape(len(dims), -1)
     return np.lexsort(np.vstack([keys.T[::-1], dims]))  # the last key sorts first
-
-
-def _checked(table, algebra, unitary, images, chars):
-    """The decomposition, once it passes _verify_decomposition and the block
-    trace check; chars[k] = tr img_k(g) for every g."""
-    _verify_decomposition(table, unitary, images)
-    # the block trace sum_k w_k chi_k(g) is 1 at the identity and 0 elsewhere
-    off = np.asarray(algebra.weights) @ chars
-    off[table.identity] -= 1.0
-    if np.max(np.abs(off)) > 1e-10:
-        raise DecompositionFailure(f"block traces miss [g = e] by {np.max(np.abs(off)):.2e}")
-    return GroupAlgebraDecomposition(algebra, unitary, images, table)
 
 
 def _generators(table) -> list[int]:

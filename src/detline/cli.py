@@ -401,6 +401,12 @@ def _fixture_checks():
 
     s3 = FiniteGroupTable.symmetric(3)
     yield ("fk_det of 2 + transposition in C[S3]", lambda: _two_plus_involution(s3, 1), 3.0**0.5)
+    # the same table with no recorded structure takes the numerical path
+    yield (
+        "fk_det of 2 + transposition in C[S3] given as an array",
+        lambda: _two_plus_involution(FiniteGroupTable(s3.product), 1),
+        3.0**0.5,
+    )
     yield (
         "fk_det of 2 + (1, transposition) in C[Z/2 x S3]",
         lambda: _two_plus_involution(FiniteGroupTable.direct_product(FiniteGroupTable.cyclic(2), s3), 7),

@@ -128,7 +128,12 @@ def encode_matrix(matrix) -> list:
 
 
 def decode_algebra(doc, where="algebra") -> FiniteVonNeumannAlgebra:
-    from .algebra import FiniteGroupTable, FiniteVonNeumannAlgebra, build_group_algebra
+    from .algebra import (
+        MAX_GROUP_ORDER,
+        FiniteGroupTable,
+        FiniteVonNeumannAlgebra,
+        build_group_algebra,
+    )
 
     doc = _expect_mapping(doc, where)
     if "blocks" in doc:
@@ -149,7 +154,13 @@ def decode_algebra(doc, where="algebra") -> FiniteVonNeumannAlgebra:
         inner = _check_keys(doc["group_table"], sub, ("order", "product"), ("identity",))
         order = _as_integer(inner["order"], f"{sub}.order")
         identity = _as_integer(inner.get("identity", 0), f"{sub}.identity")
-        product = _decode_rows(inner["product"], f"{sub}.product", _as_integer)
+        # refused before its rows are decoded and validated, which takes
+        # seconds at order 1024
+        rows = inner["product"]
+        size = max(order, len(rows) if isinstance(rows, list) else 0)
+        if size > MAX_GROUP_ORDER:
+            raise ValidationError(f"group order {size} exceeds limit {MAX_GROUP_ORDER}")
+        product = _decode_rows(rows, f"{sub}.product", _as_integer)
         table = FiniteGroupTable(np.array(product, dtype=int), identity)
         if table.order != order:
             raise ParseError(f"{sub}: order {order} does not match the table")

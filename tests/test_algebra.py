@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from detline import algebra
-from detline._linalg import random_complex
+from detline._linalg import random_complex, stacks
 from detline.algebra import (
     VERIFY_TOL,
     AlgebraElement,
@@ -37,6 +37,16 @@ def blkdiag_model(dec, g):
         out[at : at + m.shape[0], at : at + m.shape[0]] = m
         at += m.shape[0]
     return out
+
+
+def assert_block_model(dec):
+    # U is unitary and U^H L_g U is the block model for every g; L_g U is
+    # U with its rows gathered by h -> g h
+    table, u = dec.table, dec.change_of_basis
+    uh = u.conj().T
+    assert np.linalg.norm(uh @ u - np.eye(table.order)) <= 1e-12
+    for g in range(table.order):
+        assert np.max(np.abs(uh[:, table.product[g]] @ u - blkdiag_model(dec, g))) <= 1e-12
 
 
 def test_algebra_validation():
@@ -249,6 +259,8 @@ def test_closed_form_matches_the_numerical_path(factors):
     for g in range(table.order):
         assert np.max(np.abs(chars[:, table.product[g]] - chars[:, [g]] * chars)) <= 1e-12
         assert np.max(np.abs(uh[:, table.product[g]] @ u - np.diag(chars[:, g]))) <= 1e-12
+    # the numerical path's U comes from its own images
+    assert_block_model(numeric)
 
 
 def test_closed_form_takes_no_eigensolver_probe_or_numerical_path(monkeypatch):
@@ -285,11 +297,63 @@ def test_closed_form_of_symmetric_groups_and_products_matches_the_numerical_path
     for a, b in zip(closed.images, numeric.images, strict=True):
         chars = [np.trace(img, axis1=1, axis2=2) for img in (a, b)]
         assert np.max(np.abs(chars[0] - chars[1])) <= 1e-12
-    u = closed.change_of_basis
-    uh = u.conj().T
-    assert np.linalg.norm(uh @ u - np.eye(table.order)) <= 1e-12
-    for g in range(table.order):
-        assert np.max(np.abs(uh[:, table.product[g]] @ u - blkdiag_model(closed, g))) <= 1e-12
+    assert_block_model(closed)
+    assert_block_model(numeric)
+
+
+def _dihedral(n):
+    """D_n, of order 2n, as an array: r^k s^e at index e n + k, and
+    r^a s^e r^b s^f = r^(a + (-1)^e b) s^(e + f)."""
+    e, k = np.divmod(np.arange(2 * n), n)
+    turn = np.where(e[:, None] == 1, -k[None, :], k[None, :])
+    return (e[:, None] + e[None, :]) % 2 * n + (k[:, None] + turn) % n
+
+
+def test_numerical_path_decomposes_a_dihedral_table():
+    # D_8, of order 16, has no recorded structure and three 2-dimensional
+    # families.  Its characters: r^k s^e -> a^k b^e for signs a and b, and
+    # 2 cos(2 pi j k / 8) at r^k and 0 at every reflection for j = 1, 2, 3.
+    n = 8
+    table = FiniteGroupTable(_dihedral(n))
+    dec = build_group_algebra(table)
+    assert dec.algebra.block_dims == (1,) * 4 + (2,) * 3
+    assert dec.algebra.weights == (1 / 16,) * 4 + (1 / 8,) * 3
+    e, k = np.divmod(np.arange(2 * n), n)
+    signs = [a**k * b**e for a in (-1, 1) for b in (-1, 1)]
+    rotations = [np.where(e == 0, 2 * np.cos(2 * np.pi * j * k / n), 0.0) for j in (3, 2, 1)]
+    by_dim = [s for _, s in stacks(dec.images)]  # (blocks, order, d, d) per d
+    chars = np.concatenate([np.trace(s, axis1=2, axis2=3) for s in by_dim])
+    assert np.max(np.abs(chars - np.array(signs + rotations))) <= 1e-12
+    assert_block_model(dec)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: _C(12),
+        lambda: _cyclic_product((3, 4)),
+        lambda: _S(4),
+        lambda: _product(_C(2), _S(3)),
+        lambda: FiniteGroupTable(_C(12).product),
+        lambda: FiniteGroupTable(_S(4).product),
+        lambda: FiniteGroupTable(_dihedral(8)),
+    ],
+    ids=["C12", "C3xC4", "S4", "C2xS3", "array-C12", "array-S4", "array-D8"],
+)
+def test_every_table_takes_peter_weyl_once(build, monkeypatch):
+    # _peter_weyl is the one step that forms U and runs the check, whatever
+    # kind of table it is given
+    table = build()
+    calls = []
+    peter_weyl = algebra._peter_weyl
+
+    def counted(table, images):
+        calls.append(table)
+        return peter_weyl(table, images)
+
+    monkeypatch.setattr(algebra, "_peter_weyl", counted)
+    dec = build_group_algebra(table)
+    assert calls == [table] and dec.table is table
 
 
 def test_symmetric_groups_and_products_take_no_eigensolver_probe_or_numerical_path(monkeypatch):

@@ -121,6 +121,23 @@ def test_algebra_from_group_table():
 CYCLIC3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
 
 
+def test_oversized_group_table_is_refused_before_its_rows_are_decoded(monkeypatch):
+    # decoding and validating the rows of an order-1024 table took seconds
+    # before build_group_algebra refused it
+    from detline import documents
+
+    def refuse(*args):
+        raise AssertionError("the table was decoded")
+
+    monkeypatch.setattr(documents, "_decode_rows", refuse)
+    monkeypatch.setattr(FiniteGroupTable, "validate", refuse)
+    rows = [list(range(1024))] * 1024
+    for order, product in [(1024, rows), (3, rows), (1024, CYCLIC3)]:
+        doc = {"group_table": {"order": order, "product": product}}
+        with pytest.raises(ValidationError, match="^group order 1024 exceeds limit 256$"):
+            decode_algebra(doc)
+
+
 @pytest.mark.parametrize(
     "group_table,where",
     [
