@@ -8,44 +8,41 @@ when the module was built, so every adjoint, Laplacian and determinant
 downstream is taken with respect to it.
 
 Hodge reads every datum from one singular-value pass per map, taken in the
-coordinates where the grams are the identity, with no singular vectors: the
-positive spectrum of Delta_i is the sigma^2 of the two maps at degree i
-(Lück, L2-Invariants, Lemma 3.30), which fixes the Betti counts and the
-spectral densities, and eigh of a Laplacian block runs only where the block
-has homology, for its harmonic frame.  The Hermitian Laplacian stacks that
-eigh reads are formed from the same maps, d~^H d~ + d~ d~^H, on first read.
+coordinates where the grams are the identity: the positive spectrum of
+Delta_i is the sigma^2 of the two maps at degree i (Lück, L2-Invariants,
+Lemma 3.30), which fixes the Betti counts and the spectral densities.  The
+harmonic frames come from the same maps, and only in the blocks with
+homology: the trailing left singular vectors of [d~_out^H | d~_in], which
+span the kernel of Delta~_i, orthonormal and orthogonal to both maps by
+construction.  No Laplacian is formed or diagonalised there.
 
 The torsion isomorphism between det(C) and det(H_*) is computed by two
 deliberately independent routes: factorization through the exact sequences
 0 -> Z -> C -> B -> 0 and 0 -> B -> Z -> H -> 0, and the closed Laplacian
 formula prod Det(Delta_i^+)^(+-i/2).  Their agreement is a theorem; here it
-is a test: the Laplacian route diagonalises each Delta_i with i >= 1 (eigh;
-degree 0 enters with exponent 0), the exact-sequence route reads the
-singular values of Hodge's pass.  In those coordinates the SVD frames are
-orthonormal, so both sequences are measured by theorem, with no
-exact-sequence core call: 0 -> Z -> C -> B -> 0 by the map's singular
-values above its rank, and 0 -> B -> Z -> H -> 0, an isometric inclusion
-followed by an orthogonal projection, has transition 1.  What the route
-checks is that Hodge's harmonic frames complete the boundaries to the
-cycles: by bounds from the same singular values and from products only as
-wide as the Betti count, and, in a degree the bounds do not decide, by the
-frames themselves.
+is a test: the Laplacian route diagonalises each Delta_i with i >= 1 (eigh
+of Hermitian stacks built from the maps of Hodge's pass; degree 0 enters
+with exponent 0), the exact-sequence route reads the singular values of
+Hodge's pass.  In those coordinates the SVD frames are orthonormal, so both
+sequences are measured by theorem, with no exact-sequence core call:
+0 -> Z -> C -> B -> 0 by the map's singular values above its rank, and
+0 -> B -> Z -> H -> 0, an isometric inclusion followed by an orthogonal
+projection, has transition 1.  The route checks only the count
+cols(Z) = cols(B) + h that makes the second sequence exact.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import RANK_RTOL, rank_data
+from ._linalg import RANK_RTOL, key_groups, rank_data
 from .determinant import ConvergenceReport, SpectralDensity, exp_of_log
 from .errors import IllConditionedKernel, NotExact, ValidationError
 from .lines import (
-    EXACTNESS_TOL,
     DetLineElement,
     GradedDetLineElement,
     _inv_sqrt,
@@ -59,7 +56,6 @@ from .modules import (
     ModuleMorphism,
     _frames,
     gram_coordinates,
-    range_and_kernel,
     von_neumann_dimension,
 )
 
@@ -200,80 +196,6 @@ def validate_complex(complex_) -> ComplexValidationReport:
 # -- Hodge ---------------------------------------------------------------
 
 
-class _Laplacians(Sequence):
-    """Each degree's Laplacian as an operator, formed on first read and
-    kept; nothing in torsion() reads it.  hermitian(i), the Hermitian
-    stacks of Delta~_i that eigh reads, is built from the maps of Hodge's
-    pass instead, on first read and kept: hodge builds those of degrees with
-    homology, and torsion_iso_via_laplacians those of degrees i >= 1.
-    taken[i, j] holds (mask, eigenvalues) of the blocks of stack j of
-    hermitian(i) that hodge took eigh of for their harmonic frames."""
-
-    def __init__(self, complex_, passes):
-        self._complex = complex_
-        self._formed = [None] * len(complex_.modules)
-        self._hermitian = [None] * len(complex_.modules)
-        self._out, self._in = {}, {}  # degree -> d~ of the map out of / into it
-        for j, (tilde, _) in enumerate(passes):
-            s, t = complex_.ends(j)
-            self._out[s] = self._in[t] = tilde
-        self.taken = {}
-
-    def __len__(self):
-        return len(self._formed)
-
-    def __getitem__(self, i):
-        i = range(len(self._formed))[i]
-        if self._formed[i] is None:
-            with np.errstate(over="ignore", invalid="ignore"):  # refused by hermitian
-                self._formed[i] = _laplacian(self._complex, i)
-        return self._formed[i]
-
-    def hermitian(self, i) -> list:
-        """(block indices, stack) of the Hermitian part of Delta~_i = d~_out^H
-        d~_out + d~_in d~_in^H, the Laplacian in the coordinates where the
-        grams are the identity, for each stored stack; ValidationError for
-        an entry past the float range.  The sum starts from zero and adds
-        the out term first, as _laplacian does, so under identity grams
-        every stack equals that of Delta_i bit for bit; under other grams it
-        is the same operator, G^(1/2) Delta_i G^(-1/2), rounded otherwise."""
-        if self._hermitian[i] is None:
-            mult = self._complex.modules[i].multiplicities
-            total = BlockStacks.zeros(mult, mult)
-            with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
-                if i in self._out:
-                    total = total + self._out[i].H @ self._out[i]
-                if i in self._in:
-                    total = total + self._in[i] @ self._in[i].H
-            if not all(np.isfinite(s).all() for s in total.stacks):
-                raise ValidationError(f"degree {i}: the Laplacian is past the float range")
-            self._hermitian[i] = [
-                (idx, 0.5 * (s + s.conj().swapaxes(1, 2)))
-                for idx, s in zip(total.layout.index, total.stacks)
-            ]
-        return self._hermitian[i]
-
-    def eigenvalues(self, i) -> list:
-        """(block indices, ascending eigenvalues) of each stack of
-        hermitian(i): those hodge took where it took them, and one eigh over
-        the other blocks of the stack.  eigh diagonalises each matrix of a
-        stack on its own, so every value is the one eigh of the whole stack
-        gives, bit for bit."""
-        out = []
-        for j, (idx, s) in enumerate(self.hermitian(i)):
-            done, taken = self.taken.get((i, j), (np.zeros(len(idx), dtype=bool), None))
-            if done.all():
-                vals = taken
-            elif not done.any():
-                vals = np.linalg.eigh(s)[0]
-            else:
-                vals = np.empty(s.shape[:2])
-                vals[done] = taken
-                vals[~done] = np.linalg.eigh(s[~done])[0]
-            out.append((idx, vals))
-        return out
-
-
 @dataclass
 class HodgeData:
     """The Hodge decomposition of a complex, read from one singular-value
@@ -283,9 +205,10 @@ class HodgeData:
     where the grams are the identity (modules.gram_coordinates) and their
     singular values per stack (BlockStacks.singular_value_stacks).  squares[i]
     holds, per stack, the sigma^2 of the two maps at degree i, and cuts[i]
-    the degree's kernel cut on them."""
+    the degree's kernel cut on them.  harmonic_embeddings[i] maps the
+    harmonic module of degree i into the degree by frames orthonormal for
+    its gram."""
 
-    laplacians: _Laplacians
     passes: tuple = field(repr=False)
     squares: tuple = field(repr=False)
     cuts: tuple
@@ -321,20 +244,6 @@ class HodgeData:
         return tuple(out)
 
 
-def _laplacian(complex_, i) -> CommutantOperator:
-    """out* out + in in*, one product per block shape for each term; the sum
-    starts from zero, as a sum of operators does."""
-    mod = complex_.modules[i]
-    out = complex_.outgoing(i)
-    inc = complex_.incoming(i)
-    total = CommutantOperator.zero(mod)
-    if out is not None:
-        total = total + (out.adjoint() @ out)
-    if inc is not None:
-        total = total + (inc @ inc.adjoint())
-    return total
-
-
 def _singular_value_pass(complex_, j) -> tuple:
     """(d~, values) of maps[j]: its blocks in gram coordinates and their
     singular values per stack, kept with d~; under identity grams d~ is the
@@ -350,6 +259,16 @@ def _singular_value_pass(complex_, j) -> tuple:
     if not finite:
         raise ValidationError(f"degree {min(complex_.ends(j))}: the Laplacian is past the float range")
     return tilde, values
+
+
+def _ends(complex_, passes) -> tuple:
+    """(outs, ins): degree -> d~ of the map out of / into it, from the
+    pass."""
+    outs, ins = {}, {}
+    for j, (tilde, _) in enumerate(passes):
+        s, t = complex_.ends(j)
+        outs[s] = ins[t] = tilde
+    return outs, ins
 
 
 def hodge(complex_, kernel_tol: float = HODGE_KERNEL_TOL) -> HodgeData:
@@ -369,11 +288,11 @@ def hodge(complex_, kernel_tol: float = HODGE_KERNEL_TOL) -> HodgeData:
     ValidationError, and so is a sigma^2 past the float range, or maps whose
     ranks exceed the degree they meet at (they do not compose to zero).
 
-    Harmonic frames take eigh of the Laplacian only in the blocks with
-    homology, one call per stack over those blocks: eigh sorts ascending,
-    so a block's frame is its leading count eigenvectors.  The Laplacians
-    are formed from the pass's maps, and they and the densities are built
-    on first read.
+    Harmonic frames come from the same maps, only in the blocks with
+    homology (_harmonic_frames): the trailing left singular vectors of
+    [d~_out^H | d~_in], orthonormal and orthogonal to both maps by
+    construction.  No Laplacian is formed or diagonalised, and the
+    densities are built on first read.
     """
     if not 0.0 < kernel_tol < 1.0:
         raise ValidationError(f"kernel_tol must lie in (0, 1), got {kernel_tol!r}")
@@ -383,7 +302,7 @@ def hodge(complex_, kernel_tol: float = HODGE_KERNEL_TOL) -> HodgeData:
         pieces = [(idx, sv * sv) for idx, sv in values]
         for end in complex_.ends(j):
             squares[end] += pieces
-    laplacians = _Laplacians(complex_, passes)
+    outs, ins = _ends(complex_, passes)
     cuts, h_modules, h_embeddings, betti = [], [], [], []
     for i in complex_.degrees:
         mod = complex_.modules[i]
@@ -407,36 +326,46 @@ def hodge(complex_, kernel_tol: float = HODGE_KERNEL_TOL) -> HodgeData:
                 f"they do not compose to zero"
             )
         h_mod = HilbertianModule(mod.algebra, counts)
-        frames = _harmonic_frames(mod, laplacians, i, counts)
+        frames = _harmonic_frames(mod, outs.get(i), ins.get(i), counts)
         cuts.append(cut)
         h_modules.append(h_mod)
         h_embeddings.append(ModuleMorphism._of(h_mod, mod, frames))
         betti.append(von_neumann_dimension(h_mod))
     return HodgeData(
-        laplacians, passes, tuple(tuple(sq) for sq in squares), tuple(cuts),
+        passes, tuple(tuple(sq) for sq in squares), tuple(cuts),
         tuple(h_modules), tuple(h_embeddings), tuple(betti), kernel_tol,
     )
 
 
-def _harmonic_frames(mod, laplacians, i, counts) -> BlockStacks:
-    """Degree i's harmonic frames, in the module's coordinates: the leading
-    counts[k] eigenvectors of block k of the Hermitian Laplacian, taken by
-    eigh only over the blocks with counts[k] > 0 (a degree without homology
-    forms no Laplacian), and G^(-1/2) applied for a gram that is not the
-    identity.  The eigenvalues are kept on laplacians.taken."""
+def _harmonic_frames(mod, out, inc, counts) -> BlockStacks:
+    """Degree i's harmonic frames, in the module's coordinates, for the maps
+    d~_out = out and d~_in = inc at it (None where missing): in block k the
+    trailing counts[k] left singular vectors of M_k = [d~_out,k^H |
+    d~_in,k], whose span is ker d~_out,k and the complement of im d~_in,k,
+    and G^(-1/2) applied for a gram that is not the identity.  One svd with
+    vectors per stack of blocks with homology that share the shapes of both
+    maps, none in the other blocks; the full U only where M_k has fewer
+    columns than rows."""
     mult = mod.multiplicities
     if not counts.any():
         return BlockStacks.zeros(mult, (0,) * len(mult))
+    # (stacks, adjoint) of each map; its other end sizes the columns of M_k
+    maps = [(x, adjoint) for x, adjoint in ((out, True), (inc, False)) if x is not None]
+    widths = [x.layout.rows if adjoint else x.layout.cols for x, adjoint in maps]
     parts = []
-    for j, (idx, s) in enumerate(laplacians.hermitian(i)):
-        homology = counts[idx] > 0
-        if homology.any():
-            vals, vecs = np.linalg.eigh(s if homology.all() else s[homology])
-            laplacians.taken[i, j] = (homology, vals)
-            parts.append((idx[homology], vecs))
-        if not homology.all():  # no column in the blocks without homology
-            parts.append((idx[~homology], s[~homology, :, :0]))
-    frames = _frames(mult, parts, np.zeros_like(counts), counts)
+    for idx in key_groups(zip(mult, counts > 0, *widths)):
+        idx, m = np.array(idx), mult[idx[0]]
+        if not counts[idx[0]]:  # no column in the blocks without homology
+            parts.append((idx, np.zeros((len(idx), m, 0), dtype=complex)))
+            continue
+        pieces = [np.zeros((len(idx), m, 0), dtype=complex)]  # M_k of no map
+        for x, adjoint in maps:
+            g, sel = x.layout.locate(idx)
+            s = x.stacks[g] if sel is None else x.stacks[g][sel]
+            pieces.append(s.conj().swapaxes(1, 2) if adjoint else s)
+        a = np.concatenate(pieces, axis=2)
+        parts.append((idx, np.linalg.svd(a, full_matrices=a.shape[2] < m)[0]))
+    frames = _frames(mult, parts, np.array(mult) - counts, counts)
     g = mod.reference_gram
     return frames if g.is_identity else g.inv_sqrt @ frames
 
@@ -478,6 +407,30 @@ def determinant_class_check(complex_, hodge_data: HodgeData | None = None) -> De
 # -- torsion isomorphism ---------------------------------------------------
 
 
+def _hermitian_stacks(mult, out, inc, i) -> list:
+    """(block indices, stack) of the Hermitian part of Delta~_i = d~_out^H
+    d~_out + d~_in d~_in^H, the Laplacian of degree i (multiplicities mult)
+    in the coordinates where the grams are the identity, for each stack,
+    from the maps d~_out = out and d~_in = inc of Hodge's pass (None where
+    missing); ValidationError for an entry past the float range.  The sum
+    starts from zero and adds the out term first, as the sum of operators
+    out* out + in in* does, so under identity grams every stack equals that
+    of Delta_i bit for bit; under other grams it is the same operator,
+    G^(1/2) Delta_i G^(-1/2), rounded otherwise."""
+    total = BlockStacks.zeros(mult, mult)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
+        if out is not None:
+            total = total + out.H @ out
+        if inc is not None:
+            total = total + inc @ inc.H
+    if not all(np.isfinite(s).all() for s in total.stacks):
+        raise ValidationError(f"degree {i}: the Laplacian is past the float range")
+    return [
+        (idx, 0.5 * (s + s.conj().swapaxes(1, 2)))
+        for idx, s in zip(total.layout.index, total.stacks)
+    ]
+
+
 def torsion_iso_via_laplacians(complex_, hodge_data: HodgeData | None = None) -> GradedDetLineElement:
     """The image of the chosen-gram element of det(C) in det(H_*), via the
     closed formula: degree i carries Det(Delta_i^+)^(i/2) for the chain
@@ -486,20 +439,23 @@ def torsion_iso_via_laplacians(complex_, hodge_data: HodgeData | None = None) ->
     prod Det(Delta_i^+)^((-1)^(i+1) i/2).
 
     Degree 0 enters with exponent 0 and carries 1.  Each Delta_i with i >= 1
-    is diagonalised, independently of the singular values Hodge reads: by
-    eigh of its Hermitian blocks, Hodge's where it took them for the
-    harmonic frames, eigenvalues cut at kernel_tol times the largest
-    |eigenvalue| of the degree."""
+    is diagonalised, independently of the singular values Hodge reads: its
+    Hermitian stacks are built from the maps of Hodge's pass
+    (_hermitian_stacks), one eigh per stack, and the eigenvalues are cut
+    at kernel_tol times the largest |eigenvalue| of the degree."""
     if hodge_data is None:
         hodge_data = hodge(complex_)
     sign = 1.0 if complex_.convention == CHAIN else -1.0
+    outs, ins = _ends(complex_, hodge_data.passes)
     entries = [(0, DetLineElement(hodge_data.harmonic_modules[0], 1.0, "torsion_iso"))]
     for i in complex_.degrees[1:]:
         # eigh, not eigvalsh: the two LAPACK drivers round differently, and
         # with eigvalsh the cellular-torsion benchmark's max_log_err doubles
         # (1.2e-13 to 2.5e-13), an error of its oracle (ROADMAP item 18).
         # Item 19 removes this eigh once that oracle is exact.
-        eighs = hodge_data.laplacians.eigenvalues(i)
+        mult = complex_.modules[i].multiplicities
+        stacks = _hermitian_stacks(mult, outs.get(i), ins.get(i), i)
+        eighs = [(idx, np.linalg.eigh(s)[0]) for idx, s in stacks]
         top = max((float(np.max(np.abs(vals), initial=0.0)) for _, vals in eighs), default=0.0)
         cut = hodge_data.kernel_tol * max(top, 1e-300)
         positive = [
@@ -517,13 +473,12 @@ def torsion_iso_via_exact_sequences(complex_, hodge_data: HodgeData | None = Non
 
     Everything is taken in the coordinates where its degree's gram is the
     identity: each map as Hodge's pass holds it, d~ = G_t^(1/2) d
-    G_s^(-1/2) (modules.gram_coordinates) with its singular values, and
-    Hodge's harmonic frame as H~ = G^(1/2) H.  The pass gives each block's
-    rank, the smallest singular value the rank counts (sigma_r) and its log
-    singular values, with no second SVD and no singular vectors.  Ranks are
-    cut at RANK_RTOL times the pass's largest singular value, so a map that
-    is small next to 1 keeps its rank, as in Hodge, and a block that is zero
-    up to rounding next to the rest of the complex has none.
+    G_s^(-1/2) (modules.gram_coordinates) with its singular values.  The
+    pass gives each block's rank and its log singular values, with no
+    second SVD and no singular vectors.  Ranks are cut at RANK_RTOL times
+    the pass's largest singular value, so a map that is small next to 1
+    keeps its rank, as in Hodge, and a block that is zero up to rounding
+    next to the rest of the complex has none.
 
     Both sequences are measured by theorem (d* d and d d* share their
     positive spectrum; Lück, L2-Invariants, Lemma 3.30).  In these
@@ -537,13 +492,12 @@ def torsion_iso_via_exact_sequences(complex_, hodge_data: HodgeData | None = Non
     det(B) lines pair to exactly 1 and the per-degree coefficient is
     1/kappa_i.
 
-    What is checked, degree by degree, is that H~ completes B to Z
-    (_homology_bounds): bounds from the norms of the products d~_out H~
-    and H~^H d~_in, each as many columns or rows wide as the Betti count,
-    over the sigma_r of the maps.  A degree whose bounds pass at half of
-    EXACTNESS_TOL and whose counts add up is exact; any other degree takes
-    the frames of its maps (range_and_kernel) and _check_homology, which
-    decides and words the refusal.
+    Hodge's harmonic frames are the trailing left singular vectors of
+    [d~_out^H | d~_in], orthonormal and orthogonal to both maps by
+    construction, and no value here reads them.  What is checked, degree by
+    degree, is the count: cols(Z) = cols(B) + h in every block, from the
+    ranks and Hodge's Betti counts h; NotExact names the first block where
+    it fails.
     """
     if hodge_data is None:
         hodge_data = hodge(complex_)
@@ -551,127 +505,26 @@ def torsion_iso_via_exact_sequences(complex_, hodge_data: HodgeData | None = Non
     weights = np.asarray(complex_.algebra.weights)
     tops = [float(sv[:, 0].max()) for _, values in hodge_data.passes for _, sv in values]
     scale = max(tops, default=0.0)  # the complex's largest singular value
-    n = len(complex_.modules)
-    # the map out of and into each degree, with its ranks and sigma_r
-    outs, ins, log_kappas = [None] * n, [None] * n, [0.0] * n
+    cycles = [np.array(m.multiplicities) for m in complex_.modules]
+    bounds = [0] * len(complex_.modules)
+    log_kappas = [0.0] * len(complex_.modules)
     for j, (tilde, values) in enumerate(hodge_data.passes):
         src, tgt = complex_.ends(j)
-        _, low, rank, logs = rank_data(values, len(tilde.layout.rows), RANK_RTOL, scale)
-        outs[src] = ins[tgt] = (tilde, low, rank)
+        _, _, rank, logs = rank_data(values, len(tilde.layout.rows), RANK_RTOL, scale)
+        cycles[src] = cycles[src] - rank
+        bounds[tgt] = rank
         log_kappas[src] = float(weights @ logs)
 
-    for i, h in enumerate(hodge_data.harmonic_embeddings):
-        harmonic = gram_coordinates(h.stacked, h.source, h.target)
-        out, inc = outs[i], ins[i]
-        if not _homology_within_bounds(harmonic, out, inc):
-            mult = complex_.modules[i].multiplicities
-            _check_homology(harmonic.H, *_homology_frames(mult, out, inc, scale))
+    for z, b, h_mod in zip(cycles, bounds, hodge_data.harmonic_modules):
+        mismatch = z != b + np.array(h_mod.multiplicities)
+        if mismatch.any():
+            k = int(np.argmax(mismatch))
+            raise NotExact(f"rank mismatch in block {k}: middle homology is nonzero")
     entries = []
     for i, (h_mod, log_kappa) in enumerate(zip(hodge_data.harmonic_modules, log_kappas)):
         kappa = _positive(_inv_sqrt(2.0 * log_kappa))
         entries.append((i, DetLineElement(h_mod, 1.0 / kappa, "torsion_iso")))
     return graded_assemble(entries)
-
-
-def _frobenius(x: BlockStacks) -> np.ndarray:
-    """The Frobenius norm of each block."""
-    out = np.zeros(len(x.layout.rows))
-    for idx, s in x.nonempty():
-        out[idx] = np.linalg.norm(s, axis=(1, 2))
-    return out
-
-
-def _homology_bounds(harmonic: BlockStacks, out, inc) -> tuple:
-    """Per block, upper bounds on the two products _check_homology measures
-    with frames, for the harmonic frame harmonic = H~ and the singular-value
-    passes out = (d~_out, sigma_r, rank) and inc = (d~_in, sigma_r, rank),
-    each None for a missing map, all in the coordinates where the grams are
-    the identity.  Pythagoras on each SVD:
-
-    - ||beta beta^H - 1||_F <= ||H~^H H~ - 1||_F + (||d~_out H~||_F /
-      sigma_r(d~_out))^2, since beta beta^H = H~^H H~ - H~^H P H~ for P the
-      projection onto the row space of d~_out, and ||d~_out H~||_F >=
-      sigma_r ||P H~||_F;
-    - ||H~^H B~||_F <= ||H~^H d~_in||_F / sigma_r(d~_in), since ||H~^H
-      d~_in||_F >= sigma_r ||H~^H B~||_F.
-
-    A missing map, or a block of rank 0 (sigma_r = inf), adds 0.  Every
-    product is as many columns or rows wide as the Betti count, so a block
-    without homology reads 0 in both."""
-    def over(a, b, low):  # ||a b||_F / sigma_r per block
-        norms = np.zeros(len(low))
-        for idx, x, y in a.pairs(b):
-            norms[idx] = np.linalg.norm(x @ y, axis=(1, 2))
-        return norms / low
-
-    inside = np.zeros(len(harmonic.layout.rows))
-    for idx, s in harmonic.nonempty():
-        gram = s.conj().swapaxes(1, 2) @ s
-        inside[idx] = np.linalg.norm(gram - np.eye(s.shape[2]), axis=(1, 2))
-    # a bound past the float range is inf, and inf / inf is nan: no verdict
-    with np.errstate(over="ignore", invalid="ignore"):
-        if out is not None:
-            inside = inside + over(out[0], harmonic, out[1]) ** 2
-        across = np.zeros_like(inside) if inc is None else over(harmonic.H, inc[0], inc[1])
-    return inside, across
-
-
-def _homology_within_bounds(harmonic: BlockStacks, out, inc) -> bool:
-    """True when _homology_bounds pass at EXACTNESS_TOL / 2 in every block,
-    so the frame products pass _check_homology with room for their
-    rounding, and cols(Z) = cols(B) + h, read from the ranks."""
-    inside, across = _homology_bounds(harmonic, out, inc)
-    cycles = np.array(harmonic.layout.rows) - (0 if out is None else out[2])
-    bounds = 0 if inc is None else inc[2]
-    return bool(
-        np.all(inside <= 0.5 * EXACTNESS_TOL)
-        and np.all(across <= 0.5 * EXACTNESS_TOL)
-        and np.all(cycles == bounds + np.array(harmonic.layout.cols))
-    )
-
-
-def _homology_frames(mult: tuple, out, inc, scale: float) -> tuple:
-    """(Z~, B~): orthonormal frames of the cycles and the boundaries of a
-    degree of multiplicities mult, from the SVDs of the maps out of and
-    into it (range_and_kernel, ranks cut at RANK_RTOL times scale).  A
-    degree with no outgoing map is all cycles; one with no incoming map
-    bounds nothing."""
-    cycles = BlockStacks.identity(mult) if out is None else range_and_kernel(out[0], scale)[1]
-    if inc is None:
-        return cycles, BlockStacks.zeros(mult, (0,) * len(mult))
-    return cycles, range_and_kernel(inc[0], scale)[0]
-
-
-def _check_homology(harmonic_h: BlockStacks, cycles: BlockStacks, bounds: BlockStacks):
-    """NotExact unless 0 -> B -> Z -> H -> 0 is exact in every block, for
-    orthonormal frames: harmonic_h = H~^H, cycles = Z~ and bounds = B~; the
-    route's fallback for a degree that its bounds do not decide.
-
-    beta = H~^H Z~ must be a co-isometry, ||beta beta^H - 1||_F <=
-    EXACTNESS_TOL (H lies in Z), H~^H B~ must vanish to the same tolerance
-    (H is orthogonal to B), and cols(Z) = cols(B) + h with h = rows(H~^H),
-    the Betti count: then Z = B + H.  Every product is h rows high, so a
-    block without homology takes only the count.  The first failing block
-    is reported with its first failing check.
-    """
-    tol = EXACTNESS_TOL
-    beta = harmonic_h @ cycles
-    h = beta.layout.rows
-    checks = [
-        (
-            ~(_frobenius(beta @ beta.H - BlockStacks.identity(h)) <= tol),
-            "second map fails to be surjective in block {k}",
-        ),
-        (~(_frobenius(harmonic_h @ bounds) <= tol), "composite is nonzero in block {k}"),
-        (
-            np.array(cycles.layout.cols) != np.array(bounds.layout.cols) + np.array(h),
-            "rank mismatch in block {k}: middle homology is nonzero",
-        ),
-    ]
-    failed = np.logical_or.reduce([fails for fails, _ in checks])
-    if failed.any():
-        k = int(np.argmax(failed))
-        raise NotExact(next(message for fails, message in checks if fails[k]).format(k=k))
 
 
 # -- zeta ------------------------------------------------------------------

@@ -869,23 +869,33 @@ def test_exact_route_meets_the_closed_form_of_circles_over_cyclic_groups(k, n):
     assert abs(np.log(routes["exact_sequence"]) - want) <= 1e-13
 
 
-def test_torsion_takes_no_singular_vectors_on_the_fixture_grid(monkeypatch):
-    # every rank, sigma_r and log|det| comes from singular values alone, and
-    # the grid's homology passes its bounds, so no degree falls back to frames
+def test_torsion_takes_singular_vectors_only_on_blocks_with_homology(monkeypatch):
+    # every rank, sigma_r and log|det| comes from singular values alone;
+    # singular vectors are taken only for Hodge's harmonic frames, one
+    # matrix per block with homology, as many rows high as its multiplicity
     svd = np.linalg.svd
     vectors = []
 
     def counted(a, *args, **kwargs):
         if kwargs.get("compute_uv", True):
-            vectors.append(np.shape(a))
+            vectors.extend([a.shape[1]] * a.shape[0])
         return svd(a, *args, **kwargs)
 
     impl = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
     monkeypatch.setattr(np.linalg, "svd", counted)
     monkeypatch.setattr(impl, "svd", counted)
+    with_homology = 0
     for K, rep in _route_grid():
-        torsion(K, rep)
-    assert vectors == []
+        vectors.clear()
+        report = torsion(K, rep)
+        rows = [
+            m
+            for mod, h in zip(report.coefficients.modules, report.hodge_data.harmonic_modules)
+            for m, count in zip(mod.multiplicities, h.multiplicities) if count
+        ]
+        assert sorted(vectors) == sorted(rows)
+        with_homology += bool(rows)
+    assert with_homology > 0
 
 
 def _refuse_carrier_matrices(monkeypatch, limit):
