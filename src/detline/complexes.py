@@ -10,25 +10,26 @@ downstream is taken with respect to it.
 Hodge reads every datum from one singular-value pass per map, taken in the
 coordinates where the grams are the identity: the positive spectrum of
 Delta_i is the sigma^2 of the two maps at degree i (Lück, L2-Invariants,
-Lemma 3.30), which fixes the Betti counts and the spectral densities.  The
-harmonic frames come from the same maps, and only in the blocks with
-homology: the trailing left singular vectors of [d~_out^H | d~_in], which
-span the kernel of Delta~_i, orthonormal and orthogonal to both maps by
-construction.  No Laplacian is formed or diagonalised there.
+Lemma 3.30).  One cut on the singular values of all maps decides every
+rank once per complex; the Betti counts, the densities and both routes
+read it.  The harmonic frames come from the same maps, and only in the
+blocks with homology: the trailing left singular vectors of [d~_out^H |
+d~_in], which span the kernel of Delta~_i, orthonormal and orthogonal to
+both maps by construction.  No Laplacian is formed or diagonalised there.
 
 The torsion isomorphism between det(C) and det(H_*) is computed by two
 deliberately independent routes: factorization through the exact sequences
 0 -> Z -> C -> B -> 0 and 0 -> B -> Z -> H -> 0, and the closed Laplacian
 formula prod Det(Delta_i^+)^(+-i/2).  Their agreement is a theorem; here it
-is a test: the Laplacian route diagonalises each Delta_i with i >= 1 (eigh
-of Hermitian stacks built from the maps of Hodge's pass; degree 0 enters
-with exponent 0), the exact-sequence route reads the singular values of
-Hodge's pass.  In those coordinates the SVD frames are orthonormal, so both
-sequences are measured by theorem, with no exact-sequence core call:
-0 -> Z -> C -> B -> 0 by the map's singular values above its rank, and
-0 -> B -> Z -> H -> 0, an isometric inclusion followed by an orthogonal
-projection, has transition 1.  The route checks only the count
-cols(Z) = cols(B) + h that makes the second sequence exact.
+is a test of their values: the Laplacian route diagonalises each Delta_i
+with i >= 1 (eigh of Hermitian stacks built from the maps of Hodge's pass;
+degree 0 enters with exponent 0) and keeps as many eigenvalues per block
+as Hodge's ranks count; the exact-sequence route reads Hodge's ranks and
+log singular values.  In those coordinates the SVD frames are orthonormal,
+so both sequences are measured by theorem, with no exact-sequence core
+call: 0 -> Z -> C -> B -> 0 by the map's singular values above its rank,
+and 0 -> B -> Z -> H -> 0, an isometric inclusion followed by an
+orthogonal projection, has transition 1.
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import RANK_RTOL, key_groups, rank_data
+from ._linalg import key_groups
 from .determinant import ConvergenceReport, SpectralDensity, exp_of_log
-from .errors import IllConditionedKernel, NotExact, ValidationError
+from .errors import IllConditionedKernel, ValidationError
 from .lines import (
     DetLineElement,
     GradedDetLineElement,
@@ -199,19 +200,22 @@ def validate_complex(complex_) -> ComplexValidationReport:
 @dataclass
 class HodgeData:
     """The Hodge decomposition of a complex, read from one singular-value
-    pass per map.
+    pass per map, with one rank decision for the whole complex.
 
     passes[j] is (d~, values) for maps[j]: its blocks in the coordinates
     where the grams are the identity (modules.gram_coordinates) and their
-    singular values per stack (BlockStacks.singular_value_stacks).  squares[i]
-    holds, per stack, the sigma^2 of the two maps at degree i, and cuts[i]
-    the degree's kernel cut on them.  harmonic_embeddings[i] maps the
-    harmonic module of degree i into the degree by frames orthonormal for
-    its gram."""
+    singular values per stack (BlockStacks.singular_value_stacks).  cut is
+    the complex's one singular-value cut, sqrt(kernel_tol) times the largest
+    singular value of any map; ranks[j] counts, per block, the singular
+    values of maps[j] above it, and logs[j] sums their logs.  Degree i's
+    Betti counts are its multiplicities less the ranks of its two maps.
+    harmonic_embeddings[i] maps the harmonic module of degree i into the
+    degree by frames orthonormal for its gram."""
 
     passes: tuple = field(repr=False)
-    squares: tuple = field(repr=False)
-    cuts: tuple
+    ranks: tuple = field(repr=False)
+    logs: tuple = field(repr=False)
+    cut: float
     harmonic_modules: tuple
     harmonic_embeddings: tuple
     betti: tuple
@@ -220,14 +224,19 @@ class HodgeData:
     @functools.cached_property
     def positive_densities(self) -> tuple:
         """The positive spectrum of each degree's Laplacian, built on first
-        read: the sigma^2 of its two maps above the degree's cut, each with
-        its block's trace weight."""
+        read: the sigma^2 of its two maps that the ranks count, each with
+        its block's trace weight, the lower map first.  ValidationError for
+        a sigma^2 past the float range."""
         out = []
-        for squares, cut, h in zip(self.squares, self.cuts, self.harmonic_modules):
-            parts = []
-            for idx, sq in squares:
-                kept = sq > cut
-                parts.append((np.repeat(idx, np.sum(kept, axis=1)), sq[kept]))
+        for i, h in enumerate(self.harmonic_modules):
+            parts, maps = [], slice(max(i - 1, 0), i + 1)  # maps[i - 1] and maps[i] meet at i
+            for (_, values), rank in zip(self.passes[maps], self.ranks[maps]):
+                for idx, sv in values:
+                    kept = sv[np.arange(sv.shape[1]) < rank[idx][:, None]]
+                    with np.errstate(over="ignore"):  # refused below, not warned
+                        parts.append((np.repeat(idx, rank[idx]), kept * kept))
+            if not all(np.isfinite(sq).all() for _, sq in parts):
+                raise ValidationError(f"degree {i}: the Laplacian is past the float range")
             out.append(SpectralDensity.from_parts(h.algebra.weights, parts))
         return tuple(out)
 
@@ -248,16 +257,17 @@ def _singular_value_pass(complex_, j) -> tuple:
     """(d~, values) of maps[j]: its blocks in gram coordinates and their
     singular values per stack, kept with d~; under identity grams d~ is the
     map's own stacks, whose values the relation check took.  A block entry
-    or a sigma^2 past the float range is refused as the Laplacian of the
-    lower of its two degrees."""
+    or a singular value past the float range is refused; a sigma^2 past it
+    is refused only where it is formed (the densities, the Laplacian
+    route)."""
     f = complex_.maps[j]
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
         tilde = gram_coordinates(f.stacked, f.source, f.target)
         finite = all(np.isfinite(s).all() for s in tilde.stacks)
         values = tilde.singular_value_stacks() if finite else ()
-        finite = finite and all(np.isfinite(sv[:, 0] * sv[:, 0]).all() for _, sv in values)
+        finite = finite and all(np.isfinite(sv[:, 0]).all() for _, sv in values)
     if not finite:
-        raise ValidationError(f"degree {min(complex_.ends(j))}: the Laplacian is past the float range")
+        raise ValidationError(f"map {j}: a singular value is past the float range")
     return tilde, values
 
 
@@ -278,15 +288,18 @@ def hodge(complex_, kernel_tol: float = HODGE_KERNEL_TOL) -> HodgeData:
     The positive spectrum of Delta_i = out*out + in in* is the sigma^2 of
     its two maps (Lück, L2-Invariants, Lemma 3.30), each map taken once in
     the coordinates where the grams are the identity, with one
-    svd(compute_uv=False) per block shape.  Degree i's kernel cut is
-    kernel_tol times the largest sigma^2 of its two maps, the Laplacian's
-    spectral norm, and a block's Betti count is its multiplicity less the
-    sigma^2 above the cut from both maps.  If the smallest sigma^2 above the
-    cut sits within HODGE_GAP_RATIO of the largest one below it, the count
-    is numerically ambiguous and the decomposition refuses
-    (IllConditionedKernel).  A kernel_tol outside (0, 1), nan included, is a
-    ValidationError, and so is a sigma^2 past the float range, or maps whose
-    ranks exceed the degree they meet at (they do not compose to zero).
+    svd(compute_uv=False) per block shape.  Every rank is decided once per
+    complex: a singular value counts above sqrt(kernel_tol) times the
+    largest of any map, so each kept sigma^2 is above kernel_tol times
+    every Laplacian's norm scale, where eigh resolves it.  A block's Betti
+    count is its multiplicity less the ranks of both maps at it.  If the
+    smallest sigma^2 above the cut sits within HODGE_GAP_RATIO of the
+    largest one below it, the counts are numerically ambiguous and the
+    decomposition refuses (IllConditionedKernel), naming the map of the
+    latter.  A kernel_tol outside (0, 1), nan included, is a
+    ValidationError, and so is an entry or a singular value past the float
+    range, or maps whose ranks exceed the degree they meet at (they do not
+    compose to zero).
 
     Harmonic frames come from the same maps, only in the blocks with
     homology (_harmonic_frames): the trailing left singular vectors of
@@ -297,42 +310,41 @@ def hodge(complex_, kernel_tol: float = HODGE_KERNEL_TOL) -> HodgeData:
     if not 0.0 < kernel_tol < 1.0:
         raise ValidationError(f"kernel_tol must lie in (0, 1), got {kernel_tol!r}")
     passes = tuple(_singular_value_pass(complex_, j) for j in range(len(complex_.maps)))
-    squares = [[] for _ in complex_.degrees]
-    for j, (_, values) in enumerate(passes):
-        pieces = [(idx, sv * sv) for idx, sv in values]
+    top = max((tilde.norm() for tilde, _ in passes), default=0.0)
+    rtol = math.sqrt(kernel_tol)
+    cut = rtol * top
+    ranks, logs, counts = [], [], [np.array(m.multiplicities) for m in complex_.modules]
+    low, zero, zero_map = math.inf, 0.0, None
+    for j, (tilde, values) in enumerate(passes):
+        _, lows, rank, log = tilde.singular_values(rtol, top)
+        ranks.append(rank)
+        logs.append(log)
         for end in complex_.ends(j):
-            squares[end] += pieces
+            counts[end] = counts[end] - rank
+        low = min(low, float(lows.min(initial=math.inf)))
+        dropped = max((float(np.max(sv, where=sv <= cut, initial=0.0)) for _, sv in values), default=0.0)
+        if dropped > zero:
+            zero, zero_map = dropped, j
+    if zero > 0.0 and low / zero < math.sqrt(HODGE_GAP_RATIO):
+        raise IllConditionedKernel(
+            f"map {zero_map}: kernel gap ratio {(low / zero) ** 2:.2f} "
+            f"is too small to trust the Betti numbers"
+        )
     outs, ins = _ends(complex_, passes)
-    cuts, h_modules, h_embeddings, betti = [], [], [], []
-    for i in complex_.degrees:
-        mod = complex_.modules[i]
-        top = max((float(sq[:, 0].max()) for _, sq in squares[i]), default=0.0)
-        cut = kernel_tol * max(top, 1e-300)
-        counts = np.array(mod.multiplicities)
-        zero_top, low = 0.0, math.inf
-        for idx, sq in squares[i]:
-            kept = sq > cut
-            counts[idx] -= np.sum(kept, axis=1)
-            zero_top = max(zero_top, float(sq[~kept].max(initial=0.0)))
-            low = min(low, float(sq[kept].min(initial=math.inf)))
-        if zero_top > 0.0 and low < math.inf and low / zero_top < HODGE_GAP_RATIO:
-            raise IllConditionedKernel(
-                f"degree {i}: kernel gap ratio {low / zero_top:.2f} "
-                f"is too small to trust the Betti number"
-            )
-        if np.any(counts < 0):
+    h_modules, h_embeddings, betti = [], [], []
+    for i, (mod, count) in enumerate(zip(complex_.modules, counts)):
+        if np.any(count < 0):
             raise ValidationError(
                 f"degree {i}: the maps at it have more rank than it has dimension; "
                 f"they do not compose to zero"
             )
-        h_mod = HilbertianModule(mod.algebra, counts)
-        frames = _harmonic_frames(mod, outs.get(i), ins.get(i), counts)
-        cuts.append(cut)
+        h_mod = HilbertianModule(mod.algebra, count)
+        frames = _harmonic_frames(mod, outs.get(i), ins.get(i), count)
         h_modules.append(h_mod)
         h_embeddings.append(ModuleMorphism._of(h_mod, mod, frames))
         betti.append(von_neumann_dimension(h_mod))
     return HodgeData(
-        passes, tuple(tuple(sq) for sq in squares), tuple(cuts),
+        passes, tuple(ranks), tuple(logs), cut,
         tuple(h_modules), tuple(h_embeddings), tuple(betti), kernel_tol,
     )
 
@@ -387,8 +399,9 @@ def determinant_class_check(complex_, hodge_data: HodgeData | None = None) -> De
 
     Finite-dimensional spectra always converge; the report carries the
     margin (the smallest positive eigenvalue, that is the smallest sigma^2
-    of the degree's two maps above Hodge's cut, and the spectral mass at
-    zero) so callers can see how close to degenerate the complex sits.
+    of the degree's two maps that Hodge's ranks count, and the spectral
+    mass at zero) so callers can see how close to degenerate the complex
+    sits.  A sigma^2 past the float range is a ValidationError.
     """
     if hodge_data is None:
         hodge_data = hodge(complex_)
@@ -441,8 +454,9 @@ def torsion_iso_via_laplacians(complex_, hodge_data: HodgeData | None = None) ->
     Degree 0 enters with exponent 0 and carries 1.  Each Delta_i with i >= 1
     is diagonalised, independently of the singular values Hodge reads: its
     Hermitian stacks are built from the maps of Hodge's pass
-    (_hermitian_stacks), one eigh per stack, and the eigenvalues are cut
-    at kernel_tol times the largest |eigenvalue| of the degree."""
+    (_hermitian_stacks), one eigh per stack.  Which directions are homology
+    is Hodge's decision, not the eigenvalues': in each block the largest
+    mult_k - h_k eigenvalues are kept, h_k the block's Betti count."""
     if hodge_data is None:
         hodge_data = hodge(complex_)
     sign = 1.0 if complex_.convention == CHAIN else -1.0
@@ -454,13 +468,12 @@ def torsion_iso_via_laplacians(complex_, hodge_data: HodgeData | None = None) ->
         # (1.2e-13 to 2.5e-13), an error of its oracle (ROADMAP item 18).
         # Item 19 removes this eigh once that oracle is exact.
         mult = complex_.modules[i].multiplicities
-        stacks = _hermitian_stacks(mult, outs.get(i), ins.get(i), i)
-        eighs = [(idx, np.linalg.eigh(s)[0]) for idx, s in stacks]
-        top = max((float(np.max(np.abs(vals), initial=0.0)) for _, vals in eighs), default=0.0)
-        cut = hodge_data.kernel_tol * max(top, 1e-300)
-        positive = [
-            (np.repeat(idx, np.sum(vals > cut, axis=1)), vals[vals > cut]) for idx, vals in eighs
-        ]
+        h = np.array(hodge_data.harmonic_modules[i].multiplicities)
+        positive = []
+        for idx, s in _hermitian_stacks(mult, outs.get(i), ins.get(i), i):
+            vals = np.linalg.eigh(s)[0]  # ascending: the h_k smallest are harmonic
+            kept = np.arange(vals.shape[1]) >= h[idx][:, None]
+            positive.append((np.repeat(idx, vals.shape[1] - h[idx]), vals[kept]))
         log_det = SpectralDensity.from_parts(complex_.algebra.weights, positive).log_moment()
         coeff = exp_of_log(sign * 0.5 * i * log_det)
         entries.append((i, DetLineElement(hodge_data.harmonic_modules[i], coeff, "torsion_iso")))
@@ -473,12 +486,12 @@ def torsion_iso_via_exact_sequences(complex_, hodge_data: HodgeData | None = Non
 
     Everything is taken in the coordinates where its degree's gram is the
     identity: each map as Hodge's pass holds it, d~ = G_t^(1/2) d
-    G_s^(-1/2) (modules.gram_coordinates) with its singular values.  The
-    pass gives each block's rank and its log singular values, with no
-    second SVD and no singular vectors.  Ranks are cut at RANK_RTOL times
-    the pass's largest singular value, so a map that is small next to 1
-    keeps its rank, as in Hodge, and a block that is zero up to rounding
-    next to the rest of the complex has none.
+    G_s^(-1/2) (modules.gram_coordinates) with its singular values.  Hodge
+    gives each block's rank and its log singular values over it, with no
+    second SVD and no singular vectors, from its one cut against the
+    complex's largest singular value: a map that is small next to 1 keeps
+    its rank, and a block that is zero up to rounding next to the rest of
+    the complex has none.
 
     Both sequences are measured by theorem (d* d and d d* share their
     positive spectrum; Lück, L2-Invariants, Lemma 3.30).  In these
@@ -494,32 +507,17 @@ def torsion_iso_via_exact_sequences(complex_, hodge_data: HodgeData | None = Non
 
     Hodge's harmonic frames are the trailing left singular vectors of
     [d~_out^H | d~_in], orthonormal and orthogonal to both maps by
-    construction, and no value here reads them.  What is checked, degree by
-    degree, is the count: cols(Z) = cols(B) + h in every block, from the
-    ranks and Hodge's Betti counts h; NotExact names the first block where
-    it fails.
+    construction, and no value here reads them.  Nothing is checked:
+    cols(Z) = cols(B) + h in every block holds by construction, because
+    Hodge counts h from the same ranks.
     """
     if hodge_data is None:
         hodge_data = hodge(complex_)
 
     weights = np.asarray(complex_.algebra.weights)
-    tops = [float(sv[:, 0].max()) for _, values in hodge_data.passes for _, sv in values]
-    scale = max(tops, default=0.0)  # the complex's largest singular value
-    cycles = [np.array(m.multiplicities) for m in complex_.modules]
-    bounds = [0] * len(complex_.modules)
     log_kappas = [0.0] * len(complex_.modules)
-    for j, (tilde, values) in enumerate(hodge_data.passes):
-        src, tgt = complex_.ends(j)
-        _, _, rank, logs = rank_data(values, len(tilde.layout.rows), RANK_RTOL, scale)
-        cycles[src] = cycles[src] - rank
-        bounds[tgt] = rank
-        log_kappas[src] = float(weights @ logs)
-
-    for z, b, h_mod in zip(cycles, bounds, hodge_data.harmonic_modules):
-        mismatch = z != b + np.array(h_mod.multiplicities)
-        if mismatch.any():
-            k = int(np.argmax(mismatch))
-            raise NotExact(f"rank mismatch in block {k}: middle homology is nonzero")
+    for j, logs in enumerate(hodge_data.logs):
+        log_kappas[complex_.ends(j)[0]] = float(weights @ logs)
     entries = []
     for i, (h_mod, log_kappa) in enumerate(zip(hodge_data.harmonic_modules, log_kappas)):
         kappa = _positive(_inv_sqrt(2.0 * log_kappa))

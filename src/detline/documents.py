@@ -44,7 +44,6 @@ if TYPE_CHECKING:
     from .torsion import CellComplex, GroupRepresentation
 
 FORMAT_VERSION = 3
-MAX_GENERATED_ORDER = 256
 
 
 def load_document(path: str):
@@ -169,7 +168,7 @@ def decode_algebra(doc, where="algebra") -> FiniteVonNeumannAlgebra:
 
 
 def _generated_group_module(doc, where) -> HilbertianModule:
-    from .algebra import FiniteGroupTable, build_group_algebra
+    from .algebra import MAX_GROUP_ORDER, FiniteGroupTable, build_group_algebra
     from .modules import module_from_group_action
 
     generators = doc["action_generators"]
@@ -196,7 +195,7 @@ def _generated_group_module(doc, where) -> HilbertianModule:
     # elements[i] = elements[a] @ mats[j] for (a, j) = step[i], and right[a, j]
     # is the index find gave for elements[a] @ mats[j].
     step = [None]  # the identity
-    right = np.zeros((MAX_GENERATED_ORDER, len(mats)), dtype=int)
+    right = np.zeros((MAX_GROUP_ORDER, len(mats)), dtype=int)
     frontier = [0]
     while frontier:
         a = frontier.pop()
@@ -204,9 +203,9 @@ def _generated_group_module(doc, where) -> HilbertianModule:
             product = elements[a] @ g
             idx = find(product)
             if idx is None:
-                if len(elements) >= MAX_GENERATED_ORDER:
+                if len(elements) >= MAX_GROUP_ORDER:
                     raise ValidationError(
-                        f"{where}: generated group exceeds {MAX_GENERATED_ORDER} elements"
+                        f"{where}: generated group exceeds {MAX_GROUP_ORDER} elements"
                     )
                 idx = len(elements)
                 elements = np.concatenate([elements, product[None]])

@@ -15,6 +15,7 @@ from detline.algebra import FiniteGroupTable, FiniteVonNeumannAlgebra, build_gro
 from detline.complexes import HilbertianChainComplex, determinant_class_check, hodge, zeta_suite
 from detline.cli import main, run_fixture_suite
 from detline.documents import (
+    FORMAT_VERSION,
     decode_algebra,
     decode_cell_complex,
     decode_complex,
@@ -173,6 +174,14 @@ def test_fractional_multiplicity_is_a_parse_error():
     doc = {"algebra": alg, "modules": [[1], [1.5]], "boundaries": [[[1]]]}
     with pytest.raises(ParseError, match=r"complex\.modules\[1\]\.multiplicities\[0\]:"):
         decode_complex(doc)
+
+
+def test_generated_group_past_the_order_limit_is_refused():
+    # e^(2 pi i / 257) generates Z/257, one element past the group-algebra
+    # limit of 256
+    z = np.exp(2j * np.pi / 257)
+    with pytest.raises(ValidationError, match="generated group exceeds 256 elements$"):
+        decode_module({"action_generators": [[[[z.real, z.imag]]]]})
 
 
 def test_module_explicit_and_generated():
@@ -512,20 +521,47 @@ def test_cli_betti_cell_complex(tmp_path, capsys):
 @pytest.mark.parametrize(
     "exponent, message",
     [
-        (300, "degree 0: the Laplacian is past the float range"),
         (400, "boundary 1 has a coefficient past the float range"),
     ],
 )
 def test_cli_refuses_a_boundary_coefficient_past_the_float_range(
     tmp_path, capsys, subcommand, exponent, message
 ):
-    # circle(1) with boundary entry 10**exponent t - 1 and t -> 1: invertible,
-    # but its Laplacian (or the coefficient itself) is no float
+    # circle(1) with boundary entry 10**exponent t - 1 and t -> 1: the
+    # coefficient itself is no float
     doc = dict(CIRCLE_DOC, boundaries={"1": [[[[10**exponent, "t"], [-1, ""]]]]})
     cc = write_doc(tmp_path, "circle.json", doc)
     rep = write_doc(tmp_path, "rep.json", rep_doc(1.0))
     code, out, err = run_cli(capsys, [subcommand, cc, rep])
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_cli_betti_answers_where_the_laplacian_is_past_the_float_range(tmp_path, capsys):
+    # a map with singular value 1e200, or 10**300 - 1: Betti numbers need
+    # only the singular values, which are floats, while its Laplacian,
+    # sigma^2, is not; so betti answers and every command that forms
+    # sigma^2 refuses.  A singular value past the float range is refused
+    doc = {"algebra": {"blocks": [[1, 1.0]]}, "modules": [[1], [1]], "boundaries": [[[1e200]]]}
+    cx = write_doc(tmp_path, "cx.json", doc)
+    code, out, err = run_cli(capsys, ["--format", "structured", "betti", cx])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["betti"] == [0.0, 0.0]
+    for subcommand in ("zeta", "classcheck"):
+        code, out, err = run_cli(capsys, [subcommand, cx])
+        assert (code, out, err) == (1, "", "error: degree 0: the Laplacian is past the float range\n")
+    circle_doc = dict(CIRCLE_DOC, boundaries={"1": [[[[10**300, "t"], [-1, ""]]]]})
+    cc = write_doc(tmp_path, "circle.json", circle_doc)
+    rep = write_doc(tmp_path, "rep.json", rep_doc(1.0))
+    code, out, err = run_cli(capsys, ["--format", "structured", "betti", cc, rep])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["betti"] == [0.0, 0.0]
+    code, out, err = run_cli(capsys, ["torsion", cc, rep])
+    assert (code, out, err) == (1, "", "error: degree 1: the Laplacian is past the float range\n")
+    # entries 1e308 are floats, but the singular value 2e308 is not
+    big = [[1e308, 1e308], [1e308, 1e308]]
+    doc = {"algebra": {"blocks": [[1, 1.0]]}, "modules": [[2], [2]], "boundaries": [big]}
+    code, out, err = run_cli(capsys, ["betti", write_doc(tmp_path, "big.json", doc)])
+    assert (code, out, err) == (1, "", "error: map 0: a singular value is past the float range\n")
 
 
 def test_cli_torsion_past_the_float_range_is_one_error_line(tmp_path, capsys):
@@ -604,6 +640,26 @@ def test_cli_input_errors(tmp_path, capsys):
     code, out, err = run_cli(capsys, ["torsion", str(bad), cc])
     assert code == 1
     assert err.startswith("error:")
+
+
+def _strict_json(text):
+    """json.loads that refuses NaN and Infinity, which strict JSON has not."""
+
+    def refuse(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_cli_fixture_suite_structured(capsys):
+    code = run_fixture_suite("structured")
+    payload = _strict_json(capsys.readouterr().out)
+    assert code == 0
+    assert payload["format_version"] == FORMAT_VERSION
+    assert payload["passed"] is True
+    rows = payload["fixtures"]
+    assert len(rows) == len({row["name"] for row in rows}) == 23
+    assert all(row["passed"] is True for row in rows)
 
 
 def test_cli_fixture_suite(capsys):

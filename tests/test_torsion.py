@@ -1,3 +1,4 @@
+import cmath
 import importlib
 
 import numpy as np
@@ -37,7 +38,7 @@ from detline.modules import (
     direct_sum_many,
     standard_module,
 )
-from detline.complexes import HilbertianChainComplex, hodge, validate_complex
+from detline.complexes import HilbertianChainComplex, determinant_class_check, hodge, validate_complex
 from detline.torsion import (
     CellComplex,
     GroupRepresentation,
@@ -116,16 +117,18 @@ def _big_circle(c):
 
 
 def test_boundary_coefficients_past_the_float_range_are_refused():
-    # c = 10**400 is no float; at c = 10**300 the map is invertible, but
-    # Delta = (c - 1)^2 overflows, and hodge refuses it instead of reading
-    # eigenvalues of inf
+    # c = 10**400 is no float; at c = 10**300 the map is invertible, and its
+    # singular value c - 1 is a float, so hodge counts the Betti numbers,
+    # but Delta = (c - 1)^2 overflows: the densities and the Laplacian
+    # route refuse it instead of reading eigenvalues of inf
     with pytest.raises(ValidationError, match="^boundary 1 has a coefficient past the float range$"):
         _big_circle(10**400)
     rep = scalar_representation({"t": 1.0})
     complex_ = assemble_coefficients(_big_circle(10**300), rep)
+    assert hodge(complex_).betti == (0.0, 0.0)
     with pytest.raises(ValidationError, match="^degree 0: the Laplacian is past the float range$"):
-        hodge(complex_)
-    with pytest.raises(ValidationError, match="^degree 0: the Laplacian is past the float range$"):
+        determinant_class_check(complex_)
+    with pytest.raises(ValidationError, match="^degree 1: the Laplacian is past the float range$"):
         torsion(_big_circle(10**300), rep)
     # at c = 10**150 Delta = 1e300 is still a float, and the map is invertible
     assert hodge(assemble_coefficients(_big_circle(10**150), rep)).betti == (0.0, 0.0)
@@ -463,6 +466,17 @@ def test_surface_coordinates():
     report = torsion(K, sign_representation(K.generators))
     assert np.allclose(report.betti, (0.0, 0.0, 1.0), atol=1e-10)
     assert abs(report.coordinate - 0.5) < 1e-12
+
+
+def test_near_sign_twist_on_the_projective_plane():
+    # t -> -e^(i 1e-10) is unitary and within 1e-10 of the sign: boundary
+    # 2 = t + 1 has singular value 1e-10, under the complex's one cut (1e-5
+    # times boundary 1 = t - 1, about 2), so the Betti numbers are the
+    # sign's (0, 0, 1) and both routes read -log 2
+    report = torsion(projective_plane(), scalar_representation({"t": -cmath.exp(1e-10j)}))
+    assert report.betti == (0.0, 0.0, 1.0)
+    for coordinate in report.route_coordinates.values():
+        assert abs(np.log(coordinate) + np.log(2.0)) <= 1e-12
 
 
 def test_homology_cohomology_flip():
