@@ -12,7 +12,9 @@ gets, so per-shape work gives the answers of separate calls, bit for bit.
 singular_value_stacks is the one singular-value pass over block stacks,
 and BlockStacks keeps its result for the stacks it stores: every norm,
 rank, invertibility test and log|det| of the package's blocks is read from
-it, through rank_data where ranks are cut.  Callers take a
+it, through rank_data where ranks are cut; every caller of rank_data gives
+its own cut, and the invertibility cut INVERTIBLE_RTOL is read in one
+place, BlockStacks.invertible_logs.  Callers take a
 block's norm from the factorisation they already hold where they can (max
 |eigenvalue| of a Hermitian block); a residual check may overestimate its
 numerator (Frobenius norm) or underestimate its scale (largest entry
@@ -28,9 +30,6 @@ import numpy as np
 from .errors import ShapeMismatch, ValidationError
 
 HERMITIAN_TOL = 1e-10  # relative residual of is_hermitian
-# singular-value cut: relative to the largest in orthonormal_range, times a
-# given scale in modules.range_and_kernel
-RANK_RTOL = 1e-10
 INVERTIBLE_RTOL = 1e-12  # smallest singular value of an invertible block, relative to its largest
 
 
@@ -110,7 +109,7 @@ def singular_value_stacks(parts) -> list:
     return [(idx, np.linalg.svd(s, compute_uv=False)) for idx, s in parts]
 
 
-def rank_data(values, n: int, rtol: float = RANK_RTOL, scale: float | None = None):
+def rank_data(values, n: int, rtol: float, scale: float | None = None):
     """(top, low, rank, logs) of each of n blocks from their singular values,
     given per stack as singular_value_stacks gives them: the largest
     singular value, the smallest one the rank counts (sigma_r), the rank and
@@ -152,8 +151,9 @@ def cluster_values(vals: np.ndarray, rel_gap: float) -> list[slice]:
     return [slice(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
 
 
-def orthonormal_range(a: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
-    """Orthonormal basis (columns) of the column span of a."""
+def orthonormal_range(a: np.ndarray, rtol: float) -> np.ndarray:
+    """Orthonormal basis (columns) of the column span of a: the left
+    singular vectors whose values exceed rtol times max(1, the largest)."""
     if a.size == 0:
         return np.zeros((a.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(a, full_matrices=False)

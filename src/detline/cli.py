@@ -157,7 +157,6 @@ def cmd_det(args) -> dict:
         raise ParseError(f"{docs[0][0]}: expected a module or symbol document")
     if len(docs) != 2:
         raise ParseError("det over a module takes module and operator documents")
-    from ._linalg import gram_hash
     from .determinant import fk_det, fk_det_path, fk_det_spectral
 
     module = documents.decode_module(docs[0][1], docs[0][0])
@@ -175,7 +174,7 @@ def cmd_det(args) -> dict:
         "log_value": result.log_value,
         "method": result.method,
         "convergence": _convergence_payload(result.convergence),
-        "module_gram": gram_hash(module.reference_gram.matrix),
+        "module_gram": module.reference_gram.digest,
     }
 
 
@@ -189,7 +188,6 @@ def _betti_payload(data, convention) -> dict:
 
 
 def cmd_betti(args) -> dict:
-    from ._linalg import gram_hash
     from .complexes import HODGE_KERNEL_TOL, hodge
 
     docs = _load(args.inputs)
@@ -201,9 +199,7 @@ def cmd_betti(args) -> dict:
         cx = documents.decode_complex(docs[0][1], docs[0][0], convention=args.convention)
         data = hodge(cx, kernel_tol=kernel_tol)
         payload = _betti_payload(data, cx.convention)
-        payload["grams"] = [
-            gram_hash(m.reference_gram.matrix) for m in cx.modules
-        ]
+        payload["grams"] = [m.reference_gram.digest for m in cx.modules]
         return payload
     if kind != "cell_complex" or len(docs) != 2:
         raise ParseError("betti takes a complex document, or a cell complex and a representation")
@@ -220,7 +216,7 @@ def cmd_betti(args) -> dict:
     data = hodge(assembled, kernel_tol=kernel_tol)
     payload = _betti_payload(data, assembled.convention)
     payload["euler_characteristic"] = cell.euler_characteristic()
-    payload["module_gram"] = gram_hash(rep.module.reference_gram.matrix)
+    payload["module_gram"] = rep.module.reference_gram.digest
     return payload
 
 

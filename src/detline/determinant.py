@@ -26,10 +26,11 @@ eigenvalue, SVD and log-determinant runs on the stored stacks.  The three
 routes stay three LAPACK computations: an LU factorisation for the path,
 singular values for the polar route and Hermitian eigenvalues for the
 spectral one.  The path and the polar route decide invertibility by the
-singular-value pass the stacks keep (BlockStacks.singular_values): full
-rank at INVERTIBLE_RTOL, as ModuleMorphism.is_iso and lines.pushforward
-do.  Under an identity gram A~ is A's own stacks, so a determinant of an
-operator whose invertibility was already tested takes no second SVD.
+package's one test, BlockStacks.invertible_logs, which reads the
+singular-value pass the stacks keep, as ModuleMorphism.is_iso and
+lines.pushforward do.  Under an identity gram A~ is A's own stacks, so a
+determinant of an operator whose invertibility was already tested takes
+no second SVD.
 numpy runs a stack one matrix at a time through the same LAPACK routine,
 so the per-block numbers are those of separate calls, and the weighted sum
 is taken in block order.  C[G] for G abelian has |G| blocks of size 1, all
@@ -44,7 +45,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._linalg import INVERTIBLE_RTOL
 from .errors import (
     KernelDetected,
     NegativeSpectrum,
@@ -195,11 +195,11 @@ def _weighted_sum(weights, per_block) -> float:
 
 
 def _require_invertible(tilde) -> np.ndarray:
-    """log|det| of each block, the sum of its log singular values, from one
-    singular-value pass; refuses (NonInvertible) a block of less than full
-    rank at INVERTIBLE_RTOL."""
-    _, _, rank, logs = tilde.singular_values(INVERTIBLE_RTOL)
-    if np.any(rank != tilde.layout.rows):
+    """log|det| of each block, the sum of its log singular values, from
+    BlockStacks.invertible_logs; refuses (NonInvertible) where it finds a
+    block not invertible."""
+    logs = tilde.invertible_logs()
+    if logs is None:
         raise NonInvertible("operator has a (numerical) kernel")
     return logs
 

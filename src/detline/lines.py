@@ -12,10 +12,10 @@ direct sum) taken as input; positivity of every coordinate is enforced.
 Every map is measured in the coordinates where the grams are the identity,
 f~ = G_t^(1/2) f G_s^(-1/2) (modules.gram_coordinates), and every rank,
 norm and log|det| comes from one singular-value pass over its block stacks,
-kept with them (BlockStacks.singular_values): pushforward accepts f when
-each block has full rank at INVERTIBLE_RTOL, as ModuleMorphism.is_iso
-does, and the exactness check cuts ranks at EXACTNESS_TOL times each
-block's largest singular value.
+kept with them (BlockStacks.singular_values): pushforward accepts f by the
+package's one invertibility test, BlockStacks.invertible_logs, which
+ModuleMorphism.is_iso reads too, and the exactness check cuts ranks at
+EXACTNESS_TOL times each block's largest singular value.
 
 A short exact sequence is checked and measured by exact_sequence_iso
 from one set of singular values (_first_inexact takes them): for an exact
@@ -38,7 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import INVERTIBLE_RTOL
 from .determinant import fk_det_spectral
 from .errors import (
     AlgebraMismatch,
@@ -156,17 +155,13 @@ def pushforward(f: ModuleMorphism, e: DetLineElement) -> DetLineElement:
     its determinant to the -1/2, Det|f~| for f~ = G_N^(1/2) f G_M^(-1/2),
     rescales the coordinate (Det_tau(f) for an automorphism with matching
     references).  One singular-value pass over f~ gives it and decides
-    that f is an isomorphism as ModuleMorphism.is_iso does: square blocks,
-    each of full rank at INVERTIBLE_RTOL.
+    that f is an isomorphism, by BlockStacks.invertible_logs as
+    ModuleMorphism.is_iso does.
     """
     if not e.module.is_same_space(f.source):
         raise AlgebraMismatch("element does not live on the source of the morphism")
-    layout = f.stacked.layout
-    if layout.rows != layout.cols:
-        raise NotIso("pushforward needs an isomorphism")
-    tilde = gram_coordinates(f.stacked, f.source, f.target)
-    _, _, rank, logs = tilde.singular_values(INVERTIBLE_RTOL)
-    if np.any(rank != layout.rows):
+    logs = gram_coordinates(f.stacked, f.source, f.target).invertible_logs()
+    if logs is None:
         raise NotIso("pushforward needs an isomorphism")
     log_det = float(np.asarray(f.target.algebra.weights) @ logs)  # log Det|f~|
     return DetLineElement(f.target, e.coefficient * _inv_sqrt(-2.0 * log_det), "pushforward")

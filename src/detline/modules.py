@@ -42,11 +42,14 @@ separate per-block calls, bit for bit.  Stored stacks are read-only once
 built, and each BlockStacks keeps the singular values of its stacks after
 the first request, so a map whose norm, ranks or invertibility several
 callers read (the relation check, Hodge, a determinant) takes one
-svd(compute_uv=False) per stack.  Per-block lists appear only at I/O:
-the ModuleMorphism constructor, from_matrix, to_matrix and the read-only
-blocks view.  The canonical trace of a commutant operator is
-sum_k w_k tr(F_k), which agrees with the free-embedding formula on free
-modules (tested, not assumed).
+svd(compute_uv=False) per stack.  Invertibility is decided in one place,
+BlockStacks.invertible_logs (square blocks of full rank at
+INVERTIBLE_RTOL), for is_iso, lines.pushforward and the determinant
+routes.  Per-block lists appear only at I/O: the ModuleMorphism
+constructor, from_matrix, to_matrix and the read-only blocks view; block
+input, like carrier input, must be finite.  The canonical trace of a
+commutant operator is sum_k w_k tr(F_k), which agrees with the
+free-embedding formula on free modules (tested, not assumed).
 """
 
 from __future__ import annotations
@@ -59,8 +62,9 @@ import numpy as np
 
 from ._linalg import (
     INVERTIBLE_RTOL,
-    RANK_RTOL,
     as_complex_matrix,
+    gram_hash,
+    identity_hash,
     is_hermitian,
     key_groups,
     orthonormal_range,
@@ -78,7 +82,6 @@ from .errors import (
 )
 
 COMMUTANT_TOL = 1e-10
-COND_LIMIT = 1e12  # largest condition number of an admissible gram (check_admissible)
 POSITIVITY_FLOOR = 1e-10
 SAME_SPACE_TOL = 1e-12
 LAYOUT_CACHE = 4096  # layouts, groupings and product plans kept per process
@@ -314,8 +317,9 @@ class BlockStacks:
 
     @staticmethod
     def from_blocks(rows, cols, blocks) -> "BlockStacks":
-        """Per-block input, checked: one block per algebra block, block k
-        of shape (rows[k], cols[k])."""
+        """Per-block input, checked as carrier input is: one block per
+        algebra block, block k of shape (rows[k], cols[k]), every entry a
+        finite number."""
         blocks = list(blocks)
         if len(blocks) != len(rows):
             raise ShapeMismatch(f"need one block per algebra block, got {len(blocks)}")
@@ -332,6 +336,8 @@ class BlockStacks:
                         got = np.shape(blocks[k])
                         raise ShapeMismatch(f"block {k} has shape {got}, expected {shape}")
                 raise ValidationError("blocks must be matrices of numbers")
+            if not np.isfinite(stacks[-1]).all():
+                raise ValidationError("block entries must be finite")
         return BlockStacks(layout, tuple(stacks))
 
     @staticmethod
@@ -414,10 +420,22 @@ class BlockStacks:
                 sv.flags.writeable = False
         return self._values
 
-    def singular_values(self, rtol: float = RANK_RTOL, scale: float | None = None):
+    def singular_values(self, rtol: float, scale: float | None = None):
         """(top, low, rank, logs) of each block: _linalg.rank_data of the
         kept singular values."""
         return rank_data(self.singular_value_stacks(), len(self.layout.rows), rtol, scale)
+
+    def invertible_logs(self):
+        """Each block's sum of log singular values when every block is
+        square and of full rank at INVERTIBLE_RTOL (its smallest singular
+        value above INVERTIBLE_RTOL times its largest), else None.  The one
+        invertibility test: ModuleMorphism.is_iso, lines.pushforward and
+        the polar and path determinants read it."""
+        rows = self.layout.rows
+        if rows != self.layout.cols:
+            return None
+        _, _, rank, logs = self.singular_values(INVERTIBLE_RTOL)
+        return logs if np.all(rank == rows) else None
 
     def norm(self) -> float:
         """Largest spectral norm of a block: each block's largest kept
@@ -489,6 +507,14 @@ class _GramData:
         elif callable(self._matrix):
             self._matrix = self._matrix()
         return self._matrix
+
+    @property
+    def digest(self) -> str:
+        """_linalg.gram_hash of matrix, the digest reports print; the
+        identity hashes from its size alone, with no matrix built."""
+        if self.is_identity:
+            return identity_hash(self.module.carrier_dim)
+        return gram_hash(self.matrix)
 
     def _power_stacks(self):
         """(G^(1/2), G^(-1/2), G^(-1)) from one eigendecomposition of each
@@ -691,11 +717,9 @@ class ModuleMorphism:
         return _morphism(self.target, self.source, gt.right_times(gs.inv_times(self.stacked.H)))
 
     def is_iso(self) -> bool:
-        """Square blocks, each of full rank at INVERTIBLE_RTOL."""
-        layout = self.stacked.layout
-        if layout.rows != layout.cols:
-            return False
-        return bool(np.all(self.stacked.singular_values(INVERTIBLE_RTOL)[2] == layout.rows))
+        """Square blocks, each of full rank at INVERTIBLE_RTOL
+        (BlockStacks.invertible_logs)."""
+        return self.stacked.invertible_logs() is not None
 
     def inverse(self) -> "ModuleMorphism":
         if not self.is_iso():
@@ -801,13 +825,15 @@ def check_admissible(module: HilbertianModule, gram) -> AdmissibilityReport:
     top = float(np.max(np.abs(vals))) if vals.size else 1.0
     positive = bool(vals.size == 0 or np.min(vals) > POSITIVITY_FLOOR * top)
     cond = float(np.max(vals) / np.min(vals)) if positive and vals.size else np.inf
-    homeo = bool(np.isfinite(cond) and cond < COND_LIMIT)
     stacked, resid, scale = _extract_blocks(module, module, gram)
     commutes = bool(resid <= COMMUTANT_TOL * scale)
     transition = None
-    if self_adjoint and positive and homeo and commutes:
+    if self_adjoint and positive and commutes:
         transition = CommutantOperator._of(module, module, module.reference_gram.inv_times(stacked))
-    return AdmissibilityReport(homeo, self_adjoint, positive, commutes, cond, transition)
+    # a positive definite gram on a finite-dimensional carrier is bounded with
+    # a bounded inverse (positivity caps cond below 1 / POSITIVITY_FLOOR), so
+    # it is a homeomorphism exactly when it is positive
+    return AdmissibilityReport(positive, self_adjoint, positive, commutes, cond, transition)
 
 
 # ---------------------------------------------------------------------------
@@ -1037,51 +1063,3 @@ def _frames(rows, parts, start, width) -> BlockStacks:
             k = idx[at[0]]
             pieces.append((idx[at], s[at, :, start[k] : start[k] + width[k]]))
     return BlockStacks.from_pieces(rows, width.tolist(), pieces)
-
-
-def range_and_kernel(f: BlockStacks, scale: float) -> tuple[BlockStacks, BlockStacks, np.ndarray]:
-    """Orthonormal bases (columns) of the column span and of the kernel of
-    each block, and each block's sum of log singular values over its rank.
-
-    One singular-value pass (BlockStacks.singular_values) decides the
-    ranks: a block's rank counts its singular values above RANK_RTOL times
-    scale, one scale for every block, so a block that is zero up to the
-    rounding of larger ones has rank 0 where a cut relative to the block
-    would count that rounding.  A square block of full rank spans its whole target and has no kernel,
-    so its frames are the identity and an empty frame, read off without
-    singular vectors.  Only the other blocks take a full SVD, one call per
-    stack over those blocks: the leading left and the trailing right
-    singular vectors, split at the rank.  A block with no entries spans
-    nothing, and its whole source is its kernel."""
-    cols = np.array(f.layout.cols)
-    _, _, rank, logs = f.singular_values(RANK_RTOL, scale)
-    lefts, rights = [], []
-    for idx, s in zip(f.layout.index, f.stacks):
-        r, c = s.shape[1:]
-        # all but the blocks with no entries and the square blocks of full rank
-        vectors = (rank[idx] < max(r, c)) & (s.size > 0)
-        if not vectors.all():
-            keep, n = idx[~vectors], int(np.sum(~vectors))
-            lefts.append((keep, np.broadcast_to(np.eye(r, dtype=complex), (n, r, r))))
-            rights.append((keep, np.broadcast_to(np.eye(c, dtype=complex), (n, c, c))))
-        if vectors.any():
-            u, _, vh = np.linalg.svd(s if vectors.all() else s[vectors])
-            lefts.append((idx[vectors], u))
-            rights.append((idx[vectors], vh.conj().swapaxes(1, 2)))
-    return (
-        _frames(f.layout.rows, lefts, np.zeros_like(rank), rank),
-        _frames(f.layout.cols, rights, rank, cols - rank),
-        logs,
-    )
-
-
-def kernel_submodule(f: ModuleMorphism):
-    """Kernel of an A-linear map as a submodule of its source; ranks cut
-    against the map's largest singular value."""
-    return frame_submodule(f.source, range_and_kernel(f.stacked, f.norm())[1])
-
-
-def image_submodule(f: ModuleMorphism):
-    """Closed image of an A-linear map as a submodule of its target; ranks
-    cut against the map's largest singular value."""
-    return frame_submodule(f.target, range_and_kernel(f.stacked, f.norm())[0])

@@ -20,7 +20,6 @@ from types import MappingProxyType
 
 import numpy as np
 
-from ._linalg import gram_hash, identity_hash
 from .complexes import (
     COCHAIN,
     CHAIN,
@@ -516,15 +515,11 @@ def torsion(
     graded = torsion_iso_via_laplacians(assembled, data)
     cross = torsion_iso_via_exact_sequences(assembled, data)
     coordinate = graded.coordinate
-    gram = rep.module.reference_gram
     hashes = {
-        # an identity gram hashes from its size alone, with no matrix built
-        "module_gram": (
-            identity_hash(rep.module.carrier_dim) if gram.is_identity else gram_hash(gram.matrix)
-        ),
+        "module_gram": rep.module.reference_gram.digest,
         # Hodge's harmonic frames are orthonormal: each homology module
         # carries the identity gram
-        "harmonic_grams": tuple(identity_hash(m.carrier_dim) for m in data.harmonic_modules),
+        "harmonic_grams": tuple(m.reference_gram.digest for m in data.harmonic_modules),
     }
     return TorsionReport(
         chi=complex_.euler_characteristic(),

@@ -507,6 +507,31 @@ def test_complex_document_grams(tmp_path, capsys, convention):
     assert answers["classcheck"]["per_degree"] == [{"status": r.status} for r in verdicts.per_degree]
 
 
+@pytest.mark.parametrize("subcommand", ["det", "betti"])
+def test_cli_hashes_an_identity_gram_from_its_size(
+    tmp_path, capsys, refuse_carrier_matrices, subcommand
+):
+    # M_40(C) at multiplicity 1: a carrier of 40 with 1 x 1 blocks, whose
+    # identity gram is reported by its digest with no 40 x 40 identity built
+    alg = {"blocks": [[40, 1.0]]}
+    op = encode_matrix(2.0 * np.eye(40))
+    want = gram_hash(np.eye(40))
+    if subcommand == "det":
+        docs = [{"algebra": alg, "multiplicities": [1]}, {"matrix": op}]
+    else:
+        docs = [{"algebra": alg, "modules": [[1], [1]], "boundaries": [op]}]
+    paths = [write_doc(tmp_path, f"doc{i}.json", d) for i, d in enumerate(docs)]
+    refuse_carrier_matrices(8)
+    code, out, err = run_cli(capsys, ["--format", "structured", subcommand, *paths])
+    assert code == 0, err
+    payload = json.loads(out)
+    if subcommand == "det":
+        assert payload["module_gram"] == want
+        assert payload["log_value"] == pytest.approx(np.log(2.0))
+    else:
+        assert payload["grams"] == [want, want] and payload["betti"] == [0, 0]
+
+
 def test_cli_betti_cell_complex(tmp_path, capsys):
     cc = write_doc(tmp_path, "circle.json", CIRCLE_DOC)
     rep = write_doc(tmp_path, "rep.json", rep_doc(1.0))

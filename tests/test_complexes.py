@@ -291,7 +291,6 @@ def _check_route_factors_each_map_block_once(monkeypatch, c):
     assert [sum(h.multiplicities) for h in data.harmonic_modules] == [1, 1]
     calls.clear()
     monkeypatch.setattr(lines, "_first_inexact", refuse("lines._first_inexact"))
-    monkeypatch.setattr("detline.modules.range_and_kernel", refuse("range_and_kernel"))
     # no transition spectrum, retraction solve, inverse, orthonormalization
     # or eigensolver
     solvers = [_counting(monkeypatch, name) for name in ("eigvalsh", "eigh", "solve", "inv", "qr")]

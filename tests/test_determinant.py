@@ -29,7 +29,6 @@ from detline.errors import (
 )
 from detline.lines import exact_sequence_iso, pushforward, reference_element
 from detline.modules import (
-    COND_LIMIT,
     CommutantOperator,
     HilbertianModule,
     ModuleMorphism,
@@ -37,6 +36,7 @@ from detline.modules import (
     standard_module,
     von_neumann_dimension,
 )
+from detline.torsion import GroupRepresentation
 
 
 def _algebras():
@@ -411,25 +411,27 @@ def test_batched_routes_agree_with_a_per_block_loop(name):
         for b, inv in zip(blocks, inverse.blocks):
             loop_inv = np.linalg.inv(b)
             assert np.linalg.norm(inv - loop_inv) <= 1e-14 * np.linalg.norm(loop_inv)
-        # one block past COND_LIMIT among blocks of its shape
+        # one block of condition number past 1e12 among blocks of its shape
         bad = list(blocks)
         k = max(range(len(bad)), key=lambda j: bad[j].shape[0])
-        bad[k] = np.diag([1.0] + [0.5 / COND_LIMIT] * (bad[k].shape[0] - 1))
+        bad[k] = np.diag([1.0] + [0.5 / 1e12] * (bad[k].shape[0] - 1))
         if bad[k].shape[0] == 1:
             bad[k] = np.zeros((1, 1))
-        assert not all(np.linalg.cond(b) <= COND_LIMIT for b in bad)
+        assert not all(np.linalg.cond(b) <= 1e12 for b in bad)
         assert not CommutantOperator(module, bad).is_iso()
 
 
 @pytest.mark.parametrize("x", [1e-11, 2e-12, 5e-13, 1e-13])
 def test_every_invertibility_test_decides_alike(x):
-    # is_iso, inverse, pushforward and the polar and path routes read one
-    # singular-value pass: full rank at INVERTIBLE_RTOL
+    # is_iso, inverse, a representation's image check, pushforward and the
+    # polar and path routes read one test, BlockStacks.invertible_logs:
+    # full rank at INVERTIBLE_RTOL
     mod = HilbertianModule(ALGEBRAS["C"], (2,))
     op = CommutantOperator(mod, [np.diag([1.0, x])])
-    verdicts = [op.is_iso()]
+    verdicts = [op.is_iso(), op.stacked.invertible_logs() is not None]
     for call, refusal in (
         (op.inverse, NotIso),
+        (lambda: GroupRepresentation(mod, {"t": op}), NotIso),
         (lambda: pushforward(op, reference_element(mod)), NotIso),
         (lambda: fk_det(mod, op), NonInvertible),
         (lambda: fk_det_path(mod, op), NonInvertible),
@@ -439,7 +441,7 @@ def test_every_invertibility_test_decides_alike(x):
             verdicts.append(True)
         except refusal:
             verdicts.append(False)
-    assert verdicts == [x > INVERTIBLE_RTOL] * 5
+    assert verdicts == [x > INVERTIBLE_RTOL] * 7
 
 
 def _counting(monkeypatch, name):

@@ -64,7 +64,7 @@ def test_singular_values_give_the_smallest_value_the_rank_counts():
         (np.array([0, 1]), np.array([np.diag([3.0, 1e-12]), np.diag([1e-12, 0.0])], dtype=complex)),
         (np.array([2]), np.array([np.diag([2.0, 0.5])], dtype=complex)),
     ]
-    top, low, rank, logs = rank_data(singular_value_stacks(parts), 4, scale=1.0)
+    top, low, rank, logs = rank_data(singular_value_stacks(parts), 4, rtol=1e-10, scale=1.0)
     np.testing.assert_array_equal(top, [3.0, 1e-12, 2.0, 0.0])
     np.testing.assert_array_equal(low, [3.0, np.inf, 0.5, np.inf])
     np.testing.assert_array_equal(rank, [1, 0, 2, 0])

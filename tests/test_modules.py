@@ -15,6 +15,7 @@ from detline.errors import (
     ValidationError,
 )
 from detline import modules
+from detline.fixtures import scalar_representation
 from detline.lines import reference_element
 from detline.modules import (
     CommutantOperator,
@@ -26,9 +27,7 @@ from detline.modules import (
     direct_sum,
     direct_sum_many,
     free_module,
-    image_submodule,
     inclusion_morphisms,
-    kernel_submodule,
     module_from_group_action,
     regular_module,
     resolve_gram,
@@ -168,6 +167,20 @@ def test_admissibility_conditions():
     near_singular = np.eye(d, dtype=complex)
     with pytest.raises(NotAdmissible):
         HilbertianModule(ALG, (1, 2), reference_gram=0.0 * near_singular)
+
+
+@pytest.mark.parametrize(
+    "cond, admissible", [(9.9e9, True), (1.01e10, False), (1e11, False), (5e11, False), (2e12, False)]
+)
+def test_conditioning_is_decided_by_positivity(cond, admissible):
+    # positivity counts eigenvalues above POSITIVITY_FLOOR = 1e-10 times the
+    # largest, so a positive gram has cond < 1e10 and is a homeomorphism;
+    # every gram past that, also below 1e12, is neither
+    m = HilbertianModule(FiniteVonNeumannAlgebra(((1, 1.0),)), (2,))
+    rep = check_admissible(m, np.diag([1.0, 1.0 / cond]))
+    assert rep.positive is rep.homeomorphism is rep.ok is admissible
+    assert rep.condition_number == (pytest.approx(cond) if admissible else np.inf)
+    assert (rep.transition is not None) is admissible
 
 
 def test_transition_operator_reproduces_gram():
@@ -355,6 +368,24 @@ def test_bad_matrix_input_raises_a_detline_error(case):
     assert err.type is expected
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_blocks_are_refused_as_carrier_input_is(bad):
+    # block input refuses what as_complex_matrix refuses: unchecked, inf in
+    # diag(1, inf) gave fk_det_spectral the value 1.0, and nan made every
+    # singular-value reader raise numpy's LinAlgError
+    alg = FiniteVonNeumannAlgebra(((1, 1.0),))
+    mod, line = HilbertianModule(alg, (2,)), HilbertianModule(alg, (1,))
+    calls = (
+        lambda: CommutantOperator(mod, [np.diag([1.0, bad])]),
+        lambda: ModuleMorphism(mod, line, [np.array([[1.0, bad]])]),
+        lambda: submodule_from_blocks(mod, [np.array([[1.0], [bad]])]),
+        lambda: scalar_representation({"t": bad}),
+    )
+    for call in calls:
+        with pytest.raises(ValidationError, match="block entries must be finite"):
+            call()
+
+
 def test_morphism_intertwining_enforced():
     m = HilbertianModule(ALG, (2, 1))
     n = HilbertianModule(ALG, (1, 2))
@@ -491,28 +522,10 @@ def test_stored_stacks_are_read_only_and_keep_their_singular_values(monkeypatch)
     monkeypatch.setattr(impl, "svd", counted)
     fresh = CommutantOperator(tgt, op.blocks)
     for _ in range(2):
-        fresh.norm(), fresh.is_iso(), fresh.stacked.singular_values(), fk_det(tgt, fresh)
+        fresh.norm(), fresh.is_iso(), fresh.stacked.singular_values(1e-10), fk_det(tgt, fresh)
     assert counts[0] == len(fresh.stacked.stacks) == 2
     monkeypatch.undo()
     assert fresh.norm() == max(float(np.linalg.norm(x, 2)) for x in op.blocks)
-
-
-def test_kernel_and_image_submodules():
-    m = HilbertianModule(ALG, (2, 3))
-    n = HilbertianModule(ALG, (1, 2))
-    f = ModuleMorphism(m, n, [np.array([[1.0, 0.0]]), np.array([[1, 0, 0], [0, 1, 0.0]])])
-    ker, ker_embed = kernel_submodule(f)
-    assert ker.multiplicities == (1, 1)
-    assert np.allclose((_compose(f, ker_embed)).norm(), 0.0, atol=1e-12)
-    img, img_embed = image_submodule(f)
-    assert img.multiplicities == (1, 2)
-    # embeddings are isometries for the chosen gram (identity here)
-    jmat = img_embed.to_matrix()
-    assert np.allclose(jmat.conj().T @ jmat, np.eye(img.carrier_dim), atol=1e-12)
-
-
-def _compose(f, g):
-    return f @ g
 
 
 def test_submodule_respects_nontrivial_gram():

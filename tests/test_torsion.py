@@ -28,7 +28,6 @@ from detline.fixtures import (
     torus,
     trivial_representation,
 )
-from detline import modules
 from detline._linalg import gram_hash, identity_hash
 from detline.determinant import fk_det
 from detline.modules import (
@@ -912,45 +911,26 @@ def test_torsion_takes_singular_vectors_only_on_blocks_with_homology(monkeypatch
     assert with_homology > 0
 
 
-def _refuse_carrier_matrices(monkeypatch, limit):
-    """Make the lazy direct-sum builders raise, and np.eye refuse sizes
-    above limit (numpy-wide, for the rest of the test).  Returns np.eye."""
-    eye = np.eye
-
-    def refuse(total):
-        raise AssertionError(f"built a carrier matrix of size {total.carrier_dim}")
-
-    def small_eye(n, *args, **kwargs):
-        if n > limit:
-            raise AssertionError(f"built a carrier identity of size {n}")
-        return eye(n, *args, **kwargs)
-
-    monkeypatch.setattr(modules, "_direct_sum_basis_map", refuse)
-    monkeypatch.setattr(modules, "_direct_sum_gram_matrix", refuse)
-    monkeypatch.setattr(np, "eye", small_eye)
-    return eye
-
-
-def test_torsion_builds_no_carrier_matrices(monkeypatch):
+def test_torsion_builds_no_carrier_matrices(refuse_carrier_matrices):
     rep = regular_cyclic_representation(5)
     cells = 64  # C[Z/5] is commutative: multiplicity blocks are 64 x 64
-    _refuse_carrier_matrices(monkeypatch, cells)
+    refuse_carrier_matrices(cells)
     report = torsion(circle(cells), rep)
     assert report.coefficients.modules[0].carrier_dim == cells * 5
 
 
-def test_validate_complex_builds_no_carrier_matrices(monkeypatch):
+def test_validate_complex_builds_no_carrier_matrices(refuse_carrier_matrices):
     # maps stored as blocks 1 (x) F_k commute with the action by construction
     cx = assemble_coefficients(circle(64), regular_cyclic_representation(5))
-    _refuse_carrier_matrices(monkeypatch, 64)
+    refuse_carrier_matrices(64)
     report = validate_complex(cx)
     assert report.valid
 
 
-def test_remetrising_builds_no_carrier_matrices(monkeypatch):
+def test_remetrising_builds_no_carrier_matrices(refuse_carrier_matrices):
     rep = regular_cyclic_representation(5)
     cells = 64
-    eye = _refuse_carrier_matrices(monkeypatch, cells)
+    eye = refuse_carrier_matrices(cells)
     plain = assemble_coefficients(circle(cells), rep)
     scaled = HilbertianChainComplex(
         [m.with_reference_gram(CommutantOperator.identity(m) * 2.0) for m in plain.modules],
